@@ -1,8 +1,12 @@
 """Smith canonical form of polynomial matrices and determinant-root classification.
 
-The Smith form is computed by exact elimination over Q[z]; the only numerical
-step in the whole package is the companion-matrix root location used to sort
-determinant roots relative to the unit circle.
+The Smith form is computed by exact elimination over Q[z], which also detects
+a singular input: its elimination runs out of nonzero pivots.  The unimodular
+inverses are tracked exactly, so later stages (the constraint blocks, the
+stable/unstable factor adjugates) read them instead of inverting anew.  The
+only numerical step in the whole package is the companion-matrix root location
+used to sort determinant roots relative to the unit circle; numpy is imported
+on its first use.
 """
 
 from __future__ import annotations
@@ -10,10 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .exactalg import (
-    NEG_INF,
     Poly,
     PolyMatrix,
     det_adjugate,
@@ -62,16 +63,12 @@ def smith_form(M: PolyMatrix) -> SmithForm:
 
     P, Q are unimodular with polynomial inverses tracked exactly; the
     invariant factors z^g_i * phi_i are monic and satisfy the divisibility
-    chain.  Raises RedundantEquationsError when det M is identically zero.
+    chain.  Raises RedundantEquationsError when det M is identically zero,
+    which is exactly when a remaining block has no nonzero pivot.
     """
     if M.rows != M.cols:
         raise ValueError("smith_form requires a square matrix")
     n = M.rows
-    det, _ = det_adjugate(M)
-    if det.is_zero():
-        raise RedundantEquationsError(
-            "det pi(z) is identically zero: system contains redundant equations"
-        )
 
     D = [[M.entries[i][j] for j in range(n)] for i in range(n)]
     ident = PolyMatrix.identity(n)
@@ -138,7 +135,10 @@ def smith_form(M: PolyMatrix) -> SmithForm:
                         key = _pivot_key(e, i, j)
                         if best is None or key < best[0]:
                             best = (key, i, j)
-            assert best is not None, "nonsingular matrix cannot zero out"
+            if best is None:
+                raise RedundantEquationsError(
+                    "det pi(z) is identically zero: system contains redundant equations"
+                )
             _, bi, bj = best
             swap_rows(t, bi)
             swap_cols(t, bj)
@@ -253,6 +253,8 @@ def classify_roots(p: Poly, xi=1, tol: float = 1e-9) -> RootClassification:
     eigenvalues (the package's single numerical step).  Roots within tol of
     the ring [1/xi, 1] are rejected.
     """
+    import numpy as np
+
     xi = rat(xi)
     if p.is_zero():
         raise ValueError("cannot classify roots of the zero polynomial")

@@ -20,6 +20,7 @@ from .model import (
     RedundantPiError,
     SCHEMA_VERSION,
     parse_model,
+    validate_semantics,
 )
 from .solver import (
     FactorizationError,
@@ -85,8 +86,6 @@ def _emit_text(doc, prefix=""):
 
 
 def cmd_analyze(m: REModel, args) -> dict:
-    from .model import validate_semantics
-
     rep = dimension_report(m)
     return {
         "command": "analyze",

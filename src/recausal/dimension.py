@@ -8,7 +8,6 @@ from fractions import Fraction
 
 from .canon import classify_roots, smith_form
 from .constraints import (
-    ConstraintSystem,
     build_plain_system,
     build_predetermined_system,
     build_selectors,
@@ -16,36 +15,81 @@ from .constraints import (
     frak_p_blocks,
     zeta_coefficients,
 )
-from .exactalg import RationalMatrix, det_adjugate
+from .exactalg import RationalMatrix
 from .model import REModel, build_pi
 
 
-@dataclass(frozen=True)
+def _stage(build):
+    """A Pipeline attribute computed on first use and memoized on the model."""
+    name = build.__name__
+
+    def get(self):
+        memo = self.model.artifacts
+        if name not in memo:
+            memo[name] = build(self)
+        return memo[name]
+
+    return property(get, doc=build.__doc__)
+
+
 class Pipeline:
-    model: REModel
-    pi: object
-    sf: object
-    zc: object
-    pb: object
-    sel: object
-    cs: ConstraintSystem
-    plain_cs: ConstraintSystem
+    """View of one model's derived artifacts: pi(z) -> Smith form -> constraints.
+
+    Every stage is computed on first use and kept in the model's own memo, so
+    all views of one model share one pi, one Smith form, one root
+    classification and one constraint system.  The memo refers to no view and
+    no artifact refers to the model, so a dropped model is freed at once.
+    A stage that raises is not memoized; it raises again on the next use.
+    """
+
+    __slots__ = ("model",)
+
+    def __init__(self, model: REModel):
+        self.model = model
+
+    @_stage
+    def pi(self):
+        """pi(z) with its determinant and adjugate."""
+        return build_pi(self.model)
+
+    @_stage
+    def sf(self):
+        """Smith form of pi(z)."""
+        return smith_form(self.pi.pi)
+
+    @_stage
+    def roots(self):
+        """Roots of det pi(z) relative to the unit circle and xi."""
+        return classify_roots(self.pi.det, self.model.xi)
+
+    @_stage
+    def zc(self):
+        return zeta_coefficients(self.model)
+
+    @_stage
+    def pb(self):
+        return frak_p_blocks(self.sf, self.pi.J1, self.model.H)
+
+    @_stage
+    def sel(self):
+        return build_selectors(self.model, self.sf)
+
+    @_stage
+    def plain_cs(self):
+        return build_plain_system(self.model, self.sf, self.zc, self.pb)
+
+    @_stage
+    def cs(self):
+        """The model's constraint system, in its own flavor."""
+        plain = self.plain_cs
+        if not self.model.predetermined:
+            return plain
+        return build_predetermined_system(self.model, self.sf, self.zc, self.pb, self.sel)
 
 
 def run_pipeline(m: REModel) -> Pipeline:
-    pp = build_pi(m)
-    sf = smith_form(pp.pi)
-    zc = zeta_coefficients(m)
-    pb = frak_p_blocks(sf, pp.J1, m.H)
-    sel = build_selectors(m, sf)
-    plain_cs = build_plain_system(m, sf, zc, pb)
-    if m.predetermined:
-        cs = build_predetermined_system(m, sf, zc, pb, sel)
-    else:
-        cs = plain_cs
-    return Pipeline(
-        model=m, pi=pp, sf=sf, zc=zc, pb=pb, sel=sel, cs=cs, plain_cs=plain_cs
-    )
+    """The model's pipeline; its stages run on first use, once per model."""
+    return Pipeline(m)
 
 
 @dataclass(frozen=True)
@@ -78,9 +122,7 @@ def dimension_report(m: REModel, pipe: Pipeline | None = None) -> DimensionRepor
         special = "g<=J1"
     else:
         special = "general"
-    det, _ = det_adjugate(pipe.pi.pi)
-    rc = classify_roots(det, m.xi)
-    distinct = len(rc.unstable_roots) == 0
+    distinct = len(pipe.roots.unstable_roots) == 0
     return DimensionReport(
         free_parameters=cs.kernel_dim * m.q,
         kernel_dim=cs.kernel_dim,

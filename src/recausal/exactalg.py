@@ -518,22 +518,27 @@ def _row_echelon(entries, ncols):
     return pivots
 
 
-def rank_kernel(M: RationalMatrix):
-    """Exact rank and a basis of the right kernel."""
-    entries = [list(row) for row in M.entries]
-    pivots = _row_echelon(entries, M.cols)
-    rank = len(pivots)
+def _echelon_kernel(entries, pivots, ncols):
+    """Right-kernel basis of the first ncols columns of a reduced echelon form."""
     pivot_set = set(pivots)
-    free = [c for c in range(M.cols) if c not in pivot_set]
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * M.cols
+    for fc in range(ncols):
+        if fc in pivot_set:
+            continue
+        v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
             # reduced echelon rows: entry at pc is the only pivot in row r
             v[pc] = -entries[r][fc] / entries[r][pc]
         basis.append(v)
-    return rank, basis
+    return basis
+
+
+def rank_kernel(M: RationalMatrix):
+    """Exact rank and a basis of the right kernel."""
+    entries = [list(row) for row in M.entries]
+    pivots = _row_echelon(entries, M.cols)
+    return len(pivots), _echelon_kernel(entries, pivots, M.cols)
 
 
 def rank_of(M: RationalMatrix) -> int:
@@ -545,22 +550,22 @@ def solve_affine(M: RationalMatrix, B: RationalMatrix):
     """General exact solve of M X = B for matrix right-hand sides.
 
     Returns (particular X or None if inconsistent, kernel basis vectors of M).
+    The elimination never picks a pivot in the B columns, so the M columns of
+    the echelon form, and with them the kernel, are those of M alone.
     """
     aug = [list(mrow) + list(brow) for mrow, brow in zip(M.entries, B.entries)]
     pivots = _row_echelon(aug, M.cols)
-    rank = len(pivots)
+    kern = _echelon_kernel(aug, pivots, M.cols)
     # consistency: any row with zero M-part must have zero B-part
     for r in range(len(aug)):
         if all(aug[r][c] == 0 for c in range(M.cols)):
             if any(aug[r][c] != 0 for c in range(M.cols, M.cols + B.cols)):
-                _, kern = rank_kernel(M)
                 return None, kern
     part = [[Fraction(0)] * B.cols for _ in range(M.cols)]
     for r, pc in enumerate(pivots):
         pv = aug[r][pc]
         for j in range(B.cols):
             part[pc][j] = aug[r][M.cols + j] / pv
-    _, kern = rank_kernel(M)
     return RationalMatrix(part), kern
 
 
@@ -568,16 +573,36 @@ def pseudo_inverse_columns(M: RationalMatrix, ncols: int) -> RationalMatrix:
     """Moore-Penrose pseudo-inverse (A^T A)^{-1} A^T of the first ncols columns."""
     A = M.submatrix(range(M.rows), range(ncols))
     At = A.transpose()
-    G = At * A
-    X, _ = solve_affine(G, At)
-    if X is None or rank_of(G) < ncols:
+    X, kern = solve_affine(At * A, At)
+    if X is None or kern:
         raise ValueError("rank-deficient column block has no left inverse")
     return X
 
 
 def invert(M: RationalMatrix) -> RationalMatrix:
     assert M.rows == M.cols
-    X, _ = solve_affine(M, RationalMatrix.identity(M.rows))
-    if X is None or rank_of(M) < M.rows:
+    X, kern = solve_affine(M, RationalMatrix.identity(M.rows))
+    if X is None or kern:
         raise ValueError("matrix is singular")
     return X
+
+
+def rational_det(M: RationalMatrix) -> Fraction:
+    """Determinant of a square rational matrix by exact elimination."""
+    assert M.rows == M.cols
+    rows = [list(row) for row in M.entries]
+    det = Fraction(1)
+    for c in range(M.rows):
+        r = next((r for r in range(c, M.rows) if rows[r][c] != 0), None)
+        if r is None:
+            return Fraction(0)
+        if r != c:
+            rows[c], rows[r] = rows[r], rows[c]
+            det = -det
+        pv = rows[c][c]
+        det *= pv
+        for r2 in range(c + 1, M.rows):
+            f = rows[r2][c] / pv
+            if f != 0:
+                rows[r2] = [a - f * b for a, b in zip(rows[r2], rows[c])]
+    return det

@@ -7,6 +7,10 @@ A model is the system
 with s endogenous variables, q innovations, finite moving-average exogenous
 process u_t = sum_j w_j eps_{t-j}, and predeterminedness multi-index
 gamma = (s_0, ..., s_H) with sum(gamma) = s.
+
+A model is immutable once built: the artifacts derived from it (pi(z), its
+Smith form, the constraint systems) are memoized on the instance in
+`REModel.artifacts` and filled by `recausal.dimension.Pipeline`.
 """
 
 from __future__ import annotations
@@ -39,6 +43,10 @@ class REModel:
     wold: tuple             # (w_0, ..., w_L), each s x q
     xi: Fraction = Fraction(1)
     r_hint: int | None = None
+    # stage name -> derived artifact, filled on first use (dimension.Pipeline)
+    artifacts: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def a(self, k: int, h: int) -> RationalMatrix:
         return self.A.get((k, h), RationalMatrix.zero(self.s, self.s))
@@ -169,6 +177,8 @@ class PiPolynomial:
     A_star: dict            # i -> RationalMatrix, J0 <= i <= J1
     J0: int
     J1: int
+    det: Poly               # det pi(z), never identically zero
+    adj: PolyMatrix         # adjugate: pi * adj = det * I
 
 
 def build_pi(m: REModel) -> PiPolynomial:
@@ -195,12 +205,12 @@ def build_pi(m: REModel) -> PiPolynomial:
                 coeffs[J1 - i] = mat.entries[r][c]
             entries[r][c] = Poly(coeffs)
     pi = PolyMatrix(entries)
-    det, _ = det_adjugate(pi)
+    det, adj = det_adjugate(pi)
     if det.is_zero():
         raise RedundantPiError(
             "det pi(z) is identically zero: system contains redundant equations"
         )
-    return PiPolynomial(pi=pi, A_star=stars, J0=J0, J1=J1)
+    return PiPolynomial(pi=pi, A_star=stars, J0=J0, J1=J1, det=det, adj=adj)
 
 
 def validate_semantics(m: REModel) -> dict:
@@ -224,11 +234,11 @@ def validate_semantics(m: REModel) -> dict:
         f"H={m.H}",
     )
     check("gamma_sum", sum(m.gamma) == m.s, f"gamma={m.gamma}")
-    try:
-        pp = build_pi(m)
-        from .canon import smith_form
+    from .dimension import run_pipeline  # dimension imports this module
 
-        sf = smith_form(pp.pi)
+    pipe = run_pipeline(m)
+    try:
+        pp, sf = pipe.pi, pipe.sf
         G = sum(sf.g)
         check("det_pi_nonzero", True, f"G = {G} zero(s) at zero, g = {sf.g}")
         if any(gi > pp.J1 for gi in sf.g):

@@ -5,26 +5,29 @@ part divides out") are implemented as an exact linear system in the entries of
 the revision-loading stack h: divisibility remainders and forbidden low-order
 series coefficients are linear functionals of h, so solvability, uniqueness,
 and the solution family are all decided by exact rational elimination.
+
+The factors pi_u = P D_u and pi_s = D_s Q share the unimodular P and Q of the
+Smith form, whose inverses are tracked exactly, so their determinants and
+adjugates follow in closed form from the diagonal factors D_u, D_s.  sympy
+(rational factorization) and numpy (simulation) are imported on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
-import numpy as np
-import sympy
-
-from .canon import RootClassification, SmithForm, classify_roots
-from .constraints import ConstraintSystem
+from .canon import SmithForm, classify_roots
 from .dimension import Pipeline, run_pipeline
 from .exactalg import (
     Poly,
     PolyMatrix,
     RationalMatrix,
-    det_adjugate,
-    invert,
+    poly_gcd,
     rat,
+    rational_det,
     solve_affine,
     vstack,
 )
@@ -39,9 +42,6 @@ class FactorizationError(ArithmeticError):
     pass
 
 
-_Z = sympy.Symbol("z")
-
-
 def _split_phi(phi: Poly, xi, tol: float = 1e-9):
     """Split a monic polynomial with phi(0) != 0 into stable/unstable parts.
 
@@ -51,11 +51,14 @@ def _split_phi(phi: Poly, xi, tol: float = 1e-9):
     """
     if phi.is_constant():
         return Poly.const(1), Poly.const(1)
+    import sympy
+
+    z = sympy.Symbol("z")
     expr = sum(
-        sympy.Rational(c.numerator, c.denominator) * _Z**i
+        sympy.Rational(c.numerator, c.denominator) * z**i
         for i, c in enumerate(phi.coeffs)
     )
-    const, factors = sympy.Poly(expr, _Z, domain="QQ").factor_list()
+    const, factors = sympy.Poly(expr, z, domain="QQ").factor_list()
     stable = Poly.const(1)
     unstable = Poly.const(1)
     for fac, exp in factors:
@@ -73,7 +76,6 @@ def _split_phi(phi: Poly, xi, tol: float = 1e-9):
                 f"irreducible factor {f!r} has roots on both sides of the "
                 "unit circle; no exact rational stable/unstable split exists"
             )
-        target = stable if rc.stable_roots else unstable
         for _ in range(exp):
             if rc.stable_roots:
                 stable = stable * f
@@ -98,6 +100,15 @@ class Factorization:
     zero_pole_order: int  # multiplicity of z = 0 in det(pi_s)
 
 
+def _product(polys) -> Poly:
+    return reduce(mul, polys, Poly.const(1))
+
+
+def _cofactors(diag):
+    """Diagonal of adj(diag(d)): entry i is the product of all d_j, j != i."""
+    return [_product(diag[:i] + diag[i + 1:]) for i in range(len(diag))]
+
+
 def factor_stable_unstable(sf: SmithForm, J1: int, xi=1) -> Factorization:
     """pi = pi_u * pi_s with pi_u = P alpha_u Phi_u and pi_s = alpha_s Phi_s Q."""
     if J1 < 0:
@@ -120,8 +131,14 @@ def factor_stable_unstable(sf: SmithForm, J1: int, xi=1) -> Factorization:
     ]
     pi_u = sf.P * PolyMatrix.diag(diag_u)
     pi_s = PolyMatrix.diag(diag_s) * sf.Q
-    det_u, adj_u = det_adjugate(pi_u)
-    det_s, adj_s = det_adjugate(pi_s)
+    # adj(P D_u) = adj(D_u) det(P) P^{-1} and adj(D_s Q) = det(Q) Q^{-1} adj(D_s);
+    # det P and det Q are the constants det P(0) and det Q(0)
+    det_p = rational_det(sf.P.coeff(0))
+    det_q = rational_det(sf.Q.coeff(0))
+    det_u = _product(diag_u) * det_p
+    det_s = _product(diag_s) * det_q
+    adj_u = PolyMatrix.diag(_cofactors(diag_u)) * sf.P_inv * det_p
+    adj_s = sf.Q_inv * PolyMatrix.diag(_cofactors(diag_s)) * det_q
     return Factorization(
         pi_u=pi_u, pi_s=pi_s, alpha_split=tuple(alpha_split),
         phi_split=tuple(splits), det_u=det_u, adj_u=adj_u,
@@ -228,8 +245,8 @@ def solve_causal(
     """Solve the RE model exactly and classify the causal solution set."""
     pipe = pipe or run_pipeline(m)
     s, H, q = m.s, m.H, m.q
-    det_pi, _ = det_adjugate(pipe.pi.pi)
-    classify_roots(det_pi, m.xi)  # raises on boundary roots
+    cs = pipe.cs
+    pipe.roots  # classifies the roots of det pi; raises on boundary roots
     fac = factor_stable_unstable(pipe.sf, pipe.pi.J1, m.xi)
     const, per_unknown = assemble_rhs(m, pipe.zc, pipe.pi.J1, pipe.pi.pi)
     n_unknowns = s * H
@@ -242,7 +259,6 @@ def solve_causal(
         row[idx] = Fraction(1)
         rows.append(row)
         rhs_rows.append([Fraction(0)] * q)
-    cs = pipe.cs
     if H > 0:
         m_stack = vstack(pipe.zc.padded(pipe.pb.width_blocks))
         c_full = cs.D * m_stack
@@ -332,8 +348,6 @@ def build_transfer(m, pipe, fac: Factorization, const, per_unknown, h):
         num = PolyMatrix([[e.exact_div(z_m) for e in row] for row in num.entries])
         den = den.exact_div(z_m)
     # cancel any common polynomial factor, then normalize den(0) = 1
-    from .exactalg import poly_gcd
-
     common = den
     for row in num.entries:
         for e in row:
@@ -433,6 +447,8 @@ def simulate(sr: SolutionReport, T: int, seed: int, truncation: int = 200) -> di
     """Monte Carlo cross-check: filter N(0, I) innovations through the transfer."""
     if sr.transfer_num is None:
         raise ValueError("no transfer function to simulate")
+    import numpy as np
+
     series = transfer_series(sr.transfer_num, sr.transfer_den, truncation)
     coeffs = np.array(
         [[[float(e) for e in row] for row in mat.entries] for mat in series]

@@ -164,6 +164,50 @@ def random_gamma(rng, s, H):
     return tuple(gamma)
 
 
+UNSTABLE_ROOTS = (Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(-2, 3))
+STABLE_ROOTS = (Fraction(2), Fraction(-2), Fraction(3, 2), Fraction(-3, 2), Fraction(5, 2))
+
+
+def planted_model(rng: random.Random, s, H, g_last, predetermined=False) -> REModel:
+    """Model with pi = U diag(z^g_i (z - r_i)) V for unimodular U, V.
+
+    g = (0, ..., 0, g_last) and one root r_i inside the unit circle, the rest
+    outside, so the Smith form and the stable/unstable split are known. As
+    g_0 = 0 keeps pi(0) != 0, J1 = H; pi = sum_i A*_i z^{H - i} is realized
+    with A_{0,h} = A*_h and A_{k,0} = A*_{-k}.
+    """
+    g = [0] * (s - 1) + [g_last]
+    roots = [rng.choice(UNSTABLE_ROOTS)] + [rng.choice(STABLE_ROOTS) for _ in range(s - 1)]
+    rng.shuffle(roots)
+    diag = PolyMatrix.diag([Poly.monomial(gi) * Poly([-r, 1]) for gi, r in zip(g, roots)])
+    pi = rand_unimodular(rng, s) * diag * rand_unimodular(rng, s)
+    D = int(pi.max_degree())
+    A = {}
+    for d in range(D + 1):
+        mat = pi.coeff(d)
+        if not mat.is_zero():
+            A[(0, H - d) if d <= H else (d - H, 0)] = mat
+    q = rng.randint(1, s)
+    while True:
+        w0 = rand_matrix(rng, s, q)
+        if not w0.is_zero():
+            break
+    gamma = random_gamma(rng, s, H) if predetermined else tuple([s] + [0] * H)
+    return REModel(s=s, K=max(D - H, 0), H=H, q=q, A=A, gamma=gamma, wold=(w0,))
+
+
+def planted_models():
+    """Planted models over s = 3, 4, H = 1, 2, g_last = 1 or H + 1, both flavors."""
+    rng = random.Random(20261018)
+    return [
+        planted_model(rng, s, H, g_last, predetermined)
+        for s in (3, 4)
+        for H in (1, 2)
+        for g_last in (1, H + 1)
+        for predetermined in (False, True)
+    ]
+
+
 @pytest.fixture(scope="session")
 def corpus():
     """100 random models, all with s <= 3 and K, H <= 2 (see acceptance)."""

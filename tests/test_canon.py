@@ -140,6 +140,22 @@ def test_smith_rejects_singular():
         invariant_factors_oracle(PolyMatrix([[Z, Z], [Z, Z]]))
 
 
+def test_smith_rejects_nonzero_singular():
+    """Singular inputs run out of pivots during the elimination itself."""
+    one = Poly.const(1)
+    row = [one + Z, Z * Z - Fraction(1, 2)]
+    rank_one = PolyMatrix([row, [e * (Z - 3) for e in row]])
+    rng = random.Random(11)
+    r1 = [rand_poly(rng, 2) for _ in range(3)]
+    r2 = [rand_poly(rng, 1) for _ in range(3)]
+    f, g = Z * Z + 2, Z - Fraction(1, 3)
+    combo = PolyMatrix([r1, r2, [f * a + g * b for a, b in zip(r1, r2)]])
+    for M in (rank_one, combo):
+        assert det_adjugate(M)[0].is_zero()
+        with pytest.raises(RedundantEquationsError):
+            smith_form(M)
+
+
 def test_is_unimodular():
     assert is_unimodular(PolyMatrix.identity(3))
     _, sf1, _ = _published_factorizations()
