@@ -1,13 +1,15 @@
 """Exact rational scalar, polynomial, and matrix arithmetic.
 
-All coefficients are `fractions.Fraction` (arbitrary precision, stored in
-lowest terms with positive denominator), so every operation in this module
-is exact; no floating point appears anywhere.
+Scalars and matrix entries are `fractions.Fraction`.  A `Poly` holds integer
+numerators `num` over one positive common denominator `den`, in lowest terms
+with trailing zeros trimmed, so its arithmetic runs on Python integers with
+one normalisation per result.  Every operation is exact; no floating point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 NEG_INF = float("-inf")  # degree of the zero polynomial
 
@@ -30,15 +32,33 @@ def rat_str(x: Fraction) -> str:
 
 
 class Poly:
-    """Univariate polynomial over the rationals, coefficients lowest first."""
+    """Univariate polynomial over the rationals: sum(num[i] z^i) / den."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("num", "den", "_coeffs")
 
     def __init__(self, coeffs=()):
         cs = [rat(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        den = lcm(*[c.denominator for c in cs])
+        self._set([c.numerator * (den // c.denominator) for c in cs], den)
+
+    def _set(self, num: list, den: int):
+        # trusted: integer numerators over den > 0; trims and reduces in place
+        while num and not num[-1]:
+            num.pop()
+        if not num:
+            den = 1
+        elif den != 1:
+            g = den
+            for n in num:
+                g = gcd(g, n)
+                if g == 1:
+                    break
+            if g != 1:
+                num = [n // g for n in num]
+                den //= g
+        self.num = tuple(num)
+        self.den = den
+        self._coeffs = None
 
     @staticmethod
     def const(c) -> "Poly":
@@ -50,37 +70,57 @@ class Poly:
         return Poly([0] * deg + [rat(c)])
 
     @property
+    def coeffs(self) -> tuple:
+        """Coefficients as Fractions, lowest first (built on first use)."""
+        cs = self._coeffs
+        if cs is None:
+            d = self.den
+            cs = self._coeffs = tuple(Fraction(n, d) for n in self.num)
+        return cs
+
+    @property
     def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        return len(self.num) - 1 if self.num else NEG_INF
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
+        return len(self.num) <= 1
 
     def __getitem__(self, i: int) -> Fraction:
-        if 0 <= i < len(self.coeffs):
+        if 0 <= i < len(self.num):
             return self.coeffs[i]
         return Fraction(0)
 
     def __eq__(self, other):
         if isinstance(other, Poly):
-            return self.coeffs == other.coeffs
+            return self.den == other.den and self.num == other.num
         if isinstance(other, (int, Fraction)):
             return self == Poly.const(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.num, self.den))
 
     def __neg__(self):
-        return Poly([-c for c in self.coeffs])
+        return _poly([-n for n in self.num], self.den)
 
     def __add__(self, other):
         other = _as_poly(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly([self[i] + other[i] for i in range(n)])
+        a, b, da, db = self.num, other.num, self.den, other.den
+        if da != db:
+            g = gcd(da, db)
+            ma, mb = db // g, da // g
+            a = [n * ma for n in a]
+            b = [n * mb for n in b]
+            da *= ma
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, n in enumerate(b):
+            out[i] += n
+        return _poly(out, da)
 
     __radd__ = __add__
 
@@ -92,42 +132,57 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Poly([c * other for c in self.coeffs])
+            p = other.numerator
+            return _poly([n * p for n in self.num], self.den * other.denominator)
         other = _as_poly(other)
-        if self.is_zero() or other.is_zero():
+        a, b = self.num, other.num
+        if not a or not b:
             return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(out)
+        if len(a) < len(b):
+            a, b = b, a
+        lb = len(b)
+        out = [0] * (len(a) + lb - 1)
+        for i, x in enumerate(a):
+            if x:
+                out[i : i + lb] = [o + x * y for o, y in zip(out[i : i + lb], b)]
+        return _poly(out, self.den * other.den)
 
     __rmul__ = __mul__
 
     def divmod(self, other: "Poly"):
-        """Exact-coefficient polynomial long division: (quotient, remainder)."""
-        other = _as_poly(other)
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        db = len(other.coeffs) - 1
-        lead = other.coeffs[-1]
-        if len(rem) - 1 < db:
-            return Poly(), Poly(rem)
-        quo = [Fraction(0)] * (len(rem) - db)
-        for i in range(len(rem) - db - 1, -1, -1):
-            c = rem[i + db] / lead
-            if c == 0:
-                continue
-            quo[i] = c
-            for j, b in enumerate(other.coeffs):
-                rem[i + j] -= c * b
-        return Poly(quo), Poly(rem[:db])
+        """Exact polynomial long division: (quotient, remainder).
 
-    def __floordiv__(self, other):
-        return self.divmod(other)[0]
+        Integer numerators over one running denominator D: each step cancels
+        the top coefficient r by R <- t*R - s*B, D <- t*D, s/t = r/lead(B).
+        """
+        other = _as_poly(other)
+        B = other.num
+        if not B:
+            raise ZeroDivisionError("polynomial division by zero")
+        db = len(B) - 1
+        if len(self.num) - 1 < db:
+            return Poly(), self
+        if db == 0:
+            return self * Fraction(other.den, B[0]), Poly()
+        lead = B[-1]
+        R = list(self.num)
+        D = 1
+        quo = []  # (s, D after the step), highest degree first
+        for i in range(len(R) - db - 1, -1, -1):
+            top, s = R[i + db], 0
+            if top:
+                g = gcd(top, lead)
+                s, t = top // g, lead // g
+                if t < 0:
+                    s, t = -s, -t
+                if t != 1:
+                    R[: i + db] = [n * t for n in R[: i + db]]
+                    D *= t
+                R[i : i + db] = [n - s * b for n, b in zip(R[i : i + db], B)]
+            quo.append((s, D))
+        den = D * self.den
+        q = [s * (D // d) * other.den for s, d in reversed(quo)]
+        return _poly(q, den), _poly(R[:db], den)
 
     def __mod__(self, other):
         return self.divmod(other)[1]
@@ -139,23 +194,26 @@ class Poly:
         return q
 
     def monic(self) -> "Poly":
-        if self.is_zero():
+        num = self.num
+        if not num or num[-1] == self.den:
             return self
-        lead = self.coeffs[-1]
-        return Poly([c / lead for c in self.coeffs])
+        lead = num[-1]
+        if lead < 0:
+            return _poly([-n for n in num], -lead)
+        return _poly(list(num), lead)
 
     def shift(self, k: int) -> "Poly":
         """Multiply by z^k (k >= 0)."""
         if self.is_zero():
             return self
-        return Poly((Fraction(0),) * k + self.coeffs)
+        return _poly([0] * k + list(self.num), self.den)
 
     def zero_multiplicity(self) -> int:
         """Order of the root z = 0."""
         if self.is_zero():
             raise ValueError("zero polynomial has no root multiplicity")
         m = 0
-        while self.coeffs[m] == 0:
+        while self.num[m] == 0:
             m += 1
         return m
 
@@ -166,9 +224,12 @@ class Poly:
         return acc
 
     def bit_size(self) -> int:
+        """Sum over coefficients of numerator + denominator bits, lowest terms."""
+        d = self.den
         total = 0
-        for c in self.coeffs:
-            total += c.numerator.bit_length() + c.denominator.bit_length()
+        for n in self.num:
+            g = gcd(n, d)
+            total += (n // g).bit_length() + (d // g).bit_length()
         return total
 
     def __repr__(self):
@@ -187,6 +248,13 @@ class Poly:
         return "Poly(" + " + ".join(terms) + ")"
 
 
+def _poly(num: list, den: int = 1) -> Poly:
+    """Poly from integer numerators over den > 0, trimmed and reduced."""
+    p = Poly.__new__(Poly)
+    p._set(num, den)
+    return p
+
+
 def _as_poly(x) -> Poly:
     if isinstance(x, Poly):
         return x
@@ -200,7 +268,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     a, b = _as_poly(a), _as_poly(b)
     while not b.is_zero():
         # monic normalization keeps coefficient growth in check
-        a, b = b, (a % b).monic() if not (a % b).is_zero() else Poly()
+        a, b = b, (a % b).monic()
     return a.monic()
 
 
@@ -306,7 +374,7 @@ class PolyMatrix:
 
     def coeff(self, k: int) -> "RationalMatrix":
         """Coefficient matrix of z^k."""
-        return RationalMatrix([[e[k] for e in row] for row in self.entries])
+        return _rmat([[e[k] for e in row] for row in self.entries])
 
     def coeff_list(self):
         """All coefficient matrices from z^0 up to the maximum degree."""
@@ -381,7 +449,7 @@ class RationalMatrix:
 
     def __add__(self, other):
         assert (self.rows, self.cols) == (other.rows, other.cols)
-        return RationalMatrix(
+        return _rmat(
             [
                 [self.entries[i][j] + other.entries[i][j] for j in range(self.cols)]
                 for i in range(self.rows)
@@ -390,7 +458,7 @@ class RationalMatrix:
 
     def __sub__(self, other):
         assert (self.rows, self.cols) == (other.rows, other.cols)
-        return RationalMatrix(
+        return _rmat(
             [
                 [self.entries[i][j] - other.entries[i][j] for j in range(self.cols)]
                 for i in range(self.rows)
@@ -398,11 +466,11 @@ class RationalMatrix:
         )
 
     def __neg__(self):
-        return RationalMatrix([[-e for e in row] for row in self.entries])
+        return _rmat([[-e for e in row] for row in self.entries])
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return RationalMatrix([[e * other for e in row] for row in self.entries])
+            return _rmat([[e * other for e in row] for row in self.entries])
         assert self.cols == other.rows, (self.cols, other.rows)
         ot = other.entries
         out = []
@@ -418,23 +486,20 @@ class RationalMatrix:
                     if orow[j] != 0:
                         row[j] += a * orow[j]
             out.append(row)
-        return RationalMatrix(out)
+        return _rmat(out)
 
     __rmul__ = __mul__
 
     def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(
+        return _rmat(
             [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
         )
 
     def is_zero(self) -> bool:
         return all(e == 0 for row in self.entries for e in row)
 
-    def row(self, i: int):
-        return list(self.entries[i])
-
     def submatrix(self, row_idx, col_idx) -> "RationalMatrix":
-        return RationalMatrix(
+        return _rmat(
             [[self.entries[i][j] for j in col_idx] for i in row_idx]
         )
 
@@ -442,11 +507,20 @@ class RationalMatrix:
         return f"RationalMatrix({self.entries!r})"
 
 
+def _rmat(entries) -> RationalMatrix:
+    """RationalMatrix from fresh row lists whose entries are already Fractions."""
+    m = RationalMatrix.__new__(RationalMatrix)
+    m.entries = entries
+    m.rows = len(entries)
+    m.cols = len(entries[0]) if entries else 0
+    return m
+
+
 def hstack(mats) -> RationalMatrix:
     mats = list(mats)
     rows = mats[0].rows
     assert all(m.rows == rows for m in mats)
-    return RationalMatrix(
+    return _rmat(
         [sum((m.entries[i] for m in mats), []) for i in range(rows)]
     )
 
@@ -455,7 +529,7 @@ def vstack(mats) -> RationalMatrix:
     mats = list(mats)
     cols = mats[0].cols
     assert all(m.cols == cols for m in mats)
-    return RationalMatrix([row for m in mats for row in m.entries])
+    return _rmat([list(row) for m in mats for row in m.entries])
 
 
 def block_diag(mats) -> RationalMatrix:
@@ -470,7 +544,7 @@ def block_diag(mats) -> RationalMatrix:
                 out[r0 + i][c0 + j] = m.entries[i][j]
         r0 += m.rows
         c0 += m.cols
-    return RationalMatrix(out)
+    return _rmat(out)
 
 
 def _bit_size(x: Fraction) -> int:
@@ -566,7 +640,7 @@ def solve_affine(M: RationalMatrix, B: RationalMatrix):
         pv = aug[r][pc]
         for j in range(B.cols):
             part[pc][j] = aug[r][M.cols + j] / pv
-    return RationalMatrix(part), kern
+    return _rmat(part), kern
 
 
 def pseudo_inverse_columns(M: RationalMatrix, ncols: int) -> RationalMatrix:

@@ -42,6 +42,19 @@ class FactorizationError(ArithmeticError):
     pass
 
 
+def _rational_factors(phi: Poly):
+    """Irreducible factors of phi over Q as (monic Poly, multiplicity) pairs."""
+    import sympy
+
+    QQ = sympy.QQ
+    rep = [QQ(c.numerator, c.denominator) for c in reversed(phi.coeffs)]
+    _, factors = sympy.Poly.from_list(rep, sympy.Symbol("z"), domain=QQ).factor_list()
+    return [
+        (Poly([Fraction(int(c.p), int(c.q)) for c in fac.all_coeffs()[::-1]]).monic(), exp)
+        for fac, exp in factors
+    ]
+
+
 def _split_phi(phi: Poly, xi, tol: float = 1e-9):
     """Split a monic polynomial with phi(0) != 0 into stable/unstable parts.
 
@@ -51,21 +64,9 @@ def _split_phi(phi: Poly, xi, tol: float = 1e-9):
     """
     if phi.is_constant():
         return Poly.const(1), Poly.const(1)
-    import sympy
-
-    z = sympy.Symbol("z")
-    expr = sum(
-        sympy.Rational(c.numerator, c.denominator) * z**i
-        for i, c in enumerate(phi.coeffs)
-    )
-    const, factors = sympy.Poly(expr, z, domain="QQ").factor_list()
     stable = Poly.const(1)
     unstable = Poly.const(1)
-    for fac, exp in factors:
-        coeffs = [
-            Fraction(int(c.p), int(c.q)) for c in reversed(fac.all_coeffs())
-        ]
-        f = Poly(coeffs).monic()
+    for f, exp in _rational_factors(phi):
         if f.is_constant():
             continue
         rc = classify_roots(f, xi, tol)

@@ -91,6 +91,111 @@ def unimodular_inverse(M: PolyMatrix) -> PolyMatrix:
 
 
 # ---------------------------------------------------------------------------
+# plain-Fraction reference polynomial (oracle for exactalg.Poly)
+
+
+class RefPoly:
+    """Polynomial as a tuple of Fractions, lowest first, trailing zeros trimmed.
+
+    Every operation is the textbook per-coefficient Fraction loop, so it is
+    the oracle the integer-numerator `Poly` is checked against.
+    """
+
+    def __init__(self, coeffs=()):
+        cs = [Fraction(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    def __getitem__(self, i):
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+
+    def __eq__(self, other):
+        return isinstance(other, RefPoly) and self.coeffs == other.coeffs
+
+    def __add__(self, other):
+        n = max(len(self.coeffs), len(other.coeffs))
+        return RefPoly([self[i] + other[i] for i in range(n)])
+
+    def __neg__(self):
+        return RefPoly([-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if not isinstance(other, RefPoly):
+            return RefPoly([c * other for c in self.coeffs])
+        if not self.coeffs or not other.coeffs:
+            return RefPoly()
+        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return RefPoly(out)
+
+    def divmod(self, other):
+        rem = list(self.coeffs)
+        db = len(other.coeffs) - 1
+        if len(rem) - 1 < db:
+            return RefPoly(), RefPoly(rem)
+        quo = [Fraction(0)] * (len(rem) - db)
+        for i in range(len(rem) - db - 1, -1, -1):
+            c = rem[i + db] / other.coeffs[-1]
+            quo[i] = c
+            for j, b in enumerate(other.coeffs):
+                rem[i + j] -= c * b
+        return RefPoly(quo), RefPoly(rem[:db])
+
+    def monic(self):
+        return self * (1 / self.coeffs[-1]) if self.coeffs else self
+
+    def shift(self, k):
+        return RefPoly((Fraction(0),) * k + self.coeffs) if self.coeffs else self
+
+    def eval(self, x):
+        acc = Fraction(0)
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+    def bit_size(self):
+        return sum(c.numerator.bit_length() + c.denominator.bit_length() for c in self.coeffs)
+
+
+def ref_gcd(a: RefPoly, b: RefPoly) -> RefPoly:
+    while b.coeffs:
+        a, b = b, a.divmod(b)[1].monic()
+    return a.monic()
+
+
+def ref_det(M):
+    """Determinant of a square list-of-lists RefPoly matrix by Laplace expansion."""
+    n = len(M)
+    if n == 0:
+        return RefPoly([1])
+    acc = RefPoly()
+    for j in range(n):
+        minor = [[M[i][c] for c in range(n) if c != j] for i in range(1, n)]
+        term = M[0][j] * ref_det(minor)
+        acc = acc + term if j % 2 == 0 else acc - term
+    return acc
+
+
+def ref_adjugate(M):
+    """Adjugate from cofactors: adj[i][j] = (-1)^(i+j) det(M without row j, col i)."""
+    n = len(M)
+    return [
+        [
+            ref_det([[M[r][c] for c in range(n) if c != i] for r in range(n) if r != j])
+            * (1 if (i + j) % 2 == 0 else -1)
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
+# ---------------------------------------------------------------------------
 # random model generation
 
 

@@ -1,9 +1,13 @@
 """Exact arithmetic substrate: polynomials, matrices, rank/kernel, solves."""
 
+import math
 import random
+from datetime import timedelta
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recausal.exactalg import (
     NEG_INF,
@@ -24,7 +28,7 @@ from recausal.exactalg import (
     solve_affine,
     vstack,
 )
-from conftest import rand_matrix, rand_poly, rand_polymatrix
+from conftest import RefPoly, rand_matrix, rand_poly, rand_polymatrix, ref_adjugate, ref_det, ref_gcd
 
 
 def test_rat_round_trip():
@@ -221,3 +225,110 @@ def test_invert():
                 invert(M)
         else:
             assert M * invert(M) == RationalMatrix.identity(3)
+
+
+# ---------------------------------------------------------------------------
+# integer-numerator Poly against the plain-Fraction reference
+
+
+def _fracs():
+    small = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    big = st.builds(
+        Fraction,
+        st.integers(-(10**40), 10**40),
+        st.integers(1, 10**30),
+    )
+    return st.one_of(st.just(Fraction(0)), small, big)
+
+
+# zero, constants, trailing zeros, negative and large-denominator coefficients
+_coeff_lists = st.lists(_fracs(), max_size=7)
+_PROP = settings(derandomize=True, max_examples=150, deadline=timedelta(seconds=2))
+
+
+def _check(p: Poly, ref: RefPoly):
+    assert p.coeffs == ref.coeffs
+    assert all(type(c) is Fraction for c in p.coeffs)
+    # canonical form: positive den, lowest terms, trimmed
+    assert p.den > 0 and math.gcd(p.den, *p.num) == 1
+    assert not p.num or p.num[-1] != 0
+    assert p.bit_size() == ref.bit_size()
+
+
+@_PROP
+@given(_coeff_lists, _coeff_lists, _fracs(), st.integers(-(10**12), 10**12))
+def test_poly_ring_ops_match_reference(a, b, f, k):
+    pa, pb, ra, rb = Poly(a), Poly(b), RefPoly(a), RefPoly(b)
+    _check(pa, ra)
+    _check(pa + pb, ra + rb)
+    _check(pa - pb, ra - rb)
+    _check(-pa, -ra)
+    _check(pa * pb, ra * rb)
+    _check(pa * f, ra * f)
+    _check(f * pa, ra * f)
+    _check(pa * k, ra * k)
+    _check(pa + f, ra + RefPoly([f]))
+    _check(pa.monic(), ra.monic())
+    _check(pa.shift(3), ra.shift(3))
+    assert pa.degree == (len(ra.coeffs) - 1 if ra.coeffs else NEG_INF)
+    assert [pa[i] for i in range(-1, 9)] == [ra[i] for i in range(-1, 9)]
+    assert pa.eval(f) == ra.eval(f)
+    assert (pa == pb) == (ra == rb)
+    assert pa == Poly(list(a) + [0, 0]) and hash(pa) == hash(Poly(list(a) + [0, 0]))
+    assert (pa - pa).is_zero() and hash(pa - pa) == hash(Poly())
+
+
+@_PROP
+@given(_coeff_lists, _coeff_lists.filter(lambda cs: any(cs)))
+def test_poly_division_matches_reference(a, b):
+    pa, pb, ra, rb = Poly(a), Poly(b), RefPoly(a), RefPoly(b)
+    q, r = pa.divmod(pb)
+    rq, rr = ra.divmod(rb)
+    _check(q, rq)
+    _check(r, rr)
+    _check(pa % pb, rr)
+    _check((pa * pb).exact_div(pb), ra)
+    _check(poly_gcd(pa, pb), ref_gcd(ra, rb))
+
+
+def _ref_rows(M: RationalMatrix):
+    return [list(row) for row in M.entries]
+
+
+@_PROP
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.randoms(use_true_random=False))
+def test_rational_matrix_ops_match_reference(n, k, m, rnd):
+    A = rand_matrix(rnd, n, k, lo=-10**9, hi=10**9, maxden=10**6)
+    B = rand_matrix(rnd, k, m, lo=-10**9, hi=10**9, maxden=10**6)
+    a, b = _ref_rows(A), _ref_rows(B)
+    prod = [[sum((a[i][t] * b[t][j] for t in range(k)), Fraction(0)) for j in range(m)]
+            for i in range(n)]
+    results = [
+        (A * B, prod),
+        (A + A, [[x + x for x in row] for row in a]),
+        (A - A * 3, [[x - 3 * x for x in row] for row in a]),
+        (-A, [[-x for x in row] for row in a]),
+        (A.transpose(), [list(col) for col in zip(*a)]),
+        (A.submatrix(range(n), [k - 1]), [[row[k - 1]] for row in a]),
+        (hstack([A, A]), [row + row for row in a]),
+        (vstack([B, B]), b + b),
+    ]
+    for got, want in results:
+        assert got.entries == want
+        assert all(type(x) is Fraction for row in got.entries for x in row)
+        assert (got.rows, got.cols) == (len(want), len(want[0]))
+    stacked = vstack([B])
+    stacked.entries[0][0] += 1
+    assert B.entries == b  # stacking copies rows
+
+
+@_PROP
+@given(st.integers(1, 4), st.integers(0, 2), st.randoms(use_true_random=False))
+def test_det_adjugate_matches_reference(n, max_deg, rnd):
+    M = rand_polymatrix(rnd, n, max_deg)
+    ref = [[RefPoly(e.coeffs) for e in row] for row in M.entries]
+    det, adj = det_adjugate(M)
+    _check(det, ref_det(ref))
+    for row, ref_row in zip(adj.entries, ref_adjugate(ref)):
+        for e, r in zip(row, ref_row):
+            _check(e, r)

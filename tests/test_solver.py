@@ -14,6 +14,7 @@ from recausal.solver import (
     SolutionReport,
     UnsupportedModelError,
     _n_of_h,
+    _rational_factors,
     assemble_rhs,
     factor_stable_unstable,
     simulate,
@@ -21,7 +22,7 @@ from recausal.solver import (
     transfer_series,
     verify_solution,
 )
-from conftest import random_model, sims_model
+from conftest import planted_models, random_gamma, random_model, sims_model
 
 Z = Poly([0, 1])
 
@@ -264,6 +265,42 @@ def test_verify_corpus_end_to_end(corpus):
     # many random dets have irreducible factors straddling the unit circle,
     # which the exact splitter rightly refuses; about a quarter solve cleanly
     assert solved >= 20, solved
+
+
+def test_rational_factors_match_symbolic_factor_list(corpus):
+    # reference: factor the sympy expression sum(c_i z^i), as the split once did
+    import sympy
+
+    z = sympy.Symbol("z")
+    phis = {
+        ph
+        for m in list(corpus) + planted_models()
+        for ph in run_pipeline(m).sf.phi
+        if not ph.is_constant()
+    }
+    assert len(phis) >= 50
+    for ph in phis:
+        expr = sum(sympy.Rational(c.numerator, c.denominator) * z**i for i, c in enumerate(ph.coeffs))
+        _, ref = sympy.Poly(expr, z, domain="QQ").factor_list()
+        want = [
+            (Poly([Fraction(int(c.p), int(c.q)) for c in f.all_coeffs()[::-1]]).monic(), e)
+            for f, e in ref
+        ]
+        assert _rational_factors(ph) == want
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="known defect: a predetermined J1 < H solution fails substitution at lag 0",
+)
+def test_predetermined_j1_below_h_solution_verifies():
+    rng = random.Random(6)
+    m = random_model(rng, 3, 1, 2, gamma=random_gamma(rng, 3, 2))
+    sr = solve_causal(m)
+    if m.gamma != (2, 0, 1) or build_pi(m).J1 >= m.H or sr.classification != "indeterminate":
+        pytest.fail(f"reproduction drifted: gamma {m.gamma}, {sr.classification}")
+    rep = verify_solution(m, sr)
+    assert rep["ok"], rep["failures"][:1]
 
 
 def test_simulate_white_noise_and_determinism():
