@@ -203,9 +203,13 @@ class Poly:
         return _poly(list(num), lead)
 
     def shift(self, k: int) -> "Poly":
-        """Multiply by z^k (k >= 0)."""
+        """Multiply by z^k; a negative k divides by z^-k, which must be exact."""
         if self.is_zero():
             return self
+        if k < 0:
+            if any(self.num[:-k]):
+                raise ValueError(f"polynomial division by z^{-k} is not exact")
+            return _poly(list(self.num[-k:]), self.den)
         return _poly([0] * k + list(self.num), self.den)
 
     def zero_multiplicity(self) -> int:

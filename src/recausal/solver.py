@@ -10,6 +10,11 @@ The factors pi_u = P D_u and pi_s = D_s Q share the unimodular P and Q of the
 Smith form, whose inverses are tracked exactly, so their determinants and
 adjugates follow in closed form from the diagonal factors D_u, D_s.  sympy
 (rational factorization) and numpy (simulation) are imported on first use.
+
+A solution y = (num/den) eps is verified by one polynomial identity: with R the
+series of model residuals, den R is a polynomial T built from num, den and the
+head of the series, and den(0) = 1 makes den a unit of Q[[z]], so R vanishes
+to lag L exactly when den R = T = 0 mod z^(L+1).
 """
 
 from __future__ import annotations
@@ -345,9 +350,8 @@ def build_transfer(m, pipe, fac: Factorization, const, per_unknown, h):
     den = fac.det_s
     m0 = fac.zero_pole_order
     if m0 > 0:
-        z_m = Poly.monomial(m0)
-        num = PolyMatrix([[e.exact_div(z_m) for e in row] for row in num.entries])
-        den = den.exact_div(z_m)
+        num = PolyMatrix([[e.shift(-m0) for e in row] for row in num.entries])
+        den = den.shift(-m0)
     # cancel any common polynomial factor, then normalize den(0) = 1
     common = den
     for row in num.entries:
@@ -369,7 +373,9 @@ def build_transfer(m, pipe, fac: Factorization, const, per_unknown, h):
 
 
 def transfer_series(num: PolyMatrix, den: Poly, n: int):
-    """First n power-series coefficient matrices of num/den (den(0) = 1)."""
+    """First n power-series coefficient matrices of num/den; den(0) must be 1."""
+    if den[0] != 1:
+        raise ValueError(f"transfer_den(0) = {den[0]}; the series needs den(0) = 1")
     s, q = num.rows, num.cols
     out = []
     dcoef = den.coeffs
@@ -388,32 +394,38 @@ def transfer_series(num: PolyMatrix, den: Poly, n: int):
 def verify_solution(m: REModel, sr: SolutionReport, max_lag: int = 50) -> dict:
     """Substitute the candidate solution into the model; residuals must vanish.
 
-    Exact arithmetic throughout: any nonzero residual coefficient is reported
-    with its lag and position.  Also checks the predetermined zero-revision
-    pattern on the leading series coefficients.
+    With Psi = num/den, the residuals R_d = sum_(k,h) A_kh Psi_(d-k+h) + w_d
+    form the series R = W + sum_(k,h) A_kh z^k (Psi - Psi_<h) / z^h, where
+    Psi_<h is the head Psi_0 .. Psi_(h-1).  So den R is the polynomial
+    T = den W + sum_(k,h) A_kh z^k (num - den Psi_<h) / z^h, each division by
+    z^h exact.  As den(0) = 1, den is a unit of Q[[z]]: R_0 .. R_L all vanish
+    iff den R = T = 0 mod z^(L+1), an exact check without L+1 series products.
+    Only if it fails is R rebuilt as the series of T/den, reporting each failing
+    lag with its first nonzero position and value.  Also checks the
+    predetermined zero-revision pattern on the leading series coefficients.
     """
     if sr.transfer_num is None:
         raise ValueError("no transfer function to verify")
-    series = transfer_series(sr.transfer_num, sr.transfer_den, max_lag + m.H + 1)
+    s, q = m.s, m.q
+    num, den = sr.transfer_num, sr.transfer_den
+    head = transfer_series(num, den, m.H)
+    T = m.wold_poly() * den
+    for h in range(m.H + 1):
+        a_h = [m.a(k, h) for k in range(m.K + 1)]
+        lead = PolyMatrix([[Poly([a[i, r] for a in a_h]) for r in range(s)] for i in range(s)])
+        psi_h = PolyMatrix(
+            [[Poly([psi.entries[i][c] for psi in head[:h]]) for c in range(q)]
+             for i in range(s)]
+        )
+        tail = num - psi_h * den
+        T = T + lead * PolyMatrix([[e.shift(-h) for e in row] for row in tail.entries])
     failures = []
-    for d in range(max_lag + 1):
-        acc = RationalMatrix.zero(m.s, m.q)
-        for (k, h), a_kh in m.A.items():
-            if k <= d:
-                acc = acc + a_kh * series[d - k + h]
-        acc = acc + m.wold_coeff(d)
-        if not acc.is_zero():
-            for i in range(m.s):
-                for c in range(m.q):
-                    if acc.entries[i][c] != 0:
-                        failures.append(
-                            {"lag": d, "row": i, "col": c,
-                             "value": str(acc.entries[i][c])}
-                        )
-                        break
-                else:
-                    continue
-                break
+    if any(any(e.num[: max_lag + 1]) for row in T.entries for e in row):
+        for d, res in enumerate(transfer_series(T, den, max_lag + 1)):
+            bad = [(i, c, v) for i, row in enumerate(res.entries) for c, v in enumerate(row) if v]
+            if bad:
+                i, c, v = bad[0]
+                failures.append({"lag": d, "row": i, "col": c, "value": str(v)})
     # predetermined zero-revision pattern: the MDS inputs eps^{j,s_i} of the
     # SDE ansatz must vanish for i > j, i.e. the matching rows of h are zero.
     # (The realized solution may still load contemporaneously on innovations
@@ -432,7 +444,7 @@ def verify_solution(m: REModel, sr: SolutionReport, max_lag: int = 50) -> dict:
         for j in range(m.H):
             for r in range(m.s):
                 for c in range(m.q):
-                    if series[j].entries[r][c] != sr.h.entries[j * m.s + r][c]:
+                    if head[j].entries[r][c] != sr.h.entries[j * m.s + r][c]:
                         first_coeff_failures.append({"j": j, "row": r, "col": c})
     return {
         "ok": not failures and not predet_failures and not first_coeff_failures,

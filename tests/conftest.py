@@ -301,6 +301,12 @@ def planted_model(rng: random.Random, s, H, g_last, predetermined=False) -> REMo
     return REModel(s=s, K=max(D - H, 0), H=H, q=q, A=A, gamma=gamma, wold=(w0,))
 
 
+def defect_model() -> REModel:
+    """The predetermined J1 < H model whose solution fails substitution at lag 0."""
+    rng = random.Random(6)
+    return random_model(rng, 3, 1, 2, gamma=random_gamma(rng, 3, 2))
+
+
 def planted_models():
     """Planted models over s = 3, 4, H = 1, 2, g_last = 1 or H + 1, both flavors."""
     rng = random.Random(20261018)
@@ -427,6 +433,73 @@ def same_affine_set(set_a, set_b) -> bool:
     kmat = RationalMatrix([list(v) for v in ka]).transpose()
     x, _ = solve_affine(kmat, diff)
     return x is not None
+
+
+# ---------------------------------------------------------------------------
+# lag-by-lag substitution oracle for solver.verify_solution
+
+
+def ref_series(num: PolyMatrix, den: Poly, n: int):
+    """First n series coefficients of num/den as lists of Fraction rows."""
+    assert den[0] == 1
+    dd = int(den.degree)
+    out = []
+    for j in range(n):
+        lags = range(1, min(j, dd) + 1)
+        out.append(
+            [
+                [e[j] - sum((den[l] * out[j - l][i][c] for l in lags), Fraction(0))
+                 for c, e in enumerate(row)]
+                for i, row in enumerate(num.entries)
+            ]
+        )
+    return out
+
+
+def ref_verify(m: REModel, sr, max_lag: int) -> dict:
+    """Substitute the transfer into the model lag by lag, d = 0 .. max_lag.
+
+    R_d = sum_(k,h) A_kh Psi_(d-k+h) + w_d with Psi = num/den; the first
+    nonzero entry (row-major) of each nonzero R_d is a failure.  The
+    predetermined and first-coefficient checks follow verify_solution's
+    definitions, so the whole report can be compared for equality.
+    """
+    s, q = m.s, m.q
+    psi = ref_series(sr.transfer_num, sr.transfer_den, max_lag + m.H + 1)
+    failures = []
+    for d in range(max_lag + 1):
+        res = [[m.wold_coeff(d)[i, c] for c in range(q)] for i in range(s)]
+        for (k, h), a_kh in m.A.items():
+            if k <= d:
+                for i in range(s):
+                    for c in range(q):
+                        res[i][c] += sum(a_kh[i, r] * psi[d - k + h][r][c] for r in range(s))
+        bad = [(i, c) for i in range(s) for c in range(q) if res[i][c] != 0]
+        if bad:
+            i, c = bad[0]
+            failures.append({"lag": d, "row": i, "col": c, "value": str(res[i][c])})
+    predet, first = [], []
+    if sr.h is not None:
+        for j in range(m.H):
+            for r in range(sum(m.gamma[: j + 1]), s):
+                if any(sr.h[j * s + r, c] != 0 for c in range(q)):
+                    predet.append({"j": j, "row": r})
+        if not m.predetermined:
+            first = [
+                {"j": j, "row": r, "col": c}
+                for j in range(m.H)
+                for r in range(s)
+                for c in range(q)
+                if psi[j][r][c] != sr.h[j * s + r, c]
+            ]
+    return {
+        "ok": not failures and not predet and not first,
+        "max_lag": max_lag,
+        "failures": failures,
+        "predetermined_failures": predet,
+        "first_coefficient_failures": first,
+        "wold_truncation": len(m.wold) - 1,
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Stable/unstable factorization, causal solving, exact verification, simulation."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -22,7 +23,15 @@ from recausal.solver import (
     transfer_series,
     verify_solution,
 )
-from conftest import planted_models, random_gamma, random_model, sims_model
+from conftest import (
+    defect_model,
+    planted_models,
+    rand_frac,
+    random_gamma,
+    random_model,
+    ref_verify,
+    sims_model,
+)
 
 Z = Poly([0, 1])
 
@@ -265,6 +274,65 @@ def test_verify_corpus_end_to_end(corpus):
     # many random dets have irreducible factors straddling the unit circle,
     # which the exact splitter rightly refuses; about a quarter solve cleanly
     assert solved >= 20, solved
+
+
+def _perturbed(rng, sr, max_lag):
+    """(k, report) pairs: num + c z^k at random (i, j, c, k), and den + c z^k.
+
+    k runs over 0 .. max_lag + 10 for num and 1 .. max_lag + 10 for den, so
+    den(0) = 1 holds throughout.
+    """
+    num, den = sr.transfer_num, sr.transfer_den
+    out = []
+    for _ in range(2):
+        i, j, k = rng.randrange(num.rows), rng.randrange(num.cols), rng.randint(0, max_lag + 10)
+        entries = [list(row) for row in num.entries]
+        entries[i][j] = entries[i][j] + Poly.monomial(k, rand_frac(rng, nonzero=True))
+        out.append((k, dataclasses.replace(sr, transfer_num=PolyMatrix(entries))))
+    k = rng.randint(1, max_lag + 10)
+    bad_den = den + Poly.monomial(k, rand_frac(rng, nonzero=True))
+    out.append((k, dataclasses.replace(sr, transfer_den=bad_den)))
+    return out
+
+
+def test_verify_matches_lag_by_lag_reference(corpus):
+    rng = random.Random(4)
+    cases = []
+    for m in list(corpus) + planted_models() + [sims_model(), defect_model()]:
+        try:
+            sr = solve_causal(m)
+        except (FactorizationError, UnsupportedModelError):
+            continue
+        if sr.transfer_num is not None:
+            cases.append((m, sr))
+    assert len(cases) >= 30
+    n_failing = 0
+    for n, (m, sr) in enumerate(cases):
+        for max_lag in sorted({m.H, 10, 50}):
+            base = verify_solution(m, sr, max_lag)
+            assert base == ref_verify(m, sr, max_lag)
+            perturbed = _perturbed(rng, sr, max_lag)
+            if max_lag == 50:  # the reference is slow there: one of the three in turn
+                perturbed = perturbed[n % 3 : n % 3 + 1]
+            for k, bad in perturbed:
+                rep = verify_solution(m, bad, max_lag)
+                assert rep == ref_verify(m, bad, max_lag), (k, max_lag)
+                if k > max_lag + m.H:
+                    # Psi_j enters the residual at lags j - H and later only
+                    assert rep == base, (k, max_lag)
+                n_failing += rep["failures"] != base["failures"]
+    assert n_failing >= 90, n_failing
+
+
+def test_transfer_series_requires_unit_den_at_zero():
+    m = scalar_model(Fraction(1, 2))
+    sr = dataclasses.replace(solve_causal(m), transfer_den=Poly([2, -1]))
+    with pytest.raises(ValueError, match=r"transfer_den\(0\) = 2"):
+        transfer_series(sr.transfer_num, sr.transfer_den, 3)
+    with pytest.raises(ValueError, match="transfer_den"):
+        verify_solution(m, sr)
+    with pytest.raises(ValueError, match="transfer_den"):
+        simulate(sr, T=10, seed=0)
 
 
 def test_rational_factors_match_symbolic_factor_list(corpus):
