@@ -3,16 +3,18 @@
 The Smith form is computed by exact elimination over Q[z], which also detects
 a singular input: its elimination runs out of nonzero pivots.  The unimodular
 inverses are tracked exactly, so later stages (the constraint blocks, the
-stable/unstable factor adjugates) read them instead of inverting anew.  The
-only numerical step in the whole package is the companion-matrix root location
-used to sort determinant roots relative to the unit circle; numpy is imported
-on its first use.
+stable/unstable factor adjugates) read them instead of inverting anew.
+`classify_roots` sorts roots of det pi against the unit circle by companion
+eigenvalues in floating point; `root_discs` certifies them with exact
+Gerschgorin discs, on which the solver's stable/unstable split rests.  numpy
+is imported on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 from .exactalg import (
     Poly,
@@ -29,6 +31,10 @@ class RedundantEquationsError(ValueError):
 
 class UnitCircleRootError(ValueError):
     """A determinant root sits within tolerance of the boundary ring [1/xi, 1]."""
+
+
+class FactorizationError(ArithmeticError):
+    """phi has no exact rational stable/unstable split, or none was certified."""
 
 
 @dataclass(frozen=True)
@@ -246,15 +252,33 @@ class RootClassification:
         return self.zero_multiplicity + len(self.stable_roots) + len(self.unstable_roots)
 
 
+def _companion_roots(p: Poly):
+    """Companion-matrix eigenvalues of a nonconstant p, in floating point."""
+    import numpy as np
+
+    coeffs = [float(c) for c in p.coeffs]
+    deg = len(coeffs) - 1
+    comp = np.zeros((deg, deg))
+    comp[0, :] = [-c / coeffs[-1] for c in coeffs[-2::-1]]
+    comp[1:, :-1] = np.eye(deg - 1)
+    return np.linalg.eigvals(comp)
+
+
+def _ring_error(r, lo) -> UnitCircleRootError:
+    mod = abs(r)
+    return UnitCircleRootError(
+        f"root {r:.12g} has modulus {mod:.12g} inside the boundary ring "
+        f"[1/xi, 1] = [{float(lo):.6g}, 1]; the theory assumes no such roots"
+    )
+
+
 def classify_roots(p: Poly, xi=1, tol: float = 1e-9) -> RootClassification:
     """Classify roots of p relative to the unit circle and growth bound xi.
 
     Factors z^m out exactly; remaining roots are located via companion-matrix
-    eigenvalues (the package's single numerical step).  Roots within tol of
-    the ring [1/xi, 1] are rejected.
+    eigenvalues in floating point.  Roots within tol of the ring [1/xi, 1]
+    are rejected.
     """
-    import numpy as np
-
     xi = rat(xi)
     if p.is_zero():
         raise ValueError("cannot classify roots of the zero polynomial")
@@ -264,22 +288,12 @@ def classify_roots(p: Poly, xi=1, tol: float = 1e-9) -> RootClassification:
     reduced = Poly(p.coeffs[m:])
     if reduced.is_constant():
         return RootClassification(m, (), (), xi)
-    coeffs = [float(c) for c in reduced.coeffs]
-    # companion matrix of the monic normalization, roots = eigenvalues
-    deg = len(coeffs) - 1
-    comp = np.zeros((deg, deg))
-    comp[0, :] = [-c / coeffs[-1] for c in coeffs[-2::-1]]
-    comp[1:, :-1] = np.eye(deg - 1)
-    roots = np.linalg.eigvals(comp)
     lo = 1.0 / float(xi)
     stable, unstable = [], []
-    for r in roots:
+    for r in _companion_roots(reduced):
         mod = abs(r)
         if lo - tol <= mod <= 1.0 + tol:
-            raise UnitCircleRootError(
-                f"root {r:.12g} has modulus {mod:.12g} inside the boundary ring "
-                f"[1/xi, 1] = [{lo:.6g}, 1]; the theory assumes no such roots"
-            )
+            raise _ring_error(r, lo)
         if mod > 1.0:
             stable.append(complex(r))
         else:
@@ -287,4 +301,86 @@ def classify_roots(p: Poly, xi=1, tol: float = 1e-9) -> RootClassification:
     key = lambda c: (c.real, c.imag)
     return RootClassification(
         m, tuple(sorted(stable, key=key)), tuple(sorted(unstable, key=key)), xi
+    )
+
+
+def _gmul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def root_discs(f: Poly, xi=1, tol: float = 1e-9):
+    """Certified root discs of a squarefree monic f, refined on demand.
+
+    Companion eigenvalues z_i are refined by Weierstrass steps z_i -= W_i,
+    W_i = f(z_i) / prod_(j != i) (z_i - z_j), on fixed-point Gaussian integers
+    whose precision about doubles per step.  Every root lies in some disc
+    D(z_i, n |W_i|), and k discs meeting no other hold exactly k roots
+    (Carstensen, Numer. Math. 59, 1991).  W_i is exact and radii round up, so
+    each yield (bits, centers, radii, inside) is a proof: disjoint discs over
+    2^bits, inside[i] True in |z| < 1/xi - tol and False in |z| > 1 + tol.
+    Raises UnitCircleRootError for a disc within the ring between them (or
+    meeting it at the precision cap) and FactorizationError at the cap.
+    """
+    n, num, den = int(f.degree), f.num, f.den
+    xi = rat(xi)
+    lo, hi = 1 / xi - Fraction(tol), 1 + Fraction(tol)
+    # 1024 bits plus about twice Mahler's bound on -log2 of the root separation
+    cap = 1024 + 2 * n * (max(abs(c) for c in num).bit_length() + n.bit_length())
+    p = 64
+    # distinct nudges along 1 + 2i break the symmetry of real or conjugate
+    # starting points, from which the iteration could not reach the roots
+    Z = []
+    for k, r in enumerate(_companion_roots(f)):
+        e = (-1) ** k * (k + 1) << 16
+        Z.append((round(r.real * 2**p) + e, round(r.imag * 2**p) + 2 * e))
+    for step in range(cap):  # a cluster of roots costs about a step per bit
+        S = 1 << p
+        for i in range(n):  # the corrections need distinct points
+            while Z[i] in Z[:i]:
+                Z[i] = (Z[i][0], Z[i][1] + 1)
+        W, R = [], []
+        for i, zi in enumerate(Z):
+            acc, sk = (num[n], 0), 1  # S^n num(z_i), by Horner
+            for k in range(n - 1, -1, -1):
+                sk *= S
+                acc = _gmul(acc, zi)
+                acc = (acc[0] + num[k] * sk, acc[1])
+            d = (1, 0)  # S^(n-1) prod_(j != i) (z_i - z_j)
+            for j, zj in enumerate(Z):
+                if j != i:
+                    d = _gmul(d, (zi[0] - zj[0], zi[1] - zj[1]))
+            # W_i = acc / (den S d) = g / (q S), and R_i >= n |W_i| S
+            g, q = _gmul(acc, (d[0], -d[1])), den * (d[0] ** 2 + d[1] ** 2)
+            r2 = -(-n * n * (g[0] ** 2 + g[1] ** 2) // (q * q))
+            r = isqrt(r2)
+            W.append((g, q))
+            R.append(r + (r * r < r2))
+        alone = [
+            all((zi[0] - zj[0]) ** 2 + (zi[1] - zj[1]) ** 2 > (ri + rj) ** 2
+                for j, (zj, rj) in enumerate(zip(Z, R)) if j != i)
+            for i, (zi, ri) in enumerate(zip(Z, R))
+        ]
+        inside = []
+        for (a, b), r, isolated in zip(Z, R, alone):
+            c2, t = a * a + b * b, lo * S - r
+            side = True if t > 0 and c2 < t * t else False if c2 > (hi * S + r) ** 2 else None
+            if side is None and isolated and (lo * S + r) ** 2 <= c2 <= (hi * S - r) ** 2:
+                raise _ring_error(complex(a / S, b / S), 1 / xi)  # a root in the ring
+            inside.append(side)
+        if all(alone) and None not in inside:
+            yield p, tuple(Z), tuple(R), tuple(inside)
+        if p >= cap or step == cap - 1:
+            break
+        # one more step; the error about squares, so the precision doubles
+        p2 = max(p, min(cap, 2 * (p - max(R).bit_length()) + 32))
+        sh = p2 - p
+        Z = [((a << sh) - (g[0] << sh) // q, (b << sh) - (g[1] << sh) // q)
+             for (a, b), (g, q) in zip(Z, W)]
+        p = p2
+    if None in inside:
+        a, b = Z[inside.index(None)]
+        raise _ring_error(complex(a / S, b / S), 1 / xi)
+    raise FactorizationError(
+        f"cannot certify the stable/unstable split of a degree-{n} factor of phi "
+        f"at {p} bits"
     )

@@ -1,7 +1,8 @@
 """Command-line interface: analyze | smith | constraints | solve | verify | simulate | probe.
 
 Reports go to stdout (JSON by default, deterministic key order), diagnostics
-to stderr.  Exit codes: 0 success, 1 model/analysis error, 2 usage error.
+to stderr.  Exit codes: 0 success, 1 model/analysis error or a failed
+`verify` (its report is still printed), 2 usage error.
 """
 
 from __future__ import annotations
@@ -221,6 +222,10 @@ def main(argv=None) -> int:
             return 2
         doc = _COMMANDS[args.command](m, args)
         _emit(doc, args.format)
+        if args.command == "verify" and not doc["ok"]:
+            lag = f" at lag {doc['failures'][0]['lag']}" if doc["failures"] else ""
+            print(f"error: verification failed{lag}", file=sys.stderr)
+            return 1
         return 0
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)

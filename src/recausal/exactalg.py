@@ -212,6 +212,9 @@ class Poly:
             return _poly(list(self.num[-k:]), self.den)
         return _poly([0] * k + list(self.num), self.den)
 
+    def derivative(self) -> "Poly":
+        return _poly([k * n for k, n in enumerate(self.num)][1:], self.den)
+
     def zero_multiplicity(self) -> int:
         """Order of the root z = 0."""
         if self.is_zero():

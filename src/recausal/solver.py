@@ -6,10 +6,13 @@ the revision-loading stack h: divisibility remainders and forbidden low-order
 series coefficients are linear functionals of h, so solvability, uniqueness,
 and the solution family are all decided by exact rational elimination.
 
-The factors pi_u = P D_u and pi_s = D_s Q share the unimodular P and Q of the
-Smith form, whose inverses are tracked exactly, so their determinants and
-adjugates follow in closed form from the diagonal factors D_u, D_s.  sympy
-(rational factorization) and numpy (simulation) are imported on first use.
+Each Smith factor phi_i splits into stable and unstable parts over Q without
+factoring: certified root discs give the unstable roots, their product is
+rounded onto the lattice Gauss's lemma allows, and one exact division accepts
+it or proves that no rational split exists.  The factors pi_u = P D_u and
+pi_s = D_s Q share the unimodular P and Q of the Smith form, whose inverses are
+tracked exactly, so their determinants and adjugates follow in closed form
+from the diagonal factors D_u, D_s.  numpy is imported on first use.
 
 A solution y = (num/den) eps is verified by one polynomial identity: with R the
 series of model residuals, den R is a polynomial T built from num, den and the
@@ -21,10 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from operator import mul
+from math import isqrt, prod
 
-from .canon import SmithForm, classify_roots
+from .canon import FactorizationError, SmithForm, root_discs
 from .dimension import Pipeline, run_pipeline
 from .exactalg import (
     Poly,
@@ -43,54 +45,64 @@ class UnsupportedModelError(ValueError):
     pass
 
 
-class FactorizationError(ArithmeticError):
-    pass
+def _unstable_part(f: Poly, xi, tol: float) -> Poly:
+    """The monic factor U of a squarefree monic f = num/den over its roots in |z| < 1/xi.
 
-
-def _rational_factors(phi: Poly):
-    """Irreducible factors of phi over Q as (monic Poly, multiplicity) pairs."""
-    import sympy
-
-    QQ = sympy.QQ
-    rep = [QQ(c.numerator, c.denominator) for c in reversed(phi.coeffs)]
-    _, factors = sympy.Poly.from_list(rep, sympy.Symbol("z"), domain=QQ).factor_list()
-    return [
-        (Poly([Fraction(int(c.p), int(c.q)) for c in fac.all_coeffs()[::-1]]).monic(), exp)
-        for fac, exp in factors
-    ]
+    With m of the n certified discs D(c_i, r_i) inside, E = prod(2 + r_i) - 2^m
+    bounds |U - U~|_1 for U~ = prod (z - c_i), as |c_i| < 1.  den U is integral
+    (Gauss's lemma), so if den E < 1/2 a rational U is U~ rounded onto (1/den) Z[z];
+    a coefficient farther than E from there, or f mod U^ != 0, proves U irrational.
+    A divisor U^ is a product of m roots of f, and sep^m > 3 m E (sep a lower
+    bound on the root gaps; |U^ - U|_1 <= 3 m E) leaves only the unstable ones.
+    """
+    n, den = int(f.degree), f.den
+    for bits, Z, R, inside in root_discs(f, xi, tol):
+        unstable = [i for i in range(n) if inside[i]]
+        m = len(unstable)
+        if m in (0, n):
+            return f if m else Poly.const(1)
+        S = 1 << bits
+        Sm, E = S**m, prod(2 * S + R[i] for i in unstable) - (2 * S) ** m  # E over S^m
+        sep = min(
+            isqrt((Z[i][0] - Z[j][0]) ** 2 + (Z[i][1] - Z[j][1]) ** 2) - R[i] - R[j]
+            for i in range(n) for j in range(i)
+        )
+        if 2 * den * E >= Sm or sep <= 0 or sep**m <= 3 * m * E:
+            continue
+        coeffs = [(1, 0)]  # S^m U~, lowest first
+        for zr, zi in (Z[i] for i in unstable):
+            coeffs = [  # times (S z - Z_i)
+                (S * a - zr * c + zi * d, S * b - zr * d - zi * c)
+                for (a, b), (c, d) in zip([(0, 0)] + coeffs, coeffs + [(0, 0)])
+            ]
+        ks = [(2 * den * re + Sm) // (2 * Sm) for re, _ in coeffs]
+        if all(abs(im) <= E and abs(den * re - k * Sm) <= den * E
+               for (re, im), k in zip(coeffs, ks)):
+            U = Poly([Fraction(k, den) for k in ks])
+            if (f % U).is_zero():
+                return U
+        raise FactorizationError(
+            f"{m} of the {n} distinct roots of phi lie inside |z| < 1/xi and "
+            f"{n - m} outside |z| > 1, but their product is not rational; "
+            "no exact rational stable/unstable split exists"
+        )
 
 
 def _split_phi(phi: Poly, xi, tol: float = 1e-9):
     """Split a monic polynomial with phi(0) != 0 into stable/unstable parts.
 
-    Factors into irreducibles over Q first, then locates each irreducible
-    factor's roots numerically; an irreducible factor with roots on both
-    sides of the unit circle cannot be split exactly and is rejected.
+    The unstable part u of the squarefree part phi / g, g = gcd(phi, phi'),
+    comes from certified root discs and one exact division; each gcd of g with
+    u then adds one more multiplicity of the unstable roots.
     """
     if phi.is_constant():
         return Poly.const(1), Poly.const(1)
-    stable = Poly.const(1)
-    unstable = Poly.const(1)
-    for f, exp in _rational_factors(phi):
-        if f.is_constant():
-            continue
-        rc = classify_roots(f, xi, tol)
-        if rc.zero_multiplicity:
-            raise FactorizationError("phi factor vanishes at zero")
-        if rc.stable_roots and rc.unstable_roots:
-            raise FactorizationError(
-                f"irreducible factor {f!r} has roots on both sides of the "
-                "unit circle; no exact rational stable/unstable split exists"
-            )
-        for _ in range(exp):
-            if rc.stable_roots:
-                stable = stable * f
-            else:
-                unstable = unstable * f
-    # exact reconstruction check: the numeric clustering must not have lied
-    if not (stable * unstable - phi.monic()).is_zero():
-        raise FactorizationError("stable/unstable split does not reconstruct phi")
-    return stable, unstable
+    phi = phi.monic()
+    g = poly_gcd(phi, phi.derivative())
+    unstable = u = _unstable_part(phi.exact_div(g), xi, tol)
+    while not (t := poly_gcd(g, u)).is_constant():
+        unstable, g = unstable * t, g.exact_div(t)
+    return phi.exact_div(unstable), unstable
 
 
 @dataclass(frozen=True)
@@ -107,7 +119,7 @@ class Factorization:
 
 
 def _product(polys) -> Poly:
-    return reduce(mul, polys, Poly.const(1))
+    return prod(polys, start=Poly.const(1))
 
 
 def _cofactors(diag):

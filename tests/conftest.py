@@ -21,6 +21,7 @@ from recausal.exactalg import (
     solve_affine,
 )
 from recausal.model import REModel, RedundantPiError, build_pi
+from recausal.solver import FactorizationError
 
 
 # one PASS/FAIL line per acceptance criterion, emitted after the run summary
@@ -500,6 +501,40 @@ def ref_verify(m: REModel, sr, max_lag: int) -> dict:
         "first_coefficient_failures": first,
         "wold_truncation": len(m.wold) - 1,
     }
+
+
+# ---------------------------------------------------------------------------
+# symbolic stable/unstable split (oracle for solver._split_phi)
+
+
+def ref_split_phi(phi: Poly, xi=1, tol: float = 1e-9):
+    """(stable, unstable) parts of a monic phi from sympy's factor_list over Q.
+
+    Each irreducible factor's roots are located by classify_roots; a factor
+    with roots on both sides of the unit circle raises FactorizationError.
+    """
+    import sympy
+
+    if phi.is_constant():
+        return Poly.const(1), Poly.const(1)
+    QQ = sympy.QQ
+    rep = [QQ(c.numerator, c.denominator) for c in reversed(phi.coeffs)]
+    _, factors = sympy.Poly.from_list(rep, sympy.Symbol("z"), domain=QQ).factor_list()
+    stable = unstable = Poly.const(1)
+    for fac, exp in factors:
+        f = Poly([Fraction(int(c.p), int(c.q)) for c in fac.all_coeffs()[::-1]]).monic()
+        if f.is_constant():
+            continue
+        rc = classify_roots(f, xi, tol)
+        if rc.zero_multiplicity or (rc.stable_roots and rc.unstable_roots):
+            raise FactorizationError(f"irreducible factor {f!r} straddles the unit circle")
+        for _ in range(exp):
+            if rc.stable_roots:
+                stable = stable * f
+            else:
+                unstable = unstable * f
+    assert stable * unstable == phi.monic()
+    return stable, unstable
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,13 @@ from fractions import Fraction
 import pytest
 
 from recausal.canon import (
+    FactorizationError,
     RedundantEquationsError,
     UnitCircleRootError,
     classify_roots,
     invariant_factors_oracle,
     is_unimodular,
+    root_discs,
     smith_form,
 )
 from recausal.exactalg import Poly, PolyMatrix, det_adjugate
@@ -185,6 +187,30 @@ def test_classify_roots_boundary_and_xi():
         classify_roots(p, Fraction(1, 2))
     with pytest.raises(ValueError):
         classify_roots(Poly())
+
+
+def test_root_discs_enclose_known_roots():
+    # a pair of roots 2^-40 apart inside the unit circle, one root outside
+    roots = [Fraction(1, 3), Fraction(1, 3) + Fraction(1, 2**40), Fraction(-5, 2)]
+    f = (Z - roots[0]) * (Z - roots[1]) * (Z - roots[2])
+    bits, centers, radii, inside = next(root_discs(f))
+    S = 1 << bits
+    for r in roots:
+        holding = [
+            i for i, ((a, b), R) in enumerate(zip(centers, radii))
+            if (a - r * S) ** 2 + b * b <= R * R
+        ]
+        assert len(holding) == 1
+        assert inside[holding[0]] == (abs(r) < 1)
+
+
+def test_root_discs_refuse_at_the_precision_cap():
+    # a root on the inner edge 1/xi - tol of the ring never leaves it
+    with pytest.raises(UnitCircleRootError):
+        next(root_discs(Z - (Fraction(1, 3) - Fraction(1e-9)), 3))
+    # a double root (not squarefree) never gets two disjoint discs
+    with pytest.raises(FactorizationError, match=r"degree-2 .* at \d+ bits"):
+        next(root_discs((Z - Fraction(1, 3)) * (Z - Fraction(1, 3))))
 
 
 def test_zero_multiplicity_matches_g_sum():

@@ -94,6 +94,15 @@ def test_redundant_model_exit_1(capsys):
     assert "error" in err
 
 
+def test_failed_verify_prints_report_and_exits_1(capsys):
+    # the predetermined J1 < H defect model: its solution fails at lag 0
+    code, out, err = run(capsys, "verify", str(ROOT / "tests" / "golden" / "defect.json"))
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["ok"] is False and doc["failures"][0]["lag"] == 0
+    assert err == "error: verification failed at lag 0\n"
+
+
 def test_missing_file_exit_2(capsys):
     code, _, err = run(capsys, "solve", str(ROOT / "models" / "nope.json"))
     assert code == 2

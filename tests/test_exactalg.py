@@ -270,6 +270,7 @@ def test_poly_ring_ops_match_reference(a, b, f, k):
     _check(pa + f, ra + RefPoly([f]))
     _check(pa.monic(), ra.monic())
     _check(pa.shift(3), ra.shift(3))
+    _check(pa.derivative(), RefPoly([i * c for i, c in enumerate(ra.coeffs)][1:]))
     assert pa.degree == (len(ra.coeffs) - 1 if ra.coeffs else NEG_INF)
     assert [pa[i] for i in range(-1, 9)] == [ra[i] for i in range(-1, 9)]
     assert pa.eval(f) == ra.eval(f)

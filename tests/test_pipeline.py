@@ -122,6 +122,22 @@ def test_import_loads_neither_sympy_nor_numpy():
     assert out.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("command", ["solve", "verify", "simulate"])
+def test_cli_commands_do_not_load_sympy(command):
+    src = os.path.dirname(os.path.dirname(recausal.__file__))
+    code = (
+        "import sys; from recausal.cli import main; "
+        f"main([{command!r}, {str(ROOT / 'models' / 'sims.json')!r}]); "
+        "print('sympy' in sys.modules, file=sys.stderr)"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert f'"command": "{command}"' in out.stdout
+    assert out.stderr.strip() == "False"
+
+
 def _factor_oracle_models(corpus):
     for m in list(corpus) + planted_models():
         pipe = run_pipeline(m)

@@ -2,11 +2,15 @@
 
 import dataclasses
 import random
+from datetime import timedelta
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from recausal.canon import smith_form
+from recausal.canon import UnitCircleRootError, smith_form
+from recausal import solver
 from recausal.dimension import run_pipeline
 from recausal.exactalg import Poly, PolyMatrix, RationalMatrix
 from recausal.model import REModel, build_pi
@@ -15,7 +19,7 @@ from recausal.solver import (
     SolutionReport,
     UnsupportedModelError,
     _n_of_h,
-    _rational_factors,
+    _split_phi,
     assemble_rhs,
     factor_stable_unstable,
     simulate,
@@ -29,6 +33,7 @@ from conftest import (
     rand_frac,
     random_gamma,
     random_model,
+    ref_split_phi,
     ref_verify,
     sims_model,
 )
@@ -335,26 +340,94 @@ def test_transfer_series_requires_unit_den_at_zero():
         simulate(sr, T=10, seed=0)
 
 
-def test_rational_factors_match_symbolic_factor_list(corpus):
-    # reference: factor the sympy expression sum(c_i z^i), as the split once did
-    import sympy
+def _split_outcome(split, phi):
+    try:
+        return split(phi, 1)
+    except FactorizationError:
+        return "no rational split"
 
-    z = sympy.Symbol("z")
+
+def test_split_phi_matches_symbolic_split(corpus):
     phis = {
         ph
-        for m in list(corpus) + planted_models()
+        for m in list(corpus) + planted_models() + [sims_model()]
         for ph in run_pipeline(m).sf.phi
         if not ph.is_constant()
     }
     assert len(phis) >= 50
-    for ph in phis:
-        expr = sum(sympy.Rational(c.numerator, c.denominator) * z**i for i, c in enumerate(ph.coeffs))
-        _, ref = sympy.Poly(expr, z, domain="QQ").factor_list()
-        want = [
-            (Poly([Fraction(int(c.p), int(c.q)) for c in f.all_coeffs()[::-1]]).monic(), e)
-            for f, e in ref
-        ]
-        assert _rational_factors(ph) == want
+    outcomes = [_split_outcome(_split_phi, ph) for ph in phis]
+    assert outcomes == [_split_outcome(ref_split_phi, ph) for ph in phis]
+    refused = outcomes.count("no rational split")
+    assert 0 < refused < len(phis) - 10
+
+
+# phi from rational roots, irreducible quadratics and cubics, and root pairs
+# 2^-40 apart, all at least 0.1 off the ring [1/xi, 1]; a factor is scaled
+# by 1 + 1/(2^100 + j) to give coefficient denominators of 2^100 and more
+_IRREDUCIBLE = (
+    (1, -3, 1), (-1, -1, 1), (2, -4, 1),                  # straddling quadratics
+    (Fraction(1, 8), Fraction(-1, 2), 1), (Fraction(-1, 3), 0, 1),  # inside
+    (5, -5, 1), (-3, 0, 1), (3, 1, 1),                    # outside
+    (2, -4, 0, 1), (1, -3, 0, 1),                         # straddling cubics
+    (Fraction(-1, 5), 0, 0, 1), (-2, 0, 0, 1),            # one-sided cubics
+)
+_root = st.builds(
+    lambda r, out: 1 / r if out else r,
+    st.fractions(Fraction(-9, 10), Fraction(9, 10), max_denominator=40).filter(bool),
+    st.booleans(),
+)
+
+
+def _scaled(f: Poly, j: int) -> Poly:
+    lam = 1 + Fraction(1, 2**100 + j)  # f(lam z) / lam^n, roots divided by lam
+    return Poly([c * lam ** (k - f.degree) for k, c in enumerate(f.coeffs)])
+
+
+_factor = st.one_of(
+    _root.map(lambda r: Z - r),
+    _root.map(lambda r: (Z - r) * (Z - r - Fraction(1, 2**40))),
+    st.sampled_from(_IRREDUCIBLE).map(Poly),
+)
+_phi = st.lists(
+    st.tuples(_factor, st.integers(1, 2), st.none() | st.integers(1, 1000)),
+    min_size=1, max_size=3,
+)
+
+
+@settings(derandomize=True, max_examples=60, deadline=timedelta(seconds=4))
+@given(_phi)
+def test_split_phi_matches_symbolic_split_on_generated_phi(parts):
+    phi = Poly.const(1)
+    for f, k, j in parts:
+        f = f if j is None else _scaled(f, j)
+        for _ in range(k):
+            phi = phi * f
+    assert _split_outcome(_split_phi, phi) == _split_outcome(ref_split_phi, phi)
+
+
+def test_split_phi_rejects_roots_in_the_ring():
+    with pytest.raises(UnitCircleRootError):
+        _split_phi(Z - (1 + Fraction(1, 10**12)), 1)
+    with pytest.raises(UnitCircleRootError):  # 7/10 lies in [1/xi, 1] for xi = 2
+        _split_phi((Z - Fraction(7, 10)) * (Z - 3), 2)
+    assert _split_phi(Z - Fraction(7, 10), 1) == (Poly.const(1), Z - Fraction(7, 10))
+
+
+def test_split_phi_refuses_a_rounding_that_does_not_divide(monkeypatch):
+    # coarse but valid discs over 2^4 for z^2 - 3z + 1: D(1/8, 5/16) holds
+    # (3 - sqrt 5)/2 and D(21/8, 1/16) holds (3 + sqrt 5)/2; U~ = z - 1/8
+    # passes the rounding test as z, which does not divide phi
+    coarse = (4, ((2, 0), (42, 0)), (5, 1), (True, False))
+    monkeypatch.setattr(solver, "root_discs", lambda f, xi, tol: iter([coarse]))
+    with pytest.raises(FactorizationError, match="not rational"):
+        _split_phi(Poly([1, -3, 1]), 1)
+
+
+def test_split_phi_splits_one_sided_irreducible_quadratics():
+    inside = Poly([Fraction(1, 8), Fraction(-1, 2), 1])  # |roots|^2 = 1/8
+    outside = Poly([5, -5, 1])  # roots (5 +- sqrt 5) / 2
+    assert _split_phi(inside * outside, 1) == (outside, inside)
+    assert _split_phi(inside * inside * outside, 1) == (outside, inside * inside)
 
 
 @pytest.mark.xfail(
