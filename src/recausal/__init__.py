@@ -13,8 +13,6 @@ from .canon import (
     SmithForm,
     UnitCircleRootError,
     classify_roots,
-    invariant_factors_oracle,
-    is_unimodular,
     smith_form,
 )
 from .constraints import (

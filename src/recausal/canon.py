@@ -4,25 +4,20 @@ The Smith form is computed by exact elimination over Q[z], which also detects
 a singular input: its elimination runs out of nonzero pivots.  The unimodular
 inverses are tracked exactly, so later stages (the constraint blocks, the
 stable/unstable factor adjugates) read them instead of inverting anew.
-`classify_roots` sorts roots of det pi against the unit circle by companion
-eigenvalues in floating point; `root_discs` certifies them with exact
-Gerschgorin discs, on which the solver's stable/unstable split rests.  numpy
-is imported on first use.
+`classify_roots` sorts the roots of det pi against the unit circle on exact
+Gerschgorin discs from `root_discs`, which the solver's stable/unstable split
+then refines.  Floating point only seeds the discs (`_start_points`), and no
+module here imports numpy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import cmath
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 
-from .exactalg import (
-    Poly,
-    PolyMatrix,
-    det_adjugate,
-    poly_gcd,
-    rat,
-)
+from .exactalg import Poly, PolyMatrix, rat, squarefree_factors
 
 
 class RedundantEquationsError(ValueError):
@@ -205,63 +200,48 @@ def smith_form(M: PolyMatrix) -> SmithForm:
     )
 
 
-def invariant_factors_oracle(M: PolyMatrix):
-    """Invariant factors as quotients of gcds of k x k minors (test oracle)."""
-    if M.rows != M.cols:
-        raise ValueError("square matrix required")
-    n = M.rows
-    det, _ = det_adjugate(M)
-    if det.is_zero():
-        raise RedundantEquationsError("det is identically zero")
-    from itertools import combinations
-
-    d_prev = Poly.const(1)
-    out = []
-    for k in range(1, n + 1):
-        gcd = Poly()
-        for rows in combinations(range(n), k):
-            for cols in combinations(range(n), k):
-                sub = PolyMatrix([[M.entries[i][j] for j in cols] for i in rows])
-                minor, _ = det_adjugate(sub)
-                if not minor.is_zero():
-                    gcd = poly_gcd(gcd, minor)
-            if gcd.is_constant() and not gcd.is_zero():
-                break
-        d_k = gcd.monic()
-        out.append(d_k.exact_div(d_prev).monic())
-        d_prev = d_k
-    return out
-
-
-def is_unimodular(M: PolyMatrix) -> bool:
-    if M.rows != M.cols:
-        raise ValueError("square matrix required")
-    det, _ = det_adjugate(M)
-    return (not det.is_zero()) and det.degree == 0
-
-
 @dataclass(frozen=True)
 class RootClassification:
     zero_multiplicity: int
-    stable_roots: tuple    # complex approximations, |root| > 1
-    unstable_roots: tuple  # complex approximations, |root| < 1/xi
+    stable_roots: tuple    # disc centers, |root| > 1, each repeated by multiplicity
+    unstable_roots: tuple  # disc centers, |root| < 1/xi, each repeated by multiplicity
     xi: Fraction
+    # (a_k, k, first certified yield of root_discs(a_k)) per Yun factor
+    discs: tuple = field(default=(), repr=False, compare=False)
 
     @property
     def total(self) -> int:
         return self.zero_multiplicity + len(self.stable_roots) + len(self.unstable_roots)
 
 
-def _companion_roots(p: Poly):
-    """Companion-matrix eigenvalues of a nonconstant p, in floating point."""
-    import numpy as np
+def _start_points(f: Poly):
+    """Float approximations of the roots of a nonconstant f, to seed root_discs.
 
-    coeffs = [float(c) for c in p.coeffs]
-    deg = len(coeffs) - 1
-    comp = np.zeros((deg, deg))
-    comp[0, :] = [-c / coeffs[-1] for c in coeffs[-2::-1]]
-    comp[1:, :-1] = np.eye(deg - 1)
-    return np.linalg.eigvals(comp)
+    Aberth-Ehrlich sweeps (Aberth, Math. Comp. 27, 1973) in Python complex,
+    from n points on the circle of radius |f(0) / lead|^(1/n).  Only speed
+    depends on them: the discs of root_discs are the proof.
+    """
+    n, num = int(f.degree), f.num
+    a = [c / num[n] for c in reversed(num)]  # monic, highest first
+    r = abs(a[n]) ** (1 / n) or 1.0
+    start = [r * cmath.exp(1j * (2 * cmath.pi * k / n + 0.4)) for k in range(n)]
+    z = list(start)
+    for _ in range(100):
+        moved = False
+        for i, zi in enumerate(z):
+            p, dp = 1.0, 0.0
+            for c in a[1:]:
+                p, dp = p * zi + c, dp * zi + p
+            try:  # the Newton step N, deflated by the other points
+                N = p / dp
+                w = N / (1 - N * sum(1 / (zi - zj) for j, zj in enumerate(z) if j != i))
+            except ZeroDivisionError:  # a critical point, or two points met
+                N = w = (abs(zi) + 1) * 1e-3j
+            z[i] = zi - w
+            moved = moved or not abs(N) <= 1e-14 * abs(zi)
+        if not moved:
+            break
+    return [zi if cmath.isfinite(zi) else s for zi, s in zip(z, start)]
 
 
 def _ring_error(r, lo) -> UnitCircleRootError:
@@ -275,9 +255,12 @@ def _ring_error(r, lo) -> UnitCircleRootError:
 def classify_roots(p: Poly, xi=1, tol: float = 1e-9) -> RootClassification:
     """Classify roots of p relative to the unit circle and growth bound xi.
 
-    Factors z^m out exactly; remaining roots are located via companion-matrix
-    eigenvalues in floating point.  Roots within tol of the ring [1/xi, 1]
-    are rejected.
+    Factors z^m out exactly and takes Yun's squarefree decomposition of the
+    rest, prod a_k^k.  The first certified yield of root_discs on each a_k
+    puts every root, k times, in |z| < 1/xi - tol or in |z| > 1 + tol, or
+    raises UnitCircleRootError for a root in the ring between them: the discs
+    decide each side, no float comparison does.  The roots listed are the disc
+    centers, and `discs` keeps each a_k with its yield for the solver's split.
     """
     xi = rat(xi)
     if p.is_zero():
@@ -285,22 +268,18 @@ def classify_roots(p: Poly, xi=1, tol: float = 1e-9) -> RootClassification:
     if xi < 1:
         raise ValueError("xi must be at least 1")
     m = p.zero_multiplicity()
-    reduced = Poly(p.coeffs[m:])
-    if reduced.is_constant():
-        return RootClassification(m, (), (), xi)
-    lo = 1.0 / float(xi)
-    stable, unstable = [], []
-    for r in _companion_roots(reduced):
-        mod = abs(r)
-        if lo - tol <= mod <= 1.0 + tol:
-            raise _ring_error(r, lo)
-        if mod > 1.0:
-            stable.append(complex(r))
-        else:
-            unstable.append(complex(r))
+    stable, unstable, discs = [], [], []
+    for k, a in enumerate(squarefree_factors(p.shift(-m)), 1):
+        if a.is_constant():
+            continue
+        bits, Z, R, inside = disc = next(root_discs(a, xi, tol))
+        for (re, im), ins in zip(Z, inside):
+            (unstable if ins else stable).extend([complex(re / 2**bits, im / 2**bits)] * k)
+        discs.append((a, k, disc))
     key = lambda c: (c.real, c.imag)
     return RootClassification(
-        m, tuple(sorted(stable, key=key)), tuple(sorted(unstable, key=key)), xi
+        m, tuple(sorted(stable, key=key)), tuple(sorted(unstable, key=key)), xi,
+        tuple(discs),
     )
 
 
@@ -308,10 +287,10 @@ def _gmul(x, y):
     return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
 
 
-def root_discs(f: Poly, xi=1, tol: float = 1e-9):
+def root_discs(f: Poly, xi=1, tol: float = 1e-9, start=None):
     """Certified root discs of a squarefree monic f, refined on demand.
 
-    Companion eigenvalues z_i are refined by Weierstrass steps z_i -= W_i,
+    Start points z_i are refined by Weierstrass steps z_i -= W_i,
     W_i = f(z_i) / prod_(j != i) (z_i - z_j), on fixed-point Gaussian integers
     whose precision about doubles per step.  Every root lies in some disc
     D(z_i, n |W_i|), and k discs meeting no other hold exactly k roots
@@ -320,17 +299,18 @@ def root_discs(f: Poly, xi=1, tol: float = 1e-9):
     2^bits, inside[i] True in |z| < 1/xi - tol and False in |z| > 1 + tol.
     Raises UnitCircleRootError for a disc within the ring between them (or
     meeting it at the precision cap) and FactorizationError at the cap.
+    start = (bits, centers) of an earlier yield resumes the refinement after it.
     """
     n, num, den = int(f.degree), f.num, f.den
     xi = rat(xi)
     lo, hi = 1 / xi - Fraction(tol), 1 + Fraction(tol)
     # 1024 bits plus about twice Mahler's bound on -log2 of the root separation
     cap = 1024 + 2 * n * (max(abs(c) for c in num).bit_length() + n.bit_length())
-    p = 64
+    p, Z = start or (64, [])
+    Z = list(Z)
     # distinct nudges along 1 + 2i break the symmetry of real or conjugate
     # starting points, from which the iteration could not reach the roots
-    Z = []
-    for k, r in enumerate(_companion_roots(f)):
+    for k, r in enumerate([] if start else _start_points(f)):
         e = (-1) ** k * (k + 1) << 16
         Z.append((round(r.real * 2**p) + e, round(r.imag * 2**p) + 2 * e))
     for step in range(cap):  # a cluster of roots costs about a step per bit
@@ -367,7 +347,7 @@ def root_discs(f: Poly, xi=1, tol: float = 1e-9):
             if side is None and isolated and (lo * S + r) ** 2 <= c2 <= (hi * S - r) ** 2:
                 raise _ring_error(complex(a / S, b / S), 1 / xi)  # a root in the ring
             inside.append(side)
-        if all(alone) and None not in inside:
+        if all(alone) and None not in inside and not (start and step == 0):
             yield p, tuple(Z), tuple(R), tuple(inside)
         if p >= cap or step == cap - 1:
             break

@@ -6,7 +6,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .canon import classify_roots, smith_form
+from .canon import RedundantEquationsError, classify_roots, smith_form
 from .constraints import (
     build_plain_system,
     build_predetermined_system,
@@ -16,7 +16,7 @@ from .constraints import (
     zeta_coefficients,
 )
 from .exactalg import RationalMatrix
-from .model import REModel, build_pi
+from .model import REModel, RedundantPiError, build_pi
 
 
 def _stage(build):
@@ -163,7 +163,8 @@ def genericity_probe(m: REModel, trials: int = 10, seed: int = 0) -> dict:
     """Recompute rank_w at randomly perturbed parameter points.
 
     Reports the modal rank over the trials and flags the supplied point when
-    its rank differs from the mode.
+    its rank differs from the mode.  A perturbed point with a singular pi
+    counts as a failed trial; any other error propagates.
     """
     base = run_pipeline(m)
     rng = random.Random(seed)
@@ -173,7 +174,7 @@ def genericity_probe(m: REModel, trials: int = 10, seed: int = 0) -> dict:
         try:
             pert = _perturb(m, rng)
             ranks.append(run_pipeline(pert).cs.rank_w)
-        except Exception:
+        except (RedundantPiError, RedundantEquationsError):
             failures += 1
     if not ranks:
         return {

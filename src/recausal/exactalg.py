@@ -279,6 +279,23 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a.monic()
 
 
+def squarefree_factors(f: Poly) -> list:
+    """Yun's squarefree decomposition [a_1, a_2, ...] of a nonzero f.
+
+    The a_k are monic, squarefree and pairwise coprime (some may be 1), and
+    f = lead(f) prod a_k^k.
+    """
+    b = f.monic()
+    a = poly_gcd(b, c := b.derivative())
+    b, c = b.exact_div(a), c.exact_div(a)
+    out = []
+    while not b.is_constant():
+        d = c - b.derivative()
+        out.append(poly_gcd(b, d))
+        b, c = b.exact_div(out[-1]), d.exact_div(out[-1])
+    return out
+
+
 def poly_lcm(a: Poly, b: Poly) -> Poly:
     if a.is_zero() or b.is_zero():
         return Poly()

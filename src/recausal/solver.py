@@ -6,13 +6,15 @@ the revision-loading stack h: divisibility remainders and forbidden low-order
 series coefficients are linear functionals of h, so solvability, uniqueness,
 and the solution family are all decided by exact rational elimination.
 
-Each Smith factor phi_i splits into stable and unstable parts over Q without
-factoring: certified root discs give the unstable roots, their product is
-rounded onto the lattice Gauss's lemma allows, and one exact division accepts
-it or proves that no rational split exists.  The factors pi_u = P D_u and
+det pi splits into stable and unstable parts over Q without factoring: the
+certified discs that classified the roots of each squarefree factor of
+det pi / z^G give its unstable roots, their product is rounded onto the lattice
+Gauss's lemma allows, and one exact division accepts it or proves that no
+rational split exists.  Each Smith factor phi_i divides det pi / z^G, so its
+unstable part is its gcd with that product.  The factors pi_u = P D_u and
 pi_s = D_s Q share the unimodular P and Q of the Smith form, whose inverses are
 tracked exactly, so their determinants and adjugates follow in closed form
-from the diagonal factors D_u, D_s.  numpy is imported on first use.
+from the diagonal factors D_u, D_s.  Only `simulate` imports numpy.
 
 A solution y = (num/den) eps is verified by one polynomial identity: with R the
 series of model residuals, den R is a polynomial T built from num, den and the
@@ -24,16 +26,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import isqrt, prod
 
-from .canon import FactorizationError, SmithForm, root_discs
+from .canon import (
+    FactorizationError, RootClassification, SmithForm, classify_roots, root_discs,
+)
 from .dimension import Pipeline, run_pipeline
 from .exactalg import (
     Poly,
     PolyMatrix,
     RationalMatrix,
     poly_gcd,
-    rat,
     rational_det,
     solve_affine,
     vstack,
@@ -45,10 +49,11 @@ class UnsupportedModelError(ValueError):
     pass
 
 
-def _unstable_part(f: Poly, xi, tol: float) -> Poly:
+def _unstable_part(f: Poly, xi, tol: float, certified) -> Poly:
     """The monic factor U of a squarefree monic f = num/den over its roots in |z| < 1/xi.
 
-    With m of the n certified discs D(c_i, r_i) inside, E = prod(2 + r_i) - 2^m
+    certified is a first yield of root_discs(f, xi, tol), refined further only
+    on demand.  With m of the n discs D(c_i, r_i) inside, E = prod(2 + r_i) - 2^m
     bounds |U - U~|_1 for U~ = prod (z - c_i), as |c_i| < 1.  den U is integral
     (Gauss's lemma), so if den E < 1/2 a rational U is U~ rounded onto (1/den) Z[z];
     a coefficient farther than E from there, or f mod U^ != 0, proves U irrational.
@@ -56,7 +61,7 @@ def _unstable_part(f: Poly, xi, tol: float) -> Poly:
     bound on the root gaps; |U^ - U|_1 <= 3 m E) leaves only the unstable ones.
     """
     n, den = int(f.degree), f.den
-    for bits, Z, R, inside in root_discs(f, xi, tol):
+    for bits, Z, R, inside in chain([certified], root_discs(f, xi, tol, certified[:2])):
         unstable = [i for i in range(n) if inside[i]]
         m = len(unstable)
         if m in (0, n):
@@ -88,21 +93,16 @@ def _unstable_part(f: Poly, xi, tol: float) -> Poly:
         )
 
 
-def _split_phi(phi: Poly, xi, tol: float = 1e-9):
-    """Split a monic polynomial with phi(0) != 0 into stable/unstable parts.
+def _unstable_factor(rc: RootClassification, tol: float = 1e-9) -> Poly:
+    """The monic factor U = prod U_k^k of p / z^m over its roots in |z| < 1/xi.
 
-    The unstable part u of the squarefree part phi / g, g = gcd(phi, phi'),
-    comes from certified root discs and one exact division; each gcd of g with
-    u then adds one more multiplicity of the unstable roots.
+    rc classifies p; U_k is the unstable part of its Yun factor a_k, split
+    once from the discs that classified it.
     """
-    if phi.is_constant():
-        return Poly.const(1), Poly.const(1)
-    phi = phi.monic()
-    g = poly_gcd(phi, phi.derivative())
-    unstable = u = _unstable_part(phi.exact_div(g), xi, tol)
-    while not (t := poly_gcd(g, u)).is_constant():
-        unstable, g = unstable * t, g.exact_div(t)
-    return phi.exact_div(unstable), unstable
+    U = Poly.const(1)
+    for a, k, disc in rc.discs:
+        U = U * _product([_unstable_part(a, rc.xi, tol, disc)] * k)
+    return U
 
 
 @dataclass(frozen=True)
@@ -127,20 +127,29 @@ def _cofactors(diag):
     return [_product(diag[:i] + diag[i + 1:]) for i in range(len(diag))]
 
 
-def factor_stable_unstable(sf: SmithForm, J1: int, xi=1) -> Factorization:
-    """pi = pi_u * pi_s with pi_u = P alpha_u Phi_u and pi_s = alpha_s Phi_s Q."""
+def factor_stable_unstable(
+    sf: SmithForm, J1: int, xi=1, roots: RootClassification | None = None
+) -> Factorization:
+    """pi = pi_u * pi_s with pi_u = P alpha_u Phi_u and pi_s = alpha_s Phi_s Q.
+
+    roots classifies det pi at xi; by default prod phi_i, which has the same
+    roots except z = 0, is classified.  Every phi_i divides det pi / z^G, so
+    its unstable part is gcd(phi_i, U) for the unstable factor U of
+    det pi / z^G; U is rational iff each of these is.
+    """
     if J1 < 0:
         raise UnsupportedModelError(
             f"J1 = {J1} < 0: the system is dated strictly in the past; "
             "causal factorization is not defined for this configuration"
         )
-    xi = rat(xi)
+    U = _unstable_factor(roots or classify_roots(_product(sf.phi), xi))
     splits = []
     alpha_split = []
     for gi, phi in zip(sf.g, sf.phi):
         gs, gu = min(gi, J1), max(gi - J1, 0)
         alpha_split.append((gs, gu))
-        splits.append(_split_phi(phi, xi))
+        un = poly_gcd(phi, U)
+        splits.append((phi.exact_div(un), un))
     diag_u = [
         Poly.monomial(gu) * un for (gs, gu), (st, un) in zip(alpha_split, splits)
     ]
@@ -264,8 +273,7 @@ def solve_causal(
     pipe = pipe or run_pipeline(m)
     s, H, q = m.s, m.H, m.q
     cs = pipe.cs
-    pipe.roots  # classifies the roots of det pi; raises on boundary roots
-    fac = factor_stable_unstable(pipe.sf, pipe.pi.J1, m.xi)
+    fac = factor_stable_unstable(pipe.sf, pipe.pi.J1, m.xi, pipe.roots)
     const, per_unknown = assemble_rhs(m, pipe.zc, pipe.pi.J1, pipe.pi.pi)
     n_unknowns = s * H
 

@@ -7,17 +7,26 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from recausal.canon import SmithForm, UnitCircleRootError, classify_roots, smith_form
+from recausal.canon import (
+    RedundantEquationsError,
+    RootClassification,
+    SmithForm,
+    UnitCircleRootError,
+    classify_roots,
+)
 from recausal.constraints import zeta_coefficients
 from recausal.exactalg import (
     Poly,
     PolyMatrix,
     RationalMatrix,
     det_adjugate,
+    poly_gcd,
     rank_of,
+    rat,
     solve_affine,
 )
 from recausal.model import REModel, RedundantPiError, build_pi
@@ -194,6 +203,76 @@ def ref_adjugate(M):
         ]
         for i in range(n)
     ]
+
+
+# ---------------------------------------------------------------------------
+# Smith-form and root-location oracles
+
+
+def invariant_factors_oracle(M: PolyMatrix):
+    """Invariant factors as quotients of gcds of k x k minors."""
+    if M.rows != M.cols:
+        raise ValueError("square matrix required")
+    n = M.rows
+    det, _ = det_adjugate(M)
+    if det.is_zero():
+        raise RedundantEquationsError("det is identically zero")
+    d_prev = Poly.const(1)
+    out = []
+    for k in range(1, n + 1):
+        gcd = Poly()
+        for rows in combinations(range(n), k):
+            for cols in combinations(range(n), k):
+                sub = PolyMatrix([[M.entries[i][j] for j in cols] for i in rows])
+                minor, _ = det_adjugate(sub)
+                if not minor.is_zero():
+                    gcd = poly_gcd(gcd, minor)
+            if gcd.is_constant() and not gcd.is_zero():
+                break
+        d_k = gcd.monic()
+        out.append(d_k.exact_div(d_prev).monic())
+        d_prev = d_k
+    return out
+
+
+def is_unimodular(M: PolyMatrix) -> bool:
+    if M.rows != M.cols:
+        raise ValueError("square matrix required")
+    det, _ = det_adjugate(M)
+    return (not det.is_zero()) and det.degree == 0
+
+
+def ref_classify_roots(p: Poly, xi=1, tol: float = 1e-9) -> RootClassification:
+    """Float classifier: companion-matrix eigenvalues from numpy, gated by tol.
+
+    Factors z^m out exactly; a root with modulus within tol of the ring
+    [1/xi, 1] raises UnitCircleRootError.
+    """
+    import numpy as np
+
+    xi = rat(xi)
+    if p.is_zero():
+        raise ValueError("cannot classify roots of the zero polynomial")
+    if xi < 1:
+        raise ValueError("xi must be at least 1")
+    m = p.zero_multiplicity()
+    coeffs = [float(c) for c in p.coeffs[m:]]
+    deg = len(coeffs) - 1
+    if deg == 0:
+        return RootClassification(m, (), (), xi)
+    comp = np.zeros((deg, deg))
+    comp[0, :] = [-c / coeffs[-1] for c in coeffs[-2::-1]]
+    comp[1:, :-1] = np.eye(deg - 1)
+    lo = 1.0 / float(xi)
+    stable, unstable = [], []
+    for r in np.linalg.eigvals(comp):
+        if lo - tol <= abs(r) <= 1.0 + tol:
+            raise UnitCircleRootError(f"root {r:.12g} lies in the ring [{lo:.6g}, 1]")
+        (stable if abs(r) > 1.0 else unstable).append(complex(r))
+    key = lambda c: (c.real, c.imag)
+    return RootClassification(
+        m, tuple(sorted(stable, key=key)), tuple(sorted(unstable, key=key)), xi
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -510,8 +589,9 @@ def ref_verify(m: REModel, sr, max_lag: int) -> dict:
 def ref_split_phi(phi: Poly, xi=1, tol: float = 1e-9):
     """(stable, unstable) parts of a monic phi from sympy's factor_list over Q.
 
-    Each irreducible factor's roots are located by classify_roots; a factor
-    with roots on both sides of the unit circle raises FactorizationError.
+    Each irreducible factor's roots are located by the float ref_classify_roots,
+    so this oracle shares no code with the certified locator; a factor with
+    roots on both sides of the unit circle raises FactorizationError.
     """
     import sympy
 
@@ -525,7 +605,7 @@ def ref_split_phi(phi: Poly, xi=1, tol: float = 1e-9):
         f = Poly([Fraction(int(c.p), int(c.q)) for c in fac.all_coeffs()[::-1]]).monic()
         if f.is_constant():
             continue
-        rc = classify_roots(f, xi, tol)
+        rc = ref_classify_roots(f, xi, tol)
         if rc.zero_multiplicity or (rc.stable_roots and rc.unstable_roots):
             raise FactorizationError(f"irreducible factor {f!r} straddles the unit circle")
         for _ in range(exp):
@@ -587,8 +667,6 @@ def smith_fixture(P: PolyMatrix, Q: PolyMatrix, g, phi) -> SmithForm:
 
 def check_smith_invariants(M: PolyMatrix, sf: SmithForm):
     """All SmithForm type invariants, assertion style."""
-    from recausal.canon import is_unimodular
-
     assert sf.reconstruct() == M
     assert is_unimodular(sf.P) and is_unimodular(sf.Q)
     assert sf.P * sf.P_inv == PolyMatrix.identity(sf.size)

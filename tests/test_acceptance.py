@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 import conftest
-from recausal.canon import UnitCircleRootError, invariant_factors_oracle, smith_form
+from recausal.canon import UnitCircleRootError, smith_form
 from recausal.constraints import InternalConsistencyError, check_rank_bounds
 from recausal.dimension import dimension_report, run_pipeline
 from recausal.exactalg import (
@@ -36,6 +36,7 @@ from conftest import (
     affine_set,
     brute_force_plain,
     check_smith_invariants,
+    invariant_factors_oracle,
     rand_frac,
     rand_matrix,
     rand_poly,

@@ -1,31 +1,39 @@
 """Smith canonical form, invariant-factor oracle, root classification."""
 
+import hashlib
 import random
+from datetime import timedelta
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recausal.canon import (
     FactorizationError,
     RedundantEquationsError,
     UnitCircleRootError,
+    _start_points,
     classify_roots,
-    invariant_factors_oracle,
-    is_unimodular,
     root_discs,
     smith_form,
 )
+from recausal.dimension import run_pipeline
 from recausal.exactalg import Poly, PolyMatrix, det_adjugate
 from conftest import (
     check_smith_invariants,
+    invariant_factors_oracle,
+    is_unimodular,
+    planted_models,
     rand_poly,
     rand_polymatrix,
     rand_unimodular,
+    ref_classify_roots,
     sims_model,
     sims_published_smith,
     smith_fixture,
 )
-from recausal.model import build_pi
+from recausal.model import build_pi, serialize_model
 
 Z = Poly([0, 1])
 
@@ -187,6 +195,97 @@ def test_classify_roots_boundary_and_xi():
         classify_roots(p, Fraction(1, 2))
     with pytest.raises(ValueError):
         classify_roots(Poly())
+
+
+# sha256 of serialize_model over the 100 corpus models, as first drawn with
+# the float classifier as their ring filter
+CORPUS_SHA256 = "dd832017f061d9348d9b88f00fb6e67b397a1fd3971904d8bd4634c60c523ad5"
+
+
+def test_corpus_is_unchanged_by_its_ring_filter(corpus):
+    digest = hashlib.sha256()
+    for m in corpus:
+        digest.update(serialize_model(m).encode())
+    assert digest.hexdigest() == CORPUS_SHA256
+
+
+def _classified(classify, p, xi):
+    """(zero multiplicity, #stable, #unstable) with multiplicity, or "ring"."""
+    try:
+        rc = classify(p, xi)
+    except UnitCircleRootError:
+        return "ring"
+    return rc.zero_multiplicity, len(rc.stable_roots), len(rc.unstable_roots)
+
+
+def test_classify_roots_matches_float_reference_on_model_dets(corpus):
+    models = list(corpus) + planted_models() + [sims_model()]
+    outcomes = [_classified(classify_roots, run_pipeline(m).pi.det, m.xi) for m in models]
+    assert outcomes == [
+        _classified(ref_classify_roots, run_pipeline(m).pi.det, m.xi) for m in models
+    ]
+    assert sum(o[2] > 0 for o in outcomes) >= 50 and sum(o[0] > 0 for o in outcomes) >= 10
+
+
+# products of rational roots (repeated, or in pairs 2^-40 apart), irreducible
+# quadratics (straddling or one-sided) and z^m; with xi = 2 the ring [1/2, 1]
+# catches some of them, so both outcomes occur
+_root = st.fractions(Fraction(-9, 10), Fraction(9, 10), max_denominator=40).filter(bool)
+_factor = st.one_of(
+    st.builds(lambda r, out: Z - (1 / r if out else r), _root, st.booleans()),
+    _root.map(lambda r: (Z - r) * (Z - r - Fraction(1, 2**40))),
+    st.sampled_from([(1, -3, 1), (-1, -1, 1), (2, -4, 1), (Fraction(1, 8), Fraction(-1, 2), 1),
+                     (5, -5, 1)]).map(Poly),
+)
+
+
+@settings(derandomize=True, max_examples=80, deadline=timedelta(seconds=4))
+@given(st.lists(st.tuples(_factor, st.integers(1, 3)), min_size=1, max_size=3),
+       st.integers(0, 2), st.sampled_from([1, 2]))
+def test_classify_roots_matches_float_reference_on_generated_products(parts, m, xi):
+    p = Poly.monomial(m)
+    for f, k in parts:
+        for _ in range(k):
+            p = p * f
+    assert _classified(classify_roots, p, xi) == _classified(ref_classify_roots, p, xi)
+
+
+def test_classify_roots_counts_repeated_roots_by_multiplicity():
+    inside, outside = Z - Fraction(1, 2), Poly([5, -5, 1])
+    rc = classify_roots(Z * Z * inside * inside * inside * outside)
+    assert (rc.zero_multiplicity, len(rc.stable_roots), len(rc.unstable_roots)) == (2, 2, 3)
+    assert [k for _a, k, _disc in rc.discs] == [1, 3]
+    assert all(abs(r - 0.5) < 1e-12 for r in rc.unstable_roots)
+
+
+def _nearest_distances(points, roots):
+    return [min(abs(z - complex(r)) for z in points) for r in roots]
+
+
+def test_start_points_on_degree_one():
+    assert _start_points(Z - Fraction(3, 7)) == [pytest.approx(3 / 7, rel=1e-15)]
+    assert _start_points(2 * Z + 5) == [pytest.approx(-2.5, rel=1e-15)]
+
+
+def test_start_points_on_a_cluster_of_close_simple_roots():
+    roots = [Fraction(1, 3) + Fraction(k, 1000) for k in range(4)]
+    f = Poly.const(1)
+    for r in roots:
+        f = f * (Z - r)
+    points = _start_points(f)
+    assert len(points) == 4
+    assert max(_nearest_distances(points, roots)) < 1e-6
+
+
+def test_start_points_on_coefficients_of_size_2_to_the_100():
+    # roots near 2^-100 and 2^100, and (2^100 + 1) / 2^99 next to -3 2^98 / (2^100 + 7)
+    points = _start_points(Poly([1, -(2**100), 1]))
+    assert sorted(abs(z) for z in points) == [
+        pytest.approx(2.0**-100, rel=1e-12), pytest.approx(2.0**100, rel=1e-12)
+    ]
+    roots = [Fraction(2**100 + 1, 2**99), Fraction(-3 * 2**98, 2**100 + 7), Fraction(1, 3)]
+    f = (Z - roots[0]) * (Z - roots[1]) * (Z - roots[2])
+    assert max(_nearest_distances(_start_points(f), roots)) < 1e-12
 
 
 def test_root_discs_enclose_known_roots():

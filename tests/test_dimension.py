@@ -3,7 +3,10 @@
 import random
 from fractions import Fraction
 
-from recausal.dimension import dimension_report, genericity_probe, run_pipeline
+import pytest
+
+from recausal import dimension
+from recausal.dimension import _perturb, dimension_report, genericity_probe, run_pipeline
 from recausal.exactalg import RationalMatrix
 from recausal.model import REModel, build_pi
 from conftest import random_gamma, random_model, sims_model
@@ -121,3 +124,26 @@ def test_genericity_probe_flags_rank_drop():
     rep = genericity_probe(m, trials=12, seed=7)
     assert rep["non_generic"]
     assert rep["modal_rank"] > rep["base_rank"]
+
+
+def test_genericity_probe_counts_singular_points_and_propagates_other_errors(monkeypatch):
+    # jitter can zero a diagonal entry of A00 = I/64, leaving det pi = 0
+    e = Fraction(1, 64)
+    m = REModel(
+        s=2, K=0, H=0, q=1, A={(0, 0): RationalMatrix([[e, 0], [0, e]])},
+        gamma=(2,), wold=(RationalMatrix([[1], [1]]),),
+    )
+    rng = random.Random(1)
+    points = [_perturb(m, rng) for _ in range(30)]
+    singular = sum(p.A[(0, 0)][0, 0] * p.A[(0, 0)][1, 1] == 0 for p in points)
+    assert singular > 0
+    rep = genericity_probe(m, trials=30, seed=1)
+    assert rep["failed_trials"] == singular
+    assert sum(rep["rank_histogram"].values()) == 30 - singular
+
+    def broken(model, rng):
+        raise ZeroDivisionError("injected")
+
+    monkeypatch.setattr(dimension, "_perturb", broken)
+    with pytest.raises(ZeroDivisionError, match="injected"):
+        genericity_probe(sims_model(), trials=3)

@@ -6,18 +6,21 @@ import gc
 import importlib
 import json
 import os
+import random
 import subprocess
 import sys
 import weakref
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import recausal
+from recausal import solver
 from recausal.cli import main
 from recausal.dimension import dimension_report, run_pipeline
-from recausal.exactalg import det_adjugate
-from recausal.model import parse_model, validate_semantics
+from recausal.exactalg import RationalMatrix, det_adjugate
+from recausal.model import REModel, parse_model, serialize_model, validate_semantics
 from recausal.solver import (
     FactorizationError,
     UnsupportedModelError,
@@ -25,7 +28,7 @@ from recausal.solver import (
     solve_causal,
     verify_solution,
 )
-from conftest import SIMS_JSON, planted_models
+from conftest import SIMS_JSON, planted_models, random_model
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
@@ -122,20 +125,93 @@ def test_import_loads_neither_sympy_nor_numpy():
     assert out.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("command", ["solve", "verify", "simulate"])
-def test_cli_commands_do_not_load_sympy(command):
+def _cli_loads(argv, module):
+    """Whether a fresh interpreter has `module` loaded after recausal.cli.main(argv)."""
     src = os.path.dirname(os.path.dirname(recausal.__file__))
     code = (
-        "import sys; from recausal.cli import main; "
-        f"main([{command!r}, {str(ROOT / 'models' / 'sims.json')!r}]); "
-        "print('sympy' in sys.modules, file=sys.stderr)"
+        f"import sys; from recausal.cli import main; main({argv!r}); "
+        f"print({module!r} in sys.modules, file=sys.stderr)"
     )
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert f'"command": "{command}"' in out.stdout
-    assert out.stderr.strip() == "False"
+    assert f'"command": "{argv[0]}"' in out.stdout
+    assert out.stderr.strip() in ("True", "False")
+    return out.stderr.strip() == "True"
+
+
+@pytest.mark.parametrize("command", ["solve", "verify", "simulate"])
+def test_cli_commands_do_not_load_sympy(command):
+    assert not _cli_loads([command, str(ROOT / "models" / "sims.json")], "sympy")
+
+
+@pytest.mark.parametrize(
+    "command, model",
+    [(c, "sims") for c in ("analyze", "smith", "constraints", "solve", "verify", "probe")]
+    + [("analyze", "planted"), ("solve", "planted"), ("simulate", "sims")],
+)
+def test_cli_commands_do_not_load_numpy(command, model, tmp_path):
+    path = ROOT / "models" / "sims.json"
+    if model == "planted":
+        path = tmp_path / "planted.json"
+        path.write_text(serialize_model(planted_models()[0]))
+    # simulate is the one command that does float arithmetic with numpy
+    assert _cli_loads([command, str(path)], "numpy") == (command == "simulate")
+
+
+def _yun_factor_count(det):
+    """Number of distinct root multiplicities of det / z^G, by sympy's sqf_list."""
+    import sympy
+
+    z = sympy.Symbol("z")
+    reduced = det.coeffs[det.zero_multiplicity():]
+    expr = sum(sympy.Rational(c.numerator, c.denominator) * z**k for k, c in enumerate(reduced))
+    return len([f for f, _k in sympy.sqf_list(expr)[1] if sympy.degree(f, z) > 0])
+
+
+def _scalar_model_with_a_fine_root():
+    """pi(z) = (z - r)(z - 3) with r = 1/3 + 2^-60: the first certified discs
+    are too coarse to round the unstable factor, so the split refines them."""
+    r = Fraction(1, 3) + Fraction(1, 2**60)
+    A = {(0, 1): [[3 * r]], (0, 0): [[-(r + 3)]], (1, 0): [[1]]}
+    return REModel(
+        s=1, K=1, H=1, q=1, A={k: RationalMatrix(v) for k, v in A.items()},
+        gamma=(1, 0), wold=(RationalMatrix([[1]]),),
+    )
+
+
+@pytest.mark.parametrize("which", ["sims", "generic", "planted", "refined"])
+def test_start_points_run_once_per_yun_factor(monkeypatch, which):
+    """validate + analyze + solve + verify place each root once: the solver's
+    split resumes from the discs that classified det pi."""
+    m = {
+        "sims": lambda: parse_model(SIMS_JSON),
+        "generic": lambda: random_model(random.Random(3), 3, 1, 1),
+        "planted": lambda: planted_models()[8],  # two Yun factors
+        "refined": _scalar_model_with_a_fine_root,
+    }[which]()
+    counts = count_calls(monkeypatch, ("canon._start_points",))
+    resumed = []
+
+    def resumed_discs(*args, _discs=solver.root_discs):
+        for disc in _discs(*args):
+            resumed.append(disc[0])
+            yield disc
+
+    monkeypatch.setattr(solver, "root_discs", resumed_discs)
+    validate_semantics(m)
+    dimension_report(m)
+    try:
+        sr = solve_causal(m)
+    except FactorizationError:
+        assert which == "generic"
+    else:
+        if sr.transfer_num is not None:
+            verify_solution(m, sr)
+    det = run_pipeline(m).pi.det
+    assert counts["canon._start_points"] == _yun_factor_count(det) > 0
+    assert bool(resumed) == (which == "refined")
 
 
 def _factor_oracle_models(corpus):

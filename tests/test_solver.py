@@ -9,8 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recausal.canon import UnitCircleRootError, smith_form
-from recausal import solver
+from recausal.canon import UnitCircleRootError, classify_roots, smith_form
 from recausal.dimension import run_pipeline
 from recausal.exactalg import Poly, PolyMatrix, RationalMatrix
 from recausal.model import REModel, build_pi
@@ -19,7 +18,8 @@ from recausal.solver import (
     SolutionReport,
     UnsupportedModelError,
     _n_of_h,
-    _split_phi,
+    _unstable_factor,
+    _unstable_part,
     assemble_rhs,
     factor_stable_unstable,
     simulate,
@@ -29,6 +29,7 @@ from recausal.solver import (
 )
 from conftest import (
     defect_model,
+    is_unimodular,
     planted_models,
     rand_frac,
     random_gamma,
@@ -78,7 +79,6 @@ def test_factor_scalar_split():
 
 def test_factor_all_roots_outside():
     # no unstable roots and G = 0: pi_u is unimodular
-    from recausal.canon import is_unimodular
 
     pi = PolyMatrix([[1 - Fraction(1, 3) * Z, Poly()], [Poly.const(1), 1 - Fraction(1, 4) * Z]])
     sf = smith_form(pi)
@@ -340,6 +340,14 @@ def test_transfer_series_requires_unit_den_at_zero():
         simulate(sr, T=10, seed=0)
 
 
+def _split_phi(phi, xi, tol=1e-9):
+    """(stable, unstable) parts of a monic phi by the solver's certified route:
+    classify its roots, then split each Yun factor from the same discs."""
+    phi = phi.monic()
+    u = _unstable_factor(classify_roots(phi, xi, tol), tol)
+    return phi.exact_div(u), u
+
+
 def _split_outcome(split, phi):
     try:
         return split(phi, 1)
@@ -413,14 +421,13 @@ def test_split_phi_rejects_roots_in_the_ring():
     assert _split_phi(Z - Fraction(7, 10), 1) == (Poly.const(1), Z - Fraction(7, 10))
 
 
-def test_split_phi_refuses_a_rounding_that_does_not_divide(monkeypatch):
+def test_split_phi_refuses_a_rounding_that_does_not_divide():
     # coarse but valid discs over 2^4 for z^2 - 3z + 1: D(1/8, 5/16) holds
     # (3 - sqrt 5)/2 and D(21/8, 1/16) holds (3 + sqrt 5)/2; U~ = z - 1/8
     # passes the rounding test as z, which does not divide phi
     coarse = (4, ((2, 0), (42, 0)), (5, 1), (True, False))
-    monkeypatch.setattr(solver, "root_discs", lambda f, xi, tol: iter([coarse]))
     with pytest.raises(FactorizationError, match="not rational"):
-        _split_phi(Poly([1, -3, 1]), 1)
+        _unstable_part(Poly([1, -3, 1]), 1, 1e-9, coarse)
 
 
 def test_split_phi_splits_one_sided_irreducible_quadratics():
