@@ -49,7 +49,6 @@ from .model import (
     validate_semantics,
 )
 from .solver import (
-    Factorization,
     FactorizationError,
     SolutionReport,
     UnsupportedModelError,

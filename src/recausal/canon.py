@@ -2,12 +2,11 @@
 
 The Smith form is computed by exact elimination over Q[z], which also detects
 a singular input: its elimination runs out of nonzero pivots.  The unimodular
-inverses are tracked exactly, so later stages (the constraint blocks, the
-stable/unstable factor adjugates) read them instead of inverting anew.
-`classify_roots` sorts the roots of det pi against the unit circle on exact
-Gerschgorin discs from `root_discs`, which the solver's stable/unstable split
-then refines.  Floating point only seeds the discs (`_start_points`), and no
-module here imports numpy.
+inverses are tracked exactly, so the constraint blocks read them instead of
+inverting anew.  `classify_roots` sorts the roots of det pi against the unit
+circle on exact Gerschgorin discs from `root_discs`, which the solver's
+stable/unstable split then refines.  Floating point only seeds the discs
+(`_start_points`), and no module here imports numpy.
 """
 
 from __future__ import annotations

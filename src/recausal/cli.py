@@ -1,8 +1,8 @@
 """Command-line interface: analyze | smith | constraints | solve | verify | simulate | probe.
 
 Reports go to stdout (JSON by default, deterministic key order), diagnostics
-to stderr.  Exit codes: 0 success, 1 model/analysis error or a failed
-`verify` (its report is still printed), 2 usage error.
+to stderr.  Exit codes: 0 success, 1 model/analysis error, a failed `verify`
+(its report is still printed) or `simulate` without numpy, 2 usage error.
 """
 
 from __future__ import annotations
@@ -239,6 +239,11 @@ def main(argv=None) -> int:
         FactorizationError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except ModuleNotFoundError as exc:
+        if exc.name != "numpy":
+            raise
+        print(f"error: {args.command} needs numpy, which cannot be imported", file=sys.stderr)
         return 1
 
 

@@ -683,24 +683,3 @@ def invert(M: RationalMatrix) -> RationalMatrix:
     if X is None or kern:
         raise ValueError("matrix is singular")
     return X
-
-
-def rational_det(M: RationalMatrix) -> Fraction:
-    """Determinant of a square rational matrix by exact elimination."""
-    assert M.rows == M.cols
-    rows = [list(row) for row in M.entries]
-    det = Fraction(1)
-    for c in range(M.rows):
-        r = next((r for r in range(c, M.rows) if rows[r][c] != 0), None)
-        if r is None:
-            return Fraction(0)
-        if r != c:
-            rows[c], rows[r] = rows[r], rows[c]
-            det = -det
-        pv = rows[c][c]
-        det *= pv
-        for r2 in range(c + 1, M.rows):
-            f = rows[r2][c] / pv
-            if f != 0:
-                rows[r2] = [a - f * b for a, b in zip(rows[r2], rows[c])]
-    return det

@@ -1,20 +1,19 @@
-"""Causal solution construction: factor pi(z), cancel unstable roots, verify.
+"""Causal solution construction: split det pi(z), cancel unstable roots, verify.
 
-The cancellation requirements ("tune the free parameters so that the unstable
-part divides out") are implemented as an exact linear system in the entries of
-the revision-loading stack h: divisibility remainders and forbidden low-order
-series coefficients are linear functionals of h, so solvability, uniqueness,
-and the solution family are all decided by exact rational elimination.
+A causal stationary solution y = pi^-1 N(z; h) eps needs pi^-1 N to have no
+pole at z = 0 or at an unstable root of det pi.  With D = z^G U, G the
+multiplicity of z = 0 in det pi and U its unstable factor, that is one
+divisibility condition: D divides adj(pi) N(z; h).  The remainders of
+adj(pi) N mod D are linear in the revision-loading stack h, so solvability,
+uniqueness and the solution family are all decided by exact rational
+elimination, and the transfer is (adj(pi) N / D) / (det pi / D).
 
-det pi splits into stable and unstable parts over Q without factoring: the
+det pi splits into D and S = det pi / D over Q without factoring: the
 certified discs that classified the roots of each squarefree factor of
 det pi / z^G give its unstable roots, their product is rounded onto the lattice
 Gauss's lemma allows, and one exact division accepts it or proves that no
-rational split exists.  Each Smith factor phi_i divides det pi / z^G, so its
-unstable part is its gcd with that product.  The factors pi_u = P D_u and
-pi_s = D_s Q share the unimodular P and Q of the Smith form, whose inverses are
-tracked exactly, so their determinants and adjugates follow in closed form
-from the diagonal factors D_u, D_s.  Only `simulate` imports numpy.
+rational split exists.  Only the printed A_theta reads the Smith form, for the
+stable factor pi_s of pi.  Only `simulate` imports numpy.
 
 A solution y = (num/den) eps is verified by one polynomial identity: with R the
 series of model residuals, den R is a polynomial T built from num, den and the
@@ -29,19 +28,9 @@ from fractions import Fraction
 from itertools import chain
 from math import isqrt, prod
 
-from .canon import (
-    FactorizationError, RootClassification, SmithForm, classify_roots, root_discs,
-)
+from .canon import FactorizationError, RootClassification, root_discs
 from .dimension import Pipeline, run_pipeline
-from .exactalg import (
-    Poly,
-    PolyMatrix,
-    RationalMatrix,
-    poly_gcd,
-    rational_det,
-    solve_affine,
-    vstack,
-)
+from .exactalg import Poly, PolyMatrix, RationalMatrix, poly_gcd, solve_affine, vstack
 from .model import REModel
 
 
@@ -101,77 +90,24 @@ def _unstable_factor(rc: RootClassification, tol: float = 1e-9) -> Poly:
     """
     U = Poly.const(1)
     for a, k, disc in rc.discs:
-        U = U * _product([_unstable_part(a, rc.xi, tol, disc)] * k)
+        U = prod([_unstable_part(a, rc.xi, tol, disc)] * k, start=U)
     return U
 
 
-@dataclass(frozen=True)
-class Factorization:
-    pi_u: PolyMatrix
-    pi_s: PolyMatrix
-    alpha_split: tuple   # (min(g_i, J1), max(g_i - J1, 0)) per i
-    phi_split: tuple     # (stable_factor, unstable_factor) per i
-    det_u: Poly
-    adj_u: PolyMatrix
-    det_s: Poly
-    adj_s: PolyMatrix
-    zero_pole_order: int  # multiplicity of z = 0 in det(pi_s)
+def factor_stable_unstable(det: Poly, J1: int, roots: RootClassification):
+    """det pi = D S with D = z^G U and S = det pi / D.
 
-
-def _product(polys) -> Poly:
-    return prod(polys, start=Poly.const(1))
-
-
-def _cofactors(diag):
-    """Diagonal of adj(diag(d)): entry i is the product of all d_j, j != i."""
-    return [_product(diag[:i] + diag[i + 1:]) for i in range(len(diag))]
-
-
-def factor_stable_unstable(
-    sf: SmithForm, J1: int, xi=1, roots: RootClassification | None = None
-) -> Factorization:
-    """pi = pi_u * pi_s with pi_u = P alpha_u Phi_u and pi_s = alpha_s Phi_s Q.
-
-    roots classifies det pi at xi; by default prod phi_i, which has the same
-    roots except z = 0, is classified.  Every phi_i divides det pi / z^G, so
-    its unstable part is gcd(phi_i, U) for the unstable factor U of
-    det pi / z^G; U is rational iff each of these is.
+    roots classifies det pi: G is its multiplicity of z = 0 and U the unstable
+    factor of det pi / z^G, so D holds every root of det pi at zero or inside
+    |z| < 1/xi and S every root outside |z| > 1.
     """
     if J1 < 0:
         raise UnsupportedModelError(
             f"J1 = {J1} < 0: the system is dated strictly in the past; "
             "causal factorization is not defined for this configuration"
         )
-    U = _unstable_factor(roots or classify_roots(_product(sf.phi), xi))
-    splits = []
-    alpha_split = []
-    for gi, phi in zip(sf.g, sf.phi):
-        gs, gu = min(gi, J1), max(gi - J1, 0)
-        alpha_split.append((gs, gu))
-        un = poly_gcd(phi, U)
-        splits.append((phi.exact_div(un), un))
-    diag_u = [
-        Poly.monomial(gu) * un for (gs, gu), (st, un) in zip(alpha_split, splits)
-    ]
-    diag_s = [
-        Poly.monomial(gs) * st for (gs, gu), (st, un) in zip(alpha_split, splits)
-    ]
-    pi_u = sf.P * PolyMatrix.diag(diag_u)
-    pi_s = PolyMatrix.diag(diag_s) * sf.Q
-    # adj(P D_u) = adj(D_u) det(P) P^{-1} and adj(D_s Q) = det(Q) Q^{-1} adj(D_s);
-    # det P and det Q are the constants det P(0) and det Q(0)
-    det_p = rational_det(sf.P.coeff(0))
-    det_q = rational_det(sf.Q.coeff(0))
-    det_u = _product(diag_u) * det_p
-    det_s = _product(diag_s) * det_q
-    adj_u = PolyMatrix.diag(_cofactors(diag_u)) * sf.P_inv * det_p
-    adj_s = sf.Q_inv * PolyMatrix.diag(_cofactors(diag_s)) * det_q
-    return Factorization(
-        pi_u=pi_u, pi_s=pi_s, alpha_split=tuple(alpha_split),
-        phi_split=tuple(splits), det_u=det_u, adj_u=adj_u,
-        det_s=det_s, adj_s=adj_s,
-        zero_pole_order=sum(gs for gs, _gu in alpha_split),
-    )
+    D = Poly.monomial(roots.zero_multiplicity) * _unstable_factor(roots)
+    return D, det.exact_div(D)
 
 
 def assemble_rhs(m: REModel, zc, J1: int, pi: PolyMatrix):
@@ -202,30 +138,12 @@ def assemble_rhs(m: REModel, zc, J1: int, pi: PolyMatrix):
     return const, per_unknown
 
 
-def _cancellation_rows(vec: PolyMatrix, fac: Factorization):
-    """Linear functionals that must vanish for an s x 1 polynomial column.
-
-    Returns the list of rational values: remainder coefficients of
-    adj(pi_u) * vec modulo det(pi_u), then the series coefficients of
-    z^0..z^{m-1} of adj(pi_s) * quotient (the z = 0 poles of pi_s).
-    """
-    num = fac.adj_u * vec
-    d = fac.det_u
-    deg_d = int(d.degree) if not d.is_constant() else 0
+def _divisibility_rows(adj: PolyMatrix, D: Poly, vec: PolyMatrix):
+    """Remainder coefficients of adj(pi) vec mod D, all zero iff D divides it."""
     out = []
-    quo_entries = []
-    for i in range(num.rows):
-        q, r = num.entries[i][0].divmod(d)
-        for k in range(deg_d):
-            out.append(r[k])
-        quo_entries.append([q])
-    quo = PolyMatrix(quo_entries)
-    m0 = fac.zero_pole_order
-    if m0 > 0:
-        low = fac.adj_s * quo
-        for i in range(low.rows):
-            for k in range(m0):
-                out.append(low.entries[i][0][k])
+    for row in (adj * vec).entries:
+        r = row[0] % D
+        out += [r[k] for k in range(int(D.degree))]
     return out
 
 
@@ -240,7 +158,6 @@ class SolutionReport:
     transfer_den: Poly | None
     A_theta: PolyMatrix | None
     pipeline: Pipeline
-    factorization: Factorization | None
     kernel_point: str
 
 
@@ -273,7 +190,7 @@ def solve_causal(
     pipe = pipe or run_pipeline(m)
     s, H, q = m.s, m.H, m.q
     cs = pipe.cs
-    fac = factor_stable_unstable(pipe.sf, pipe.pi.J1, m.xi, pipe.roots)
+    D, S = factor_stable_unstable(pipe.pi.det, pipe.pi.J1, pipe.roots)
     const, per_unknown = assemble_rhs(m, pipe.zc, pipe.pi.J1, pipe.pi.pi)
     n_unknowns = s * H
 
@@ -292,13 +209,12 @@ def solve_causal(
             rows.append(list(c_full.entries[i]))
             rhs_rows.append(list(cs.rhs.entries[i]))
 
+    adj = pipe.pi.adj
     canc_const = [
-        _cancellation_rows(
-            PolyMatrix([[const.entries[i][c]] for i in range(s)]), fac
-        )
+        _divisibility_rows(adj, D, PolyMatrix([[const.entries[i][c]] for i in range(s)]))
         for c in range(q)
     ]
-    canc_basis = [_cancellation_rows(v, fac) for v in per_unknown]
+    canc_basis = [_divisibility_rows(adj, D, v) for v in per_unknown]
     n_canc = len(canc_const[0]) if q else 0
     for r in range(n_canc):
         rows.append([canc_basis[a][r] for a in range(n_unknowns)])
@@ -312,7 +228,7 @@ def solve_causal(
             classification="no_causal_solution", indeterminacy_dim=0,
             h=None, h_particular=None, kernel=tuple(kernel),
             transfer_num=None, transfer_den=None, A_theta=None,
-            pipeline=pipe, factorization=fac, kernel_point=kernel_point,
+            pipeline=pipe, kernel_point=kernel_point,
         )
     if n_unknowns == 0:
         X = RationalMatrix.zero(0, q)
@@ -326,14 +242,14 @@ def solve_causal(
             chosen = X + shift
     else:
         chosen = X
-    num, den, a_theta = build_transfer(m, pipe, fac, const, per_unknown, chosen)
+    num, den, a_theta = build_transfer(m, pipe, (D, S), const, per_unknown, chosen)
     classification = "determinate" if not kernel else "indeterminate"
     return SolutionReport(
         classification=classification,
         indeterminacy_dim=len(kernel) * q if kernel else 0,
         h=chosen, h_particular=h_particular, kernel=tuple(kernel),
         transfer_num=num, transfer_den=den, A_theta=a_theta,
-        pipeline=pipe, factorization=fac, kernel_point=kernel_point,
+        pipeline=pipe, kernel_point=kernel_point,
     )
 
 
@@ -349,29 +265,18 @@ def _n_of_h(m: REModel, const, per_unknown, h: RationalMatrix) -> PolyMatrix:
     return PolyMatrix(entries)
 
 
-def build_transfer(m, pipe, fac: Factorization, const, per_unknown, h):
+def build_transfer(m, pipe, split, const, per_unknown, h):
     """Transfer function y = (num / den) eps for a loading stack h.
 
-    num is s x q polynomial, den a scalar polynomial with den(0) = 1 and all
-    roots outside the unit circle; A_theta is the unstable-cancelled quotient.
+    split = (D, S) from factor_stable_unstable.  num = adj(pi) N / D is exact
+    once h satisfies the divisibility rows, and den = S, so num/den = pi^-1 N;
+    den ends with den(0) = 1 and all roots outside the unit circle.  A_theta
+    is pi_s num / den for the stable Smith factor
+    pi_s = diag(z^min(g_i, J1) phi_i / gcd(phi_i, D)) Q of pi.
     """
+    D, den = split
     N = _n_of_h(m, const, per_unknown, h)
-    a_theta_entries = []
-    for i in range(m.s):
-        row = []
-        for c in range(m.q):
-            acc = Poly()
-            for k in range(m.s):
-                acc = acc + fac.adj_u.entries[i][k] * N.entries[k][c]
-            row.append(acc.exact_div(fac.det_u))
-        a_theta_entries.append(row)
-    a_theta = PolyMatrix(a_theta_entries)
-    num = fac.adj_s * a_theta
-    den = fac.det_s
-    m0 = fac.zero_pole_order
-    if m0 > 0:
-        num = PolyMatrix([[e.shift(-m0) for e in row] for row in num.entries])
-        den = den.shift(-m0)
+    num = PolyMatrix([[e.exact_div(D) for e in row] for row in (pipe.pi.adj * N).entries])
     # cancel any common polynomial factor, then normalize den(0) = 1
     common = den
     for row in num.entries:
@@ -389,6 +294,12 @@ def build_transfer(m, pipe, fac: Factorization, const, per_unknown, h):
     inv = Fraction(1) / c0
     num = num * inv
     den = den * inv
+    sf, J1 = pipe.sf, pipe.pi.J1
+    pi_s = PolyMatrix.diag([
+        Poly.monomial(min(gi, J1)) * phi.exact_div(poly_gcd(phi, D))
+        for gi, phi in zip(sf.g, sf.phi)
+    ]) * sf.Q
+    a_theta = PolyMatrix([[e.exact_div(den) for e in row] for row in (pi_s * num).entries])
     return num, den, a_theta
 
 

@@ -618,6 +618,65 @@ def ref_split_phi(phi: Poly, xi=1, tol: float = 1e-9):
 
 
 # ---------------------------------------------------------------------------
+# Smith-split cancellation (reference for the solver's divisibility rows)
+
+
+def ref_smith_split(sf: SmithForm, J1: int, U: Poly):
+    """pi = pi_u pi_s with pi_u = P D_u and pi_s = D_s Q from the Smith form.
+
+    D_u = diag(z^max(g_i - J1, 0) gcd(phi_i, U)) takes the unstable and the
+    z^(g_i - J1) part of each invariant factor z^g_i phi_i, D_s the rest.  Both
+    determinants and adjugates come from det_adjugate.  Returns
+    (det_u, adj_u, det_s, adj_s, m0) with m0 = sum min(g_i, J1), the
+    multiplicity of z = 0 in det pi_s.
+    """
+    diag_u, diag_s = [], []
+    for gi, phi in zip(sf.g, sf.phi):
+        un = poly_gcd(phi, U)
+        diag_u.append(Poly.monomial(max(gi - J1, 0)) * un)
+        diag_s.append(Poly.monomial(min(gi, J1)) * phi.exact_div(un))
+    det_u, adj_u = det_adjugate(sf.P * PolyMatrix.diag(diag_u))
+    det_s, adj_s = det_adjugate(PolyMatrix.diag(diag_s) * sf.Q)
+    return det_u, adj_u, det_s, adj_s, sum(min(gi, J1) for gi in sf.g)
+
+
+def ref_cancellation_rows(vec: PolyMatrix, split):
+    """Two-stage cancellation rows for an s x 1 column under ref_smith_split.
+
+    The remainder coefficients of adj(pi_u) vec mod det pi_u (pi_u^-1 vec is
+    polynomial), then the z^0 .. z^(m0 - 1) coefficients of adj(pi_s) times
+    the quotient (pi_s^-1 pi_u^-1 vec has no pole at z = 0).
+    """
+    det_u, adj_u, _det_s, adj_s, m0 = split
+    out, quo = [], []
+    for row in (adj_u * vec).entries:
+        q, r = row[0].divmod(det_u)
+        out += [r[k] for k in range(int(det_u.degree))]
+        quo.append([q])
+    out += [row[0][k] for row in (adj_s * PolyMatrix(quo)).entries for k in range(m0)]
+    return out
+
+
+def ref_transfer(N: PolyMatrix, split):
+    """(num, den, A_theta) of pi^-1 N through the Smith split, den(0) = 1.
+
+    A_theta = pi_u^-1 N and num / den = pi_s^-1 A_theta, reduced by the gcd of
+    den and every entry of num.
+    """
+    det_u, adj_u, det_s, adj_s, m0 = split
+    a_theta = PolyMatrix([[e.exact_div(det_u) for e in row] for row in (adj_u * N).entries])
+    num = [[e.shift(-m0) for e in row] for row in (adj_s * a_theta).entries]
+    den = det_s.shift(-m0)
+    common = den
+    for e in (e for row in num for e in row):
+        common = poly_gcd(common, e)
+    den = den.exact_div(common)
+    inv = 1 / den[0]
+    num = PolyMatrix([[e.exact_div(common) * inv for e in row] for row in num])
+    return num, den * inv, a_theta
+
+
+# ---------------------------------------------------------------------------
 # paper fixtures: the Sims model and its published factorization
 
 

@@ -24,7 +24,6 @@ from recausal.exactalg import (
     rank_of,
     rat,
     rat_str,
-    rational_det,
     solve_affine,
     vstack,
 )
@@ -186,15 +185,6 @@ def test_solve_affine_kernel_is_rank_kernel():
         for B in (M * rand_matrix(rng, M.cols, 2), rand_matrix(rng, M.rows, 2)):
             _, kern = solve_affine(M, B)
             assert kern == rank_kernel(M)[1]
-
-
-def test_rational_det_matches_det_adjugate():
-    rng = random.Random(17)
-    for n in range(0, 5):
-        for _ in range(6):
-            M = rand_matrix(rng, n, n, lo=-2, hi=2)
-            det, _ = det_adjugate(PolyMatrix.from_rational(M))
-            assert rational_det(M) == det[0]
 
 
 def test_pseudo_inverse_columns():

@@ -1,22 +1,26 @@
-"""Stable/unstable factorization, causal solving, exact verification, simulation."""
+"""Stable/unstable split of det pi, causal solving, exact verification, simulation."""
 
 import dataclasses
 import random
 from datetime import timedelta
 from fractions import Fraction
+from functools import partial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recausal.canon import UnitCircleRootError, classify_roots, smith_form
+from recausal.canon import UnitCircleRootError, classify_roots
+from recausal.cli import _emit, build_parser, cmd_solve
 from recausal.dimension import run_pipeline
-from recausal.exactalg import Poly, PolyMatrix, RationalMatrix
+from recausal.exactalg import Poly, PolyMatrix, RationalMatrix, det_adjugate
 from recausal.model import REModel, build_pi
 from recausal.solver import (
     FactorizationError,
     SolutionReport,
     UnsupportedModelError,
+    _divisibility_rows,
     _n_of_h,
     _unstable_factor,
     _unstable_part,
@@ -28,18 +32,24 @@ from recausal.solver import (
     verify_solution,
 )
 from conftest import (
+    affine_set,
     defect_model,
-    is_unimodular,
+    planted_model,
     planted_models,
     rand_frac,
     random_gamma,
     random_model,
+    ref_cancellation_rows,
+    ref_smith_split,
     ref_split_phi,
+    ref_transfer,
     ref_verify,
+    same_affine_set,
     sims_model,
 )
 
 Z = Poly([0, 1])
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def scalar_model(a, wold_len=1):
@@ -53,54 +63,51 @@ def scalar_model(a, wold_len=1):
 
 
 # ---------------------------------------------------------------------------
-# factorization
+# stable/unstable split of det pi
+
+
+def _split(pi, J1):
+    """factor_stable_unstable on det pi, checking det pi = D S."""
+    det, _ = det_adjugate(pi)
+    D, S = factor_stable_unstable(det, J1, classify_roots(det))
+    assert D * S == det
+    return D, S
 
 
 def test_factor_sims():
     pipe = run_pipeline(sims_model())
-    fac = factor_stable_unstable(pipe.sf, pipe.pi.J1)
-    assert fac.pi_u * fac.pi_s == pipe.pi.pi
-    # unstable part carries the root 10/11, stable part z * (z - 10/9)
-    assert fac.det_u.monic() == Z - Fraction(10, 11)
-    assert fac.det_s.monic() == Z * (Z - Fraction(10, 9))
-    assert fac.zero_pole_order == 1
-    assert fac.alpha_split == ((0, 0), (1, 0))
+    D, S = factor_stable_unstable(pipe.pi.det, pipe.pi.J1, pipe.roots)
+    assert D * S == pipe.pi.det
+    # D carries z = 0 and the unstable root 10/11, S the stable root 10/9
+    assert D.monic() == Z * (Z - Fraction(10, 11))
+    assert S.monic() == Z - Fraction(10, 9)
 
 
 def test_factor_scalar_split():
     # pi = (1 - 2z)(1 - z/2): root 1/2 is unstable, root 2 stable
-    pi = PolyMatrix([[(1 - 2 * Z) * (1 - Fraction(1, 2) * Z)]])
-    sf = smith_form(pi)
-    fac = factor_stable_unstable(sf, J1=2)
-    assert fac.pi_u * fac.pi_s == pi
-    assert fac.det_u.monic() == Z - Fraction(1, 2)
-    assert fac.det_s.monic() == Z - 2
+    D, S = _split(PolyMatrix([[(1 - 2 * Z) * (1 - Fraction(1, 2) * Z)]]), J1=2)
+    assert D.monic() == Z - Fraction(1, 2)
+    assert S.monic() == Z - 2
 
 
 def test_factor_all_roots_outside():
-    # no unstable roots and G = 0: pi_u is unimodular
-
+    # no unstable roots and G = 0: nothing to cancel, D = 1
     pi = PolyMatrix([[1 - Fraction(1, 3) * Z, Poly()], [Poly.const(1), 1 - Fraction(1, 4) * Z]])
-    sf = smith_form(pi)
-    fac = factor_stable_unstable(sf, J1=1)
-    assert is_unimodular(fac.pi_u)
-    assert fac.pi_u * fac.pi_s == pi
+    D, S = _split(pi, J1=1)
+    assert D == Poly.const(1)
+    assert S.monic() == (Z - 3) * (Z - 4)
 
 
 def test_factor_rejects_straddling_irreducible():
     # z^2 - 3z + 1 has roots (3 +- sqrt(5))/2: one inside, one outside,
     # and it is irreducible over Q, so no exact split exists
-    pi = PolyMatrix([[Poly([1, -3, 1])]])
-    sf = smith_form(pi)
     with pytest.raises(FactorizationError):
-        factor_stable_unstable(sf, J1=2)
+        _split(PolyMatrix([[Poly([1, -3, 1])]]), J1=2)
 
 
 def test_factor_rejects_negative_j1():
-    pi = PolyMatrix([[1 - Fraction(1, 2) * Z]])
-    sf = smith_form(pi)
     with pytest.raises(UnsupportedModelError):
-        factor_stable_unstable(sf, J1=-1)
+        _split(PolyMatrix([[1 - Fraction(1, 2) * Z]]), J1=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +264,7 @@ def test_verify_sims_and_negative_control():
         classification=sr.classification, indeterminacy_dim=sr.indeterminacy_dim,
         h=sr.h, h_particular=sr.h_particular, kernel=sr.kernel,
         transfer_num=bad_num, transfer_den=sr.transfer_den, A_theta=sr.A_theta,
-        pipeline=sr.pipeline, factorization=sr.factorization,
-        kernel_point=sr.kernel_point,
+        pipeline=sr.pipeline, kernel_point=sr.kernel_point,
     )
     rep = verify_solution(m, bad, max_lag=10)
     assert not rep["ok"] and rep["failures"]
@@ -437,6 +443,74 @@ def test_split_phi_splits_one_sided_irreducible_quadratics():
     assert _split_phi(inside * inside * outside, 1) == (outside, inside * inside)
 
 
+# ---------------------------------------------------------------------------
+# divisibility rows against the Smith-split reference
+
+
+def _cancellation_affine_set(rows_of, const, per_unknown, q):
+    """(row count, affine set of h) on which rows_of vanishes for N(z; h)."""
+    basis = [rows_of(v) for v in per_unknown]
+    rhs = [rows_of(PolyMatrix([[row[c]] for row in const.entries])) for c in range(q)]
+    n = len(rhs[0])
+    M = RationalMatrix([[b[r] for b in basis] for r in range(n)])
+    B = RationalMatrix([[-c[r] for c in rhs] for r in range(n)])
+    if not n:
+        M, B = RationalMatrix.zero(0, len(basis)), RationalMatrix.zero(0, q)
+    return n, affine_set(M, B, len(basis))
+
+
+def test_divisibility_rows_match_smith_split(corpus):
+    # g_last = H + 2 puts g > J1 + 1, as planted models have J1 = H
+    rng = random.Random(77)
+    deep = [planted_model(rng, s, H, H + 2, pre)
+            for s in (2, 3) for H in (1, 2) for pre in (False, True)]
+    n_sets = n_transfers = n_deep = 0
+    for m in list(corpus) + planted_models() + deep:
+        pipe = run_pipeline(m)
+        try:
+            sr = solve_causal(m, pipe)
+        except (FactorizationError, UnsupportedModelError):
+            continue
+        J1 = pipe.pi.J1
+        D, _S = factor_stable_unstable(pipe.pi.det, J1, pipe.roots)
+        split = ref_smith_split(pipe.sf, J1, _unstable_factor(pipe.roots))
+        const, per_unknown = assemble_rhs(m, pipe.zc, J1, pipe.pi.pi)
+        n_new, new = _cancellation_affine_set(
+            partial(_divisibility_rows, pipe.pi.adj, D), const, per_unknown, m.q)
+        n_old, old = _cancellation_affine_set(
+            partial(ref_cancellation_rows, split=split), const, per_unknown, m.q)
+        assert n_new == n_old and same_affine_set(new, old), (m.s, m.H, pipe.sf.g, J1)
+        n_sets += 1
+        n_deep += max(pipe.sf.g) > J1 + 1
+        if sr.h is not None:
+            N = _n_of_h(m, const, per_unknown, sr.h)
+            assert ref_transfer(N, split) == (sr.transfer_num, sr.transfer_den, sr.A_theta)
+            n_transfers += 1
+    assert n_sets >= 50 and n_transfers >= 30 and n_deep >= 8, (n_sets, n_transfers, n_deep)
+
+
+def _drop_smith_unimodulars(m):
+    """Build m's constraint system, then leave only g, phi and Q in its memoized Smith form."""
+    pipe = run_pipeline(m)
+    pipe.cs
+    m.artifacts["sf"] = dataclasses.replace(pipe.sf, P=None, P_inv=None, Q_inv=None)
+
+
+def test_solve_reads_no_smith_unimodular_but_q(capsys):
+    m = sims_model()
+    _drop_smith_unimodulars(m)
+    _emit(cmd_solve(m, build_parser().parse_args(["solve", "sims.json"])), "json")
+    assert capsys.readouterr().out == (GOLDEN / "sims_solve.stdout").read_text()
+    # g = (0, 0, 2) > J1 = 1: A_theta reads min(g_i, J1) and Q
+    m = planted_models()[3]
+    want = solve_causal(dataclasses.replace(m))
+    _drop_smith_unimodulars(m)
+    got = solve_causal(m)
+    assert got.classification == want.classification == "determinate"
+    for field in ("h", "kernel", "transfer_num", "transfer_den", "A_theta"):
+        assert getattr(got, field) == getattr(want, field), field
+
+
 @pytest.mark.xfail(
     strict=True, raises=AssertionError,
     reason="known defect: a predetermined J1 < H solution fails substitution at lag 0",
@@ -455,7 +529,7 @@ def test_simulate_white_noise_and_determinism():
     white = SolutionReport(
         classification="determinate", indeterminacy_dim=0, h=None, h_particular=None,
         kernel=(), transfer_num=PolyMatrix.identity(2), transfer_den=Poly.const(1),
-        A_theta=None, pipeline=None, factorization=None, kernel_point="min-norm",
+        A_theta=None, pipeline=None, kernel_point="min-norm",
     )
     rep = simulate(white, T=40000, seed=3)
     se = rep["mc_standard_error"]
