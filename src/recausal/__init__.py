@@ -1,13 +1,15 @@
 """Exact-arithmetic analysis of linear multivariate rational-expectations models.
 
 The pipeline: parse a model, assemble the structural difference equation's
-polynomial matrix pi(z), compute its Smith canonical form, derive the linear
-constraint system on the revision processes, report the dimension of the set
-of causal stationary solutions, and construct/verify explicit solutions by
-cancelling unstable determinant roots.
+polynomial matrix pi(z), take its Smith data at z = 0 (the global Smith
+canonical form only when det pi(0) = 0), derive the linear constraint system
+on the revision processes, report the dimension of the set of causal
+stationary solutions, and construct/verify explicit solutions by cancelling
+unstable determinant roots.
 """
 
 from .canon import (
+    LocalSmith,
     RedundantEquationsError,
     RootClassification,
     SmithForm,
@@ -25,7 +27,6 @@ from .constraints import (
     build_selectors,
     check_rank_bounds,
     frak_p_blocks,
-    p_inverse_coeffs,
     zeta_coefficients,
 )
 from .dimension import DimensionReport, dimension_report, genericity_probe, run_pipeline

@@ -2,10 +2,11 @@
 
 The Smith form is computed by exact elimination over Q[z], which also detects
 a singular input: its elimination runs out of nonzero pivots.  The unimodular
-inverses are tracked exactly, so the constraint blocks read them instead of
-inverting anew.  `classify_roots` sorts the roots of det pi against the unit
-circle on exact Gerschgorin discs from `root_discs`, which the solver's
-stable/unstable split then refines.  Floating point only seeds the discs
+inverses are tracked exactly.  The constraint blocks read only `LocalSmith`,
+the data of the form at z = 0, which needs no elimination when det pi(0) != 0.
+`classify_roots` sorts the roots of det pi against the unit circle on exact
+Gerschgorin discs from `root_discs`, which the solver's stable/unstable split
+then refines.  Floating point only seeds the discs
 (`_start_points`), and no module here imports numpy.
 """
 
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 
-from .exactalg import Poly, PolyMatrix, rat, squarefree_factors
+from .exactalg import Poly, PolyMatrix, RationalMatrix, rat, squarefree_factors
 
 
 class RedundantEquationsError(ValueError):
@@ -52,6 +53,28 @@ class SmithForm:
 
     def reconstruct(self) -> PolyMatrix:
         return self.P * self.alpha() * PolyMatrix.diag(list(self.phi)) * self.Q
+
+    def local(self) -> "LocalSmith":
+        """The data at z = 0 of pi = P diag(z^g) E with E = diag(phi) Q."""
+        n = self.size
+        phi0 = RationalMatrix([[self.phi[i][0] if i == j else 0 for j in range(n)]
+                               for i in range(n)])
+        return LocalSmith(self.g, tuple(self.P_inv.coeff_list()), phi0 * self.Q.coeff(0))
+
+
+@dataclass(frozen=True)
+class LocalSmith:
+    """g, the coefficients of P^-1 and omega0 = E(0) of a factorization
+    pi = P diag(z^g) E with P unimodular and E(0) invertible.
+
+    This is all the constraint systems read of the Smith form.  When
+    det pi(0) != 0, pi = I I pi is such a factorization: g = 0, P^-1 = I and
+    omega0 = pi(0), and no elimination is needed.
+    """
+
+    g: tuple            # partial multiplicities at z = 0
+    p_inv: tuple        # coefficient matrices of P^-1, lowest power first
+    omega0: RationalMatrix
 
 
 def _pivot_key(p: Poly, i: int, j: int):

@@ -4,6 +4,15 @@ Builds the zeta-coefficient matrices m_i, the per-row coefficient blocks of
 P(z)^{-1}, the selector matrices U, R, S, and assembles the linear system
 that every admissible stack of revision loadings must satisfy, in both the
 plain and the predetermined flavor.
+
+Of a factorization pi = P diag(z^g) E (P unimodular, E(0) invertible; the
+Smith form with E = diag(phi) Q is one) the systems read only its data at
+z = 0, a `LocalSmith`: g, the coefficients of P^{-1} and E(0).  When
+det pi(0) != 0 the pipeline uses g = 0, P = I and E(0) = pi(0), so C and D
+are built from P = I.  The plain system's affine set, and with it every
+verdict, does not depend on which factorization is used.  The predetermined
+system's can when g != 0 or J1 < H, so for g != 0 the pipeline keeps the
+factors of the global Smith form.
 """
 
 from __future__ import annotations
@@ -11,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .canon import SmithForm
+from .canon import LocalSmith
 from .exactalg import (
     RationalMatrix,
     block_diag,
@@ -21,7 +30,7 @@ from .exactalg import (
     rank_of,
     vstack,
 )
-from .model import PiPolynomial, REModel
+from .model import REModel
 
 
 @dataclass(frozen=True)
@@ -63,38 +72,32 @@ def zeta_coefficients(m: REModel) -> ZetaCoeffs:
     return ZetaCoeffs(m=tuple(out))
 
 
-def p_inverse_coeffs(sf: SmithForm):
-    """Coefficient matrices of P(z)^{-1} by increasing power of z."""
-    return sf.P_inv.coeff_list()
-
-
 @dataclass(frozen=True)
 class PBlocks:
-    p_coeffs: tuple     # coefficients of P^{-1}
     blocks: tuple       # s matrices, each H x s(H + gamma_excess_max)
     delta: tuple        # J1 - g_k for g_k <= J1, None otherwise
     gamma_excess: tuple  # g_k - J1 for g_k > J1, None otherwise
 
     @property
     def width_blocks(self) -> int:
-        return self.blocks[0].cols // self.p_coeffs[0].cols if self.blocks else 0
+        return self.blocks[0].cols // len(self.blocks) if self.blocks else 0
 
 
-def frak_p_blocks(sf: SmithForm, J1: int, H: int) -> PBlocks:
+def frak_p_blocks(loc: LocalSmith, J1: int, H: int) -> PBlocks:
     """Per-row coefficient blocks of P^{-1} shaped by the partial multiplicities."""
-    s = sf.size
-    pc = p_inverse_coeffs(sf)
+    g, pc = loc.g, loc.p_inv
+    s = len(g)
 
     def prow(k: int, mth: int):
         if 0 <= mth < len(pc):
             return pc[mth].entries[k]
         return [Fraction(0)] * s
 
-    gamma_s = max(max(sf.g) - J1, 0) if sf.g else 0
+    gamma_s = max(max(g) - J1, 0) if g else 0
     width = s * (H + gamma_s)
     blocks, delta, gexc = [], [], []
     for k in range(s):
-        gk = sf.g[k]
+        gk = g[k]
         rows = [[Fraction(0)] * width for _ in range(H)]
         if gk <= J1:
             dk = J1 - gk
@@ -115,10 +118,7 @@ def frak_p_blocks(sf: SmithForm, J1: int, H: int) -> PBlocks:
                     for c in range(s):
                         rows[r][col_block * s + c] = coeff_row[c]
         blocks.append(RationalMatrix(rows))
-    return PBlocks(
-        p_coeffs=tuple(pc), blocks=tuple(blocks), delta=tuple(delta),
-        gamma_excess=tuple(gexc),
-    )
+    return PBlocks(blocks=tuple(blocks), delta=tuple(delta), gamma_excess=tuple(gexc))
 
 
 @dataclass(frozen=True)
@@ -133,16 +133,9 @@ class Selectors:
         return self.R.rows
 
 
-def build_selectors(m: REModel, sf: SmithForm) -> Selectors:
+def build_selectors(m: REModel, loc: LocalSmith) -> Selectors:
     s, H = m.s, m.H
-    q0 = sf.Q.coeff(0)
-    phi0 = RationalMatrix(
-        [
-            [sf.phi[i][0] if i == j else Fraction(0) for j in range(s)]
-            for i in range(s)
-        ]
-    )
-    omega0 = phi0 * q0
+    omega0 = loc.omega0
     # U row (k*H + i) selects component k of time-block i
     U = RationalMatrix.zero(s * H, s * H)
     for k in range(s):
@@ -184,16 +177,14 @@ def _wold_stack(m: REModel, n: int) -> RationalMatrix:
     return vstack([m.wold_coeff(j) for j in range(n)]) if n else RationalMatrix.zero(0, m.q)
 
 
-def _stacks(m: REModel, sf: SmithForm, zc: ZetaCoeffs, pb: PBlocks):
+def _stacks(zc: ZetaCoeffs, pb: PBlocks):
     width_blocks = pb.width_blocks  # H + gamma_s
     p_stack = vstack(pb.blocks)
     m_stack = vstack(zc.padded(width_blocks))
     return p_stack, m_stack, width_blocks
 
 
-def build_plain_system(
-    m: REModel, sf: SmithForm, zc: ZetaCoeffs, pb: PBlocks
-) -> ConstraintSystem:
+def build_plain_system(m: REModel, zc: ZetaCoeffs, pb: PBlocks) -> ConstraintSystem:
     """Constraint system C eps_bullet = D (innovation stack), no predeterminedness."""
     s, H = m.s, m.H
     if H == 0:
@@ -202,7 +193,7 @@ def build_plain_system(
             C=empty, D=RationalMatrix.zero(0, 0), rank_w=0, kernel=(),
             flavor="plain", effective_unknowns=0, rhs=RationalMatrix.zero(0, m.q),
         )
-    p_stack, m_stack, width_blocks = _stacks(m, sf, zc, pb)
+    p_stack, m_stack, width_blocks = _stacks(zc, pb)
     C = p_stack * m_stack
     rank, kern = rank_kernel(C)
     rhs = p_stack * _wold_stack(m, width_blocks)
@@ -212,16 +203,8 @@ def build_plain_system(
     )
 
 
-class InternalConsistencyError(AssertionError):
-    pass
-
-
 def build_predetermined_system(
-    m: REModel,
-    sf: SmithForm,
-    zc: ZetaCoeffs,
-    pb: PBlocks,
-    sel: Selectors,
+    m: REModel, zc: ZetaCoeffs, pb: PBlocks, sel: Selectors
 ) -> ConstraintSystem:
     """Constraint system on the non-trivial revision components eps^{p,bullet}."""
     if m.H == 0:
@@ -230,76 +213,20 @@ def build_predetermined_system(
             kernel=(), flavor="predetermined", effective_unknowns=0,
             rhs=RationalMatrix.zero(0, m.q),
         )
-    p_stack, m_stack, width_blocks = _stacks(m, sf, zc, pb)
+    p_stack, m_stack, width_blocks = _stacks(zc, pb)
     sut = sel.S * sel.U.transpose()
     D_op = sut * p_stack
     C = D_op * m_stack * sel.R.transpose()
     rank, kern = rank_kernel(C)
     rhs = D_op * _wold_stack(m, width_blocks)
-    cs = ConstraintSystem(
+    return ConstraintSystem(
         C=C, D=D_op, rank_w=rank, kernel=tuple(kern), flavor="predetermined",
         effective_unknowns=sel.p_dim, rhs=rhs,
     )
-    _crosscheck_simplified(m, sf, zc, pb, sel, cs)
-    return cs
-
-
-def _crosscheck_simplified(m, sf, zc, pb, sel, cs):
-    """When all g_i equal a constant gbar <= J1, the S2-form must agree."""
-    gset = set(sf.g)
-    if len(gset) != 1:
-        return
-    gbar = gset.pop()
-    J1 = (gbar + pb.delta[0]) if pb.delta[0] is not None else None
-    if J1 is None or gbar > J1:
-        return
-    n = m.H - J1 + gbar
-    if n <= 0:
-        # no effective constraints in the simplified form; the general system
-        # must then be zero
-        if not cs.C.is_zero():
-            raise InternalConsistencyError(
-                "general predetermined system is nonzero although the "
-                "simplified constant-g form is empty"
-            )
-        return
-    s, H = m.s, m.H
-    pc = pb.p_coeffs
-
-    def coeff(mth):
-        if mth < len(pc):
-            return pc[mth]
-        return RationalMatrix.zero(s, s)
-
-    toeplitz = vstack(
-        [
-            hstack([coeff(r - c) if r >= c else RationalMatrix.zero(s, s) for c in range(n)])
-            for r in range(n)
-        ]
-    )
-    cut = J1 - gbar  # first block index retained in S2
-    keep_rows = []
-    row0 = 0
-    for i in range(H):
-        keep = sum(m.gamma[: i + 1])
-        if i >= cut:
-            keep_rows.extend(range(row0, row0 + keep))
-        row0 += keep
-    keep_cols = list(range(cut * s, H * s))
-    S2 = sel.S.submatrix(keep_rows, keep_cols)
-    m_stack = vstack(zc.padded(n))
-    simp_C = S2 * toeplitz * m_stack * sel.R.transpose()
-    simp_rank, simp_kern = rank_kernel(simp_C)
-    if simp_rank != cs.rank_w or len(simp_kern) != len(cs.kernel):
-        raise InternalConsistencyError(
-            "simplified constant-g predetermined system disagrees with the "
-            f"general construction: rank {simp_rank} vs {cs.rank_w}, "
-            f"kernel {len(simp_kern)} vs {len(cs.kernel)}"
-        )
 
 
 def check_rank_bounds(
-    cs: ConstraintSystem, sf: SmithForm, zc: ZetaCoeffs, J1: int, H: int, s: int
+    cs: ConstraintSystem, loc: LocalSmith, zc: ZetaCoeffs, J1: int, H: int, s: int
 ) -> dict:
     """Evaluate the rank bounds for the plain system at this parameter point.
 
@@ -308,12 +235,12 @@ def check_rank_bounds(
     report the published form alongside.
     """
     assert cs.flavor == "plain"
-    upper = (H - J1) * s + sum(min(gk, J1) for gk in sf.g)
+    upper = (H - J1) * s + sum(min(gk, J1) for gk in loc.g)
     lower_terms = []
     hyp_all = True
     m_stack_sq = vstack(zc.padded(H)) if H else RationalMatrix.zero(0, s * H)
     m_stack_full_rank = H == 0 or rank_of(m_stack_sq) == s * H
-    for gk in sf.g:
+    for gk in loc.g:
         if gk <= J1:
             lower_terms.append((H - J1) + gk)
             hyp_all = hyp_all and m_stack_full_rank
@@ -327,9 +254,9 @@ def check_rank_bounds(
                 hyp_all = hyp_all and bool(ok)
     lower = sum(lower_terms)
     published_lower = sum(
-        ((H - J1) + gk) if gk <= J1 else max(H - J1 + gk, 0) for gk in sf.g
+        ((H - J1) + gk) if gk <= J1 else max(H - J1 + gk, 0) for gk in loc.g
     )
-    generic_rank = (H - J1) * s + sum(sf.g) if all(gk <= J1 for gk in sf.g) else None
+    generic_rank = (H - J1) * s + sum(loc.g) if all(gk <= J1 for gk in loc.g) else None
     return {
         "rank_w": cs.rank_w,
         "upper_bound": upper,

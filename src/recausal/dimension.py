@@ -1,4 +1,11 @@
-"""Solution-set dimension reports and the genericity probe."""
+"""Solution-set dimension reports and the genericity probe.
+
+`Pipeline` is the one place a model's derived artifacts are computed.  The
+constraint systems read only its stage `local`, the Smith data at z = 0.
+When det pi(0) != 0 (G = 0, the generic case) that is pi = I I pi and needs
+no elimination, so the global `smith_form` runs only for a model with G > 0,
+for `recausal smith` and for the printed A_theta of a solved model.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .canon import RedundantEquationsError, classify_roots, smith_form
+from .canon import LocalSmith, RedundantEquationsError, classify_roots, smith_form
 from .constraints import (
     build_plain_system,
     build_predetermined_system,
@@ -33,7 +40,7 @@ def _stage(build):
 
 
 class Pipeline:
-    """View of one model's derived artifacts: pi(z) -> Smith form -> constraints.
+    """View of one model's derived artifacts: pi(z) -> Smith data -> constraints.
 
     Every stage is computed on first use and kept in the model's own memo, so
     all views of one model share one pi, one Smith form, one root
@@ -58,6 +65,18 @@ class Pipeline:
         return smith_form(self.pi.pi)
 
     @_stage
+    def local(self):
+        """g, P^-1 and E(0) of pi = P diag(z^g) E: the Smith data the constraints read.
+
+        Decided by det pi(0): if it is nonzero, pi = I I pi; otherwise the
+        data come from the global Smith form.
+        """
+        pp, s = self.pi, self.model.s
+        if pp.det[0] != 0:
+            return LocalSmith((0,) * s, (RationalMatrix.identity(s),), pp.pi.coeff(0))
+        return self.sf.local()
+
+    @_stage
     def roots(self):
         """Roots of det pi(z) relative to the unit circle and xi."""
         return classify_roots(self.pi.det, self.model.xi)
@@ -68,15 +87,15 @@ class Pipeline:
 
     @_stage
     def pb(self):
-        return frak_p_blocks(self.sf, self.pi.J1, self.model.H)
+        return frak_p_blocks(self.local, self.pi.J1, self.model.H)
 
     @_stage
     def sel(self):
-        return build_selectors(self.model, self.sf)
+        return build_selectors(self.model, self.local)
 
     @_stage
     def plain_cs(self):
-        return build_plain_system(self.model, self.sf, self.zc, self.pb)
+        return build_plain_system(self.model, self.zc, self.pb)
 
     @_stage
     def cs(self):
@@ -84,7 +103,7 @@ class Pipeline:
         plain = self.plain_cs
         if not self.model.predetermined:
             return plain
-        return build_predetermined_system(self.model, self.sf, self.zc, self.pb, self.sel)
+        return build_predetermined_system(self.model, self.zc, self.pb, self.sel)
 
 
 def run_pipeline(m: REModel) -> Pipeline:
@@ -109,16 +128,15 @@ class DimensionReport:
 def dimension_report(m: REModel, pipe: Pipeline | None = None) -> DimensionReport:
     pipe = pipe or run_pipeline(m)
     cs = pipe.cs
-    bounds = check_rank_bounds(
-        pipe.plain_cs, pipe.sf, pipe.zc, pipe.pi.J1, m.H, m.s
-    )
+    g = pipe.local.g
+    bounds = check_rank_bounds(pipe.plain_cs, pipe.local, pipe.zc, pipe.pi.J1, m.H, m.s)
     if m.H == 0:
         special = "H=0"
-    elif all(g == 0 for g in pipe.sf.g):
+    elif all(gi == 0 for gi in g):
         special = "g=0"
-    elif len(set(pipe.sf.g)) == 1 and pipe.sf.g[0] <= pipe.pi.J1:
+    elif len(set(g)) == 1 and g[0] <= pipe.pi.J1:
         special = "g=const"
-    elif all(g <= pipe.pi.J1 for g in pipe.sf.g):
+    elif all(gi <= pipe.pi.J1 for gi in g):
         special = "g<=J1"
     else:
         special = "general"

@@ -238,12 +238,11 @@ def validate_semantics(m: REModel) -> dict:
 
     pipe = run_pipeline(m)
     try:
-        pp, sf = pipe.pi, pipe.sf
-        G = sum(sf.g)
-        check("det_pi_nonzero", True, f"G = {G} zero(s) at zero, g = {sf.g}")
-        if any(gi > pp.J1 for gi in sf.g):
+        pp, g = pipe.pi, pipe.local.g
+        check("det_pi_nonzero", True, f"G = {sum(g)} zero(s) at zero, g = {g}")
+        if any(gi > pp.J1 for gi in g):
             report["warnings"].append(
-                f"partial multiplicities exceed J1={pp.J1}: g={sf.g} "
+                f"partial multiplicities exceed J1={pp.J1}: g={g} "
                 "(finite non-causality structure present)"
             )
         if pp.J1 < 0:

@@ -5,6 +5,7 @@ Everything random is seeded, so the whole suite is deterministic.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -19,15 +20,19 @@ from recausal.canon import (
     classify_roots,
 )
 from recausal.constraints import zeta_coefficients
+from recausal.dimension import run_pipeline
 from recausal.exactalg import (
     Poly,
     PolyMatrix,
     RationalMatrix,
     det_adjugate,
+    hstack,
     poly_gcd,
+    rank_kernel,
     rank_of,
     rat,
     solve_affine,
+    vstack,
 )
 from recausal.model import REModel, RedundantPiError, build_pi
 from recausal.solver import FactorizationError
@@ -399,6 +404,38 @@ def planted_models():
     ]
 
 
+def ladder_shaped_models():
+    """Generic models in the shapes of the benchmark ladder, 40 in all.
+
+    Rungs (s, K, H) up to (4, 1, 1), plain and predetermined, each with J1 = H
+    (force_g0: A_{0,H} invertible, so det pi(0) != 0) and J1 = H - 1
+    (kill_a0h: A_{0,H} dropped and A_{1,H} invertible), two draws each.
+    """
+    rng = random.Random(20261101)
+    return [
+        random_model(
+            rng, s, K, H, gamma=random_gamma(rng, s, H) if predetermined else None,
+            force_g0=not below, kill_a0h=below,
+        )
+        for s, K, H in ((2, 1, 1), (2, 2, 2), (3, 1, 1), (3, 2, 2), (4, 1, 1))
+        for predetermined in (False, True)
+        for below in (False, True)
+        for _ in range(2)
+    ]
+
+
+@pytest.fixture(scope="session")
+def predetermined_probe():
+    """150 predetermined draws: s in {2, 3}, K, H in {1, 2}, kill_a0h with probability 1/2."""
+    rng = random.Random(99)
+    models = []
+    for _ in range(150):
+        s, K, H = rng.choice((2, 3)), rng.choice((1, 2)), rng.choice((1, 2))
+        kill = rng.random() < 0.5
+        models.append(random_model(rng, s, K, H, gamma=random_gamma(rng, s, H), kill_a0h=kill))
+    return models
+
+
 @pytest.fixture(scope="session")
 def corpus():
     """100 random models, all with s <= 3 and K, H <= 2 (see acceptance)."""
@@ -427,6 +464,69 @@ def corpus():
         models.append(random_model(rng, s, rng.randint(1, 2), rng.randint(1, 2), kill_a0h=True))
     assert len(models) == 100
     return models
+
+
+# ---------------------------------------------------------------------------
+# constraints from the global Smith form (references for the local stage)
+
+
+def smith_reference(m: REModel) -> REModel:
+    """A copy of m whose pipeline reads the constraints from the global Smith form.
+
+    The copy has its own memo, in which the `local` stage is the data at z = 0
+    of smith_form(pi) whatever det pi(0) is, so its dimension_report and
+    solve_causal are those of a pipeline that always runs the elimination.
+    """
+    ref = dataclasses.replace(m)
+    ref.artifacts["local"] = run_pipeline(ref).sf.local()
+    return ref
+
+
+def crosscheck_simplified(m: REModel, pipe) -> bool:
+    """The constant-g form of the predetermined system against the general one.
+
+    When all g_i equal one gbar <= J1, the system reduces to
+    S2 T m_stack R^T with T the block Toeplitz matrix of the first
+    n = H - J1 + gbar coefficients of P^-1 and S2 the blocks of S from index
+    J1 - gbar on; its rank and kernel dimension must be the general system's
+    (and for n <= 0 the general system must vanish).  Asserts this for the
+    pipeline's own Smith data; returns whether the form applies.
+    """
+    loc, J1, cs, sel = pipe.local, pipe.pi.J1, pipe.cs, pipe.sel
+    if not m.predetermined or len(set(loc.g)) != 1 or loc.g[0] > J1:
+        return False
+    gbar = loc.g[0]
+    n = m.H - J1 + gbar
+    if n <= 0:
+        assert cs.C.is_zero(), "the simplified form is empty but the general system is not"
+        return True
+    s, H, pc = m.s, m.H, loc.p_inv
+
+    def coeff(k):
+        return pc[k] if k < len(pc) else RationalMatrix.zero(s, s)
+
+    toeplitz = vstack(
+        [
+            hstack([coeff(r - c) if r >= c else RationalMatrix.zero(s, s) for c in range(n)])
+            for r in range(n)
+        ]
+    )
+    cut = J1 - gbar  # first block index retained in S2
+    keep_rows = []
+    row0 = 0
+    for i in range(H):
+        keep = sum(m.gamma[: i + 1])
+        if i >= cut:
+            keep_rows.extend(range(row0, row0 + keep))
+        row0 += keep
+    S2 = sel.S.submatrix(keep_rows, list(range(cut * s, H * s)))
+    simp_C = S2 * toeplitz * vstack(pipe.zc.padded(n)) * sel.R.transpose()
+    simp_rank, simp_kern = rank_kernel(simp_C)
+    assert (simp_rank, len(simp_kern)) == (cs.rank_w, cs.kernel_dim), (
+        f"constant-g form: rank {simp_rank}, kernel {len(simp_kern)}; "
+        f"general: rank {cs.rank_w}, kernel {cs.kernel_dim}"
+    )
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from recausal.constraints import (
     build_selectors,
     check_rank_bounds,
     frak_p_blocks,
-    p_inverse_coeffs,
     zeta_coefficients,
 )
 from recausal.dimension import run_pipeline
@@ -120,7 +119,7 @@ def test_zeta_tail_vanishes(corpus):
 
 
 def test_p_inverse_published_sims():
-    pc = p_inverse_coeffs(sims_published_smith())
+    pc = sims_published_smith().local().p_inv
     assert pc[0] == RationalMatrix([[1, 90000], [0, Fraction(100, 99)]])
     assert pc[1] == RationalMatrix([[0, 0], [Fraction(-1, 99000), Fraction(-10, 11)]])
     assert len(pc) == 2
@@ -131,7 +130,7 @@ def test_p_inverse_defining_identity():
     for _ in range(10):
         m = random_model(rng, rng.randint(1, 3), rng.randint(0, 2), rng.randint(1, 2))
         pipe = run_pipeline(m)
-        pc = p_inverse_coeffs(pipe.sf)
+        pc = pipe.sf.local().p_inv
         acc = PolyMatrix.zero(m.s, m.s)
         for i, ci in enumerate(pc):
             acc = acc + PolyMatrix.from_rational(ci) * Poly.monomial(i)
@@ -140,7 +139,7 @@ def test_p_inverse_defining_identity():
 
 def test_frak_blocks_published_sims():
     sf = sims_published_smith()
-    pb = frak_p_blocks(sf, J1=1, H=1)
+    pb = frak_p_blocks(sf.local(), J1=1, H=1)
     assert pb.delta == (1, 0) and pb.gamma_excess == (None, None)
     assert pb.blocks[0] == RationalMatrix.zero(1, 2)
     assert pb.blocks[1] == RationalMatrix([[0, Fraction(100, 99)]])
@@ -162,7 +161,7 @@ def test_frak_blocks_g_above_j1():
 
 def test_selectors_published_sims():
     m = sims_model()
-    sel = build_selectors(m, sims_published_smith())
+    sel = build_selectors(m, sims_published_smith().local())
     assert sel.omega0 == RationalMatrix([[1, 0], [0, Fraction(100, 99)]])
     assert sel.S == RationalMatrix([[1, 0]])
     assert sel.R == RationalMatrix([[1, 0]])
@@ -204,8 +203,8 @@ def test_plain_system_sims():
     pp = build_pi(m)
     sf = sims_published_smith()
     zc = zeta_coefficients(m)
-    pb = frak_p_blocks(sf, pp.J1, m.H)
-    cs = build_plain_system(m, sf, zc, pb)
+    pb = frak_p_blocks(sf.local(), pp.J1, m.H)
+    cs = build_plain_system(m, zc, pb)
     # the single constraint row printed in the source example
     c = Fraction(100, 99)
     assert cs.C == RationalMatrix([[0, 0], [c * Fraction(-1, 100000), -c]])
@@ -238,7 +237,7 @@ def test_predetermined_reduces_to_plain(corpus):
         if m.predetermined or m.H == 0 or checked >= 10:
             continue
         pipe = run_pipeline(m)
-        pred = build_predetermined_system(m, pipe.sf, pipe.zc, pipe.pb, pipe.sel)
+        pred = build_predetermined_system(m, pipe.zc, pipe.pb, pipe.sel)
         n = m.s * m.H
         assert pred.effective_unknowns == n
         assert pred.rank_w == pipe.cs.rank_w
@@ -299,8 +298,8 @@ def test_smith_choice_invariance(corpus):
         sf2 = _diagonal_rescaled(pipe.sf, rng)
         assert sf2.reconstruct() == pipe.pi.pi
         zc = zeta_coefficients(m)
-        pb2 = frak_p_blocks(sf2, pipe.pi.J1, m.H)
-        cs2 = build_plain_system(m, sf2, zc, pb2)
+        pb2 = frak_p_blocks(sf2.local(), pipe.pi.J1, m.H)
+        cs2 = build_plain_system(m, zc, pb2)
         assert cs2.rank_w == pipe.cs.rank_w
         assert cs2.kernel_dim == pipe.cs.kernel_dim
         n = m.s * m.H
@@ -323,8 +322,8 @@ def test_rank_agreement_across_published_factorizations():
     ranks = []
     kdims = []
     for sf in (sf1, sf2, run_pipeline(m).sf):
-        pb = frak_p_blocks(sf, pp.J1, m.H)
-        cs = build_plain_system(m, sf, zc, pb)
+        pb = frak_p_blocks(sf.local(), pp.J1, m.H)
+        cs = build_plain_system(m, zc, pb)
         ranks.append(cs.rank_w)
         kdims.append(cs.kernel_dim)
     assert len(set(ranks)) == 1 and len(set(kdims)) == 1
@@ -337,7 +336,7 @@ def test_rank_agreement_across_published_factorizations():
 def test_rank_bounds_sims_as_plain():
     m = _sims_as_plain()
     pipe = run_pipeline(m)
-    rep = check_rank_bounds(pipe.cs, pipe.sf, pipe.zc, pipe.pi.J1, m.H, m.s)
+    rep = check_rank_bounds(pipe.cs, pipe.local, pipe.zc, pipe.pi.J1, m.H, m.s)
     assert rep["upper_bound"] == 1  # (H-J1)s + min(0,1) + min(1,1)
     assert rep["lower_bound"] == 1
     assert rep["rank_w"] == 1
@@ -349,7 +348,7 @@ def test_rank_bounds_g_above_j1_published_typo():
     # H - J1 + g_k would exceed the upper bound; the proof's form does not
     m = _pi4_model()
     pipe = run_pipeline(m)
-    rep = check_rank_bounds(pipe.cs, pipe.sf, pipe.zc, pipe.pi.J1, m.H, m.s)
+    rep = check_rank_bounds(pipe.cs, pipe.local, pipe.zc, pipe.pi.J1, m.H, m.s)
     assert rep["upper_bound"] == 2
     assert rep["published_lower_bound"] == 4
     assert rep["lower_bound"] <= rep["upper_bound"]
@@ -359,6 +358,6 @@ def test_rank_bounds_g_above_j1_published_typo():
 def test_rank_bounds_corpus(corpus):
     for m in corpus:
         pipe = run_pipeline(m)
-        rep = check_rank_bounds(pipe.plain_cs, pipe.sf, pipe.zc, pipe.pi.J1, m.H, m.s)
+        rep = check_rank_bounds(pipe.plain_cs, pipe.local, pipe.zc, pipe.pi.J1, m.H, m.s)
         assert rep["upper_ok"], (m.s, m.K, m.H, rep)
         assert rep["lower_ok"], (m.s, m.K, m.H, rep)

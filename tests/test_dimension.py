@@ -7,9 +7,23 @@ import pytest
 
 from recausal import dimension
 from recausal.dimension import _perturb, dimension_report, genericity_probe, run_pipeline
-from recausal.exactalg import RationalMatrix
+from recausal.exactalg import Poly, PolyMatrix, RationalMatrix, det_adjugate, rank_of
 from recausal.model import REModel, build_pi
-from conftest import random_gamma, random_model, sims_model
+from recausal.solver import (
+    FactorizationError,
+    UnsupportedModelError,
+    solve_causal,
+    verify_solution,
+)
+from conftest import (
+    crosscheck_simplified,
+    ladder_shaped_models,
+    planted_models,
+    random_gamma,
+    random_model,
+    sims_model,
+    smith_reference,
+)
 
 
 def test_sims_report():
@@ -147,3 +161,69 @@ def test_genericity_probe_counts_singular_points_and_propagates_other_errors(mon
     monkeypatch.setattr(dimension, "_perturb", broken)
     with pytest.raises(ZeroDivisionError, match="injected"):
         genericity_probe(sims_model(), trials=3)
+
+
+def test_local_stage_is_a_factorization_at_zero(corpus):
+    """The stage's data factor pi: P^-1 is unimodular, diag(z^-g) P^-1 pi is a
+    polynomial E, and E(0) = omega0 is invertible; g = 0 iff det pi(0) != 0."""
+    for m in corpus + planted_models() + [sims_model()]:
+        pipe = run_pipeline(m)
+        loc = pipe.local
+        assert (pipe.pi.det[0] != 0) == (loc.g == (0,) * m.s)
+        p_inv = PolyMatrix.zero(m.s, m.s)
+        for k, c in enumerate(loc.p_inv):
+            p_inv = p_inv + PolyMatrix.from_rational(c) * Poly.monomial(k)
+        det, _ = det_adjugate(p_inv)
+        assert det.is_constant() and not det.is_zero()
+        E = (p_inv * pipe.pi.pi).entries
+        assert all(e[j] == 0 for k, gk in enumerate(loc.g) for e in E[k] for j in range(gk))
+        E0 = RationalMatrix([[e[gk] for e in E[k]] for k, gk in enumerate(loc.g)])
+        assert E0 == loc.omega0 and rank_of(E0) == m.s
+
+
+def _outcome(m):
+    """(dimension_report, SolutionReport or None, the solve fields or the refusal)."""
+    rep = dimension_report(m)
+    try:
+        sr = solve_causal(m)
+    except (FactorizationError, UnsupportedModelError) as exc:
+        return rep, None, f"{type(exc).__name__}: {exc}"
+    return rep, sr, (
+        sr.classification, sr.indeterminacy_dim, sr.h, sr.kernel,
+        sr.transfer_num, sr.transfer_den, sr.A_theta,
+    )
+
+
+def test_local_stage_matches_global_smith_reference(corpus, predetermined_probe):
+    """With det pi(0) != 0 the constraints read pi = I I pi instead of the
+    global Smith form, and every answer stays the same.  The exception is
+    predetermined J1 < H, whose system depends on the factors: there neither
+    path may emit a solution that passes substitution."""
+    same = dependent = 0
+    for m in corpus + predetermined_probe + ladder_shaped_models():
+        pp = run_pipeline(m).pi
+        if pp.det[0] == 0:
+            continue
+        assert run_pipeline(m).local.g == (0,) * m.s
+        ref = smith_reference(m)
+        new, old = _outcome(m), _outcome(ref)
+        if not (m.predetermined and pp.J1 < m.H):
+            assert (new[0], new[2]) == (old[0], old[2]), (m.s, m.K, m.H, m.gamma)
+            same += 1
+            continue
+        dependent += 1
+        for model, (_rep, sr, _fields) in ((m, new), (ref, old)):
+            if sr is not None and sr.transfer_num is not None:
+                assert not verify_solution(model, sr)["ok"], (m.s, m.K, m.H, m.gamma)
+    assert (same, dependent) == (203, 82)
+
+
+def test_constant_g_form_agrees_with_the_general_predetermined_system(
+    corpus, predetermined_probe
+):
+    """The constant-g oracle applies to every predetermined model with one
+    g_i <= J1, on the pipeline's own Smith data (P = I when det pi(0) != 0)."""
+    applied = 0
+    for m in corpus + planted_models() + predetermined_probe:
+        applied += crosscheck_simplified(m, run_pipeline(m))
+    assert applied == 130

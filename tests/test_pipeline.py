@@ -20,13 +20,14 @@ from recausal import solver
 from recausal.cli import main
 from recausal.dimension import dimension_report, run_pipeline
 from recausal.exactalg import RationalMatrix
-from recausal.model import REModel, parse_model, serialize_model, validate_semantics
+from recausal.model import REModel, build_pi, parse_model, serialize_model, validate_semantics
 from recausal.solver import FactorizationError, solve_causal, verify_solution
 from conftest import SIMS_JSON, planted_models, random_model
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
 COUNTED = ("model.build_pi", "canon.smith_form", "exactalg.det_adjugate")
+GENERIC = GOLDEN / "generic.json"  # plain, det pi(0) != 0, J1 = H - 1, solvable
 
 
 def count_calls(monkeypatch, names=COUNTED):
@@ -83,17 +84,62 @@ def test_cli_analyze_computes_once(monkeypatch, capsys):
     assert counts["exactalg.det_adjugate"] == 1
 
 
+def test_cli_analyze_skips_smith_form_when_det_pi0_is_nonzero(monkeypatch, capsys):
+    """sims has det pi(0) = 0, so its constraints need the Smith form; the
+    generic model's read pi = I I pi and need none."""
+    counts = count_calls(monkeypatch)
+    assert main(["analyze", str(GENERIC)]) == 0
+    capsys.readouterr()
+    assert counts == {"model.build_pi": 1, "exactalg.det_adjugate": 1, "canon.smith_form": 0}
+
+
+@pytest.mark.parametrize("which", ["refused", "no-solution", "solvable"])
+def test_smith_form_runs_only_for_a_theta_when_det_pi0_is_nonzero(monkeypatch, which):
+    """validate + analyze + solve (+ verify) of a det pi(0) != 0 model computes
+    the global Smith form only for the printed A_theta of a solution."""
+    make, outcome = {
+        "refused": (lambda: random_model(random.Random(3), 3, 1, 1), "refused"),
+        "no-solution": (
+            lambda: random_model(random.Random(8), 1, 1, 1, kill_a0h=True), "no_causal_solution"
+        ),
+        "solvable": (lambda: parse_model(GENERIC.read_text()), "indeterminate"),
+    }[which]
+    m = make()
+    assert build_pi(m).det[0] != 0
+    counts = count_calls(monkeypatch)
+    validate_semantics(m)
+    dimension_report(m)
+    try:
+        sr = solve_causal(m)
+    except FactorizationError:
+        assert outcome == "refused"
+    else:
+        assert sr.classification == outcome
+        if sr.transfer_num is not None:
+            assert verify_solution(m, sr)["ok"]
+    assert counts == {
+        "model.build_pi": 1, "exactalg.det_adjugate": 1,
+        "canon.smith_form": int(which == "solvable"),
+    }
+
+
 def test_views_share_artifacts():
     m = parse_model(SIMS_JSON)
     a, b = run_pipeline(m), run_pipeline(m)
     assert a.sf is b.sf and a.cs is b.cs and a.pi is b.pi and a.roots is b.roots
+    assert a.local is b.local
     assert solve_causal(m).pipeline.sf is a.sf
 
 
 def test_validate_semantics_touches_only_pi_and_sf():
+    """validate_semantics reads g from the local Smith data, which needs the
+    global form only when det pi(0) = 0, as in sims."""
     m = parse_model(SIMS_JSON)
     validate_semantics(m)
-    assert set(m.artifacts) == {"pi", "sf"}
+    assert set(m.artifacts) == {"pi", "local", "sf"}
+    generic = parse_model(GENERIC.read_text())
+    validate_semantics(generic)
+    assert set(generic.artifacts) == {"pi", "local"}
 
 
 def test_dropped_model_frees_its_artifacts():
