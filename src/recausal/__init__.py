@@ -43,7 +43,6 @@ from .model import (
     ModelFormatError,
     PiPolynomial,
     REModel,
-    RedundantPiError,
     build_pi,
     parse_model,
     serialize_model,

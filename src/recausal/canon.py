@@ -21,7 +21,7 @@ from .exactalg import Poly, PolyMatrix, RationalMatrix, rat, squarefree_factors
 
 
 class RedundantEquationsError(ValueError):
-    """det of the input matrix is identically zero."""
+    """pi(z) or its determinant is identically zero: the equations are redundant."""
 
 
 class UnitCircleRootError(ValueError):

@@ -18,7 +18,6 @@ from .exactalg import Poly, PolyMatrix, RationalMatrix, rat, rat_str
 from .model import (
     ModelFormatError,
     REModel,
-    RedundantPiError,
     SCHEMA_VERSION,
     parse_model,
     validate_semantics,
@@ -232,7 +231,6 @@ def main(argv=None) -> int:
         return 2
     except (
         ModelFormatError,
-        RedundantPiError,
         RedundantEquationsError,
         UnitCircleRootError,
         UnsupportedModelError,

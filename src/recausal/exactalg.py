@@ -3,13 +3,16 @@
 Scalars and matrix entries are `fractions.Fraction`.  A `Poly` holds integer
 numerators `num` over one positive common denominator `den`, in lowest terms
 with trailing zeros trimmed, so its arithmetic runs on Python integers with
-one normalisation per result.  Every operation is exact; no floating point.
+one normalisation per result.  `det_adjugate` runs one Faddeev-LeVerrier
+recursion on the integer matrix L*M(2^b) (Kronecker substitution) and reads det
+and adj off base-2^b digits.  Every operation is exact; no floating point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
+from operator import mul
 
 NEG_INF = float("-inf")  # degree of the zero polynomial
 
@@ -360,9 +363,6 @@ class PolyMatrix:
             ]
         )
 
-    def __neg__(self):
-        return PolyMatrix([[-e for e in row] for row in self.entries])
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Poly)):
             return PolyMatrix([[e * other for e in row] for row in self.entries])
@@ -384,14 +384,6 @@ class PolyMatrix:
 
     __rmul__ = __mul__
 
-    def transpose(self) -> "PolyMatrix":
-        return PolyMatrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
-
-    def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.entries for e in row)
-
     def max_degree(self):
         degs = [e.degree for row in self.entries for e in row if not e.is_zero()]
         return max(degs) if degs else NEG_INF
@@ -406,40 +398,53 @@ class PolyMatrix:
         n = int(top) + 1 if top != NEG_INF else 1
         return [self.coeff(k) for k in range(n)]
 
-    def trace(self) -> Poly:
-        assert self.rows == self.cols
-        acc = Poly()
-        for i in range(self.rows):
-            acc = acc + self.entries[i][i]
-        return acc
-
     def __repr__(self):
         return f"PolyMatrix({self.entries!r})"
 
 
 def det_adjugate(M: PolyMatrix):
-    """Determinant and adjugate via the Faddeev-LeVerrier recursion.
+    """Determinant and adjugate by one Faddeev-LeVerrier pass over the integers.
 
-    Returns (det M, adj M) with M * adj M = det(M) * I exactly.
+    Returns (det M, adj M) with M * adj M = det(M) * I exactly.  M_Z = L*M, with
+    L the lcm of the entry denominators, has integer coefficients, and each
+    coefficient of det M_Z and of every (n-1)-minor is at most
+    B = prod_i max(1, sum_j |(M_Z)_ij|_1) in magnitude (|p|_1: the sum of the
+    absolute coefficients).  So with b = bitlen(B) + 2 they are the signed
+    base-2^b digits of the values at z = 2^b (Kronecker substitution; von zur
+    Gathen & Gerhard, Modern Computer Algebra, 8.4), and the recursion
+    N_k = A N_{k-1} + c_k I, c_k = -tr(A N_{k-1}) / k runs on the integer matrix
+    A = M_Z(2^b).  The c_k are the coefficients of det(x I - A), integers, so
+    the division by k is exact, and A N_{n-1} = -c_n I by Cayley-Hamilton.
     """
     if M.rows != M.cols:
         raise ValueError("det_adjugate requires a square matrix")
     n = M.rows
     if n == 0:
         return Poly.const(1), PolyMatrix([])
-    N = PolyMatrix.identity(n)
-    c = Poly.const(1)
+    L = lcm(*(e.den for row in M.entries for e in row))
+    scaled = [[[c * (L // e.den) for c in e.num] for e in row] for row in M.entries]
+    b = prod(max(1, sum(abs(c) for e in row for c in e)) for row in scaled).bit_length() + 2
+    A = [[sum(c << (b * i) for i, c in enumerate(e)) for e in row] for row in scaled]
+    N = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n):
-        MN = M * N
-        c = MN.trace() * Fraction(-1, k)
-        N = MN + PolyMatrix.diag([c] * n)
-    MN = M * N
-    det = MN.trace() * Fraction(1, n) if n > 0 else Poly.const(1)
-    # det(M) = (-1)^n * c_n with the recursion above folded in; the trace
-    # division gives det directly, and adj carries the matching sign
-    adj = N if n % 2 == 1 else -N
-    det = det if n % 2 == 1 else -det
-    return det, adj
+        N = [[sum(map(mul, row, col)) for col in zip(*N)] for row in A]
+        c = -sum(N[i][i] for i in range(n)) // k
+        for i in range(n):
+            N[i][i] += c
+    # det A = (-1)^n c_n with -c_n = (A N_{n-1})_00, and adj A = (-1)^(n-1) N_{n-1}
+    sign = 1 if n % 2 else -1
+    det = sign * sum(map(mul, A[0], (row[0] for row in N)))
+    adj = [[_poly(_unpack(sign * v, b), L ** (n - 1)) for v in row] for row in N]
+    return _poly(_unpack(det, b), L**n), PolyMatrix(adj)
+
+
+def _unpack(v: int, b: int) -> list:
+    """Signed base-2^b digits of v, lowest first, each in [-2^(b-1), 2^(b-1))."""
+    digits, half = [], 1 << (b - 1)
+    while v:
+        digits.append(d := ((v + half) & ((1 << b) - 1)) - half)
+        v = (v - d) >> b
+    return digits
 
 
 class RationalMatrix:

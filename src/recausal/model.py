@@ -18,18 +18,17 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
+from math import lcm
 
-from .exactalg import Poly, PolyMatrix, RationalMatrix, det_adjugate, rat, rat_str
+from .canon import RedundantEquationsError
+from .exactalg import Poly, PolyMatrix, RationalMatrix, _poly, det_adjugate, rat, rat_str
 
 SCHEMA_VERSION = 1
 
 
 class ModelFormatError(ValueError):
     pass
-
-
-class RedundantPiError(ValueError):
-    """pi(z) is identically zero or singular as a polynomial matrix."""
 
 
 @dataclass(frozen=True)
@@ -183,31 +182,29 @@ class PiPolynomial:
 
 def build_pi(m: REModel) -> PiPolynomial:
     """Assemble A*_i = sum_k A_{k, k+i} and pi(z) = sum_i A*_i z^{J1 - i}."""
-    stars = {}
-    for i in range(-m.K, m.H + 1):
-        acc = RationalMatrix.zero(m.s, m.s)
-        for k in range(max(0, -i), min(m.K, m.H - i) + 1):
-            acc = acc + m.a(k, k + i)
-        if not acc.is_zero():
-            stars[i] = acc
+    sums = {}
+    for (k, h), a in m.A.items():
+        sums[h - k] = sums[h - k] + a if h - k in sums else a
+    stars = {i: sums[i] for i in sorted(sums) if not sums[i].is_zero()}
     if not stars:
-        raise RedundantPiError(
+        raise RedundantEquationsError(
             "pi(z) is identically zero (all diagonal sums A*_i vanish): "
             "system contains redundant equations"
         )
-    J0 = min(stars)
-    J1 = max(stars)
-    entries = [[Poly() for _ in range(m.s)] for _ in range(m.s)]
-    for r in range(m.s):
-        for c in range(m.s):
-            coeffs = [Fraction(0)] * (J1 - J0 + 1)
-            for i, mat in stars.items():
-                coeffs[J1 - i] = mat.entries[r][c]
-            entries[r][c] = Poly(coeffs)
+    J0, J1 = min(stars), max(stars)
+    entries = [[None] * m.s for _ in range(m.s)]
+    for r, c in product(range(m.s), repeat=2):
+        # integer numerators of the coefficients A*_{J1 - d} of z^d over their lcm
+        fs = {J1 - i: a.entries[r][c] for i, a in stars.items()}
+        den = lcm(*(f.denominator for f in fs.values()))
+        num = [0] * (J1 - J0 + 1)
+        for d, f in fs.items():
+            num[d] = f.numerator * (den // f.denominator)
+        entries[r][c] = _poly(num, den)
     pi = PolyMatrix(entries)
     det, adj = det_adjugate(pi)
     if det.is_zero():
-        raise RedundantPiError(
+        raise RedundantEquationsError(
             "det pi(z) is identically zero: system contains redundant equations"
         )
     return PiPolynomial(pi=pi, A_star=stars, J0=J0, J1=J1, det=det, adj=adj)
@@ -249,6 +246,6 @@ def validate_semantics(m: REModel) -> dict:
             report["warnings"].append(
                 f"J1={pp.J1} < 0: the system dates every equation in the strict past"
             )
-    except RedundantPiError as exc:
+    except RedundantEquationsError as exc:
         check("det_pi_nonzero", False, str(exc))
     return report

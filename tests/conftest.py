@@ -34,7 +34,7 @@ from recausal.exactalg import (
     solve_affine,
     vstack,
 )
-from recausal.model import REModel, RedundantPiError, build_pi
+from recausal.model import REModel, build_pi
 from recausal.solver import FactorizationError
 
 
@@ -77,10 +77,13 @@ def rand_poly(rng, deg, **kw) -> Poly:
     return Poly(coeffs)
 
 
-def rand_polymatrix(rng, n, max_deg) -> PolyMatrix:
+def rand_polymatrix(rng, n, max_deg, cols=None, **kw) -> PolyMatrix:
     return PolyMatrix(
         [
-            [Poly([rand_frac(rng) for _ in range(rng.randint(0, max_deg) + 1)]) for _ in range(n)]
+            [
+                Poly([rand_frac(rng, **kw) for _ in range(rng.randint(0, max_deg) + 1)])
+                for _ in range(n if cols is None else cols)
+            ]
             for _ in range(n)
         ]
     )
@@ -185,16 +188,24 @@ def ref_gcd(a: RefPoly, b: RefPoly) -> RefPoly:
 
 
 def ref_det(M):
-    """Determinant of a square list-of-lists RefPoly matrix by Laplace expansion."""
+    """Determinant of a square list-of-lists RefPoly matrix by Laplace expansion.
+
+    Expands along the top row; each minor of the bottom rows is computed once
+    per column set, so an n x n matrix takes n 2^(n-1) products, not about n!.
+    """
     n = len(M)
-    if n == 0:
-        return RefPoly([1])
-    acc = RefPoly()
-    for j in range(n):
-        minor = [[M[i][c] for c in range(n) if c != j] for i in range(1, n)]
-        term = M[0][j] * ref_det(minor)
-        acc = acc + term if j % 2 == 0 else acc - term
-    return acc
+    memo = {(): RefPoly([1])}
+
+    def minor(cols):
+        if cols not in memo:
+            r, acc = n - len(cols), RefPoly()
+            for j, c in enumerate(cols):
+                term = M[r][c] * minor(cols[:j] + cols[j + 1 :])
+                acc = acc + term if j % 2 == 0 else acc - term
+            memo[cols] = acc
+        return memo[cols]
+
+    return minor(tuple(range(n)))
 
 
 def ref_adjugate(M):
@@ -208,6 +219,27 @@ def ref_adjugate(M):
         ]
         for i in range(n)
     ]
+
+
+def ref_det_adjugate(M: PolyMatrix):
+    """(det M, adj M) by the Faddeev-LeVerrier recursion over Q[z].
+
+    The same recursion as `exactalg.det_adjugate`, run with one `Poly` product
+    per entry operation instead of on one packed integer matrix.
+    """
+    n = M.rows
+    if n == 0:
+        return Poly.const(1), PolyMatrix([])
+    N = PolyMatrix.identity(n)
+    for k in range(1, n):
+        MN = M * N
+        c = sum((MN[i, i] for i in range(n)), Poly()) * Fraction(-1, k)
+        N = MN + PolyMatrix.diag([c] * n)
+    MN = M * N
+    det = sum((MN[i, i] for i in range(n)), Poly()) * Fraction(1, n)
+    # det M = (-1)^n c_n = -(-1)^n tr(M N_{n-1}) / n, adj M = (-1)^(n-1) N_{n-1}
+    sign = 1 if n % 2 else -1
+    return det * sign, N * sign
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +369,7 @@ def random_model(
             pp = build_pi(m)
             det, _ = det_adjugate(pp.pi)
             classify_roots(det, m.xi)
-        except (RedundantPiError, UnitCircleRootError):
+        except (RedundantEquationsError, UnitCircleRootError):
             continue
         if force_g0 and not pp.A_star.get(pp.J1):
             continue

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from recausal.exactalg import (
     NEG_INF,
+    _unpack,
     Poly,
     PolyMatrix,
     RationalMatrix,
@@ -27,7 +28,19 @@ from recausal.exactalg import (
     solve_affine,
     vstack,
 )
-from conftest import RefPoly, rand_matrix, rand_poly, rand_polymatrix, ref_adjugate, ref_det, ref_gcd
+from recausal.model import build_pi
+from conftest import (
+    RefPoly,
+    ladder_shaped_models,
+    planted_models,
+    rand_matrix,
+    rand_poly,
+    rand_polymatrix,
+    ref_adjugate,
+    ref_det,
+    ref_det_adjugate,
+    ref_gcd,
+)
 
 
 def test_rat_round_trip():
@@ -313,13 +326,92 @@ def test_rational_matrix_ops_match_reference(n, k, m, rnd):
     assert B.entries == b  # stacking copies rows
 
 
-@_PROP
-@given(st.integers(1, 4), st.integers(0, 2), st.randoms(use_true_random=False))
-def test_det_adjugate_matches_reference(n, max_deg, rnd):
-    M = rand_polymatrix(rnd, n, max_deg)
+_BIG = {"lo": -(10**12), "hi": 10**12, "maxden": 10**9}
+
+
+def _check_det_adjugate(M: PolyMatrix):
+    """det_adjugate against the Laplace-expansion reference; returns (det, adj)."""
     ref = [[RefPoly(e.coeffs) for e in row] for row in M.entries]
     det, adj = det_adjugate(M)
     _check(det, ref_det(ref))
+    assert (adj.rows, adj.cols) == (M.rows, M.cols)
     for row, ref_row in zip(adj.entries, ref_adjugate(ref)):
         for e, r in zip(row, ref_row):
             _check(e, r)
+    return det, adj
+
+
+@settings(derandomize=True, max_examples=60, deadline=timedelta(seconds=20))
+@given(st.integers(0, 6), st.integers(0, 4), st.booleans(), st.randoms(use_true_random=False))
+def test_det_adjugate_matches_reference(n, max_deg, big, rnd):
+    _check_det_adjugate(rand_polymatrix(rnd, n, max_deg, **(_BIG if big else {})))
+
+
+def test_det_adjugate_small_orders():
+    assert det_adjugate(PolyMatrix([])) == (Poly.const(1), PolyMatrix([]))
+    p = Poly([Fraction(-3, 7), 0, Fraction(10**20, 3)])
+    for e in (p, Poly(), Poly.const(-1)):
+        assert det_adjugate(PolyMatrix([[e]])) == (e, PolyMatrix.identity(1))
+
+
+def test_det_adjugate_singular():
+    rng = random.Random(9)
+    for n in range(2, 6):
+        for kw in ({}, _BIG):
+            M = rand_polymatrix(rng, n, 2, **kw)
+            # a zero row: only the cofactors that delete it survive, in column 0 of adj
+            zero_row = PolyMatrix([[Poly()] * n] + M.entries[1:])
+            det, adj = _check_det_adjugate(zero_row)
+            assert det.is_zero() and (zero_row * adj).entries == [[Poly()] * n] * n
+            assert all(adj[i, j].is_zero() for i in range(n) for j in range(1, n))
+            # a repeated row: det = 0, adj of rank 1
+            repeated = PolyMatrix([M.entries[1]] + M.entries[1:])
+            det, adj = _check_det_adjugate(repeated)
+            assert det.is_zero() and any(not e.is_zero() for row in adj.entries for e in row)
+            if n >= 3:
+                # rank n - 2: every (n-1)-minor vanishes
+                X = rand_polymatrix(rng, n, 1, cols=n - 2, **kw)
+                Y = rand_polymatrix(rng, n - 2, 1, cols=n, **kw)
+                det, adj = _check_det_adjugate(X * Y)
+                assert det.is_zero() and adj == PolyMatrix.zero(n, n)
+
+
+def test_det_adjugate_coefficient_bound_met():
+    """Diagonal single-term entries make a coefficient of det equal the bound B."""
+    z = Poly([0, 1])
+    cases = [
+        [-3, -5, -7],                           # B = 105, b = 9
+        [-2, -4, -8],                           # B = 64 = 2^6 exactly
+        [-1, -(2**64 - 1)],                     # B = 2^64 - 1, the widest 64-bit B
+        [Fraction(-1, 3), Fraction(-5, 2)],     # L = 6: B = 2 * 15 on L*M
+        [z * z * -3, Poly.const(-5), z * -11],  # det = -165 z^3
+    ]
+    for diag in cases:
+        M = PolyMatrix.diag(diag)
+        det, adj = _check_det_adjugate(M)
+        want = Poly.const(1)
+        for e in diag:
+            want = want * e
+        assert det == want
+        assert M * adj == PolyMatrix.diag([det] * M.rows)
+
+
+def test_unpack_signed_digits_round_trip():
+    rng = random.Random(10)
+    for b in (3, 4, 9, 64, 200):
+        top = 2 ** (b - 1) - 1
+        extremes = [top, -top, 0, -top, top, -1, 1]
+        for digits in (extremes, [rng.randint(-top, top) for _ in range(12)] + [top], [-top]):
+            v = sum(d << (b * i) for i, d in enumerate(digits))
+            assert _unpack(v, b) == digits
+    assert _unpack(0, 5) == []
+
+
+def test_det_adjugate_matches_q_recursion_on_model_pis(corpus):
+    """Every pi of the corpus, the planted and the ladder-shaped models, against the
+    Faddeev-LeVerrier recursion over Q[z]."""
+    models = list(corpus) + planted_models() + ladder_shaped_models()
+    for m in models:
+        pp = build_pi(m)
+        assert (pp.det, pp.adj) == ref_det_adjugate(pp.pi)
+    assert len(models) == 156

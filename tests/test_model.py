@@ -6,11 +6,11 @@ from fractions import Fraction
 
 import pytest
 
+from recausal.canon import RedundantEquationsError
 from recausal.exactalg import Poly, PolyMatrix, RationalMatrix, det_adjugate
 from recausal.model import (
     ModelFormatError,
     REModel,
-    RedundantPiError,
     build_pi,
     parse_model,
     serialize_model,
@@ -111,7 +111,7 @@ def test_build_pi_redundant():
     eye = RationalMatrix.identity(2)
     m = REModel(s=2, K=1, H=1, q=1, A={(0, 0): -eye, (1, 1): eye},
                 gamma=(2, 0), wold=(RationalMatrix([[1], [0]]),))
-    with pytest.raises(RedundantPiError):
+    with pytest.raises(RedundantEquationsError):
         build_pi(m)
 
 
