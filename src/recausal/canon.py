@@ -121,23 +121,25 @@ def smith_form(M: PolyMatrix) -> SmithForm:
         # D: row_i += f * row_j
         if f.is_zero():
             return
+        nf = -f
         for c in range(n):
-            D[i][c] = D[i][c] + f * D[j][c]
+            D[i][c] = D[i][c].addmul(f, D[j][c])
         for r in range(n):
-            P[r][j] = P[r][j] - f * P[r][i]
+            P[r][j] = P[r][j].addmul(nf, P[r][i])
         for c in range(n):
-            Pinv[i][c] = Pinv[i][c] + f * Pinv[j][c]
+            Pinv[i][c] = Pinv[i][c].addmul(f, Pinv[j][c])
 
     def add_col(i, j, f: Poly):
         # D: col_i += f * col_j
         if f.is_zero():
             return
+        nf = -f
         for r in range(n):
-            D[r][i] = D[r][i] + f * D[r][j]
+            D[r][i] = D[r][i].addmul(f, D[r][j])
         for c in range(n):
-            Q[j][c] = Q[j][c] - f * Q[i][c]
+            Q[j][c] = Q[j][c].addmul(nf, Q[i][c])
         for r in range(n):
-            Qinv[r][i] = Qinv[r][i] + f * Qinv[r][j]
+            Qinv[r][i] = Qinv[r][i].addmul(f, Qinv[r][j])
 
     def scale_row(i, c: Fraction):
         inv = Fraction(1) / c

@@ -24,6 +24,7 @@ from .model import (
 )
 from .solver import (
     FactorizationError,
+    KernelPointError,
     UnsupportedModelError,
     simulate,
     solve_causal,
@@ -205,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument(
             "--kernel-point", default="min-norm", dest="kernel_point",
-            help="'min-norm' or an integer kernel basis index",
+            help="'min-norm' or a kernel basis index 0..k-1 (k = kernel dimension)",
         )
     return ap
 
@@ -228,6 +229,9 @@ def main(argv=None) -> int:
         return 0
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except KernelPointError as exc:
+        print(f"error: --kernel-point {exc}", file=sys.stderr)
         return 2
     except (
         ModelFormatError,

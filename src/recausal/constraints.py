@@ -55,19 +55,15 @@ def zeta_coefficients(m: REModel) -> ZetaCoeffs:
     zeta_t collects -A_kh z^{k+(j-h)} eps^j_t over k, j in 0..H-1, h <= j;
     the entry of m_i at block j is minus the sum of all A_kh with k+j-h = i.
     """
-    s, K, H = m.s, m.K, m.H
+    s, H = m.s, m.H
     if H == 0:
         return ZetaCoeffs(m=())
     out = []
-    for i in range(H + K):
+    for i in range(H + m.K):
         blocks = []
         for j in range(H):
-            acc = RationalMatrix.zero(s, s)
-            for h in range(0, j + 1):
-                k = i - j + h
-                if 0 <= k <= K:
-                    acc = acc - m.a(k, h)
-            blocks.append(acc)
+            present = [m.A[i - j + h, h] for h in range(j + 1) if (i - j + h, h) in m.A]
+            blocks.append(-sum(present[1:], present[0]) if present else RationalMatrix.zero(s, s))
         out.append(hstack(blocks))
     return ZetaCoeffs(m=tuple(out))
 

@@ -3,9 +3,12 @@
 Scalars and matrix entries are `fractions.Fraction`.  A `Poly` holds integer
 numerators `num` over one positive common denominator `den`, in lowest terms
 with trailing zeros trimmed, so its arithmetic runs on Python integers with
-one normalisation per result.  `det_adjugate` runs one Faddeev-LeVerrier
-recursion on the integer matrix L*M(2^b) (Kronecker substitution) and reads det
-and adj off base-2^b digits.  Every operation is exact; no floating point.
+one normalisation per result.  `Poly.addmul(f, g)` is self + f*g as one such
+result, accumulated on the numerators over their common denominator; the
+Smith elimination and `PolyMatrix` products use it.  `det_adjugate` runs one
+Faddeev-LeVerrier recursion on the integer matrix L*M(2^b) (Kronecker
+substitution) and reads det and adj off base-2^b digits.  Every operation is
+exact; no floating point.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from math import gcd, lcm, prod
 from operator import mul
 
 NEG_INF = float("-inf")  # degree of the zero polynomial
+_NIL, _ONE = Fraction(0), Fraction(1)  # shared entries of zero and identity matrices
 
 
 def rat(x) -> Fraction:
@@ -40,7 +44,7 @@ class Poly:
     __slots__ = ("num", "den", "_coeffs")
 
     def __init__(self, coeffs=()):
-        cs = [rat(c) for c in coeffs]
+        cs = [c if isinstance(c, (int, Fraction)) else rat(c) for c in coeffs]
         den = lcm(*[c.denominator for c in cs])
         self._set([c.numerator * (den // c.denominator) for c in cs], den)
 
@@ -65,12 +69,13 @@ class Poly:
 
     @staticmethod
     def const(c) -> "Poly":
-        return Poly([rat(c)])
+        return Poly.monomial(0, c)
 
     @staticmethod
     def monomial(deg: int, c=1) -> "Poly":
         assert deg >= 0
-        return Poly([0] * deg + [rat(c)])
+        c = rat(c)
+        return _poly([0] * deg + [c.numerator], c.denominator)
 
     @property
     def coeffs(self) -> tuple:
@@ -137,20 +142,27 @@ class Poly:
         if isinstance(other, (int, Fraction)):
             p = other.numerator
             return _poly([n * p for n in self.num], self.den * other.denominator)
-        other = _as_poly(other)
-        a, b = self.num, other.num
-        if not a or not b:
-            return Poly()
-        if len(a) < len(b):
-            a, b = b, a
-        lb = len(b)
-        out = [0] * (len(a) + lb - 1)
-        for i, x in enumerate(a):
-            if x:
-                out[i : i + lb] = [o + x * y for o, y in zip(out[i : i + lb], b)]
-        return _poly(out, self.den * other.den)
+        return _ZERO.addmul(self, _as_poly(other))
 
     __rmul__ = __mul__
+
+    def addmul(self, f: "Poly", g: "Poly") -> "Poly":
+        """self + f * g, accumulated on integer numerators and normalised once."""
+        a, b = f.num, g.num
+        if not a or not b:
+            return self
+        if len(a) < len(b):
+            a, b = b, a
+        lb, dp, ds = len(b), f.den * g.den, self.den
+        k = gcd(dp, ds)  # over the common denominator ds * dp / k
+        ms, mp = dp // k, ds // k
+        out = [n * ms for n in self.num] if ms != 1 else list(self.num)
+        out += [0] * (len(a) + lb - 1 - len(out))
+        for i, x in enumerate(a):
+            if x:
+                x *= mp
+                out[i : i + lb] = [o + x * y for o, y in zip(out[i : i + lb], b)]
+        return _poly(out, ds * ms)
 
     def divmod(self, other: "Poly"):
         """Exact polynomial long division: (quotient, remainder).
@@ -265,6 +277,9 @@ def _poly(num: list, den: int = 1) -> Poly:
     return p
 
 
+_ZERO = _poly([])
+
+
 def _as_poly(x) -> Poly:
     if isinstance(x, Poly):
         return x
@@ -347,21 +362,13 @@ class PolyMatrix:
 
     def __add__(self, other):
         assert (self.rows, self.cols) == (other.rows, other.cols)
-        return PolyMatrix(
-            [
-                [self.entries[i][j] + other.entries[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ]
-        )
+        pairs = zip(self.entries, other.entries)
+        return PolyMatrix([[a + b for a, b in zip(r, o)] for r, o in pairs])
 
     def __sub__(self, other):
         assert (self.rows, self.cols) == (other.rows, other.cols)
-        return PolyMatrix(
-            [
-                [self.entries[i][j] - other.entries[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ]
-        )
+        pairs = zip(self.entries, other.entries)
+        return PolyMatrix([[a - b for a, b in zip(r, o)] for r, o in pairs])
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Poly)):
@@ -371,13 +378,11 @@ class PolyMatrix:
         for i in range(self.rows):
             row = []
             for j in range(other.cols):
-                acc = Poly()
+                acc = _ZERO
                 for k in range(self.cols):
                     a = self.entries[i][k]
                     b = other.entries[k][j]
-                    if a.is_zero() or b.is_zero():
-                        continue
-                    acc = acc + a * b
+                    acc = acc.addmul(a, b)
                 row.append(acc)
             out.append(row)
         return PolyMatrix(out)
@@ -460,13 +465,11 @@ class RationalMatrix:
 
     @staticmethod
     def identity(n: int) -> "RationalMatrix":
-        return RationalMatrix(
-            [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        )
+        return _rmat([[_ONE if i == j else _NIL for j in range(n)] for i in range(n)])
 
     @staticmethod
     def zero(rows: int, cols: int) -> "RationalMatrix":
-        return RationalMatrix([[0] * cols for _ in range(rows)])
+        return _rmat([[_NIL] * cols for _ in range(rows)])
 
     def __getitem__(self, ij):
         return self.entries[ij[0]][ij[1]]
@@ -478,21 +481,13 @@ class RationalMatrix:
 
     def __add__(self, other):
         assert (self.rows, self.cols) == (other.rows, other.cols)
-        return _rmat(
-            [
-                [self.entries[i][j] + other.entries[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ]
-        )
+        pairs = zip(self.entries, other.entries)
+        return _rmat([[a + b for a, b in zip(r, o)] for r, o in pairs])
 
     def __sub__(self, other):
         assert (self.rows, self.cols) == (other.rows, other.cols)
-        return _rmat(
-            [
-                [self.entries[i][j] - other.entries[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ]
-        )
+        pairs = zip(self.entries, other.entries)
+        return _rmat([[a - b for a, b in zip(r, o)] for r, o in pairs])
 
     def __neg__(self):
         return _rmat([[-e for e in row] for row in self.entries])

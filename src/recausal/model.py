@@ -48,7 +48,7 @@ class REModel:
     )
 
     def a(self, k: int, h: int) -> RationalMatrix:
-        return self.A.get((k, h), RationalMatrix.zero(self.s, self.s))
+        return self.A[k, h] if (k, h) in self.A else RationalMatrix.zero(self.s, self.s)
 
     @property
     def predetermined(self) -> bool:
@@ -60,11 +60,8 @@ class REModel:
         return RationalMatrix.zero(self.s, self.q)
 
     def wold_poly(self) -> PolyMatrix:
-        out = [[Poly() for _ in range(self.q)] for _ in range(self.s)]
-        for i in range(self.s):
-            for j in range(self.q):
-                out[i][j] = Poly([w.entries[i][j] for w in self.wold])
-        return PolyMatrix(out)
+        return PolyMatrix([[Poly([w.entries[i][j] for w in self.wold]) for j in range(self.q)]
+                           for i in range(self.s)])
 
 
 def _parse_matrix(obj, rows, cols, what) -> RationalMatrix:

@@ -6,7 +6,11 @@ multiplicity of z = 0 in det pi and U its unstable factor, that is one
 divisibility condition: D divides adj(pi) N(z; h).  The remainders of
 adj(pi) N mod D are linear in the revision-loading stack h, so solvability,
 uniqueness and the solution family are all decided by exact rational
-elimination, and the transfer is (adj(pi) N / D) / (det pi / D).
+elimination, and the transfer is (adj(pi) N / D) / (det pi / D).  With
+N = pi(z) h(z) + R(z; h), where R holds the few zeta and Wold monomials,
+adj(pi) pi = det(pi) I = D S I gives adj(pi) N = D S h(z) + adj(pi) R.  So the
+remainders are those of (adj(pi) mod D) R, and adj(pi) N / D is
+adj(pi) R / D + S h(z): pi itself is never multiplied in.
 
 det pi splits into D and S = det pi / D over Q without factoring: the
 certified discs that classified the roots of each squarefree factor of
@@ -36,6 +40,10 @@ from .model import REModel
 
 class UnsupportedModelError(ValueError):
     pass
+
+
+class KernelPointError(ValueError):
+    """kernel_point is neither "min-norm" nor the index of a kernel basis vector."""
 
 
 def _unstable_part(f: Poly, xi, tol: float, certified) -> Poly:
@@ -110,32 +118,35 @@ def factor_stable_unstable(det: Poly, J1: int, roots: RootClassification):
     return D, det.exact_div(D)
 
 
+def _residual_map(m: REModel, zc, J1: int):
+    """Affine map h_stack -> R(z; h) = (sum_i m_i z^{J1+i}) h_stack - w(z) z^{J1}.
+
+    R is N(z; h) without its pi(z) h(z) term, in the form of assemble_rhs.
+    """
+    if J1 < 0:
+        raise UnsupportedModelError(f"J1 = {J1} < 0 is not supported by the solver")
+    const = m.wold_poly() * Poly.monomial(J1) * Fraction(-1)
+    per_unknown = [
+        PolyMatrix([[Poly([0] * J1 + [mi.entries[i][a] for mi in zc.m])] for i in range(m.s)])
+        for a in range(m.s * m.H)
+    ]
+    return const, per_unknown
+
+
 def assemble_rhs(m: REModel, zc, J1: int, pi: PolyMatrix):
     """Affine map h_stack -> N(z; h), the s x q right-hand polynomial of the SDE.
 
     N(z; h) = pi(z) (sum_j h_j z^j) + (sum_i m_i z^{J1+i}) h_stack - w(z) z^{J1}.
     Returned as (constant s x q PolyMatrix, list of s x 1 PolyMatrix columns,
-    one per unknown slot of a single h column); the map is identical across
-    innovation columns.
+    one per unknown slot a = j s + r of a single h column); the map is
+    identical across innovation columns.
     """
-    if J1 < 0:
-        raise UnsupportedModelError(f"J1 = {J1} < 0 is not supported by the solver")
-    s, H = m.s, m.H
-    const = m.wold_poly() * Poly.monomial(J1) * Fraction(-1)
-    per_unknown = []
-    for j in range(H):
-        for r in range(s):
-            col = [Poly() for _ in range(s)]
-            for i in range(s):
-                col[i] = col[i] + pi.entries[i][r].shift(j)
-            for i_lag, mi in enumerate(zc.m):
-                a = j * s + r
-                for i in range(s):
-                    c = mi.entries[i][a]
-                    if c != 0:
-                        col[i] = col[i] + Poly.monomial(J1 + i_lag, c)
-            per_unknown.append(PolyMatrix([[p] for p in col]))
-    return const, per_unknown
+    const, per_unknown = _residual_map(m, zc, J1)
+    s = m.s
+    return const, [
+        PolyMatrix([[pi.entries[i][a % s].shift(a // s) + v.entries[i][0]] for i in range(s)])
+        for a, v in enumerate(per_unknown)
+    ]
 
 
 def _divisibility_rows(adj: PolyMatrix, D: Poly, vec: PolyMatrix):
@@ -145,6 +156,24 @@ def _divisibility_rows(adj: PolyMatrix, D: Poly, vec: PolyMatrix):
         r = row[0] % D
         out += [r[k] for k in range(int(D.degree))]
     return out
+
+
+def _cancellation_rows(adj: PolyMatrix, D: Poly, const, per_unknown):
+    """Rows of M h = B saying that D divides adj(pi) N(z; h), for the R map of h.
+
+    (const, per_unknown) is the map h_stack -> R of _residual_map.  As
+    adj(pi) N = det(pi) h(z) + adj(pi) R and D divides det pi, adj(pi) N and
+    (adj(pi) mod D) R leave the same remainders mod D.
+    """
+    adj = PolyMatrix([[e % D for e in row] for row in adj.entries])
+    canc_const = [
+        _divisibility_rows(adj, D, PolyMatrix([[row[c]] for row in const.entries]))
+        for c in range(const.cols)
+    ]
+    canc_basis = [_divisibility_rows(adj, D, v) for v in per_unknown]
+    n = len(canc_const[0]) if canc_const else 0
+    return ([[b[r] for b in canc_basis] for r in range(n)],
+            [[-c[r] for c in canc_const] for r in range(n)])
 
 
 @dataclass(frozen=True)
@@ -183,6 +212,18 @@ def _min_norm_shift(X: RationalMatrix, kernel):
     return X - K * coef
 
 
+def _kernel_index(kernel_point: str, n: int) -> int:
+    """The kernel basis index kernel_point names, in 0..n-1."""
+    try:
+        idx = int(kernel_point)
+    except ValueError:
+        idx = -1
+    if not 0 <= idx < n:
+        valid = f"a kernel basis index in 0..{n - 1}" if n else "an index: the kernel is empty"
+        raise KernelPointError(f"{kernel_point!r} is not 'min-norm' or {valid}")
+    return idx
+
+
 def solve_causal(
     m: REModel, pipe: Pipeline | None = None, kernel_point: str = "min-norm"
 ) -> SolutionReport:
@@ -191,12 +232,11 @@ def solve_causal(
     s, H, q = m.s, m.H, m.q
     cs = pipe.cs
     D, S = factor_stable_unstable(pipe.pi.det, pipe.pi.J1, pipe.roots)
-    const, per_unknown = assemble_rhs(m, pipe.zc, pipe.pi.J1, pipe.pi.pi)
+    const, per_unknown = _residual_map(m, pipe.zc, pipe.pi.J1)
     n_unknowns = s * H
 
     # rows: predetermined zero pattern, constraint system, cancellation
-    rows = []
-    rhs_rows = []
+    rows, rhs_rows = [], []
     for idx in _zero_pattern_rows(m):
         row = [Fraction(0)] * n_unknowns
         row[idx] = Fraction(1)
@@ -208,17 +248,9 @@ def solve_causal(
         for i in range(c_full.rows):
             rows.append(list(c_full.entries[i]))
             rhs_rows.append(list(cs.rhs.entries[i]))
-
-    adj = pipe.pi.adj
-    canc_const = [
-        _divisibility_rows(adj, D, PolyMatrix([[const.entries[i][c]] for i in range(s)]))
-        for c in range(q)
-    ]
-    canc_basis = [_divisibility_rows(adj, D, v) for v in per_unknown]
-    n_canc = len(canc_const[0]) if q else 0
-    for r in range(n_canc):
-        rows.append([canc_basis[a][r] for a in range(n_unknowns)])
-        rhs_rows.append([-canc_const[c][r] for c in range(q)])
+    canc, canc_rhs = _cancellation_rows(pipe.pi.adj, D, const, per_unknown)
+    rows += canc
+    rhs_rows += canc_rhs
 
     M = RationalMatrix(rows) if rows else RationalMatrix.zero(0, n_unknowns)
     B = RationalMatrix(rhs_rows) if rhs_rows else RationalMatrix.zero(0, q)
@@ -233,15 +265,11 @@ def solve_causal(
     if n_unknowns == 0:
         X = RationalMatrix.zero(0, q)
     h_particular = X
-    if kernel:
-        if kernel_point == "min-norm":
-            chosen = _min_norm_shift(X, kernel)
-        else:
-            idx = int(kernel_point)
-            shift = RationalMatrix([[kernel[idx][a]] * q for a in range(n_unknowns)])
-            chosen = X + shift
+    if kernel_point == "min-norm":
+        chosen = _min_norm_shift(X, kernel)
     else:
-        chosen = X
+        v = kernel[_kernel_index(kernel_point, len(kernel))]
+        chosen = X + RationalMatrix([[v[a]] * q for a in range(n_unknowns)])
     num, den, a_theta = build_transfer(m, pipe, (D, S), const, per_unknown, chosen)
     classification = "determinate" if not kernel else "indeterminate"
     return SolutionReport(
@@ -265,18 +293,33 @@ def _n_of_h(m: REModel, const, per_unknown, h: RationalMatrix) -> PolyMatrix:
     return PolyMatrix(entries)
 
 
+def _numerator(m, adj, split, const, per_unknown, h) -> PolyMatrix:
+    """adj(pi) N(z; h) / D from the map h_stack -> R of _residual_map.
+
+    As adj(pi) pi = det(pi) I = D S I, it is adj(pi) R / D + S h(z), with
+    h(z) = sum_j h_j z^j the s x q polynomial of the stack h.
+    """
+    D, S = split
+    adj_r, s = adj * _n_of_h(m, const, per_unknown, h), m.s
+    return PolyMatrix([
+        [adj_r[i, c].exact_div(D).addmul(S, Poly([h.entries[j * s + i][c] for j in range(m.H)]))
+         for c in range(m.q)]
+        for i in range(s)
+    ])
+
+
 def build_transfer(m, pipe, split, const, per_unknown, h):
     """Transfer function y = (num / den) eps for a loading stack h.
 
-    split = (D, S) from factor_stable_unstable.  num = adj(pi) N / D is exact
-    once h satisfies the divisibility rows, and den = S, so num/den = pi^-1 N;
+    split = (D, S) from factor_stable_unstable and (const, per_unknown) the
+    map h_stack -> R of _residual_map.  num = adj(pi) N / D is exact once h
+    satisfies the divisibility rows, and den = S, so num/den = pi^-1 N;
     den ends with den(0) = 1 and all roots outside the unit circle.  A_theta
     is pi_s num / den for the stable Smith factor
     pi_s = diag(z^min(g_i, J1) phi_i / gcd(phi_i, D)) Q of pi.
     """
     D, den = split
-    N = _n_of_h(m, const, per_unknown, h)
-    num = PolyMatrix([[e.exact_div(D) for e in row] for row in (pipe.pi.adj * N).entries])
+    num = _numerator(m, pipe.pi.adj, split, const, per_unknown, h)
     # cancel any common polynomial factor, then normalize den(0) = 1
     common = den
     for row in num.entries:

@@ -10,6 +10,7 @@ from recausal.cli import main
 ROOT = Path(__file__).resolve().parents[1]
 SIMS = str(ROOT / "models" / "sims.json")
 REDUNDANT = str(ROOT / "models" / "redundant.json")
+GENERIC = str(ROOT / "tests" / "golden" / "generic.json")
 
 INDETERMINATE_SCALAR = """{
   "s": 1, "K": 0, "H": 1, "q": 1, "gamma": [1, 0],
@@ -162,6 +163,33 @@ def test_kernel_point_flag(capsys, tmp_path):
     assert doc0["classification"] == doc1["classification"] == "indeterminate"
     assert doc0["indeterminacy_dim"] == 1
     assert doc0["h"] != doc1["h"]
+
+
+@pytest.mark.parametrize("point", ["99", "1", "-1", "abc", ""])
+def test_kernel_point_out_of_range(capsys, point):
+    # generic.json has a one-vector kernel, so 0 is its only basis index
+    for cmd in ("solve", "verify", "simulate"):
+        code, out, err = run(capsys, cmd, GENERIC, "--kernel-point", point)
+        assert (code, out) == (2, "")
+        assert err == (f"error: --kernel-point {point!r} is not 'min-norm' or a kernel "
+                       "basis index in 0..0\n")
+
+
+def test_kernel_point_with_empty_kernel(capsys):
+    # sims.json is determinate: no index names a kernel vector
+    code, out, err = run(capsys, "solve", SIMS, "--kernel-point", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: --kernel-point '0' is not 'min-norm' or an index: the kernel is empty\n"
+
+
+def test_kernel_point_in_range(capsys):
+    code, out, err = run(capsys, "solve", GENERIC, "--kernel-point", "0")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    default = json.loads(run(capsys, "solve", GENERIC)[1])
+    assert doc["kernel_point"] == "0" and default["kernel_point"] == "min-norm"
+    assert doc["kernel"] == default["kernel"] and len(doc["kernel"]) == 1
+    assert doc["h"] != default["h"]
 
 
 def test_xi_override_hits_ring(capsys):

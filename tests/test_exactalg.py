@@ -6,7 +6,7 @@ from datetime import timedelta
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from recausal.exactalg import (
@@ -280,6 +280,26 @@ def test_poly_ring_ops_match_reference(a, b, f, k):
     assert (pa == pb) == (ra == rb)
     assert pa == Poly(list(a) + [0, 0]) and hash(pa) == hash(Poly(list(a) + [0, 0]))
     assert (pa - pa).is_zero() and hash(pa - pa) == hash(Poly())
+
+
+@_PROP
+@given(_coeff_lists, _coeff_lists, _coeff_lists, st.sampled_from(("drawn", "zero", "lower")))
+@example([], [], [], "drawn")
+@example([Fraction(1, 6)], [], [3], "drawn")
+@example([], [Fraction(1, 4), 1], [Fraction(2, 9)], "drawn")
+@example([1, Fraction(1, 10)], [Fraction(-5, 3), 0, 7], [Fraction(3, 14), 1], "lower")
+def test_poly_addmul_matches_reference(a, f, g, cancel):
+    # "zero": a = -f g, so the sum cancels to zero; "lower": a = head(a) - f g,
+    # so the top of f g cancels and the degree drops
+    rf, rg = RefPoly(f), RefPoly(g)
+    ra = {"drawn": RefPoly(a), "zero": -(rf * rg), "lower": RefPoly(a[:2]) - rf * rg}[cancel]
+    pa, pf, pg = Poly(ra.coeffs), Poly(f), Poly(g)
+    got = pa.addmul(pf, pg)
+    _check(got, ra + rf * rg)
+    assert got == pa + pf * pg
+    assert cancel != "zero" or got.is_zero()
+    # the operands are left as they were
+    assert (pa, pf, pg) == (Poly(ra.coeffs), Poly(f), Poly(g))
 
 
 @_PROP

@@ -20,8 +20,11 @@ from recausal.solver import (
     FactorizationError,
     SolutionReport,
     UnsupportedModelError,
+    _cancellation_rows,
     _divisibility_rows,
     _n_of_h,
+    _numerator,
+    _residual_map,
     _unstable_factor,
     _unstable_part,
     assemble_rhs,
@@ -459,13 +462,16 @@ def _cancellation_affine_set(rows_of, const, per_unknown, q):
     return n, affine_set(M, B, len(basis))
 
 
-def test_divisibility_rows_match_smith_split(corpus):
-    # g_last = H + 2 puts g > J1 + 1, as planted models have J1 = H
+def _deep_planted_models():
+    """Planted models with g_last = H + 2, so g > J1 + 1 (planted models have J1 = H)."""
     rng = random.Random(77)
-    deep = [planted_model(rng, s, H, H + 2, pre)
+    return [planted_model(rng, s, H, H + 2, pre)
             for s in (2, 3) for H in (1, 2) for pre in (False, True)]
+
+
+def test_divisibility_rows_match_smith_split(corpus):
     n_sets = n_transfers = n_deep = 0
-    for m in list(corpus) + planted_models() + deep:
+    for m in list(corpus) + planted_models() + _deep_planted_models():
         pipe = run_pipeline(m)
         try:
             sr = solve_causal(m, pipe)
@@ -487,6 +493,37 @@ def test_divisibility_rows_match_smith_split(corpus):
             assert ref_transfer(N, split) == (sr.transfer_num, sr.transfer_den, sr.A_theta)
             n_transfers += 1
     assert n_sets >= 50 and n_transfers >= 30 and n_deep >= 8, (n_sets, n_transfers, n_deep)
+
+
+def test_residual_rows_and_numerator_match_full_map(corpus):
+    # the solver drops the pi(z) h(z) term of N and reduces adj(pi) mod D
+    n_models = n_rows = n_nums = 0
+    for m in list(corpus) + planted_models() + _deep_planted_models():
+        pipe = run_pipeline(m)
+        try:
+            sr = solve_causal(m, pipe)
+        except (FactorizationError, UnsupportedModelError):
+            continue
+        J1, adj = pipe.pi.J1, pipe.pi.adj
+        split = factor_stable_unstable(pipe.pi.det, J1, pipe.roots)
+        D = split[0]
+        const, per_unknown = assemble_rhs(m, pipe.zc, J1, pipe.pi.pi)
+        r_const, r_per_unknown = _residual_map(m, pipe.zc, J1)
+        basis = [_divisibility_rows(adj, D, v) for v in per_unknown]
+        rhs = [_divisibility_rows(adj, D, PolyMatrix([[row[c]] for row in const.entries]))
+               for c in range(m.q)]
+        n = len(rhs[0])
+        rows, rhs_rows = _cancellation_rows(adj, D, r_const, r_per_unknown)
+        assert rows == [[b[r] for b in basis] for r in range(n)], (m.s, m.H, J1)
+        assert rhs_rows == [[-c[r] for c in rhs] for r in range(n)], (m.s, m.H, J1)
+        n_models += 1
+        n_rows += n > 0
+        if sr.h is not None:
+            N = _n_of_h(m, const, per_unknown, sr.h)
+            full = PolyMatrix([[e.exact_div(D) for e in row] for row in (adj * N).entries])
+            assert _numerator(m, adj, split, r_const, r_per_unknown, sr.h) == full
+            n_nums += 1
+    assert n_models >= 50 and n_rows >= 35 and n_nums >= 30, (n_models, n_rows, n_nums)
 
 
 def _drop_smith_unimodulars(m):
