@@ -52,7 +52,6 @@ from .solver import (
     FactorizationError,
     SolutionReport,
     UnsupportedModelError,
-    assemble_rhs,
     factor_stable_unstable,
     simulate,
     solve_causal,

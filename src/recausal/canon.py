@@ -45,14 +45,8 @@ class SmithForm:
     def size(self) -> int:
         return len(self.g)
 
-    def alpha(self) -> PolyMatrix:
-        return PolyMatrix.diag([Poly.monomial(gi) for gi in self.g])
-
     def invariant_factors(self):
         return tuple(Poly.monomial(gi) * ph for gi, ph in zip(self.g, self.phi))
-
-    def reconstruct(self) -> PolyMatrix:
-        return self.P * self.alpha() * PolyMatrix.diag(list(self.phi)) * self.Q
 
     def local(self) -> "LocalSmith":
         """The data at z = 0 of pi = P diag(z^g) E with E = diag(phi) Q."""

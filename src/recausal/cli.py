@@ -10,16 +10,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
+from dataclasses import replace
 
 from .canon import RedundantEquationsError, UnitCircleRootError
 from .dimension import dimension_report, genericity_probe, run_pipeline
-from .exactalg import Poly, PolyMatrix, RationalMatrix, rat, rat_str
+from .exactalg import Poly, PolyMatrix, RationalMatrix, rat_str
 from .model import (
     ModelFormatError,
     REModel,
     SCHEMA_VERSION,
     parse_model,
+    parse_xi,
     validate_semantics,
 )
 from .solver import (
@@ -51,12 +52,23 @@ def _vector_doc(v):
 def _load_model(path: str, xi_override) -> REModel:
     with open(path, "r", encoding="utf-8") as fh:
         m = parse_model(fh.read())
-    if xi_override is not None:
-        m = REModel(
-            s=m.s, K=m.K, H=m.H, q=m.q, A=m.A, gamma=m.gamma, wold=m.wold,
-            xi=rat(xi_override), r_hint=m.r_hint,
-        )
-    return m
+    return m if xi_override is None else replace(m, xi=xi_override)
+
+
+def _parse_options(args) -> str | None:
+    """Parse --xi in place by parse_model's rule and range-check --trials and --seed.
+
+    Returns why an option is invalid, or None.
+    """
+    try:
+        args.xi = None if args.xi is None else parse_xi(args.xi)
+    except ModelFormatError as exc:
+        return f"--xi: {exc}"
+    if args.trials < 1:
+        return "--trials must be at least 1"
+    if args.seed < 0:
+        return "--seed must be non-negative"
+    return None
 
 
 def _emit(doc: dict, fmt: str):
@@ -213,6 +225,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    invalid = _parse_options(args)
+    if invalid:
+        print(f"error: {invalid}", file=sys.stderr)
+        return 2
     try:
         m = _load_model(args.model, args.xi)
         if args.max_lag < m.H:

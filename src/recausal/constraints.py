@@ -13,6 +13,9 @@ are built from P = I.  The plain system's affine set, and with it every
 verdict, does not depend on which factorization is used.  The predetermined
 system's can when g != 0 or J1 < H, so for g != 0 the pipeline keeps the
 factors of the global Smith form.
+
+R keeps the entries of h that `REModel.free_unknowns()` leaves free, on which
+the predetermined C is written; the solver reads C and its right-hand side.
 """
 
 from __future__ import annotations
@@ -92,28 +95,17 @@ def frak_p_blocks(loc: LocalSmith, J1: int, H: int) -> PBlocks:
     gamma_s = max(max(g) - J1, 0) if g else 0
     width = s * (H + gamma_s)
     blocks, delta, gexc = [], [], []
-    for k in range(s):
-        gk = g[k]
+    for k, gk in enumerate(g):
+        # row r of block k holds coefficients r + o, ..., 0 of row k of P^-1;
+        # rows r < -o (g_k < J1) stay zero
+        o = gk - J1
         rows = [[Fraction(0)] * width for _ in range(H)]
-        if gk <= J1:
-            dk = J1 - gk
-            delta.append(dk)
-            gexc.append(None)
-            for r in range(dk, H):
-                for col_block in range(r - dk + 1):
-                    coeff_row = prow(k, (r - dk) - col_block)
-                    for c in range(s):
-                        rows[r][col_block * s + c] = coeff_row[c]
-        else:
-            gk_exc = gk - J1
-            delta.append(None)
-            gexc.append(gk_exc)
-            for r in range(H):
-                for col_block in range(gk_exc + r + 1):
-                    coeff_row = prow(k, (gk_exc + r) - col_block)
-                    for c in range(s):
-                        rows[r][col_block * s + c] = coeff_row[c]
+        for r in range(H):
+            for col_block in range(r + o + 1):
+                rows[r][col_block * s : (col_block + 1) * s] = prow(k, r + o - col_block)
         blocks.append(RationalMatrix(rows))
+        delta.append(-o if o <= 0 else None)
+        gexc.append(o if o > 0 else None)
     return PBlocks(blocks=tuple(blocks), delta=tuple(delta), gamma_excess=tuple(gexc))
 
 
@@ -137,20 +129,13 @@ def build_selectors(m: REModel, loc: LocalSmith) -> Selectors:
     for k in range(s):
         for i in range(H):
             U.entries[k * H + i][i * s + k] = Fraction(1)
-    # R block i keeps the first s_0 + ... + s_i components of eps^i
-    r_rows = []
-    for i in range(H):
-        keep = sum(m.gamma[: i + 1])
-        for c in range(keep):
-            row = [Fraction(0)] * (s * H)
-            row[i * s + c] = Fraction(1)
-            r_rows.append(row)
-    R = RationalMatrix(r_rows) if r_rows else RationalMatrix.zero(0, s * H)
-    s_blocks = []
-    for i in range(H):
-        keep = sum(m.gamma[: i + 1])
-        s_blocks.append(pseudo_inverse_columns(omega0, keep))
-    S = block_diag(s_blocks) if s_blocks else RationalMatrix.zero(0, s * H)
+    # R keeps the free entries of h, and S block i left-inverts omega0's first
+    # columns, as many as block i of h has free entries
+    free = m.free_unknowns()
+    R = RationalMatrix([[int(c == a) for c in range(s * H)] for a in free])
+    S = block_diag(
+        pseudo_inverse_columns(omega0, sum(a // s == i for a in free)) for i in range(H)
+    )
     return Selectors(U=U, R=R, S=S, omega0=omega0)
 
 
@@ -169,56 +154,38 @@ class ConstraintSystem:
         return len(self.kernel)
 
 
-def _wold_stack(m: REModel, n: int) -> RationalMatrix:
-    return vstack([m.wold_coeff(j) for j in range(n)]) if n else RationalMatrix.zero(0, m.q)
-
-
-def _stacks(zc: ZetaCoeffs, pb: PBlocks):
-    width_blocks = pb.width_blocks  # H + gamma_s
-    p_stack = vstack(pb.blocks)
-    m_stack = vstack(zc.padded(width_blocks))
-    return p_stack, m_stack, width_blocks
+def _system(m: REModel, zc: ZetaCoeffs, pb: PBlocks, sel: Selectors | None) -> ConstraintSystem:
+    """C = D m_stack and rhs = D w_stack for D = p_stack (plain), or, given the
+    selectors, for D = S U^T p_stack with C restricted to the free columns by R^T."""
+    flavor = "plain" if sel is None else "predetermined"
+    if m.H == 0:
+        empty = RationalMatrix.zero(0, 0)
+        return ConstraintSystem(C=empty, D=empty, rank_w=0, kernel=(), flavor=flavor,
+                                effective_unknowns=0, rhs=RationalMatrix.zero(0, m.q))
+    width = pb.width_blocks  # H + gamma_s
+    D = vstack(pb.blocks)
+    m_stack = vstack(zc.padded(width))
+    if sel is None:
+        C, unknowns = D * m_stack, m.s * m.H
+    else:
+        D = sel.S * sel.U.transpose() * D
+        C, unknowns = D * m_stack * sel.R.transpose(), sel.p_dim
+    rank, kern = rank_kernel(C)
+    rhs = D * vstack([m.wold_coeff(j) for j in range(width)])
+    return ConstraintSystem(C=C, D=D, rank_w=rank, kernel=tuple(kern), flavor=flavor,
+                            effective_unknowns=unknowns, rhs=rhs)
 
 
 def build_plain_system(m: REModel, zc: ZetaCoeffs, pb: PBlocks) -> ConstraintSystem:
     """Constraint system C eps_bullet = D (innovation stack), no predeterminedness."""
-    s, H = m.s, m.H
-    if H == 0:
-        empty = RationalMatrix.zero(0, 0)
-        return ConstraintSystem(
-            C=empty, D=RationalMatrix.zero(0, 0), rank_w=0, kernel=(),
-            flavor="plain", effective_unknowns=0, rhs=RationalMatrix.zero(0, m.q),
-        )
-    p_stack, m_stack, width_blocks = _stacks(zc, pb)
-    C = p_stack * m_stack
-    rank, kern = rank_kernel(C)
-    rhs = p_stack * _wold_stack(m, width_blocks)
-    return ConstraintSystem(
-        C=C, D=p_stack, rank_w=rank, kernel=tuple(kern), flavor="plain",
-        effective_unknowns=s * H, rhs=rhs,
-    )
+    return _system(m, zc, pb, None)
 
 
 def build_predetermined_system(
     m: REModel, zc: ZetaCoeffs, pb: PBlocks, sel: Selectors
 ) -> ConstraintSystem:
     """Constraint system on the non-trivial revision components eps^{p,bullet}."""
-    if m.H == 0:
-        return ConstraintSystem(
-            C=RationalMatrix.zero(0, 0), D=RationalMatrix.zero(0, 0), rank_w=0,
-            kernel=(), flavor="predetermined", effective_unknowns=0,
-            rhs=RationalMatrix.zero(0, m.q),
-        )
-    p_stack, m_stack, width_blocks = _stacks(zc, pb)
-    sut = sel.S * sel.U.transpose()
-    D_op = sut * p_stack
-    C = D_op * m_stack * sel.R.transpose()
-    rank, kern = rank_kernel(C)
-    rhs = D_op * _wold_stack(m, width_blocks)
-    return ConstraintSystem(
-        C=C, D=D_op, rank_w=rank, kernel=tuple(kern), flavor="predetermined",
-        effective_unknowns=sel.p_dim, rhs=rhs,
-    )
+    return _system(m, zc, pb, sel)
 
 
 def check_rank_bounds(

@@ -10,7 +10,7 @@ for `recausal smith` and for the printed A_theta of a solved model.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .canon import LocalSmith, RedundantEquationsError, classify_roots, smith_form
@@ -171,10 +171,7 @@ def _perturb(m: REModel, rng: random.Random, magnitude=Fraction(1, 64)) -> REMod
                     )
             rows.append(new_row)
         new_a[key] = RationalMatrix(rows)
-    return REModel(
-        s=m.s, K=m.K, H=m.H, q=m.q, A=new_a, gamma=m.gamma, wold=m.wold,
-        xi=m.xi, r_hint=m.r_hint,
-    )
+    return replace(m, A=new_a)
 
 
 def genericity_probe(m: REModel, trials: int = 10, seed: int = 0) -> dict:

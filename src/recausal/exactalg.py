@@ -239,12 +239,6 @@ class Poly:
             m += 1
         return m
 
-    def eval(self, x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def bit_size(self) -> int:
         """Sum over coefficients of numerator + denominator bits, lowest terms."""
         d = self.den
@@ -314,12 +308,6 @@ def squarefree_factors(f: Poly) -> list:
     return out
 
 
-def poly_lcm(a: Poly, b: Poly) -> Poly:
-    if a.is_zero() or b.is_zero():
-        return Poly()
-    return (a * b).exact_div(poly_gcd(a, b)).monic()
-
-
 class PolyMatrix:
     """Matrix of Poly entries, row-major."""
 
@@ -338,19 +326,11 @@ class PolyMatrix:
         )
 
     @staticmethod
-    def zero(rows: int, cols: int) -> "PolyMatrix":
-        return PolyMatrix([[Poly() for _ in range(cols)] for _ in range(rows)])
-
-    @staticmethod
     def diag(polys) -> "PolyMatrix":
         n = len(polys)
         return PolyMatrix(
             [[_as_poly(polys[i]) if i == j else Poly() for j in range(n)] for i in range(n)]
         )
-
-    @staticmethod
-    def from_rational(m: "RationalMatrix") -> "PolyMatrix":
-        return PolyMatrix([[Poly.const(e) for e in row] for row in m.entries])
 
     def __getitem__(self, ij):
         return self.entries[ij[0]][ij[1]]
@@ -674,12 +654,4 @@ def pseudo_inverse_columns(M: RationalMatrix, ncols: int) -> RationalMatrix:
     X, kern = solve_affine(At * A, At)
     if X is None or kern:
         raise ValueError("rank-deficient column block has no left inverse")
-    return X
-
-
-def invert(M: RationalMatrix) -> RationalMatrix:
-    assert M.rows == M.cols
-    X, kern = solve_affine(M, RationalMatrix.identity(M.rows))
-    if X is None or kern:
-        raise ValueError("matrix is singular")
     return X

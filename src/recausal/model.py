@@ -22,7 +22,7 @@ from itertools import product
 from math import lcm
 
 from .canon import RedundantEquationsError
-from .exactalg import Poly, PolyMatrix, RationalMatrix, _poly, det_adjugate, rat, rat_str
+from .exactalg import Poly, PolyMatrix, RationalMatrix, _poly, _rmat, det_adjugate, rat, rat_str
 
 SCHEMA_VERSION = 1
 
@@ -54,6 +54,12 @@ class REModel:
     def predetermined(self) -> bool:
         return any(si != 0 for si in self.gamma[1:])
 
+    def free_unknowns(self) -> tuple:
+        """Indices j s + r of one h column that predeterminedness leaves free:
+        the first s_0 + ... + s_j rows of block j.  The other entries are zero."""
+        s, gamma = self.s, self.gamma
+        return tuple(j * s + r for j in range(self.H) for r in range(sum(gamma[: j + 1])))
+
     def wold_coeff(self, j: int) -> RationalMatrix:
         if 0 <= j < len(self.wold):
             return self.wold[j]
@@ -75,11 +81,22 @@ def _parse_matrix(obj, rows, cols, what) -> RationalMatrix:
             out.append([rat(e) if isinstance(e, (str, int)) else _bad(e) for e in row])
         except (ValueError, ZeroDivisionError, TypeError) as exc:
             raise ModelFormatError(f"{what}: malformed rational entry: {exc}") from exc
-    return RationalMatrix(out)
+    return _rmat(out)
 
 
 def _bad(e):
     raise TypeError(f"rationals must be strings or integers, got {type(e).__name__}")
+
+
+def parse_xi(value) -> Fraction:
+    """The growth bound xi from an integer or a string "p/q"; it must be at least 1."""
+    try:
+        xi = rat(value)
+    except (ValueError, ZeroDivisionError, TypeError) as exc:
+        raise ModelFormatError(f"xi must be a rational number, got {value!r}") from exc
+    if xi < 1:
+        raise ModelFormatError("xi must be at least 1")
+    return xi
 
 
 def parse_model(text: str) -> REModel:
@@ -131,9 +148,7 @@ def parse_model(text: str) -> REModel:
     )
     if not wold:
         raise ModelFormatError("wold list must contain at least w_0")
-    xi = rat(doc.get("xi", 1))
-    if xi < 1:
-        raise ModelFormatError("xi must be at least 1")
+    xi = parse_xi(doc.get("xi", 1))
     r_hint = doc.get("r_hint")
     if r_hint is not None and (not isinstance(r_hint, int) or not (q <= r_hint <= s)):
         raise ModelFormatError("r_hint must satisfy q <= r_hint <= s")

@@ -12,6 +12,10 @@ adj(pi) pi = det(pi) I = D S I gives adj(pi) N = D S h(z) + adj(pi) R.  So the
 remainders are those of (adj(pi) mod D) R, and adj(pi) N / D is
 adj(pi) R / D + S h(z): pi itself is never multiplied in.
 
+The unknowns are the entries of h that predeterminedness leaves free,
+`REModel.free_unknowns()`: the constraint system holds C and its right-hand
+side on those columns, and the cancellation rows join it restricted to them.
+
 det pi splits into D and S = det pi / D over Q without factoring: the
 certified discs that classified the roots of each squarefree factor of
 det pi / z^G give its unstable roots, their product is rounded onto the lattice
@@ -34,7 +38,7 @@ from math import isqrt, prod
 
 from .canon import FactorizationError, RootClassification, root_discs
 from .dimension import Pipeline, run_pipeline
-from .exactalg import Poly, PolyMatrix, RationalMatrix, poly_gcd, solve_affine, vstack
+from .exactalg import Poly, PolyMatrix, RationalMatrix, _rmat, poly_gcd, solve_affine
 from .model import REModel
 
 
@@ -121,7 +125,9 @@ def factor_stable_unstable(det: Poly, J1: int, roots: RootClassification):
 def _residual_map(m: REModel, zc, J1: int):
     """Affine map h_stack -> R(z; h) = (sum_i m_i z^{J1+i}) h_stack - w(z) z^{J1}.
 
-    R is N(z; h) without its pi(z) h(z) term, in the form of assemble_rhs.
+    R is N(z; h) without its pi(z) h(z) term.  Returned as (constant s x q
+    PolyMatrix, list of s x 1 PolyMatrix columns, one per entry a = j s + r of
+    an h column); the map is the same for every innovation column.
     """
     if J1 < 0:
         raise UnsupportedModelError(f"J1 = {J1} < 0 is not supported by the solver")
@@ -131,22 +137,6 @@ def _residual_map(m: REModel, zc, J1: int):
         for a in range(m.s * m.H)
     ]
     return const, per_unknown
-
-
-def assemble_rhs(m: REModel, zc, J1: int, pi: PolyMatrix):
-    """Affine map h_stack -> N(z; h), the s x q right-hand polynomial of the SDE.
-
-    N(z; h) = pi(z) (sum_j h_j z^j) + (sum_i m_i z^{J1+i}) h_stack - w(z) z^{J1}.
-    Returned as (constant s x q PolyMatrix, list of s x 1 PolyMatrix columns,
-    one per unknown slot a = j s + r of a single h column); the map is
-    identical across innovation columns.
-    """
-    const, per_unknown = _residual_map(m, zc, J1)
-    s = m.s
-    return const, [
-        PolyMatrix([[pi.entries[i][a % s].shift(a // s) + v.entries[i][0]] for i in range(s)])
-        for a, v in enumerate(per_unknown)
-    ]
 
 
 def _divisibility_rows(adj: PolyMatrix, D: Poly, vec: PolyMatrix):
@@ -190,17 +180,6 @@ class SolutionReport:
     kernel_point: str
 
 
-def _zero_pattern_rows(m: REModel):
-    """Unknown indices within one h column that predeterminedness forces to zero."""
-    s, H = m.s, m.H
-    rows = []
-    for j in range(H):
-        keep = sum(m.gamma[: j + 1])
-        for r in range(keep, s):
-            rows.append(j * s + r)
-    return rows
-
-
 def _min_norm_shift(X: RationalMatrix, kernel):
     """Project the particular solution onto the min-norm representative."""
     if not kernel:
@@ -227,34 +206,18 @@ def _kernel_index(kernel_point: str, n: int) -> int:
 def solve_causal(
     m: REModel, pipe: Pipeline | None = None, kernel_point: str = "min-norm"
 ) -> SolutionReport:
-    """Solve the RE model exactly and classify the causal solution set."""
+    """Solve the RE model exactly and classify the causal solution set.
+
+    h and the kernel vectors span all sH entries; the forced ones are zero."""
     pipe = pipe or run_pipeline(m)
-    s, H, q = m.s, m.H, m.q
-    cs = pipe.cs
+    n_unknowns, q = m.s * m.H, m.q
+    cs, free = pipe.cs, m.free_unknowns()
     D, S = factor_stable_unstable(pipe.pi.det, pipe.pi.J1, pipe.roots)
     const, per_unknown = _residual_map(m, pipe.zc, pipe.pi.J1)
-    n_unknowns = s * H
-
-    # rows: predetermined zero pattern, constraint system, cancellation
-    rows, rhs_rows = [], []
-    for idx in _zero_pattern_rows(m):
-        row = [Fraction(0)] * n_unknowns
-        row[idx] = Fraction(1)
-        rows.append(row)
-        rhs_rows.append([Fraction(0)] * q)
-    if H > 0:
-        m_stack = vstack(pipe.zc.padded(pipe.pb.width_blocks))
-        c_full = cs.D * m_stack
-        for i in range(c_full.rows):
-            rows.append(list(c_full.entries[i]))
-            rhs_rows.append(list(cs.rhs.entries[i]))
-    canc, canc_rhs = _cancellation_rows(pipe.pi.adj, D, const, per_unknown)
-    rows += canc
-    rhs_rows += canc_rhs
-
-    M = RationalMatrix(rows) if rows else RationalMatrix.zero(0, n_unknowns)
-    B = RationalMatrix(rhs_rows) if rhs_rows else RationalMatrix.zero(0, q)
-    X, kernel = solve_affine(M, B)
+    canc, canc_rhs = _cancellation_rows(pipe.pi.adj, D, const, [per_unknown[a] for a in free])
+    X, kernel = solve_affine(_rmat(cs.C.entries + canc), _rmat(cs.rhs.entries + canc_rhs))
+    at = {a: i for i, a in enumerate(free)}
+    kernel = [[v[at[a]] if a in at else Fraction(0) for a in range(n_unknowns)] for v in kernel]
     if X is None:
         return SolutionReport(
             classification="no_causal_solution", indeterminacy_dim=0,
@@ -262,9 +225,8 @@ def solve_causal(
             transfer_num=None, transfer_den=None, A_theta=None,
             pipeline=pipe, kernel_point=kernel_point,
         )
-    if n_unknowns == 0:
-        X = RationalMatrix.zero(0, q)
-    h_particular = X
+    X = _rmat([list(X.entries[at[a]]) if a in at else [Fraction(0)] * q
+               for a in range(n_unknowns)])
     if kernel_point == "min-norm":
         chosen = _min_norm_shift(X, kernel)
     else:
@@ -275,7 +237,7 @@ def solve_causal(
     return SolutionReport(
         classification=classification,
         indeterminacy_dim=len(kernel) * q if kernel else 0,
-        h=chosen, h_particular=h_particular, kernel=tuple(kernel),
+        h=chosen, h_particular=X, kernel=tuple(kernel),
         transfer_num=num, transfer_den=den, A_theta=a_theta,
         pipeline=pipe, kernel_point=kernel_point,
     )
@@ -375,8 +337,8 @@ def verify_solution(m: REModel, sr: SolutionReport, max_lag: int = 50) -> dict:
     z^h exact.  As den(0) = 1, den is a unit of Q[[z]]: R_0 .. R_L all vanish
     iff den R = T = 0 mod z^(L+1), an exact check without L+1 series products.
     Only if it fails is R rebuilt as the series of T/den, reporting each failing
-    lag with its first nonzero position and value.  Also checks the
-    predetermined zero-revision pattern on the leading series coefficients.
+    lag with its first nonzero position and value.  Also checks that the
+    entries of h outside m.free_unknowns() are zero.
     """
     if sr.transfer_num is None:
         raise ValueError("no transfer function to verify")
@@ -401,16 +363,14 @@ def verify_solution(m: REModel, sr: SolutionReport, max_lag: int = 50) -> dict:
                 i, c, v = bad[0]
                 failures.append({"lag": d, "row": i, "col": c, "value": str(v)})
     # predetermined zero-revision pattern: the MDS inputs eps^{j,s_i} of the
-    # SDE ansatz must vanish for i > j, i.e. the matching rows of h are zero.
+    # SDE ansatz must vanish for i > j, i.e. the forced entries of h are zero.
     # (The realized solution may still load contemporaneously on innovations
     # through the exogenous term, as in the paper's own predetermined example.)
     predet_failures = []
     if sr.h is not None:
-        for j in range(m.H):
-            first_forced = sum(m.gamma[: j + 1])
-            for r in range(first_forced, m.s):
-                if any(sr.h.entries[j * m.s + r][c] != 0 for c in range(m.q)):
-                    predet_failures.append({"j": j, "row": r})
+        free = set(m.free_unknowns())
+        predet_failures = [{"j": a // s, "row": a % s} for a in range(s * m.H)
+                           if a not in free and any(sr.h.entries[a])]
     # in the plain flavor the ansatz MDS are exactly the revisions of y, so
     # the leading series coefficients must reproduce h
     first_coeff_failures = []

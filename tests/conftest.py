@@ -35,7 +35,12 @@ from recausal.exactalg import (
     vstack,
 )
 from recausal.model import REModel, build_pi
-from recausal.solver import FactorizationError
+from recausal.solver import (
+    FactorizationError,
+    _cancellation_rows,
+    _residual_map,
+    factor_stable_unstable,
+)
 
 
 # one PASS/FAIL line per acceptance criterion, emitted after the run summary
@@ -106,6 +111,65 @@ def unimodular_inverse(M: PolyMatrix) -> PolyMatrix:
     det, adj = det_adjugate(M)
     assert det.is_constant() and not det.is_zero()
     return adj * (Fraction(1) / det[0])
+
+
+# ---------------------------------------------------------------------------
+# algebra only the tests use
+
+
+def poly_eval(p: Poly, x) -> Fraction:
+    """p(x) by Horner's rule."""
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def poly_lcm(a: Poly, b: Poly) -> Poly:
+    """Monic least common multiple; 0 if either is 0."""
+    if a.is_zero() or b.is_zero():
+        return Poly()
+    return (a * b).exact_div(poly_gcd(a, b)).monic()
+
+
+def zero_polymatrix(rows: int, cols: int) -> PolyMatrix:
+    return PolyMatrix([[Poly() for _ in range(cols)] for _ in range(rows)])
+
+
+def polymatrix_from_rational(m: RationalMatrix) -> PolyMatrix:
+    """The constant polynomial matrix with coefficient m."""
+    return PolyMatrix([[Poly.const(e) for e in row] for row in m.entries])
+
+
+def invert(M: RationalMatrix) -> RationalMatrix:
+    assert M.rows == M.cols
+    X, kern = solve_affine(M, RationalMatrix.identity(M.rows))
+    if X is None or kern:
+        raise ValueError("matrix is singular")
+    return X
+
+
+def smith_reconstruct(sf: SmithForm) -> PolyMatrix:
+    """P diag(z^g) diag(phi) Q, the matrix sf is the Smith form of."""
+    alpha = PolyMatrix.diag([Poly.monomial(gi) for gi in sf.g])
+    return sf.P * alpha * PolyMatrix.diag(list(sf.phi)) * sf.Q
+
+
+def assemble_rhs(m: REModel, zc, J1: int, pi: PolyMatrix):
+    """Affine map h_stack -> N(z; h), the s x q right-hand polynomial of the SDE.
+
+    N(z; h) = pi(z) (sum_j h_j z^j) + (sum_i m_i z^{J1+i}) h_stack - w(z) z^{J1}.
+    Returned as (constant s x q PolyMatrix, list of s x 1 PolyMatrix columns,
+    one per unknown slot a = j s + r of a single h column); the map is
+    identical across innovation columns.  The solver's residual map is this
+    without the pi(z) h(z) term.
+    """
+    const, per_unknown = _residual_map(m, zc, J1)
+    s = m.s
+    return const, [
+        PolyMatrix([[pi.entries[i][a % s].shift(a // s) + v.entries[i][0]] for i in range(s)])
+        for a, v in enumerate(per_unknown)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +634,7 @@ def zeta_polymatrix(m: REModel) -> PolyMatrix:
     zc = zeta_coefficients(m)
     s, H = m.s, m.H
     if H == 0:
-        return PolyMatrix.zero(s, 0)
+        return zero_polymatrix(s, 0)
     return PolyMatrix(
         [
             [Poly([mi.entries[r][a] for mi in zc.m]) for a in range(s * H)]
@@ -645,6 +709,30 @@ def same_affine_set(set_a, set_b) -> bool:
     kmat = RationalMatrix([list(v) for v in ka]).transpose()
     x, _ = solve_affine(kmat, diff)
     return x is not None
+
+
+def full_unknown_system(m: REModel, pipe):
+    """The causal solve's affine set of h over all sH entries of each h column.
+
+    Built as the solver once built it: a unit row for every entry that
+    predeterminedness forces to zero (read here from gamma directly), the
+    constraint operator D applied to the stacked zeta coefficients on every
+    entry, and the cancellation rows of every entry.
+    """
+    s, H, q = m.s, m.H, m.q
+    n = s * H
+    rows, rhs = [], []
+    for j in range(H):
+        for r in range(sum(m.gamma[: j + 1]), s):
+            rows.append([Fraction(int(a == j * s + r)) for a in range(n)])
+            rhs.append([Fraction(0)] * q)
+    if H > 0:
+        rows += (pipe.cs.D * vstack(pipe.zc.padded(pipe.pb.width_blocks))).entries
+        rhs += pipe.cs.rhs.entries
+    D, _ = factor_stable_unstable(pipe.pi.det, pipe.pi.J1, pipe.roots)
+    const, per_unknown = _residual_map(m, pipe.zc, pipe.pi.J1)
+    canc, canc_rhs = _cancellation_rows(pipe.pi.adj, D, const, per_unknown)
+    return affine_set(RationalMatrix(rows + canc), RationalMatrix(rhs + canc_rhs), n)
 
 
 # ---------------------------------------------------------------------------
@@ -858,7 +946,7 @@ def smith_fixture(P: PolyMatrix, Q: PolyMatrix, g, phi) -> SmithForm:
 
 def check_smith_invariants(M: PolyMatrix, sf: SmithForm):
     """All SmithForm type invariants, assertion style."""
-    assert sf.reconstruct() == M
+    assert smith_reconstruct(sf) == M
     assert is_unimodular(sf.P) and is_unimodular(sf.Q)
     assert sf.P * sf.P_inv == PolyMatrix.identity(sf.size)
     assert sf.Q * sf.Q_inv == PolyMatrix.identity(sf.size)

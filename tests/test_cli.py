@@ -192,6 +192,23 @@ def test_kernel_point_in_range(capsys):
     assert doc["h"] != default["h"]
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", SIMS, "--xi", "abc"], "--xi: xi must be a rational number, got 'abc'"),
+        (["solve", SIMS, "--xi", "1/2"], "--xi: xi must be at least 1"),
+        (["solve", SIMS, "--xi", "1/0"], "--xi: xi must be a rational number, got '1/0'"),
+        (["simulate", SIMS, "--trials", "0"], "--trials must be at least 1"),
+        (["simulate", SIMS, "--trials", "-5"], "--trials must be at least 1"),
+        (["simulate", SIMS, "--seed", "-1"], "--seed must be non-negative"),
+        (["probe", SIMS, "--trials", "-1"], "--trials must be at least 1"),
+    ],
+)
+def test_bad_numeric_argument_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_xi_override_hits_ring(capsys):
     # widening the annulus to xi = 2 puts both nonzero roots inside it
     code, _, err = run(capsys, "solve", SIMS, "--xi", "2")

@@ -17,12 +17,17 @@ from recausal.model import REModel, build_pi
 from conftest import (
     affine_set,
     brute_force_plain,
+    ladder_shaped_models,
+    planted_models,
+    polymatrix_from_rational,
     rand_frac,
     rand_unimodular,
     random_model,
     same_affine_set,
     sims_model,
     sims_published_smith,
+    smith_reconstruct,
+    zero_polymatrix,
 )
 
 
@@ -131,9 +136,9 @@ def test_p_inverse_defining_identity():
         m = random_model(rng, rng.randint(1, 3), rng.randint(0, 2), rng.randint(1, 2))
         pipe = run_pipeline(m)
         pc = pipe.sf.local().p_inv
-        acc = PolyMatrix.zero(m.s, m.s)
+        acc = zero_polymatrix(m.s, m.s)
         for i, ci in enumerate(pc):
-            acc = acc + PolyMatrix.from_rational(ci) * Poly.monomial(i)
+            acc = acc + polymatrix_from_rational(ci) * Poly.monomial(i)
         assert acc * pipe.sf.P == PolyMatrix.identity(m.s)
 
 
@@ -192,6 +197,18 @@ def test_selector_invariants(corpus):
         assert sel.p_dim == sum(
             m.gamma[i] * (m.H - i) for i in range(m.H)
         )
+
+
+def test_free_unknowns_are_the_columns_r_keeps(corpus, predetermined_probe):
+    # s = 3, gamma = (1, 1, 1): block 0 of h keeps row 0, block 1 rows 0 and 1
+    m = REModel(s=3, K=0, H=2, q=1, A={}, gamma=(1, 1, 1), wold=())
+    assert m.free_unknowns() == (0, 3, 4)
+    n_forced = 0
+    for m in list(corpus) + list(predetermined_probe) + ladder_shaped_models() + planted_models():
+        free, n = m.free_unknowns(), m.s * m.H
+        assert run_pipeline(m).sel.R.entries == [[int(c == a) for c in range(n)] for a in free]
+        n_forced += len(free) < n
+    assert n_forced >= 150, n_forced
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +297,8 @@ def _diagonal_rescaled(sf, rng):
     d = [rand_frac(rng, nonzero=True) for _ in range(n)]
     W = RationalMatrix([[d[i] if i == j else 0 for j in range(n)] for i in range(n)])
     Winv = RationalMatrix([[1 / d[i] if i == j else 0 for j in range(n)] for i in range(n)])
-    pw = PolyMatrix.from_rational(W)
-    pwinv = PolyMatrix.from_rational(Winv)
+    pw = polymatrix_from_rational(W)
+    pwinv = polymatrix_from_rational(Winv)
     return SmithForm(
         P=sf.P * pw, Q=pwinv * sf.Q, g=sf.g, phi=sf.phi,
         P_inv=pwinv * sf.P_inv, Q_inv=sf.Q_inv * pw,
@@ -296,7 +313,7 @@ def test_smith_choice_invariance(corpus):
             continue
         pipe = run_pipeline(m)
         sf2 = _diagonal_rescaled(pipe.sf, rng)
-        assert sf2.reconstruct() == pipe.pi.pi
+        assert smith_reconstruct(sf2) == pipe.pi.pi
         zc = zeta_coefficients(m)
         pb2 = frak_p_blocks(sf2.local(), pipe.pi.J1, m.H)
         cs2 = build_plain_system(m, zc, pb2)

@@ -7,7 +7,7 @@ import pytest
 
 from recausal import dimension
 from recausal.dimension import _perturb, dimension_report, genericity_probe, run_pipeline
-from recausal.exactalg import Poly, PolyMatrix, RationalMatrix, det_adjugate, rank_of
+from recausal.exactalg import Poly, RationalMatrix, det_adjugate, rank_of
 from recausal.model import REModel, build_pi
 from recausal.solver import (
     FactorizationError,
@@ -19,10 +19,12 @@ from conftest import (
     crosscheck_simplified,
     ladder_shaped_models,
     planted_models,
+    polymatrix_from_rational,
     random_gamma,
     random_model,
     sims_model,
     smith_reference,
+    zero_polymatrix,
 )
 
 
@@ -170,9 +172,9 @@ def test_local_stage_is_a_factorization_at_zero(corpus):
         pipe = run_pipeline(m)
         loc = pipe.local
         assert (pipe.pi.det[0] != 0) == (loc.g == (0,) * m.s)
-        p_inv = PolyMatrix.zero(m.s, m.s)
+        p_inv = zero_polymatrix(m.s, m.s)
         for k, c in enumerate(loc.p_inv):
-            p_inv = p_inv + PolyMatrix.from_rational(c) * Poly.monomial(k)
+            p_inv = p_inv + polymatrix_from_rational(c) * Poly.monomial(k)
         det, _ = det_adjugate(p_inv)
         assert det.is_constant() and not det.is_zero()
         E = (p_inv * pipe.pi.pi).entries

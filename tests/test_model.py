@@ -54,6 +54,8 @@ def _sims_doc():
         (lambda d: d["A"][0]["matrix"][0].append("1"), "columns"),
         (lambda d: d.update(A=d["A"][:2]), "K=1 is not realized"),
         (lambda d: d.update(xi="1/2"), "xi"),
+        (lambda d: d.update(xi="abc"), "xi must be a rational number, got 'abc'"),
+        (lambda d: d.update(xi=1.5), "xi must be a rational number, got 1.5"),
         (lambda d: d.update(r_hint=5), "r_hint"),
     ],
 )

@@ -27,7 +27,6 @@ from recausal.solver import (
     _residual_map,
     _unstable_factor,
     _unstable_part,
-    assemble_rhs,
     factor_stable_unstable,
     simulate,
     solve_causal,
@@ -36,9 +35,13 @@ from recausal.solver import (
 )
 from conftest import (
     affine_set,
+    assemble_rhs,
     defect_model,
+    full_unknown_system,
+    ladder_shaped_models,
     planted_model,
     planted_models,
+    polymatrix_from_rational,
     rand_frac,
     random_gamma,
     random_model,
@@ -174,7 +177,7 @@ def test_assemble_rhs_matches_direct_formula():
         )
         direct = pipe.pi.pi * hpoly - m.wold_poly() * Poly.monomial(pipe.pi.J1)
         for i, mi in enumerate(pipe.zc.m):
-            direct = direct + PolyMatrix.from_rational(mi * h) * Poly.monomial(pipe.pi.J1 + i)
+            direct = direct + polymatrix_from_rational(mi * h) * Poly.monomial(pipe.pi.J1 + i)
         assert got == direct
 
 
@@ -524,6 +527,50 @@ def test_residual_rows_and_numerator_match_full_map(corpus):
             assert _numerator(m, adj, split, r_const, r_per_unknown, sr.h) == full
             n_nums += 1
     assert n_models >= 50 and n_rows >= 35 and n_nums >= 30, (n_models, n_rows, n_nums)
+
+
+# ---------------------------------------------------------------------------
+# the solve over the free unknowns against the full-unknown assembly
+
+
+def test_free_unknown_solve_matches_full_unknown_system(corpus, predetermined_probe):
+    n_sets = n_forced = n_answered = 0
+    for m in list(corpus) + list(predetermined_probe) + ladder_shaped_models() + planted_models():
+        pipe = run_pipeline(m)
+        try:
+            sr = solve_causal(m, pipe)
+        except (FactorizationError, UnsupportedModelError):
+            continue
+        got, want = (sr.h_particular, list(sr.kernel)), full_unknown_system(m, pipe)
+        assert same_affine_set(got, want), (m.s, m.H, m.gamma)
+        # solve_affine normalises by its pivots, and forced entries are pivots of
+        # unit rows, so both solves give the same particular solution and kernel
+        assert got == want, (m.s, m.H, m.gamma)
+        n_sets += 1
+        n_forced += len(m.free_unknowns()) < m.s * m.H
+        n_answered += sr.h is not None
+    assert n_sets >= 70 and n_forced >= 20 and n_answered >= 40, (n_sets, n_forced, n_answered)
+
+
+def test_verify_reports_a_forced_entry_set_nonzero(corpus, predetermined_probe):
+    n_checked = 0
+    for m in list(corpus) + list(predetermined_probe) + planted_models() + [sims_model()]:
+        forced = sorted(set(range(m.s * m.H)) - set(m.free_unknowns()))
+        try:
+            sr = solve_causal(m)
+        except (FactorizationError, UnsupportedModelError):
+            continue
+        if not forced or sr.h is None:
+            continue
+        assert verify_solution(m, sr, m.H)["predetermined_failures"] == []
+        for a in forced:
+            h = [list(row) for row in sr.h.entries]
+            h[a][n_checked % m.q] = Fraction(1)
+            rep = verify_solution(m, dataclasses.replace(sr, h=RationalMatrix(h)), m.H)
+            assert rep["predetermined_failures"] == [{"j": a // m.s, "row": a % m.s}]
+            assert not rep["ok"]
+            n_checked += 1
+    assert n_checked >= 15, n_checked
 
 
 def _drop_smith_unimodulars(m):
