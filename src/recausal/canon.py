@@ -1,9 +1,11 @@
 """Smith canonical form of polynomial matrices and determinant-root classification.
 
 The Smith form is computed by exact elimination over Q[z], which also detects
-a singular input: its elimination runs out of nonzero pivots.  The unimodular
-inverses are tracked exactly.  The constraint blocks read only `LocalSmith`,
-the data of the form at z = 0, which needs no elimination when det pi(0) != 0.
+a singular input: its elimination runs out of nonzero pivots.  The row and
+column operations update D, P^-1 and Q, the factors the constraints and
+A_theta read; P and Q^-1 are their exact inverses, derived on first read.
+The constraint blocks read only `LocalSmith`, the data of the form at z = 0,
+which needs no elimination when det pi(0) != 0.
 `classify_roots` sorts the roots of det pi against the unit circle on exact
 Gerschgorin discs from `root_discs`, which the solver's stable/unstable split
 then refines.  Floating point only seeds the discs
@@ -15,9 +17,12 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import isqrt
 
-from .exactalg import Poly, PolyMatrix, RationalMatrix, rat, squarefree_factors
+from .exactalg import (
+    Poly, PolyMatrix, RationalMatrix, _det_adjugate, rat, squarefree_factors,
+)
 
 
 class RedundantEquationsError(ValueError):
@@ -34,12 +39,21 @@ class FactorizationError(ArithmeticError):
 
 @dataclass(frozen=True)
 class SmithForm:
-    P: PolyMatrix
+    """pi = P diag(z^g) diag(phi) Q with the factors the elimination tracks:
+    Q and P^-1.  P and Q^-1 are their exact inverses, computed on first read."""
+
     Q: PolyMatrix
     g: tuple            # partial multiplicities, non-decreasing
     phi: tuple          # diagonal of Phi, phi_i(0) != 0
     P_inv: PolyMatrix
-    Q_inv: PolyMatrix
+
+    @cached_property
+    def P(self) -> PolyMatrix:
+        return _unimodular_inverse(self.P_inv)
+
+    @cached_property
+    def Q_inv(self) -> PolyMatrix:
+        return _unimodular_inverse(self.Q)
 
     @property
     def size(self) -> int:
@@ -48,12 +62,21 @@ class SmithForm:
     def invariant_factors(self):
         return tuple(Poly.monomial(gi) * ph for gi, ph in zip(self.g, self.phi))
 
-    def local(self) -> "LocalSmith":
-        """The data at z = 0 of pi = P diag(z^g) E with E = diag(phi) Q."""
+    def local(self, order: int | None = None) -> "LocalSmith":
+        """The data at z = 0 of pi = P diag(z^g) E with E = diag(phi) Q: the
+        coefficients of P^-1 below z^order, or all of them without an order."""
         n = self.size
         phi0 = RationalMatrix([[self.phi[i][0] if i == j else 0 for j in range(n)]
                                for i in range(n)])
-        return LocalSmith(self.g, tuple(self.P_inv.coeff_list()), phi0 * self.Q.coeff(0))
+        p_inv = self.P_inv.coeff_list() if order is None else map(self.P_inv.coeff, range(order))
+        return LocalSmith(self.g, tuple(p_inv), phi0 * self.Q.coeff(0))
+
+
+def _unimodular_inverse(M: PolyMatrix) -> PolyMatrix:
+    """adj M / det M for a constant det M, by `_det_adjugate`: the public
+    det_adjugate stays the count of det pi work."""
+    det, adj = _det_adjugate(M)
+    return adj * (1 / det[0])
 
 
 @dataclass(frozen=True)
@@ -71,96 +94,52 @@ class LocalSmith:
     omega0: RationalMatrix
 
 
-def _pivot_key(p: Poly, i: int, j: int):
-    return (p.degree, p.bit_size(), i, j)
-
-
 def smith_form(M: PolyMatrix) -> SmithForm:
     """Smith decomposition M = P * diag(z^g_i) * diag(phi_i) * Q.
 
-    P, Q are unimodular with polynomial inverses tracked exactly; the
+    P, Q are unimodular; the row operations update P^-1 and the column
+    operations Q, the two factors the constraints and A_theta read.  The
     invariant factors z^g_i * phi_i are monic and satisfy the divisibility
-    chain.  Raises RedundantEquationsError when det M is identically zero,
-    which is exactly when a remaining block has no nonzero pivot.
+    chain.  The pivot of a block is its entry of least degree, ties broken by
+    bit size, then position.  Raises RedundantEquationsError when det M is
+    identically zero, which is exactly when a remaining block has no nonzero
+    pivot.
     """
     if M.rows != M.cols:
         raise ValueError("smith_form requires a square matrix")
     n = M.rows
 
     D = [[M.entries[i][j] for j in range(n)] for i in range(n)]
-    ident = PolyMatrix.identity(n)
-    P = [list(r) for r in ident.entries]
-    Pinv = [list(r) for r in ident.entries]
-    Q = [list(r) for r in ident.entries]
-    Qinv = [list(r) for r in ident.entries]
-
-    def swap_rows(i, j):
-        if i == j:
-            return
-        D[i], D[j] = D[j], D[i]
-        for r in range(n):
-            P[r][i], P[r][j] = P[r][j], P[r][i]
-        Pinv[i], Pinv[j] = Pinv[j], Pinv[i]
-
-    def swap_cols(i, j):
-        if i == j:
-            return
-        for r in range(n):
-            D[r][i], D[r][j] = D[r][j], D[r][i]
-        Q[i], Q[j] = Q[j], Q[i]
-        for r in range(n):
-            Qinv[r][i], Qinv[r][j] = Qinv[r][j], Qinv[r][i]
+    Pinv = [list(r) for r in PolyMatrix.identity(n).entries]
+    Q = [list(r) for r in PolyMatrix.identity(n).entries]
 
     def add_row(i, j, f: Poly):
-        # D: row_i += f * row_j
-        if f.is_zero():
-            return
-        nf = -f
-        for c in range(n):
-            D[i][c] = D[i][c].addmul(f, D[j][c])
-        for r in range(n):
-            P[r][j] = P[r][j].addmul(nf, P[r][i])
-        for c in range(n):
-            Pinv[i][c] = Pinv[i][c].addmul(f, Pinv[j][c])
+        # row_i += f * row_j of D and of P^-1
+        for R in (D, Pinv):
+            R[i] = [a.addmul(f, b) for a, b in zip(R[i], R[j])]
 
     def add_col(i, j, f: Poly):
-        # D: col_i += f * col_j
-        if f.is_zero():
-            return
+        # D: col_i += f * col_j, so Q: row_j -= f * row_i
+        for row in D:
+            row[i] = row[i].addmul(f, row[j])
         nf = -f
-        for r in range(n):
-            D[r][i] = D[r][i].addmul(f, D[r][j])
-        for c in range(n):
-            Q[j][c] = Q[j][c].addmul(nf, Q[i][c])
-        for r in range(n):
-            Qinv[r][i] = Qinv[r][i].addmul(f, Qinv[r][j])
-
-    def scale_row(i, c: Fraction):
-        inv = Fraction(1) / c
-        for k in range(n):
-            D[i][k] = D[i][k] * c
-        for r in range(n):
-            P[r][i] = P[r][i] * inv
-        for k in range(n):
-            Pinv[i][k] = Pinv[i][k] * c
+        Q[j] = [a.addmul(nf, b) for a, b in zip(Q[j], Q[i])]
 
     for t in range(n):
         while True:
-            best = None
-            for i in range(t, n):
-                for j in range(t, n):
-                    e = D[i][j]
-                    if not e.is_zero():
-                        key = _pivot_key(e, i, j)
-                        if best is None or key < best[0]:
-                            best = (key, i, j)
-            if best is None:
+            cands = [(e.degree, i, j) for i in range(t, n) for j in range(t, n)
+                     if not (e := D[i][j]).is_zero()]
+            if not cands:
                 raise RedundantEquationsError(
                     "det pi(z) is identically zero: system contains redundant equations"
                 )
-            _, bi, bj = best
-            swap_rows(t, bi)
-            swap_cols(t, bj)
+            low = min(cands)
+            ties = [(D[i][j].bit_size(), i, j) for d, i, j in cands if d == low[0]]
+            _, bi, bj = min(ties) if len(ties) > 1 else ties[0]
+            D[t], D[bi], Pinv[t], Pinv[bi] = D[bi], D[t], Pinv[bi], Pinv[t]
+            for row in D:
+                row[t], row[bj] = row[bj], row[t]
+            Q[t], Q[bj] = Q[bj], Q[t]
             pivot = D[t][t]
             dirty = False
             for i in range(t + 1, n):
@@ -168,22 +147,16 @@ def smith_form(M: PolyMatrix) -> SmithForm:
                     continue
                 q, r = D[i][t].divmod(pivot)
                 add_row(i, t, -q)
-                if not r.is_zero():
-                    dirty = True
+                dirty = dirty or not r.is_zero()
             for j in range(t + 1, n):
                 if D[t][j].is_zero():
                     continue
                 q, r = D[t][j].divmod(pivot)
                 add_col(j, t, -q)
-                if not r.is_zero():
-                    dirty = True
+                dirty = dirty or not r.is_zero()
             if dirty:
                 continue
-            if any(not D[i][t].is_zero() for i in range(t + 1, n)) or any(
-                not D[t][j].is_zero() for j in range(t + 1, n)
-            ):
-                continue
-            # divisibility fix-up: pivot must divide the rest of the block
+            # row and column t are clear; divisibility fix-up: pivot must divide the rest of the block
             offender = None
             for i in range(t + 1, n):
                 for j in range(t + 1, n):
@@ -196,26 +169,16 @@ def smith_form(M: PolyMatrix) -> SmithForm:
                 break
             add_row(t, offender, Poly.const(1))
 
-    for t in range(n):
-        lead = D[t][t].coeffs[-1]
-        if lead != 1:
-            scale_row(t, Fraction(1) / lead)
-
-    g = []
-    phi = []
+    g, phi = [], []
     for t in range(n):
         d = D[t][t]
+        c = Fraction(d.den, d.num[-1])  # makes the invariant factor monic
+        if c != 1:
+            Pinv[t] = [e * c for e in Pinv[t]]
         m = d.zero_multiplicity()
         g.append(m)
-        phi.append(Poly(d.coeffs[m:]))
-    return SmithForm(
-        P=PolyMatrix(P),
-        Q=PolyMatrix(Q),
-        g=tuple(g),
-        phi=tuple(phi),
-        P_inv=PolyMatrix(Pinv),
-        Q_inv=PolyMatrix(Qinv),
-    )
+        phi.append(d.shift(-m).monic())
+    return SmithForm(Q=PolyMatrix(Q), g=tuple(g), phi=tuple(phi), P_inv=PolyMatrix(Pinv))
 
 
 @dataclass(frozen=True)

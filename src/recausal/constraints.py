@@ -132,7 +132,9 @@ def build_selectors(m: REModel, loc: LocalSmith) -> Selectors:
     # R keeps the free entries of h, and S block i left-inverts omega0's first
     # columns, as many as block i of h has free entries
     free = m.free_unknowns()
-    R = RationalMatrix([[int(c == a) for c in range(s * H)] for a in free])
+    R = RationalMatrix.zero(len(free), s * H)
+    for i, a in enumerate(free):
+        R.entries[i][a] = Fraction(1)
     S = block_diag(
         pseudo_inverse_columns(omega0, sum(a // s == i for a in free)) for i in range(H)
     )

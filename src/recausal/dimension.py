@@ -74,7 +74,8 @@ class Pipeline:
         pp, s = self.pi, self.model.s
         if pp.det[0] != 0:
             return LocalSmith((0,) * s, (RationalMatrix.identity(s),), pp.pi.coeff(0))
-        return self.sf.local()
+        # frak_p_blocks reads P^-1 below z^(H + max(g - J1, 0))
+        return self.sf.local(self.model.H + max(max(self.sf.g) - pp.J1, 0))
 
     @_stage
     def roots(self):

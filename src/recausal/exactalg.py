@@ -7,8 +7,12 @@ one normalisation per result.  `Poly.addmul(f, g)` is self + f*g as one such
 result, accumulated on the numerators over their common denominator; the
 Smith elimination and `PolyMatrix` products use it.  `det_adjugate` runs one
 Faddeev-LeVerrier recursion on the integer matrix L*M(2^b) (Kronecker
-substitution) and reads det and adj off base-2^b digits.  Every operation is
-exact; no floating point.
+substitution) and reads det and adj off base-2^b digits.  `rank_kernel`,
+`rank_of` and `solve_affine` share one fraction-free Gauss-Jordan
+elimination on integer rows (`_row_echelon`): rows are scaled by the lcm of
+their denominators and kept primitive, and each result entry is one division
+at the end; the reduced echelon form, and so every result, is that of a
+Fraction elimination.  Every operation is exact; no floating point.
 """
 
 from __future__ import annotations
@@ -26,6 +30,9 @@ def rat(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
     if isinstance(x, str):
+        p, slash, q = x.partition("/")  # ASCII "p" and "p/q" by int(), the rest by Fraction
+        if x.isascii() and p.removeprefix("-").isdigit() and (q.isdigit() or not slash):
+            return Fraction(int(p), int(q or 1))
         return Fraction(x)
     if isinstance(x, int):
         return Fraction(x)
@@ -98,8 +105,8 @@ class Poly:
 
     def __getitem__(self, i: int) -> Fraction:
         if 0 <= i < len(self.num):
-            return self.coeffs[i]
-        return Fraction(0)
+            return Fraction(self.num[i], self.den)
+        return _NIL
 
     def __eq__(self, other):
         if isinstance(other, Poly):
@@ -388,6 +395,11 @@ class PolyMatrix:
 
 
 def det_adjugate(M: PolyMatrix):
+    """(det M, adj M) with M * adj M = det(M) * I, by `_det_adjugate`."""
+    return _det_adjugate(M)
+
+
+def _det_adjugate(M: PolyMatrix):
     """Determinant and adjugate by one Faddeev-LeVerrier pass over the integers.
 
     Returns (det M, adj M) with M * adj M = det(M) * I exactly.  M_Z = L*M, with
@@ -449,7 +461,7 @@ class RationalMatrix:
 
     @staticmethod
     def zero(rows: int, cols: int) -> "RationalMatrix":
-        return _rmat([[_NIL] * cols for _ in range(rows)])
+        return _rmat([[_NIL] * cols for _ in range(rows)], cols)
 
     def __getitem__(self, ij):
         return self.entries[ij[0]][ij[1]]
@@ -462,19 +474,19 @@ class RationalMatrix:
     def __add__(self, other):
         assert (self.rows, self.cols) == (other.rows, other.cols)
         pairs = zip(self.entries, other.entries)
-        return _rmat([[a + b for a, b in zip(r, o)] for r, o in pairs])
+        return _rmat([[a + b for a, b in zip(r, o)] for r, o in pairs], self.cols)
 
     def __sub__(self, other):
         assert (self.rows, self.cols) == (other.rows, other.cols)
         pairs = zip(self.entries, other.entries)
-        return _rmat([[a - b for a, b in zip(r, o)] for r, o in pairs])
+        return _rmat([[a - b for a, b in zip(r, o)] for r, o in pairs], self.cols)
 
     def __neg__(self):
-        return _rmat([[-e for e in row] for row in self.entries])
+        return _rmat([[-e for e in row] for row in self.entries], self.cols)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return _rmat([[e * other for e in row] for row in self.entries])
+            return _rmat([[e * other for e in row] for row in self.entries], self.cols)
         assert self.cols == other.rows, (self.cols, other.rows)
         ot = other.entries
         out = []
@@ -490,33 +502,32 @@ class RationalMatrix:
                     if orow[j] != 0:
                         row[j] += a * orow[j]
             out.append(row)
-        return _rmat(out)
+        return _rmat(out, other.cols)
 
     __rmul__ = __mul__
 
     def transpose(self) -> "RationalMatrix":
         return _rmat(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
+            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)], self.rows
         )
 
     def is_zero(self) -> bool:
         return all(e == 0 for row in self.entries for e in row)
 
     def submatrix(self, row_idx, col_idx) -> "RationalMatrix":
-        return _rmat(
-            [[self.entries[i][j] for j in col_idx] for i in row_idx]
-        )
+        return _rmat([[self.entries[i][j] for j in col_idx] for i in row_idx], len(col_idx))
 
     def __repr__(self):
         return f"RationalMatrix({self.entries!r})"
 
 
-def _rmat(entries) -> RationalMatrix:
-    """RationalMatrix from fresh row lists whose entries are already Fractions."""
+def _rmat(entries, cols: int = 0) -> RationalMatrix:
+    """RationalMatrix from fresh row lists whose entries are already Fractions;
+    cols is the column count of a matrix with no rows."""
     m = RationalMatrix.__new__(RationalMatrix)
     m.entries = entries
     m.rows = len(entries)
-    m.cols = len(entries[0]) if entries else 0
+    m.cols = len(entries[0]) if entries else cols
     return m
 
 
@@ -525,7 +536,7 @@ def hstack(mats) -> RationalMatrix:
     rows = mats[0].rows
     assert all(m.rows == rows for m in mats)
     return _rmat(
-        [sum((m.entries[i] for m in mats), []) for i in range(rows)]
+        [sum((m.entries[i] for m in mats), []) for i in range(rows)], sum(m.cols for m in mats)
     )
 
 
@@ -533,7 +544,7 @@ def vstack(mats) -> RationalMatrix:
     mats = list(mats)
     cols = mats[0].cols
     assert all(m.cols == cols for m in mats)
-    return _rmat([list(row) for m in mats for row in m.entries])
+    return _rmat([list(row) for m in mats for row in m.entries], cols)
 
 
 def block_diag(mats) -> RationalMatrix:
@@ -548,50 +559,49 @@ def block_diag(mats) -> RationalMatrix:
                 out[r0 + i][c0 + j] = m.entries[i][j]
         r0 += m.rows
         c0 += m.cols
-    return _rmat(out)
+    return _rmat(out, cols)
 
 
-def _bit_size(x: Fraction) -> int:
-    return x.numerator.bit_length() + x.denominator.bit_length()
+def _int_rows(rows) -> list:
+    """Each row times the lcm of its denominators: integer rows, same row space."""
+    out = []
+    for row in rows:
+        L = lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (L // x.denominator) for x in row])
+    return out
 
 
 def _row_echelon(entries, ncols):
-    """In-place exact row echelon; returns list of pivot columns.
+    """In-place fraction-free Gauss-Jordan on integer rows; returns the pivot columns.
 
-    Pivot choice per column: smallest bit-size entry, ties by lowest row
-    index, to limit coefficient blow-up deterministically.
+    The pivot of each column is its smallest nonzero entry in magnitude, ties
+    by lowest row index.  Every other row r with f = r[c] != 0 becomes
+    (pv r - f p) / content for the pivot row p and pv = p[c], so rows stay
+    primitive integer vectors (Bareiss, Math. Comp. 22, 1968).  Row r then
+    holds a nonzero multiple of row r of the reduced echelon form, which the
+    callers divide out once per entry.
     """
     nrows = len(entries)
     pivots = []
-    piv_r = 0
     for c in range(ncols):
-        best = None
-        for r in range(piv_r, nrows):
-            e = entries[r][c]
-            if e != 0:
-                key = _bit_size(e)
-                if best is None or key < best[0]:
-                    best = (key, r)
-        if best is None:
+        t = len(pivots)
+        nz = [(abs(entries[r][c]), r) for r in range(t, nrows) if entries[r][c]]
+        if not nz:
             continue
-        r = best[1]
-        if r != piv_r:
-            entries[piv_r], entries[r] = entries[r], entries[piv_r]
-        prow = entries[piv_r]
+        r = min(nz)[1]
+        entries[t], entries[r] = entries[r], entries[t]
+        prow = entries[t]
         pv = prow[c]
-        for r2 in range(nrows):
-            if r2 == piv_r:
-                continue
-            f = entries[r2][c]
-            if f == 0:
-                continue
-            ratio = f / pv
-            row2 = entries[r2]
-            for c2 in range(c, len(row2)):
-                row2[c2] -= prow[c2] * ratio
+        for r2, row2 in enumerate(entries):
+            f = row2[c]
+            if f and r2 != t:
+                k = gcd(pv, f)
+                a, b = pv // k, f // k
+                row2 = [a * x - b * y for x, y in zip(row2, prow)]
+                k = gcd(*row2)
+                entries[r2] = [x // k for x in row2] if k > 1 else row2
         pivots.append(c)
-        piv_r += 1
-        if piv_r == nrows:
+        if len(pivots) == nrows:
             break
     return pivots
 
@@ -603,25 +613,23 @@ def _echelon_kernel(entries, pivots, ncols):
     for fc in range(ncols):
         if fc in pivot_set:
             continue
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            # reduced echelon rows: entry at pc is the only pivot in row r
-            v[pc] = -entries[r][fc] / entries[r][pc]
+        v = [_NIL] * ncols
+        v[fc] = _ONE
+        for row, pc in zip(entries, pivots):
+            v[pc] = Fraction(-row[fc], row[pc])
         basis.append(v)
     return basis
 
 
 def rank_kernel(M: RationalMatrix):
     """Exact rank and a basis of the right kernel."""
-    entries = [list(row) for row in M.entries]
+    entries = _int_rows(M.entries)
     pivots = _row_echelon(entries, M.cols)
     return len(pivots), _echelon_kernel(entries, pivots, M.cols)
 
 
 def rank_of(M: RationalMatrix) -> int:
-    entries = [list(row) for row in M.entries]
-    return len(_row_echelon(entries, M.cols))
+    return len(_row_echelon(_int_rows(M.entries), M.cols))
 
 
 def solve_affine(M: RationalMatrix, B: RationalMatrix):
@@ -631,20 +639,17 @@ def solve_affine(M: RationalMatrix, B: RationalMatrix):
     The elimination never picks a pivot in the B columns, so the M columns of
     the echelon form, and with them the kernel, are those of M alone.
     """
-    aug = [list(mrow) + list(brow) for mrow, brow in zip(M.entries, B.entries)]
-    pivots = _row_echelon(aug, M.cols)
-    kern = _echelon_kernel(aug, pivots, M.cols)
-    # consistency: any row with zero M-part must have zero B-part
-    for r in range(len(aug)):
-        if all(aug[r][c] == 0 for c in range(M.cols)):
-            if any(aug[r][c] != 0 for c in range(M.cols, M.cols + B.cols)):
-                return None, kern
-    part = [[Fraction(0)] * B.cols for _ in range(M.cols)]
-    for r, pc in enumerate(pivots):
-        pv = aug[r][pc]
-        for j in range(B.cols):
-            part[pc][j] = aug[r][M.cols + j] / pv
-    return _rmat(part), kern
+    n = M.cols
+    aug = _int_rows(mrow + brow for mrow, brow in zip(M.entries, B.entries))
+    pivots = _row_echelon(aug, n)
+    kern = _echelon_kernel(aug, pivots, n)
+    # consistency: the rows below the pivots are zero in M, so must be in B
+    if any(any(row[n:]) for row in aug[len(pivots):]):
+        return None, kern
+    part = [[_NIL] * B.cols for _ in range(n)]
+    for row, pc in zip(aug, pivots):
+        part[pc] = [Fraction(x, row[pc]) for x in row[n:]]
+    return _rmat(part, B.cols), kern
 
 
 def pseudo_inverse_columns(M: RationalMatrix, ncols: int) -> RationalMatrix:

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 
@@ -304,6 +305,135 @@ def ref_det_adjugate(M: PolyMatrix):
     # det M = (-1)^n c_n = -(-1)^n tr(M N_{n-1}) / n, adj M = (-1)^(n-1) N_{n-1}
     sign = 1 if n % 2 else -1
     return det * sign, N * sign
+
+
+# ---------------------------------------------------------------------------
+# reference eliminations: Fraction Gauss-Jordan and the four-factor Smith form
+
+
+def _ref_row_echelon(entries, ncols):
+    """In-place Fraction Gauss-Jordan; returns the pivot columns.  Pivot: the
+    entry of least bit size, ties by lowest row.  Rows are not normalised."""
+    nrows, pivots = len(entries), []
+    for c in range(ncols):
+        cands = [(e.numerator.bit_length() + e.denominator.bit_length(), r)
+                 for r in range(len(pivots), nrows) if (e := entries[r][c]) != 0]
+        if not cands:
+            continue
+        t, r = len(pivots), min(cands)[1]
+        entries[t], entries[r] = entries[r], entries[t]
+        prow = entries[t]
+        for r2, row2 in enumerate(entries):
+            if r2 != t and row2[c] != 0:
+                ratio = row2[c] / prow[c]
+                for c2 in range(c, len(row2)):
+                    row2[c2] -= prow[c2] * ratio
+        pivots.append(c)
+        if len(pivots) == nrows:
+            break
+    return pivots
+
+
+def _ref_kernel(entries, pivots, ncols):
+    basis = []
+    for fc in sorted(set(range(ncols)) - set(pivots)):
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -entries[r][fc] / entries[r][pc]
+        basis.append(v)
+    return basis
+
+
+def ref_rank_kernel(M: RationalMatrix):
+    entries = [list(row) for row in M.entries]
+    pivots = _ref_row_echelon(entries, M.cols)
+    return len(pivots), _ref_kernel(entries, pivots, M.cols)
+
+
+def ref_rank_of(M: RationalMatrix) -> int:
+    return len(_ref_row_echelon([list(row) for row in M.entries], M.cols))
+
+
+def ref_solve_affine(M: RationalMatrix, B: RationalMatrix):
+    """(particular X as entry lists, or None if inconsistent; kernel of M)."""
+    aug = [list(mrow) + list(brow) for mrow, brow in zip(M.entries, B.entries)]
+    pivots = _ref_row_echelon(aug, M.cols)
+    kern = _ref_kernel(aug, pivots, M.cols)
+    for row in aug:
+        if all(x == 0 for x in row[: M.cols]) and any(x != 0 for x in row[M.cols :]):
+            return None, kern
+    part = [[Fraction(0)] * B.cols for _ in range(M.cols)]
+    for r, pc in enumerate(pivots):
+        for j in range(B.cols):
+            part[pc][j] = aug[r][M.cols + j] / aug[r][pc]
+    return part, kern
+
+
+RefSmith = namedtuple("RefSmith", "P Q g phi P_inv Q_inv")
+
+
+def ref_smith_form(M: PolyMatrix) -> RefSmith:
+    """M = P diag(z^g) diag(phi) Q by the elimination smith_form runs, with all
+    four unimodular factors P, Q, P^-1, Q^-1 updated by every operation."""
+    n = M.rows
+    D = [list(row) for row in M.entries]
+    P, Pinv, Q, Qinv = ([list(r) for r in PolyMatrix.identity(n).entries] for _ in range(4))
+
+    def add_row(i, j, f):  # row_i += f row_j; P: col_j -= f col_i
+        for c in range(n):
+            D[i][c] += f * D[j][c]
+            Pinv[i][c] += f * Pinv[j][c]
+            P[c][j] -= f * P[c][i]
+
+    def add_col(i, j, f):  # col_i += f col_j; Q: row_j -= f row_i
+        for r in range(n):
+            D[r][i] += f * D[r][j]
+            Qinv[r][i] += f * Qinv[r][j]
+            Q[j][r] -= f * Q[i][r]
+
+    for t in range(n):
+        while True:
+            cands = [(D[i][j].degree, D[i][j].bit_size(), i, j)
+                     for i in range(t, n) for j in range(t, n) if not D[i][j].is_zero()]
+            if not cands:
+                raise RedundantEquationsError("det is identically zero")
+            _, _, bi, bj = min(cands)
+            D[t], D[bi], Pinv[t], Pinv[bi] = D[bi], D[t], Pinv[bi], Pinv[t]
+            for r in range(n):
+                P[r][t], P[r][bi] = P[r][bi], P[r][t]
+                D[r][t], D[r][bj] = D[r][bj], D[r][t]
+                Qinv[r][t], Qinv[r][bj] = Qinv[r][bj], Qinv[r][t]
+            Q[t], Q[bj] = Q[bj], Q[t]
+            pivot, dirty = D[t][t], False
+            for i in range(t + 1, n):
+                if not D[i][t].is_zero():
+                    q, r = D[i][t].divmod(pivot)
+                    add_row(i, t, -q)
+                    dirty = dirty or not r.is_zero()
+            for j in range(t + 1, n):
+                if not D[t][j].is_zero():
+                    q, r = D[t][j].divmod(pivot)
+                    add_col(j, t, -q)
+                    dirty = dirty or not r.is_zero()
+            if dirty:
+                continue
+            offender = next((i for i in range(t + 1, n) for j in range(t + 1, n)
+                             if not (D[i][j] % pivot).is_zero()), None)
+            if offender is None:
+                break
+            add_row(t, offender, Poly.const(1))
+    g, phi = [], []
+    for t in range(n):
+        c = 1 / D[t][t].coeffs[-1]
+        for k in range(n):
+            Pinv[t][k] *= c
+            P[k][t] *= 1 / c
+        d = D[t][t] * c
+        g.append(d.zero_multiplicity())
+        phi.append(Poly(d.coeffs[g[-1]:]))
+    return RefSmith(PolyMatrix(P), PolyMatrix(Q), tuple(g), tuple(phi),
+                    PolyMatrix(Pinv), PolyMatrix(Qinv))
 
 
 # ---------------------------------------------------------------------------
@@ -931,17 +1061,11 @@ def sims_published_smith() -> SmithForm:
     Q = PolyMatrix([[Poly.const(1), Poly([0, 90000, -99000])],
                     [Poly(), Poly.const(1)]])
     phi2 = Poly([Fraction(100, 99), Fraction(-200, 99), 1])
-    return SmithForm(
-        P=P, Q=Q, g=(0, 1), phi=(Poly.const(1), phi2),
-        P_inv=unimodular_inverse(P), Q_inv=unimodular_inverse(Q),
-    )
+    return SmithForm(Q=Q, g=(0, 1), phi=(Poly.const(1), phi2), P_inv=unimodular_inverse(P))
 
 
 def smith_fixture(P: PolyMatrix, Q: PolyMatrix, g, phi) -> SmithForm:
-    return SmithForm(
-        P=P, Q=Q, g=tuple(g), phi=tuple(phi),
-        P_inv=unimodular_inverse(P), Q_inv=unimodular_inverse(Q),
-    )
+    return SmithForm(Q=Q, g=tuple(g), phi=tuple(phi), P_inv=unimodular_inverse(P))
 
 
 def check_smith_invariants(M: PolyMatrix, sf: SmithForm):

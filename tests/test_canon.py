@@ -24,11 +24,13 @@ from conftest import (
     check_smith_invariants,
     invariant_factors_oracle,
     is_unimodular,
+    ladder_shaped_models,
     planted_models,
     rand_poly,
     rand_polymatrix,
     rand_unimodular,
     ref_classify_roots,
+    ref_smith_form,
     sims_model,
     sims_published_smith,
     smith_fixture,
@@ -141,6 +143,20 @@ def test_smith_planted_sandwich():
         M = rand_unimodular(rng, n) * PolyMatrix.diag(chain) * rand_unimodular(rng, n)
         sf = smith_form(M)
         assert sf.invariant_factors() == tuple(chain)
+
+
+def test_smith_factors_match_four_factor_reference(corpus, predetermined_probe):
+    """The tracked P^-1 and Q, g and phi, and the derived P and Q^-1, are the
+    factors of the reference elimination that updates all four unimodulars."""
+    checked = 0
+    for m in corpus + predetermined_probe + ladder_shaped_models() + planted_models():
+        pi = build_pi(m).pi
+        sf, ref = smith_form(pi), ref_smith_form(pi)
+        assert (sf.P_inv, sf.Q, sf.g, sf.phi) == (ref.P_inv, ref.Q, ref.g, ref.phi)
+        assert "P" not in vars(sf) and "Q_inv" not in vars(sf)
+        assert (sf.P, sf.Q_inv) == (ref.P, ref.Q_inv)
+        checked += 1
+    assert checked == 306
 
 
 def test_smith_rejects_singular():

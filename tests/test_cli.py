@@ -214,3 +214,26 @@ def test_xi_override_hits_ring(capsys):
     code, _, err = run(capsys, "solve", SIMS, "--xi", "2")
     assert code == 1
     assert "error" in err
+
+
+def test_nothing_free_at_horizon_zero(capsys, tmp_path):
+    """gamma = (0, ...): every variable is predetermined, so all of h is forced
+    to zero.  Each command answers; an emitted solution verifies."""
+    sims = json.loads(Path(SIMS).read_text())
+    sims["gamma"] = [0, 2]
+    path = tmp_path / "sims_s0.json"
+    path.write_text(json.dumps(sims))
+    expect = {"analyze": ("effective_unknowns", 0), "constraints": ("effective_unknowns", 0),
+              "solve": ("classification", "no_causal_solution")}
+    for cmd, (key, value) in expect.items():
+        code, out, err = run(capsys, cmd, str(path))
+        assert (code, err, json.loads(out)[key]) == (0, "", value)
+    # y_t = 2 E_t y_{t+1} + eps_t with y predetermined: y = -(1/2) z / (1 - z/2) eps
+    path.write_text(INDETERMINATE_SCALAR.replace('"gamma": [1, 0]', '"gamma": [0, 1]'))
+    code, out, _ = run(capsys, "solve", str(path))
+    doc = json.loads(out)
+    assert (code, doc["classification"], doc["h"]) == (0, "determinate", [["0"]])
+    assert doc["transfer_numerator"] == [[["0", "-1/2"]]]
+    assert doc["transfer_denominator"] == ["1", "-1/2"]
+    code, out, _ = run(capsys, "verify", str(path))
+    assert (code, json.loads(out)["ok"]) == (0, True)

@@ -299,10 +299,7 @@ def _diagonal_rescaled(sf, rng):
     Winv = RationalMatrix([[1 / d[i] if i == j else 0 for j in range(n)] for i in range(n)])
     pw = polymatrix_from_rational(W)
     pwinv = polymatrix_from_rational(Winv)
-    return SmithForm(
-        P=sf.P * pw, Q=pwinv * sf.Q, g=sf.g, phi=sf.phi,
-        P_inv=pwinv * sf.P_inv, Q_inv=sf.Q_inv * pw,
-    )
+    return SmithForm(Q=pwinv * sf.Q, g=sf.g, phi=sf.phi, P_inv=pwinv * sf.P_inv)
 
 
 def test_smith_choice_invariance(corpus):

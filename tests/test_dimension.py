@@ -167,7 +167,9 @@ def test_genericity_probe_counts_singular_points_and_propagates_other_errors(mon
 
 def test_local_stage_is_a_factorization_at_zero(corpus):
     """The stage's data factor pi: P^-1 is unimodular, diag(z^-g) P^-1 pi is a
-    polynomial E, and E(0) = omega0 is invertible; g = 0 iff det pi(0) != 0."""
+    polynomial E, and E(0) = omega0 is invertible; g = 0 iff det pi(0) != 0.
+    For G > 0 the stage keeps the P^-1 coefficients below z^(H + max(g - J1, 0)),
+    the ones frak_p_blocks reads, of the global Smith form's P^-1."""
     for m in corpus + planted_models() + [sims_model()]:
         pipe = run_pipeline(m)
         loc = pipe.local
@@ -175,6 +177,10 @@ def test_local_stage_is_a_factorization_at_zero(corpus):
         p_inv = zero_polymatrix(m.s, m.s)
         for k, c in enumerate(loc.p_inv):
             p_inv = p_inv + polymatrix_from_rational(c) * Poly.monomial(k)
+        if pipe.pi.det[0] == 0:
+            order = m.H + max(max(loc.g) - pipe.pi.J1, 0)
+            p_inv = pipe.sf.P_inv
+            assert loc.p_inv == tuple(p_inv.coeff(k) for k in range(order))
         det, _ = det_adjugate(p_inv)
         assert det.is_constant() and not det.is_zero()
         E = (p_inv * pipe.pi.pi).entries

@@ -41,6 +41,9 @@ from conftest import (
     ref_det,
     ref_det_adjugate,
     ref_gcd,
+    ref_rank_kernel,
+    ref_rank_of,
+    ref_solve_affine,
     zero_polymatrix,
 )
 
@@ -437,3 +440,69 @@ def test_det_adjugate_matches_q_recursion_on_model_pis(corpus):
         pp = build_pi(m)
         assert (pp.det, pp.adj) == ref_det_adjugate(pp.pi)
     assert len(models) == 156
+
+
+# ---------------------------------------------------------------------------
+# fraction-free Gauss-Jordan against the Fraction reference
+
+
+@st.composite
+def _linear_systems(draw):
+    """(M, B) up to 5 x 5 with 0-2 right-hand columns, 0-row and 0-column shapes
+    included.  Rows of M may be zero, a copy or a sum of earlier rows; B is
+    M X (consistent) or drawn (mostly inconsistent when M is rank deficient)."""
+    rows, cols, k = draw(st.integers(0, 5)), draw(st.integers(0, 5)), draw(st.integers(0, 2))
+    M = RationalMatrix.zero(rows, cols)
+    for i, row in enumerate(M.entries):
+        kind = draw(st.sampled_from(("drawn", "zero", "copy", "sum") if i else ("drawn", "zero")))
+        if kind == "drawn":
+            row[:] = [draw(_fracs()) for _ in range(cols)]
+        elif kind == "copy":
+            row[:] = M.entries[draw(st.integers(0, i - 1))]
+        elif kind == "sum":
+            a, b = M.entries[draw(st.integers(0, i - 1))], M.entries[draw(st.integers(0, i - 1))]
+            row[:] = [x + draw(_fracs()) * y for x, y in zip(a, b)]
+    B = RationalMatrix.zero(rows, k)
+    if draw(st.booleans()):
+        X = RationalMatrix.zero(cols, k)
+        for row in X.entries:
+            row[:] = [draw(_fracs()) for _ in range(k)]
+        B = M * X
+    else:
+        for row in B.entries:
+            row[:] = [draw(_fracs()) for _ in range(k)]
+    return M, B
+
+
+@settings(derandomize=True, max_examples=300, deadline=timedelta(seconds=2))
+@given(_linear_systems())
+def test_elimination_matches_fraction_reference(system):
+    M, B = system
+    rank, kern = rank_kernel(M)
+    assert (rank, kern) == ref_rank_kernel(M)
+    assert rank_of(M) == ref_rank_of(M) == rank
+    assert all(len(v) == M.cols and all(type(x) is Fraction for x in v) for v in kern)
+    X, kern = solve_affine(M, B)
+    ref_X, ref_kern = ref_solve_affine(M, B)
+    assert kern == ref_kern
+    if ref_X is None:
+        assert X is None
+    else:
+        assert (X.rows, X.cols, X.entries) == (M.cols, B.cols, ref_X)
+        assert all(type(x) is Fraction for row in X.entries for x in row)
+        assert M * X == B
+
+
+def test_empty_shapes_keep_their_columns():
+    E = RationalMatrix.zero(0, 3)
+    assert (E.rows, E.cols) == (0, 3)
+    assert (E.transpose().rows, E.transpose().cols) == (3, 0)
+    assert (E.transpose().transpose().rows, E.transpose().transpose().cols) == (0, 3)
+    S = RationalMatrix.identity(3).submatrix(range(3), range(0))
+    assert (S.rows, S.cols) == (3, 0) and (S.transpose().rows, S.transpose().cols) == (0, 3)
+    assert ((E * RationalMatrix.zero(3, 2)).rows, (E * RationalMatrix.zero(3, 2)).cols) == (0, 2)
+    assert (vstack([E, E]).cols, hstack([E, E]).cols) == (3, 6)
+    X, kern = solve_affine(RationalMatrix.zero(0, 0), RationalMatrix.zero(0, 3))
+    assert (X.rows, X.cols, kern) == (0, 3, [])
+    X = pseudo_inverse_columns(RationalMatrix.identity(2), 0)
+    assert (X.rows, X.cols) == (0, 2)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from recausal.canon import RedundantEquationsError
-from recausal.exactalg import Poly, PolyMatrix, RationalMatrix, det_adjugate
+from recausal.exactalg import Poly, PolyMatrix, RationalMatrix, det_adjugate, rat
 from recausal.model import (
     ModelFormatError,
     REModel,
@@ -64,6 +64,31 @@ def test_parse_errors(mutate, message):
     mutate(doc)
     with pytest.raises(ModelFormatError, match=message):
         parse_model(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "text", ["1/0", "abc", "1.5", " 3", "+3", "3/-4", "1_000", "\u0663", "-0", "007/014"]
+)
+def test_rat_reads_strings_as_fraction_does(text):
+    """rat reads ASCII "p" and "p/q" by int() and the rest by Fraction: either
+    way the value, or the exception and its message, is Fraction's."""
+
+    def outcome(read):
+        try:
+            x = read(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            return type(exc), str(exc)
+        return type(x), x
+
+    assert outcome(rat) == outcome(Fraction)
+    doc = _sims_doc()
+    doc["A"][0]["matrix"][0][0] = text
+    try:
+        got = parse_model(json.dumps(doc)).A[0, 0][0, 0]
+    except ModelFormatError as exc:
+        got = str(exc)
+    want = outcome(Fraction)
+    assert got == (want[1] if want[0] is Fraction else f"A[0,0]: malformed rational entry: {want[1]}")
 
 
 def test_parse_rejects_float_entries():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from recausal.canon import UnitCircleRootError, classify_roots
 from recausal.cli import _emit, build_parser, cmd_solve
-from recausal.dimension import run_pipeline
+from recausal.dimension import dimension_report, run_pipeline
 from recausal.exactalg import Poly, PolyMatrix, RationalMatrix, det_adjugate
 from recausal.model import REModel, build_pi
 from recausal.solver import (
@@ -573,11 +573,39 @@ def test_verify_reports_a_forced_entry_set_nonzero(corpus, predetermined_probe):
     assert n_checked >= 15, n_checked
 
 
+def test_solve_and_verify_derive_no_smith_inverse():
+    """P and Q^-1 are derived on first read; nothing on the solve path reads them."""
+    for m in planted_models():
+        dimension_report(m)
+        sr = solve_causal(m)
+        if sr.transfer_num is not None:
+            assert verify_solution(m, sr)["ok"]
+        sf = m.artifacts["sf"]
+        assert "P" not in vars(sf) and "Q_inv" not in vars(sf)
+
+
+def test_planted_models_with_s0_zero_answer():
+    """gamma = (0, .., s, .., 0) with s at k >= 1 forces blocks 0 .. k-1 of h
+    to zero, all of h for k = H.  Every planted model (all have J1 = H) gets a
+    verdict, and each emitted solution verifies."""
+    emitted = 0
+    for m in planted_models():
+        for k in range(1, m.H + 1):
+            mk = dataclasses.replace(m, gamma=tuple(m.s if i == k else 0 for i in range(m.H + 1)))
+            assert dimension_report(mk).effective_unknowns == m.s * (m.H - k)
+            sr = solve_causal(mk)
+            if sr.transfer_num is not None:
+                assert verify_solution(mk, sr)["ok"]
+                emitted += 1
+    assert emitted == 4
+
+
 def _drop_smith_unimodulars(m):
-    """Build m's constraint system, then leave only g, phi and Q in its memoized Smith form."""
+    """Build m's constraint system, then leave only g, phi and Q in its memoized
+    Smith form: without P^-1, P cannot be derived either."""
     pipe = run_pipeline(m)
     pipe.cs
-    m.artifacts["sf"] = dataclasses.replace(pipe.sf, P=None, P_inv=None, Q_inv=None)
+    m.artifacts["sf"] = dataclasses.replace(pipe.sf, P_inv=None)
 
 
 def test_solve_reads_no_smith_unimodular_but_q(capsys):
@@ -585,12 +613,14 @@ def test_solve_reads_no_smith_unimodular_but_q(capsys):
     _drop_smith_unimodulars(m)
     _emit(cmd_solve(m, build_parser().parse_args(["solve", "sims.json"])), "json")
     assert capsys.readouterr().out == (GOLDEN / "sims_solve.stdout").read_text()
+    assert "Q_inv" not in vars(m.artifacts["sf"])
     # g = (0, 0, 2) > J1 = 1: A_theta reads min(g_i, J1) and Q
     m = planted_models()[3]
     want = solve_causal(dataclasses.replace(m))
     _drop_smith_unimodulars(m)
     got = solve_causal(m)
     assert got.classification == want.classification == "determinate"
+    assert "Q_inv" not in vars(m.artifacts["sf"])
     for field in ("h", "kernel", "transfer_num", "transfer_den", "A_theta"):
         assert getattr(got, field) == getattr(want, field), field
 
