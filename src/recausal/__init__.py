@@ -19,9 +19,6 @@ from .canon import (
 )
 from .constraints import (
     ConstraintSystem,
-    PBlocks,
-    Selectors,
-    ZetaCoeffs,
     build_plain_system,
     build_predetermined_system,
     build_selectors,

@@ -91,10 +91,6 @@ class Pipeline:
         return frak_p_blocks(self.local, self.pi.J1, self.model.H)
 
     @_stage
-    def sel(self):
-        return build_selectors(self.model, self.local)
-
-    @_stage
     def plain_cs(self):
         return build_plain_system(self.model, self.zc, self.pb)
 
@@ -104,7 +100,8 @@ class Pipeline:
         plain = self.plain_cs
         if not self.model.predetermined:
             return plain
-        return build_predetermined_system(self.model, self.zc, self.pb, self.sel)
+        S = build_selectors(self.model, self.local)
+        return build_predetermined_system(self.model, self.zc, self.pb, S)
 
 
 def run_pipeline(m: REModel) -> Pipeline:

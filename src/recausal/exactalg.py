@@ -316,14 +316,14 @@ def squarefree_factors(f: Poly) -> list:
 
 
 class PolyMatrix:
-    """Matrix of Poly entries, row-major."""
+    """Matrix of Poly entries, row-major; cols is the column count of one with no rows."""
 
     __slots__ = ("rows", "cols", "entries")
 
-    def __init__(self, entries):
+    def __init__(self, entries, cols: int = 0):
         self.entries = [[_as_poly(e) for e in row] for row in entries]
         self.rows = len(self.entries)
-        self.cols = len(self.entries[0]) if self.entries else 0
+        self.cols = len(self.entries[0]) if self.entries else cols
         assert all(len(row) == self.cols for row in self.entries)
 
     @staticmethod

@@ -7,10 +7,11 @@ divisibility condition: D divides adj(pi) N(z; h).  The remainders of
 adj(pi) N mod D are linear in the revision-loading stack h, so solvability,
 uniqueness and the solution family are all decided by exact rational
 elimination, and the transfer is (adj(pi) N / D) / (det pi / D).  With
-N = pi(z) h(z) + R(z; h), where R holds the few zeta and Wold monomials,
-adj(pi) pi = det(pi) I = D S I gives adj(pi) N = D S h(z) + adj(pi) R.  So the
-remainders are those of (adj(pi) mod D) R, and adj(pi) N / D is
-adj(pi) R / D + S h(z): pi itself is never multiplied in.
+N = pi(z) h(z) + R(z; h) and the residual R = M h - W, M = z^J1 zeta(z) and
+W = z^J1 w(z), adj(pi) pi = det(pi) I = D S I gives
+adj(pi) N = D S h(z) + adj(pi) R.  So the remainders are those of
+(adj(pi) mod D) R, and adj(pi) N / D is adj(pi) R / D + S h(z): pi itself is
+never multiplied in.
 
 The unknowns are the entries of h that predeterminedness leaves free,
 `REModel.free_unknowns()`: the constraint system holds C and its right-hand
@@ -122,48 +123,27 @@ def factor_stable_unstable(det: Poly, J1: int, roots: RootClassification):
     return D, det.exact_div(D)
 
 
-def _residual_map(m: REModel, zc, J1: int):
-    """Affine map h_stack -> R(z; h) = (sum_i m_i z^{J1+i}) h_stack - w(z) z^{J1}.
+def _residual_map(m: REModel, zc: PolyMatrix, J1: int):
+    """(M, W) with M = z^J1 zeta(z) and W = z^J1 w(z), so that the residual
+    R(z; h) = M h - W is N(z; h) without its pi(z) h(z) term; the map is the
+    same for every innovation column."""
+    shift = Poly.monomial(J1)
+    return zc * shift, m.wold_poly() * shift
 
-    R is N(z; h) without its pi(z) h(z) term.  Returned as (constant s x q
-    PolyMatrix, list of s x 1 PolyMatrix columns, one per entry a = j s + r of
-    an h column); the map is the same for every innovation column.
+
+def _cancellation_rows(adj: PolyMatrix, D: Poly, M: PolyMatrix, W: PolyMatrix, free):
+    """Rows X h = B over the free entries of h saying that D divides adj(pi) N(z; h).
+
+    As adj(pi) N = det(pi) h(z) + adj(pi) (M h - W) and D divides det pi,
+    adj(pi) N leaves the remainders of (adj(pi) mod D) (M h - W) mod D, so X
+    and B are the remainder coefficients of (adj mod D) [M's free columns | W].
     """
-    if J1 < 0:
-        raise UnsupportedModelError(f"J1 = {J1} < 0 is not supported by the solver")
-    const = m.wold_poly() * Poly.monomial(J1) * Fraction(-1)
-    per_unknown = [
-        PolyMatrix([[Poly([0] * J1 + [mi.entries[i][a] for mi in zc.m])] for i in range(m.s)])
-        for a in range(m.s * m.H)
-    ]
-    return const, per_unknown
-
-
-def _divisibility_rows(adj: PolyMatrix, D: Poly, vec: PolyMatrix):
-    """Remainder coefficients of adj(pi) vec mod D, all zero iff D divides it."""
-    out = []
-    for row in (adj * vec).entries:
-        r = row[0] % D
-        out += [r[k] for k in range(int(D.degree))]
-    return out
-
-
-def _cancellation_rows(adj: PolyMatrix, D: Poly, const, per_unknown):
-    """Rows of M h = B saying that D divides adj(pi) N(z; h), for the R map of h.
-
-    (const, per_unknown) is the map h_stack -> R of _residual_map.  As
-    adj(pi) N = det(pi) h(z) + adj(pi) R and D divides det pi, adj(pi) N and
-    (adj(pi) mod D) R leave the same remainders mod D.
-    """
+    d, n = int(D.degree), len(free)
     adj = PolyMatrix([[e % D for e in row] for row in adj.entries])
-    canc_const = [
-        _divisibility_rows(adj, D, PolyMatrix([[row[c]] for row in const.entries]))
-        for c in range(const.cols)
-    ]
-    canc_basis = [_divisibility_rows(adj, D, v) for v in per_unknown]
-    n = len(canc_const[0]) if canc_const else 0
-    return ([[b[r] for b in canc_basis] for r in range(n)],
-            [[-c[r] for c in canc_const] for r in range(n)])
+    prod = adj * PolyMatrix([[row[a] for a in free] + w for row, w in zip(M.entries, W.entries)])
+    rems = [[e % D for e in row] for row in prod.entries]
+    rows = [[r[k] for r in row] for row in rems for k in range(d)]
+    return [r[:n] for r in rows], [r[n:] for r in rows]
 
 
 @dataclass(frozen=True)
@@ -213,9 +193,10 @@ def solve_causal(
     n_unknowns, q = m.s * m.H, m.q
     cs, free = pipe.cs, m.free_unknowns()
     D, S = factor_stable_unstable(pipe.pi.det, pipe.pi.J1, pipe.roots)
-    const, per_unknown = _residual_map(m, pipe.zc, pipe.pi.J1)
-    canc, canc_rhs = _cancellation_rows(pipe.pi.adj, D, const, [per_unknown[a] for a in free])
-    X, kernel = solve_affine(_rmat(cs.C.entries + canc), _rmat(cs.rhs.entries + canc_rhs))
+    M, W = _residual_map(m, pipe.zc, pipe.pi.J1)
+    canc, canc_rhs = _cancellation_rows(pipe.pi.adj, D, M, W, free)
+    X, kernel = solve_affine(_rmat(cs.C.entries + canc, len(free)),
+                             _rmat(cs.rhs.entries + canc_rhs, q))
     at = {a: i for i, a in enumerate(free)}
     kernel = [[v[at[a]] if a in at else Fraction(0) for a in range(n_unknowns)] for v in kernel]
     if X is None:
@@ -226,13 +207,13 @@ def solve_causal(
             pipeline=pipe, kernel_point=kernel_point,
         )
     X = _rmat([list(X.entries[at[a]]) if a in at else [Fraction(0)] * q
-               for a in range(n_unknowns)])
+               for a in range(n_unknowns)], q)
     if kernel_point == "min-norm":
         chosen = _min_norm_shift(X, kernel)
     else:
         v = kernel[_kernel_index(kernel_point, len(kernel))]
         chosen = X + RationalMatrix([[v[a]] * q for a in range(n_unknowns)])
-    num, den, a_theta = build_transfer(m, pipe, (D, S), const, per_unknown, chosen)
+    num, den, a_theta = build_transfer(m, pipe, (D, S), M, W, chosen)
     classification = "determinate" if not kernel else "indeterminate"
     return SolutionReport(
         classification=classification,
@@ -243,45 +224,34 @@ def solve_causal(
     )
 
 
-def _n_of_h(m: REModel, const, per_unknown, h: RationalMatrix) -> PolyMatrix:
-    s, q = m.s, m.q
-    entries = [[const.entries[i][c] for c in range(q)] for i in range(s)]
-    for a, v in enumerate(per_unknown):
-        for c in range(q):
-            coef = h.entries[a][c]
-            if coef != 0:
-                for i in range(s):
-                    entries[i][c] = entries[i][c] + v.entries[i][0] * coef
-    return PolyMatrix(entries)
-
-
-def _numerator(m, adj, split, const, per_unknown, h) -> PolyMatrix:
-    """adj(pi) N(z; h) / D from the map h_stack -> R of _residual_map.
+def _numerator(m, adj, split, M, W, h) -> PolyMatrix:
+    """adj(pi) N(z; h) / D from the residual R = M h - W of _residual_map.
 
     As adj(pi) pi = det(pi) I = D S I, it is adj(pi) R / D + S h(z), with
     h(z) = sum_j h_j z^j the s x q polynomial of the stack h.
     """
     D, S = split
-    adj_r, s = adj * _n_of_h(m, const, per_unknown, h), m.s
+    s, q = m.s, m.q
+    adj_r = adj * (M * PolyMatrix(h.entries, q) - W)
     return PolyMatrix([
         [adj_r[i, c].exact_div(D).addmul(S, Poly([h.entries[j * s + i][c] for j in range(m.H)]))
-         for c in range(m.q)]
+         for c in range(q)]
         for i in range(s)
     ])
 
 
-def build_transfer(m, pipe, split, const, per_unknown, h):
+def build_transfer(m, pipe, split, M, W, h):
     """Transfer function y = (num / den) eps for a loading stack h.
 
-    split = (D, S) from factor_stable_unstable and (const, per_unknown) the
-    map h_stack -> R of _residual_map.  num = adj(pi) N / D is exact once h
+    split = (D, S) from factor_stable_unstable and R = M h - W the residual
+    of _residual_map.  num = adj(pi) N / D is exact once h
     satisfies the divisibility rows, and den = S, so num/den = pi^-1 N;
     den ends with den(0) = 1 and all roots outside the unit circle.  A_theta
     is pi_s num / den for the stable Smith factor
     pi_s = diag(z^min(g_i, J1) phi_i / gcd(phi_i, D)) Q of pi.
     """
     D, den = split
-    num = _numerator(m, pipe.pi.adj, split, const, per_unknown, h)
+    num = _numerator(m, pipe.pi.adj, split, M, W, h)
     # cancel any common polynomial factor, then normalize den(0) = 1
     common = den
     for row in num.entries:

@@ -14,18 +14,20 @@ from itertools import combinations
 import pytest
 
 from recausal.canon import (
+    LocalSmith,
     RedundantEquationsError,
     RootClassification,
     SmithForm,
     UnitCircleRootError,
     classify_roots,
 )
-from recausal.constraints import zeta_coefficients
+from recausal.constraints import build_selectors, zeta_coefficients
 from recausal.dimension import run_pipeline
 from recausal.exactalg import (
     Poly,
     PolyMatrix,
     RationalMatrix,
+    block_diag,
     det_adjugate,
     hstack,
     poly_gcd,
@@ -157,20 +159,22 @@ def smith_reconstruct(sf: SmithForm) -> PolyMatrix:
 
 
 def assemble_rhs(m: REModel, zc, J1: int, pi: PolyMatrix):
-    """Affine map h_stack -> N(z; h), the s x q right-hand polynomial of the SDE.
+    """(A, W) with N(z; h) = A h - W, the s x q right-hand polynomial of the SDE.
 
-    N(z; h) = pi(z) (sum_j h_j z^j) + (sum_i m_i z^{J1+i}) h_stack - w(z) z^{J1}.
-    Returned as (constant s x q PolyMatrix, list of s x 1 PolyMatrix columns,
-    one per unknown slot a = j s + r of a single h column); the map is
-    identical across innovation columns.  The solver's residual map is this
-    without the pi(z) h(z) term.
+    N(z; h) = pi(z) (sum_j h_j z^j) + (sum_i m_i z^{J1+i}) h_stack - w(z) z^{J1},
+    so column a = j s + r of the s x sH matrix A is z^j pi[:, r] + z^J1 zeta[:, a];
+    the map is identical across innovation columns.  The solver's residual
+    M h - W is this without the pi(z) h(z) term.
     """
-    const, per_unknown = _residual_map(m, zc, J1)
+    M, W = _residual_map(m, zc, J1)
     s = m.s
-    return const, [
-        PolyMatrix([[pi.entries[i][a % s].shift(a // s) + v.entries[i][0]] for i in range(s)])
-        for a, v in enumerate(per_unknown)
-    ]
+    return PolyMatrix([[pi.entries[i][a % s].shift(a // s) + M[i, a] for a in range(M.cols)]
+                       for i in range(s)]), W
+
+
+def map_at(A: PolyMatrix, W: PolyMatrix, h: RationalMatrix) -> PolyMatrix:
+    """A h - W for a constant loading stack h."""
+    return A * PolyMatrix(h.entries, h.cols) - W
 
 
 # ---------------------------------------------------------------------------
@@ -630,6 +634,13 @@ def planted_models():
     ]
 
 
+def deep_planted_models():
+    """Planted models with g_last = H + 2, so g > J1 + 1 (planted models have J1 = H)."""
+    rng = random.Random(77)
+    return [planted_model(rng, s, H, H + 2, pre)
+            for s in (2, 3) for H in (1, 2) for pre in (False, True)]
+
+
 def ladder_shaped_models():
     """Generic models in the shapes of the benchmark ladder, 40 in all.
 
@@ -712,13 +723,13 @@ def crosscheck_simplified(m: REModel, pipe) -> bool:
     """The constant-g form of the predetermined system against the general one.
 
     When all g_i equal one gbar <= J1, the system reduces to
-    S2 T m_stack R^T with T the block Toeplitz matrix of the first
-    n = H - J1 + gbar coefficients of P^-1 and S2 the blocks of S from index
-    J1 - gbar on; its rank and kernel dimension must be the general system's
+    S2 T m_stack on the free columns of h, with T the block Toeplitz matrix of
+    the first n = H - J1 + gbar coefficients of P^-1 and S2 the blocks of S from
+    index J1 - gbar on; its rank and kernel dimension must be the general system's
     (and for n <= 0 the general system must vanish).  Asserts this for the
     pipeline's own Smith data; returns whether the form applies.
     """
-    loc, J1, cs, sel = pipe.local, pipe.pi.J1, pipe.cs, pipe.sel
+    loc, J1, cs = pipe.local, pipe.pi.J1, pipe.cs
     if not m.predetermined or len(set(loc.g)) != 1 or loc.g[0] > J1:
         return False
     gbar = loc.g[0]
@@ -745,8 +756,9 @@ def crosscheck_simplified(m: REModel, pipe) -> bool:
         if i >= cut:
             keep_rows.extend(range(row0, row0 + keep))
         row0 += keep
-    S2 = sel.S.submatrix(keep_rows, list(range(cut * s, H * s)))
-    simp_C = S2 * toeplitz * vstack(pipe.zc.padded(n)) * sel.R.transpose()
+    S2 = build_selectors(m, loc).submatrix(keep_rows, list(range(cut * s, H * s)))
+    simp_C = (S2 * toeplitz * vstack([pipe.zc.coeff(i) for i in range(n)])).submatrix(
+        range(len(keep_rows)), m.free_unknowns())
     simp_rank, simp_kern = rank_kernel(simp_C)
     assert (simp_rank, len(simp_kern)) == (cs.rank_w, cs.kernel_dim), (
         f"constant-g form: rank {simp_rank}, kernel {len(simp_kern)}; "
@@ -757,20 +769,6 @@ def crosscheck_simplified(m: REModel, pipe) -> bool:
 
 # ---------------------------------------------------------------------------
 # brute-force constraint oracle (independent derivation, see tests)
-
-
-def zeta_polymatrix(m: REModel) -> PolyMatrix:
-    """sum_i m_i z^i as an s x sH polynomial matrix."""
-    zc = zeta_coefficients(m)
-    s, H = m.s, m.H
-    if H == 0:
-        return zero_polymatrix(s, 0)
-    return PolyMatrix(
-        [
-            [Poly([mi.entries[r][a] for mi in zc.m]) for a in range(s * H)]
-            for r in range(s)
-        ]
-    )
 
 
 def brute_force_plain(m: REModel, pp, sf: SmithForm):
@@ -789,7 +787,7 @@ def brute_force_plain(m: REModel, pp, sf: SmithForm):
     for (k, i) is: coefficient i + g_k - J1 of the polynomial row must vanish.
     """
     s, H, q = m.s, m.H, m.q
-    T = sf.P_inv * zeta_polymatrix(m)
+    T = sf.P_inv * zeta_coefficients(m)
     W = sf.P_inv * m.wold_poly()
     rows, rhs = [], []
     for k in range(s):
@@ -857,12 +855,105 @@ def full_unknown_system(m: REModel, pipe):
             rows.append([Fraction(int(a == j * s + r)) for a in range(n)])
             rhs.append([Fraction(0)] * q)
     if H > 0:
-        rows += (pipe.cs.D * vstack(pipe.zc.padded(pipe.pb.width_blocks))).entries
+        width = pipe.pb[0].cols // s
+        rows += (pipe.cs.D * vstack([pipe.zc.coeff(i) for i in range(width)])).entries
         rhs += pipe.cs.rhs.entries
     D, _ = factor_stable_unstable(pipe.pi.det, pipe.pi.J1, pipe.roots)
-    const, per_unknown = _residual_map(m, pipe.zc, pipe.pi.J1)
-    canc, canc_rhs = _cancellation_rows(pipe.pi.adj, D, const, per_unknown)
-    return affine_set(RationalMatrix(rows + canc), RationalMatrix(rhs + canc_rhs), n)
+    M, W = _residual_map(m, pipe.zc, pipe.pi.J1)
+    canc, canc_rhs = _cancellation_rows(pipe.pi.adj, D, M, W, range(n))
+    rows, rhs = rows + canc, rhs + canc_rhs
+    if not rows:  # keep the column counts of an empty system
+        return affine_set(RationalMatrix.zero(0, n), RationalMatrix.zero(0, q), n)
+    return affine_set(RationalMatrix(rows), RationalMatrix(rhs), n)
+
+
+# ---------------------------------------------------------------------------
+# dense selectors and the per-unknown residual map (references for the
+# predetermined system's index selections and the solver's M h - W)
+
+
+RefSelectors = namedtuple("RefSelectors", "U R S omega0")
+
+
+def ref_selectors(m: REModel, loc: LocalSmith) -> RefSelectors:
+    """Dense U, R and S of the predetermined system, built entry by entry.
+
+    U row k H + i selects component k of time-block i, R keeps the free
+    entries of h, and S block i is (A^T A)^-1 A^T for A the first columns of
+    omega0, as many as block i of h has free entries.  The predetermined
+    system has D = S U^T p_stack and C = D m_stack R^T.
+    """
+    s, H = m.s, m.H
+    U = RationalMatrix.zero(s * H, s * H)
+    for k in range(s):
+        for i in range(H):
+            U.entries[k * H + i][i * s + k] = Fraction(1)
+    free = m.free_unknowns()
+    R = RationalMatrix.zero(len(free), s * H)
+    for i, a in enumerate(free):
+        R.entries[i][a] = Fraction(1)
+    blocks = []
+    for i in range(H):
+        A = loc.omega0.submatrix(range(s), range(sum(a // s == i for a in free)))
+        blocks.append(invert(A.transpose() * A) * A.transpose())
+    return RefSelectors(U=U, R=R, S=block_diag(blocks), omega0=loc.omega0)
+
+
+def ref_residual_map(m: REModel, zc: PolyMatrix, J1: int):
+    """The residual R(z; h) one unknown at a time: (const, per_unknown).
+
+    const = -z^J1 w(z) is s x q; per_unknown[a] is the s x 1 column
+    z^J1 zeta[:, a] for entry a = j s + r of an h column.
+    """
+    const = m.wold_poly() * Poly.monomial(J1) * Fraction(-1)
+    per_unknown = [
+        PolyMatrix([[Poly([0] * J1 + [zc.coeff(i).entries[r][a] for i in range(m.H + m.K)])]
+                    for r in range(m.s)])
+        for a in range(m.s * m.H)
+    ]
+    return const, per_unknown
+
+
+def n_of_h(m: REModel, const, per_unknown, h: RationalMatrix) -> PolyMatrix:
+    """const + sum_a per_unknown[a] h_a, the map of ref_residual_map at a stack h."""
+    entries = [[const.entries[i][c] for c in range(m.q)] for i in range(m.s)]
+    for a, v in enumerate(per_unknown):
+        for c in range(m.q):
+            for i in range(m.s):
+                entries[i][c] = entries[i][c] + v.entries[i][0] * h.entries[a][c]
+    return PolyMatrix(entries)
+
+
+def divisibility_rows(adj: PolyMatrix, D: Poly, vec: PolyMatrix) -> list:
+    """Remainder coefficients of adj vec mod D for an s x 1 column vec; all zero
+    iff D divides adj vec."""
+    out = []
+    for row in (adj * vec).entries:
+        r = row[0] % D
+        out += [r[k] for k in range(int(D.degree))]
+    return out
+
+
+def ref_residual_rows(adj: PolyMatrix, D: Poly, const, per_unknown):
+    """Cancellation rows (X, B) for the map (const, per_unknown), one column at
+    a time: (adj mod D) times each per-unknown column and each column of const."""
+    adj = PolyMatrix([[e % D for e in row] for row in adj.entries])
+    basis = [divisibility_rows(adj, D, v) for v in per_unknown]
+    rhs = [divisibility_rows(adj, D, PolyMatrix([[row[c]] for row in const.entries]))
+           for c in range(const.cols)]
+    n = len(rhs[0])
+    return [[b[r] for b in basis] for r in range(n)], [[-c[r] for c in rhs] for r in range(n)]
+
+
+def ref_numerator(m: REModel, adj: PolyMatrix, split, const, per_unknown, h) -> PolyMatrix:
+    """adj(pi) R / D + S h(z) for the residual R = n_of_h(m, const, per_unknown, h)."""
+    D, S = split
+    adj_r = adj * n_of_h(m, const, per_unknown, h)
+    return PolyMatrix([
+        [adj_r[i, c].exact_div(D) + S * Poly([h.entries[j * m.s + i][c] for j in range(m.H)])
+         for c in range(m.q)]
+        for i in range(m.s)
+    ])
 
 
 # ---------------------------------------------------------------------------

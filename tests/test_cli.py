@@ -237,3 +237,16 @@ def test_nothing_free_at_horizon_zero(capsys, tmp_path):
     assert doc["transfer_denominator"] == ["1", "-1/2"]
     code, out, _ = run(capsys, "verify", str(path))
     assert (code, json.loads(out)["ok"]) == (0, True)
+
+
+def test_solve_refuses_negative_j1(capsys, tmp_path):
+    """y_{t-1} = -(1/2) eps_t is dated strictly in the past: J1 = -1."""
+    path = tmp_path / "past.json"
+    path.write_text('{"s":1,"K":1,"H":0,"q":1,"gamma":[1],'
+                    '"A":[{"k":1,"h":0,"matrix":[["2"]]}],"wold":[[["1"]]]}')
+    code, out, err = run(capsys, "solve", str(path))
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: J1 = -1 < 0: the system is dated strictly in the past; "
+        "causal factorization is not defined for this configuration\n"
+    )

@@ -12,17 +12,19 @@ from recausal.constraints import (
     zeta_coefficients,
 )
 from recausal.dimension import run_pipeline
-from recausal.exactalg import Poly, PolyMatrix, RationalMatrix, rank_of
+from recausal.exactalg import Poly, PolyMatrix, RationalMatrix, rank_of, vstack
 from recausal.model import REModel, build_pi
 from conftest import (
     affine_set,
     brute_force_plain,
+    deep_planted_models,
     ladder_shaped_models,
     planted_models,
     polymatrix_from_rational,
     rand_frac,
     rand_unimodular,
     random_model,
+    ref_selectors,
     same_affine_set,
     sims_model,
     sims_published_smith,
@@ -68,17 +70,17 @@ def test_zeta_univariate_k2h2():
         [-a[(2, 0)], -(a[(1, 0)] + a[(2, 1)])],
         [Fraction(0), -a[(2, 0)]],
     ]
-    assert len(zc.m) == 4
+    assert zc.max_degree() == 3
     for i, row in enumerate(expected):
-        assert zc.m[i] == RationalMatrix([row]), i
+        assert zc.coeff(i) == RationalMatrix([row]), i
 
 
 def test_zeta_sims():
     m = sims_model()
     zc = zeta_coefficients(m)
-    assert len(zc.m) == 2
-    assert zc.m[0] == -m.a(0, 0)
-    assert zc.m[1] == -m.a(1, 0)
+    assert zc.max_degree() == 1
+    assert zc.coeff(0) == -m.a(0, 0)
+    assert zc.coeff(1) == -m.a(1, 0)
 
 
 def test_zeta_symbolic_expansion_oracle():
@@ -98,12 +100,15 @@ def test_zeta_symbolic_expansion_oracle():
                         continue
                     key = (k + j - h, j)
                     by_power[key] = by_power.get(key, RationalMatrix.zero(s, s)) - mat
-        for i, mi in enumerate(zc.m):
+        assert (zc.rows, zc.cols) == (s, s * H)
+        assert zc.max_degree() < H + K
+        for i in range(H + K):
+            mi = zc.coeff(i)
             for j in range(H):
                 block = mi.submatrix(range(s), range(j * s, (j + 1) * s))
                 assert block == by_power.get((i, j), RationalMatrix.zero(s, s))
         for key in by_power:
-            assert 0 <= key[0] < len(zc.m)
+            assert 0 <= key[0] < H + K
 
 
 def test_zeta_tail_vanishes(corpus):
@@ -115,8 +120,7 @@ def test_zeta_tail_vanishes(corpus):
         if not (m.K <= m.H - 1 or -pp.J0 >= m.K - (m.H - 1)):
             continue
         zc = zeta_coefficients(m)
-        for i in range(max(0, m.H - pp.J0), len(zc.m)):
-            assert zc.m[i].is_zero(), (m.K, m.H, pp.J0, i)
+        assert zc.max_degree() < max(0, m.H - pp.J0), (m.K, m.H, pp.J0)
 
 
 # ---------------------------------------------------------------------------
@@ -144,10 +148,12 @@ def test_p_inverse_defining_identity():
 
 def test_frak_blocks_published_sims():
     sf = sims_published_smith()
-    pb = frak_p_blocks(sf.local(), J1=1, H=1)
-    assert pb.delta == (1, 0) and pb.gamma_excess == (None, None)
-    assert pb.blocks[0] == RationalMatrix.zero(1, 2)
-    assert pb.blocks[1] == RationalMatrix([[0, Fraction(100, 99)]])
+    loc = sf.local()
+    pb = frak_p_blocks(loc, J1=1, H=1)
+    # delta_k = J1 - g_k for g_k <= J1, and no g_k exceeds J1
+    assert tuple(1 - gk for gk in loc.g) == (1, 0) and all(gk <= 1 for gk in loc.g)
+    assert pb[0] == RationalMatrix.zero(1, 2)
+    assert pb[1] == RationalMatrix([[0, Fraction(100, 99)]])
 
 
 def test_frak_blocks_g_above_j1():
@@ -155,8 +161,10 @@ def test_frak_blocks_g_above_j1():
     pipe = run_pipeline(m)
     pb = pipe.pb
     assert pipe.sf.g == (0, 0, 2, 2)
-    assert pb.gamma_excess[2] == 1 and pb.gamma_excess[3] == 1
-    for blk in pb.blocks:
+    # gamma_k = g_k - J1 for g_k > J1
+    assert [gk - pipe.pi.J1 for gk in pipe.local.g[2:]] == [1, 1]
+    assert len(pb) == m.s
+    for blk in pb:
         assert (blk.rows, blk.cols) == (1, 4 * 2)  # H x s(H + gamma_s)
 
 
@@ -166,12 +174,13 @@ def test_frak_blocks_g_above_j1():
 
 def test_selectors_published_sims():
     m = sims_model()
-    sel = build_selectors(m, sims_published_smith().local())
-    assert sel.omega0 == RationalMatrix([[1, 0], [0, Fraction(100, 99)]])
-    assert sel.S == RationalMatrix([[1, 0]])
-    assert sel.R == RationalMatrix([[1, 0]])
-    assert sel.U == RationalMatrix.identity(2)
-    assert sel.p_dim == 1
+    loc = sims_published_smith().local()
+    ref = ref_selectors(m, loc)
+    assert loc.omega0 == RationalMatrix([[1, 0], [0, Fraction(100, 99)]])
+    assert build_selectors(m, loc) == ref.S == RationalMatrix([[1, 0]])
+    assert ref.R == RationalMatrix([[1, 0]])
+    assert ref.U == RationalMatrix.identity(2)
+    assert m.free_unknowns() == (0,)
 
 
 def test_selector_invariants(corpus):
@@ -179,22 +188,23 @@ def test_selector_invariants(corpus):
         if not m.predetermined or m.H == 0:
             continue
         pipe = run_pipeline(m)
-        sel = pipe.sel
+        S, sel = build_selectors(m, pipe.local), ref_selectors(m, pipe.local)
         n = m.s * m.H
         # U is a permutation
         assert all(sum(row) == 1 for row in sel.U.entries)
         assert all(sum(sel.U.entries[r][c] for r in range(n)) == 1 for c in range(n))
-        assert sel.R * sel.R.transpose() == RationalMatrix.identity(sel.p_dim)
+        assert sel.R * sel.R.transpose() == RationalMatrix.identity(sel.R.rows)
         assert rank_of(sel.omega0) == m.s
+        assert S == sel.S
         # each S block left-inverts the kept columns of omega0
         row0 = 0
         for i in range(m.H):
             keep = sum(m.gamma[: i + 1])
-            blk = sel.S.submatrix(range(row0, row0 + keep), range(i * m.s, (i + 1) * m.s))
+            blk = S.submatrix(range(row0, row0 + keep), range(i * m.s, (i + 1) * m.s))
             cols = sel.omega0.submatrix(range(m.s), range(keep))
             assert blk * cols == RationalMatrix.identity(keep)
             row0 += keep
-        assert sel.p_dim == sum(
+        assert S.rows == len(m.free_unknowns()) == pipe.cs.effective_unknowns == sum(
             m.gamma[i] * (m.H - i) for i in range(m.H)
         )
 
@@ -206,9 +216,30 @@ def test_free_unknowns_are_the_columns_r_keeps(corpus, predetermined_probe):
     n_forced = 0
     for m in list(corpus) + list(predetermined_probe) + ladder_shaped_models() + planted_models():
         free, n = m.free_unknowns(), m.s * m.H
-        assert run_pipeline(m).sel.R.entries == [[int(c == a) for c in range(n)] for a in free]
+        assert ref_selectors(m, run_pipeline(m).local).R.entries == [
+            [int(c == a) for c in range(n)] for a in free]
         n_forced += len(free) < n
     assert n_forced >= 150, n_forced
+
+
+def test_predetermined_system_matches_dense_selectors(corpus, predetermined_probe):
+    # row and column selections against D = S U^T p_stack and C = D m_stack R^T
+    n_checked = n_reordered = 0
+    models = list(corpus) + list(predetermined_probe) + planted_models() + deep_planted_models()
+    for m in models:
+        if not m.predetermined or m.H == 0:
+            continue
+        pipe = run_pipeline(m)
+        cs, ref = pipe.cs, ref_selectors(m, pipe.local)
+        width = pipe.pb[0].cols // m.s
+        D = ref.S * ref.U.transpose() * vstack(pipe.pb)
+        C = D * vstack([pipe.zc.coeff(i) for i in range(width)]) * ref.R.transpose()
+        assert cs.D == D and cs.C == C, (m.s, m.H, m.gamma)
+        assert cs.rhs == D * vstack([m.wold_coeff(j) for j in range(width)])
+        assert (cs.C.rows, cs.C.cols) == (C.rows, C.cols) and cs.effective_unknowns == C.cols
+        n_checked += 1
+        n_reordered += ref.U != RationalMatrix.identity(m.s * m.H)
+    assert n_checked >= 140 and n_reordered >= 70, (n_checked, n_reordered)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +285,7 @@ def test_predetermined_reduces_to_plain(corpus):
         if m.predetermined or m.H == 0 or checked >= 10:
             continue
         pipe = run_pipeline(m)
-        pred = build_predetermined_system(m, pipe.zc, pipe.pb, pipe.sel)
+        pred = build_predetermined_system(m, pipe.zc, pipe.pb, build_selectors(m, pipe.local))
         n = m.s * m.H
         assert pred.effective_unknowns == n
         assert pred.rank_w == pipe.cs.rank_w

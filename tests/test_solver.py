@@ -21,8 +21,6 @@ from recausal.solver import (
     SolutionReport,
     UnsupportedModelError,
     _cancellation_rows,
-    _divisibility_rows,
-    _n_of_h,
     _numerator,
     _residual_map,
     _unstable_factor,
@@ -36,16 +34,21 @@ from recausal.solver import (
 from conftest import (
     affine_set,
     assemble_rhs,
+    deep_planted_models,
     defect_model,
+    divisibility_rows,
     full_unknown_system,
     ladder_shaped_models,
-    planted_model,
+    map_at,
     planted_models,
     polymatrix_from_rational,
     rand_frac,
     random_gamma,
     random_model,
     ref_cancellation_rows,
+    ref_numerator,
+    ref_residual_map,
+    ref_residual_rows,
     ref_smith_split,
     ref_split_phi,
     ref_transfer,
@@ -125,11 +128,11 @@ def test_assemble_rhs_h_zero():
     m = random_model(rng, 2, 1, 1)
     pp = build_pi(m)
     pipe = run_pipeline(m)
-    const, per_unknown = assemble_rhs(m, pipe.zc, pp.J1, pp.pi)
+    A, W = assemble_rhs(m, pipe.zc, pp.J1, pp.pi)
     h0 = RationalMatrix.zero(m.s * m.H, m.q)
-    n = _n_of_h(m, const, per_unknown, h0)
+    n = map_at(A, W, h0)
     assert n == m.wold_poly() * Poly.monomial(pp.J1) * Fraction(-1)
-    assert len(per_unknown) == m.s * m.H
+    assert A.cols == m.s * m.H
 
 
 def test_assemble_rhs_sims_b_theta():
@@ -137,10 +140,10 @@ def test_assemble_rhs_sims_b_theta():
     # B_theta(z) = (k_v + z, k_eps; 0, z)
     m = sims_model()
     pipe = run_pipeline(m)
-    const, per_unknown = assemble_rhs(m, pipe.zc, pipe.pi.J1, pipe.pi.pi)
+    A, W = assemble_rhs(m, pipe.zc, pipe.pi.J1, pipe.pi.pi)
     kv, keps = Fraction(-10, 11), Fraction(200000, 11)
     h = RationalMatrix([[kv, keps], [0, 0]])
-    n = _n_of_h(m, const, per_unknown, h)
+    n = map_at(A, W, h)
     assert n == PolyMatrix([[Poly([kv, 1]), Poly.const(keps)], [Poly(), Z]])
 
 
@@ -148,13 +151,15 @@ def test_assemble_rhs_affine_linearity():
     rng = random.Random(52)
     m = random_model(rng, 2, 1, 2)
     pipe = run_pipeline(m)
-    const, per_unknown = assemble_rhs(m, pipe.zc, pipe.pi.J1, pipe.pi.pi)
     h1 = RationalMatrix([[Fraction(rng.randint(-3, 3))] * m.q for _ in range(m.s * m.H)])
     h2 = RationalMatrix([[Fraction(rng.randint(-3, 3))] * m.q for _ in range(m.s * m.H)])
-    n0 = _n_of_h(m, const, per_unknown, RationalMatrix.zero(m.s * m.H, m.q))
-    lhs = _n_of_h(m, const, per_unknown, h1 + h2) - n0
-    rhs = (_n_of_h(m, const, per_unknown, h1) - n0) + (_n_of_h(m, const, per_unknown, h2) - n0)
-    assert lhs == rhs
+    # both the full map N = A h - W and the solver's residual R = M h - W
+    for A, W in (assemble_rhs(m, pipe.zc, pipe.pi.J1, pipe.pi.pi),
+                 _residual_map(m, pipe.zc, pipe.pi.J1)):
+        n0 = map_at(A, W, RationalMatrix.zero(m.s * m.H, m.q))
+        lhs = map_at(A, W, h1 + h2) - n0
+        rhs = (map_at(A, W, h1) - n0) + (map_at(A, W, h2) - n0)
+        assert lhs == rhs
 
 
 def test_assemble_rhs_matches_direct_formula():
@@ -163,12 +168,13 @@ def test_assemble_rhs_matches_direct_formula():
     for _ in range(5):
         m = random_model(rng, rng.randint(1, 3), rng.randint(0, 2), rng.randint(1, 2))
         pipe = run_pipeline(m)
-        const, per_unknown = assemble_rhs(m, pipe.zc, pipe.pi.J1, pipe.pi.pi)
+        A, W = assemble_rhs(m, pipe.zc, pipe.pi.J1, pipe.pi.pi)
+        M, W_res = _residual_map(m, pipe.zc, pipe.pi.J1)
         h = RationalMatrix(
             [[Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(m.q)]
              for _ in range(m.s * m.H)]
         )
-        got = _n_of_h(m, const, per_unknown, h)
+        got = map_at(A, W, h)
         hpoly = PolyMatrix(
             [
                 [Poly([h.entries[j * m.s + r][c] for j in range(m.H)]) for c in range(m.q)]
@@ -176,9 +182,12 @@ def test_assemble_rhs_matches_direct_formula():
             ]
         )
         direct = pipe.pi.pi * hpoly - m.wold_poly() * Poly.monomial(pipe.pi.J1)
-        for i, mi in enumerate(pipe.zc.m):
+        assert pipe.zc.max_degree() < m.H + m.K
+        for i in range(m.H + m.K):
+            mi = pipe.zc.coeff(i)
             direct = direct + polymatrix_from_rational(mi * h) * Poly.monomial(pipe.pi.J1 + i)
         assert got == direct
+        assert pipe.pi.pi * hpoly + map_at(M, W_res, h) == direct
 
 
 # ---------------------------------------------------------------------------
@@ -453,28 +462,26 @@ def test_split_phi_splits_one_sided_irreducible_quadratics():
 # divisibility rows against the Smith-split reference
 
 
-def _cancellation_affine_set(rows_of, const, per_unknown, q):
-    """(row count, affine set of h) on which rows_of vanishes for N(z; h)."""
-    basis = [rows_of(v) for v in per_unknown]
-    rhs = [rows_of(PolyMatrix([[row[c]] for row in const.entries])) for c in range(q)]
+def _columns(P: PolyMatrix):
+    """The s x 1 columns of P."""
+    return [PolyMatrix([[row[c]] for row in P.entries]) for c in range(P.cols)]
+
+
+def _cancellation_affine_set(rows_of, A, W):
+    """(row count, affine set of h) on which rows_of vanishes for N(z; h) = A h - W."""
+    basis = [rows_of(v) for v in _columns(A)]
+    rhs = [rows_of(v) for v in _columns(W)]
     n = len(rhs[0])
     M = RationalMatrix([[b[r] for b in basis] for r in range(n)])
-    B = RationalMatrix([[-c[r] for c in rhs] for r in range(n)])
+    B = RationalMatrix([[c[r] for c in rhs] for r in range(n)])
     if not n:
-        M, B = RationalMatrix.zero(0, len(basis)), RationalMatrix.zero(0, q)
+        M, B = RationalMatrix.zero(0, len(basis)), RationalMatrix.zero(0, W.cols)
     return n, affine_set(M, B, len(basis))
-
-
-def _deep_planted_models():
-    """Planted models with g_last = H + 2, so g > J1 + 1 (planted models have J1 = H)."""
-    rng = random.Random(77)
-    return [planted_model(rng, s, H, H + 2, pre)
-            for s in (2, 3) for H in (1, 2) for pre in (False, True)]
 
 
 def test_divisibility_rows_match_smith_split(corpus):
     n_sets = n_transfers = n_deep = 0
-    for m in list(corpus) + planted_models() + _deep_planted_models():
+    for m in list(corpus) + planted_models() + deep_planted_models():
         pipe = run_pipeline(m)
         try:
             sr = solve_causal(m, pipe)
@@ -483,16 +490,14 @@ def test_divisibility_rows_match_smith_split(corpus):
         J1 = pipe.pi.J1
         D, _S = factor_stable_unstable(pipe.pi.det, J1, pipe.roots)
         split = ref_smith_split(pipe.sf, J1, _unstable_factor(pipe.roots))
-        const, per_unknown = assemble_rhs(m, pipe.zc, J1, pipe.pi.pi)
-        n_new, new = _cancellation_affine_set(
-            partial(_divisibility_rows, pipe.pi.adj, D), const, per_unknown, m.q)
-        n_old, old = _cancellation_affine_set(
-            partial(ref_cancellation_rows, split=split), const, per_unknown, m.q)
+        A, W = assemble_rhs(m, pipe.zc, J1, pipe.pi.pi)
+        n_new, new = _cancellation_affine_set(partial(divisibility_rows, pipe.pi.adj, D), A, W)
+        n_old, old = _cancellation_affine_set(partial(ref_cancellation_rows, split=split), A, W)
         assert n_new == n_old and same_affine_set(new, old), (m.s, m.H, pipe.sf.g, J1)
         n_sets += 1
         n_deep += max(pipe.sf.g) > J1 + 1
         if sr.h is not None:
-            N = _n_of_h(m, const, per_unknown, sr.h)
+            N = map_at(A, W, sr.h)
             assert ref_transfer(N, split) == (sr.transfer_num, sr.transfer_den, sr.A_theta)
             n_transfers += 1
     assert n_sets >= 50 and n_transfers >= 30 and n_deep >= 8, (n_sets, n_transfers, n_deep)
@@ -501,7 +506,7 @@ def test_divisibility_rows_match_smith_split(corpus):
 def test_residual_rows_and_numerator_match_full_map(corpus):
     # the solver drops the pi(z) h(z) term of N and reduces adj(pi) mod D
     n_models = n_rows = n_nums = 0
-    for m in list(corpus) + planted_models() + _deep_planted_models():
+    for m in list(corpus) + planted_models() + deep_planted_models():
         pipe = run_pipeline(m)
         try:
             sr = solve_causal(m, pipe)
@@ -510,23 +515,63 @@ def test_residual_rows_and_numerator_match_full_map(corpus):
         J1, adj = pipe.pi.J1, pipe.pi.adj
         split = factor_stable_unstable(pipe.pi.det, J1, pipe.roots)
         D = split[0]
-        const, per_unknown = assemble_rhs(m, pipe.zc, J1, pipe.pi.pi)
-        r_const, r_per_unknown = _residual_map(m, pipe.zc, J1)
-        basis = [_divisibility_rows(adj, D, v) for v in per_unknown]
-        rhs = [_divisibility_rows(adj, D, PolyMatrix([[row[c]] for row in const.entries]))
-               for c in range(m.q)]
+        A, W = assemble_rhs(m, pipe.zc, J1, pipe.pi.pi)
+        M, W_res = _residual_map(m, pipe.zc, J1)
+        basis = [divisibility_rows(adj, D, v) for v in _columns(A)]
+        rhs = [divisibility_rows(adj, D, v) for v in _columns(W)]
         n = len(rhs[0])
-        rows, rhs_rows = _cancellation_rows(adj, D, r_const, r_per_unknown)
+        rows, rhs_rows = _cancellation_rows(adj, D, M, W_res, range(m.s * m.H))
         assert rows == [[b[r] for b in basis] for r in range(n)], (m.s, m.H, J1)
-        assert rhs_rows == [[-c[r] for c in rhs] for r in range(n)], (m.s, m.H, J1)
+        assert rhs_rows == [[c[r] for c in rhs] for r in range(n)], (m.s, m.H, J1)
         n_models += 1
         n_rows += n > 0
         if sr.h is not None:
-            N = _n_of_h(m, const, per_unknown, sr.h)
+            N = map_at(A, W, sr.h)
             full = PolyMatrix([[e.exact_div(D) for e in row] for row in (adj * N).entries])
-            assert _numerator(m, adj, split, r_const, r_per_unknown, sr.h) == full
+            assert _numerator(m, adj, split, M, W_res, sr.h) == full
             n_nums += 1
     assert n_models >= 50 and n_rows >= 35 and n_nums >= 30, (n_models, n_rows, n_nums)
+
+
+def test_cancellation_rows_and_numerator_match_per_unknown_map(corpus, predetermined_probe):
+    # one product (adj mod D) [M's free columns | W] against one column per unknown
+    n_models = n_forced = n_nums = 0
+    models = list(corpus) + list(predetermined_probe) + planted_models() + deep_planted_models()
+    for m in models:
+        pipe = run_pipeline(m)
+        try:
+            sr = solve_causal(m, pipe)
+        except (FactorizationError, UnsupportedModelError):
+            continue
+        J1, adj, free = pipe.pi.J1, pipe.pi.adj, m.free_unknowns()
+        split = factor_stable_unstable(pipe.pi.det, J1, pipe.roots)
+        M, W = _residual_map(m, pipe.zc, J1)
+        const, per_unknown = ref_residual_map(m, pipe.zc, J1)
+        assert _cancellation_rows(adj, split[0], M, W, free) == ref_residual_rows(
+            adj, split[0], const, [per_unknown[a] for a in free]), (m.s, m.H, m.gamma)
+        n_models += 1
+        n_forced += len(free) < m.s * m.H
+        if sr.h is not None:
+            assert _numerator(m, adj, split, M, W, sr.h) == ref_numerator(
+                m, adj, split, const, per_unknown, sr.h), (m.s, m.H, m.gamma)
+            n_nums += 1
+    assert n_models >= 75 and n_forced >= 25 and n_nums >= 40, (n_models, n_forced, n_nums)
+
+
+def test_horizon_zero_solutions_have_q_columns(corpus):
+    n_answered = 0
+    for m in corpus:
+        if m.H:
+            continue
+        try:
+            sr = solve_causal(m)
+        except (FactorizationError, UnsupportedModelError):
+            continue
+        if sr.h is not None:
+            assert sr.h.cols == sr.h_particular.cols == m.q, (m.s, m.q)
+            assert sr.h.rows == sr.h_particular.rows == 0
+            n_answered += 1
+    assert n_answered >= 1
 
 
 # ---------------------------------------------------------------------------
