@@ -3,9 +3,11 @@
 The Smith form is computed by exact elimination over Q[z], which also detects
 a singular input: its elimination runs out of nonzero pivots.  The row and
 column operations update D, P^-1 and Q, the factors the constraints and
-A_theta read; P and Q^-1 are their exact inverses, derived on first read.
+A_theta read; P and Q^-1 are their exact inverses, derived on first read, so
+`SmithForm` is a plain class that caches them.
 The constraint blocks read only `LocalSmith`, the data of the form at z = 0,
-which needs no elimination when det pi(0) != 0.
+which needs no elimination when det pi(0) != 0.  `LocalSmith` and
+`RootClassification` are named tuples.
 `classify_roots` sorts the roots of det pi against the unit circle on exact
 Gerschgorin discs from `root_discs`, which the solver's stable/unstable split
 then refines.  Floating point only seeds the discs
@@ -15,7 +17,7 @@ then refines.  Floating point only seeds the discs
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from math import isqrt
@@ -37,15 +39,14 @@ class FactorizationError(ArithmeticError):
     """phi has no exact rational stable/unstable split, or none was certified."""
 
 
-@dataclass(frozen=True)
 class SmithForm:
     """pi = P diag(z^g) diag(phi) Q with the factors the elimination tracks:
-    Q and P^-1.  P and Q^-1 are their exact inverses, computed on first read."""
+    Q and P^-1.  P and Q^-1 are their exact inverses, computed on first read.
+    g holds the partial multiplicities, non-decreasing, and phi the diagonal
+    of Phi, phi_i(0) != 0."""
 
-    Q: PolyMatrix
-    g: tuple            # partial multiplicities, non-decreasing
-    phi: tuple          # diagonal of Phi, phi_i(0) != 0
-    P_inv: PolyMatrix
+    def __init__(self, Q: PolyMatrix, g: tuple, phi: tuple, P_inv: PolyMatrix):
+        self.Q, self.g, self.phi, self.P_inv = Q, g, phi, P_inv
 
     @cached_property
     def P(self) -> PolyMatrix:
@@ -79,19 +80,16 @@ def _unimodular_inverse(M: PolyMatrix) -> PolyMatrix:
     return adj * (1 / det[0])
 
 
-@dataclass(frozen=True)
-class LocalSmith:
-    """g, the coefficients of P^-1 and omega0 = E(0) of a factorization
-    pi = P diag(z^g) E with P unimodular and E(0) invertible.
+class LocalSmith(namedtuple("LocalSmith", "g p_inv omega0")):
+    """g, the coefficients of P^-1 (lowest power first) and omega0 = E(0) of a
+    factorization pi = P diag(z^g) E with P unimodular and E(0) invertible.
 
     This is all the constraint systems read of the Smith form.  When
     det pi(0) != 0, pi = I I pi is such a factorization: g = 0, P^-1 = I and
     omega0 = pi(0), and no elimination is needed.
     """
 
-    g: tuple            # partial multiplicities at z = 0
-    p_inv: tuple        # coefficient matrices of P^-1, lowest power first
-    omega0: RationalMatrix
+    __slots__ = ()
 
 
 def smith_form(M: PolyMatrix) -> SmithForm:
@@ -181,14 +179,14 @@ def smith_form(M: PolyMatrix) -> SmithForm:
     return SmithForm(Q=PolyMatrix(Q), g=tuple(g), phi=tuple(phi), P_inv=PolyMatrix(Pinv))
 
 
-@dataclass(frozen=True)
-class RootClassification:
-    zero_multiplicity: int
-    stable_roots: tuple    # disc centers, |root| > 1, each repeated by multiplicity
-    unstable_roots: tuple  # disc centers, |root| < 1/xi, each repeated by multiplicity
-    xi: Fraction
-    # (a_k, k, first certified yield of root_discs(a_k)) per Yun factor
-    discs: tuple = field(default=(), repr=False, compare=False)
+class RootClassification(namedtuple(
+        "RootClassification", "zero_multiplicity stable_roots unstable_roots xi discs",
+        defaults=((),))):
+    """stable_roots (|root| > 1) and unstable_roots (|root| < 1/xi) are disc
+    centers, each repeated by its multiplicity; discs holds
+    (a_k, k, first certified yield of root_discs(a_k)) per Yun factor."""
+
+    __slots__ = ()
 
     @property
     def total(self) -> int:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 
 from .canon import RedundantEquationsError, UnitCircleRootError
 from .dimension import dimension_report, genericity_probe, run_pipeline
@@ -52,7 +51,7 @@ def _vector_doc(v):
 def _load_model(path: str, xi_override) -> REModel:
     with open(path, "r", encoding="utf-8") as fh:
         m = parse_model(fh.read())
-    return m if xi_override is None else replace(m, xi=xi_override)
+    return m if xi_override is None else m._replace(xi=xi_override)
 
 
 def _parse_options(args) -> str | None:

@@ -3,7 +3,9 @@
 Builds the polynomial zeta(z) = sum_i m_i z^i, the per-row coefficient blocks
 of P(z)^{-1} and the selector S, and assembles the linear system that every
 admissible stack of revision loadings must satisfy, in both the plain and the
-predetermined flavor.
+predetermined flavor, as a `ConstraintSystem` named tuple.  The systems and
+the rank bounds read m_stack, the coefficients m_0, m_1, ... stacked, which
+the pipeline builds once per model as wide as the P^{-1} blocks.
 
 Of a factorization pi = P diag(z^g) E (P unimodular, E(0) invertible; the
 Smith form with E = diag(phi) Q is one) the systems read only its data at
@@ -22,7 +24,7 @@ side on those columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .canon import LocalSmith
@@ -84,60 +86,58 @@ def build_selectors(m: REModel, loc: LocalSmith) -> RationalMatrix:
     )
 
 
-@dataclass(frozen=True)
-class ConstraintSystem:
-    C: RationalMatrix
-    D: RationalMatrix
-    rank_w: int
-    kernel: tuple
-    flavor: str                  # "plain" | "predetermined"
-    effective_unknowns: int
-    rhs: RationalMatrix          # D applied to the stacked Wold coefficients
+class ConstraintSystem(namedtuple(
+        "ConstraintSystem", "C D rank_w kernel flavor effective_unknowns rhs")):
+    """flavor is "plain" or "predetermined"; rhs is D applied to the stacked
+    Wold coefficients."""
+
+    __slots__ = ()
 
     @property
     def kernel_dim(self) -> int:
         return len(self.kernel)
 
 
-def _system(m: REModel, zc: PolyMatrix, pb: tuple, S: RationalMatrix | None) -> ConstraintSystem:
+def _system(m: REModel, ms: RationalMatrix, pb: tuple, S) -> ConstraintSystem:
     """C = D m_stack and rhs = D w_stack for D = p_stack (plain), or, given the
-    selector S, for D = S U^T p_stack with C on the free columns of h; U^T
-    takes p_stack's rows in time-block order, row k H + i to row i s + k."""
+    selector S (a RationalMatrix), for D = S U^T p_stack with C on the free
+    columns of h; U^T takes p_stack's rows in time-block order, row k H + i to
+    row i s + k.  ms is m_stack, as many blocks m_i as p_stack has column blocks."""
     flavor = "plain" if S is None else "predetermined"
     s, H = m.s, m.H
     if H == 0:
         empty = RationalMatrix.zero(0, 0)
         return ConstraintSystem(C=empty, D=empty, rank_w=0, kernel=(), flavor=flavor,
                                 effective_unknowns=0, rhs=RationalMatrix.zero(0, m.q))
-    width = pb[0].cols // s  # H + gamma_s
-    m_stack = vstack([zc.coeff(i) for i in range(width)])
-    D, cols = vstack(pb), range(s * H)
+    D, M = vstack(pb), ms
     if S is not None:
         D = S * D.submatrix([k * H + i for i in range(H) for k in range(s)], range(D.cols))
-        cols = m.free_unknowns()
-    C = D * m_stack.submatrix(range(m_stack.rows), cols)
+        M = ms.submatrix(range(ms.rows), m.free_unknowns())
+    C = D * M
     rank, kern = rank_kernel(C)
-    rhs = D * vstack([m.wold_coeff(j) for j in range(width)])
+    rhs = D * vstack([m.wold_coeff(j) for j in range(ms.rows // s)])
     return ConstraintSystem(C=C, D=D, rank_w=rank, kernel=tuple(kern), flavor=flavor,
                             effective_unknowns=C.cols, rhs=rhs)
 
 
-def build_plain_system(m: REModel, zc: PolyMatrix, pb: tuple) -> ConstraintSystem:
+def build_plain_system(m: REModel, ms: RationalMatrix, pb: tuple) -> ConstraintSystem:
     """Constraint system C eps_bullet = D (innovation stack), no predeterminedness."""
-    return _system(m, zc, pb, None)
+    return _system(m, ms, pb, None)
 
 
 def build_predetermined_system(
-    m: REModel, zc: PolyMatrix, pb: tuple, S: RationalMatrix
+    m: REModel, ms: RationalMatrix, pb: tuple, S: RationalMatrix
 ) -> ConstraintSystem:
     """Constraint system on the non-trivial revision components eps^{p,bullet}."""
-    return _system(m, zc, pb, S)
+    return _system(m, ms, pb, S)
 
 
 def check_rank_bounds(
-    cs: ConstraintSystem, loc: LocalSmith, zc: PolyMatrix, J1: int, H: int, s: int
+    cs: ConstraintSystem, loc: LocalSmith, ms: RationalMatrix, J1: int, H: int, s: int
 ) -> dict:
     """Evaluate the rank bounds for the plain system at this parameter point.
+
+    ms is m_stack with at least H blocks m_i; the hypotheses read its rows.
 
     The published lower-bound summand for g_k > J1 reads H - J1 + g_k, but the
     proof establishes H - (g_k - J1) per block; we evaluate the proof form and
@@ -147,7 +147,8 @@ def check_rank_bounds(
     upper = (H - J1) * s + sum(min(gk, J1) for gk in loc.g)
     lower_terms = []
     hyp_all = True
-    m_stack_full_rank = H == 0 or rank_of(vstack([zc.coeff(i) for i in range(H)])) == s * H
+    n = s * H
+    m_stack_full_rank = H == 0 or rank_of(ms.submatrix(range(n), range(n))) == n
     for gk in loc.g:
         if gk <= J1:
             lower_terms.append((H - J1) + gk)
@@ -157,7 +158,7 @@ def check_rank_bounds(
             term = max(H - gamma_k, 0)
             lower_terms.append(term)
             if term > 0:
-                sub = vstack([zc.coeff(i) for i in range(gamma_k, H)])
+                sub = ms.submatrix(range(gamma_k * s, n), range(n))
                 hyp_all = hyp_all and rank_of(sub) == term * s
     lower = sum(lower_terms)
     published_lower = sum(

@@ -5,12 +5,13 @@ constraint systems read only its stage `local`, the Smith data at z = 0.
 When det pi(0) != 0 (G = 0, the generic case) that is pi = I I pi and needs
 no elimination, so the global `smith_form` runs only for a model with G > 0,
 for `recausal smith` and for the printed A_theta of a solved model.
+`DimensionReport` is a named tuple.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from fractions import Fraction
 
 from .canon import LocalSmith, RedundantEquationsError, classify_roots, smith_form
@@ -22,7 +23,7 @@ from .constraints import (
     frak_p_blocks,
     zeta_coefficients,
 )
-from .exactalg import RationalMatrix
+from .exactalg import RationalMatrix, _rmat
 from .model import REModel, build_pi
 
 
@@ -91,8 +92,16 @@ class Pipeline:
         return frak_p_blocks(self.local, self.pi.J1, self.model.H)
 
     @_stage
+    def m_stack(self):
+        """The coefficients m_i of zeta(z) stacked, as many as p_stack has
+        column blocks, H + max(g - J1, 0): the constraint systems and the
+        rank bounds read this one stack."""
+        n, zc = self.pb[0].cols // self.model.s, self.zc
+        return _rmat([[e[i] for e in row] for i in range(n) for row in zc.entries], zc.cols)
+
+    @_stage
     def plain_cs(self):
-        return build_plain_system(self.model, self.zc, self.pb)
+        return build_plain_system(self.model, self.m_stack, self.pb)
 
     @_stage
     def cs(self):
@@ -101,7 +110,7 @@ class Pipeline:
         if not self.model.predetermined:
             return plain
         S = build_selectors(self.model, self.local)
-        return build_predetermined_system(self.model, self.zc, self.pb, S)
+        return build_predetermined_system(self.model, self.m_stack, self.pb, S)
 
 
 def run_pipeline(m: REModel) -> Pipeline:
@@ -109,25 +118,16 @@ def run_pipeline(m: REModel) -> Pipeline:
     return Pipeline(m)
 
 
-@dataclass(frozen=True)
-class DimensionReport:
-    free_parameters: int
-    kernel_dim: int
-    rank_w: int
-    upper_bound: int
-    lower_bound: int
-    special_case_used: str
-    distinctness_guaranteed: bool
-    flavor: str
-    effective_unknowns: int
-    bounds: dict
+DimensionReport = namedtuple("DimensionReport", (
+    "free_parameters kernel_dim rank_w upper_bound lower_bound special_case_used "
+    "distinctness_guaranteed flavor effective_unknowns bounds"))
 
 
 def dimension_report(m: REModel, pipe: Pipeline | None = None) -> DimensionReport:
     pipe = pipe or run_pipeline(m)
     cs = pipe.cs
     g = pipe.local.g
-    bounds = check_rank_bounds(pipe.plain_cs, pipe.local, pipe.zc, pipe.pi.J1, m.H, m.s)
+    bounds = check_rank_bounds(pipe.plain_cs, pipe.local, pipe.m_stack, pipe.pi.J1, m.H, m.s)
     if m.H == 0:
         special = "H=0"
     elif all(gi == 0 for gi in g):
@@ -169,7 +169,7 @@ def _perturb(m: REModel, rng: random.Random, magnitude=Fraction(1, 64)) -> REMod
                     )
             rows.append(new_row)
         new_a[key] = RationalMatrix(rows)
-    return replace(m, A=new_a)
+    return m._replace(A=new_a)
 
 
 def genericity_probe(m: REModel, trials: int = 10, seed: int = 0) -> dict:

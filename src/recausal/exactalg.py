@@ -376,6 +376,10 @@ class PolyMatrix:
 
     __rmul__ = __mul__
 
+    def shift(self, k: int) -> "PolyMatrix":
+        """Every entry times z^k, by Poly.shift."""
+        return PolyMatrix([[e.shift(k) for e in row] for row in self.entries], self.cols)
+
     def max_degree(self):
         degs = [e.degree for row in self.entries for e in row if not e.is_zero()]
         return max(degs) if degs else NEG_INF

@@ -8,16 +8,19 @@ with s endogenous variables, q innovations, finite moving-average exogenous
 process u_t = sum_j w_j eps_{t-j}, and predeterminedness multi-index
 gamma = (s_0, ..., s_H) with sum(gamma) = s.
 
-A model is immutable once built: the artifacts derived from it (pi(z), its
-Smith form, the constraint systems) are memoized on the instance in
-`REModel.artifacts` and filled by `recausal.dimension.Pipeline`.
+`REModel` and `PiPolynomial` are named tuples: build a changed model with
+`m._replace(...)`.  A model is immutable once built: the artifacts derived
+from it (pi(z), its Smith form, the constraint systems) are memoized on the
+instance in `REModel.artifacts`, filled by `recausal.dimension.Pipeline`; a
+model from `_replace` starts with an empty memo.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from math import lcm
 
@@ -31,21 +34,17 @@ class ModelFormatError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class REModel:
-    s: int
-    K: int
-    H: int
-    q: int
-    A: dict                 # (k, h) -> RationalMatrix, zero matrices omitted
-    gamma: tuple            # (s_0, ..., s_H)
-    wold: tuple             # (w_0, ..., w_L), each s x q
-    xi: Fraction = Fraction(1)
-    r_hint: int | None = None
-    # stage name -> derived artifact, filled on first use (dimension.Pipeline)
-    artifacts: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+class REModel(namedtuple("REModel", "s K H q A gamma wold xi r_hint",
+                         defaults=(Fraction(1), None))):
+    """A (k, h) -> RationalMatrix with zero matrices omitted, gamma = (s_0, ..., s_H),
+    wold = (w_0, ..., w_L) with each w_j s x q, r_hint an int or None."""
+
+    @cached_property
+    def artifacts(self) -> dict:
+        """stage name -> derived artifact, filled on first use (dimension.Pipeline).
+        It lives in the instance __dict__ (REModel declares no __slots__), not in
+        a field: == ignores it and `_replace` starts an empty one."""
+        return {}
 
     def a(self, k: int, h: int) -> RationalMatrix:
         return self.A[k, h] if (k, h) in self.A else RationalMatrix.zero(self.s, self.s)
@@ -78,7 +77,7 @@ def _parse_matrix(obj, rows, cols, what) -> RationalMatrix:
         if not isinstance(row, list) or len(row) != cols:
             raise ModelFormatError(f"{what}: expected {cols} columns per row")
         try:
-            out.append([rat(e) if isinstance(e, (str, int)) else _bad(e) for e in row])
+            out.append([rat(e) if type(e) in (str, int) else _bad(e) for e in row])
         except (ValueError, ZeroDivisionError, TypeError) as exc:
             raise ModelFormatError(f"{what}: malformed rational entry: {exc}") from exc
     return _rmat(out)
@@ -91,7 +90,7 @@ def _bad(e):
 def parse_xi(value) -> Fraction:
     """The growth bound xi from an integer or a string "p/q"; it must be at least 1."""
     try:
-        xi = rat(value)
+        xi = rat(value) if type(value) is not bool else _bad(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise ModelFormatError(f"xi must be a rational number, got {value!r}") from exc
     if xi < 1:
@@ -111,8 +110,9 @@ def parse_model(text: str) -> REModel:
         if key not in doc:
             raise ModelFormatError(f"missing required field '{key}'")
     s, K, H, q = doc["s"], doc["K"], doc["H"], doc["q"]
+    # type(v) is int, not isinstance: JSON true and false load as bool, an int subclass
     for name, v in (("s", s), ("K", K), ("H", H), ("q", q)):
-        if not isinstance(v, int) or v < 0:
+        if type(v) is not int or v < 0:
             raise ModelFormatError(f"'{name}' must be a non-negative integer")
     if s < 1:
         raise ModelFormatError("'s' must be positive")
@@ -121,14 +121,14 @@ def parse_model(text: str) -> REModel:
     gamma = doc["gamma"]
     if not isinstance(gamma, list) or len(gamma) != H + 1:
         raise ModelFormatError(f"gamma must list H+1 = {H + 1} entries")
-    if any(not isinstance(g, int) or g < 0 for g in gamma):
+    if any(type(g) is not int or g < 0 for g in gamma):
         raise ModelFormatError("gamma entries must be non-negative integers")
     if sum(gamma) != s:
         raise ModelFormatError(f"gamma sum mismatch: sum(gamma)={sum(gamma)} != s={s}")
     A = {}
     for item in doc["A"]:
         k, h = item.get("k"), item.get("h")
-        if not isinstance(k, int) or not isinstance(h, int):
+        if type(k) is not int or type(h) is not int:
             raise ModelFormatError("each A entry needs integer 'k' and 'h'")
         if not (0 <= k <= K and 0 <= h <= H):
             raise ModelFormatError(f"A index (k={k}, h={h}) out of range")
@@ -150,7 +150,7 @@ def parse_model(text: str) -> REModel:
         raise ModelFormatError("wold list must contain at least w_0")
     xi = parse_xi(doc.get("xi", 1))
     r_hint = doc.get("r_hint")
-    if r_hint is not None and (not isinstance(r_hint, int) or not (q <= r_hint <= s)):
+    if r_hint is not None and (type(r_hint) is not int or not (q <= r_hint <= s)):
         raise ModelFormatError("r_hint must satisfy q <= r_hint <= s")
     return REModel(
         s=s, K=K, H=H, q=q, A=A, gamma=tuple(gamma), wold=wold, xi=xi, r_hint=r_hint
@@ -182,14 +182,9 @@ def serialize_model(m: REModel) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
-@dataclass(frozen=True)
-class PiPolynomial:
-    pi: PolyMatrix
-    A_star: dict            # i -> RationalMatrix, J0 <= i <= J1
-    J0: int
-    J1: int
-    det: Poly               # det pi(z), never identically zero
-    adj: PolyMatrix         # adjugate: pi * adj = det * I
+# A_star: i -> RationalMatrix for J0 <= i <= J1; det = det pi(z), never
+# identically zero; adj: the adjugate, pi * adj = det * I
+PiPolynomial = namedtuple("PiPolynomial", "pi A_star J0 J1 det adj")
 
 
 def build_pi(m: REModel) -> PiPolynomial:

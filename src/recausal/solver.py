@@ -22,7 +22,8 @@ certified discs that classified the roots of each squarefree factor of
 det pi / z^G give its unstable roots, their product is rounded onto the lattice
 Gauss's lemma allows, and one exact division accepts it or proves that no
 rational split exists.  Only the printed A_theta reads the Smith form, for the
-stable factor pi_s of pi.  Only `simulate` imports numpy.
+stable factor pi_s of pi.  Only `simulate` imports numpy.  The result,
+`SolutionReport`, is a named tuple.
 
 A solution y = (num/den) eps is verified by one polynomial identity: with R the
 series of model residuals, den R is a polynomial T built from num, den and the
@@ -32,7 +33,7 @@ to lag L exactly when den R = T = 0 mod z^(L+1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import chain
 from math import isqrt, prod
@@ -127,8 +128,7 @@ def _residual_map(m: REModel, zc: PolyMatrix, J1: int):
     """(M, W) with M = z^J1 zeta(z) and W = z^J1 w(z), so that the residual
     R(z; h) = M h - W is N(z; h) without its pi(z) h(z) term; the map is the
     same for every innovation column."""
-    shift = Poly.monomial(J1)
-    return zc * shift, m.wold_poly() * shift
+    return zc.shift(J1), m.wold_poly().shift(J1)
 
 
 def _cancellation_rows(adj: PolyMatrix, D: Poly, M: PolyMatrix, W: PolyMatrix, free):
@@ -146,18 +146,14 @@ def _cancellation_rows(adj: PolyMatrix, D: Poly, M: PolyMatrix, W: PolyMatrix, f
     return [r[:n] for r in rows], [r[n:] for r in rows]
 
 
-@dataclass(frozen=True)
-class SolutionReport:
-    classification: str          # "no_causal_solution" | "determinate" | "indeterminate"
-    indeterminacy_dim: int       # free parameters; 0 unless indeterminate
-    h: RationalMatrix | None     # chosen loading stack, sH x q
-    h_particular: RationalMatrix | None
-    kernel: tuple                # kernel basis vectors (length sH), shared by columns
-    transfer_num: PolyMatrix | None
-    transfer_den: Poly | None
-    A_theta: PolyMatrix | None
-    pipeline: Pipeline
-    kernel_point: str
+# classification: "no_causal_solution" | "determinate" | "indeterminate";
+# indeterminacy_dim: free parameters, 0 unless indeterminate; h: the chosen
+# loading stack, sH x q, or None like h_particular, transfer_num, transfer_den
+# and A_theta when there is no solution; kernel: basis vectors of length sH,
+# shared by the columns; pipeline: the model's Pipeline
+SolutionReport = namedtuple("SolutionReport", (
+    "classification indeterminacy_dim h h_particular kernel transfer_num transfer_den "
+    "A_theta pipeline kernel_point"))
 
 
 def _min_norm_shift(X: RationalMatrix, kernel):
@@ -324,7 +320,7 @@ def verify_solution(m: REModel, sr: SolutionReport, max_lag: int = 50) -> dict:
              for i in range(s)]
         )
         tail = num - psi_h * den
-        T = T + lead * PolyMatrix([[e.shift(-h) for e in row] for row in tail.entries])
+        T = T + lead * tail.shift(-h)
     failures = []
     if any(any(e.num[: max_lag + 1]) for row in T.entries for e in row):
         for d, res in enumerate(transfer_series(T, den, max_lag + 1)):

@@ -5,7 +5,6 @@ Everything random is seeded, so the whole suite is deterministic.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from collections import namedtuple
 from fractions import Fraction
@@ -714,7 +713,7 @@ def smith_reference(m: REModel) -> REModel:
     of smith_form(pi) whatever det pi(0) is, so its dimension_report and
     solve_causal are those of a pipeline that always runs the elimination.
     """
-    ref = dataclasses.replace(m)
+    ref = m._replace()
     ref.artifacts["local"] = run_pipeline(ref).sf.local()
     return ref
 
@@ -837,6 +836,13 @@ def same_affine_set(set_a, set_b) -> bool:
     kmat = RationalMatrix([list(v) for v in ka]).transpose()
     x, _ = solve_affine(kmat, diff)
     return x is not None
+
+
+def ref_m_stack(zc: PolyMatrix, pb: tuple) -> RationalMatrix:
+    """The coefficient matrices m_0, m_1, ... of zeta(z) stacked by
+    `PolyMatrix.coeff`, as many as the s P^-1 blocks pb have column blocks:
+    the reference for `Pipeline.m_stack` when H > 0."""
+    return vstack([zc.coeff(i) for i in range(pb[0].cols // len(pb))])
 
 
 def full_unknown_system(m: REModel, pipe):

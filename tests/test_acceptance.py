@@ -171,7 +171,7 @@ def _c4():
         gamma = random_gamma(rng, s, H) if (H > 0 and rng.random() < 0.4) else None
         m = random_model(rng, s, rng.randint(0, 2), H, gamma=gamma)
         pipe = run_pipeline(m)
-        rep = check_rank_bounds(pipe.plain_cs, pipe.local, pipe.zc, pipe.pi.J1, m.H, m.s)
+        rep = check_rank_bounds(pipe.plain_cs, pipe.local, pipe.m_stack, pipe.pi.J1, m.H, m.s)
         assert rep["upper_ok"], (m.s, m.K, m.H, rep)
         assert rep["lower_ok"], (m.s, m.K, m.H, rep)
 

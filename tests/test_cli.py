@@ -250,3 +250,31 @@ def test_solve_refuses_negative_j1(capsys, tmp_path):
         "error: J1 = -1 < 0: the system is dated strictly in the past; "
         "causal factorization is not defined for this configuration\n"
     )
+
+
+@pytest.mark.parametrize(
+    "field, mutate",
+    [
+        ("'s'", lambda d: d.update(s=True)),
+        ("'K'", lambda d: d.update(K=False)),
+        ("'H'", lambda d: d.update(H=True)),
+        ("'q'", lambda d: d.update(q=True)),
+        ("gamma", lambda d: d.update(gamma=[True, False])),
+        ("'k'", lambda d: d["A"][0].update(k=False)),
+        ("'h'", lambda d: d["A"][1].update(h=True)),
+        ("r_hint", lambda d: d.update(r_hint=True)),
+        ("A[0,0]", lambda d: d["A"][0].update(matrix=[[True]])),
+        ("wold[0]", lambda d: d.update(wold=[[[True]]])),
+        ("xi", lambda d: d.update(xi=True)),
+    ],
+)
+def test_json_booleans_are_not_numbers(capsys, tmp_path, field, mutate):
+    """bool subclasses int, but a JSON true or false is neither an integer nor
+    a rational.  Read as 1 and 0, each of these documents is a valid model."""
+    doc = json.loads(INDETERMINATE_SCALAR)
+    mutate(doc)
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and field in err, err

@@ -24,6 +24,7 @@ from conftest import (
     rand_frac,
     rand_unimodular,
     random_model,
+    ref_m_stack,
     ref_selectors,
     same_affine_set,
     sims_model,
@@ -222,6 +223,18 @@ def test_free_unknowns_are_the_columns_r_keeps(corpus, predetermined_probe):
     assert n_forced >= 150, n_forced
 
 
+def test_m_stack_matches_the_coefficient_stack(corpus, predetermined_probe):
+    """The pipeline's one m_stack, which both constraint systems and the rank
+    bounds read, is zeta's coefficient matrices stacked as wide as p_stack."""
+    for m in list(corpus) + list(predetermined_probe) + planted_models() + deep_planted_models():
+        pipe = run_pipeline(m)
+        if m.H == 0:
+            assert (pipe.m_stack.rows, pipe.m_stack.cols) == (0, 0)
+            continue
+        assert pipe.m_stack == ref_m_stack(pipe.zc, pipe.pb)
+        assert pipe.m_stack.rows == pipe.cs.D.cols == pipe.plain_cs.D.cols
+
+
 def test_predetermined_system_matches_dense_selectors(corpus, predetermined_probe):
     # row and column selections against D = S U^T p_stack and C = D m_stack R^T
     n_checked = n_reordered = 0
@@ -252,7 +265,7 @@ def test_plain_system_sims():
     sf = sims_published_smith()
     zc = zeta_coefficients(m)
     pb = frak_p_blocks(sf.local(), pp.J1, m.H)
-    cs = build_plain_system(m, zc, pb)
+    cs = build_plain_system(m, ref_m_stack(zc, pb), pb)
     # the single constraint row printed in the source example
     c = Fraction(100, 99)
     assert cs.C == RationalMatrix([[0, 0], [c * Fraction(-1, 100000), -c]])
@@ -285,7 +298,7 @@ def test_predetermined_reduces_to_plain(corpus):
         if m.predetermined or m.H == 0 or checked >= 10:
             continue
         pipe = run_pipeline(m)
-        pred = build_predetermined_system(m, pipe.zc, pipe.pb, build_selectors(m, pipe.local))
+        pred = build_predetermined_system(m, pipe.m_stack, pipe.pb, build_selectors(m, pipe.local))
         n = m.s * m.H
         assert pred.effective_unknowns == n
         assert pred.rank_w == pipe.cs.rank_w
@@ -344,7 +357,7 @@ def test_smith_choice_invariance(corpus):
         assert smith_reconstruct(sf2) == pipe.pi.pi
         zc = zeta_coefficients(m)
         pb2 = frak_p_blocks(sf2.local(), pipe.pi.J1, m.H)
-        cs2 = build_plain_system(m, zc, pb2)
+        cs2 = build_plain_system(m, ref_m_stack(zc, pb2), pb2)
         assert cs2.rank_w == pipe.cs.rank_w
         assert cs2.kernel_dim == pipe.cs.kernel_dim
         n = m.s * m.H
@@ -368,7 +381,7 @@ def test_rank_agreement_across_published_factorizations():
     kdims = []
     for sf in (sf1, sf2, run_pipeline(m).sf):
         pb = frak_p_blocks(sf.local(), pp.J1, m.H)
-        cs = build_plain_system(m, zc, pb)
+        cs = build_plain_system(m, ref_m_stack(zc, pb), pb)
         ranks.append(cs.rank_w)
         kdims.append(cs.kernel_dim)
     assert len(set(ranks)) == 1 and len(set(kdims)) == 1
@@ -381,7 +394,7 @@ def test_rank_agreement_across_published_factorizations():
 def test_rank_bounds_sims_as_plain():
     m = _sims_as_plain()
     pipe = run_pipeline(m)
-    rep = check_rank_bounds(pipe.cs, pipe.local, pipe.zc, pipe.pi.J1, m.H, m.s)
+    rep = check_rank_bounds(pipe.cs, pipe.local, pipe.m_stack, pipe.pi.J1, m.H, m.s)
     assert rep["upper_bound"] == 1  # (H-J1)s + min(0,1) + min(1,1)
     assert rep["lower_bound"] == 1
     assert rep["rank_w"] == 1
@@ -393,7 +406,7 @@ def test_rank_bounds_g_above_j1_published_typo():
     # H - J1 + g_k would exceed the upper bound; the proof's form does not
     m = _pi4_model()
     pipe = run_pipeline(m)
-    rep = check_rank_bounds(pipe.cs, pipe.local, pipe.zc, pipe.pi.J1, m.H, m.s)
+    rep = check_rank_bounds(pipe.cs, pipe.local, pipe.m_stack, pipe.pi.J1, m.H, m.s)
     assert rep["upper_bound"] == 2
     assert rep["published_lower_bound"] == 4
     assert rep["lower_bound"] <= rep["upper_bound"]
@@ -403,6 +416,6 @@ def test_rank_bounds_g_above_j1_published_typo():
 def test_rank_bounds_corpus(corpus):
     for m in corpus:
         pipe = run_pipeline(m)
-        rep = check_rank_bounds(pipe.plain_cs, pipe.local, pipe.zc, pipe.pi.J1, m.H, m.s)
+        rep = check_rank_bounds(pipe.plain_cs, pipe.local, pipe.m_stack, pipe.pi.J1, m.H, m.s)
         assert rep["upper_ok"], (m.s, m.K, m.H, rep)
         assert rep["lower_ok"], (m.s, m.K, m.H, rep)

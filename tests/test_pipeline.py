@@ -1,7 +1,6 @@
 """One computation per artifact: the memoized pipeline, lazy imports, and
 byte-stable CLI output."""
 
-import dataclasses
 import gc
 import importlib
 import json
@@ -17,11 +16,15 @@ import pytest
 
 import recausal
 from recausal import solver
+from recausal.canon import LocalSmith, RootClassification
 from recausal.cli import main
-from recausal.dimension import dimension_report, run_pipeline
+from recausal.constraints import ConstraintSystem
+from recausal.dimension import DimensionReport, dimension_report, run_pipeline
 from recausal.exactalg import RationalMatrix
-from recausal.model import REModel, build_pi, parse_model, serialize_model, validate_semantics
-from recausal.solver import FactorizationError, solve_causal, verify_solution
+from recausal.model import (
+    PiPolynomial, REModel, build_pi, parse_model, serialize_model, validate_semantics,
+)
+from recausal.solver import FactorizationError, SolutionReport, solve_causal, verify_solution
 from conftest import SIMS_JSON, planted_models, random_model
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -70,7 +73,7 @@ def test_each_artifact_computed_once(monkeypatch, which):
     if which == "sims":
         m = parse_model(SIMS_JSON)
     else:
-        m = dataclasses.replace(solvable_planted_s4())  # same model, empty memo
+        m = solvable_planted_s4()._replace()  # same model, empty memo
     counts = count_calls(monkeypatch)
     analyze_solve_verify(m)
     assert counts == dict.fromkeys(COUNTED, 1)
@@ -142,6 +145,37 @@ def test_validate_semantics_touches_only_pi_and_sf():
     assert set(generic.artifacts) == {"pi", "local"}
 
 
+def test_records_keep_their_fields_and_defaults():
+    assert REModel._fields == ("s", "K", "H", "q", "A", "gamma", "wold", "xi", "r_hint")
+    assert REModel._field_defaults == {"xi": Fraction(1), "r_hint": None}
+    assert PiPolynomial._fields == ("pi", "A_star", "J0", "J1", "det", "adj")
+    assert LocalSmith._fields == ("g", "p_inv", "omega0")
+    assert RootClassification._fields == (
+        "zero_multiplicity", "stable_roots", "unstable_roots", "xi", "discs",
+    )
+    assert RootClassification._field_defaults == {"discs": ()}
+    assert ConstraintSystem._fields == (
+        "C", "D", "rank_w", "kernel", "flavor", "effective_unknowns", "rhs",
+    )
+    assert DimensionReport._fields == (
+        "free_parameters", "kernel_dim", "rank_w", "upper_bound", "lower_bound",
+        "special_case_used", "distinctness_guaranteed", "flavor", "effective_unknowns", "bounds",
+    )
+    assert SolutionReport._fields == (
+        "classification", "indeterminacy_dim", "h", "h_particular", "kernel", "transfer_num",
+        "transfer_den", "A_theta", "pipeline", "kernel_point",
+    )
+
+
+def test_replaced_model_starts_with_an_empty_memo():
+    m = parse_model(SIMS_JSON)
+    run_pipeline(m).cs
+    same, wider = m._replace(), m._replace(xi=Fraction(2))
+    assert same == m and same.artifacts == {} and {"pi", "cs"} <= set(m.artifacts)
+    assert wider.xi == 2 and wider != m and wider.artifacts == {}
+    assert run_pipeline(same).cs == m.artifacts["cs"]
+
+
 def test_dropped_model_frees_its_artifacts():
     """No reference cycle: refcounting alone frees the memo with the model."""
     m = parse_model(SIMS_JSON)
@@ -179,6 +213,22 @@ def _cli_loads(argv, module):
     assert f'"command": "{argv[0]}"' in out.stdout
     assert out.stderr.strip() in ("True", "False")
     return out.stderr.strip() == "True"
+
+
+def _bare_loads(module):
+    """Whether a fresh interpreter has `module` loaded before it runs any code."""
+    code = f"import sys; print({module!r} in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    return out.stdout.strip() == "True"
+
+
+@pytest.mark.parametrize("command", ["analyze", "solve"])
+@pytest.mark.parametrize("module", ["dataclasses", "inspect"])
+def test_cli_commands_do_not_load_dataclasses(command, module):
+    """The records are named tuples, so no command imports dataclasses (which
+    imports inspect) unless the interpreter itself has at start."""
+    sims = str(ROOT / "models" / "sims.json")
+    assert not _cli_loads([command, sims], module) or _bare_loads(module)
 
 
 @pytest.mark.parametrize("command", ["solve", "verify", "simulate"])

@@ -1,6 +1,5 @@
 """Stable/unstable split of det pi, causal solving, exact verification, simulation."""
 
-import dataclasses
 import random
 from datetime import timedelta
 from fractions import Fraction
@@ -11,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recausal.canon import UnitCircleRootError, classify_roots
+from recausal.canon import SmithForm, UnitCircleRootError, classify_roots
 from recausal.cli import _emit, build_parser, cmd_solve
 from recausal.dimension import dimension_report, run_pipeline
 from recausal.exactalg import Poly, PolyMatrix, RationalMatrix, det_adjugate
@@ -314,10 +313,10 @@ def _perturbed(rng, sr, max_lag):
         i, j, k = rng.randrange(num.rows), rng.randrange(num.cols), rng.randint(0, max_lag + 10)
         entries = [list(row) for row in num.entries]
         entries[i][j] = entries[i][j] + Poly.monomial(k, rand_frac(rng, nonzero=True))
-        out.append((k, dataclasses.replace(sr, transfer_num=PolyMatrix(entries))))
+        out.append((k, sr._replace(transfer_num=PolyMatrix(entries))))
     k = rng.randint(1, max_lag + 10)
     bad_den = den + Poly.monomial(k, rand_frac(rng, nonzero=True))
-    out.append((k, dataclasses.replace(sr, transfer_den=bad_den)))
+    out.append((k, sr._replace(transfer_den=bad_den)))
     return out
 
 
@@ -352,7 +351,7 @@ def test_verify_matches_lag_by_lag_reference(corpus):
 
 def test_transfer_series_requires_unit_den_at_zero():
     m = scalar_model(Fraction(1, 2))
-    sr = dataclasses.replace(solve_causal(m), transfer_den=Poly([2, -1]))
+    sr = solve_causal(m)._replace(transfer_den=Poly([2, -1]))
     with pytest.raises(ValueError, match=r"transfer_den\(0\) = 2"):
         transfer_series(sr.transfer_num, sr.transfer_den, 3)
     with pytest.raises(ValueError, match="transfer_den"):
@@ -611,7 +610,7 @@ def test_verify_reports_a_forced_entry_set_nonzero(corpus, predetermined_probe):
         for a in forced:
             h = [list(row) for row in sr.h.entries]
             h[a][n_checked % m.q] = Fraction(1)
-            rep = verify_solution(m, dataclasses.replace(sr, h=RationalMatrix(h)), m.H)
+            rep = verify_solution(m, sr._replace(h=RationalMatrix(h)), m.H)
             assert rep["predetermined_failures"] == [{"j": a // m.s, "row": a % m.s}]
             assert not rep["ok"]
             n_checked += 1
@@ -636,7 +635,7 @@ def test_planted_models_with_s0_zero_answer():
     emitted = 0
     for m in planted_models():
         for k in range(1, m.H + 1):
-            mk = dataclasses.replace(m, gamma=tuple(m.s if i == k else 0 for i in range(m.H + 1)))
+            mk = m._replace(gamma=tuple(m.s if i == k else 0 for i in range(m.H + 1)))
             assert dimension_report(mk).effective_unknowns == m.s * (m.H - k)
             sr = solve_causal(mk)
             if sr.transfer_num is not None:
@@ -650,7 +649,8 @@ def _drop_smith_unimodulars(m):
     Smith form: without P^-1, P cannot be derived either."""
     pipe = run_pipeline(m)
     pipe.cs
-    m.artifacts["sf"] = dataclasses.replace(pipe.sf, P_inv=None)
+    sf = pipe.sf
+    m.artifacts["sf"] = SmithForm(Q=sf.Q, g=sf.g, phi=sf.phi, P_inv=None)
 
 
 def test_solve_reads_no_smith_unimodular_but_q(capsys):
@@ -661,7 +661,7 @@ def test_solve_reads_no_smith_unimodular_but_q(capsys):
     assert "Q_inv" not in vars(m.artifacts["sf"])
     # g = (0, 0, 2) > J1 = 1: A_theta reads min(g_i, J1) and Q
     m = planted_models()[3]
-    want = solve_causal(dataclasses.replace(m))
+    want = solve_causal(m._replace())
     _drop_smith_unimodulars(m)
     got = solve_causal(m)
     assert got.classification == want.classification == "determinate"
