@@ -8,10 +8,14 @@ A_theta read; P and Q^-1 are their exact inverses, derived on first read, so
 The constraint blocks read only `LocalSmith`, the data of the form at z = 0,
 which needs no elimination when det pi(0) != 0.  `LocalSmith` and
 `RootClassification` are named tuples.
-`classify_roots` sorts the roots of det pi against the unit circle on exact
-Gerschgorin discs from `root_discs`, which the solver's stable/unstable split
-then refines.  Floating point only seeds the discs
-(`_start_points`), and no module here imports numpy.
+`classify_roots` sorts the roots of det pi against the unit circle on the
+exact inclusion discs of Weierstrass corrections (Carstensen) from
+`root_discs`, which the solver's stable/unstable split then refines; the ring
+tests compare integers.  Its squarefree factors come from
+`squarefree_factors`, which proves a squarefree factor by one gcd modulo a
+fixed prime and runs Yun's decomposition only when that proof fails.
+Floating point only seeds the discs (`_start_points`), and no module here
+imports numpy.
 """
 
 from __future__ import annotations
@@ -204,16 +208,19 @@ def _start_points(f: Poly):
     a = [c / num[n] for c in reversed(num)]  # monic, highest first
     r = abs(a[n]) ** (1 / n) or 1.0
     start = [r * cmath.exp(1j * (2 * cmath.pi * k / n + 0.4)) for k in range(n)]
-    z = list(start)
+    z, a = list(start), a[1:]
     for _ in range(100):
         moved = False
-        for i, zi in enumerate(z):
-            p, dp = 1.0, 0.0
-            for c in a[1:]:
+        for i in range(n):
+            zi, p, dp = z[i], 1.0, 0.0
+            for c in a:
                 p, dp = p * zi + c, dp * zi + p
             try:  # the Newton step N, deflated by the other points
-                N = p / dp
-                w = N / (1 - N * sum(1 / (zi - zj) for j, zj in enumerate(z) if j != i))
+                N, s = p / dp, 0
+                for j in range(n):
+                    if j != i:
+                        s += 1 / (zi - z[j])
+                w = N / (1 - N * s)
             except ZeroDivisionError:  # a critical point, or two points met
                 N = w = (abs(zi) + 1) * 1e-3j
             z[i] = zi - w
@@ -234,12 +241,13 @@ def _ring_error(r, lo) -> UnitCircleRootError:
 def classify_roots(p: Poly, xi=1, tol: float = 1e-9) -> RootClassification:
     """Classify roots of p relative to the unit circle and growth bound xi.
 
-    Factors z^m out exactly and takes Yun's squarefree decomposition of the
-    rest, prod a_k^k.  The first certified yield of root_discs on each a_k
-    puts every root, k times, in |z| < 1/xi - tol or in |z| > 1 + tol, or
-    raises UnitCircleRootError for a root in the ring between them: the discs
-    decide each side, no float comparison does.  The roots listed are the disc
-    centers, and `discs` keeps each a_k with its yield for the solver's split.
+    Factors z^m out exactly and splits the rest into squarefree factors,
+    prod a_k^k, by `squarefree_factors`.  The first certified yield of
+    root_discs on each a_k puts every root, k times, in |z| < 1/xi - tol or
+    in |z| > 1 + tol, or raises UnitCircleRootError for a root in the ring
+    between them: the discs decide each side, no float comparison does.  The
+    roots listed are the disc centers, and `discs` keeps each a_k with its
+    yield for the solver's split.
     """
     xi = rat(xi)
     if p.is_zero():
@@ -262,10 +270,6 @@ def classify_roots(p: Poly, xi=1, tol: float = 1e-9) -> RootClassification:
     )
 
 
-def _gmul(x, y):
-    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
-
-
 def root_discs(f: Poly, xi=1, tol: float = 1e-9, start=None):
     """Certified root discs of a squarefree monic f, refined on demand.
 
@@ -283,6 +287,9 @@ def root_discs(f: Poly, xi=1, tol: float = 1e-9, start=None):
     n, num, den = int(f.degree), f.num, f.den
     xi = rat(xi)
     lo, hi = 1 / xi - Fraction(tol), 1 + Fraction(tol)
+    # lo = ln/ld and hi = hn/hd, so the ring tests run on integers: a center c
+    # has |c| < lo S - r iff ln S - r ld > 0 and |c|^2 ld^2 < (ln S - r ld)^2
+    (ln, ld), (hn, hd) = lo.as_integer_ratio(), hi.as_integer_ratio()
     # 1024 bits plus about twice Mahler's bound on -log2 of the root separation
     cap = 1024 + 2 * n * (max(abs(c) for c in num).bit_length() + n.bit_length())
     p, Z = start or (64, [])
@@ -298,32 +305,34 @@ def root_discs(f: Poly, xi=1, tol: float = 1e-9, start=None):
             while Z[i] in Z[:i]:
                 Z[i] = (Z[i][0], Z[i][1] + 1)
         W, R = [], []
-        for i, zi in enumerate(Z):
-            acc, sk = (num[n], 0), 1  # S^n num(z_i), by Horner
+        for i, (x, y) in enumerate(Z):
+            ar, ai = num[n], 0  # S^n num(z_i), by Horner on Gaussian integers
             for k in range(n - 1, -1, -1):
-                sk *= S
-                acc = _gmul(acc, zi)
-                acc = (acc[0] + num[k] * sk, acc[1])
-            d = (1, 0)  # S^(n-1) prod_(j != i) (z_i - z_j)
-            for j, zj in enumerate(Z):
+                ar, ai = ar * x - ai * y + (num[k] << p * (n - k)), ar * y + ai * x
+            dr, di = 1, 0  # S^(n-1) prod_(j != i) (z_i - z_j)
+            for j, (u, v) in enumerate(Z):
                 if j != i:
-                    d = _gmul(d, (zi[0] - zj[0], zi[1] - zj[1]))
-            # W_i = acc / (den S d) = g / (q S), and R_i >= n |W_i| S
-            g, q = _gmul(acc, (d[0], -d[1])), den * (d[0] ** 2 + d[1] ** 2)
+                    u, v = x - u, y - v
+                    dr, di = dr * u - di * v, dr * v + di * u
+            # W_i = (ar + i ai) / (den S d) = g / (q S), and R_i >= n |W_i| S
+            g, q = (ar * dr + ai * di, ai * dr - ar * di), den * (dr * dr + di * di)
             r2 = -(-n * n * (g[0] ** 2 + g[1] ** 2) // (q * q))
             r = isqrt(r2)
             W.append((g, q))
             R.append(r + (r * r < r2))
-        alone = [
-            all((zi[0] - zj[0]) ** 2 + (zi[1] - zj[1]) ** 2 > (ri + rj) ** 2
-                for j, (zj, rj) in enumerate(zip(Z, R)) if j != i)
-            for i, (zi, ri) in enumerate(zip(Z, R))
-        ]
+        alone = [True] * n  # D(z_i, R_i) meets no other disc
+        for i, ((a, b), ri) in enumerate(zip(Z, R)):
+            for j in range(i):
+                if (a - Z[j][0]) ** 2 + (b - Z[j][1]) ** 2 <= (ri + R[j]) ** 2:
+                    alone[i] = alone[j] = False
         inside = []
+        lS, hS = ln * S, hn * S
         for (a, b), r, isolated in zip(Z, R, alone):
-            c2, t = a * a + b * b, lo * S - r
-            side = True if t > 0 and c2 < t * t else False if c2 > (hi * S + r) ** 2 else None
-            if side is None and isolated and (lo * S + r) ** 2 <= c2 <= (hi * S - r) ** 2:
+            c2, t = a * a + b * b, lS - r * ld
+            side = True if t > 0 and c2 * ld * ld < t * t else (
+                False if c2 * hd * hd > (hS + r * hd) ** 2 else None)
+            if (side is None and isolated and (lS + r * ld) ** 2 <= c2 * ld * ld
+                    and c2 * hd * hd <= (hS - r * hd) ** 2):
                 raise _ring_error(complex(a / S, b / S), 1 / xi)  # a root in the ring
             inside.append(side)
         if all(alone) and None not in inside and not (start and step == 0):

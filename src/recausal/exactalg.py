@@ -298,12 +298,39 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a.monic()
 
 
+_P = (1 << 30) - 35  # the largest prime below 2^30: residues are one-digit ints
+
+
+def _coprime_to_derivative_mod_p(num) -> bool:
+    """gcd(F, F') = 1 over GF(_P) for the integer polynomial F = sum num[k] z^k."""
+    p = _P
+    a = [c % p for c in reversed(num)]  # highest first
+    b = [k * c % p for k, c in zip(range(len(num) - 1, 0, -1), a)]
+    while b:
+        if not b[0]:
+            b.pop(0)
+            continue
+        inv, lb = pow(b[0], -1, p), len(b)
+        for i in range(len(a) - lb + 1):  # a mod b by long division
+            if q := a[i] * inv % p:
+                a[i : i + lb] = [(x - q * y) % p for x, y in zip(a[i : i + lb], b)]
+        a, b = b, a[len(a) - lb + 1 :]
+    return len(a) == 1
+
+
 def squarefree_factors(f: Poly) -> list:
     """Yun's squarefree decomposition [a_1, a_2, ...] of a nonzero f.
 
     The a_k are monic, squarefree and pairwise coprime (some may be 1), and
-    f = lead(f) prod a_k^k.
+    f = lead(f) prod a_k^k.  An f with gcd(f, f') = 1 over GF(_P), _P not
+    dividing its leading numerator, is squarefree, and its answer is [monic f]
+    ([] for a constant) without Yun: a repeated factor h^2 of f over Q may be
+    taken in Z[z] (Gauss's lemma), lead(h) divides that numerator, so h keeps
+    its degree mod _P and divides both f and f' there.  Yun runs when the
+    check fails, as it does on every f with a repeated root.
     """
+    if f.num and f.num[-1] % _P and _coprime_to_derivative_mod_p(f.num):
+        return [f.monic()] if f.degree else []
     b = f.monic()
     a = poly_gcd(b, c := b.derivative())
     b, c = b.exact_div(a), c.exact_div(a)

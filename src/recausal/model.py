@@ -125,6 +125,10 @@ def parse_model(text: str) -> REModel:
         raise ModelFormatError("gamma entries must be non-negative integers")
     if sum(gamma) != s:
         raise ModelFormatError(f"gamma sum mismatch: sum(gamma)={sum(gamma)} != s={s}")
+    if not isinstance(doc["A"], list) or not all(isinstance(e, dict) for e in doc["A"]):
+        raise ModelFormatError("'A' must be a list of objects")
+    if not isinstance(doc["wold"], list):
+        raise ModelFormatError("'wold' must be a list of matrices")
     A = {}
     for item in doc["A"]:
         k, h = item.get("k"), item.get("h")

@@ -1064,6 +1064,20 @@ def ref_split_phi(phi: Poly, xi=1, tol: float = 1e-9):
     return stable, unstable
 
 
+def ref_squarefree_factors(f: Poly) -> list:
+    """[a_1, ..., a_k] of a nonzero f from sympy's sqf_list over Q: a_j is the
+    monic product of the factors of multiplicity j, and 1 where there is none."""
+    import sympy
+
+    QQ = sympy.QQ
+    rep = [QQ(c.numerator, c.denominator) for c in reversed(f.coeffs)]
+    _, parts = sympy.Poly.from_list(rep, sympy.Symbol("z"), domain=QQ).sqf_list()
+    out = [Poly.const(1)] * max((k for _fac, k in parts), default=0)
+    for fac, k in parts:
+        out[k - 1] = Poly([Fraction(int(c.p), int(c.q)) for c in fac.all_coeffs()[::-1]]).monic()
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Smith-split cancellation (reference for the solver's divisibility rows)
 

@@ -274,6 +274,25 @@ def test_classify_roots_counts_repeated_roots_by_multiplicity():
     assert all(abs(r - 0.5) < 1e-12 for r in rc.unstable_roots)
 
 
+@pytest.mark.parametrize("xi", [1, 2])
+def test_classify_roots_ring_boundaries(xi):
+    """Exact roots 2 tol inside 1/xi - tol and 2 tol outside 1 + tol, real and
+    as the pair +-i r, are placed; roots in the ring between are refused."""
+    tol = Fraction(1e-9)
+    inner, outer = 1 / Fraction(xi) - 2 * tol, 1 + 2 * tol
+    rc = classify_roots((Z - inner) * (Z + outer), xi)
+    assert (len(rc.unstable_roots), len(rc.stable_roots)) == (1, 1)
+    assert rc.unstable_roots[0].real > 0 > rc.stable_roots[0].real
+    rc = classify_roots((Z * Z + inner * inner) * (Z * Z + outer * outer), xi)
+    assert (len(rc.unstable_roots), len(rc.stable_roots)) == (2, 2)
+    for r in (1 / Fraction(xi) - tol / 2, 1 / Fraction(xi), (1 / Fraction(xi) + 1) / 2, 1,
+              1 + tol / 2):
+        with pytest.raises(UnitCircleRootError):
+            classify_roots(Z - r, xi)
+        with pytest.raises(UnitCircleRootError):
+            classify_roots(Z * Z + r * r, xi)
+
+
 def _nearest_distances(points, roots):
     return [min(abs(z - complex(r)) for z in points) for r in roots]
 

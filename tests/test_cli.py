@@ -266,11 +266,16 @@ def test_solve_refuses_negative_j1(capsys, tmp_path):
         ("A[0,0]", lambda d: d["A"][0].update(matrix=[[True]])),
         ("wold[0]", lambda d: d.update(wold=[[[True]]])),
         ("xi", lambda d: d.update(xi=True)),
+        ("'A'", lambda d: d.update(A=1)),
+        ("'A'", lambda d: d.update(A=[1])),
+        ("'wold'", lambda d: d.update(wold=5)),
     ],
 )
 def test_json_booleans_are_not_numbers(capsys, tmp_path, field, mutate):
     """bool subclasses int, but a JSON true or false is neither an integer nor
-    a rational.  Read as 1 and 0, each of these documents is a valid model."""
+    a rational.  Read as 1 and 0, each of these documents is a valid model.
+    The last three put a number where a list of A objects or of wold matrices
+    belongs; each is a format error naming the field, not a traceback."""
     doc = json.loads(INDETERMINATE_SCALAR)
     mutate(doc)
     path = tmp_path / "bool.json"

@@ -9,8 +9,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from recausal import exactalg
 from recausal.exactalg import (
     NEG_INF,
+    _P,
+    _coprime_to_derivative_mod_p,
     _unpack,
     Poly,
     PolyMatrix,
@@ -24,6 +27,7 @@ from recausal.exactalg import (
     rat,
     rat_str,
     solve_affine,
+    squarefree_factors,
     vstack,
 )
 from recausal.model import build_pi
@@ -44,6 +48,7 @@ from conftest import (
     ref_rank_kernel,
     ref_rank_of,
     ref_solve_affine,
+    ref_squarefree_factors,
     zero_polymatrix,
 )
 
@@ -318,6 +323,46 @@ def test_poly_division_matches_reference(a, b):
     _check(pa % pb, rr)
     _check((pa * pb).exact_div(pb), ra)
     _check(poly_gcd(pa, pb), ref_gcd(ra, rb))
+
+
+# products of low-degree factors, each repeated up to three times, times a constant
+_sqf_factor = st.lists(st.fractions(-3, 3, max_denominator=4), min_size=2, max_size=4).map(
+    Poly).filter(lambda f: f.degree > 0)
+
+
+@_PROP
+@given(st.lists(st.tuples(_sqf_factor, st.integers(1, 3)), max_size=4),
+       st.fractions(-(10**6), 10**6, max_denominator=10**6).filter(bool))
+@example([(Poly([-1, 1]), 1), (Poly([-2, 1]), 1)], Fraction(3, 2))
+@example([(Poly([-1, 1]), 2), (Poly([1, 0, 1]), 3)], Fraction(1))
+def test_squarefree_factors_match_sympy(parts, c):
+    f = Poly.const(c)
+    for g, k in parts:
+        for _ in range(k):
+            f = f * g
+    assert squarefree_factors(f) == ref_squarefree_factors(f)
+
+
+def test_squarefree_certificate_defers_to_yun(monkeypatch):
+    """(z - 1)(z - 1 - _P) is squarefree, but its roots meet mod _P, and _P
+    divides the leading numerator of _P z^2 - 1: the check fails on both and
+    Yun's decomposition, with its gcds, gives the answer."""
+    calls = []
+
+    def counted_gcd(a, b, _gcd=exactalg.poly_gcd):
+        calls.append(1)
+        return _gcd(a, b)
+
+    monkeypatch.setattr(exactalg, "poly_gcd", counted_gcd)
+    z = Poly([0, 1])
+    f = (z - 1) * (z - 1 - _P)
+    assert not _coprime_to_derivative_mod_p(f.num)
+    assert squarefree_factors(f) == [f] and calls
+    calls.clear()
+    assert squarefree_factors(_P * z * z - 1) == [z * z - Fraction(1, _P)] and calls
+    calls.clear()
+    assert squarefree_factors(2 * (z - 1) * (z - 2)) == [(z - 1) * (z - 2)]
+    assert squarefree_factors(Poly.const(Fraction(-7, 3))) == [] and not calls
 
 
 def _ref_rows(M: RationalMatrix):

@@ -16,7 +16,7 @@ import pytest
 
 import recausal
 from recausal import solver
-from recausal.canon import LocalSmith, RootClassification
+from recausal.canon import LocalSmith, RootClassification, UnitCircleRootError, classify_roots
 from recausal.cli import main
 from recausal.constraints import ConstraintSystem
 from recausal.dimension import DimensionReport, dimension_report, run_pipeline
@@ -25,7 +25,7 @@ from recausal.model import (
     PiPolynomial, REModel, build_pi, parse_model, serialize_model, validate_semantics,
 )
 from recausal.solver import FactorizationError, SolutionReport, solve_causal, verify_solution
-from conftest import SIMS_JSON, planted_models, random_model
+from conftest import SIMS_JSON, planted_models, random_model, ref_squarefree_factors
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
@@ -315,6 +315,28 @@ def test_start_points_run_once_per_yun_factor(monkeypatch, which):
     det = run_pipeline(m).pi.det
     assert counts["canon._start_points"] == _yun_factor_count(det) > 0
     assert bool(resumed) == (which == "refined")
+
+
+def test_classify_roots_needs_no_gcd_on_squarefree_dets(monkeypatch, corpus):
+    """Every corpus det pi / z^G is squarefree, so the mod-p certificate
+    settles each without Yun's gcds; a planted det with a repeated root still
+    gets Yun's factors."""
+    dets = [(run_pipeline(m).pi.det, m.xi) for m in corpus]
+    repeated = run_pipeline(planted_models()[8]).pi.det
+    counts = count_calls(monkeypatch, ("exactalg.poly_gcd",))
+    for det, xi in dets:
+        try:
+            classify_roots(det, xi)
+        except UnitCircleRootError:
+            pass
+    assert counts["exactalg.poly_gcd"] == 0
+    rc = classify_roots(repeated)
+    assert counts["exactalg.poly_gcd"] > 0
+    yun = ref_squarefree_factors(repeated.shift(-rc.zero_multiplicity))
+    assert [(a, k) for a, k, _disc in rc.discs] == [
+        (a, k) for k, a in enumerate(yun, 1) if not a.is_constant()
+    ]
+    assert len(rc.discs) == 2
 
 
 GOLDEN_CASES = json.loads((GOLDEN / "cases.json").read_text())
