@@ -21,14 +21,14 @@ det pi splits into D and S = det pi / D over Q without factoring: the
 certified discs that classified the roots of each squarefree factor of
 det pi / z^G give its unstable roots, their product is rounded onto the lattice
 Gauss's lemma allows, and one exact division accepts it or proves that no
-rational split exists.  Only the printed A_theta reads the Smith form, for the
-stable factor pi_s of pi.  Only `simulate` imports numpy.  The result,
-`SolutionReport`, is a named tuple.
+rational split exists.  Only `simulate` imports numpy.  The result,
+`SolutionReport`, is a named tuple; its A_theta, the one reader of the Smith
+form here, is a property computed on each read, so it takes no `A_theta=`.
 
 A solution y = (num/den) eps is verified by one polynomial identity: with R the
-series of model residuals, den R is a polynomial T built from num, den and the
-head of the series, and den(0) = 1 makes den a unit of Q[[z]], so R vanishes
-to lag L exactly when den R = T = 0 mod z^(L+1).
+series of model residuals and T = den R, z^H T = z^H den W + Lambda num - den U
+(see verify_solution), and den(0) = 1 makes den a unit of Q[[z]], so R vanishes
+to lag L exactly when coefficients H .. H+L of z^H T are zero.
 """
 
 from __future__ import annotations
@@ -148,12 +148,28 @@ def _cancellation_rows(adj: PolyMatrix, D: Poly, M: PolyMatrix, W: PolyMatrix, f
 
 # classification: "no_causal_solution" | "determinate" | "indeterminate";
 # indeterminacy_dim: free parameters, 0 unless indeterminate; h: the chosen
-# loading stack, sH x q, or None like h_particular, transfer_num, transfer_den
-# and A_theta when there is no solution; kernel: basis vectors of length sH,
+# loading stack, sH x q, or None like h_particular, transfer_num and
+# transfer_den when there is no solution; kernel: basis vectors of length sH,
 # shared by the columns; pipeline: the model's Pipeline
-SolutionReport = namedtuple("SolutionReport", (
-    "classification indeterminacy_dim h h_particular kernel transfer_num transfer_den "
-    "A_theta pipeline kernel_point"))
+class SolutionReport(namedtuple("SolutionReport", (
+        "classification indeterminacy_dim h h_particular kernel transfer_num transfer_den "
+        "pipeline kernel_point"))):
+    __slots__ = ()
+
+    @property
+    def A_theta(self):
+        """pi_s num / den, pi_s = diag(z^min(g_i, J1) phi_i / gcd(phi_i, D)) Q the
+        stable Smith factor of pi; None without a solution.  Computed on each read."""
+        pipe, num, den = self.pipeline, self.transfer_num, self.transfer_den
+        if num is None:
+            return None
+        sf, J1 = pipe.sf, pipe.pi.J1
+        D, _S = factor_stable_unstable(pipe.pi.det, J1, pipe.roots)
+        pi_s = PolyMatrix.diag([
+            Poly.monomial(min(gi, J1)) * phi.exact_div(poly_gcd(phi, D))
+            for gi, phi in zip(sf.g, sf.phi)
+        ]) * sf.Q
+        return PolyMatrix([[e.exact_div(den) for e in row] for row in (pi_s * num).entries])
 
 
 def _min_norm_shift(X: RationalMatrix, kernel):
@@ -199,8 +215,7 @@ def solve_causal(
         return SolutionReport(
             classification="no_causal_solution", indeterminacy_dim=0,
             h=None, h_particular=None, kernel=tuple(kernel),
-            transfer_num=None, transfer_den=None, A_theta=None,
-            pipeline=pipe, kernel_point=kernel_point,
+            transfer_num=None, transfer_den=None, pipeline=pipe, kernel_point=kernel_point,
         )
     X = _rmat([list(X.entries[at[a]]) if a in at else [Fraction(0)] * q
                for a in range(n_unknowns)], q)
@@ -209,14 +224,13 @@ def solve_causal(
     else:
         v = kernel[_kernel_index(kernel_point, len(kernel))]
         chosen = X + RationalMatrix([[v[a]] * q for a in range(n_unknowns)])
-    num, den, a_theta = build_transfer(m, pipe, (D, S), M, W, chosen)
+    num, den, _ = build_transfer(m, pipe, (D, S), M, W, chosen)
     classification = "determinate" if not kernel else "indeterminate"
     return SolutionReport(
         classification=classification,
         indeterminacy_dim=len(kernel) * q if kernel else 0,
         h=chosen, h_particular=X, kernel=tuple(kernel),
-        transfer_num=num, transfer_den=den, A_theta=a_theta,
-        pipeline=pipe, kernel_point=kernel_point,
+        transfer_num=num, transfer_den=den, pipeline=pipe, kernel_point=kernel_point,
     )
 
 
@@ -242,19 +256,15 @@ def build_transfer(m, pipe, split, M, W, h):
     split = (D, S) from factor_stable_unstable and R = M h - W the residual
     of _residual_map.  num = adj(pi) N / D is exact once h
     satisfies the divisibility rows, and den = S, so num/den = pi^-1 N;
-    den ends with den(0) = 1 and all roots outside the unit circle.  A_theta
-    is pi_s num / den for the stable Smith factor
-    pi_s = diag(z^min(g_i, J1) phi_i / gcd(phi_i, D)) Q of pi.
+    den ends with den(0) = 1 and all roots outside the unit circle.  The
+    third value is None for callers that unpack three; see SolutionReport.A_theta.
     """
-    D, den = split
+    den = split[1]
     num = _numerator(m, pipe.pi.adj, split, M, W, h)
     # cancel any common polynomial factor, then normalize den(0) = 1
     common = den
-    for row in num.entries:
-        for e in row:
-            common = poly_gcd(common, e)
-            if common.is_constant():
-                break
+    for e in chain.from_iterable(num.entries):
+        common = poly_gcd(common, e)
         if common.is_constant():
             break
     if not common.is_constant() and not common.is_zero():
@@ -263,15 +273,7 @@ def build_transfer(m, pipe, split, M, W, h):
     c0 = den[0]
     assert c0 != 0, "denominator vanishes at zero after pole cancellation"
     inv = Fraction(1) / c0
-    num = num * inv
-    den = den * inv
-    sf, J1 = pipe.sf, pipe.pi.J1
-    pi_s = PolyMatrix.diag([
-        Poly.monomial(min(gi, J1)) * phi.exact_div(poly_gcd(phi, D))
-        for gi, phi in zip(sf.g, sf.phi)
-    ]) * sf.Q
-    a_theta = PolyMatrix([[e.exact_div(den) for e in row] for row in (pi_s * num).entries])
-    return num, den, a_theta
+    return num * inv, den * inv, None
 
 
 def transfer_series(num: PolyMatrix, den: Poly, n: int):
@@ -298,32 +300,36 @@ def verify_solution(m: REModel, sr: SolutionReport, max_lag: int = 50) -> dict:
 
     With Psi = num/den, the residuals R_d = sum_(k,h) A_kh Psi_(d-k+h) + w_d
     form the series R = W + sum_(k,h) A_kh z^k (Psi - Psi_<h) / z^h, where
-    Psi_<h is the head Psi_0 .. Psi_(h-1).  So den R is the polynomial
-    T = den W + sum_(k,h) A_kh z^k (num - den Psi_<h) / z^h, each division by
-    z^h exact.  As den(0) = 1, den is a unit of Q[[z]]: R_0 .. R_L all vanish
-    iff den R = T = 0 mod z^(L+1), an exact check without L+1 series products.
-    Only if it fails is R rebuilt as the series of T/den, reporting each failing
-    lag with its first nonzero position and value.  Also checks that the
-    entries of h outside m.free_unknowns() are zero.
+    Psi_<h is the head Psi_0 .. Psi_(h-1).  So T = den R is a polynomial with
+    z^H T = z^H den W + Lambda num - den U, Lambda = sum A_kh z^(k+H-h) and
+    U = sum A_kh z^(k+H-h) Psi_<h built from the model's own A_kh: one product.
+    As den(0) = 1, den is a unit of Q[[z]]: R_0 .. R_L all vanish iff
+    coefficients H .. H+L of z^H T are zero.  Only if not is R rebuilt as the
+    series of T/den, reporting each failing lag with its first nonzero position
+    and value.  Also checks that the entries of h outside m.free_unknowns() are zero.
     """
     if sr.transfer_num is None:
         raise ValueError("no transfer function to verify")
-    s, q = m.s, m.q
+    s, q, H = m.s, m.q, m.H
     num, den = sr.transfer_num, sr.transfer_den
-    head = transfer_series(num, den, m.H)
-    T = m.wold_poly() * den
-    for h in range(m.H + 1):
-        a_h = [m.a(k, h) for k in range(m.K + 1)]
-        lead = PolyMatrix([[Poly([a[i, r] for a in a_h]) for r in range(s)] for i in range(s)])
-        psi_h = PolyMatrix(
-            [[Poly([psi.entries[i][c] for psi in head[:h]]) for c in range(q)]
-             for i in range(s)]
-        )
-        tail = num - psi_h * den
-        T = T + lead * tail.shift(-h)
+    head = transfer_series(num, den, H)
+    n = m.K + H + 1  # Lambda has degree <= K + H and U degree <= K + H - 1
+    lam = [[[Fraction(0)] * n for _ in range(s)] for _ in range(s)]
+    u = [[[Fraction(0)] * n for _ in range(q)] for _ in range(s)]
+    for (k, h), a in m.A.items():
+        deg = k + H - h
+        for i, arow in enumerate(a.entries):
+            for r, x in enumerate(arow):
+                if x:
+                    lam[i][r][deg] += x
+                    for j in range(h):
+                        for c, y in enumerate(head[j].entries[r]):
+                            u[i][c][deg + j] += x * y
+    V = m.wold_poly().shift(H) - PolyMatrix([[Poly(e) for e in row] for row in u])
+    zT = PolyMatrix([[Poly(e) for e in row] for row in lam]) * num + V * den
     failures = []
-    if any(any(e.num[: max_lag + 1]) for row in T.entries for e in row):
-        for d, res in enumerate(transfer_series(T, den, max_lag + 1)):
+    if any(any(e.num[H : H + max_lag + 1]) for row in zT.entries for e in row):
+        for d, res in enumerate(transfer_series(zT.shift(-H), den, max_lag + 1)):
             bad = [(i, c, v) for i, row in enumerate(res.entries) for c, v in enumerate(row) if v]
             if bad:
                 i, c, v = bad[0]
@@ -332,20 +338,14 @@ def verify_solution(m: REModel, sr: SolutionReport, max_lag: int = 50) -> dict:
     # SDE ansatz must vanish for i > j, i.e. the forced entries of h are zero.
     # (The realized solution may still load contemporaneously on innovations
     # through the exogenous term, as in the paper's own predetermined example.)
-    predet_failures = []
-    if sr.h is not None:
-        free = set(m.free_unknowns())
-        predet_failures = [{"j": a // s, "row": a % s} for a in range(s * m.H)
-                           if a not in free and any(sr.h.entries[a])]
+    free = set(m.free_unknowns())
+    predet_failures = [] if sr.h is None else [
+        {"j": a // s, "row": a % s} for a in range(s * H) if a not in free and any(sr.h.entries[a])]
     # in the plain flavor the ansatz MDS are exactly the revisions of y, so
     # the leading series coefficients must reproduce h
-    first_coeff_failures = []
-    if sr.h is not None and not m.predetermined:
-        for j in range(m.H):
-            for r in range(m.s):
-                for c in range(m.q):
-                    if head[j].entries[r][c] != sr.h.entries[j * m.s + r][c]:
-                        first_coeff_failures.append({"j": j, "row": r, "col": c})
+    first_coeff_failures = [] if sr.h is None or m.predetermined else [
+        {"j": j, "row": r, "col": c} for j in range(H) for r in range(s) for c in range(q)
+        if head[j].entries[r][c] != sr.h.entries[j * s + r][c]]
     return {
         "ok": not failures and not predet_failures and not first_coeff_failures,
         "max_lag": max_lag,

@@ -1005,6 +1005,14 @@ def ref_verify(m: REModel, sr, max_lag: int) -> dict:
         if bad:
             i, c = bad[0]
             failures.append({"lag": d, "row": i, "col": c, "value": str(res[i][c])})
+    return _ref_report(m, sr, max_lag, failures)
+
+
+def _ref_report(m: REModel, sr, max_lag: int, failures) -> dict:
+    """The whole verify report around the substitution failures: adds the
+    predetermined zero-pattern and first-coefficient checks."""
+    s, q = m.s, m.q
+    psi = ref_series(sr.transfer_num, sr.transfer_den, m.H)
     predet, first = [], []
     if sr.h is not None:
         for j in range(m.H):
@@ -1027,6 +1035,35 @@ def ref_verify(m: REModel, sr, max_lag: int) -> dict:
         "first_coefficient_failures": first,
         "wold_truncation": len(m.wold) - 1,
     }
+
+
+def ref_verify_per_h(m: REModel, sr, max_lag: int) -> dict:
+    """verify_solution's report from T = den R built one h at a time.
+
+    T = den W + sum_h lead_h (num - den Psi_<h) / z^h with
+    lead_h = sum_k A_kh z^k: H + 1 products, each division by z^h exact.
+    R_0 .. R_L vanish iff T = 0 mod z^(L+1); only when they do not is
+    R = T / den expanded to report the failing lags.  _ref_report adds the
+    other two checks.
+    """
+    s, q = m.s, m.q
+    num, den = sr.transfer_num, sr.transfer_den
+    head = ref_series(num, den, m.H)
+    T = m.wold_poly() * den
+    for h in range(m.H + 1):
+        lead = PolyMatrix([[Poly([m.a(k, h)[i, r] for k in range(m.K + 1)]) for r in range(s)]
+                           for i in range(s)])
+        psi_h = PolyMatrix([[Poly([psi[i][c] for psi in head[:h]]) for c in range(q)]
+                            for i in range(s)])
+        T = T + lead * (num - psi_h * den).shift(-h)
+    failures = []
+    if any(e[d] for row in T.entries for e in row for d in range(max_lag + 1)):
+        for d, res in enumerate(ref_series(T, den, max_lag + 1)):
+            bad = [(i, c, v) for i, row in enumerate(res) for c, v in enumerate(row) if v]
+            if bad:
+                i, c, v = bad[0]
+                failures.append({"lag": d, "row": i, "col": c, "value": str(v)})
+    return _ref_report(m, sr, max_lag, failures)
 
 
 # ---------------------------------------------------------------------------

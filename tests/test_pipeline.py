@@ -99,7 +99,7 @@ def test_cli_analyze_skips_smith_form_when_det_pi0_is_nonzero(monkeypatch, capsy
 @pytest.mark.parametrize("which", ["refused", "no-solution", "solvable"])
 def test_smith_form_runs_only_for_a_theta_when_det_pi0_is_nonzero(monkeypatch, which):
     """validate + analyze + solve (+ verify) of a det pi(0) != 0 model computes
-    the global Smith form only for the printed A_theta of a solution."""
+    no global Smith form; the first read of a solution's A_theta computes it once."""
     make, outcome = {
         "refused": (lambda: random_model(random.Random(3), 3, 1, 1), "refused"),
         "no-solution": (
@@ -120,10 +120,11 @@ def test_smith_form_runs_only_for_a_theta_when_det_pi0_is_nonzero(monkeypatch, w
         assert sr.classification == outcome
         if sr.transfer_num is not None:
             assert verify_solution(m, sr)["ok"]
-    assert counts == {
-        "model.build_pi": 1, "exactalg.det_adjugate": 1,
-        "canon.smith_form": int(which == "solvable"),
-    }
+    assert counts == {"model.build_pi": 1, "exactalg.det_adjugate": 1, "canon.smith_form": 0}
+    if which == "solvable":
+        a_theta = sr.A_theta
+        assert a_theta is not None and counts["canon.smith_form"] == 1
+        assert sr.A_theta == a_theta and counts["canon.smith_form"] == 1  # the memoized form
 
 
 def test_views_share_artifacts():
@@ -163,7 +164,7 @@ def test_records_keep_their_fields_and_defaults():
     )
     assert SolutionReport._fields == (
         "classification", "indeterminacy_dim", "h", "h_particular", "kernel", "transfer_num",
-        "transfer_den", "A_theta", "pipeline", "kernel_point",
+        "transfer_den", "pipeline", "kernel_point",
     )
 
 

@@ -52,6 +52,7 @@ from conftest import (
     ref_split_phi,
     ref_transfer,
     ref_verify,
+    ref_verify_per_h,
     same_affine_set,
     sims_model,
 )
@@ -277,7 +278,7 @@ def test_verify_sims_and_negative_control():
     bad = SolutionReport(
         classification=sr.classification, indeterminacy_dim=sr.indeterminacy_dim,
         h=sr.h, h_particular=sr.h_particular, kernel=sr.kernel,
-        transfer_num=bad_num, transfer_den=sr.transfer_den, A_theta=sr.A_theta,
+        transfer_num=bad_num, transfer_den=sr.transfer_den,
         pipeline=sr.pipeline, kernel_point=sr.kernel_point,
     )
     rep = verify_solution(m, bad, max_lag=10)
@@ -347,6 +348,38 @@ def test_verify_matches_lag_by_lag_reference(corpus):
                     assert rep == base, (k, max_lag)
                 n_failing += rep["failures"] != base["failures"]
     assert n_failing >= 90, n_failing
+
+
+def test_verify_matches_per_h_reference(corpus, predetermined_probe):
+    """The z^H-scaled identity gives the report of T built one h at a time on
+    every solution, the failing predetermined J1 < H ones among them, on
+    perturbed numerators and at H = 0 and K = 0."""
+    h0 = random_model(random.Random(9), 2, 1, 0)
+    k0 = random_model(random.Random(0), 2, 0, 2)
+    models = (list(corpus) + list(predetermined_probe) + ladder_shaped_models() + planted_models()
+              + deep_planted_models() + [defect_model(), sims_model(), h0, k0])
+    rng = random.Random(16)
+    n_solved = n_failing = n_perturbed = 0
+    for m in models:
+        try:
+            sr = solve_causal(m)
+        except (FactorizationError, UnsupportedModelError):
+            assert m not in (h0, k0)
+            continue
+        if sr.transfer_num is None:
+            assert m not in (h0, k0)
+            continue
+        n_solved += 1
+        for max_lag in sorted({m.H, 50}):
+            rep = verify_solution(m, sr, max_lag)
+            assert rep == ref_verify_per_h(m, sr, max_lag), max_lag
+        n_failing += not rep["ok"]
+        for k, bad in _perturbed(rng, sr, 50)[:2]:  # the numerators
+            rep = verify_solution(m, bad, 50)
+            assert rep == ref_verify_per_h(m, bad, 50), k
+            n_perturbed += bool(rep["failures"])
+    assert n_solved >= 45 and n_failing >= 9 and n_perturbed >= 60, (
+        n_solved, n_failing, n_perturbed)
 
 
 def test_transfer_series_requires_unit_den_at_zero():
@@ -480,7 +513,7 @@ def _cancellation_affine_set(rows_of, A, W):
 
 def test_divisibility_rows_match_smith_split(corpus):
     n_sets = n_transfers = n_deep = 0
-    for m in list(corpus) + planted_models() + deep_planted_models():
+    for m in list(corpus) + planted_models() + deep_planted_models() + [sims_model()]:
         pipe = run_pipeline(m)
         try:
             sr = solve_causal(m, pipe)
@@ -688,7 +721,7 @@ def test_simulate_white_noise_and_determinism():
     white = SolutionReport(
         classification="determinate", indeterminacy_dim=0, h=None, h_particular=None,
         kernel=(), transfer_num=PolyMatrix.identity(2), transfer_den=Poly.const(1),
-        A_theta=None, pipeline=None, kernel_point="min-norm",
+        pipeline=None, kernel_point="min-norm",
     )
     rep = simulate(white, T=40000, seed=3)
     se = rep["mc_standard_error"]
