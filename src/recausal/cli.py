@@ -65,6 +65,8 @@ def _parse_options(args) -> str | None:
         return f"--xi: {exc}"
     if args.trials < 1:
         return "--trials must be at least 1"
+    if args.command == "simulate" and args.trials < 3:
+        return "--trials must be at least 3 for simulate"
     if args.seed < 0:
         return "--seed must be non-negative"
     return None

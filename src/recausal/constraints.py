@@ -4,8 +4,8 @@ Builds the polynomial zeta(z) = sum_i m_i z^i, the per-row coefficient blocks
 of P(z)^{-1} and the selector S, and assembles the linear system that every
 admissible stack of revision loadings must satisfy, in both the plain and the
 predetermined flavor, as a `ConstraintSystem` named tuple.  The systems and
-the rank bounds read m_stack, the coefficients m_0, m_1, ... stacked, which
-the pipeline builds once per model as wide as the P^{-1} blocks.
+the rank bounds read m_stack, the m_0, m_1, ... stacked, which the pipeline
+sums from the A_kh (`build_m_stack`) once per model, as wide as the P^{-1} blocks.
 
 Of a factorization pi = P diag(z^g) E (P unimodular, E(0) invertible; the
 Smith form with E = diag(phi) Q is one) the systems read only its data at
@@ -26,12 +26,15 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from math import lcm
 
 from .canon import LocalSmith
 from .exactalg import (
-    Poly,
     PolyMatrix,
     RationalMatrix,
+    _NIL,
+    _poly,
+    _rmat,
     block_diag,
     pseudo_inverse_columns,
     rank_kernel,
@@ -41,21 +44,37 @@ from .exactalg import (
 from .model import REModel
 
 
+def build_m_stack(m: REModel, n: int) -> RationalMatrix:
+    """The coefficients m_0, ..., m_(n-1) of zeta(z) stacked, from the A_kh:
+    column block j of m_i is minus the sum of the A_kh with k + j - h = i, h <= j < H."""
+    s, H = m.s, m.H
+    sums = [[0] * (s * H) for _ in range(n * s)]
+    for (k, h), A in m.A.items():
+        for j in range(h, min(H, n + h - k)):
+            for acc, row in zip(sums[(k + j - h) * s :], A.entries):
+                for c, a in enumerate(row, j * s):
+                    if a:
+                        acc[c] = acc[c] + a if acc[c] else a
+    return _rmat([[-a if a else _NIL for a in row] for row in sums], s * H)
+
+
 def zeta_coefficients(m: REModel) -> PolyMatrix:
     """The s x sH polynomial zeta(z) = sum_i m_i z^i of zeta_t = sum_i m_i eps_bullet_{t-i}.
 
     zeta_t collects -A_kh z^{k+(j-h)} eps^j_t over k, j in 0..H-1, h <= j;
-    the entry of m_i at block j is minus the sum of all A_kh with k+j-h = i.
+    the entry of m_i at block j is minus the sum of all A_kh with k+j-h = i,
+    summed on integer numerators over the lcm L of all A_kh denominators.
     """
     s, H = m.s, m.H
-    coeffs = [[[Fraction(0)] * (H + m.K) for _ in range(s * H)] for _ in range(s)]
+    L = lcm(*(a.denominator for A in m.A.values() for row in A.entries for a in row))
+    num = [[[0] * (H + m.K) for _ in range(s * H)] for _ in range(s)]
     for (k, h), A in m.A.items():
         for j in range(h, H):
             for r, row in enumerate(A.entries):
                 for c, a in enumerate(row):
                     if a:
-                        coeffs[r][j * s + c][k + j - h] -= a
-    return PolyMatrix([[Poly(cs) for cs in row] for row in coeffs])
+                        num[r][j * s + c][k + j - h] -= a.numerator * (L // a.denominator)
+    return PolyMatrix([[_poly(cs, L) for cs in row] for row in num])
 
 
 def frak_p_blocks(loc: LocalSmith, J1: int, H: int) -> tuple:

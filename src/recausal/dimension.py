@@ -4,7 +4,8 @@
 constraint systems read only its stage `local`, the Smith data at z = 0.
 When det pi(0) != 0 (G = 0, the generic case) that is pi = I I pi and needs
 no elimination, so the global `smith_form` runs only for a model with G > 0,
-for `recausal smith` and for the printed A_theta of a solved model.
+for `recausal smith` and for the printed A_theta of a solved model.  adj pi
+(`adj`) and zeta(z) (`zc`) serve only the solve, once its split is accepted.
 `DimensionReport` is a named tuple.
 """
 
@@ -16,6 +17,7 @@ from fractions import Fraction
 
 from .canon import LocalSmith, RedundantEquationsError, classify_roots, smith_form
 from .constraints import (
+    build_m_stack,
     build_plain_system,
     build_predetermined_system,
     build_selectors,
@@ -23,7 +25,7 @@ from .constraints import (
     frak_p_blocks,
     zeta_coefficients,
 )
-from .exactalg import RationalMatrix, _rmat
+from .exactalg import RationalMatrix, _rmat, det_adjugate
 from .model import REModel, build_pi
 
 
@@ -57,8 +59,13 @@ class Pipeline:
 
     @_stage
     def pi(self):
-        """pi(z) with its determinant and adjugate."""
+        """pi(z) with its determinant."""
         return build_pi(self.model)
+
+    @_stage
+    def adj(self):
+        """adj pi(z), pi adj = det pi I: read only by the solve after its split."""
+        return det_adjugate(self.pi.pi)[1]
 
     @_stage
     def sf(self):
@@ -85,6 +92,7 @@ class Pipeline:
 
     @_stage
     def zc(self):
+        """zeta(z) as a polynomial matrix: read only by the solve after its split."""
         return zeta_coefficients(self.model)
 
     @_stage
@@ -95,9 +103,8 @@ class Pipeline:
     def m_stack(self):
         """The coefficients m_i of zeta(z) stacked, as many as p_stack has
         column blocks, H + max(g - J1, 0): the constraint systems and the
-        rank bounds read this one stack."""
-        n, zc = self.pb[0].cols // self.model.s, self.zc
-        return _rmat([[e[i] for e in row] for i in range(n) for row in zc.entries], zc.cols)
+        rank bounds read this one stack, built from the A_kh."""
+        return build_m_stack(self.model, self.pb[0].cols // self.model.s)
 
     @_stage
     def plain_cs(self):
@@ -155,21 +162,11 @@ def dimension_report(m: REModel, pipe: Pipeline | None = None) -> DimensionRepor
 
 def _perturb(m: REModel, rng: random.Random, magnitude=Fraction(1, 64)) -> REModel:
     """Structure-preserving perturbation: nonzero entries of A_kh jitter, zeros stay."""
-    new_a = {}
-    for key, mat in m.A.items():
-        rows = []
-        for row in mat.entries:
-            new_row = []
-            for e in row:
-                if e == 0:
-                    new_row.append(Fraction(0))
-                else:
-                    new_row.append(
-                        e + Fraction(rng.randint(-8, 8), 8) * magnitude
-                    )
-            rows.append(new_row)
-        new_a[key] = RationalMatrix(rows)
-    return m._replace(A=new_a)
+    def jitter(e):
+        return e + Fraction(rng.randint(-8, 8), 8) * magnitude if e else e
+
+    return m._replace(A={key: _rmat([[jitter(e) for e in row] for row in mat.entries])
+                         for key, mat in m.A.items()})
 
 
 def genericity_probe(m: REModel, trials: int = 10, seed: int = 0) -> dict:
@@ -179,27 +176,17 @@ def genericity_probe(m: REModel, trials: int = 10, seed: int = 0) -> dict:
     its rank differs from the mode.  A perturbed point with a singular pi
     counts as a failed trial; any other error propagates.
     """
-    base = run_pipeline(m)
-    rng = random.Random(seed)
-    ranks = []
-    failures = 0
+    base, rng = run_pipeline(m), random.Random(seed)
+    ranks, failures = [], 0
     for _ in range(trials):
         try:
-            pert = _perturb(m, rng)
-            ranks.append(run_pipeline(pert).cs.rank_w)
+            ranks.append(run_pipeline(_perturb(m, rng)).cs.rank_w)
         except RedundantEquationsError:
             failures += 1
-    if not ranks:
-        return {
-            "base_rank": base.cs.rank_w, "modal_rank": None,
-            "trials": trials, "failed_trials": failures, "non_generic": False,
-        }
-    modal = max(set(ranks), key=lambda r: (ranks.count(r), -r))
-    return {
-        "base_rank": base.cs.rank_w,
-        "modal_rank": modal,
-        "rank_histogram": {str(r): ranks.count(r) for r in sorted(set(ranks))},
-        "trials": trials,
-        "failed_trials": failures,
-        "non_generic": base.cs.rank_w != modal,
-    }
+    rep = {"base_rank": base.cs.rank_w, "modal_rank": None, "trials": trials,
+           "failed_trials": failures, "non_generic": False}
+    if ranks:
+        modal = max(set(ranks), key=lambda r: (ranks.count(r), -r))
+        rep.update(modal_rank=modal, non_generic=base.cs.rank_w != modal,
+                   rank_histogram={str(r): ranks.count(r) for r in sorted(set(ranks))})
+    return rep

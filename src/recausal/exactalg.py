@@ -5,9 +5,10 @@ numerators `num` over one positive common denominator `den`, in lowest terms
 with trailing zeros trimmed, so its arithmetic runs on Python integers with
 one normalisation per result.  `Poly.addmul(f, g)` is self + f*g as one such
 result, accumulated on the numerators over their common denominator; the
-Smith elimination and `PolyMatrix` products use it.  `det_adjugate` runs one
-Faddeev-LeVerrier recursion on the integer matrix L*M(2^b) (Kronecker
-substitution) and reads det and adj off base-2^b digits.  `rank_kernel`,
+Smith elimination and `PolyMatrix` products use it.  `determinant` (one
+Bareiss elimination, O(n^3)) and `det_adjugate` (one Faddeev-LeVerrier
+recursion, O(n^4)) run on the integer matrix L*M(2^b) (Kronecker
+substitution) and read their results off base-2^b digits.  `rank_kernel`,
 `rank_of` and `solve_affine` share one fraction-free Gauss-Jordan
 elimination on integer rows (`_row_echelon`): rows are scaled by the lcm of
 their denominators and kept primitive, and each result entry is one division
@@ -430,29 +431,49 @@ def det_adjugate(M: PolyMatrix):
     return _det_adjugate(M)
 
 
-def _det_adjugate(M: PolyMatrix):
-    """Determinant and adjugate by one Faddeev-LeVerrier pass over the integers.
-
-    Returns (det M, adj M) with M * adj M = det(M) * I exactly.  M_Z = L*M, with
-    L the lcm of the entry denominators, has integer coefficients, and each
-    coefficient of det M_Z and of every (n-1)-minor is at most
-    B = prod_i max(1, sum_j |(M_Z)_ij|_1) in magnitude (|p|_1: the sum of the
-    absolute coefficients).  So with b = bitlen(B) + 2 they are the signed
-    base-2^b digits of the values at z = 2^b (Kronecker substitution; von zur
-    Gathen & Gerhard, Modern Computer Algebra, 8.4), and the recursion
-    N_k = A N_{k-1} + c_k I, c_k = -tr(A N_{k-1}) / k runs on the integer matrix
-    A = M_Z(2^b).  The c_k are the coefficients of det(x I - A), integers, so
-    the division by k is exact, and A N_{n-1} = -c_n I by Cayley-Hamilton.
-    """
+def _pack(M: PolyMatrix):
+    """(A, b, L): A = M_Z(2^b) for M_Z = L*M, L the lcm of the entry denominators.
+    Each coefficient of det M_Z and of its (n-1)-minors is at most B = prod_i
+    max(1, sum_j |(M_Z)_ij|_1) (|p|_1: the sum of the absolute coefficients), so
+    for b = bitlen(B) + 2 `_unpack` reads them off the values at z = 2^b as signed
+    base-2^b digits (Kronecker substitution; von zur Gathen & Gerhard, 8.4)."""
     if M.rows != M.cols:
-        raise ValueError("det_adjugate requires a square matrix")
-    n = M.rows
-    if n == 0:
-        return Poly.const(1), PolyMatrix([])
+        raise ValueError("a determinant needs a square matrix")
     L = lcm(*(e.den for row in M.entries for e in row))
     scaled = [[[c * (L // e.den) for c in e.num] for e in row] for row in M.entries]
     b = prod(max(1, sum(abs(c) for e in row for c in e)) for row in scaled).bit_length() + 2
-    A = [[sum(c << (b * i) for i, c in enumerate(e)) for e in row] for row in scaled]
+    return [[sum(c << (b * i) for i, c in enumerate(e)) for e in row] for row in scaled], b, L
+
+
+def determinant(M: PolyMatrix) -> Poly:
+    """det M by one fraction-free Bareiss elimination on the `_pack` matrix: step
+    k sets a_ij <- (p_k a_ij - a_ik a_kj) / p_(k-1) below and right of the pivot
+    p_k, an exact division (Math. Comp. 22, 1968).  A zero pivot swaps in a lower
+    row and flips the sign; a column with no nonzero entry left means det M = 0."""
+    A, b, L = _pack(M)
+    n, sign, prev = len(A), 1, 1
+    for k in range(n - 1):
+        if not A[k][k]:
+            r = next((r for r in range(k + 1, n) if A[r][k]), None)
+            if r is None:
+                return Poly()
+            A[k], A[r], sign = A[r], A[k], -sign
+        p, pk = A[k][k], A[k]
+        for row in A[k + 1 :]:
+            row[k + 1 :] = [(p * x - row[k] * y) // prev for x, y in zip(row[k + 1 :], pk[k + 1 :])]
+        prev = p
+    return _poly(_unpack(sign * A[-1][-1] if n else 1, b), L**n)
+
+
+def _det_adjugate(M: PolyMatrix):
+    """(det M, adj M) with M * adj M = det(M) * I by one Faddeev-LeVerrier pass
+    N_k = A N_{k-1} + c_k I, c_k = -tr(A N_{k-1}) / k, on the `_pack` matrix A.
+    The c_k are the coefficients of det(x I - A), integers, so the division by
+    k is exact, and A N_{n-1} = -c_n I by Cayley-Hamilton."""
+    A, b, L = _pack(M)
+    n = len(A)
+    if n == 0:
+        return Poly.const(1), PolyMatrix([])
     N = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n):
         N = [[sum(map(mul, row, col)) for col in zip(*N)] for row in A]

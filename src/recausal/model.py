@@ -10,9 +10,9 @@ gamma = (s_0, ..., s_H) with sum(gamma) = s.
 
 `REModel` and `PiPolynomial` are named tuples: build a changed model with
 `m._replace(...)`.  A model is immutable once built: the artifacts derived
-from it (pi(z), its Smith form, the constraint systems) are memoized on the
-instance in `REModel.artifacts`, filled by `recausal.dimension.Pipeline`; a
-model from `_replace` starts with an empty memo.
+from it (pi(z) with det pi, adj pi, its Smith form, the constraint systems)
+are memoized on the instance in `REModel.artifacts`, filled by
+`recausal.dimension.Pipeline`; a model from `_replace` starts with an empty memo.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from itertools import product
 from math import lcm
 
 from .canon import RedundantEquationsError
-from .exactalg import Poly, PolyMatrix, RationalMatrix, _poly, _rmat, det_adjugate, rat, rat_str
+from .exactalg import Poly, PolyMatrix, RationalMatrix, _poly, _rmat, determinant, rat, rat_str
 
 SCHEMA_VERSION = 1
 
@@ -187,8 +187,8 @@ def serialize_model(m: REModel) -> str:
 
 
 # A_star: i -> RationalMatrix for J0 <= i <= J1; det = det pi(z), never
-# identically zero; adj: the adjugate, pi * adj = det * I
-PiPolynomial = namedtuple("PiPolynomial", "pi A_star J0 J1 det adj")
+# identically zero (the adjugate is the pipeline's own stage, `Pipeline.adj`)
+PiPolynomial = namedtuple("PiPolynomial", "pi A_star J0 J1 det")
 
 
 def build_pi(m: REModel) -> PiPolynomial:
@@ -213,12 +213,12 @@ def build_pi(m: REModel) -> PiPolynomial:
             num[d] = f.numerator * (den // f.denominator)
         entries[r][c] = _poly(num, den)
     pi = PolyMatrix(entries)
-    det, adj = det_adjugate(pi)
+    det = determinant(pi)
     if det.is_zero():
         raise RedundantEquationsError(
             "det pi(z) is identically zero: system contains redundant equations"
         )
-    return PiPolynomial(pi=pi, A_star=stars, J0=J0, J1=J1, det=det, adj=adj)
+    return PiPolynomial(pi=pi, A_star=stars, J0=J0, J1=J1, det=det)
 
 
 def validate_semantics(m: REModel) -> dict:

@@ -11,7 +11,8 @@ N = pi(z) h(z) + R(z; h) and the residual R = M h - W, M = z^J1 zeta(z) and
 W = z^J1 w(z), adj(pi) pi = det(pi) I = D S I gives
 adj(pi) N = D S h(z) + adj(pi) R.  So the remainders are those of
 (adj(pi) mod D) R, and adj(pi) N / D is adj(pi) R / D + S h(z): pi itself is
-never multiplied in.
+never multiplied in.  adj(pi) and zeta(z) are read only once the split below
+is accepted: a refused model builds neither.
 
 The unknowns are the entries of h that predeterminedness leaves free,
 `REModel.free_unknowns()`: the constraint system holds C and its right-hand
@@ -206,7 +207,7 @@ def solve_causal(
     cs, free = pipe.cs, m.free_unknowns()
     D, S = factor_stable_unstable(pipe.pi.det, pipe.pi.J1, pipe.roots)
     M, W = _residual_map(m, pipe.zc, pipe.pi.J1)
-    canc, canc_rhs = _cancellation_rows(pipe.pi.adj, D, M, W, free)
+    canc, canc_rhs = _cancellation_rows(pipe.adj, D, M, W, free)
     X, kernel = solve_affine(_rmat(cs.C.entries + canc, len(free)),
                              _rmat(cs.rhs.entries + canc_rhs, q))
     at = {a: i for i, a in enumerate(free)}
@@ -260,7 +261,7 @@ def build_transfer(m, pipe, split, M, W, h):
     third value is None for callers that unpack three; see SolutionReport.A_theta.
     """
     den = split[1]
-    num = _numerator(m, pipe.pi.adj, split, M, W, h)
+    num = _numerator(m, pipe.adj, split, M, W, h)
     # cancel any common polynomial factor, then normalize den(0) = 1
     common = den
     for e in chain.from_iterable(num.entries):

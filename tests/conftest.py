@@ -838,11 +838,25 @@ def same_affine_set(set_a, set_b) -> bool:
     return x is not None
 
 
+def ref_zeta_coefficients(m: REModel) -> PolyMatrix:
+    """zeta(z) by one Fraction subtraction per term into each coefficient list:
+    the reference for `zeta_coefficients`, which sums integer numerators."""
+    s, H = m.s, m.H
+    coeffs = [[[Fraction(0)] * (H + m.K) for _ in range(s * H)] for _ in range(s)]
+    for (k, h), A in m.A.items():
+        for j in range(h, H):
+            for r, row in enumerate(A.entries):
+                for c, a in enumerate(row):
+                    coeffs[r][j * s + c][k + j - h] -= a
+    return PolyMatrix([[Poly(cs) for cs in row] for row in coeffs])
+
+
 def ref_m_stack(zc: PolyMatrix, pb: tuple) -> RationalMatrix:
     """The coefficient matrices m_0, m_1, ... of zeta(z) stacked by
     `PolyMatrix.coeff`, as many as the s P^-1 blocks pb have column blocks:
-    the reference for `Pipeline.m_stack` when H > 0."""
-    return vstack([zc.coeff(i) for i in range(pb[0].cols // len(pb))])
+    the reference for `Pipeline.m_stack`."""
+    n = pb[0].cols // len(pb)
+    return vstack([zc.coeff(i) for i in range(n)]) if n else RationalMatrix.zero(0, zc.cols)
 
 
 def full_unknown_system(m: REModel, pipe):
@@ -866,7 +880,7 @@ def full_unknown_system(m: REModel, pipe):
         rhs += pipe.cs.rhs.entries
     D, _ = factor_stable_unstable(pipe.pi.det, pipe.pi.J1, pipe.roots)
     M, W = _residual_map(m, pipe.zc, pipe.pi.J1)
-    canc, canc_rhs = _cancellation_rows(pipe.pi.adj, D, M, W, range(n))
+    canc, canc_rhs = _cancellation_rows(pipe.adj, D, M, W, range(n))
     rows, rhs = rows + canc, rhs + canc_rhs
     if not rows:  # keep the column counts of an empty system
         return affine_set(RationalMatrix.zero(0, n), RationalMatrix.zero(0, q), n)

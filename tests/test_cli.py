@@ -153,6 +153,15 @@ def test_simulate(capsys):
     assert doc["T"] == 2000 and doc["seed"] == 9
 
 
+def test_simulate_with_three_trials(capsys):
+    """T = 3 is the fewest: every autocovariance is finite, so the output is JSON."""
+    code, out, err = run(capsys, "simulate", SIMS, "--trials", "3")
+    assert (code, err) == (0, "")
+    doc = json.loads(out, parse_constant=lambda c: pytest.fail(f"{c} in simulate output"))
+    assert doc["T"] == 3 and sorted(doc["autocov"]) == ["0", "1", "2"]
+    assert run(capsys, "probe", SIMS, "--trials", "1")[0] == 0  # the bound is simulate's
+
+
 def test_kernel_point_flag(capsys, tmp_path):
     path = tmp_path / "scalar.json"
     path.write_text(INDETERMINATE_SCALAR)
@@ -202,6 +211,8 @@ def test_kernel_point_in_range(capsys):
         (["simulate", SIMS, "--trials", "-5"], "--trials must be at least 1"),
         (["simulate", SIMS, "--seed", "-1"], "--seed must be non-negative"),
         (["probe", SIMS, "--trials", "-1"], "--trials must be at least 1"),
+        (["simulate", SIMS, "--trials", "1"], "--trials must be at least 3 for simulate"),
+        (["simulate", SIMS, "--trials", "2"], "--trials must be at least 3 for simulate"),
     ],
 )
 def test_bad_numeric_argument_exit_2(capsys, argv, message):

@@ -25,6 +25,7 @@ from conftest import (
     rand_unimodular,
     random_model,
     ref_m_stack,
+    ref_zeta_coefficients,
     ref_selectors,
     same_affine_set,
     sims_model,
@@ -225,14 +226,23 @@ def test_free_unknowns_are_the_columns_r_keeps(corpus, predetermined_probe):
 
 def test_m_stack_matches_the_coefficient_stack(corpus, predetermined_probe):
     """The pipeline's one m_stack, which both constraint systems and the rank
-    bounds read, is zeta's coefficient matrices stacked as wide as p_stack."""
-    for m in list(corpus) + list(predetermined_probe) + planted_models() + deep_planted_models():
+    bounds read, is built from the A_kh; it equals zeta's coefficient matrices
+    stacked as wide as p_stack, also past zeta's degree (g > J1) and at H = 0."""
+    models = (list(corpus) + list(predetermined_probe) + ladder_shaped_models()
+              + planted_models() + deep_planted_models())
+    n_h0 = n_wide = 0
+    for m in models:
         pipe = run_pipeline(m)
-        if m.H == 0:
+        zc = zeta_coefficients(m)
+        assert zc == ref_zeta_coefficients(m) and (zc.rows, zc.cols) == (m.s, m.s * m.H)
+        assert pipe.m_stack == ref_m_stack(zc, pipe.pb) and pipe.m_stack.cols == m.s * m.H
+        if m.H == 0:  # p_stack has no rows, so no column blocks either
             assert (pipe.m_stack.rows, pipe.m_stack.cols) == (0, 0)
+            n_h0 += 1
             continue
-        assert pipe.m_stack == ref_m_stack(pipe.zc, pipe.pb)
+        n_wide += pipe.m_stack.rows > m.s * (zc.max_degree() + 1)
         assert pipe.m_stack.rows == pipe.cs.D.cols == pipe.plain_cs.D.cols
+    assert n_h0 == 2 and n_wide == 18, (n_h0, n_wide)
 
 
 def test_predetermined_system_matches_dense_selectors(corpus, predetermined_probe):

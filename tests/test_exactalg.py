@@ -19,6 +19,7 @@ from recausal.exactalg import (
     PolyMatrix,
     RationalMatrix,
     det_adjugate,
+    determinant,
     hstack,
     poly_gcd,
     pseudo_inverse_columns,
@@ -400,10 +401,12 @@ _BIG = {"lo": -(10**12), "hi": 10**12, "maxden": 10**9}
 
 
 def _check_det_adjugate(M: PolyMatrix):
-    """det_adjugate against the Laplace-expansion reference; returns (det, adj)."""
+    """det_adjugate and the Bareiss determinant against the Laplace-expansion
+    reference; returns (det, adj)."""
     ref = [[RefPoly(e.coeffs) for e in row] for row in M.entries]
     det, adj = det_adjugate(M)
     _check(det, ref_det(ref))
+    _check(determinant(M), ref_det(ref))
     assert (adj.rows, adj.cols) == (M.rows, M.cols)
     for row, ref_row in zip(adj.entries, ref_adjugate(ref)):
         for e, r in zip(row, ref_row):
@@ -417,11 +420,30 @@ def test_det_adjugate_matches_reference(n, max_deg, big, rnd):
     _check_det_adjugate(rand_polymatrix(rnd, n, max_deg, **(_BIG if big else {})))
 
 
+def test_determinant_swaps_rows_past_a_zero_pivot():
+    """A zero packed pivot swaps in a lower row (twice for the 3-cycle); a column
+    with no nonzero entry left gives det = 0."""
+    z = Poly([0, 1])
+    cases = [
+        ([[0, 1], [1, z]], Poly.const(-1)),
+        ([[0, 1, 0], [0, 0, 1], [z, 0, 0]], z),
+        ([[0, z * 3], [Fraction(1, 2), 1]], z * Fraction(-3, 2)),
+        ([[0, 1], [0, z]], Poly()),
+        ([[1, z, 2], [2, z * 2, 4], [0, 1, z]], Poly()),
+    ]
+    for entries, want in cases:
+        M = PolyMatrix(entries)
+        assert determinant(M) == want
+        _check_det_adjugate(M)
+
+
 def test_det_adjugate_small_orders():
     assert det_adjugate(PolyMatrix([])) == (Poly.const(1), PolyMatrix([]))
+    assert determinant(PolyMatrix([])) == Poly.const(1)
     p = Poly([Fraction(-3, 7), 0, Fraction(10**20, 3)])
     for e in (p, Poly(), Poly.const(-1)):
         assert det_adjugate(PolyMatrix([[e]])) == (e, PolyMatrix.identity(1))
+        assert determinant(PolyMatrix([[e]])) == e
 
 
 def test_det_adjugate_singular():
@@ -479,11 +501,12 @@ def test_unpack_signed_digits_round_trip():
 
 def test_det_adjugate_matches_q_recursion_on_model_pis(corpus):
     """Every pi of the corpus, the planted and the ladder-shaped models, against the
-    Faddeev-LeVerrier recursion over Q[z]."""
+    Faddeev-LeVerrier recursion over Q[z]; build_pi's Bareiss det agrees."""
     models = list(corpus) + planted_models() + ladder_shaped_models()
     for m in models:
         pp = build_pi(m)
-        assert (pp.det, pp.adj) == ref_det_adjugate(pp.pi)
+        det, adj = ref_det_adjugate(pp.pi)
+        assert det_adjugate(pp.pi) == (det, adj) and pp.det == det
     assert len(models) == 156
 
 

@@ -142,6 +142,17 @@ def test_build_pi_redundant():
         build_pi(m)
 
 
+def test_build_pi_singular_det():
+    """pi(z) nonzero but det pi(z) identically zero: proportional columns, and a
+    zero first column, where the Bareiss elimination finds no pivot."""
+    for a00, a01 in (([[1, 2], [1, 2]], [[3, 6], [1, 2]]), ([[0, 1], [0, 2]], [[0, 3], [0, 1]])):
+        m = REModel(s=2, K=0, H=1, q=1,
+                    A={(0, 0): RationalMatrix(a00), (0, 1): RationalMatrix(a01)},
+                    gamma=(2, 0), wold=(RationalMatrix([[1], [0]]),))
+        with pytest.raises(RedundantEquationsError, match="det pi"):
+            build_pi(m)
+
+
 def test_build_pi_linearity():
     rng = random.Random(23)
     m = random_model(rng, 2, 1, 2)

@@ -29,7 +29,10 @@ from conftest import SIMS_JSON, planted_models, random_model, ref_squarefree_fac
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
-COUNTED = ("model.build_pi", "canon.smith_form", "exactalg.det_adjugate")
+COUNTED = (
+    "model.build_pi", "canon.smith_form", "exactalg.det_adjugate", "constraints.zeta_coefficients",
+)
+ADJ_ZETA = ("exactalg.det_adjugate", "constraints.zeta_coefficients")
 GENERIC = GOLDEN / "generic.json"  # plain, det pi(0) != 0, J1 = H - 1, solvable
 
 
@@ -84,7 +87,7 @@ def test_cli_analyze_computes_once(monkeypatch, capsys):
     assert main(["analyze", str(ROOT / "models" / "sims.json")]) == 0
     capsys.readouterr()
     assert counts["canon.smith_form"] == 1
-    assert counts["exactalg.det_adjugate"] == 1
+    assert counts["exactalg.det_adjugate"] == counts["constraints.zeta_coefficients"] == 0
 
 
 def test_cli_analyze_skips_smith_form_when_det_pi0_is_nonzero(monkeypatch, capsys):
@@ -93,21 +96,46 @@ def test_cli_analyze_skips_smith_form_when_det_pi0_is_nonzero(monkeypatch, capsy
     counts = count_calls(monkeypatch)
     assert main(["analyze", str(GENERIC)]) == 0
     capsys.readouterr()
-    assert counts == {"model.build_pi": 1, "exactalg.det_adjugate": 1, "canon.smith_form": 0}
+    assert counts == {"model.build_pi": 1, "canon.smith_form": 0, **dict.fromkeys(ADJ_ZETA, 0)}
+
+
+# the three det pi(0) != 0 cases and the classification each solve ends in
+MAKE = {
+    "refused": lambda: random_model(random.Random(3), 3, 1, 1),
+    "no-solution": lambda: random_model(random.Random(8), 1, 1, 1, kill_a0h=True),
+    "solvable": lambda: parse_model(GENERIC.read_text()),
+}
+OUTCOME = {"refused": "refused", "no-solution": "no_causal_solution", "solvable": "indeterminate"}
+
+
+@pytest.mark.parametrize("which", ["sims", "planted-s4", "refused", "no-solution", "solvable"])
+def test_adj_and_zeta_only_for_a_solve_past_the_split(monkeypatch, which):
+    """validate + analyze build neither adj pi nor zeta(z).  Only solve_causal
+    reads them, once factor_stable_unstable has accepted the split: a refused
+    model builds none, and a solve builds each once, however often it is read."""
+    make = {"sims": lambda: parse_model(SIMS_JSON), "planted-s4": solvable_planted_s4, **MAKE}
+    m = make[which]()._replace()  # an empty memo
+    counts = count_calls(monkeypatch, ADJ_ZETA)
+    validate_semantics(m)
+    dimension_report(m)
+    assert counts == dict.fromkeys(ADJ_ZETA, 0)
+    try:
+        sr = solve_causal(m)
+    except FactorizationError:
+        assert which == "refused" and counts == dict.fromkeys(ADJ_ZETA, 0)
+        return
+    assert which != "refused"
+    if sr.transfer_num is not None:
+        assert verify_solution(m, sr)["ok"] and sr.A_theta is not None
+    assert solve_causal(m).classification == sr.classification
+    assert counts == dict.fromkeys(ADJ_ZETA, 1)
 
 
 @pytest.mark.parametrize("which", ["refused", "no-solution", "solvable"])
 def test_smith_form_runs_only_for_a_theta_when_det_pi0_is_nonzero(monkeypatch, which):
     """validate + analyze + solve (+ verify) of a det pi(0) != 0 model computes
     no global Smith form; the first read of a solution's A_theta computes it once."""
-    make, outcome = {
-        "refused": (lambda: random_model(random.Random(3), 3, 1, 1), "refused"),
-        "no-solution": (
-            lambda: random_model(random.Random(8), 1, 1, 1, kill_a0h=True), "no_causal_solution"
-        ),
-        "solvable": (lambda: parse_model(GENERIC.read_text()), "indeterminate"),
-    }[which]
-    m = make()
+    m, outcome = MAKE[which](), OUTCOME[which]
     assert build_pi(m).det[0] != 0
     counts = count_calls(monkeypatch)
     validate_semantics(m)
@@ -120,7 +148,8 @@ def test_smith_form_runs_only_for_a_theta_when_det_pi0_is_nonzero(monkeypatch, w
         assert sr.classification == outcome
         if sr.transfer_num is not None:
             assert verify_solution(m, sr)["ok"]
-    assert counts == {"model.build_pi": 1, "exactalg.det_adjugate": 1, "canon.smith_form": 0}
+    solved = dict.fromkeys(ADJ_ZETA, int(which != "refused"))
+    assert counts == {"model.build_pi": 1, "canon.smith_form": 0, **solved}
     if which == "solvable":
         a_theta = sr.A_theta
         assert a_theta is not None and counts["canon.smith_form"] == 1
@@ -149,7 +178,7 @@ def test_validate_semantics_touches_only_pi_and_sf():
 def test_records_keep_their_fields_and_defaults():
     assert REModel._fields == ("s", "K", "H", "q", "A", "gamma", "wold", "xi", "r_hint")
     assert REModel._field_defaults == {"xi": Fraction(1), "r_hint": None}
-    assert PiPolynomial._fields == ("pi", "A_star", "J0", "J1", "det", "adj")
+    assert PiPolynomial._fields == ("pi", "A_star", "J0", "J1", "det")
     assert LocalSmith._fields == ("g", "p_inv", "omega0")
     assert RootClassification._fields == (
         "zero_multiplicity", "stable_roots", "unstable_roots", "xi", "discs",

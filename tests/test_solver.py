@@ -523,7 +523,7 @@ def test_divisibility_rows_match_smith_split(corpus):
         D, _S = factor_stable_unstable(pipe.pi.det, J1, pipe.roots)
         split = ref_smith_split(pipe.sf, J1, _unstable_factor(pipe.roots))
         A, W = assemble_rhs(m, pipe.zc, J1, pipe.pi.pi)
-        n_new, new = _cancellation_affine_set(partial(divisibility_rows, pipe.pi.adj, D), A, W)
+        n_new, new = _cancellation_affine_set(partial(divisibility_rows, pipe.adj, D), A, W)
         n_old, old = _cancellation_affine_set(partial(ref_cancellation_rows, split=split), A, W)
         assert n_new == n_old and same_affine_set(new, old), (m.s, m.H, pipe.sf.g, J1)
         n_sets += 1
@@ -544,7 +544,7 @@ def test_residual_rows_and_numerator_match_full_map(corpus):
             sr = solve_causal(m, pipe)
         except (FactorizationError, UnsupportedModelError):
             continue
-        J1, adj = pipe.pi.J1, pipe.pi.adj
+        J1, adj = pipe.pi.J1, pipe.adj
         split = factor_stable_unstable(pipe.pi.det, J1, pipe.roots)
         D = split[0]
         A, W = assemble_rhs(m, pipe.zc, J1, pipe.pi.pi)
@@ -575,7 +575,7 @@ def test_cancellation_rows_and_numerator_match_per_unknown_map(corpus, predeterm
             sr = solve_causal(m, pipe)
         except (FactorizationError, UnsupportedModelError):
             continue
-        J1, adj, free = pipe.pi.J1, pipe.pi.adj, m.free_unknowns()
+        J1, adj, free = pipe.pi.J1, pipe.adj, m.free_unknowns()
         split = factor_stable_unstable(pipe.pi.det, J1, pipe.roots)
         M, W = _residual_map(m, pipe.zc, J1)
         const, per_unknown = ref_residual_map(m, pipe.zc, J1)
