@@ -18,8 +18,8 @@ factors of the global Smith form.
 
 The predetermined system takes the rows of the P^{-1} blocks in time-block
 order, applies S and keeps the columns of the entries of h that
-`REModel.free_unknowns()` leaves free; the solver reads C and its right-hand
-side on those columns.
+`REModel.free_unknowns()` leaves free.  These systems give analyze's count;
+the solve reads none of them.
 """
 
 from __future__ import annotations

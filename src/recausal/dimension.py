@@ -4,9 +4,10 @@
 constraint systems read only its stage `local`, the Smith data at z = 0.
 When det pi(0) != 0 (G = 0, the generic case) that is pi = I I pi and needs
 no elimination, so the global `smith_form` runs only for a model with G > 0,
-for `recausal smith` and for the printed A_theta of a solved model.  adj pi
-(`adj`) and zeta(z) (`zc`) serve only the solve, once its split is accepted.
-`DimensionReport` is a named tuple.
+for `recausal smith` and for the printed A_theta of a solved model.  The solve
+reads only `pi`, `roots`, adj pi (`adj`) and zeta(z) (`zc`), so analyze's
+free_parameters may differ from its indeterminacy_dim on a predetermined model
+with G > 0 or J1 < H.  `DimensionReport` is a named tuple.
 """
 
 from __future__ import annotations

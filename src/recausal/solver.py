@@ -3,20 +3,19 @@
 A causal stationary solution y = pi^-1 N(z; h) eps needs pi^-1 N to have no
 pole at z = 0 or at an unstable root of det pi.  With D = z^G U, G the
 multiplicity of z = 0 in det pi and U its unstable factor, that is one
-divisibility condition: D divides adj(pi) N(z; h).  The remainders of
-adj(pi) N mod D are linear in the revision-loading stack h, so solvability,
-uniqueness and the solution family are all decided by exact rational
-elimination, and the transfer is (adj(pi) N / D) / (det pi / D).  With
-N = pi(z) h(z) + R(z; h) and the residual R = M h - W, M = z^J1 zeta(z) and
-W = z^J1 w(z), adj(pi) pi = det(pi) I = D S I gives
-adj(pi) N = D S h(z) + adj(pi) R.  So the remainders are those of
-(adj(pi) mod D) R, and adj(pi) N / D is adj(pi) R / D + S h(z): pi itself is
-never multiplied in.  adj(pi) and zeta(z) are read only once the split below
-is accepted: a refused model builds neither.
+divisibility condition: D divides adj(pi) N(z; h).  With N = pi(z) h(z) + R(z; h)
+for the residual R = M h - W, M = z^J1 zeta(z) and W = z^J1 w(z),
+adj(pi) pi = det(pi) I = D S I gives adj(pi) N = D S h(z) + adj(pi) R: the
+conditions are remainders of (adj(pi) mod D) R, linear in h, and the transfer
+is (adj(pi) R / D + S h(z)) / S, so pi itself is never multiplied in.
 
-The unknowns are the entries of h that predeterminedness leaves free,
-`REModel.free_unknowns()`: the constraint system holds C and its right-hand
-side on those columns, and the cancellation rows join it restricted to them.
+The rows are verify_solution's acceptance test, linearized (see README): the
+head Psi_0 .. Psi_(H-1) of the solution must be h (plain flavor), so z^H D
+divides adj(pi) R; or, with the entries of h outside `REModel.free_unknowns()`
+zero, some p = h + d with d in ker L (`_expectation_kernel`), so that
+N(z; p) = N(z; h) (predetermined flavor), and z^H D divides adj(pi) (M p - W).
+No factorization of pi enters.  adj(pi) and zeta(z) are read only once the
+split below is accepted: a refused model builds neither.
 
 det pi splits into D and S = det pi / D over Q without factoring: the
 certified discs that classified the roots of each squarefree factor of
@@ -36,12 +35,12 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from itertools import chain
-from math import isqrt, prod
+from itertools import chain, product
+from math import isqrt, lcm, prod
 
 from .canon import FactorizationError, RootClassification, root_discs
 from .dimension import Pipeline, run_pipeline
-from .exactalg import Poly, PolyMatrix, RationalMatrix, _rmat, poly_gcd, solve_affine
+from .exactalg import Poly, PolyMatrix, RationalMatrix, _rmat, poly_gcd, rank_kernel, solve_affine
 from .model import REModel
 
 
@@ -133,12 +132,8 @@ def _residual_map(m: REModel, zc: PolyMatrix, J1: int):
 
 
 def _cancellation_rows(adj: PolyMatrix, D: Poly, M: PolyMatrix, W: PolyMatrix, free):
-    """Rows X h = B over the free entries of h saying that D divides adj(pi) N(z; h).
-
-    As adj(pi) N = det(pi) h(z) + adj(pi) (M h - W) and D divides det pi,
-    adj(pi) N leaves the remainders of (adj(pi) mod D) (M h - W) mod D, so X
-    and B are the remainder coefficients of (adj mod D) [M's free columns | W].
-    """
+    """Rows X x = B saying that D divides adj(pi) (M x - W), x on the columns free
+    of M: the remainder coefficients of (adj mod D) [M's free columns | W] mod D."""
     d, n = int(D.degree), len(free)
     adj = PolyMatrix([[e % D for e in row] for row in adj.entries])
     prod = adj * PolyMatrix([[row[a] for a in free] + w for row, w in zip(M.entries, W.entries)])
@@ -147,8 +142,21 @@ def _cancellation_rows(adj: PolyMatrix, D: Poly, M: PolyMatrix, W: PolyMatrix, f
     return [r[:n] for r in rows], [r[n:] for r in rows]
 
 
+def _expectation_kernel(m: REModel) -> list:
+    """A basis of ker L, L(d) = sum_(k,h) sum_(j<h) A_kh d_j z^(k+j-h) for d in Q^sH: the
+    terms of pi(z) d(z) + M d = z^J1 L(d) that zeta(z) leaves, summed like zeta_coefficients."""
+    s, H = m.s, m.H
+    den = lcm(*(a.denominator for A in m.A.values() for row in A.entries for a in row))
+    rows = [[0] * (s * H) for _ in range((m.K + H) * s)]  # integer numerators over den
+    for (k, h), A in m.A.items():
+        for j, (i, row) in product(range(h), enumerate(A.entries)):
+            for c, a in enumerate(row, j * s):
+                rows[(k + j - h + H) * s + i][c] += a.numerator * (den // a.denominator)
+    return rank_kernel(_rmat(rows, s * H))[1]
+
+
 # classification: "no_causal_solution" | "determinate" | "indeterminate";
-# indeterminacy_dim: free parameters, 0 unless indeterminate; h: the chosen
+# indeterminacy_dim: q times the dimension of the distinct solutions; h: the chosen
 # loading stack, sH x q, or None like h_particular, transfer_num and
 # transfer_den when there is no solution; kernel: basis vectors of length sH,
 # shared by the columns; pipeline: the model's Pipeline
@@ -201,17 +209,21 @@ def solve_causal(
 ) -> SolutionReport:
     """Solve the RE model exactly and classify the causal solution set.
 
-    h and the kernel vectors span all sH entries; the forced ones are zero."""
+    h and the kernel vectors span all sH entries; the forced ones are zero.  Psi is
+    a function of its head p = h + d, so indeterminacy_dim counts the p; on a
+    predetermined G > 0 or J1 < H model it may differ from analyze's free_parameters."""
     pipe = pipe or run_pipeline(m)
-    n_unknowns, q = m.s * m.H, m.q
-    cs, free = pipe.cs, m.free_unknowns()
+    n_unknowns, q, free = m.s * m.H, m.q, m.free_unknowns()
     D, S = factor_stable_unstable(pipe.pi.det, pipe.pi.J1, pipe.roots)
     M, W = _residual_map(m, pipe.zc, pipe.pi.J1)
-    canc, canc_rhs = _cancellation_rows(pipe.adj, D, M, W, free)
-    X, kernel = solve_affine(_rmat(cs.C.entries + canc, len(free)),
-                             _rmat(cs.rhs.entries + canc_rhs, q))
+    ker_l = _expectation_kernel(m) if m.predetermined else []  # d's coordinates follow h's
+    Mp = PolyMatrix([row + [sum((e * x for e, x in zip(row, v)), Poly()) for v in ker_l]
+                     for row in M.entries], n_unknowns + len(ker_l))
+    cols = free + tuple(range(n_unknowns, Mp.cols))
+    canc, canc_rhs = _cancellation_rows(pipe.adj, D.shift(m.H), Mp, W, cols)
+    X, kern = solve_affine(_rmat(canc, len(cols)), _rmat(canc_rhs, q))
     at = {a: i for i, a in enumerate(free)}
-    kernel = [[v[at[a]] if a in at else Fraction(0) for a in range(n_unknowns)] for v in kernel]
+    kernel = [[v[at[a]] if a in at else Fraction(0) for a in range(n_unknowns)] for v in kern]
     if X is None:
         return SolutionReport(
             classification="no_causal_solution", indeterminacy_dim=0,
@@ -226,10 +238,11 @@ def solve_causal(
         v = kernel[_kernel_index(kernel_point, len(kernel))]
         chosen = X + RationalMatrix([[v[a]] * q for a in range(n_unknowns)])
     num, den, _ = build_transfer(m, pipe, (D, S), M, W, chosen)
-    classification = "determinate" if not kernel else "indeterminate"
+    heads = [[x + sum(c * d[a] for c, d in zip(v[len(free):], ker_l)) for a, x in enumerate(hv)]
+             for hv, v in zip(kernel, kern)]
+    dim = q * (rank_kernel(_rmat(heads, n_unknowns))[0] if ker_l else len(kernel))
     return SolutionReport(
-        classification=classification,
-        indeterminacy_dim=len(kernel) * q if kernel else 0,
+        classification="indeterminate" if dim else "determinate", indeterminacy_dim=dim,
         h=chosen, h_particular=X, kernel=tuple(kernel),
         transfer_num=num, transfer_den=den, pipeline=pipe, kernel_point=kernel_point,
     )

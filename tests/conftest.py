@@ -8,7 +8,7 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 
@@ -859,32 +859,144 @@ def ref_m_stack(zc: PolyMatrix, pb: tuple) -> RationalMatrix:
     return vstack([zc.coeff(i) for i in range(n)]) if n else RationalMatrix.zero(0, zc.cols)
 
 
+def ref_expectation_kernel(m: REModel, pipe):
+    """A basis of the d in Q^sH with pi(z) d(z) + M d = 0, M = z^J1 zeta(z),
+    from the polynomial products: the reference for `_expectation_kernel`."""
+    s, n = m.s, m.s * m.H
+    M, _ = _residual_map(m, pipe.zc, pipe.pi.J1)
+    images = [pipe.pi.pi * PolyMatrix([[Poly.monomial(a // s) if r == a % s else Poly()]
+                                       for r in range(s)])
+              + PolyMatrix([[row[a]] for row in M.entries]) for a in range(n)]
+    top = max((int(v.max_degree()) + 1 for v in images if v.max_degree() >= 0), default=0)
+    return rank_kernel(RationalMatrix([[v[r, 0][k] for v in images]
+                                       for r in range(s) for k in range(top)]))[1]
+
+
 def full_unknown_system(m: REModel, pipe):
     """The causal solve's affine set of h over all sH entries of each h column.
 
-    Built as the solver once built it: a unit row for every entry that
-    predeterminedness forces to zero (read here from gamma directly), the
-    constraint operator D applied to the stacked zeta coefficients on every
-    entry, and the cancellation rows of every entry.
+    Built over every entry: a unit row for every entry that predeterminedness
+    forces to zero (read here from gamma directly), and the divisibility of
+    adj(pi) (M p - W) by z^H D for p = h + d, d in the kernel of
+    d -> pi(z) d(z) + M d taken from the polynomial products themselves
+    (predetermined flavor only).  Returns the h part of the affine set in
+    (h, d): no nonzero d has h = 0, as p is then the head of pi^-1 N(z; 0).
     """
     s, H, q = m.s, m.H, m.q
     n = s * H
+    M, W = _residual_map(m, pipe.zc, pipe.pi.J1)
+    ker = ref_expectation_kernel(m, pipe) if m.predetermined else []
+    width = n + len(ker)
+    cols = [[row[a] for a in range(n)] + [sum((row[a] * v[a] for a in range(n)), Poly())
+                                          for v in ker] for row in M.entries]
     rows, rhs = [], []
     for j in range(H):
         for r in range(sum(m.gamma[: j + 1]), s):
-            rows.append([Fraction(int(a == j * s + r)) for a in range(n)])
+            rows.append([Fraction(int(a == j * s + r)) for a in range(width)])
             rhs.append([Fraction(0)] * q)
-    if H > 0:
-        width = pipe.pb[0].cols // s
-        rows += (pipe.cs.D * vstack([pipe.zc.coeff(i) for i in range(width)])).entries
-        rhs += pipe.cs.rhs.entries
     D, _ = factor_stable_unstable(pipe.pi.det, pipe.pi.J1, pipe.roots)
-    M, W = _residual_map(m, pipe.zc, pipe.pi.J1)
-    canc, canc_rhs = _cancellation_rows(pipe.adj, D, M, W, range(n))
+    canc, canc_rhs = _cancellation_rows(pipe.adj, D.shift(H), PolyMatrix(cols, width), W,
+                                        range(width))
     rows, rhs = rows + canc, rhs + canc_rhs
     if not rows:  # keep the column counts of an empty system
         return affine_set(RationalMatrix.zero(0, n), RationalMatrix.zero(0, q), n)
-    return affine_set(RationalMatrix(rows), RationalMatrix(rhs), n)
+    X, kern = affine_set(RationalMatrix(rows), RationalMatrix(rhs), width)
+    if X is None:
+        return None, [v[:n] for v in kern]
+    return X.submatrix(range(n), range(q)), [v[:n] for v in kern]
+
+
+def substitution_set(m: REModel):
+    """The affine set of h whose causal stable transfer verify_solution accepts,
+    and the dimension of the distinct solutions in it.
+
+    Returns ((particular or None, kernel basis), dim) over all sH entries of one
+    h column.  Built from the residual series, not from the solver's rows:
+    the unknowns are h and the coefficients of a polynomial P, Psi = P / S with
+    S the stable part of det pi / z^G from sympy (ref_split_phi), so Psi is
+    causal and stable.  The rows say that Psi is the transfer of h,
+    pi P = S N(z; h) for N = pi(z) h(z) + z^J1 (zeta(z) h - w(z)); that the
+    residuals R_d = sum_(k,h) A_kh Psi_(d-k+h) + w_d vanish for d = 0 .. B,
+    which makes S R, a polynomial of degree at most B, zero; that the forced
+    entries of h are zero; and, in the plain flavor, that Psi_j = h_j for
+    j < H.  pi P = 0 forces P = 0, so h determines P: the h parts of the kernel
+    are independent, and the rank of their P parts counts the distinct Psi.
+    """
+    s, H, q = m.s, m.H, m.q
+    pp = build_pi(m)
+    pi, J1, n = pp.pi, pp.J1, s * H
+    G = pp.det.zero_multiplicity()
+    S = ref_split_phi(pp.det.shift(-G).monic(), m.xi)[0]
+    zc = ref_zeta_coefficients(m)
+    # N(z; h) one unknown at a time, and its constant -z^J1 w(z)
+    cols = [[pi[i, a % s].shift(a // s) + zc[i, a].shift(J1) for i in range(s)]
+            for a in range(n)]
+    const = (m.wold_poly() * Fraction(-1)).shift(J1)
+    dN = max(int(e.degree) for e in chain(chain.from_iterable(cols), *const.entries)
+             if not e.is_zero())
+    dS, dpi = int(S.degree), int(pi.max_degree())
+    nP = max((s - 1) * dpi + dN - (int(pp.det.degree) - dS), 0) + 1  # coefficients of P
+    nU = n + s * nP
+
+    def form(unknown=None, c=None):
+        f = [Fraction(0)] * (nU + q)
+        if unknown is not None:
+            f[unknown] = Fraction(1)
+        if c is not None:
+            f[nU:] = c
+        return f
+
+    def axpy(acc, x, f):
+        if x:
+            for i, v in enumerate(f):
+                if v:
+                    acc[i] += x * v
+
+    rows = []
+    # pi P = S N(z; h), coefficient by coefficient
+    for i in range(s):
+        s_cols, s_const = [S * col[i] for col in cols], [S * e for e in const.entries[i]]
+        for d in range(max(dpi + nP, dS + dN + 1)):
+            f = form()
+            for r in range(s):
+                for k in range(max(0, d - dpi), min(d, nP - 1) + 1):
+                    f[n + r * nP + k] += pi[i, r][d - k]
+            for a in range(n):
+                f[a] -= s_cols[a][d]
+            f[nU:] = [-e[d] for e in s_const]
+            rows.append(f)
+    # Psi = P / S as a series, far enough for the residuals to lag B
+    B = max(dS + len(m.wold) - 1, m.K + nP - 1, m.K + dS + H)
+    psi = []
+    for j in range(B + H + 1):
+        out = []
+        for r in range(s):
+            f = form(n + r * nP + j) if j < nP else form()
+            for l in range(1, min(j, dS) + 1):
+                axpy(f, -S[l], psi[j - l][r])
+            out.append([v / S[0] for v in f])
+        psi.append(out)
+    for d in range(B + 1):
+        for i in range(s):
+            f = form(c=[m.wold_coeff(d)[i, c] for c in range(q)])
+            for (k, h), A in m.A.items():
+                if k <= d:
+                    for r in range(s):
+                        axpy(f, A[i, r], psi[d - k + h][r])
+            rows.append(f)
+    for j in range(H):
+        for r in range(s):
+            if r >= sum(m.gamma[: j + 1]):
+                rows.append(form(j * s + r))
+            elif not m.predetermined:
+                f = list(psi[j][r])
+                f[j * s + r] -= 1
+                rows.append(f)
+    X, kern = affine_set(RationalMatrix([f[:nU] for f in rows]),
+                         RationalMatrix([[-v for v in f[nU:]] for f in rows]), nU)
+    dim = rank_of(RationalMatrix([v[n:] for v in kern])) if X is not None and kern else 0
+    h_set = (None if X is None else X.submatrix(range(n), range(q)), [v[:n] for v in kern])
+    return h_set, dim
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,10 @@ from pathlib import Path
 
 import pytest
 
+from recausal import cli
 from recausal.cli import main
+from recausal.exactalg import PolyMatrix
+from recausal.solver import solve_causal
 
 ROOT = Path(__file__).resolve().parents[1]
 SIMS = str(ROOT / "models" / "sims.json")
@@ -95,9 +98,16 @@ def test_redundant_model_exit_1(capsys):
     assert "error" in err
 
 
-def test_failed_verify_prints_report_and_exits_1(capsys):
-    # the predetermined J1 < H defect model: its solution fails at lag 0
-    code, out, err = run(capsys, "verify", str(ROOT / "tests" / "golden" / "defect.json"))
+def test_failed_verify_prints_report_and_exits_1(capsys, monkeypatch):
+    # the sims solution with its numerator's constant term perturbed fails at lag 0
+    def perturbed(m, kernel_point="min-norm"):
+        sr = solve_causal(m, kernel_point=kernel_point)
+        num = [list(row) for row in sr.transfer_num.entries]
+        num[0][0] = num[0][0] + 1
+        return sr._replace(transfer_num=PolyMatrix(num))
+
+    monkeypatch.setattr(cli, "solve_causal", perturbed)
+    code, out, err = run(capsys, "verify", SIMS)
     assert code == 1
     doc = json.loads(out)
     assert doc["ok"] is False and doc["failures"][0]["lag"] == 0
