@@ -5,15 +5,16 @@ numerators `num` over one positive common denominator `den`, in lowest terms
 with trailing zeros trimmed, so its arithmetic runs on Python integers with
 one normalisation per result.  `Poly.addmul(f, g)` is self + f*g as one such
 result, accumulated on the numerators over their common denominator; the
-Smith elimination and `PolyMatrix` products use it.  `determinant` (one
-Bareiss elimination, O(n^3)) and `det_adjugate` (one Faddeev-LeVerrier
-recursion, O(n^4)) run on the integer matrix L*M(2^b) (Kronecker
-substitution) and read their results off base-2^b digits.  `rank_kernel`,
-`rank_of` and `solve_affine` share one fraction-free Gauss-Jordan
+Smith elimination and `PolyMatrix` products use it.  `determinant` (Bareiss,
+O(n^3)), `det_adjugate` (Faddeev-LeVerrier, O(n^4)) and `_packed_product` (one
+matrix product) run on integer matrices L*M(2^b) (Kronecker substitution) and
+read their results off base-2^b digits.  `rank_kernel`, `rank_of` and
+`solve_affine` (via `_solve_rows`) share one fraction-free Gauss-Jordan
 elimination on integer rows (`_row_echelon`): rows are scaled by the lcm of
 their denominators and kept primitive, and each result entry is one division
 at the end; the reduced echelon form, and so every result, is that of a
-Fraction elimination.  Every operation is exact; no floating point.
+Fraction elimination of any positive multiples of the rows.  Every operation
+is exact; no floating point.
 """
 
 from __future__ import annotations
@@ -279,7 +280,7 @@ def _poly(num: list, den: int = 1) -> Poly:
     return p
 
 
-_ZERO = _poly([])
+_ZERO, _UNIT = _poly([]), _poly([1])  # shared entries of zero and identity matrices
 
 
 def _as_poly(x) -> Poly:
@@ -356,9 +357,7 @@ class PolyMatrix:
 
     @staticmethod
     def identity(n: int) -> "PolyMatrix":
-        return PolyMatrix(
-            [[Poly.const(1 if i == j else 0) for j in range(n)] for i in range(n)]
-        )
+        return PolyMatrix([[_UNIT if i == j else _ZERO for j in range(n)] for i in range(n)])
 
     @staticmethod
     def diag(polys) -> "PolyMatrix":
@@ -440,9 +439,27 @@ def _pack(M: PolyMatrix):
     if M.rows != M.cols:
         raise ValueError("a determinant needs a square matrix")
     L = lcm(*(e.den for row in M.entries for e in row))
-    scaled = [[[c * (L // e.den) for c in e.num] for e in row] for row in M.entries]
-    b = prod(max(1, sum(abs(c) for e in row for c in e)) for row in scaled).bit_length() + 2
-    return [[sum(c << (b * i) for i, c in enumerate(e)) for e in row] for row in scaled], b, L
+    b = prod(max(1, sum(sum(map(abs, e.num)) * (L // e.den) for e in row))
+             for row in M.entries).bit_length() + 2
+    return _at(M, L, b), b, L
+
+
+def _at(M: PolyMatrix, L: int, b: int) -> list:
+    """The entries of L*M at z = 2^b, L a multiple of every entry denominator."""
+    return [[sum(c << (b * i) for i, c in enumerate(e.num)) * (L // e.den) for e in row]
+            for row in M.entries]
+
+
+def _packed_product(A: PolyMatrix, B: PolyMatrix):
+    """(P, den) with A * B = P / den, P[i][j] the integer coefficients of entry (i, j), lowest
+    first: one product of L_A*A and L_B*B at z = 2^b as in `_pack`, den = L_A L_B.  Every such
+    coefficient is at most sum_ik |(L_A A)_ik|_1 times the largest coefficient of L_B B."""
+    la, lb = (lcm(*(e.den for row in X.entries for e in row)) for X in (A, B))
+    top = max((abs(c) * (lb // e.den) for row in B.entries for e in row for c in e.num), default=0)
+    norm = sum(sum(map(abs, e.num)) * (la // e.den) for row in A.entries for e in row)
+    b = (top * norm).bit_length() + 1
+    cols = list(zip(*_at(B, lb, b))) or [()] * B.cols
+    return [[_unpack(sum(map(mul, row, col)), b) for col in cols] for row in _at(A, la, b)], la * lb
 
 
 def determinant(M: PolyMatrix) -> Poly:
@@ -601,15 +618,9 @@ def vstack(mats) -> RationalMatrix:
 
 def block_diag(mats) -> RationalMatrix:
     mats = list(mats)
-    rows = sum(m.rows for m in mats)
-    cols = sum(m.cols for m in mats)
-    out = [[Fraction(0)] * cols for _ in range(rows)]
-    r0 = c0 = 0
+    cols, c0, out = sum(m.cols for m in mats), 0, []
     for m in mats:
-        for i in range(m.rows):
-            for j in range(m.cols):
-                out[r0 + i][c0 + j] = m.entries[i][j]
-        r0 += m.rows
+        out += [[_NIL] * c0 + row + [_NIL] * (cols - c0 - m.cols) for row in m.entries]
         c0 += m.cols
     return _rmat(out, cols)
 
@@ -691,17 +702,21 @@ def solve_affine(M: RationalMatrix, B: RationalMatrix):
     The elimination never picks a pivot in the B columns, so the M columns of
     the echelon form, and with them the kernel, are those of M alone.
     """
-    n = M.cols
     aug = _int_rows(mrow + brow for mrow, brow in zip(M.entries, B.entries))
+    return _solve_rows(aug, M.cols, B.cols)
+
+
+def _solve_rows(aug: list, n: int, q: int):
+    """solve_affine on integer rows [M | B], M n and B q wide; aug is eliminated in place."""
     pivots = _row_echelon(aug, n)
     kern = _echelon_kernel(aug, pivots, n)
     # consistency: the rows below the pivots are zero in M, so must be in B
     if any(any(row[n:]) for row in aug[len(pivots):]):
         return None, kern
-    part = [[_NIL] * B.cols for _ in range(n)]
+    part = [[_NIL] * q for _ in range(n)]
     for row, pc in zip(aug, pivots):
         part[pc] = [Fraction(x, row[pc]) for x in row[n:]]
-    return _rmat(part, B.cols), kern
+    return _rmat(part, q), kern
 
 
 def pseudo_inverse_columns(M: RationalMatrix, ncols: int) -> RationalMatrix:

@@ -69,15 +69,16 @@ class REModel(namedtuple("REModel", "s K H q A gamma wold xi r_hint",
                            for i in range(self.s)])
 
 
-def _parse_matrix(obj, rows, cols, what) -> RationalMatrix:
+def _parse_matrix(obj, rows, cols, what, seen: dict) -> RationalMatrix:
     if not isinstance(obj, list) or len(obj) != rows:
         raise ModelFormatError(f"{what}: expected {rows} rows")
     out = []
     for row in obj:
         if not isinstance(row, list) or len(row) != cols:
             raise ModelFormatError(f"{what}: expected {cols} columns per row")
-        try:
-            out.append([rat(e) if type(e) in (str, int) else _bad(e) for e in row])
+        try:  # seen: the document's entries parsed so far; the type test first: True == 1
+            out.append([_bad(e) if type(e) not in (str, int) else seen[e] if e in seen
+                        else seen.setdefault(e, rat(e)) for e in row])
         except (ValueError, ZeroDivisionError, TypeError) as exc:
             raise ModelFormatError(f"{what}: malformed rational entry: {exc}") from exc
     return _rmat(out)
@@ -129,7 +130,7 @@ def parse_model(text: str) -> REModel:
         raise ModelFormatError("'A' must be a list of objects")
     if not isinstance(doc["wold"], list):
         raise ModelFormatError("'wold' must be a list of matrices")
-    A = {}
+    A, seen = {}, {}
     for item in doc["A"]:
         k, h = item.get("k"), item.get("h")
         if type(k) is not int or type(h) is not int:
@@ -138,7 +139,7 @@ def parse_model(text: str) -> REModel:
             raise ModelFormatError(f"A index (k={k}, h={h}) out of range")
         if (k, h) in A:
             raise ModelFormatError(f"duplicate A entry for (k={k}, h={h})")
-        mat = _parse_matrix(item.get("matrix"), s, s, f"A[{k},{h}]")
+        mat = _parse_matrix(item.get("matrix"), s, s, f"A[{k},{h}]", seen)
         if not mat.is_zero():
             A[(k, h)] = mat
     if K > 0 and not any(k == K for (k, _h) in A):
@@ -148,7 +149,7 @@ def parse_model(text: str) -> REModel:
     if not A:
         raise ModelFormatError("all coefficient matrices are zero")
     wold = tuple(
-        _parse_matrix(w, s, q, f"wold[{j}]") for j, w in enumerate(doc["wold"])
+        _parse_matrix(w, s, q, f"wold[{j}]", seen) for j, w in enumerate(doc["wold"])
     )
     if not wold:
         raise ModelFormatError("wold list must contain at least w_0")

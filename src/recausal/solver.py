@@ -5,9 +5,10 @@ pole at z = 0 or at an unstable root of det pi.  With D = z^G U, G the
 multiplicity of z = 0 in det pi and U its unstable factor, that is one
 divisibility condition: D divides adj(pi) N(z; h).  With N = pi(z) h(z) + R(z; h)
 for the residual R = M h - W, M = z^J1 zeta(z) and W = z^J1 w(z),
-adj(pi) pi = det(pi) I = D S I gives adj(pi) N = D S h(z) + adj(pi) R: the
-conditions are remainders of (adj(pi) mod D) R, linear in h, and the transfer
-is (adj(pi) R / D + S h(z)) / S, so pi itself is never multiplied in.
+adj(pi) pi = det(pi) I = D S I gives adj(pi) N = D S h(z) + adj(pi) R.  One
+integer product P = adj(pi) [M's solve columns | W] per solve serves twice: the
+conditions are the remainders of its entries mod D, linear in h, and the transfer
+is (adj(pi) R / D + S h(z)) / S with adj(pi) R summed from the columns of P.
 
 The rows are verify_solution's acceptance test, linearized (see README): the
 head Psi_0 .. Psi_(H-1) of the solution must be h (plain flavor), so z^H D
@@ -40,7 +41,8 @@ from math import isqrt, lcm, prod
 
 from .canon import FactorizationError, RootClassification, root_discs
 from .dimension import Pipeline, run_pipeline
-from .exactalg import Poly, PolyMatrix, RationalMatrix, _rmat, poly_gcd, rank_kernel, solve_affine
+from .exactalg import Poly, PolyMatrix, RationalMatrix, _packed_product, _poly, _rmat, _solve_rows
+from .exactalg import poly_gcd, rank_kernel, solve_affine
 from .model import REModel
 
 
@@ -131,15 +133,24 @@ def _residual_map(m: REModel, zc: PolyMatrix, J1: int):
     return zc.shift(J1), m.wold_poly().shift(J1)
 
 
-def _cancellation_rows(adj: PolyMatrix, D: Poly, M: PolyMatrix, W: PolyMatrix, free):
-    """Rows X x = B saying that D divides adj(pi) (M x - W), x on the columns free
-    of M: the remainder coefficients of (adj mod D) [M's free columns | W] mod D."""
-    d, n = int(D.degree), len(free)
-    adj = PolyMatrix([[e % D for e in row] for row in adj.entries])
-    prod = adj * PolyMatrix([[row[a] for a in free] + w for row, w in zip(M.entries, W.entries)])
-    rems = [[e % D for e in row] for row in prod.entries]
-    rows = [[r[k] for r in row] for row in rems for k in range(d)]
-    return [r[:n] for r in rows], [r[n:] for r in rows]
+def _cancellation_rows(P: list, D: Poly) -> list:
+    """Integer rows [X | B], X x = B saying that the monic D divides adj(pi) (M x - W), from
+    (P, den) = _packed_product(adj, [M's solve columns | W]).  Row k < d = deg D of row i of P
+    is den e^(N-1-k) times the z^k remainder coefficients of its entries mod D, e = lead(D.num):
+    the y^k coefficients of e^(N-1) f(y / e) mod the monic integer e^(d-1) D.num(y / e)."""
+    d, e = int(D.degree), D.num[-1]
+    Dy = [(j, c * e ** (d - 1 - j)) for j, c in enumerate(D.num[:d]) if c]
+    top = max([d] + [len(f) for row in P for f in row])  # N, at least d
+    out = []
+    for row in P:
+        V = [[x * e ** (top - 1 - t) for x in coeff]
+             for t, coeff in enumerate(zip(*(f + [0] * (top - len(f)) for f in row)))]
+        for t in range(top - 1, d - 1, -1):  # cancel y^t by V[t] y^(t-d) e^(d-1) D.num(y / e)
+            v = V.pop()
+            for j, c in Dy:
+                V[t - d + j] = [x - c * y for x, y in zip(V[t - d + j], v)]
+        out += V or [[] for _ in range(d)]  # a row of P with no columns gives d empty rows
+    return out
 
 
 def _expectation_kernel(m: REModel) -> list:
@@ -217,11 +228,10 @@ def solve_causal(
     D, S = factor_stable_unstable(pipe.pi.det, pipe.pi.J1, pipe.roots)
     M, W = _residual_map(m, pipe.zc, pipe.pi.J1)
     ker_l = _expectation_kernel(m) if m.predetermined else []  # d's coordinates follow h's
-    Mp = PolyMatrix([row + [sum((e * x for e, x in zip(row, v)), Poly()) for v in ker_l]
-                     for row in M.entries], n_unknowns + len(ker_l))
-    cols = free + tuple(range(n_unknowns, Mp.cols))
-    canc, canc_rhs = _cancellation_rows(pipe.adj, D.shift(m.H), Mp, W, cols)
-    X, kern = solve_affine(_rmat(canc, len(cols)), _rmat(canc_rhs, q))
+    P = _packed_product(pipe.adj, PolyMatrix([
+        [row[a] for a in free] + [sum((e * x for e, x in zip(row, v)), Poly()) for v in ker_l] + w
+        for row, w in zip(M.entries, W.entries)]))
+    X, kern = _solve_rows(_cancellation_rows(P[0], D.shift(m.H)), len(free) + len(ker_l), q)
     at = {a: i for i, a in enumerate(free)}
     kernel = [[v[at[a]] if a in at else Fraction(0) for a in range(n_unknowns)] for v in kern]
     if X is None:
@@ -237,7 +247,7 @@ def solve_causal(
     else:
         v = kernel[_kernel_index(kernel_point, len(kernel))]
         chosen = X + RationalMatrix([[v[a]] * q for a in range(n_unknowns)])
-    num, den, _ = build_transfer(m, pipe, (D, S), M, W, chosen)
+    num, den, _ = build_transfer(m, (D, S), P, free, chosen)
     heads = [[x + sum(c * d[a] for c, d in zip(v[len(free):], ker_l)) for a, x in enumerate(hv)]
              for hv, v in zip(kernel, kern)]
     dim = q * (rank_kernel(_rmat(heads, n_unknowns))[0] if ker_l else len(kernel))
@@ -248,33 +258,37 @@ def solve_causal(
     )
 
 
-def _numerator(m, adj, split, M, W, h) -> PolyMatrix:
-    """adj(pi) N(z; h) / D from the residual R = M h - W of _residual_map.
-
-    As adj(pi) pi = det(pi) I = D S I, it is adj(pi) R / D + S h(z), with
-    h(z) = sum_j h_j z^j the s x q polynomial of the stack h.
-    """
+def _numerator(m, split, P, free, h) -> PolyMatrix:
+    """adj(pi) N(z; h) / D = adj(pi) R / D + S h(z), as adj(pi) pi = D S I, for R = M h - W
+    (_residual_map) and h(z) = sum_j h_j z^j.  With P = _packed_product(adj, [M's free
+    columns | ... | W]), adj(pi) R = sum_(a free) P[:, a] h_a - P[:, W] on integers, as the
+    entries of h outside free are zero."""
     D, S = split
-    s, q = m.s, m.q
-    adj_r = adj * (M * PolyMatrix(h.entries, q) - W)
-    return PolyMatrix([
-        [adj_r[i, c].exact_div(D).addmul(S, Poly([h.entries[j * s + i][c] for j in range(m.H)]))
-         for c in range(q)]
-        for i in range(s)
-    ])
+    rows, den = P
+    out = [[] for _ in rows]
+    for (i, row), c in product(enumerate(rows), range(m.q)):
+        hc = [h.entries[a][c] for a in free]
+        L = lcm(*(x.denominator for x in hc))
+        terms = [(x.numerator * (L // x.denominator), f) for f, x in zip(row, hc) if x]
+        terms.append((-L, row[c - m.q]))
+        acc = [0] * max(len(f) for _, f in terms)
+        for k, f in terms:
+            acc[: len(f)] = [a + k * y for a, y in zip(acc, f)]
+        hz = Poly([h.entries[j * m.s + i][c] for j in range(m.H)])
+        out[i].append(_poly(acc, den * L).exact_div(D).addmul(S, hz))
+    return PolyMatrix(out)
 
 
-def build_transfer(m, pipe, split, M, W, h):
+def build_transfer(m, split, P, free, h):
     """Transfer function y = (num / den) eps for a loading stack h.
 
-    split = (D, S) from factor_stable_unstable and R = M h - W the residual
-    of _residual_map.  num = adj(pi) N / D is exact once h
-    satisfies the divisibility rows, and den = S, so num/den = pi^-1 N;
+    split = (D, S) from factor_stable_unstable and P the solve's product (_numerator).
+    num = adj(pi) N / D is exact once h satisfies the rows, and den = S, so num/den = pi^-1 N;
     den ends with den(0) = 1 and all roots outside the unit circle.  The
     third value is None for callers that unpack three; see SolutionReport.A_theta.
     """
     den = split[1]
-    num = _numerator(m, pipe.adj, split, M, W, h)
+    num = _numerator(m, split, P, free, h)
     # cancel any common polynomial factor, then normalize den(0) = 1
     common = den
     for e in chain.from_iterable(num.entries):

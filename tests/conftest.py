@@ -26,6 +26,7 @@ from recausal.exactalg import (
     Poly,
     PolyMatrix,
     RationalMatrix,
+    _packed_product,
     block_diag,
     det_adjugate,
     hstack,
@@ -895,9 +896,9 @@ def full_unknown_system(m: REModel, pipe):
             rows.append([Fraction(int(a == j * s + r)) for a in range(width)])
             rhs.append([Fraction(0)] * q)
     D, _ = factor_stable_unstable(pipe.pi.det, pipe.pi.J1, pipe.roots)
-    canc, canc_rhs = _cancellation_rows(pipe.adj, D.shift(H), PolyMatrix(cols, width), W,
-                                        range(width))
-    rows, rhs = rows + canc, rhs + canc_rhs
+    P, _den = _packed_product(pipe.adj, PolyMatrix([c + w for c, w in zip(cols, W.entries)]))
+    canc = _cancellation_rows(P, D.shift(H))
+    rows, rhs = rows + [r[:width] for r in canc], rhs + [r[width:] for r in canc]
     if not rows:  # keep the column counts of an empty system
         return affine_set(RationalMatrix.zero(0, n), RationalMatrix.zero(0, q), n)
     X, kern = affine_set(RationalMatrix(rows), RationalMatrix(rhs), width)

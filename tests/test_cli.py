@@ -286,6 +286,9 @@ def test_solve_refuses_negative_j1(capsys, tmp_path):
         ("r_hint", lambda d: d.update(r_hint=True)),
         ("A[0,0]", lambda d: d["A"][0].update(matrix=[[True]])),
         ("wold[0]", lambda d: d.update(wold=[[[True]]])),
+        # parsed entries are reused within a document, and true == 1 hashes like 1
+        pytest.param("wold[0]", lambda d: (d["A"][1].update(matrix=[[1]]),
+                                           d.update(wold=[[[True]]])), id="wold[0]-after-1"),
         ("xi", lambda d: d.update(xi=True)),
         ("'A'", lambda d: d.update(A=1)),
         ("'A'", lambda d: d.update(A=[1])),
@@ -294,7 +297,8 @@ def test_solve_refuses_negative_j1(capsys, tmp_path):
 )
 def test_json_booleans_are_not_numbers(capsys, tmp_path, field, mutate):
     """bool subclasses int, but a JSON true or false is neither an integer nor
-    a rational.  Read as 1 and 0, each of these documents is a valid model.
+    a rational.  Read as 1 and 0, each of these documents is a valid model,
+    also where a true follows an integer 1 elsewhere in the document.
     The last three put a number where a list of A objects or of wold matrices
     belongs; each is a format error naming the field, not a traceback."""
     doc = json.loads(INDETERMINATE_SCALAR)

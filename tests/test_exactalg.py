@@ -14,6 +14,8 @@ from recausal.exactalg import (
     NEG_INF,
     _P,
     _coprime_to_derivative_mod_p,
+    _packed_product,
+    _poly,
     _unpack,
     Poly,
     PolyMatrix,
@@ -418,6 +420,29 @@ def _check_det_adjugate(M: PolyMatrix):
 @given(st.integers(0, 6), st.integers(0, 4), st.booleans(), st.randoms(use_true_random=False))
 def test_det_adjugate_matches_reference(n, max_deg, big, rnd):
     _check_det_adjugate(rand_polymatrix(rnd, n, max_deg, **(_BIG if big else {})))
+
+
+@st.composite
+def _product_operands(draw):
+    """(A, B) with A r x k and B k x c, each side 0..3, so empty matrices come up;
+    entries from _coeff_lists: zero, negative and large coefficients over mixed
+    denominators."""
+    r, k, c = (draw(st.integers(0, 3)) for _ in range(3))
+    A = PolyMatrix([[Poly(draw(_coeff_lists)) for _ in range(k)] for _ in range(r)], k)
+    B = PolyMatrix([[Poly(draw(_coeff_lists)) for _ in range(c)] for _ in range(k)], c)
+    return A, B
+
+
+@settings(derandomize=True, max_examples=200, deadline=timedelta(seconds=2))
+@given(_product_operands())
+@example((PolyMatrix([[Poly([-1, 0, Fraction(1, 2)])]]), PolyMatrix([[Poly([3, -2]), Poly()]])))
+@example((PolyMatrix([[]]), PolyMatrix([], 2)))
+@example((PolyMatrix([], 2), PolyMatrix([[Poly([1])], [Poly([Fraction(-5, 7)])]])))
+def test_packed_product_matches_polymatrix_product(operands):
+    A, B = operands
+    P, den = _packed_product(A, B)
+    assert den > 0 and (len(P), all(len(row) == B.cols for row in P)) == (A.rows, True)
+    assert PolyMatrix([[_poly(list(e), den) for e in row] for row in P], B.cols) == A * B
 
 
 def test_determinant_swaps_rows_past_a_zero_pivot():

@@ -14,7 +14,9 @@ from recausal import dimension
 from recausal.canon import SmithForm, UnitCircleRootError, classify_roots, smith_form
 from recausal.cli import _emit, build_parser, cmd_solve
 from recausal.dimension import dimension_report, run_pipeline
-from recausal.exactalg import Poly, PolyMatrix, RationalMatrix, det_adjugate, rank_of
+from recausal.exactalg import (
+    Poly, PolyMatrix, RationalMatrix, _packed_product, det_adjugate, rank_of,
+)
 from recausal.model import REModel, build_pi
 from recausal.solver import (
     FactorizationError,
@@ -539,8 +541,24 @@ def test_divisibility_rows_match_smith_split(corpus):
     assert n_sets >= 50 and n_transfers >= 30 and n_deep >= 8, (n_sets, n_transfers, n_deep)
 
 
+def _solve_product(adj: PolyMatrix, M: PolyMatrix, W: PolyMatrix, cols):
+    """_packed_product(adj, [M's columns cols | W]), as solve_causal builds it."""
+    return _packed_product(adj, PolyMatrix([[row[a] for a in cols] + w
+                                            for row, w in zip(M.entries, W.entries)]))
+
+
+def _positive_multiple(row: list, ref: list) -> bool:
+    """row = c ref for one rational c > 0; a zero ref needs a zero row."""
+    k = next((i for i, x in enumerate(ref) if x), None)
+    if k is None:
+        return len(row) == len(ref) and not any(row)
+    c = Fraction(row[k]) / ref[k]
+    return c > 0 and len(row) == len(ref) and all(x == c * y for x, y in zip(row, ref))
+
+
 def test_residual_rows_and_numerator_match_full_map(corpus):
-    # the solver drops the pi(z) h(z) term of N and reduces adj(pi) mod D
+    # the solver drops the pi(z) h(z) term of N; each integer row scales the
+    # Fraction row of remainder coefficients of adj(pi) N mod D
     n_models = n_rows = n_nums = 0
     for m in list(corpus) + planted_models() + deep_planted_models():
         pipe = run_pipeline(m)
@@ -548,7 +566,7 @@ def test_residual_rows_and_numerator_match_full_map(corpus):
             sr = solve_causal(m, pipe)
         except (FactorizationError, UnsupportedModelError):
             continue
-        J1, adj = pipe.pi.J1, pipe.adj
+        J1, adj, unknowns = pipe.pi.J1, pipe.adj, range(m.s * m.H)
         split = factor_stable_unstable(pipe.pi.det, J1, pipe.roots)
         D = split[0]
         A, W = assemble_rhs(m, pipe.zc, J1, pipe.pi.pi)
@@ -556,21 +574,24 @@ def test_residual_rows_and_numerator_match_full_map(corpus):
         basis = [divisibility_rows(adj, D, v) for v in _columns(A)]
         rhs = [divisibility_rows(adj, D, v) for v in _columns(W)]
         n = len(rhs[0])
-        rows, rhs_rows = _cancellation_rows(adj, D, M, W_res, range(m.s * m.H))
-        assert rows == [[b[r] for b in basis] for r in range(n)], (m.s, m.H, J1)
-        assert rhs_rows == [[c[r] for c in rhs] for r in range(n)], (m.s, m.H, J1)
+        P = _solve_product(adj, M, W_res, unknowns)
+        rows = _cancellation_rows(P[0], D)
+        assert len(rows) == n, (m.s, m.H, J1)
+        for r, row in enumerate(rows):
+            ref = [b[r] for b in basis] + [c[r] for c in rhs]
+            assert _positive_multiple(row, ref), (m.s, m.H, J1, r)
         n_models += 1
         n_rows += n > 0
         if sr.h is not None:
             N = map_at(A, W, sr.h)
             full = PolyMatrix([[e.exact_div(D) for e in row] for row in (adj * N).entries])
-            assert _numerator(m, adj, split, M, W_res, sr.h) == full
+            assert _numerator(m, split, P, unknowns, sr.h) == full
             n_nums += 1
     assert n_models >= 50 and n_rows >= 35 and n_nums >= 30, (n_models, n_rows, n_nums)
 
 
 def test_cancellation_rows_and_numerator_match_per_unknown_map(corpus, predetermined_probe):
-    # one product (adj mod D) [M's free columns | W] against one column per unknown
+    # one product adj [M's free columns | W] against one column per unknown
     n_models = n_forced = n_nums = 0
     models = list(corpus) + list(predetermined_probe) + planted_models() + deep_planted_models()
     for m in models:
@@ -583,12 +604,16 @@ def test_cancellation_rows_and_numerator_match_per_unknown_map(corpus, predeterm
         split = factor_stable_unstable(pipe.pi.det, J1, pipe.roots)
         M, W = _residual_map(m, pipe.zc, J1)
         const, per_unknown = ref_residual_map(m, pipe.zc, J1)
-        assert _cancellation_rows(adj, split[0], M, W, free) == ref_residual_rows(
-            adj, split[0], const, [per_unknown[a] for a in free]), (m.s, m.H, m.gamma)
+        P = _solve_product(adj, M, W, free)
+        rows = _cancellation_rows(P[0], split[0])
+        ref_x, ref_b = ref_residual_rows(adj, split[0], const, [per_unknown[a] for a in free])
+        assert len(rows) == len(ref_x), (m.s, m.H, m.gamma)
+        for row, x, b in zip(rows, ref_x, ref_b):
+            assert _positive_multiple(row, x + b), (m.s, m.H, m.gamma)
         n_models += 1
         n_forced += len(free) < m.s * m.H
         if sr.h is not None:
-            assert _numerator(m, adj, split, M, W, sr.h) == ref_numerator(
+            assert _numerator(m, split, P, free, sr.h) == ref_numerator(
                 m, adj, split, const, per_unknown, sr.h), (m.s, m.H, m.gamma)
             n_nums += 1
     assert n_models >= 75 and n_forced >= 25 and n_nums >= 40, (n_models, n_forced, n_nums)
