@@ -1,12 +1,13 @@
 """Smith canonical form of polynomial matrices and determinant-root classification.
 
 The Smith form is computed by exact elimination over Q[z], which also detects
-a singular input: its elimination runs out of nonzero pivots.  The row and
-column operations update D, P^-1 and Q, the factors the constraints and
-A_theta read; P and Q^-1 are their exact inverses, derived on first read, so
-`SmithForm` is a plain class that caches them.
-The constraint blocks read only `LocalSmith`, the data of the form at z = 0,
-which needs no elimination when det pi(0) != 0.  `LocalSmith` and
+a singular input: its elimination runs out of nonzero pivots.  The row
+operations update D and P^-1, the column operations D alone.  Q, which only
+A_theta and `recausal smith` read, follows from one integer product P^-1 pi
+on first read, as do the inverses P and Q^-1: `SmithForm` is a plain class
+that caches them.  The constraint blocks read only `LocalSmith`, the data of
+the form at z = 0 (E(0) from the same product), which needs no elimination
+when det pi(0) != 0.  `LocalSmith` and
 `RootClassification` are named tuples.
 `classify_roots` sorts the roots of det pi against the unit circle on the
 exact inclusion discs of Weierstrass corrections (Carstensen) from
@@ -27,7 +28,7 @@ from functools import cached_property
 from math import isqrt
 
 from .exactalg import (
-    Poly, PolyMatrix, RationalMatrix, _det_adjugate, rat, squarefree_factors,
+    Poly, PolyMatrix, _det_adjugate, _packed_product, _poly, _rmat, rat, squarefree_factors,
 )
 
 
@@ -44,13 +45,19 @@ class FactorizationError(ArithmeticError):
 
 
 class SmithForm:
-    """pi = P diag(z^g) diag(phi) Q with the factors the elimination tracks:
-    Q and P^-1.  P and Q^-1 are their exact inverses, computed on first read.
-    g holds the partial multiplicities, non-decreasing, and phi the diagonal
-    of Phi, phi_i(0) != 0."""
+    """pi = P diag(z^g) diag(phi) Q from the elimination, which tracks P^-1 alone.
+    Q = diag(z^g phi)^-1 P^-1 pi and the exact inverses P and Q^-1 are
+    computed on first read.  g holds the partial multiplicities,
+    non-decreasing, and phi the diagonal of Phi, phi_i(0) != 0."""
 
-    def __init__(self, Q: PolyMatrix, g: tuple, phi: tuple, P_inv: PolyMatrix):
-        self.Q, self.g, self.phi, self.P_inv = Q, g, phi, P_inv
+    def __init__(self, pi: PolyMatrix, g: tuple, phi: tuple, P_inv: PolyMatrix):
+        self.pi, self.g, self.phi, self.P_inv = pi, g, phi, P_inv
+
+    @cached_property
+    def Q(self) -> PolyMatrix:
+        P, den = _packed_product(self.P_inv, self.pi)
+        return PolyMatrix([[_poly(f, den).shift(-gi).exact_div(ph) for f in row]
+                           for row, gi, ph in zip(P, self.g, self.phi)])
 
     @cached_property
     def P(self) -> PolyMatrix:
@@ -68,13 +75,14 @@ class SmithForm:
         return tuple(Poly.monomial(gi) * ph for gi, ph in zip(self.g, self.phi))
 
     def local(self, order: int | None = None) -> "LocalSmith":
-        """The data at z = 0 of pi = P diag(z^g) E with E = diag(phi) Q: the
-        coefficients of P^-1 below z^order, or all of them without an order."""
-        n = self.size
-        phi0 = RationalMatrix([[self.phi[i][0] if i == j else 0 for j in range(n)]
-                               for i in range(n)])
+        """The data at z = 0 of pi = P diag(z^g) E: the coefficients of P^-1
+        below z^order, or all of them without an order, and E(0), whose row i
+        is the z^g_i coefficient of row i of P^-1 pi."""
+        P, den = _packed_product(self.P_inv, self.pi)
+        omega0 = _rmat([[Fraction(f[gi] if gi < len(f) else 0, den) for f in row]
+                        for row, gi in zip(P, self.g)])
         p_inv = self.P_inv.coeff_list() if order is None else map(self.P_inv.coeff, range(order))
-        return LocalSmith(self.g, tuple(p_inv), phi0 * self.Q.coeff(0))
+        return LocalSmith(self.g, tuple(p_inv), omega0)
 
 
 def _unimodular_inverse(M: PolyMatrix) -> PolyMatrix:
@@ -99,8 +107,8 @@ class LocalSmith(namedtuple("LocalSmith", "g p_inv omega0")):
 def smith_form(M: PolyMatrix) -> SmithForm:
     """Smith decomposition M = P * diag(z^g_i) * diag(phi_i) * Q.
 
-    P, Q are unimodular; the row operations update P^-1 and the column
-    operations Q, the two factors the constraints and A_theta read.  The
+    P, Q are unimodular; the row operations update D and P^-1, the column
+    operations D alone, and Q follows from P^-1 and M on first read.  The
     invariant factors z^g_i * phi_i are monic and satisfy the divisibility
     chain.  The pivot of a block is its entry of least degree, ties broken by
     bit size, then position.  Raises RedundantEquationsError when det M is
@@ -113,19 +121,11 @@ def smith_form(M: PolyMatrix) -> SmithForm:
 
     D = [[M.entries[i][j] for j in range(n)] for i in range(n)]
     Pinv = [list(r) for r in PolyMatrix.identity(n).entries]
-    Q = [list(r) for r in PolyMatrix.identity(n).entries]
 
     def add_row(i, j, f: Poly):
         # row_i += f * row_j of D and of P^-1
         for R in (D, Pinv):
             R[i] = [a.addmul(f, b) for a, b in zip(R[i], R[j])]
-
-    def add_col(i, j, f: Poly):
-        # D: col_i += f * col_j, so Q: row_j -= f * row_i
-        for row in D:
-            row[i] = row[i].addmul(f, row[j])
-        nf = -f
-        Q[j] = [a.addmul(nf, b) for a, b in zip(Q[j], Q[i])]
 
     for t in range(n):
         while True:
@@ -141,7 +141,6 @@ def smith_form(M: PolyMatrix) -> SmithForm:
             D[t], D[bi], Pinv[t], Pinv[bi] = D[bi], D[t], Pinv[bi], Pinv[t]
             for row in D:
                 row[t], row[bj] = row[bj], row[t]
-            Q[t], Q[bj] = Q[bj], Q[t]
             pivot = D[t][t]
             dirty = False
             for i in range(t + 1, n):
@@ -154,10 +153,13 @@ def smith_form(M: PolyMatrix) -> SmithForm:
                 if D[t][j].is_zero():
                     continue
                 q, r = D[t][j].divmod(pivot)
-                add_col(j, t, -q)
+                for row in D:  # col_j -= q * col_t
+                    row[j] = row[j].addmul(-q, row[t])
                 dirty = dirty or not r.is_zero()
             if dirty:
                 continue
+            if pivot.is_constant():  # a constant divides every entry of the block
+                break
             # row and column t are clear; divisibility fix-up: pivot must divide the rest of the block
             offender = None
             for i in range(t + 1, n):
@@ -180,7 +182,7 @@ def smith_form(M: PolyMatrix) -> SmithForm:
         m = d.zero_multiplicity()
         g.append(m)
         phi.append(d.shift(-m).monic())
-    return SmithForm(Q=PolyMatrix(Q), g=tuple(g), phi=tuple(phi), P_inv=PolyMatrix(Pinv))
+    return SmithForm(pi=M, g=tuple(g), phi=tuple(phi), P_inv=PolyMatrix(Pinv))
 
 
 class RootClassification(namedtuple(

@@ -6,9 +6,10 @@ with trailing zeros trimmed, so its arithmetic runs on Python integers with
 one normalisation per result.  `Poly.addmul(f, g)` is self + f*g as one such
 result, accumulated on the numerators over their common denominator; the
 Smith elimination and `PolyMatrix` products use it.  `determinant` (Bareiss,
-O(n^3)), `det_adjugate` (Faddeev-LeVerrier, O(n^4)) and `_packed_product` (one
-matrix product) run on integer matrices L*M(2^b) (Kronecker substitution) and
-read their results off base-2^b digits.  `rank_kernel`, `rank_of` and
+O(n^3)), `det_adjugate` (Faddeev-LeVerrier, O(n^4)) and `_int_product` (one
+matrix product, of PolyMatrix operands by `_packed_product`) run on integer
+matrices L*M(2^b) (Kronecker substitution) and read their results off
+base-2^b digits.  `rank_kernel`, `rank_of` and
 `solve_affine` (via `_solve_rows`) share one fraction-free Gauss-Jordan
 elimination on integer rows (`_row_echelon`): rows are scaled by the lcm of
 their denominators and kept primitive, and each result entry is one division
@@ -438,28 +439,38 @@ def _pack(M: PolyMatrix):
     base-2^b digits (Kronecker substitution; von zur Gathen & Gerhard, 8.4)."""
     if M.rows != M.cols:
         raise ValueError("a determinant needs a square matrix")
+    N, L = _numerators(M)
+    b = prod(max(1, sum(sum(map(abs, f)) for f in row)) for row in N).bit_length() + 2
+    return _at(N, b), b, L
+
+
+def _numerators(M: PolyMatrix):
+    """(N, L): N[i][j] the integer coefficients of entry (i, j) of L*M, lowest first, and L
+    the lcm of the entry denominators."""
     L = lcm(*(e.den for row in M.entries for e in row))
-    b = prod(max(1, sum(sum(map(abs, e.num)) * (L // e.den) for e in row))
-             for row in M.entries).bit_length() + 2
-    return _at(M, L, b), b, L
+    return [[e.num if e.den == L else [c * (L // e.den) for c in e.num] for e in row]
+            for row in M.entries], L
 
 
-def _at(M: PolyMatrix, L: int, b: int) -> list:
-    """The entries of L*M at z = 2^b, L a multiple of every entry denominator."""
-    return [[sum(c << (b * i) for i, c in enumerate(e.num)) * (L // e.den) for e in row]
-            for row in M.entries]
+def _at(N: list, b: int) -> list:
+    """The values at z = 2^b of a matrix of integer coefficient lists."""
+    return [[sum(c << (b * i) for i, c in enumerate(f)) for f in row] for row in N]
 
 
 def _packed_product(A: PolyMatrix, B: PolyMatrix):
-    """(P, den) with A * B = P / den, P[i][j] the integer coefficients of entry (i, j), lowest
-    first: one product of L_A*A and L_B*B at z = 2^b as in `_pack`, den = L_A L_B.  Every such
-    coefficient is at most sum_ik |(L_A A)_ik|_1 times the largest coefficient of L_B B."""
-    la, lb = (lcm(*(e.den for row in X.entries for e in row)) for X in (A, B))
-    top = max((abs(c) * (lb // e.den) for row in B.entries for e in row for c in e.num), default=0)
-    norm = sum(sum(map(abs, e.num)) * (la // e.den) for row in A.entries for e in row)
-    b = (top * norm).bit_length() + 1
-    cols = list(zip(*_at(B, lb, b))) or [()] * B.cols
-    return [[_unpack(sum(map(mul, row, col)), b) for col in cols] for row in _at(A, la, b)], la * lb
+    """(P, den) with A * B = P / den: `_int_product` of the `_numerators` of A and B, den = L_A L_B."""
+    (NA, la), (NB, lb) = _numerators(A), _numerators(B)
+    return _int_product(NA, NB, B.cols), la * lb
+
+
+def _int_product(A: list, B: list, cols: int) -> list:
+    """A * B for matrices of integer coefficient lists, lowest first, B with `cols` columns: one
+    product of their values at z = 2^b as in `_pack`.  Every coefficient of A * B is at most
+    sum_ik |A_ik|_1 times the largest coefficient of B, below 2^(b-1)."""
+    top = max((abs(c) for row in B for f in row for c in f), default=0)
+    b = (top * sum(sum(map(abs, f)) for row in A for f in row)).bit_length() + 1
+    at = list(zip(*_at(B, b))) or [()] * cols
+    return [[_unpack(sum(map(mul, row, col)), b) for col in at] for row in _at(A, b)]
 
 
 def determinant(M: PolyMatrix) -> Poly:

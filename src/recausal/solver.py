@@ -9,6 +9,8 @@ adj(pi) pi = det(pi) I = D S I gives adj(pi) N = D S h(z) + adj(pi) R.  One
 integer product P = adj(pi) [M's solve columns | W] per solve serves twice: the
 conditions are the remainders of its entries mod D, linear in h, and the transfer
 is (adj(pi) R / D + S h(z)) / S with adj(pi) R summed from the columns of P.
+P is z^J1 adj(pi) [zeta's solve columns | w], J1 zero coefficients prepended to
+each entry of the unshifted product.
 
 The rows are verify_solution's acceptance test, linearized (see README): the
 head Psi_0 .. Psi_(H-1) of the solution must be h (plain flavor), so z^H D
@@ -27,9 +29,9 @@ rational split exists.  Only `simulate` imports numpy.  The result,
 form here, is a property computed on each read, so it takes no `A_theta=`.
 
 A solution y = (num/den) eps is verified by one polynomial identity: with R the
-series of model residuals and T = den R, z^H T = z^H den W + Lambda num - den U
-(see verify_solution), and den(0) = 1 makes den a unit of Q[[z]], so R vanishes
-to lag L exactly when coefficients H .. H+L of z^H T are zero.
+series of model residuals and T = den R, z^H T = [Lambda | z^H W - U] [num ; den I]
+(see verify_solution), one integer product, and den(0) = 1 makes den a unit of
+Q[[z]], so R vanishes to lag L exactly when coefficients H .. H+L of z^H T are zero.
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ from math import isqrt, lcm, prod
 
 from .canon import FactorizationError, RootClassification, root_discs
 from .dimension import Pipeline, run_pipeline
-from .exactalg import Poly, PolyMatrix, RationalMatrix, _packed_product, _poly, _rmat, _solve_rows
-from .exactalg import poly_gcd, rank_kernel, solve_affine
+from .exactalg import Poly, PolyMatrix, RationalMatrix, _ZERO, _int_product, _numerators, _poly
+from .exactalg import _packed_product, _rmat, _solve_rows, poly_gcd, rank_kernel, solve_affine
 from .model import REModel
 
 
@@ -124,13 +126,6 @@ def factor_stable_unstable(det: Poly, J1: int, roots: RootClassification):
         )
     D = Poly.monomial(roots.zero_multiplicity) * _unstable_factor(roots)
     return D, det.exact_div(D)
-
-
-def _residual_map(m: REModel, zc: PolyMatrix, J1: int):
-    """(M, W) with M = z^J1 zeta(z) and W = z^J1 w(z), so that the residual
-    R(z; h) = M h - W is N(z; h) without its pi(z) h(z) term; the map is the
-    same for every innovation column."""
-    return zc.shift(J1), m.wold_poly().shift(J1)
 
 
 def _cancellation_rows(P: list, D: Poly) -> list:
@@ -226,11 +221,11 @@ def solve_causal(
     pipe = pipe or run_pipeline(m)
     n_unknowns, q, free = m.s * m.H, m.q, m.free_unknowns()
     D, S = factor_stable_unstable(pipe.pi.det, pipe.pi.J1, pipe.roots)
-    M, W = _residual_map(m, pipe.zc, pipe.pi.J1)
     ker_l = _expectation_kernel(m) if m.predetermined else []  # d's coordinates follow h's
-    P = _packed_product(pipe.adj, PolyMatrix([
+    P, den = _packed_product(pipe.adj, PolyMatrix([
         [row[a] for a in free] + [sum((e * x for e, x in zip(row, v)), Poly()) for v in ker_l] + w
-        for row, w in zip(M.entries, W.entries)]))
+        for row, w in zip(pipe.zc.entries, m.wold_poly().entries)]))
+    P = [[[0] * pipe.pi.J1 + f if f else f for f in row] for row in P], den  # M, W = z^J1 (zeta, w)
     X, kern = _solve_rows(_cancellation_rows(P[0], D.shift(m.H)), len(free) + len(ker_l), q)
     at = {a: i for i, a in enumerate(free)}
     kernel = [[v[at[a]] if a in at else Fraction(0) for a in range(n_unknowns)] for v in kern]
@@ -260,9 +255,9 @@ def solve_causal(
 
 def _numerator(m, split, P, free, h) -> PolyMatrix:
     """adj(pi) N(z; h) / D = adj(pi) R / D + S h(z), as adj(pi) pi = D S I, for R = M h - W
-    (_residual_map) and h(z) = sum_j h_j z^j.  With P = _packed_product(adj, [M's free
-    columns | ... | W]), adj(pi) R = sum_(a free) P[:, a] h_a - P[:, W] on integers, as the
-    entries of h outside free are zero."""
+    and h(z) = sum_j h_j z^j.  With P the solve's product adj(pi) [M's free columns | ... | W],
+    adj(pi) R = sum_(a free) P[:, a] h_a - P[:, W] on integers, as the entries of h outside
+    free are zero."""
     D, S = split
     rows, den = P
     out = [[] for _ in rows]
@@ -329,8 +324,9 @@ def verify_solution(m: REModel, sr: SolutionReport, max_lag: int = 50) -> dict:
     With Psi = num/den, the residuals R_d = sum_(k,h) A_kh Psi_(d-k+h) + w_d
     form the series R = W + sum_(k,h) A_kh z^k (Psi - Psi_<h) / z^h, where
     Psi_<h is the head Psi_0 .. Psi_(h-1).  So T = den R is a polynomial with
-    z^H T = z^H den W + Lambda num - den U, Lambda = sum A_kh z^(k+H-h) and
-    U = sum A_kh z^(k+H-h) Psi_<h built from the model's own A_kh: one product.
+    z^H T = [Lambda | z^H W - U] [num ; den I_q], Lambda = sum A_kh z^(k+H-h) and
+    U = sum A_kh z^(k+H-h) Psi_<h built from the model's own A_kh: one integer
+    product (`_int_product`) with the left factor on numerators over one lcm.
     As den(0) = 1, den is a unit of Q[[z]]: R_0 .. R_L all vanish iff
     coefficients H .. H+L of z^H T are zero.  Only if not is R rebuilt as the
     series of T/den, reporting each failing lag with its first nonzero position
@@ -341,22 +337,31 @@ def verify_solution(m: REModel, sr: SolutionReport, max_lag: int = 50) -> dict:
     s, q, H = m.s, m.q, m.H
     num, den = sr.transfer_num, sr.transfer_den
     head = transfer_series(num, den, H)
-    n = m.K + H + 1  # Lambda has degree <= K + H and U degree <= K + H - 1
-    lam = [[[Fraction(0)] * n for _ in range(s)] for _ in range(s)]
-    u = [[[Fraction(0)] * n for _ in range(q)] for _ in range(s)]
+    # [Lambda | z^H W - U] times L: entry x of an A_kh gives x L / lh, U's terms the rest of lh
+    lh = lcm(*(y.denominator for c in head for row in c.entries for y in row))
+    L = lcm(lh * lcm(*(x.denominator for a in m.A.values() for row in a.entries for x in row)),
+            *(x.denominator for w in m.wold for row in w.entries for x in row))
+    left = [[[0] * (max(m.K, len(m.wold) - 1) + H + 1) for _ in range(s + q)] for _ in range(s)]
     for (k, h), a in m.A.items():
         deg = k + H - h
-        for i, arow in enumerate(a.entries):
+        for lrow, arow in zip(left, a.entries):
             for r, x in enumerate(arow):
                 if x:
-                    lam[i][r][deg] += x
+                    x = x.numerator * (L // (x.denominator * lh))
+                    lrow[r][deg] += x * lh
                     for j in range(h):
-                        for c, y in enumerate(head[j].entries[r]):
-                            u[i][c][deg + j] += x * y
-    V = m.wold_poly().shift(H) - PolyMatrix([[Poly(e) for e in row] for row in u])
-    zT = PolyMatrix([[Poly(e) for e in row] for row in lam]) * num + V * den
+                        for f, y in zip(lrow[s:], head[j].entries[r]):
+                            f[deg + j] -= x * y.numerator * (lh // y.denominator)
+    for d, w in enumerate(m.wold, H):
+        for lrow, wrow in zip(left, w.entries):
+            for f, x in zip(lrow[s:], wrow):
+                f[d] += x.numerator * (L // x.denominator)
+    right, lr = _numerators(PolyMatrix(num.entries + [[den if i == c else _ZERO for c in range(q)]
+                                                      for i in range(q)]))
+    zT = _int_product(left, right, q)  # z^H T times L lr
     failures = []
-    if any(any(e.num[H : H + max_lag + 1]) for row in zT.entries for e in row):
+    if any(any(f[H : H + max_lag + 1]) for row in zT for f in row):
+        zT = PolyMatrix([[_poly(f, L * lr) for f in row] for row in zT])
         for d, res in enumerate(transfer_series(zT.shift(-H), den, max_lag + 1)):
             bad = [(i, c, v) for i, row in enumerate(res.entries) for c, v in enumerate(row) if v]
             if bad:

@@ -38,12 +38,7 @@ from recausal.exactalg import (
     vstack,
 )
 from recausal.model import REModel, build_pi
-from recausal.solver import (
-    FactorizationError,
-    _cancellation_rows,
-    _residual_map,
-    factor_stable_unstable,
-)
+from recausal.solver import FactorizationError, _cancellation_rows, factor_stable_unstable
 
 
 # one PASS/FAIL line per acceptance criterion, emitted after the run summary
@@ -152,6 +147,14 @@ def invert(M: RationalMatrix) -> RationalMatrix:
     return X
 
 
+def residual_map(m: REModel, zc: PolyMatrix, J1: int):
+    """(M, W) with M = z^J1 zeta(z) and W = z^J1 w(z), so that the residual
+    R(z; h) = M h - W is N(z; h) without its pi(z) h(z) term; the map is the
+    same for every innovation column.  The solver reads the same product
+    unshifted and prepends J1 zero coefficients to each entry."""
+    return zc.shift(J1), m.wold_poly().shift(J1)
+
+
 def smith_reconstruct(sf: SmithForm) -> PolyMatrix:
     """P diag(z^g) diag(phi) Q, the matrix sf is the Smith form of."""
     alpha = PolyMatrix.diag([Poly.monomial(gi) for gi in sf.g])
@@ -166,7 +169,7 @@ def assemble_rhs(m: REModel, zc, J1: int, pi: PolyMatrix):
     the map is identical across innovation columns.  The solver's residual
     M h - W is this without the pi(z) h(z) term.
     """
-    M, W = _residual_map(m, zc, J1)
+    M, W = residual_map(m, zc, J1)
     s = m.s
     return PolyMatrix([[pi.entries[i][a % s].shift(a // s) + M[i, a] for a in range(M.cols)]
                        for i in range(s)]), W
@@ -864,7 +867,7 @@ def ref_expectation_kernel(m: REModel, pipe):
     """A basis of the d in Q^sH with pi(z) d(z) + M d = 0, M = z^J1 zeta(z),
     from the polynomial products: the reference for `_expectation_kernel`."""
     s, n = m.s, m.s * m.H
-    M, _ = _residual_map(m, pipe.zc, pipe.pi.J1)
+    M, _ = residual_map(m, pipe.zc, pipe.pi.J1)
     images = [pipe.pi.pi * PolyMatrix([[Poly.monomial(a // s) if r == a % s else Poly()]
                                        for r in range(s)])
               + PolyMatrix([[row[a]] for row in M.entries]) for a in range(n)]
@@ -885,7 +888,7 @@ def full_unknown_system(m: REModel, pipe):
     """
     s, H, q = m.s, m.H, m.q
     n = s * H
-    M, W = _residual_map(m, pipe.zc, pipe.pi.J1)
+    M, W = residual_map(m, pipe.zc, pipe.pi.J1)
     ker = ref_expectation_kernel(m, pipe) if m.predetermined else []
     width = n + len(ker)
     cols = [[row[a] for a in range(n)] + [sum((row[a] * v[a] for a in range(n)), Poly())
@@ -1336,11 +1339,13 @@ def sims_published_smith() -> SmithForm:
     Q = PolyMatrix([[Poly.const(1), Poly([0, 90000, -99000])],
                     [Poly(), Poly.const(1)]])
     phi2 = Poly([Fraction(100, 99), Fraction(-200, 99), 1])
-    return SmithForm(Q=Q, g=(0, 1), phi=(Poly.const(1), phi2), P_inv=unimodular_inverse(P))
+    return smith_fixture(P, Q, (0, 1), (Poly.const(1), phi2))
 
 
 def smith_fixture(P: PolyMatrix, Q: PolyMatrix, g, phi) -> SmithForm:
-    return SmithForm(Q=Q, g=tuple(g), phi=tuple(phi), P_inv=unimodular_inverse(P))
+    """The SmithForm of pi = P diag(z^g) diag(phi) Q, which derives Q back from P^-1 and pi."""
+    alpha = PolyMatrix.diag([Poly.monomial(gi) * ph for gi, ph in zip(g, phi)])
+    return SmithForm(pi=P * alpha * Q, g=tuple(g), phi=tuple(phi), P_inv=unimodular_inverse(P))
 
 
 def check_smith_invariants(M: PolyMatrix, sf: SmithForm):

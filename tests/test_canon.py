@@ -19,7 +19,7 @@ from recausal.canon import (
     smith_form,
 )
 from recausal.dimension import run_pipeline
-from recausal.exactalg import Poly, PolyMatrix, det_adjugate
+from recausal.exactalg import Poly, PolyMatrix, RationalMatrix, det_adjugate
 from conftest import (
     check_smith_invariants,
     invariant_factors_oracle,
@@ -146,15 +146,22 @@ def test_smith_planted_sandwich():
 
 
 def test_smith_factors_match_four_factor_reference(corpus, predetermined_probe):
-    """The tracked P^-1 and Q, g and phi, and the derived P and Q^-1, are the
-    factors of the reference elimination that updates all four unimodulars."""
+    """The tracked P^-1, g and phi, the derived Q, P and Q^-1, and the local
+    data are those of the reference elimination that updates all four
+    unimodulars, E(0) = diag(phi(0)) Q(0)."""
     checked = 0
     for m in corpus + predetermined_probe + ladder_shaped_models() + planted_models():
         pi = build_pi(m).pi
         sf, ref = smith_form(pi), ref_smith_form(pi)
-        assert (sf.P_inv, sf.Q, sf.g, sf.phi) == (ref.P_inv, ref.Q, ref.g, ref.phi)
-        assert "P" not in vars(sf) and "Q_inv" not in vars(sf)
-        assert (sf.P, sf.Q_inv) == (ref.P, ref.Q_inv)
+        assert (sf.P_inv, sf.g, sf.phi) == (ref.P_inv, ref.g, ref.phi)
+        assert not {"Q", "P", "Q_inv"} & set(vars(sf))
+        loc = sf.local()
+        phi0 = RationalMatrix.zero(sf.size, sf.size)
+        for i, ph in enumerate(ref.phi):
+            phi0.entries[i][i] = ph[0]
+        assert loc == (ref.g, tuple(ref.P_inv.coeff_list()), phi0 * ref.Q.coeff(0))
+        assert sf.local(2) == (ref.g, tuple(map(ref.P_inv.coeff, range(2))), loc.omega0)
+        assert (sf.Q, sf.P, sf.Q_inv) == (ref.Q, ref.P, ref.Q_inv)
         checked += 1
     assert checked == 306
 

@@ -349,11 +349,10 @@ def _diagonal_rescaled(sf, rng):
 
     n = sf.size
     d = [rand_frac(rng, nonzero=True) for _ in range(n)]
-    W = RationalMatrix([[d[i] if i == j else 0 for j in range(n)] for i in range(n)])
     Winv = RationalMatrix([[1 / d[i] if i == j else 0 for j in range(n)] for i in range(n)])
-    pw = polymatrix_from_rational(W)
     pwinv = polymatrix_from_rational(Winv)
-    return SmithForm(Q=pwinv * sf.Q, g=sf.g, phi=sf.phi, P_inv=pwinv * sf.P_inv)
+    # P W diag(z^g phi) W^-1 Q = pi, as diagonal matrices commute: the derived Q is W^-1 Q
+    return SmithForm(pi=sf.pi, g=sf.g, phi=sf.phi, P_inv=pwinv * sf.P_inv)
 
 
 def test_smith_choice_invariance(corpus):

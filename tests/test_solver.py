@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 
 from recausal import dimension
 from recausal.canon import SmithForm, UnitCircleRootError, classify_roots, smith_form
-from recausal.cli import _emit, build_parser, cmd_solve
+from recausal.cli import _emit, build_parser, cmd_smith, cmd_solve
 from recausal.dimension import dimension_report, run_pipeline
 from recausal.exactalg import (
     Poly, PolyMatrix, RationalMatrix, _packed_product, det_adjugate, rank_of,
 )
-from recausal.model import REModel, build_pi
+from recausal.model import REModel, build_pi, validate_semantics
 from recausal.solver import (
     FactorizationError,
     SolutionReport,
@@ -25,7 +25,6 @@ from recausal.solver import (
     _cancellation_rows,
     _expectation_kernel,
     _numerator,
-    _residual_map,
     _unstable_factor,
     _unstable_part,
     factor_stable_unstable,
@@ -58,6 +57,7 @@ from conftest import (
     ref_transfer,
     ref_verify,
     ref_verify_per_h,
+    residual_map,
     same_affine_set,
     sims_model,
     substitution_set,
@@ -161,7 +161,7 @@ def test_assemble_rhs_affine_linearity():
     h2 = RationalMatrix([[Fraction(rng.randint(-3, 3))] * m.q for _ in range(m.s * m.H)])
     # both the full map N = A h - W and the solver's residual R = M h - W
     for A, W in (assemble_rhs(m, pipe.zc, pipe.pi.J1, pipe.pi.pi),
-                 _residual_map(m, pipe.zc, pipe.pi.J1)):
+                 residual_map(m, pipe.zc, pipe.pi.J1)):
         n0 = map_at(A, W, RationalMatrix.zero(m.s * m.H, m.q))
         lhs = map_at(A, W, h1 + h2) - n0
         rhs = (map_at(A, W, h1) - n0) + (map_at(A, W, h2) - n0)
@@ -175,7 +175,7 @@ def test_assemble_rhs_matches_direct_formula():
         m = random_model(rng, rng.randint(1, 3), rng.randint(0, 2), rng.randint(1, 2))
         pipe = run_pipeline(m)
         A, W = assemble_rhs(m, pipe.zc, pipe.pi.J1, pipe.pi.pi)
-        M, W_res = _residual_map(m, pipe.zc, pipe.pi.J1)
+        M, W_res = residual_map(m, pipe.zc, pipe.pi.J1)
         h = RationalMatrix(
             [[Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(m.q)]
              for _ in range(m.s * m.H)]
@@ -388,6 +388,56 @@ def test_verify_matches_per_h_reference(corpus, predetermined_probe):
         n_solved, n_failing, n_perturbed)
 
 
+def _scaled_model(m, rng):
+    """m with equation i times c_i and variable r times t_r, c_i and t_r of either sign
+    with numerator and denominator above 2^64: A_kh -> diag(c) A_kh diag(t) and
+    w -> diag(c) w, so y = diag(t) y' maps its solutions onto those of m."""
+    def big():
+        f = Fraction(rng.choice((3**41, 5**28, 7**23)) + rng.randint(1, 99), 2**65 + rng.randint(1, 99))
+        return f if rng.random() < 0.5 else -f
+    c, t = [big() for _ in range(m.s)], [big() for _ in range(m.s)]
+    return m._replace(
+        A={key: RationalMatrix([[c[i] * x * t[r] for r, x in enumerate(row)]
+                                for i, row in enumerate(a.entries)]) for key, a in m.A.items()},
+        wold=tuple(RationalMatrix([[c[i] * x for x in row] for i, row in enumerate(w.entries)])
+                   for w in m.wold))
+
+
+def test_verify_packed_product_on_wide_integers():
+    """verify_solution's one integer product matches the lag-by-lag reference on
+    models whose entries have numerators and denominators above 2^64.  With
+    A_0H invertible, num + c z^k changes z^H T first at coefficient k, so a
+    perturbation at k = H + max_lag is the last one the check must flag."""
+    rng = random.Random(64)
+    cases = []
+    while len(cases) < 4:
+        s, H = rng.choice((2, 3)), len(cases) % 2 + 1
+        gamma = random_gamma(rng, s, H) if len(cases) >= 2 else None
+        m = _scaled_model(random_model(rng, s, 1, H, gamma=gamma, force_g0=True), rng)
+        try:
+            sr = solve_causal(m)
+        except FactorizationError:
+            continue
+        if sr.transfer_num is not None:
+            cases.append((m, sr))
+    for m, sr in cases:
+        assert max(abs(x.numerator) for a in m.A.values() for row in a.entries for x in row) > 2**64
+        assert min(x.denominator for a in m.A.values() for row in a.entries for x in row if x) > 2**64
+        assert any(x < 0 for a in m.A.values() for row in a.entries for x in row)
+        for max_lag in sorted({m.H, 10, 50}):
+            rep = verify_solution(m, sr, max_lag)
+            assert rep["ok"] and rep == ref_verify(m, sr, max_lag), max_lag
+            i, j = rng.randrange(m.s), rng.randrange(m.q)
+            for k in (m.H + max_lag, m.H + max_lag + 1):
+                entries = [list(row) for row in sr.transfer_num.entries]
+                entries[i][j] = entries[i][j] + Poly.monomial(k, Fraction(-(2**70) - 1, 3**45))
+                bad = sr._replace(transfer_num=PolyMatrix(entries))
+                rep = verify_solution(m, bad, max_lag)
+                assert rep == ref_verify(m, bad, max_lag), (max_lag, k)
+                flagged = [f["lag"] for f in rep["failures"]]
+                assert flagged == ([max_lag] if k == m.H + max_lag else []), (max_lag, k)
+
+
 def test_transfer_series_requires_unit_den_at_zero():
     m = scalar_model(Fraction(1, 2))
     sr = solve_causal(m)._replace(transfer_den=Poly([2, -1]))
@@ -570,7 +620,7 @@ def test_residual_rows_and_numerator_match_full_map(corpus):
         split = factor_stable_unstable(pipe.pi.det, J1, pipe.roots)
         D = split[0]
         A, W = assemble_rhs(m, pipe.zc, J1, pipe.pi.pi)
-        M, W_res = _residual_map(m, pipe.zc, J1)
+        M, W_res = residual_map(m, pipe.zc, J1)
         basis = [divisibility_rows(adj, D, v) for v in _columns(A)]
         rhs = [divisibility_rows(adj, D, v) for v in _columns(W)]
         n = len(rhs[0])
@@ -602,7 +652,7 @@ def test_cancellation_rows_and_numerator_match_per_unknown_map(corpus, predeterm
             continue
         J1, adj, free = pipe.pi.J1, pipe.adj, m.free_unknowns()
         split = factor_stable_unstable(pipe.pi.det, J1, pipe.roots)
-        M, W = _residual_map(m, pipe.zc, J1)
+        M, W = residual_map(m, pipe.zc, J1)
         const, per_unknown = ref_residual_map(m, pipe.zc, J1)
         P = _solve_product(adj, M, W, free)
         rows = _cancellation_rows(P[0], split[0])
@@ -680,14 +730,25 @@ def test_verify_reports_a_forced_entry_set_nonzero(corpus, predetermined_probe):
 
 
 def test_solve_and_verify_derive_no_smith_inverse():
-    """P and Q^-1 are derived on first read; nothing on the solve path reads them."""
+    """Q, P and Q^-1 are derived on first read: validate, analyze, solve and
+    verify read none of them, while A_theta and `recausal smith` derive Q."""
+    n_theta = 0
     for m in planted_models():
+        validate_semantics(m)
         dimension_report(m)
         sr = solve_causal(m)
         if sr.transfer_num is not None:
             assert verify_solution(m, sr)["ok"]
         sf = m.artifacts["sf"]
-        assert "P" not in vars(sf) and "Q_inv" not in vars(sf)
+        assert not {"Q", "P", "Q_inv"} & set(vars(sf))
+        if sr.transfer_num is not None:
+            sr.A_theta
+            assert "Q" in vars(sf) and not {"P", "Q_inv"} & set(vars(sf))
+            n_theta += 1
+        m = m._replace()
+        cmd_smith(m, None)
+        assert {"Q", "P", "Q_inv"} <= set(vars(m.artifacts["sf"]))
+    assert n_theta == 10, n_theta
 
 
 def test_planted_models_with_s0_zero_answer():
@@ -707,12 +768,13 @@ def test_planted_models_with_s0_zero_answer():
 
 
 def _drop_smith_unimodulars(m):
-    """Build m's constraint system, then leave only g, phi and Q in its memoized
-    Smith form: without P^-1, P cannot be derived either."""
+    """Build m's constraint system, then leave only g, phi and the derived Q in
+    its memoized Smith form: without P^-1 and pi, P cannot be derived either."""
     pipe = run_pipeline(m)
     pipe.cs
     sf = pipe.sf
-    m.artifacts["sf"] = SmithForm(Q=sf.Q, g=sf.g, phi=sf.phi, P_inv=None)
+    m.artifacts["sf"] = SmithForm(pi=None, g=sf.g, phi=sf.phi, P_inv=None)
+    m.artifacts["sf"].Q = sf.Q
 
 
 def test_solve_reads_no_smith_unimodular_but_q(capsys):
