@@ -6,9 +6,9 @@ operations update D and P^-1, the column operations D alone.  Q, which only
 A_theta and `recausal smith` read, follows from one integer product P^-1 pi
 on first read, as do the inverses P and Q^-1: `SmithForm` is a plain class
 that caches them.  The constraint blocks read only `LocalSmith`, the data of
-the form at z = 0 (E(0) from the same product), which needs no elimination
-when det pi(0) != 0.  `LocalSmith` and
-`RootClassification` are named tuples.
+the form at z = 0, which needs no elimination when det pi(0) != 0; its E(0)
+comes from the same product, on first read, as only the predetermined system
+reads it.  `RootClassification` is a named tuple.
 `classify_roots` sorts the roots of det pi against the unit circle on the
 exact inclusion discs of Weierstrass corrections (Carstensen) from
 `root_discs`, which the solver's stable/unstable split then refines; the ring
@@ -76,11 +76,13 @@ class SmithForm:
 
     def local(self, order: int | None = None) -> "LocalSmith":
         """The data at z = 0 of pi = P diag(z^g) E: the coefficients of P^-1
-        below z^order, or all of them without an order, and E(0), whose row i
-        is the z^g_i coefficient of row i of P^-1 pi."""
-        P, den = _packed_product(self.P_inv, self.pi)
-        omega0 = _rmat([[Fraction(f[gi] if gi < len(f) else 0, den) for f in row]
-                        for row, gi in zip(P, self.g)])
+        below z^order, or all of them without an order, and E(0) on first read,
+        whose row i is the z^g_i coefficient of row i of P^-1 pi."""
+        def omega0():
+            P, den = _packed_product(self.P_inv, self.pi)
+            return _rmat([[Fraction(f[gi] if gi < len(f) else 0, den) for f in row]
+                          for row, gi in zip(P, self.g)])
+
         p_inv = self.P_inv.coeff_list() if order is None else map(self.P_inv.coeff, range(order))
         return LocalSmith(self.g, tuple(p_inv), omega0)
 
@@ -92,16 +94,20 @@ def _unimodular_inverse(M: PolyMatrix) -> PolyMatrix:
     return adj * (1 / det[0])
 
 
-class LocalSmith(namedtuple("LocalSmith", "g p_inv omega0")):
+class LocalSmith:
     """g, the coefficients of P^-1 (lowest power first) and omega0 = E(0) of a
-    factorization pi = P diag(z^g) E with P unimodular and E(0) invertible.
+    factorization pi = P diag(z^g) E with P unimodular and E(0) invertible:
+    all the constraint systems read of the Smith form.  omega0, which only the
+    predetermined system reads, is given as a function and computed on first
+    read.  When det pi(0) != 0, pi = I I pi is such a factorization: g = 0,
+    P^-1 = I and omega0 = pi(0), and no elimination is needed."""
 
-    This is all the constraint systems read of the Smith form.  When
-    det pi(0) != 0, pi = I I pi is such a factorization: g = 0, P^-1 = I and
-    omega0 = pi(0), and no elimination is needed.
-    """
+    def __init__(self, g: tuple, p_inv: tuple, omega0):
+        self.g, self.p_inv, self._omega0 = g, p_inv, omega0
 
-    __slots__ = ()
+    @cached_property
+    def omega0(self):
+        return self._omega0()
 
 
 def smith_form(M: PolyMatrix) -> SmithForm:

@@ -3,9 +3,14 @@
 Builds the polynomial zeta(z) = sum_i m_i z^i, the per-row coefficient blocks
 of P(z)^{-1} and the selector S, and assembles the linear system that every
 admissible stack of revision loadings must satisfy, in both the plain and the
-predetermined flavor, as a `ConstraintSystem` named tuple.  The systems and
-the rank bounds read m_stack, the m_0, m_1, ... stacked, which the pipeline
-sums from the A_kh (`build_m_stack`) once per model, as wide as the P^{-1} blocks.
+predetermined flavor, as a `ConstraintSystem`.  Its rank_w and the rank
+bounds are counted by `_row_echelon` (Bareiss, Math. Comp. 22, 1968) on
+integer rows: m_stack, the m_i summed from the A_kh over one lcm
+(`build_m_stack`), and each p_stack row scaled to integers, multiplied in one
+zero-skipping product.  The predetermined count puts A_i^T, A_i the first
+n_i columns of E(0), in place of S's block (A_i^T A_i)^-1 A_i^T: E(0) is
+invertible, so both have the same row space, and no pseudo-inverse is
+solved.  The Fraction C, D, rhs and kernel are built only when read.
 
 Of a factorization pi = P diag(z^g) E (P unimodular, E(0) invertible; the
 Smith form with E = diag(phi) Q is one) the systems read only its data at
@@ -24,8 +29,8 @@ the solve reads none of them.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from .canon import LocalSmith
@@ -35,27 +40,33 @@ from .exactalg import (
     _NIL,
     _poly,
     _rmat,
+    _row_echelon,
     block_diag,
     pseudo_inverse_columns,
     rank_kernel,
-    rank_of,
     vstack,
 )
 from .model import REModel
 
 
-def build_m_stack(m: REModel, n: int) -> RationalMatrix:
-    """The coefficients m_0, ..., m_(n-1) of zeta(z) stacked, from the A_kh:
-    column block j of m_i is minus the sum of the A_kh with k + j - h = i, h <= j < H."""
+def _lcm_of_coefficients(m: REModel) -> int:
+    return lcm(*[a.denominator for A in m.A.values() for row in A.entries for a in row])
+
+
+def build_m_stack(m: REModel, n: int) -> tuple:
+    """(N, L): the coefficients m_0, ..., m_(n-1) of zeta(z) stacked are N / L,
+    N integer rows and L the lcm of the A_kh denominators.  Column block j of
+    m_i is minus the sum of the A_kh with k + j - h = i, h <= j < H."""
     s, H = m.s, m.H
-    sums = [[0] * (s * H) for _ in range(n * s)]
+    L = _lcm_of_coefficients(m)
+    N = [[0] * (s * H) for _ in range(n * s)]
     for (k, h), A in m.A.items():
         for j in range(h, min(H, n + h - k)):
-            for acc, row in zip(sums[(k + j - h) * s :], A.entries):
+            for acc, row in zip(N[(k + j - h) * s :], A.entries):
                 for c, a in enumerate(row, j * s):
                     if a:
-                        acc[c] = acc[c] + a if acc[c] else a
-    return _rmat([[-a if a else _NIL for a in row] for row in sums], s * H)
+                        acc[c] -= a.numerator * (L // a.denominator)
+    return N, L
 
 
 def zeta_coefficients(m: REModel) -> PolyMatrix:
@@ -66,7 +77,7 @@ def zeta_coefficients(m: REModel) -> PolyMatrix:
     summed on integer numerators over the lcm L of all A_kh denominators.
     """
     s, H = m.s, m.H
-    L = lcm(*(a.denominator for A in m.A.values() for row in A.entries for a in row))
+    L = _lcm_of_coefficients(m)
     num = [[[0] * (H + m.K) for _ in range(s * H)] for _ in range(s)]
     for (k, h), A in m.A.items():
         for j in range(h, H):
@@ -88,11 +99,11 @@ def frak_p_blocks(loc: LocalSmith, J1: int, H: int) -> tuple:
         # row r of block k holds coefficients r + o, ..., 0 of row k of P^-1;
         # rows r < -o (g_k < J1) and coefficients past the known ones stay zero
         o = gk - J1
-        rows = [[Fraction(0)] * width for _ in range(H)]
+        rows = [[_NIL] * width for _ in range(H)]
         for r in range(H):
             for col_block in range(max(r + o + 1 - len(pc), 0), r + o + 1):
                 rows[r][col_block * s : (col_block + 1) * s] = pc[r + o - col_block].entries[k]
-        blocks.append(RationalMatrix(rows))
+        blocks.append(_rmat(rows))
     return tuple(blocks)
 
 
@@ -105,92 +116,112 @@ def build_selectors(m: REModel, loc: LocalSmith) -> RationalMatrix:
     )
 
 
-class ConstraintSystem(namedtuple(
-        "ConstraintSystem", "C D rank_w kernel flavor effective_unknowns rhs")):
-    """flavor is "plain" or "predetermined"; rhs is D applied to the stacked
-    Wold coefficients."""
-
-    __slots__ = ()
-
-    @property
-    def kernel_dim(self) -> int:
-        return len(self.kernel)
+def _combine(terms, width: int) -> list:
+    """The sum of f * row over the (f, row) in terms, on integers, skipping f = 0."""
+    acc = [0] * width
+    for f, row in terms:
+        if f:
+            acc = [a + f * y for a, y in zip(acc, row)]
+    return acc
 
 
-def _system(m: REModel, ms: RationalMatrix, pb: tuple, S) -> ConstraintSystem:
-    """C = D m_stack and rhs = D w_stack for D = p_stack (plain), or, given the
-    selector S (a RationalMatrix), for D = S U^T p_stack with C on the free
-    columns of h; U^T takes p_stack's rows in time-block order, row k H + i to
-    row i s + k.  ms is m_stack, as many blocks m_i as p_stack has column blocks."""
-    flavor = "plain" if S is None else "predetermined"
-    s, H = m.s, m.H
-    if H == 0:
-        empty = RationalMatrix.zero(0, 0)
-        return ConstraintSystem(C=empty, D=empty, rank_w=0, kernel=(), flavor=flavor,
-                                effective_unknowns=0, rhs=RationalMatrix.zero(0, m.q))
-    D, M = vstack(pb), ms
-    if S is not None:
-        D = S * D.submatrix([k * H + i for i in range(H) for k in range(s)], range(D.cols))
-        M = ms.submatrix(range(ms.rows), m.free_unknowns())
-    C = D * M
-    rank, kern = rank_kernel(C)
-    rhs = D * vstack([m.wold_coeff(j) for j in range(ms.rows // s)])
-    return ConstraintSystem(C=C, D=D, rank_w=rank, kernel=tuple(kern), flavor=flavor,
-                            effective_unknowns=C.cols, rhs=rhs)
+def _rank_w(m: REModel, N: list, pb: tuple, cols, loc: LocalSmith | None) -> int:
+    """rank C: each p_stack row times the lcm c of its denominators, times N
+    on the columns cols; the predetermined flavor folds diag(1/c) into A_i^T."""
+    Nc, w = [[row[c] for c in cols] for row in N], len(cols)
+    scaled = []  # (c, c times row r of p_stack N)
+    for prow in (row for blk in pb for row in blk.entries):
+        nz = [(x, Nc[k]) for k, x in enumerate(prow) if x]
+        c = lcm(*(x.denominator for x, _ in nz))
+        scaled.append((c, _combine([(x.numerator * (c // x.denominator), r) for x, r in nz], w)))
+    rows = [r for _, r in scaled]
+    if loc is not None:
+        s, H, E0, rows = m.s, m.H, loc.omega0.entries, []
+        for i in range(H):
+            blk = scaled[i::H]  # p_stack rows k H + i, k < s
+            for j in range(sum(a // s == i for a in cols)):
+                den = [E0[k][j].denominator * c for k, (c, _) in enumerate(blk)]
+                d = lcm(*den)
+                rows.append(_combine([(E0[k][j].numerator * (d // dk), r)
+                                      for k, ((_, r), dk) in enumerate(zip(blk, den))], w))
+    return len(_row_echelon(rows, w))
 
 
-def build_plain_system(m: REModel, ms: RationalMatrix, pb: tuple) -> ConstraintSystem:
+class ConstraintSystem:
+    """C eps_bullet = rhs, flavor "plain" or "predetermined": rank_w and
+    effective_unknowns are counted on integer rows on construction; C, D, rhs
+    (D applied to the stacked Wold coefficients) and the kernel of C are the
+    Fraction matrices, built on first read.  C = D m_stack for D = p_stack
+    (plain), or, given the LocalSmith loc, for D = S U^T p_stack with C on the
+    free columns of h; U^T takes p_stack's rows in time-block order, row
+    k H + i to row i s + k.  ms = (N, L) is m_stack (`build_m_stack`)."""
+
+    def __init__(self, m: REModel, ms: tuple, pb: tuple, loc: LocalSmith | None = None):
+        self.flavor = "plain" if loc is None else "predetermined"
+        cols = range(m.s * m.H) if loc is None else m.free_unknowns()
+        self.effective_unknowns, self.rank_w = len(cols), _rank_w(m, ms[0], pb, cols, loc)
+        self._src = m._replace(), ms, pb, loc, cols  # m's copy with its own memo: no cycle
+
+    kernel_dim = property(lambda self: self.effective_unknowns - self.rank_w)
+    C = property(lambda self: self._views[0])
+    D = property(lambda self: self._views[1])
+    rhs = property(lambda self: self._views[2])
+
+    @cached_property
+    def _views(self) -> tuple:
+        m, (N, L), pb, loc, cols = self._src
+        D = vstack(pb)
+        if loc is not None:
+            rows = [k * m.H + i for i in range(m.H) for k in range(m.s)]
+            D = build_selectors(m, loc) * D.submatrix(rows, range(D.cols))
+        W = [m.wold_coeff(j) for j in range(len(N) // m.s)]
+        return (D * _rmat([[Fraction(row[c], L) for c in cols] for row in N], len(cols)), D,
+                D * vstack(W) if W else RationalMatrix.zero(0, m.q))
+
+    @cached_property
+    def kernel(self) -> tuple:
+        return tuple(rank_kernel(self.C)[1])
+
+
+def build_plain_system(m: REModel, ms: tuple, pb: tuple) -> ConstraintSystem:
     """Constraint system C eps_bullet = D (innovation stack), no predeterminedness."""
-    return _system(m, ms, pb, None)
+    return ConstraintSystem(m, ms, pb)
 
 
-def build_predetermined_system(
-    m: REModel, ms: RationalMatrix, pb: tuple, S: RationalMatrix
-) -> ConstraintSystem:
+def build_predetermined_system(m: REModel, ms: tuple, pb: tuple,
+                               loc: LocalSmith) -> ConstraintSystem:
     """Constraint system on the non-trivial revision components eps^{p,bullet}."""
-    return _system(m, ms, pb, S)
+    return ConstraintSystem(m, ms, pb, loc)
 
 
 def check_rank_bounds(
-    cs: ConstraintSystem, loc: LocalSmith, ms: RationalMatrix, J1: int, H: int, s: int
+    cs: ConstraintSystem, loc: LocalSmith, ms: tuple, J1: int, H: int, s: int
 ) -> dict:
     """Evaluate the rank bounds for the plain system at this parameter point.
 
-    ms is m_stack with at least H blocks m_i; the hypotheses read its rows.
+    ms = (N, L) is m_stack with at least H blocks m_i; the hypotheses read
+    the ranks of N's rows.
 
     The published lower-bound summand for g_k > J1 reads H - J1 + g_k, but the
     proof establishes H - (g_k - J1) per block; we evaluate the proof form and
     report the published form alongside.
     """
     assert cs.flavor == "plain"
-    upper = (H - J1) * s + sum(min(gk, J1) for gk in loc.g)
-    lower_terms = []
-    hyp_all = True
-    n = s * H
-    m_stack_full_rank = H == 0 or rank_of(ms.submatrix(range(n), range(n))) == n
-    for gk in loc.g:
-        if gk <= J1:
-            lower_terms.append((H - J1) + gk)
-            hyp_all = hyp_all and m_stack_full_rank
-        else:
-            gamma_k = gk - J1
-            term = max(H - gamma_k, 0)
-            lower_terms.append(term)
-            if term > 0:
-                sub = ms.submatrix(range(gamma_k * s, n), range(n))
-                hyp_all = hyp_all and rank_of(sub) == term * s
-    lower = sum(lower_terms)
-    published_lower = sum(
-        ((H - J1) + gk) if gk <= J1 else max(H - J1 + gk, 0) for gk in loc.g
-    )
-    generic_rank = (H - J1) * s + sum(loc.g) if all(gk <= J1 for gk in loc.g) else None
+    N, n, g = ms[0], s * H, loc.g
+    hyp, lower = H == 0 or len(_row_echelon(N[:n], n)) == n, 0
+    for gk in g:
+        term = H - J1 + gk if gk <= J1 else max(H - (gk - J1), 0)
+        lower += term
+        if gk > J1 and term > 0:  # the rows of m_stack from block g_k - J1 on
+            hyp = hyp and len(_row_echelon(N[(gk - J1) * s : n], n)) == term * s
+    upper = (H - J1) * s + sum(min(gk, J1) for gk in g)
     return {
         "rank_w": cs.rank_w,
         "upper_bound": upper,
         "lower_bound": lower,
-        "published_lower_bound": published_lower,
-        "lower_bound_hypothesis_holds": hyp_all and m_stack_full_rank,
-        "generic_rank_g_le_J1": generic_rank,
+        "published_lower_bound": sum(H - J1 + gk if gk <= J1 else max(H - J1 + gk, 0) for gk in g),
+        "lower_bound_hypothesis_holds": hyp,
+        "generic_rank_g_le_J1": (H - J1) * s + sum(g) if all(gk <= J1 for gk in g) else None,
         "upper_ok": cs.rank_w <= upper,
-        "lower_ok": (not (hyp_all and m_stack_full_rank)) or cs.rank_w >= lower,
+        "lower_ok": not hyp or cs.rank_w >= lower,
     }

@@ -7,7 +7,10 @@ no elimination, so the global `smith_form` runs only for a model with G > 0,
 for `recausal smith` and for the printed A_theta of a solved model.  The solve
 reads only `pi`, `roots`, adj pi (`adj`) and zeta(z) (`zc`), so analyze's
 free_parameters may differ from its indeterminacy_dim on a predetermined model
-with G > 0 or J1 < H.  `DimensionReport` is a named tuple.
+with G > 0 or J1 < H.  `dimension_report` and `genericity_probe` read only
+ranks, which the systems count on integer rows: they form no Fraction
+product, C, kernel or pseudo-inverse, and E(0) only for a predetermined model.
+`DimensionReport` is a named tuple.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from .constraints import (
     build_m_stack,
     build_plain_system,
     build_predetermined_system,
-    build_selectors,
     check_rank_bounds,
     frak_p_blocks,
     zeta_coefficients,
@@ -82,7 +84,7 @@ class Pipeline:
         """
         pp, s = self.pi, self.model.s
         if pp.det[0] != 0:
-            return LocalSmith((0,) * s, (RationalMatrix.identity(s),), pp.pi.coeff(0))
+            return LocalSmith((0,) * s, (RationalMatrix.identity(s),), lambda: pp.pi.coeff(0))
         # frak_p_blocks reads P^-1 below z^(H + max(g - J1, 0))
         return self.sf.local(self.model.H + max(max(self.sf.g) - pp.J1, 0))
 
@@ -102,9 +104,8 @@ class Pipeline:
 
     @_stage
     def m_stack(self):
-        """The coefficients m_i of zeta(z) stacked, as many as p_stack has
-        column blocks, H + max(g - J1, 0): the constraint systems and the
-        rank bounds read this one stack, built from the A_kh."""
+        """The m_i of zeta(z) stacked on integer rows (N, L), as many as p_stack
+        has column blocks, H + max(g - J1, 0): the systems and bounds read it."""
         return build_m_stack(self.model, self.pb[0].cols // self.model.s)
 
     @_stage
@@ -114,11 +115,9 @@ class Pipeline:
     @_stage
     def cs(self):
         """The model's constraint system, in its own flavor."""
-        plain = self.plain_cs
         if not self.model.predetermined:
-            return plain
-        S = build_selectors(self.model, self.local)
-        return build_predetermined_system(self.model, self.m_stack, self.pb, S)
+            return self.plain_cs
+        return build_predetermined_system(self.model, self.m_stack, self.pb, self.local)
 
 
 def run_pipeline(m: REModel) -> Pipeline:

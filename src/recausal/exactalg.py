@@ -9,9 +9,9 @@ Smith elimination and `PolyMatrix` products use it.  `determinant` (Bareiss,
 O(n^3)), `det_adjugate` (Faddeev-LeVerrier, O(n^4)) and `_int_product` (one
 matrix product, of PolyMatrix operands by `_packed_product`) run on integer
 matrices L*M(2^b) (Kronecker substitution) and read their results off
-base-2^b digits.  `rank_kernel`, `rank_of` and
-`solve_affine` (via `_solve_rows`) share one fraction-free Gauss-Jordan
-elimination on integer rows (`_row_echelon`): rows are scaled by the lcm of
+base-2^b digits.  `rank_kernel`, `solve_affine` (via `_solve_rows`) and the
+constraint ranks share one fraction-free Gauss-Jordan elimination on
+integer rows (`_row_echelon`): rows are scaled by the lcm of
 their denominators and kept primitive, and each result entry is one division
 at the end; the reduced echelon form, and so every result, is that of a
 Fraction elimination of any positive multiples of the rows.  Every operation
@@ -700,10 +700,6 @@ def rank_kernel(M: RationalMatrix):
     entries = _int_rows(M.entries)
     pivots = _row_echelon(entries, M.cols)
     return len(pivots), _echelon_kernel(entries, pivots, M.cols)
-
-
-def rank_of(M: RationalMatrix) -> int:
-    return len(_row_echelon(_int_rows(M.entries), M.cols))
 
 
 def solve_affine(M: RationalMatrix, B: RationalMatrix):

@@ -9,6 +9,7 @@ import random
 from collections import namedtuple
 from fractions import Fraction
 from itertools import chain, combinations
+from math import lcm
 
 import pytest
 
@@ -32,7 +33,6 @@ from recausal.exactalg import (
     hstack,
     poly_gcd,
     rank_kernel,
-    rank_of,
     rat,
     solve_affine,
     vstack,
@@ -861,6 +861,24 @@ def ref_m_stack(zc: PolyMatrix, pb: tuple) -> RationalMatrix:
     the reference for `Pipeline.m_stack`."""
     n = pb[0].cols // len(pb)
     return vstack([zc.coeff(i) for i in range(n)]) if n else RationalMatrix.zero(0, zc.cols)
+
+
+def ref_constraint_matrix(pipe, sel: RefSelectors | None = None) -> RationalMatrix:
+    """The Fraction C by matrix products: p_stack m_stack (plain), or, given
+    the dense selectors sel, S U^T p_stack m_stack R^T (predetermined)."""
+    C = vstack(pipe.pb) * ref_m_stack(pipe.zc, pipe.pb)
+    return C if sel is None else sel.S * sel.U.transpose() * C * sel.R.transpose()
+
+
+def rank_of(M: RationalMatrix) -> int:
+    return rank_kernel(M)[0]
+
+
+def int_stack(M: RationalMatrix) -> tuple:
+    """(N, L) with M = N / L on integer rows, L the lcm of M's denominators:
+    a stack as the constraint systems take m_stack."""
+    L = lcm(*(x.denominator for row in M.entries for x in row))
+    return [[x.numerator * (L // x.denominator) for x in row] for row in M.entries], L
 
 
 def ref_expectation_kernel(m: REModel, pipe):

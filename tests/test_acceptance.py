@@ -21,7 +21,6 @@ from recausal.exactalg import (
     PolyMatrix,
     RationalMatrix,
     det_adjugate,
-    rank_of,
 )
 from recausal.model import REModel, build_pi, parse_model
 from recausal.solver import (
@@ -45,6 +44,7 @@ from conftest import (
     rand_unimodular,
     random_gamma,
     random_model,
+    rank_of,
     same_affine_set,
 )
 

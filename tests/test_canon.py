@@ -155,12 +155,15 @@ def test_smith_factors_match_four_factor_reference(corpus, predetermined_probe):
         sf, ref = smith_form(pi), ref_smith_form(pi)
         assert (sf.P_inv, sf.g, sf.phi) == (ref.P_inv, ref.g, ref.phi)
         assert not {"Q", "P", "Q_inv"} & set(vars(sf))
-        loc = sf.local()
+        loc, loc2 = sf.local(), sf.local(2)
         phi0 = RationalMatrix.zero(sf.size, sf.size)
         for i, ph in enumerate(ref.phi):
             phi0.entries[i][i] = ph[0]
-        assert loc == (ref.g, tuple(ref.P_inv.coeff_list()), phi0 * ref.Q.coeff(0))
-        assert sf.local(2) == (ref.g, tuple(map(ref.P_inv.coeff, range(2))), loc.omega0)
+        assert (loc.g, loc.p_inv, loc.omega0) == (
+            ref.g, tuple(ref.P_inv.coeff_list()), phi0 * ref.Q.coeff(0))
+        assert (loc2.g, loc2.p_inv, loc2.omega0) == (
+            ref.g, tuple(map(ref.P_inv.coeff, range(2))), loc.omega0)
+        assert not {"Q", "P", "Q_inv"} & set(vars(sf))  # E(0) derives none of them
         assert (sf.Q, sf.P, sf.Q_inv) == (ref.Q, ref.P, ref.Q_inv)
         checked += 1
     assert checked == 306

@@ -2,7 +2,9 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
+from recausal.canon import LocalSmith
 from recausal.constraints import (
     build_plain_system,
     build_predetermined_system,
@@ -12,18 +14,21 @@ from recausal.constraints import (
     zeta_coefficients,
 )
 from recausal.dimension import run_pipeline
-from recausal.exactalg import Poly, PolyMatrix, RationalMatrix, rank_of, vstack
+from recausal.exactalg import Poly, PolyMatrix, RationalMatrix, rank_kernel, vstack
 from recausal.model import REModel, build_pi
 from conftest import (
     affine_set,
     brute_force_plain,
     deep_planted_models,
+    int_stack,
     ladder_shaped_models,
     planted_models,
     polymatrix_from_rational,
     rand_frac,
     rand_unimodular,
     random_model,
+    rank_of,
+    ref_constraint_matrix,
     ref_m_stack,
     ref_zeta_coefficients,
     ref_selectors,
@@ -235,13 +240,16 @@ def test_m_stack_matches_the_coefficient_stack(corpus, predetermined_probe):
         pipe = run_pipeline(m)
         zc = zeta_coefficients(m)
         assert zc == ref_zeta_coefficients(m) and (zc.rows, zc.cols) == (m.s, m.s * m.H)
-        assert pipe.m_stack == ref_m_stack(zc, pipe.pb) and pipe.m_stack.cols == m.s * m.H
+        N, L = pipe.m_stack
+        ref = ref_m_stack(zc, pipe.pb)
+        assert [[Fraction(x, L) for x in row] for row in N] == ref.entries
+        assert all(len(row) == m.s * m.H for row in N)
         if m.H == 0:  # p_stack has no rows, so no column blocks either
-            assert (pipe.m_stack.rows, pipe.m_stack.cols) == (0, 0)
+            assert N == [] and ref.cols == 0
             n_h0 += 1
             continue
-        n_wide += pipe.m_stack.rows > m.s * (zc.max_degree() + 1)
-        assert pipe.m_stack.rows == pipe.cs.D.cols == pipe.plain_cs.D.cols
+        n_wide += len(N) > m.s * (zc.max_degree() + 1)
+        assert len(N) == pipe.cs.D.cols == pipe.plain_cs.D.cols
     assert n_h0 == 2 and n_wide == 18, (n_h0, n_wide)
 
 
@@ -265,6 +273,49 @@ def test_predetermined_system_matches_dense_selectors(corpus, predetermined_prob
     assert n_checked >= 140 and n_reordered >= 70, (n_checked, n_reordered)
 
 
+def test_integer_ranks_match_a_fraction_reference(corpus, predetermined_probe):
+    """rank_w and kernel_dim, counted on integer rows with A_i^T in place of
+    the selector blocks, are rank_kernel's on the Fraction C built with the
+    pseudo-inverse selectors, in both flavors and at H = 0."""
+    models = (list(corpus) + list(predetermined_probe) + ladder_shaped_models()
+              + planted_models() + deep_planted_models())
+    n_pred = n_h0 = n_wide = 0
+    for m in models:
+        pipe = run_pipeline(m)
+        systems = [(pipe.plain_cs, None)]
+        if m.predetermined:
+            systems.append((pipe.cs, ref_selectors(m, pipe.local)))
+        for cs, sel in systems:
+            rank, kern = rank_kernel(ref_constraint_matrix(pipe, sel))
+            assert (cs.rank_w, cs.kernel_dim) == (rank, len(kern)), (m.s, m.H, m.gamma)
+            assert cs.effective_unknowns == rank + len(kern)
+        n_pred += m.predetermined
+        n_h0 += m.H == 0
+        n_wide += len(pipe.m_stack[0]) > m.s * m.H
+    assert (n_pred, n_h0, n_wide) == (162, 2, 17)
+
+
+def test_predetermined_count_weights_the_scaled_rows():
+    """A selector row a p_0 + b p_1 that vanishes exactly counts as zero, also
+    when the p_stack rows p_0 and p_1 are scaled to integers by different lcms:
+    s = 2, H = 1, gamma = (1, 1), A_0 = (a, b)^T the first column of E(0)."""
+    rng = random.Random(35)
+    n_unequal = 0
+    for _ in range(30):
+        a, b = rand_frac(rng, nonzero=True), rand_frac(rng, nonzero=True)
+        p0 = [rand_frac(rng, nonzero=True), rand_frac(rng)]
+        p1 = [-a / b * x for x in p0]
+        E0 = RationalMatrix([[a, 1], [b, 0]])
+        loc = LocalSmith((0, 0), (RationalMatrix.identity(2),), lambda: E0)
+        m = REModel(s=2, K=0, H=1, q=1, A={}, gamma=(1, 1), wold=(RationalMatrix([[1], [0]]),))
+        ms = int_stack(RationalMatrix([[rand_frac(rng, nonzero=True), rand_frac(rng)]
+                                       for _ in range(2)]))
+        cs = build_predetermined_system(m, ms, (RationalMatrix([p0]), RationalMatrix([p1])), loc)
+        assert cs.rank_w == rank_of(cs.C) == 0 and cs.kernel_dim == 1
+        n_unequal += lcm(*(x.denominator for x in p0)) != lcm(*(x.denominator for x in p1))
+    assert n_unequal >= 10, n_unequal
+
+
 # ---------------------------------------------------------------------------
 # constraint systems: paper values
 
@@ -275,7 +326,7 @@ def test_plain_system_sims():
     sf = sims_published_smith()
     zc = zeta_coefficients(m)
     pb = frak_p_blocks(sf.local(), pp.J1, m.H)
-    cs = build_plain_system(m, ref_m_stack(zc, pb), pb)
+    cs = build_plain_system(m, int_stack(ref_m_stack(zc, pb)), pb)
     # the single constraint row printed in the source example
     c = Fraction(100, 99)
     assert cs.C == RationalMatrix([[0, 0], [c * Fraction(-1, 100000), -c]])
@@ -308,7 +359,7 @@ def test_predetermined_reduces_to_plain(corpus):
         if m.predetermined or m.H == 0 or checked >= 10:
             continue
         pipe = run_pipeline(m)
-        pred = build_predetermined_system(m, pipe.m_stack, pipe.pb, build_selectors(m, pipe.local))
+        pred = build_predetermined_system(m, pipe.m_stack, pipe.pb, pipe.local)
         n = m.s * m.H
         assert pred.effective_unknowns == n
         assert pred.rank_w == pipe.cs.rank_w
@@ -366,7 +417,7 @@ def test_smith_choice_invariance(corpus):
         assert smith_reconstruct(sf2) == pipe.pi.pi
         zc = zeta_coefficients(m)
         pb2 = frak_p_blocks(sf2.local(), pipe.pi.J1, m.H)
-        cs2 = build_plain_system(m, ref_m_stack(zc, pb2), pb2)
+        cs2 = build_plain_system(m, int_stack(ref_m_stack(zc, pb2)), pb2)
         assert cs2.rank_w == pipe.cs.rank_w
         assert cs2.kernel_dim == pipe.cs.kernel_dim
         n = m.s * m.H
@@ -390,7 +441,7 @@ def test_rank_agreement_across_published_factorizations():
     kdims = []
     for sf in (sf1, sf2, run_pipeline(m).sf):
         pb = frak_p_blocks(sf.local(), pp.J1, m.H)
-        cs = build_plain_system(m, ref_m_stack(zc, pb), pb)
+        cs = build_plain_system(m, int_stack(ref_m_stack(zc, pb)), pb)
         ranks.append(cs.rank_w)
         kdims.append(cs.kernel_dim)
     assert len(set(ranks)) == 1 and len(set(kdims)) == 1

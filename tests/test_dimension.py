@@ -7,7 +7,7 @@ import pytest
 
 from recausal import dimension
 from recausal.dimension import _perturb, dimension_report, genericity_probe, run_pipeline
-from recausal.exactalg import Poly, RationalMatrix, det_adjugate, rank_of
+from recausal.exactalg import Poly, RationalMatrix, det_adjugate
 from recausal.model import REModel, build_pi
 from recausal.solver import (
     FactorizationError,
@@ -22,6 +22,7 @@ from conftest import (
     polymatrix_from_rational,
     random_gamma,
     random_model,
+    rank_of,
     sims_model,
     smith_reference,
     zero_polymatrix,

@@ -26,7 +26,6 @@ from recausal.exactalg import (
     poly_gcd,
     pseudo_inverse_columns,
     rank_kernel,
-    rank_of,
     rat,
     rat_str,
     solve_affine,
@@ -44,6 +43,7 @@ from conftest import (
     rand_matrix,
     rand_poly,
     rand_polymatrix,
+    rank_of,
     ref_adjugate,
     ref_det,
     ref_det_adjugate,

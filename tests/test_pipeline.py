@@ -19,13 +19,15 @@ from recausal import solver
 from recausal.canon import LocalSmith, RootClassification, UnitCircleRootError, classify_roots
 from recausal.cli import main
 from recausal.constraints import ConstraintSystem
-from recausal.dimension import DimensionReport, dimension_report, run_pipeline
+from recausal.dimension import DimensionReport, dimension_report, genericity_probe, run_pipeline
 from recausal.exactalg import RationalMatrix
 from recausal.model import (
     PiPolynomial, REModel, build_pi, parse_model, serialize_model, validate_semantics,
 )
 from recausal.solver import FactorizationError, SolutionReport, solve_causal, verify_solution
-from conftest import SIMS_JSON, planted_models, random_model, ref_squarefree_factors
+from conftest import (
+    SIMS_JSON, ladder_shaped_models, planted_models, random_model, ref_squarefree_factors,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
@@ -108,6 +110,48 @@ MAKE = {
 OUTCOME = {"refused": "refused", "no-solution": "no_causal_solution", "solvable": "indeterminate"}
 
 
+def test_counts_make_no_fraction_product(monkeypatch, corpus):
+    """validate_semantics, dimension_report and genericity_probe count on
+    integer rows: no Fraction product, pseudo-inverse or rank_kernel, in
+    either flavor, with g > J1 or J1 < H, or at H = 0.  Reading C, D and the
+    kernel of a system builds them."""
+    counts = count_calls(monkeypatch, ("exactalg.pseudo_inverse_columns", "exactalg.rank_kernel"))
+    counts["RationalMatrix.__mul__"] = 0
+    mul = RationalMatrix.__mul__
+
+    def counted_mul(self, other):
+        counts["RationalMatrix.__mul__"] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(RationalMatrix, "__mul__", counted_mul)
+    monkeypatch.setattr(RationalMatrix, "__rmul__", counted_mul)
+    models = [parse_model(SIMS_JSON), parse_model(GENERIC.read_text()),
+              parse_model((GOLDEN / "defect.json").read_text()),
+              *(m._replace() for m in corpus if m.H == 0),
+              *planted_models(), *ladder_shaped_models()]
+    for m in models:
+        validate_semantics(m)
+        dimension_report(m)
+        genericity_probe(m, trials=2)
+    assert counts == {"exactalg.pseudo_inverse_columns": 0, "exactalg.rank_kernel": 0,
+                      "RationalMatrix.__mul__": 0}
+    cs = run_pipeline(models[0]).cs  # sims: predetermined
+    assert cs.flavor == "predetermined" and len(cs.kernel) == cs.kernel_dim
+    assert min(counts.values()) > 0, counts
+
+
+def test_e0_only_for_the_predetermined_system(monkeypatch):
+    """E(0) comes from the product P^-1 pi on its first read, which only the
+    predetermined system makes: validate and analyze of a plain model with
+    G > 0 compute no such product, of a predetermined one exactly one."""
+    counts = count_calls(monkeypatch, ("exactalg._packed_product",))
+    for m in planted_models():
+        before = counts["exactalg._packed_product"]
+        validate_semantics(m)
+        dimension_report(m)
+        assert counts["exactalg._packed_product"] - before == m.predetermined, m.gamma
+
+
 @pytest.mark.parametrize("which", ["sims", "planted-s4", "refused", "no-solution", "solvable"])
 def test_adj_and_zeta_only_for_a_solve_past_the_split(monkeypatch, which):
     """validate + analyze build neither adj pi nor zeta(z).  Only solve_causal
@@ -175,18 +219,23 @@ def test_validate_semantics_touches_only_pi_and_sf():
     assert set(generic.artifacts) == {"pi", "local"}
 
 
+# the attributes of the plain classes whose Fraction parts are built on first read
+LOCAL_FIELDS = ("g", "p_inv", "omega0")
+CS_FIELDS = ("C", "D", "rank_w", "kernel", "flavor", "effective_unknowns", "rhs", "kernel_dim")
+
+
 def test_records_keep_their_fields_and_defaults():
     assert REModel._fields == ("s", "K", "H", "q", "A", "gamma", "wold", "xi", "r_hint")
     assert REModel._field_defaults == {"xi": Fraction(1), "r_hint": None}
     assert PiPolynomial._fields == ("pi", "A_star", "J0", "J1", "det")
-    assert LocalSmith._fields == ("g", "p_inv", "omega0")
     assert RootClassification._fields == (
         "zero_multiplicity", "stable_roots", "unstable_roots", "xi", "discs",
     )
     assert RootClassification._field_defaults == {"discs": ()}
-    assert ConstraintSystem._fields == (
-        "C", "D", "rank_w", "kernel", "flavor", "effective_unknowns", "rhs",
-    )
+    pipe = run_pipeline(parse_model(SIMS_JSON))
+    assert isinstance(pipe.local, LocalSmith) and isinstance(pipe.cs, ConstraintSystem)
+    assert all(hasattr(pipe.local, f) for f in LOCAL_FIELDS)
+    assert all(hasattr(pipe.cs, f) for f in CS_FIELDS)
     assert DimensionReport._fields == (
         "free_parameters", "kernel_dim", "rank_w", "upper_bound", "lower_bound",
         "special_case_used", "distinctness_guaranteed", "flavor", "effective_unknowns", "bounds",
@@ -203,18 +252,21 @@ def test_replaced_model_starts_with_an_empty_memo():
     same, wider = m._replace(), m._replace(xi=Fraction(2))
     assert same == m and same.artifacts == {} and {"pi", "cs"} <= set(m.artifacts)
     assert wider.xi == 2 and wider != m and wider.artifacts == {}
-    assert run_pipeline(same).cs == m.artifacts["cs"]
+    cs, old = run_pipeline(same).cs, m.artifacts["cs"]
+    assert cs is not old and [getattr(cs, f) for f in CS_FIELDS] == [getattr(old, f) for f in CS_FIELDS]
 
 
 def test_dropped_model_frees_its_artifacts():
-    """No reference cycle: refcounting alone frees the memo with the model."""
+    """No reference cycle: refcounting alone frees the memo with the model,
+    also the constraint system, which keeps a copy of the model for its views."""
     m = parse_model(SIMS_JSON)
     sr = solve_causal(m)
-    ref = weakref.ref(sr.pipeline.sf)
+    dimension_report(m)
+    refs = [weakref.ref(sr.pipeline.sf), weakref.ref(m.artifacts["cs"])]
     gc.disable()
     try:
         del m, sr
-        assert ref() is None
+        assert [ref() for ref in refs] == [None, None]
     finally:
         gc.enable()
 

@@ -15,7 +15,7 @@ from recausal.canon import SmithForm, UnitCircleRootError, classify_roots, smith
 from recausal.cli import _emit, build_parser, cmd_smith, cmd_solve
 from recausal.dimension import dimension_report, run_pipeline
 from recausal.exactalg import (
-    Poly, PolyMatrix, RationalMatrix, _packed_product, det_adjugate, rank_of,
+    Poly, PolyMatrix, RationalMatrix, _packed_product, det_adjugate,
 )
 from recausal.model import REModel, build_pi, validate_semantics
 from recausal.solver import (
@@ -47,6 +47,7 @@ from conftest import (
     rand_frac,
     random_gamma,
     random_model,
+    rank_of,
     ref_cancellation_rows,
     ref_expectation_kernel,
     ref_numerator,
