@@ -5,10 +5,10 @@ a singular input: its elimination runs out of nonzero pivots.  The row
 operations update D and P^-1, the column operations D alone.  Q, which only
 A_theta and `recausal smith` read, follows from one integer product P^-1 pi
 on first read, as do the inverses P and Q^-1: `SmithForm` is a plain class
-that caches them.  The constraint blocks read only `LocalSmith`, the data of
-the form at z = 0, which needs no elimination when det pi(0) != 0; its E(0)
-comes from the same product, on first read, as only the predetermined system
-reads it.  `RootClassification` is a named tuple.
+that caches them.  The constraint blocks read only a `LocalSmith`, the data at
+z = 0 of some pi = P diag(z^g) E: `local_form` finds it by row reduction at
+z = 0, with no Smith elimination, and `SmithForm.local` reads the global
+form's.  `RootClassification` is a named tuple.
 `classify_roots` sorts the roots of det pi against the unit circle on the
 exact inclusion discs of Weierstrass corrections (Carstensen) from
 `root_discs`, which the solver's stable/unstable split then refines; the ring
@@ -28,7 +28,8 @@ from functools import cached_property
 from math import isqrt
 
 from .exactalg import (
-    Poly, PolyMatrix, _det_adjugate, _packed_product, _poly, _rmat, rat, squarefree_factors,
+    _NIL, Poly, PolyMatrix, RationalMatrix, _det_adjugate, _numerators, _packed_product, _poly,
+    _rmat, _row_echelon, rat, squarefree_factors,
 )
 
 
@@ -99,8 +100,7 @@ class LocalSmith:
     factorization pi = P diag(z^g) E with P unimodular and E(0) invertible:
     all the constraint systems read of the Smith form.  omega0, which only the
     predetermined system reads, is given as a function and computed on first
-    read.  When det pi(0) != 0, pi = I I pi is such a factorization: g = 0,
-    P^-1 = I and omega0 = pi(0), and no elimination is needed."""
+    read."""
 
     def __init__(self, g: tuple, p_inv: tuple, omega0):
         self.g, self.p_inv, self._omega0 = g, p_inv, omega0
@@ -108,6 +108,39 @@ class LocalSmith:
     @cached_property
     def omega0(self):
         return self._omega0()
+
+
+def local_form(pi: PolyMatrix, G: int) -> LocalSmith:
+    """The `LocalSmith` of pi by row reduction at z = 0, G the valuation of det pi.
+
+    rows[i] holds row i of L R (R = P^-1 pi, L the lcm of pi's denominators)
+    and of P^-1 as integer coefficient lists, from L pi and I.  Row i of R has
+    valuation v_i <= G and lowest coefficient l_i.  While sum v < G the l_i have
+    a left dependency c, and rows[j], j in its support with the largest v_j,
+    becomes sum_i c_i z^(v_j - v_i) rows[i], of a larger valuation.  P^-1 stays
+    unimodular, so sum v = G proves E(0) = l / L invertible, E = diag(z^-v) R:
+    at most G steps.  Sorted stably by v, g = v (Gohberg, Lancaster & Rodman,
+    *Matrix Polynomials*, 1982, ch. 7)."""
+    s = pi.rows
+    if not G:
+        return LocalSmith((0,) * s, (RationalMatrix.identity(s),), lambda: pi.coeff(0))
+    N, L = _numerators(pi)
+    rows = [list(r) + [[int(i == k)] for k in range(s)] for i, r in enumerate(N)]
+    at = lambda f, t: f[t] if 0 <= t < len(f) else 0
+    val = lambda f: next((t for t, x in enumerate(f) if x), G)  # a zero entry counts as G
+    while sum(v := [min(map(val, r[:s])) for r in rows]) < G:
+        low = [[at(f, vi) for f in r[:s]] + [int(i == k) for k in range(s)]
+               for i, (r, vi) in enumerate(zip(rows, v))]
+        c = low[len(_row_echelon(low, s))][s:]  # a left dependency of the l_i
+        j = max((i for i in range(s) if c[i]), key=v.__getitem__)
+        sup = [(ci, v[j] - vi, r) for ci, vi, r in zip(c, v, rows) if ci]
+        rows[j] = [[sum(ci * at(r[k], t - d) for ci, d, r in sup)
+                    for t in range(max(d + len(r[k]) for _, d, r in sup))] for k in range(2 * s)]
+    order = sorted(range(s), key=v.__getitem__)
+    p_inv = tuple(_rmat([[Fraction(x) if (x := at(f, t)) else _NIL for f in rows[i][s:]]
+                         for i in order]) for t in range(max(len(f) for r in rows for f in r[s:])))
+    E0 = lambda: _rmat([[Fraction(at(f, v[i]), L) for f in rows[i][:s]] for i in order])
+    return LocalSmith(tuple(v[i] for i in order), p_inv, E0)
 
 
 def smith_form(M: PolyMatrix) -> SmithForm:

@@ -14,12 +14,12 @@ solved.  The Fraction C, D, rhs and kernel are built only when read.
 
 Of a factorization pi = P diag(z^g) E (P unimodular, E(0) invertible; the
 Smith form with E = diag(phi) Q is one) the systems read only its data at
-z = 0, a `LocalSmith`: g, the coefficients of P^{-1} and E(0).  When
-det pi(0) != 0 the pipeline uses g = 0, P = I and E(0) = pi(0), so C and D
-are built from P = I.  The plain system's affine set, and with it every
-verdict, does not depend on which factorization is used.  The predetermined
-system's can when g != 0 or J1 < H, so for g != 0 the pipeline keeps the
-factors of the global Smith form.
+z = 0, a `LocalSmith`: g, the coefficients of P^{-1} and E(0).  The plain
+system's affine set, and with it every verdict, does not depend on which
+factorization is used, so the pipeline counts it on `canon.local_form`'s
+and builds its C and D (`views`) from the global Smith form's.  The
+predetermined system's can when g != 0 or J1 < H, so for g != 0 the
+pipeline keeps the factors of the global Smith form.
 
 The predetermined system takes the rows of the P^{-1} blocks in time-block
 order, applies S and keeps the columns of the entries of h that
@@ -154,13 +154,14 @@ class ConstraintSystem:
     Fraction matrices, built on first read.  C = D m_stack for D = p_stack
     (plain), or, given the LocalSmith loc, for D = S U^T p_stack with C on the
     free columns of h; U^T takes p_stack's rows in time-block order, row
-    k H + i to row i s + k.  ms = (N, L) is m_stack (`build_m_stack`)."""
+    k H + i to row i s + k.  ms = (N, L) is m_stack; C is built of the blocks
+    views() returns, or of pb."""
 
-    def __init__(self, m: REModel, ms: tuple, pb: tuple, loc: LocalSmith | None = None):
+    def __init__(self, m: REModel, ms: tuple, pb: tuple, loc: LocalSmith | None = None, views=None):
         self.flavor = "plain" if loc is None else "predetermined"
         cols = range(m.s * m.H) if loc is None else m.free_unknowns()
         self.effective_unknowns, self.rank_w = len(cols), _rank_w(m, ms[0], pb, cols, loc)
-        self._src = m._replace(), ms, pb, loc, cols  # m's copy with its own memo: no cycle
+        self._src = m._replace(), ms, views or (lambda: pb), loc, cols  # m's copy: no cycle
 
     kernel_dim = property(lambda self: self.effective_unknowns - self.rank_w)
     C = property(lambda self: self._views[0])
@@ -169,8 +170,8 @@ class ConstraintSystem:
 
     @cached_property
     def _views(self) -> tuple:
-        m, (N, L), pb, loc, cols = self._src
-        D = vstack(pb)
+        m, (N, L), views, loc, cols = self._src
+        D = vstack(views())
         if loc is not None:
             rows = [k * m.H + i for i in range(m.H) for k in range(m.s)]
             D = build_selectors(m, loc) * D.submatrix(rows, range(D.cols))
@@ -183,9 +184,10 @@ class ConstraintSystem:
         return tuple(rank_kernel(self.C)[1])
 
 
-def build_plain_system(m: REModel, ms: tuple, pb: tuple) -> ConstraintSystem:
-    """Constraint system C eps_bullet = D (innovation stack), no predeterminedness."""
-    return ConstraintSystem(m, ms, pb)
+def build_plain_system(m: REModel, ms: tuple, pb: tuple, views=None) -> ConstraintSystem:
+    """Constraint system C eps_bullet = D (innovation stack), no predeterminedness;
+    views, if given, returns the blocks that C, D and rhs are built of, on read."""
+    return ConstraintSystem(m, ms, pb, views=views)
 
 
 def build_predetermined_system(m: REModel, ms: tuple, pb: tuple,

@@ -1,10 +1,10 @@
 """Solution-set dimension reports and the genericity probe.
 
 `Pipeline` is the one place a model's derived artifacts are computed.  The
-constraint systems read only its stage `local`, the Smith data at z = 0.
-When det pi(0) != 0 (G = 0, the generic case) that is pi = I I pi and needs
-no elimination, so the global `smith_form` runs only for a model with G > 0,
-for `recausal smith` and for the printed A_theta of a solved model.  The solve
+constraint systems read only its stage `local`, the Smith data at z = 0, from
+the row reduction `canon.local_form`, so validate and analyze run the global
+`smith_form` only for a predetermined model with G > 0; it also runs for the
+printed C of a plain G > 0 model, `recausal smith` and A_theta.  The solve
 reads only `pi`, `roots`, adj pi (`adj`) and zeta(z) (`zc`), so analyze's
 free_parameters may differ from its indeterminacy_dim on a predetermined model
 with G > 0 or J1 < H.  `dimension_report` and `genericity_probe` read only
@@ -19,7 +19,7 @@ import random
 from collections import namedtuple
 from fractions import Fraction
 
-from .canon import LocalSmith, RedundantEquationsError, classify_roots, smith_form
+from .canon import RedundantEquationsError, classify_roots, local_form, smith_form
 from .constraints import (
     build_m_stack,
     build_plain_system,
@@ -28,7 +28,7 @@ from .constraints import (
     frak_p_blocks,
     zeta_coefficients,
 )
-from .exactalg import RationalMatrix, _rmat, det_adjugate
+from .exactalg import _rmat, det_adjugate
 from .model import REModel, build_pi
 
 
@@ -77,16 +77,14 @@ class Pipeline:
 
     @_stage
     def local(self):
-        """g, P^-1 and E(0) of pi = P diag(z^g) E: the Smith data the constraints read.
-
-        Decided by det pi(0): if it is nonzero, pi = I I pi; otherwise the
-        data come from the global Smith form.
-        """
-        pp, s = self.pi, self.model.s
-        if pp.det[0] != 0:
-            return LocalSmith((0,) * s, (RationalMatrix.identity(s),), lambda: pp.pi.coeff(0))
+        """g, P^-1 and E(0) of pi = P diag(z^g) E, the data the constraints read, by
+        `local_form`; a predetermined model with G > 0, whose system depends on
+        the factors, reads the global Smith form's."""
+        pp, m = self.pi, self.model
+        if not (m.predetermined and pp.det[0] == 0):
+            return local_form(pp.pi, pp.det.zero_multiplicity())
         # frak_p_blocks reads P^-1 below z^(H + max(g - J1, 0))
-        return self.sf.local(self.model.H + max(max(self.sf.g) - pp.J1, 0))
+        return self.sf.local(m.H + max(max(self.sf.g) - pp.J1, 0))
 
     @_stage
     def roots(self):
@@ -110,7 +108,12 @@ class Pipeline:
 
     @_stage
     def plain_cs(self):
-        return build_plain_system(self.model, self.m_stack, self.pb)
+        """The plain system; at G > 0 its C, D and rhs read the global Smith form's."""
+        pp, m, views = self.pi, self.model, None
+        if pp.det[0] == 0 and not m.predetermined:
+            pi, J1, H = pp.pi, pp.J1, m.H  # views closes over these, not over the model
+            views = lambda: frak_p_blocks(smith_form(pi).local(), J1, H)
+        return build_plain_system(m, self.m_stack, self.pb, views)
 
     @_stage
     def cs(self):

@@ -611,15 +611,6 @@ def _rmat(entries, cols: int = 0) -> RationalMatrix:
     return m
 
 
-def hstack(mats) -> RationalMatrix:
-    mats = list(mats)
-    rows = mats[0].rows
-    assert all(m.rows == rows for m in mats)
-    return _rmat(
-        [sum((m.entries[i] for m in mats), []) for i in range(rows)], sum(m.cols for m in mats)
-    )
-
-
 def vstack(mats) -> RationalMatrix:
     mats = list(mats)
     cols = mats[0].cols

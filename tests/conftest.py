@@ -28,9 +28,9 @@ from recausal.exactalg import (
     PolyMatrix,
     RationalMatrix,
     _packed_product,
+    _rmat,
     block_diag,
     det_adjugate,
-    hstack,
     poly_gcd,
     rank_kernel,
     rat,
@@ -137,6 +137,15 @@ def zero_polymatrix(rows: int, cols: int) -> PolyMatrix:
 def polymatrix_from_rational(m: RationalMatrix) -> PolyMatrix:
     """The constant polynomial matrix with coefficient m."""
     return PolyMatrix([[Poly.const(e) for e in row] for row in m.entries])
+
+
+def hstack(mats) -> RationalMatrix:
+    mats = list(mats)
+    rows = mats[0].rows
+    assert all(m.rows == rows for m in mats)
+    return _rmat(
+        [sum((m.entries[i] for m in mats), []) for i in range(rows)], sum(m.cols for m in mats)
+    )
 
 
 def invert(M: RationalMatrix) -> RationalMatrix:

@@ -4,17 +4,20 @@ import hashlib
 import random
 from datetime import timedelta
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from recausal import canon
 from recausal.canon import (
     FactorizationError,
     RedundantEquationsError,
     UnitCircleRootError,
     _start_points,
     classify_roots,
+    local_form,
     root_discs,
     smith_form,
 )
@@ -22,18 +25,23 @@ from recausal.dimension import run_pipeline
 from recausal.exactalg import Poly, PolyMatrix, RationalMatrix, det_adjugate
 from conftest import (
     check_smith_invariants,
+    deep_planted_models,
     invariant_factors_oracle,
     is_unimodular,
     ladder_shaped_models,
     planted_models,
+    polymatrix_from_rational,
+    rand_invertible,
     rand_poly,
     rand_polymatrix,
     rand_unimodular,
     ref_classify_roots,
     ref_smith_form,
+    rank_of,
     sims_model,
     sims_published_smith,
     smith_fixture,
+    zero_polymatrix,
 )
 from recausal.model import build_pi, serialize_model
 
@@ -167,6 +175,48 @@ def test_smith_factors_match_four_factor_reference(corpus, predetermined_probe):
         assert (sf.Q, sf.P, sf.Q_inv) == (ref.Q, ref.P, ref.Q_inv)
         checked += 1
     assert checked == 306
+
+
+def _assert_local_factorization(pi: PolyMatrix):
+    """local_form(pi, G) factors pi at z = 0 in at most G steps (one
+    `_row_echelon` each): P^-1 is unimodular, diag(z^-g) P^-1 pi is a
+    polynomial whose value at 0 is the invertible omega0, and g is the Smith
+    form's.  Returns g."""
+    G = det_adjugate(pi)[0].zero_multiplicity()
+    with mock.patch.object(canon, "_row_echelon", wraps=canon._row_echelon) as echelon:
+        loc = local_form(pi, G)
+    assert echelon.call_count <= G and sum(loc.g) == G
+    p_inv = zero_polymatrix(pi.rows, pi.rows)
+    for k, c in enumerate(loc.p_inv):
+        p_inv = p_inv + polymatrix_from_rational(c) * Poly.monomial(k)
+    assert is_unimodular(p_inv)
+    E = [[e.shift(-gk) for e in row] for row, gk in zip((p_inv * pi).entries, loc.g)]
+    E0 = RationalMatrix([[e[0] for e in row] for row in E])
+    assert E0 == loc.omega0 and rank_of(E0) == pi.rows
+    assert loc.g == smith_form(pi).g
+    return loc.g
+
+
+def test_local_form_is_a_factorization_at_zero(corpus, predetermined_probe):
+    n_positive = 0
+    for m in (corpus + predetermined_probe + ladder_shaped_models() + planted_models()
+              + deep_planted_models()):
+        n_positive += any(_assert_local_factorization(build_pi(m).pi))
+    assert n_positive == 29
+
+
+@settings(derandomize=True, max_examples=40, deadline=timedelta(seconds=4))
+@given(st.lists(st.integers(0, 4), min_size=2, max_size=3).filter(lambda g: len(set(g) - {0}) > 1),
+       st.integers(0, 2**32))
+def test_local_form_is_a_factorization_at_zero_on_drawn_pis(drawn, seed):
+    """pi = P diag(z^g) E with unimodular P, E(0) invertible and g = (0, drawn):
+    at least three distinct g_i.  g_0 = 0 keeps pi(0) != 0, so pi's planted
+    realization with H = 1 has J1 = 1, and the g_i >= 2 exceed it."""
+    rng, g = random.Random(seed), [0, *drawn]
+    s = len(g)
+    E = polymatrix_from_rational(rand_invertible(rng, s)) + rand_polymatrix(rng, s, 1) * Z
+    pi = rand_unimodular(rng, s) * PolyMatrix.diag([Poly.monomial(gi) for gi in g]) * E
+    assert _assert_local_factorization(pi) == tuple(sorted(g))
 
 
 def test_smith_rejects_singular():

@@ -17,6 +17,7 @@ from recausal.solver import (
 )
 from conftest import (
     crosscheck_simplified,
+    deep_planted_models,
     ladder_shaped_models,
     planted_models,
     polymatrix_from_rational,
@@ -169,16 +170,19 @@ def test_genericity_probe_counts_singular_points_and_propagates_other_errors(mon
 def test_local_stage_is_a_factorization_at_zero(corpus):
     """The stage's data factor pi: P^-1 is unimodular, diag(z^-g) P^-1 pi is a
     polynomial E, and E(0) = omega0 is invertible; g = 0 iff det pi(0) != 0.
-    For G > 0 the stage keeps the P^-1 coefficients below z^(H + max(g - J1, 0)),
-    the ones frak_p_blocks reads, of the global Smith form's P^-1."""
+    For a predetermined model with G > 0 the stage keeps the P^-1 coefficients
+    below z^(H + max(g - J1, 0)), the ones frak_p_blocks reads, of the global
+    Smith form's P^-1; every other model's comes whole from `local_form`."""
     for m in corpus + planted_models() + [sims_model()]:
+        m = m._replace()  # an empty memo
         pipe = run_pipeline(m)
         loc = pipe.local
         assert (pipe.pi.det[0] != 0) == (loc.g == (0,) * m.s)
         p_inv = zero_polymatrix(m.s, m.s)
         for k, c in enumerate(loc.p_inv):
             p_inv = p_inv + polymatrix_from_rational(c) * Poly.monomial(k)
-        if pipe.pi.det[0] == 0:
+        assert ("sf" in m.artifacts) == (m.predetermined and pipe.pi.det[0] == 0)
+        if m.predetermined and pipe.pi.det[0] == 0:
             order = m.H + max(max(loc.g) - pipe.pi.J1, 0)
             p_inv = pipe.sf.P_inv
             assert loc.p_inv == tuple(p_inv.coeff(k) for k in range(order))
@@ -188,6 +192,24 @@ def test_local_stage_is_a_factorization_at_zero(corpus):
         assert all(e[j] == 0 for k, gk in enumerate(loc.g) for e in E[k] for j in range(gk))
         E0 = RationalMatrix([[e[gk] for e in E[k]] for k, gk in enumerate(loc.g)])
         assert E0 == loc.omega0 and rank_of(E0) == m.s
+
+
+def test_plain_reports_with_g_positive_match_the_global_smith_reference(
+        corpus, predetermined_probe):
+    """A plain model with G > 0 reads the row-reduced local data, not the
+    global Smith form, and its report and probe are those of the Smith form's."""
+    n = 0
+    for m in (corpus + predetermined_probe + ladder_shaped_models() + planted_models()
+              + deep_planted_models()):
+        m = m._replace()
+        if m.predetermined or build_pi(m).det[0] != 0:
+            continue
+        ref = smith_reference(m)
+        assert dimension_report(m) == dimension_report(ref)
+        assert genericity_probe(m, trials=3) == genericity_probe(ref, trials=3)
+        assert "sf" not in m.artifacts
+        n += 1
+    assert n == 15
 
 
 def _outcome(m):

@@ -22,7 +22,6 @@ from recausal.exactalg import (
     RationalMatrix,
     det_adjugate,
     determinant,
-    hstack,
     poly_gcd,
     pseudo_inverse_columns,
     rank_kernel,
@@ -35,6 +34,7 @@ from recausal.exactalg import (
 from recausal.model import build_pi
 from conftest import (
     RefPoly,
+    hstack,
     invert,
     ladder_shaped_models,
     planted_models,

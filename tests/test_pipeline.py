@@ -24,9 +24,12 @@ from recausal.exactalg import RationalMatrix
 from recausal.model import (
     PiPolynomial, REModel, build_pi, parse_model, serialize_model, validate_semantics,
 )
-from recausal.solver import FactorizationError, SolutionReport, solve_causal, verify_solution
+from recausal.solver import (
+    FactorizationError, SolutionReport, UnsupportedModelError, solve_causal, verify_solution,
+)
 from conftest import (
-    SIMS_JSON, ladder_shaped_models, planted_models, random_model, ref_squarefree_factors,
+    SIMS_JSON, deep_planted_models, ladder_shaped_models, planted_models, random_model,
+    ref_squarefree_factors,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -75,13 +78,15 @@ def solvable_planted_s4():
 
 @pytest.mark.parametrize("which", ["sims", "planted-s4"])
 def test_each_artifact_computed_once(monkeypatch, which):
+    """planted-s4 is plain with G > 0: its g and ranks come from the row
+    reduction, so it computes no global Smith form (sims, predetermined, one)."""
     if which == "sims":
         m = parse_model(SIMS_JSON)
     else:
         m = solvable_planted_s4()._replace()  # same model, empty memo
     counts = count_calls(monkeypatch)
     analyze_solve_verify(m)
-    assert counts == dict.fromkeys(COUNTED, 1)
+    assert counts == {**dict.fromkeys(COUNTED, 1), "canon.smith_form": int(which == "sims")}
 
 
 def test_cli_analyze_computes_once(monkeypatch, capsys):
@@ -198,6 +203,27 @@ def test_smith_form_runs_only_for_a_theta_when_det_pi0_is_nonzero(monkeypatch, w
         a_theta = sr.A_theta
         assert a_theta is not None and counts["canon.smith_form"] == 1
         assert sr.A_theta == a_theta and counts["canon.smith_form"] == 1  # the memoized form
+
+
+def test_smith_form_only_for_a_predetermined_model_with_g_positive(monkeypatch, corpus):
+    """validate + analyze + solve + verify compute no global Smith form on a
+    plain model, whatever G is, and one on a predetermined model with G > 0,
+    whose constraint system depends on the factors."""
+    counts, seen = count_calls(monkeypatch, ("canon.smith_form",)), set()
+    for m in [parse_model(SIMS_JSON), *planted_models(), *deep_planted_models(), *corpus]:
+        m, before = m._replace(), counts["canon.smith_form"]
+        validate_semantics(m)
+        dimension_report(m)
+        try:
+            sr = solve_causal(m)
+        except (FactorizationError, UnsupportedModelError):
+            sr = None
+        if sr is not None and sr.transfer_num is not None:
+            assert verify_solution(m, sr)["ok"]
+        kind = (m.predetermined, m.artifacts["pi"].det[0] == 0)
+        assert counts["canon.smith_form"] - before == (kind == (True, True)), kind
+        seen.add(kind)
+    assert len(seen) == 4
 
 
 def test_views_share_artifacts():

@@ -732,7 +732,8 @@ def test_verify_reports_a_forced_entry_set_nonzero(corpus, predetermined_probe):
 
 def test_solve_and_verify_derive_no_smith_inverse():
     """Q, P and Q^-1 are derived on first read: validate, analyze, solve and
-    verify read none of them, while A_theta and `recausal smith` derive Q."""
+    verify read none of them, while A_theta and `recausal smith` derive Q.
+    They compute a Smith form only for a predetermined model (all have G > 0)."""
     n_theta = 0
     for m in planted_models():
         validate_semantics(m)
@@ -740,10 +741,12 @@ def test_solve_and_verify_derive_no_smith_inverse():
         sr = solve_causal(m)
         if sr.transfer_num is not None:
             assert verify_solution(m, sr)["ok"]
-        sf = m.artifacts["sf"]
-        assert not {"Q", "P", "Q_inv"} & set(vars(sf))
+        assert ("sf" in m.artifacts) == m.predetermined
+        if m.predetermined:
+            assert not {"Q", "P", "Q_inv"} & set(vars(m.artifacts["sf"]))
         if sr.transfer_num is not None:
             sr.A_theta
+            sf = m.artifacts["sf"]
             assert "Q" in vars(sf) and not {"P", "Q_inv"} & set(vars(sf))
             n_theta += 1
         m = m._replace()
