@@ -10,13 +10,14 @@ z = 0 of some pi = P diag(z^g) E: `local_form` finds it by row reduction at
 z = 0, with no Smith elimination, and `SmithForm.local` reads the global
 form's.  `RootClassification` is a named tuple.
 `classify_roots` sorts the roots of det pi against the unit circle on the
-exact inclusion discs of Weierstrass corrections (Carstensen) from
-`root_discs`, which the solver's stable/unstable split then refines; the ring
-tests compare integers.  Its squarefree factors come from
-`squarefree_factors`, which proves a squarefree factor by one gcd modulo a
-fixed prime and runs Yun's decomposition only when that proof fails.
-Floating point only seeds the discs (`_start_points`), and no module here
-imports numpy.
+inclusion discs of Weierstrass corrections (Carstensen) from `root_discs`,
+whose integer radii are upper bounds taken on 62-bit heads; the ring tests
+compare integers, and the solver's stable/unstable split refines the discs
+only when the sum of the unstable centers cannot refuse it.  Its squarefree
+factors come from `squarefree_factors`, which proves a squarefree factor by
+one gcd modulo a fixed prime and runs Yun's decomposition only when that
+proof fails.  Floating point only seeds the discs (`_start_points`, on
+Newton-polygon circles), and no module here imports numpy.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import cmath
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
-from math import isqrt
+from math import exp, isqrt, log
 
 from .exactalg import (
     _NIL, Poly, PolyMatrix, RationalMatrix, _det_adjugate, _numerators, _packed_product, _poly,
@@ -242,17 +243,29 @@ def _start_points(f: Poly):
     """Float approximations of the roots of a nonconstant f, to seed root_discs.
 
     Aberth-Ehrlich sweeps (Aberth, Math. Comp. 27, 1973) in Python complex,
-    from n points on the circle of radius |f(0) / lead|^(1/n).  Only speed
-    depends on them: the discs of root_discs are the proof.
+    from circles with the Newton-polygon radii of the |num_k| (Bini, Numer.
+    Algorithms 13, 1996): an edge from k to l of the upper convex hull of the
+    points (k, log |num_k|) puts l - k points on the circle of radius
+    |num_k / num_l|^(1/(l - k)).  A point leaves the sweeps once its Newton
+    step is below 1e-14 of its modulus.  Only speed depends on them: the discs
+    of root_discs are the proof.
     """
     n, num = int(f.degree), f.num
     a = [c / num[n] for c in reversed(num)]  # monic, highest first
-    r = abs(a[n]) ** (1 / n) or 1.0
-    start = [r * cmath.exp(1j * (2 * cmath.pi * k / n + 0.4)) for k in range(n)]
-    z, a = list(start), a[1:]
+    hull = []
+    for q in ((k, log(abs(c))) for k, c in enumerate(num) if c):
+        while len(hull) > 1 and ((hull[-1][1] - hull[-2][1]) * (q[0] - hull[-2][0])
+                                 <= (q[1] - hull[-2][1]) * (hull[-1][0] - hull[-2][0])):
+            hull.pop()
+        hull.append(q)
+    start = []
+    for (k, u), (l, v) in zip(hull, hull[1:]):  # the roots at zero join the innermost circle
+        r, m = exp((u - v) / (l - k)), l - len(start)
+        start += [r * cmath.exp(2j * cmath.pi * (j / m + k / n) + 0.4j) for j in range(m)]
+    z, a, active = list(start), a[1:], range(n)
     for _ in range(100):
-        moved = False
-        for i in range(n):
+        moving = []
+        for i in active:
             zi, p, dp = z[i], 1.0, 0.0
             for c in a:
                 p, dp = p * zi + c, dp * zi + p
@@ -265,9 +278,11 @@ def _start_points(f: Poly):
             except ZeroDivisionError:  # a critical point, or two points met
                 N = w = (abs(zi) + 1) * 1e-3j
             z[i] = zi - w
-            moved = moved or not abs(N) <= 1e-14 * abs(zi)
-        if not moved:
+            if not abs(N) <= 1e-14 * abs(zi):
+                moving.append(i)
+        if not moving:
             break
+        active = moving
     return [zi if cmath.isfinite(zi) else s for zi, s in zip(z, start)]
 
 
@@ -311,6 +326,19 @@ def classify_roots(p: Poly, xi=1, tol: float = 1e-9) -> RootClassification:
     )
 
 
+def _radius(n: int, den: int, ar: int, ai: int, dr: int, di: int) -> int:
+    """An integer R >= n |ar + i ai| / (den |dr + i di|), at most 1 + 2^-56 times
+    it plus 1: the bound on 62-bit heads, rounded up in the numerator and down
+    in the denominator, so no product of the full-size numbers is formed."""
+    ea = max(0, max(abs(ar), abs(ai)).bit_length() - 62)
+    ed = max(0, max(abs(dr), abs(di)).bit_length() - 62)
+    top = n * n * ((-(-abs(ar) >> ea)) ** 2 + (-(-abs(ai) >> ea)) ** 2) << max(0, 2 * (ea - ed))
+    bot = den * den * ((abs(dr) >> ed) ** 2 + (abs(di) >> ed) ** 2) << max(0, 2 * (ed - ea))
+    r2 = -(-top // bot)
+    r = isqrt(r2)
+    return r + (r * r < r2)
+
+
 def root_discs(f: Poly, xi=1, tol: float = 1e-9, start=None):
     """Certified root discs of a squarefree monic f, refined on demand.
 
@@ -318,8 +346,9 @@ def root_discs(f: Poly, xi=1, tol: float = 1e-9, start=None):
     W_i = f(z_i) / prod_(j != i) (z_i - z_j), on fixed-point Gaussian integers
     whose precision about doubles per step.  Every root lies in some disc
     D(z_i, n |W_i|), and k discs meeting no other hold exactly k roots
-    (Carstensen, Numer. Math. 59, 1991).  W_i is exact and radii round up, so
-    each yield (bits, centers, radii, inside) is a proof: disjoint discs over
+    (Carstensen, Numer. Math. 59, 1991).  The radii bound n |W_i| from above
+    (`_radius`), and W_i is formed only for the next step's centers, so each
+    yield (bits, centers, radii, inside) is a proof: disjoint discs over
     2^bits, inside[i] True in |z| < 1/xi - tol and False in |z| > 1 + tol.
     Raises UnitCircleRootError for a disc within the ring between them (or
     meeting it at the precision cap) and FactorizationError at the cap.
@@ -345,22 +374,19 @@ def root_discs(f: Poly, xi=1, tol: float = 1e-9, start=None):
         for i in range(n):  # the corrections need distinct points
             while Z[i] in Z[:i]:
                 Z[i] = (Z[i][0], Z[i][1] + 1)
-        W, R = [], []
+        top = [num[k] << p * (n - k) for k in range(n)]  # S^(n-k) num_k
+        V, R = [], []
         for i, (x, y) in enumerate(Z):
             ar, ai = num[n], 0  # S^n num(z_i), by Horner on Gaussian integers
             for k in range(n - 1, -1, -1):
-                ar, ai = ar * x - ai * y + (num[k] << p * (n - k)), ar * y + ai * x
+                ar, ai = ar * x - ai * y + top[k], ar * y + ai * x
             dr, di = 1, 0  # S^(n-1) prod_(j != i) (z_i - z_j)
             for j, (u, v) in enumerate(Z):
                 if j != i:
                     u, v = x - u, y - v
                     dr, di = dr * u - di * v, dr * v + di * u
-            # W_i = (ar + i ai) / (den S d) = g / (q S), and R_i >= n |W_i| S
-            g, q = (ar * dr + ai * di, ai * dr - ar * di), den * (dr * dr + di * di)
-            r2 = -(-n * n * (g[0] ** 2 + g[1] ** 2) // (q * q))
-            r = isqrt(r2)
-            W.append((g, q))
-            R.append(r + (r * r < r2))
+            V.append((ar, ai, dr, di))  # W_i = (ar + i ai) / (den S (dr + i di))
+            R.append(_radius(n, den, ar, ai, dr, di))
         alone = [True] * n  # D(z_i, R_i) meets no other disc
         for i, ((a, b), ri) in enumerate(zip(Z, R)):
             for j in range(i):
@@ -383,8 +409,9 @@ def root_discs(f: Poly, xi=1, tol: float = 1e-9, start=None):
         # one more step; the error about squares, so the precision doubles
         p2 = max(p, min(cap, 2 * (p - max(R).bit_length()) + 32))
         sh = p2 - p
-        Z = [((a << sh) - (g[0] << sh) // q, (b << sh) - (g[1] << sh) // q)
-             for (a, b), (g, q) in zip(Z, W)]
+        for i, ((a, b), (ar, ai, dr, di)) in enumerate(zip(Z, V)):  # W_i S = g / q
+            g, q = (ar * dr + ai * di, ai * dr - ar * di), den * (dr * dr + di * di)
+            Z[i] = ((a << sh) - (g[0] << sh) // q, (b << sh) - (g[1] << sh) // q)
         p = p2
     if None in inside:
         a, b = Z[inside.index(None)]

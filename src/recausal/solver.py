@@ -60,9 +60,12 @@ def _unstable_part(f: Poly, xi, tol: float, certified) -> Poly:
     """The monic factor U of a squarefree monic f = num/den over its roots in |z| < 1/xi.
 
     certified is a first yield of root_discs(f, xi, tol), refined further only
-    on demand.  With m of the n discs D(c_i, r_i) inside, E = prod(2 + r_i) - 2^m
-    bounds |U - U~|_1 for U~ = prod (z - c_i), as |c_i| < 1.  den U is integral
-    (Gauss's lemma), so if den E < 1/2 a rational U is U~ rounded onto (1/den) Z[z];
+    on demand.  den U is integral (Gauss's lemma), and minus its z^(m-1)
+    coefficient, the sum of the m unstable roots, lies within sum r_i of the
+    real part s of the sum of the m inside discs' centers c_i: a den s farther
+    than den sum r_i from Z proves U irrational, with no product formed.  Otherwise
+    E = prod(2 + r_i) - 2^m bounds |U - U~|_1 for U~ = prod (z - c_i), as
+    |c_i| < 1, so if den E < 1/2 a rational U is U~ rounded onto (1/den) Z[z];
     a coefficient farther than E from there, or f mod U^ != 0, proves U irrational.
     A divisor U^ is a product of m roots of f, and sep^m > 3 m E (sep a lower
     bound on the root gaps; |U^ - U|_1 <= 3 m E) leaves only the unstable ones.
@@ -74,25 +77,27 @@ def _unstable_part(f: Poly, xi, tol: float, certified) -> Poly:
         if m in (0, n):
             return f if m else Poly.const(1)
         S = 1 << bits
-        Sm, E = S**m, prod(2 * S + R[i] for i in unstable) - (2 * S) ** m  # E over S^m
-        sep = min(
-            isqrt((Z[i][0] - Z[j][0]) ** 2 + (Z[i][1] - Z[j][1]) ** 2) - R[i] - R[j]
-            for i in range(n) for j in range(i)
-        )
-        if 2 * den * E >= Sm or sep <= 0 or sep**m <= 3 * m * E:
-            continue
-        coeffs = [(1, 0)]  # S^m U~, lowest first
-        for zr, zi in (Z[i] for i in unstable):
-            coeffs = [  # times (S z - Z_i)
-                (S * a - zr * c + zi * d, S * b - zr * d - zi * c)
-                for (a, b), (c, d) in zip([(0, 0)] + coeffs, coeffs + [(0, 0)])
-            ]
-        ks = [(2 * den * re + Sm) // (2 * Sm) for re, _ in coeffs]
-        if all(abs(im) <= E and abs(den * re - k * Sm) <= den * E
-               for (re, im), k in zip(coeffs, ks)):
-            U = Poly([Fraction(k, den) for k in ks])
-            if (f % U).is_zero():
-                return U
+        T = den * sum(Z[i][0] for i in unstable)  # den sum c_i, over S
+        if abs(T - (2 * T + S) // (2 * S) * S) <= den * sum(R[i] for i in unstable):
+            Sm, E = S**m, prod(2 * S + R[i] for i in unstable) - (2 * S) ** m  # E over S^m
+            sep = min(
+                isqrt((Z[i][0] - Z[j][0]) ** 2 + (Z[i][1] - Z[j][1]) ** 2) - R[i] - R[j]
+                for i in range(n) for j in range(i)
+            )
+            if 2 * den * E >= Sm or sep <= 0 or sep**m <= 3 * m * E:
+                continue
+            coeffs = [(1, 0)]  # S^m U~, lowest first
+            for zr, zi in (Z[i] for i in unstable):
+                coeffs = [  # times (S z - Z_i)
+                    (S * a - zr * c + zi * d, S * b - zr * d - zi * c)
+                    for (a, b), (c, d) in zip([(0, 0)] + coeffs, coeffs + [(0, 0)])
+                ]
+            ks = [(2 * den * re + Sm) // (2 * Sm) for re, _ in coeffs]
+            if all(abs(im) <= E and abs(den * re - k * Sm) <= den * E
+                   for (re, im), k in zip(coeffs, ks)):
+                U = Poly([Fraction(k, den) for k in ks])
+                if (f % U).is_zero():
+                    return U
         raise FactorizationError(
             f"{m} of the {n} distinct roots of phi lie inside |z| < 1/xi and "
             f"{n - m} outside |z| > 1, but their product is not rational; "

@@ -9,7 +9,7 @@ import random
 from collections import namedtuple
 from fractions import Fraction
 from itertools import chain, combinations
-from math import lcm
+from math import isqrt, lcm, prod
 
 import pytest
 
@@ -20,6 +20,7 @@ from recausal.canon import (
     SmithForm,
     UnitCircleRootError,
     classify_roots,
+    root_discs,
 )
 from recausal.constraints import build_selectors, zeta_coefficients
 from recausal.dimension import run_pipeline
@@ -1256,6 +1257,59 @@ def ref_split_phi(phi: Poly, xi=1, tol: float = 1e-9):
                 unstable = unstable * f
     assert stable * unstable == phi.monic()
     return stable, unstable
+
+
+def ref_unstable_part(f: Poly, xi, tol: float, certified) -> Poly:
+    """solver._unstable_part without its test on the sum of the unstable centers:
+    the rounding of U~ = prod (z - c_i) alone decides, refining as it needs.
+
+    With m of the n discs D(c_i, r_i) inside, E = prod(2 + r_i) - 2^m bounds
+    |U - U~|_1, as |c_i| < 1.  den U is integral (Gauss's lemma), so if
+    den E < 1/2 a rational U is U~ rounded onto (1/den) Z[z]; a coefficient
+    farther than E from there, or f mod U^ != 0, proves U irrational.  A divisor
+    U^ is a product of m roots of f, and sep^m > 3 m E leaves only the unstable ones.
+    """
+    n, den = int(f.degree), f.den
+    for bits, Z, R, inside in chain([certified], root_discs(f, xi, tol, certified[:2])):
+        unstable = [i for i in range(n) if inside[i]]
+        m = len(unstable)
+        if m in (0, n):
+            return f if m else Poly.const(1)
+        S = 1 << bits
+        Sm, E = S**m, prod(2 * S + R[i] for i in unstable) - (2 * S) ** m  # E over S^m
+        sep = min(
+            isqrt((Z[i][0] - Z[j][0]) ** 2 + (Z[i][1] - Z[j][1]) ** 2) - R[i] - R[j]
+            for i in range(n) for j in range(i)
+        )
+        if 2 * den * E >= Sm or sep <= 0 or sep**m <= 3 * m * E:
+            continue
+        coeffs = [(1, 0)]  # S^m U~, lowest first
+        for zr, zi in (Z[i] for i in unstable):
+            coeffs = [  # times (S z - Z_i)
+                (S * a - zr * c + zi * d, S * b - zr * d - zi * c)
+                for (a, b), (c, d) in zip([(0, 0)] + coeffs, coeffs + [(0, 0)])
+            ]
+        ks = [(2 * den * re + Sm) // (2 * Sm) for re, _ in coeffs]
+        if all(abs(im) <= E and abs(den * re - k * Sm) <= den * E
+               for (re, im), k in zip(coeffs, ks)):
+            U = Poly([Fraction(k, den) for k in ks])
+            if (f % U).is_zero():
+                return U
+        raise FactorizationError(
+            f"{m} of the {n} distinct roots of phi lie inside |z| < 1/xi and "
+            f"{n - m} outside |z| > 1, but their product is not rational; "
+            "no exact rational stable/unstable split exists"
+        )
+
+
+def ref_disc_radius(n: int, den: int, ar: int, ai: int, dr: int, di: int) -> int:
+    """The exact radius ceil(n |W_i| S) of a root disc: with W_i S = g / q for
+    g = (ar + i ai)(dr - i di) and q = den |dr + i di|^2, the least integer r with
+    r^2 q^2 >= n^2 |g|^2, from the full-size products and one isqrt."""
+    g, q = (ar * dr + ai * di, ai * dr - ar * di), den * (dr * dr + di * di)
+    r2 = -(-n * n * (g[0] ** 2 + g[1] ** 2) // (q * q))
+    r = isqrt(r2)
+    return r + (r * r < r2)
 
 
 def ref_squarefree_factors(f: Poly) -> list:

@@ -1,5 +1,6 @@
 """Smith canonical form, invariant-factor oracle, root classification."""
 
+import cmath
 import hashlib
 import random
 from datetime import timedelta
@@ -7,7 +8,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from recausal import canon
@@ -22,7 +23,9 @@ from recausal.canon import (
     smith_form,
 )
 from recausal.dimension import run_pipeline
-from recausal.exactalg import Poly, PolyMatrix, RationalMatrix, det_adjugate
+from recausal.exactalg import (
+    Poly, PolyMatrix, RationalMatrix, det_adjugate, poly_gcd, squarefree_factors,
+)
 from conftest import (
     check_smith_invariants,
     deep_planted_models,
@@ -36,6 +39,7 @@ from conftest import (
     rand_polymatrix,
     rand_unimodular,
     ref_classify_roots,
+    ref_disc_radius,
     ref_smith_form,
     rank_of,
     sims_model,
@@ -405,6 +409,117 @@ def test_root_discs_refuse_at_the_precision_cap():
     # a double root (not squarefree) never gets two disjoint discs
     with pytest.raises(FactorizationError, match=r"degree-2 .* at \d+ bits"):
         next(root_discs((Z - Fraction(1, 3)) * (Z - Fraction(1, 3))))
+
+
+def _first_precision(f: Poly, xi=1):
+    """The precision of the first certified yield of root_discs(f, xi), or the error."""
+    try:
+        return next(root_discs(f, xi))[0]
+    except (UnitCircleRootError, FactorizationError) as exc:
+        return type(exc).__name__
+
+
+def _check_radii(factors):
+    """Every radius that root_discs forms up to its first yield is at least
+    the exact ceil(n |W_i| S) and at most 1 + 2^-50 times it plus 1, and the
+    exact radii give the same first certified precision."""
+    formed = []
+
+    def radius(*args, _radius=canon._radius):
+        r, exact = _radius(*args), ref_disc_radius(*args)
+        assert exact <= r and (r - 1 - exact) << 50 <= exact
+        formed.append(r)
+        return r
+
+    for f, xi in factors:
+        with mock.patch.object(canon, "_radius", radius):
+            got = _first_precision(f, xi)
+        with mock.patch.object(canon, "_radius", ref_disc_radius):
+            assert _first_precision(f, xi) == got
+    assert len(formed) >= sum(int(f.degree) for f, _xi in factors)
+
+
+def test_disc_radii_bound_the_exact_radii_on_model_factors(corpus, predetermined_probe):
+    factors = {}
+    for m in (corpus + predetermined_probe + ladder_shaped_models() + planted_models()
+              + deep_planted_models()):
+        det = run_pipeline(m).pi.det
+        for a in squarefree_factors(det.shift(-det.zero_multiplicity())):
+            if not a.is_constant():
+                factors[a, m.xi] = None
+    assert len(factors) > 200
+    _check_radii(list(factors))
+
+
+_int_coeff = st.integers(-(2**40), 2**40)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.lists(_int_coeff, min_size=1, max_size=12), _int_coeff.filter(bool))
+def test_disc_radii_bound_the_exact_radii_on_drawn_polynomials(low, lead):
+    f = Poly(low + [lead])
+    assume(poly_gcd(f, f.derivative()).is_constant())
+    _check_radii([(f.monic(), 1)])
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(62, 400), st.integers(1, 12), st.integers(1, 2**40), st.integers(1, 2**20),
+       st.booleans())
+def test_disc_radius_rounds_each_head_outward(e, n, den, c, imaginary):
+    """n |a| / (den |d|) = n (1 + c / (den D)) just above the integer n, with
+    D = 2^e + 1 and a = den D + c both longer than a head: a numerator head
+    rounded down, or a denominator head rounded up, gives n, not n + 1."""
+    D = 2**e + 1
+    a, d = (den * D + c, 0), (D, 0)
+    args = (n, den, *(a[::-1] if imaginary else a), *(d[::-1] if imaginary else d))
+    assert ref_disc_radius(*args) == n + 1 == canon._radius(*args)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.tuples(*[st.integers(-(2**300), 2**300)] * 4).filter(lambda t: t[2] or t[3]),
+       st.integers(1, 12), st.integers(1, 2**64))
+def test_disc_radius_bounds_the_exact_radius(parts, n, den):
+    r, exact = canon._radius(n, den, *parts), ref_disc_radius(n, den, *parts)
+    assert exact <= r and (r - 1 - exact) << 50 <= exact
+
+
+# rational roots d 10^k and root pairs d 10^k (3 +- 4i) / 5, k = -6 .. 6, none on |z| = 1
+_spread_factor = st.tuples(st.integers(1, 9), st.integers(-6, 6), st.sampled_from("+-c")).filter(
+    lambda t: (t[0], t[1]) != (1, 0))
+
+
+def _spread(parts) -> Poly:
+    f = Poly.const(1)
+    for d, k, kind in parts:
+        rho = d * Fraction(10) ** k
+        f = f * (Poly([-rho if kind == "+" else rho, 1]) if kind in "+-"
+                 else Poly([rho * rho, -2 * rho * Fraction(3, 5), 1]))
+    return f
+
+
+def _sparse(n, k, small, extra, middle) -> Poly:
+    """z^n + c_k z^k + c_0, 0 < k < n, one of c_0, c_k (the middle one if middle)
+    at least 2 (1 + |the other|): by Rouche no root is near |z| = 1."""
+    big = (2 * (1 + abs(small)) + extra) * (-1) ** extra
+    c0, ck = (small, big) if middle else (big, small)
+    k = min(k, n - 1)
+    return Poly([c0] + [0] * (k - 1) + [ck] + [0] * (n - k - 1) + [1])
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.one_of(
+    st.lists(_spread_factor, min_size=1, max_size=6, unique=True).map(_spread),
+    st.builds(_sparse, st.integers(2, 12), st.integers(1, 11), st.integers(-(2**20), 2**20),
+              st.integers(0, 2**40), st.booleans()),
+))
+def test_start_points_on_spread_moduli_and_sparse_coefficients(f):
+    """Root moduli from 10^-6 to 10^6, and coefficients zero between the ends:
+    n finite start points, from which root_discs certifies."""
+    assume(int(f.degree) <= 12 and poly_gcd(f, f.derivative()).is_constant())
+    points = _start_points(f)
+    assert len(points) == f.degree and all(cmath.isfinite(z) for z in points)
+    bits, centers, radii, inside = next(root_discs(f.monic()))
+    assert len(centers) == f.degree and None not in inside
 
 
 def test_zero_multiplicity_matches_g_sum():

@@ -10,14 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recausal import dimension
+from recausal import dimension, solver
 from recausal.canon import SmithForm, UnitCircleRootError, classify_roots, smith_form
 from recausal.cli import _emit, build_parser, cmd_smith, cmd_solve
 from recausal.dimension import dimension_report, run_pipeline
 from recausal.exactalg import (
     Poly, PolyMatrix, RationalMatrix, _packed_product, det_adjugate,
 )
-from recausal.model import REModel, build_pi, validate_semantics
+from recausal.model import REModel, build_pi, parse_model, validate_semantics
 from recausal.solver import (
     FactorizationError,
     SolutionReport,
@@ -56,6 +56,7 @@ from conftest import (
     ref_smith_split,
     ref_split_phi,
     ref_transfer,
+    ref_unstable_part,
     ref_verify,
     ref_verify_per_h,
     residual_map,
@@ -538,6 +539,63 @@ def test_split_phi_refuses_a_rounding_that_does_not_divide():
     coarse = (4, ((2, 0), (42, 0)), (5, 1), (True, False))
     with pytest.raises(FactorizationError, match="not rational"):
         _unstable_part(Poly([1, -3, 1]), 1, 1e-9, coarse)
+
+
+def _has_roots(pipe):
+    try:
+        return pipe.roots is not None
+    except UnitCircleRootError:
+        return False
+
+
+def _split_or_refusal(pipe):
+    try:
+        return factor_stable_unstable(pipe.pi.det, pipe.pi.J1, pipe.roots)[0]
+    except FactorizationError as exc:
+        return str(exc)
+
+
+def test_refusals_and_splits_match_the_rounding_reference(
+        monkeypatch, corpus, predetermined_probe):
+    """The test on the unstable centers' sum refuses what rounding U~ refuses,
+    with the same text, and accepts the same U.  On the ladder-shaped
+    refusals it decides at the first certified discs: no refinement resumes
+    and no separation bound (isqrt) is computed."""
+    sets = {
+        "corpus": corpus, "probe": predetermined_probe, "ladder": ladder_shaped_models(),
+        "refused12": [parse_model((GOLDEN / "refused12.json").read_text())],
+        "planted": planted_models() + deep_planted_models(),
+    }
+    pipes = {name: [p for p in map(run_pipeline, ms) if _has_roots(p)] for name, ms in sets.items()}
+    with monkeypatch.context() as mp:
+        mp.setattr(solver, "_unstable_part", ref_unstable_part)
+        expected = {name: [_split_or_refusal(p) for p in ps] for name, ps in pipes.items()}
+    calls = {"isqrt": 0, "resumed": 0}
+
+    def isqrt(x, _isqrt=solver.isqrt):
+        calls["isqrt"] += 1
+        return _isqrt(x)
+
+    def resumed_discs(*args, _discs=solver.root_discs):
+        calls["resumed"] += 1
+        yield from _discs(*args)
+
+    monkeypatch.setattr(solver, "isqrt", isqrt)
+    monkeypatch.setattr(solver, "root_discs", resumed_discs)
+    refused = {}
+    for name, ps in pipes.items():
+        refused[name] = 0
+        for pipe, want in zip(ps, expected[name]):
+            calls.update(isqrt=0, resumed=0)
+            if isinstance(want, str):
+                refused[name] += 1
+                with pytest.raises(FactorizationError) as exc:
+                    solve_causal(pipe.model, pipe)
+                assert str(exc.value) == want
+                assert name != "ladder" or calls == {"isqrt": 0, "resumed": 0}
+            else:
+                assert _split_or_refusal(pipe) == want
+    assert refused == {"corpus": 67, "probe": 129, "ladder": 34, "refused12": 1, "planted": 0}
 
 
 def test_split_phi_splits_one_sided_irreducible_quadratics():
