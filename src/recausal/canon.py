@@ -10,14 +10,14 @@ z = 0 of some pi = P diag(z^g) E: `local_form` finds it by row reduction at
 z = 0, with no Smith elimination, and `SmithForm.local` reads the global
 form's.  `RootClassification` is a named tuple.
 `classify_roots` sorts the roots of det pi against the unit circle on the
-inclusion discs of Weierstrass corrections (Carstensen) from `root_discs`,
-whose integer radii are upper bounds taken on 62-bit heads; the ring tests
-compare integers, and the solver's stable/unstable split refines the discs
-only when the sum of the unstable centers cannot refuse it.  Its squarefree
-factors come from `squarefree_factors`, which proves a squarefree factor by
-one gcd modulo a fixed prime and runs Yun's decomposition only when that
-proof fails.  Floating point only seeds the discs (`_start_points`, on
-Newton-polygon circles), and no module here imports numpy.
+inclusion discs of Weierstrass corrections (Carstensen) from `root_discs`.
+Floating point seeds them (`_start_points`) and proves the first discs by an
+a-priori rounding-error bound (`_float_discs`); exact Gaussian-integer steps,
+radii bounded on 62-bit heads, run where floats cannot decide and when the
+solver's split refines, only if the unstable centers' sum cannot refuse it.  Its
+squarefree factors come from `squarefree_factors`, which proves a squarefree
+factor by one gcd modulo a fixed prime and runs Yun's decomposition only when
+that proof fails.  The ring tests compare integers; no module imports numpy.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ import cmath
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
-from math import exp, isqrt, log
+from math import ceil, frexp, inf, isqrt, ldexp, log2, prod
+from sys import float_info
 
 from .exactalg import (
     _NIL, Poly, PolyMatrix, RationalMatrix, _det_adjugate, _numerators, _packed_product, _poly,
@@ -245,24 +246,32 @@ def _start_points(f: Poly):
     Aberth-Ehrlich sweeps (Aberth, Math. Comp. 27, 1973) in Python complex,
     from circles with the Newton-polygon radii of the |num_k| (Bini, Numer.
     Algorithms 13, 1996): an edge from k to l of the upper convex hull of the
-    points (k, log |num_k|) puts l - k points on the circle of radius
-    |num_k / num_l|^(1/(l - k)).  A point leaves the sweeps once its Newton
-    step is below 1e-14 of its modulus.  Only speed depends on them: the discs
-    of root_discs are the proof.
+    points (k, log2 |num_k|) puts l - k points on the circle of radius
+    |num_k / num_l|^(1/(l - k)), on g(w) = f(2^e w) / (num_n 2^(ne)), 2^e between
+    the inner and outer radius: no conversion overflows (else no sweeps run).  A
+    point leaves after a correction below 1e-5 of its modulus and of 1/|s| (s the
+    deflation sum): at cubic convergence the next, even in a cluster, would be
+    below about 1e-14.  Only speed depends on them.
     """
     n, num = int(f.degree), f.num
-    a = [c / num[n] for c in reversed(num)]  # monic, highest first
     hull = []
-    for q in ((k, log(abs(c))) for k, c in enumerate(num) if c):
+    for q in ((k, log2(abs(c))) for k, c in enumerate(num) if c):
         while len(hull) > 1 and ((hull[-1][1] - hull[-2][1]) * (q[0] - hull[-2][0])
                                  <= (q[1] - hull[-2][1]) * (hull[-1][0] - hull[-2][0])):
             hull.pop()
         hull.append(q)
-    start = []
+    circles = []  # (log2 of the radius, a point of the unit circle)
     for (k, u), (l, v) in zip(hull, hull[1:]):  # the roots at zero join the innermost circle
-        r, m = exp((u - v) / (l - k)), l - len(start)
-        start += [r * cmath.exp(2j * cmath.pi * (j / m + k / n) + 0.4j) for j in range(m)]
-    z, a, active = list(start), a[1:], range(n)
+        t, m = (u - v) / (l - k), l - len(circles)
+        circles += [(t, cmath.exp(2j * cmath.pi * (j / m + k / n) + 0.4j)) for j in range(m)]
+    rim = [2.0 ** min(max(t, -1000), 1000) * c for t, c in circles]
+    e = min(max(round((circles[0][0] + circles[-1][0]) / 2), -1000), 1000)
+    try:
+        a = [(num[k] << max(0, (k - n) * e)) / (num[n] << max(0, (n - k) * e))
+             for k in range(n - 1, -1, -1)]  # g but its leading 1, highest first
+        z, active = [2.0 ** (t - e) * c for t, c in circles], range(n)
+    except OverflowError:
+        return rim
     for _ in range(100):
         moving = []
         for i in active:
@@ -276,21 +285,66 @@ def _start_points(f: Poly):
                         s += 1 / (zi - z[j])
                 w = N / (1 - N * s)
             except ZeroDivisionError:  # a critical point, or two points met
-                N = w = (abs(zi) + 1) * 1e-3j
+                w = (abs(zi) + 1) * 1e-3j
             z[i] = zi - w
-            if not abs(N) <= 1e-14 * abs(zi):
+            if not (abs(w) <= 1e-5 * abs(zi) and abs(w * s) <= 1e-5):
                 moving.append(i)
         if not moving:
             break
         active = moving
-    return [zi if cmath.isfinite(zi) else s for zi, s in zip(z, start)]
+    return [x if cmath.isfinite(x := zi * 2.0**e) else r for zi, r in zip(z, rim)]
 
 
-def _ring_error(r, lo) -> UnitCircleRootError:
-    mod = abs(r)
+_U = 2.0**-53  # the unit roundoff of a double
+_NEAREST = 1 + _U == 1 < 1 + 3 * _U == 1 + 4 * _U  # _float_discs' bound assumes it
+
+
+def _float_discs(f: Poly, seeds):
+    """(q, centers, radii), R_i >= n |W_i| 2^q, for root_discs' first discs from
+    one double-precision evaluation of the squarefree monic f, or None where
+    floats cannot bound them (Rump, Acta Numerica 19, 2010).  Centers: the seeds
+    on the grid 2^-q, q = 52 - e, 2^(e-1) <= max |Re|, |Im| < 2^e; in w = z / 2^e
+    they and their differences are exact, f(z) = 2^(ne) g(w), c_k = num_k
+    2^((k-n)e) / den is rounded once (u = 2^-53), and n |W_i| 2^q = n |g(w_i) /
+    d_i| 2^52, d_i = prod_(j != i) (w_i - w_j).  In Horner's v_i, c_k w^k meets k
+    complex products (sqrt 5 u each, 2u fused) and k + 1 sums (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, 5.1): |g(w_i)| <= |v_i| + E_i, E_i =
+    16 (n + 2) u M_i, M_i = sum (k + 1) |c_k| r^k, r = |w_i| (1 + 4u).  The float
+    d^_i of d_i has n - 2 rounded products, so |d_i| >= lo_i = |d^_i| (1 - 8 (n + 2)
+    u), and 1 + 16u covers the last roundings of R_i = ceil(n (|v_i| + E_i) / lo_i
+    (1 + 16u) 2^52) + 1.  Nonzero c_k are normal and c_0 != 0, so E_i covers
+    underflowing Horner products (< 2^-1073 each); lo_i > 2^(2n - 1000) keeps
+    the partial products of d^_i above 2^-1000.
+    """
+    n, num, den = int(f.degree), f.num, f.den
+    e = frexp(max(max(abs(z.real), abs(z.imag)) for z in seeds))[1]
+    if (q := 52 - e) < 0 or not num[0] or not _NEAREST:
+        return None
+    Z = [(round(ldexp(z.real, q)), round(ldexp(z.imag, q))) for z in seeds]
+    w, R = [complex(x * 2.0**-52, y * 2.0**-52) for x, y in Z], []
+    try:
+        c = [(x << max(0, (k - n) * e)) / (den << max(0, (n - k) * e)) for k, x in enumerate(num)]
+        if any(x and abs(ck) < float_info.min for x, ck in zip(num, c)):
+            return None
+        b, floor = [(k + 1) * abs(ck) for k, ck in enumerate(c)], 2.0 ** (2 * n - 1000)
+        for i, wi in enumerate(w):
+            v, M, r = complex(c[n]), b[n], abs(wi) * (1 + 4 * _U)
+            for k in range(n - 1, -1, -1):
+                v, M = v * wi + c[k], M * r + b[k]
+            lo = abs(prod(wi - wj for j, wj in enumerate(w) if j != i)) * (1 - 8 * (n + 2) * _U)
+            t = n * (abs(v) + 16 * (n + 2) * _U * M) / lo * (1 + 16 * _U) * 2.0**52
+            if not (lo > floor and t < inf):
+                return None
+            R.append(ceil(t) + 1)
+    except (OverflowError, ZeroDivisionError):
+        return None
+    return q, tuple(Z), tuple(R)
+
+
+def _ring_error(n: int, mod: float, xi) -> UnitCircleRootError:
     return UnitCircleRootError(
-        f"root {r:.12g} has modulus {mod:.12g} inside the boundary ring "
-        f"[1/xi, 1] = [{float(lo):.6g}, 1]; the theory assumes no such roots"
+        f"a root of a degree-{n} squarefree factor of det pi has modulus {mod:.6g}, inside "
+        f"the boundary ring [1/xi, 1] = [{float(1 / xi):.6g}, 1]; the theory assumes no such roots"
     )
 
 
@@ -342,17 +396,17 @@ def _radius(n: int, den: int, ar: int, ai: int, dr: int, di: int) -> int:
 def root_discs(f: Poly, xi=1, tol: float = 1e-9, start=None):
     """Certified root discs of a squarefree monic f, refined on demand.
 
-    Start points z_i are refined by Weierstrass steps z_i -= W_i,
-    W_i = f(z_i) / prod_(j != i) (z_i - z_j), on fixed-point Gaussian integers
-    whose precision about doubles per step.  Every root lies in some disc
-    D(z_i, n |W_i|), and k discs meeting no other hold exactly k roots
-    (Carstensen, Numer. Math. 59, 1991).  The radii bound n |W_i| from above
-    (`_radius`), and W_i is formed only for the next step's centers, so each
+    Every root lies in some disc D(z_i, n |W_i|), W_i = f(z_i) / prod_(j != i)
+    (z_i - z_j), and k discs meeting no other hold exactly k roots (Carstensen,
+    Numer. Math. 59, 1991).  A call without start first tries `_float_discs`;
+    where floats cannot decide, or a disc meets the ring, Weierstrass steps
+    z_i -= W_i on fixed-point Gaussian integers refine the seeds, the precision
+    about doubling per step, with radii bounding n |W_i| (`_radius`).  Each
     yield (bits, centers, radii, inside) is a proof: disjoint discs over
-    2^bits, inside[i] True in |z| < 1/xi - tol and False in |z| > 1 + tol.
-    Raises UnitCircleRootError for a disc within the ring between them (or
-    meeting it at the precision cap) and FactorizationError at the cap.
-    start = (bits, centers) of an earlier yield resumes the refinement after it.
+    2^bits, inside[i] True in |z| < 1/xi - tol and False in |z| > 1 + tol.  An
+    exact step raises UnitCircleRootError for a disc within the ring between
+    them (or meeting it at the precision cap), FactorizationError at the cap.
+    start = (bits, centers) of a yield resumes the exact steps after it.
     """
     n, num, den = int(f.degree), f.num, f.den
     xi = rat(xi)
@@ -362,13 +416,35 @@ def root_discs(f: Poly, xi=1, tol: float = 1e-9, start=None):
     (ln, ld), (hn, hd) = lo.as_integer_ratio(), hi.as_integer_ratio()
     # 1024 bits plus about twice Mahler's bound on -log2 of the root separation
     cap = 1024 + 2 * n * (max(abs(c) for c in num).bit_length() + n.bit_length())
-    p, Z = start or (64, [])
-    Z = list(Z)
+
+    def place(p, Z, R, exact=True):  # all disjoint, and the sides (None: undecided)
+        alone = [True] * n  # D(z_i, R_i) meets no other disc
+        for i, ((a, b), ri) in enumerate(zip(Z, R)):
+            for j in range(i):
+                if (a - Z[j][0]) ** 2 + (b - Z[j][1]) ** 2 <= (ri + R[j]) ** 2:
+                    alone[i] = alone[j] = False
+        inside, lS, hS = [], ln << p, hn << p
+        for (a, b), r, isolated in zip(Z, R, alone):
+            c2, t = a * a + b * b, lS - r * ld
+            side = True if t > 0 and c2 * ld * ld < t * t else (
+                False if c2 * hd * hd > (hS + r * hd) ** 2 else None)
+            if (exact and side is None and isolated and (lS + r * ld) ** 2 <= c2 * ld * ld
+                    and c2 * hd * hd <= (hS - r * hd) ** 2):  # a root in the ring
+                raise _ring_error(n, abs(complex(a / (1 << p), b / (1 << p))), xi)
+            inside.append(side)
+        return all(alone), inside
+
+    if start is None and (disc := _float_discs(f, seeds := _start_points(f))):
+        alone, inside = place(*disc, exact=False)
+        if alone and None not in inside:
+            yield *disc, tuple(inside)
+            start = disc[:2]
+    p, Z = (start[0], list(start[1])) if start else (64, [])
     # distinct nudges along 1 + 2i break the symmetry of real or conjugate
     # starting points, from which the iteration could not reach the roots
-    for k, r in enumerate([] if start else _start_points(f)):
+    for k, r in enumerate([] if start else seeds):
         e = (-1) ** k * (k + 1) << 16
-        Z.append((round(r.real * 2**p) + e, round(r.imag * 2**p) + 2 * e))
+        Z.append((round(Fraction(r.real) * 2**p) + e, round(Fraction(r.imag) * 2**p) + 2 * e))
     for step in range(cap):  # a cluster of roots costs about a step per bit
         S = 1 << p
         for i in range(n):  # the corrections need distinct points
@@ -387,22 +463,8 @@ def root_discs(f: Poly, xi=1, tol: float = 1e-9, start=None):
                     dr, di = dr * u - di * v, dr * v + di * u
             V.append((ar, ai, dr, di))  # W_i = (ar + i ai) / (den S (dr + i di))
             R.append(_radius(n, den, ar, ai, dr, di))
-        alone = [True] * n  # D(z_i, R_i) meets no other disc
-        for i, ((a, b), ri) in enumerate(zip(Z, R)):
-            for j in range(i):
-                if (a - Z[j][0]) ** 2 + (b - Z[j][1]) ** 2 <= (ri + R[j]) ** 2:
-                    alone[i] = alone[j] = False
-        inside = []
-        lS, hS = ln * S, hn * S
-        for (a, b), r, isolated in zip(Z, R, alone):
-            c2, t = a * a + b * b, lS - r * ld
-            side = True if t > 0 and c2 * ld * ld < t * t else (
-                False if c2 * hd * hd > (hS + r * hd) ** 2 else None)
-            if (side is None and isolated and (lS + r * ld) ** 2 <= c2 * ld * ld
-                    and c2 * hd * hd <= (hS - r * hd) ** 2):
-                raise _ring_error(complex(a / S, b / S), 1 / xi)  # a root in the ring
-            inside.append(side)
-        if all(alone) and None not in inside and not (start and step == 0):
+        alone, inside = place(p, Z, R)
+        if alone and None not in inside and not (start and step == 0):
             yield p, tuple(Z), tuple(R), tuple(inside)
         if p >= cap or step == cap - 1:
             break
@@ -415,7 +477,7 @@ def root_discs(f: Poly, xi=1, tol: float = 1e-9, start=None):
         p = p2
     if None in inside:
         a, b = Z[inside.index(None)]
-        raise _ring_error(complex(a / S, b / S), 1 / xi)
+        raise _ring_error(n, abs(complex(a / S, b / S)), xi)
     raise FactorizationError(
         f"cannot certify the stable/unstable split of a degree-{n} factor of phi "
         f"at {p} bits"

@@ -1312,6 +1312,24 @@ def ref_disc_radius(n: int, den: int, ar: int, ai: int, dr: int, di: int) -> int
     return r + (r * r < r2)
 
 
+def ref_float_radii(f: Poly, q: int, Z) -> list:
+    """The exact radii ceil(n |W_i| 2^q) at the centers Z_i / 2^q of root_discs'
+    float discs on f: 2^(qn) num(z_i) and 2^(q(n-1)) prod_(j != i) (z_i - z_j)
+    on Gaussian integers, then `ref_disc_radius`."""
+    n, num, den = int(f.degree), f.num, f.den
+    radii = []
+    for i, (x, y) in enumerate(Z):
+        ar, ai = 0, 0
+        for k in range(n, -1, -1):
+            ar, ai = ar * x - ai * y + (num[k] << q * (n - k)), ar * y + ai * x
+        dr, di = 1, 0
+        for j, (u, v) in enumerate(Z):
+            if j != i:
+                dr, di = dr * (x - u) - di * (y - v), dr * (y - v) + di * (x - u)
+        radii.append(ref_disc_radius(n, den, ar, ai, dr, di))
+    return radii
+
+
 def ref_squarefree_factors(f: Poly) -> list:
     """[a_1, ..., a_k] of a nonzero f from sympy's sqf_list over Q: a_j is the
     monic product of the factors of multiplicity j, and 1 where there is none."""

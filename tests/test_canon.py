@@ -40,6 +40,7 @@ from conftest import (
     rand_unimodular,
     ref_classify_roots,
     ref_disc_radius,
+    ref_float_radii,
     ref_smith_form,
     rank_of,
     sims_model,
@@ -420,9 +421,10 @@ def _first_precision(f: Poly, xi=1):
 
 
 def _check_radii(factors):
-    """Every radius that root_discs forms up to its first yield is at least
-    the exact ceil(n |W_i| S) and at most 1 + 2^-50 times it plus 1, and the
-    exact radii give the same first certified precision."""
+    """With the float discs declined, every radius that root_discs forms up to
+    its first yield is at least the exact ceil(n |W_i| S) and at most 1 + 2^-50
+    times it plus 1, and the exact radii give the same first certified
+    precision."""
     formed = []
 
     def radius(*args, _radius=canon._radius):
@@ -432,11 +434,36 @@ def _check_radii(factors):
         return r
 
     for f, xi in factors:
-        with mock.patch.object(canon, "_radius", radius):
-            got = _first_precision(f, xi)
-        with mock.patch.object(canon, "_radius", ref_disc_radius):
-            assert _first_precision(f, xi) == got
+        with mock.patch.object(canon, "_float_discs", return_value=None):
+            with mock.patch.object(canon, "_radius", radius):
+                got = _first_precision(f, xi)
+            with mock.patch.object(canon, "_radius", ref_disc_radius):
+                assert _first_precision(f, xi) == got
     assert len(formed) >= sum(int(f.degree) for f, _xi in factors)
+
+
+def _check_float_radii(factors):
+    """Every radius of the float discs of root_discs(f, xi) bounds the exact
+    ceil(n |W_i| 2^q) at their own centers.  Returns the number of factors
+    whose first yield they are."""
+    made, first = [], 0
+
+    def float_discs(*args, _float_discs=canon._float_discs):
+        made.append(_float_discs(*args))
+        return made[-1]
+
+    for f, xi in factors:
+        made.clear()
+        with mock.patch.object(canon, "_float_discs", float_discs):
+            try:
+                got = next(root_discs(f, xi))
+            except (UnitCircleRootError, FactorizationError):
+                got = None
+        if made[0]:
+            q, Z, R = made[0]
+            assert all(r >= exact for r, exact in zip(R, ref_float_radii(f, q, Z)))
+            first += got is not None and got[:3] == made[0]
+    return first
 
 
 def test_disc_radii_bound_the_exact_radii_on_model_factors(corpus, predetermined_probe):
@@ -449,6 +476,53 @@ def test_disc_radii_bound_the_exact_radii_on_model_factors(corpus, predetermined
                 factors[a, m.xi] = None
     assert len(factors) > 200
     _check_radii(list(factors))
+    assert _check_float_radii(list(factors)) >= 0.95 * len(factors)
+
+
+_FAR = Fraction(2**600)
+
+
+@pytest.mark.parametrize("f, outcome, declines", [
+    # roots 2^-47 apart, about 2^-45 of their modulus
+    ((Z - Fraction(1, 3)) * (Z - Fraction(1, 3) - Fraction(1, 2**47)) * (Z + Fraction(5, 2)),
+     (0, 1, 2), True),
+    ((Z - 1 + Fraction(1, 10**12)) * (Z - 3), "ring", True),  # a root 1e-12 inside |z| = 1
+    (Poly([2**2000, 0, 1]), (0, 2, 0), True),  # coefficients and roots beyond the float range
+    (Poly([1, 0, 2**2000]), (0, 0, 2), False),  # roots +-i 2^-1000: g(w) = w^2 + 1/4
+    ((Z - _FAR) * (Z - 1 / _FAR), (0, 1, 1), True),
+    ((Z - 1 / _FAR) * (Z + 3 / _FAR), (0, 0, 2), False),
+])
+def test_float_discs_fall_back_to_the_exact_steps(f, outcome, declines):
+    """Where the float discs cannot decide, the first yield comes from the
+    exact steps (`_radius`), with the same verdict, and so does the ring
+    error; the float radii bound the exact ones."""
+    points = _start_points(f)
+    assert len(points) == f.degree and all(cmath.isfinite(z) for z in points)
+    with mock.patch.object(canon, "_radius", wraps=canon._radius) as radius:
+        assert _classified(classify_roots, f, 1) == outcome
+    assert (radius.call_count > 0) == declines
+    assert _check_float_radii([(f.monic(), 1)]) == (not declines)
+
+
+def test_classify_roots_beyond_the_float_range():
+    """Coefficients 2^2000 and 1: the seeds are found on w = z / 2^+-1000, and
+    the roots +-i 2^1000 are stable, +-i 2^-1000 unstable."""
+    rc = classify_roots(Poly([2**2000, 0, 1]))
+    assert not rc.unstable_roots
+    assert [abs(r) for r in rc.stable_roots] == [pytest.approx(2.0**1000, rel=1e-12)] * 2
+    rc = classify_roots(Poly([1, 0, 2**2000]))
+    assert not rc.stable_roots
+    assert [abs(r) for r in rc.unstable_roots] == [pytest.approx(2.0**-1000, rel=1e-12)] * 2
+
+
+def test_float_discs_decide_the_ladder_shaped_dets():
+    """Every squarefree factor of det pi of the ladder-shaped models is
+    certified by its float discs: no exact evaluation before the first yield."""
+    factors = 0
+    with mock.patch.object(canon, "_radius", wraps=canon._radius) as radius:
+        for m in ladder_shaped_models():
+            factors += len(classify_roots(run_pipeline(m).pi.det, m.xi).discs)
+    assert radius.call_count == 0 and factors == 37
 
 
 _int_coeff = st.integers(-(2**40), 2**40)
@@ -460,6 +534,7 @@ def test_disc_radii_bound_the_exact_radii_on_drawn_polynomials(low, lead):
     f = Poly(low + [lead])
     assume(poly_gcd(f, f.derivative()).is_constant())
     _check_radii([(f.monic(), 1)])
+    _check_float_radii([(f.monic(), 1)])
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
