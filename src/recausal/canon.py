@@ -348,6 +348,14 @@ def _ring_error(n: int, mod: float, xi) -> UnitCircleRootError:
     )
 
 
+def _scaled_float(x: int, bits: int) -> float:
+    """x / 2^bits to the nearest float, +-inf past the float range."""
+    try:
+        return x / 2**bits
+    except OverflowError:
+        return inf if x > 0 else -inf
+
+
 def classify_roots(p: Poly, xi=1, tol: float = 1e-9) -> RootClassification:
     """Classify roots of p relative to the unit circle and growth bound xi.
 
@@ -371,7 +379,8 @@ def classify_roots(p: Poly, xi=1, tol: float = 1e-9) -> RootClassification:
             continue
         bits, Z, R, inside = disc = next(root_discs(a, xi, tol))
         for (re, im), ins in zip(Z, inside):
-            (unstable if ins else stable).extend([complex(re / 2**bits, im / 2**bits)] * k)
+            (unstable if ins else stable).extend(
+                [complex(_scaled_float(re, bits), _scaled_float(im, bits))] * k)
         discs.append((a, k, disc))
     key = lambda c: (c.real, c.imag)
     return RootClassification(

@@ -10,16 +10,16 @@ integer rows: m_stack, the m_i summed from the A_kh over one lcm
 zero-skipping product.  The predetermined count puts A_i^T, A_i the first
 n_i columns of E(0), in place of S's block (A_i^T A_i)^-1 A_i^T: E(0) is
 invertible, so both have the same row space, and no pseudo-inverse is
-solved.  The Fraction C, D, rhs and kernel are built only when read.
+solved.  The kernel is read off that elimination; C, D and rhs on first read.
 
 Of a factorization pi = P diag(z^g) E (P unimodular, E(0) invertible; the
 Smith form with E = diag(phi) Q is one) the systems read only its data at
-z = 0, a `LocalSmith`: g, the coefficients of P^{-1} and E(0).  The plain
-system's affine set, and with it every verdict, does not depend on which
-factorization is used, so the pipeline counts it on `canon.local_form`'s
-and builds its C and D (`views`) from the global Smith form's.  The
-predetermined system's can when g != 0 or J1 < H, so for g != 0 the
-pipeline keeps the factors of the global Smith form.
+z = 0, a `LocalSmith`: g, the coefficients of P^{-1} and E(0).  The pipeline
+builds the plain system, counted and printed, on `canon.local_form`'s: the
+global Smith form's gives the same rank_w on the test sets, but the same
+solution set of C eps = rhs only where every g_i <= J1.  The predetermined
+system's rank can depend on the factors when g != 0 or J1 < H, so for
+g != 0 the pipeline keeps the factors of the global Smith form.
 
 The predetermined system takes the rows of the P^{-1} blocks in time-block
 order, applies S and keeps the columns of the entries of h that
@@ -38,12 +38,12 @@ from .exactalg import (
     PolyMatrix,
     RationalMatrix,
     _NIL,
+    _echelon_kernel,
     _poly,
     _rmat,
     _row_echelon,
     block_diag,
     pseudo_inverse_columns,
-    rank_kernel,
     vstack,
 )
 from .model import REModel
@@ -70,22 +70,11 @@ def build_m_stack(m: REModel, n: int) -> tuple:
 
 
 def zeta_coefficients(m: REModel) -> PolyMatrix:
-    """The s x sH polynomial zeta(z) = sum_i m_i z^i of zeta_t = sum_i m_i eps_bullet_{t-i}.
-
-    zeta_t collects -A_kh z^{k+(j-h)} eps^j_t over k, j in 0..H-1, h <= j;
-    the entry of m_i at block j is minus the sum of all A_kh with k+j-h = i,
-    summed on integer numerators over the lcm L of all A_kh denominators.
-    """
-    s, H = m.s, m.H
-    L = _lcm_of_coefficients(m)
-    num = [[[0] * (H + m.K) for _ in range(s * H)] for _ in range(s)]
-    for (k, h), A in m.A.items():
-        for j in range(h, H):
-            for r, row in enumerate(A.entries):
-                for c, a in enumerate(row):
-                    if a:
-                        num[r][j * s + c][k + j - h] -= a.numerator * (L // a.denominator)
-    return PolyMatrix([[_poly(cs, L) for cs in row] for row in num])
+    """zeta(z) = sum_i m_i z^i (s x sH) of zeta_t = sum_i m_i eps_bullet_{t-i}, by build_m_stack."""
+    s, n = m.s, m.H + m.K
+    N, L = build_m_stack(m, n)
+    return PolyMatrix([[_poly([N[i * s + r][c] for i in range(n)], L) for c in range(s * m.H)]
+                       for r in range(s)])
 
 
 def frak_p_blocks(loc: LocalSmith, J1: int, H: int) -> tuple:
@@ -125,9 +114,10 @@ def _combine(terms, width: int) -> list:
     return acc
 
 
-def _rank_w(m: REModel, N: list, pb: tuple, cols, loc: LocalSmith | None) -> int:
-    """rank C: each p_stack row times the lcm c of its denominators, times N
-    on the columns cols; the predetermined flavor folds diag(1/c) into A_i^T."""
+def _echelon_w(m: REModel, N: list, pb: tuple, cols, loc: LocalSmith | None) -> tuple:
+    """(rows, pivots): C's row space in reduced echelon form on integer rows, of
+    each p_stack row times the lcm c of its denominators, times N on the columns
+    cols; the predetermined flavor folds diag(1/c) into A_i^T."""
     Nc, w = [[row[c] for c in cols] for row in N], len(cols)
     scaled = []  # (c, c times row r of p_stack N)
     for prow in (row for blk in pb for row in blk.entries):
@@ -144,34 +134,35 @@ def _rank_w(m: REModel, N: list, pb: tuple, cols, loc: LocalSmith | None) -> int
                 d = lcm(*den)
                 rows.append(_combine([(E0[k][j].numerator * (d // dk), r)
                                       for k, ((_, r), dk) in enumerate(zip(blk, den))], w))
-    return len(_row_echelon(rows, w))
+    pivots = _row_echelon(rows, w)
+    return rows[: len(pivots)], pivots
 
 
 class ConstraintSystem:
-    """C eps_bullet = rhs, flavor "plain" or "predetermined": rank_w and
-    effective_unknowns are counted on integer rows on construction; C, D, rhs
-    (D applied to the stacked Wold coefficients) and the kernel of C are the
-    Fraction matrices, built on first read.  C = D m_stack for D = p_stack
-    (plain), or, given the LocalSmith loc, for D = S U^T p_stack with C on the
-    free columns of h; U^T takes p_stack's rows in time-block order, row
-    k H + i to row i s + k.  ms = (N, L) is m_stack; C is built of the blocks
-    views() returns, or of pb."""
+    """C eps_bullet = rhs, flavor "plain" or "predetermined": rank_w, and the
+    reduced rows the kernel of C is read off, are counted on integer rows on
+    construction; C, D and rhs (D applied to the stacked Wold coefficients)
+    are built on first read.  C = D m_stack for D = p_stack (plain), or,
+    given the LocalSmith loc, for D = S U^T p_stack with C on the free columns
+    of h; U^T takes p_stack's rows in time-block order, row k H + i to row
+    i s + k.  ms = (N, L) is m_stack and pb the blocks of p_stack."""
 
-    def __init__(self, m: REModel, ms: tuple, pb: tuple, loc: LocalSmith | None = None, views=None):
+    def __init__(self, m: REModel, ms: tuple, pb: tuple, loc: LocalSmith | None = None):
         self.flavor = "plain" if loc is None else "predetermined"
         cols = range(m.s * m.H) if loc is None else m.free_unknowns()
-        self.effective_unknowns, self.rank_w = len(cols), _rank_w(m, ms[0], pb, cols, loc)
-        self._src = m._replace(), ms, views or (lambda: pb), loc, cols  # m's copy: no cycle
+        self._echelon = _echelon_w(m, ms[0], pb, cols, loc)
+        self.effective_unknowns, self.rank_w = len(cols), len(self._echelon[1])
+        self._src = m._replace(), ms, pb, loc, cols  # m's copy: no cycle
 
     kernel_dim = property(lambda self: self.effective_unknowns - self.rank_w)
-    C = property(lambda self: self._views[0])
-    D = property(lambda self: self._views[1])
-    rhs = property(lambda self: self._views[2])
+    C = property(lambda self: self._matrices[0])
+    D = property(lambda self: self._matrices[1])
+    rhs = property(lambda self: self._matrices[2])
 
     @cached_property
-    def _views(self) -> tuple:
-        m, (N, L), views, loc, cols = self._src
-        D = vstack(views())
+    def _matrices(self) -> tuple:
+        m, (N, L), pb, loc, cols = self._src
+        D = vstack(pb)
         if loc is not None:
             rows = [k * m.H + i for i in range(m.H) for k in range(m.s)]
             D = build_selectors(m, loc) * D.submatrix(rows, range(D.cols))
@@ -181,13 +172,12 @@ class ConstraintSystem:
 
     @cached_property
     def kernel(self) -> tuple:
-        return tuple(rank_kernel(self.C)[1])
+        return tuple(_echelon_kernel(*self._echelon, self.effective_unknowns))
 
 
-def build_plain_system(m: REModel, ms: tuple, pb: tuple, views=None) -> ConstraintSystem:
-    """Constraint system C eps_bullet = D (innovation stack), no predeterminedness;
-    views, if given, returns the blocks that C, D and rhs are built of, on read."""
-    return ConstraintSystem(m, ms, pb, views=views)
+def build_plain_system(m: REModel, ms: tuple, pb: tuple) -> ConstraintSystem:
+    """Constraint system C eps_bullet = D (innovation stack), no predeterminedness."""
+    return ConstraintSystem(m, ms, pb)
 
 
 def build_predetermined_system(m: REModel, ms: tuple, pb: tuple,

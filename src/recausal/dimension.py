@@ -2,15 +2,17 @@
 
 `Pipeline` is the one place a model's derived artifacts are computed.  The
 constraint systems read only its stage `local`, the Smith data at z = 0, from
-the row reduction `canon.local_form`, so validate and analyze run the global
-`smith_form` only for a predetermined model with G > 0; it also runs for the
-printed C of a plain G > 0 model, `recausal smith` and A_theta.  The solve
-reads only `pi`, `roots`, adj pi (`adj`) and zeta(z) (`zc`), so analyze's
-free_parameters may differ from its indeterminacy_dim on a predetermined model
-with G > 0 or J1 < H.  `dimension_report` and `genericity_probe` read only
-ranks, which the systems count on integer rows: they form no Fraction
-product, C, kernel or pseudo-inverse, and E(0) only for a predetermined model.
-`DimensionReport` is a named tuple.
+the row reduction `canon.local_form`, so validate, analyze and constraints
+run the global `smith_form` only for a predetermined model with G > 0, whose
+system can depend on the factors; a plain system prints the C, D and rhs its
+rank is counted on, which at some g_i > J1 need not have the solution set of
+the global Smith form's.  Otherwise only `recausal smith` and A_theta run it.
+The solve reads only `pi`, `roots`, adj pi (`adj`) and zeta(z) (`zc`), so
+analyze's free_parameters may differ from its indeterminacy_dim on a
+predetermined model with G > 0 or J1 < H.  `dimension_report` and
+`genericity_probe` read only ranks, which the systems count on integer rows:
+they form no Fraction product, C, kernel or pseudo-inverse, and E(0) only for
+a predetermined model.  `DimensionReport` is a named tuple.
 """
 
 from __future__ import annotations
@@ -49,8 +51,8 @@ class Pipeline:
     """View of one model's derived artifacts: pi(z) -> Smith data -> constraints.
 
     Every stage is computed on first use and kept in the model's own memo, so
-    all views of one model share one pi, one Smith form, one root
-    classification and one constraint system.  The memo refers to no view and
+    all Pipelines of one model share one pi, one Smith form, one root
+    classification and one constraint system.  The memo refers to no Pipeline and
     no artifact refers to the model, so a dropped model is freed at once.
     A stage that raises is not memoized; it raises again on the next use.
     """
@@ -108,12 +110,8 @@ class Pipeline:
 
     @_stage
     def plain_cs(self):
-        """The plain system; at G > 0 its C, D and rhs read the global Smith form's."""
-        pp, m, views = self.pi, self.model, None
-        if pp.det[0] == 0 and not m.predetermined:
-            pi, J1, H = pp.pi, pp.J1, m.H  # views closes over these, not over the model
-            views = lambda: frak_p_blocks(smith_form(pi).local(), J1, H)
-        return build_plain_system(m, self.m_stack, self.pb, views)
+        """The plain system, on the row reduction's data at G > 0 too."""
+        return build_plain_system(self.model, self.m_stack, self.pb)
 
     @_stage
     def cs(self):

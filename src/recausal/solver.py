@@ -42,6 +42,7 @@ from itertools import chain, product
 from math import isqrt, lcm, prod
 
 from .canon import FactorizationError, RootClassification, root_discs
+from .constraints import _lcm_of_coefficients
 from .dimension import Pipeline, run_pipeline
 from .exactalg import Poly, PolyMatrix, RationalMatrix, _ZERO, _int_product, _numerators, _poly
 from .exactalg import _packed_product, _rmat, _solve_rows, poly_gcd, rank_kernel, solve_affine
@@ -157,7 +158,7 @@ def _expectation_kernel(m: REModel) -> list:
     """A basis of ker L, L(d) = sum_(k,h) sum_(j<h) A_kh d_j z^(k+j-h) for d in Q^sH: the
     terms of pi(z) d(z) + M d = z^J1 L(d) that zeta(z) leaves, summed like zeta_coefficients."""
     s, H = m.s, m.H
-    den = lcm(*(a.denominator for A in m.A.values() for row in A.entries for a in row))
+    den = _lcm_of_coefficients(m)
     rows = [[0] * (s * H) for _ in range((m.K + H) * s)]  # integer numerators over den
     for (k, h), A in m.A.items():
         for j, (i, row) in product(range(h), enumerate(A.entries)):
@@ -344,7 +345,7 @@ def verify_solution(m: REModel, sr: SolutionReport, max_lag: int = 50) -> dict:
     head = transfer_series(num, den, H)
     # [Lambda | z^H W - U] times L: entry x of an A_kh gives x L / lh, U's terms the rest of lh
     lh = lcm(*(y.denominator for c in head for row in c.entries for y in row))
-    L = lcm(lh * lcm(*(x.denominator for a in m.A.values() for row in a.entries for x in row)),
+    L = lcm(lh * _lcm_of_coefficients(m),
             *(x.denominator for w in m.wold for row in w.entries for x in row))
     left = [[[0] * (max(m.K, len(m.wold) - 1) + H + 1) for _ in range(s + q)] for _ in range(s)]
     for (k, h), a in m.A.items():

@@ -372,6 +372,13 @@ def ref_rank_of(M: RationalMatrix) -> int:
     return len(_ref_row_echelon([list(row) for row in M.entries], M.cols))
 
 
+def ref_rref(M: RationalMatrix) -> list:
+    """The nonzero rows of the reduced row echelon form of M."""
+    entries = [list(row) for row in M.entries]
+    pivots = _ref_row_echelon(entries, M.cols)
+    return [[x / row[pc] for x in row] for row, pc in zip(entries, pivots)]
+
+
 def ref_solve_affine(M: RationalMatrix, B: RationalMatrix):
     """(particular X as entry lists, or None if inconsistent; kernel of M)."""
     aug = [list(mrow) + list(brow) for mrow, brow in zip(M.entries, B.entries)]

@@ -506,13 +506,16 @@ def test_float_discs_fall_back_to_the_exact_steps(f, outcome, declines):
 
 def test_classify_roots_beyond_the_float_range():
     """Coefficients 2^2000 and 1: the seeds are found on w = z / 2^+-1000, and
-    the roots +-i 2^1000 are stable, +-i 2^-1000 unstable."""
+    the roots +-i 2^1000 are stable, +-i 2^-1000 unstable.  The root 2^1036
+    is stable too; its center, past the float range, is listed as inf."""
     rc = classify_roots(Poly([2**2000, 0, 1]))
     assert not rc.unstable_roots
     assert [abs(r) for r in rc.stable_roots] == [pytest.approx(2.0**1000, rel=1e-12)] * 2
     rc = classify_roots(Poly([1, 0, 2**2000]))
     assert not rc.stable_roots
     assert [abs(r) for r in rc.unstable_roots] == [pytest.approx(2.0**-1000, rel=1e-12)] * 2
+    rc = classify_roots(Poly([-(2**1036), 1]))
+    assert (rc.stable_roots, rc.unstable_roots) == ((complex(cmath.inf, 0),), ())
 
 
 def test_float_discs_decide_the_ladder_shaped_dets():

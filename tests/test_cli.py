@@ -172,16 +172,22 @@ def test_simulate_with_three_trials(capsys):
     assert run(capsys, "probe", SIMS, "--trials", "1")[0] == 0  # the bound is simulate's
 
 
+# A_00 = 1, A_01 = -2^1036: det pi has a root of modulus 2^1036, past the float range
+HUGE_ROOT_SCALAR = INDETERMINATE_SCALAR.replace('"-1"', '"1"').replace('"2"', f'"{-2**1036}"')
+
+
 def test_kernel_point_flag(capsys, tmp_path):
     path = tmp_path / "scalar.json"
-    path.write_text(INDETERMINATE_SCALAR)
-    code, out0, _ = run(capsys, "solve", str(path))
-    code1, out1, _ = run(capsys, "solve", str(path), "--kernel-point", "0")
-    assert code == code1 == 0
-    doc0, doc1 = json.loads(out0), json.loads(out1)
-    assert doc0["classification"] == doc1["classification"] == "indeterminate"
-    assert doc0["indeterminacy_dim"] == 1
-    assert doc0["h"] != doc1["h"]
+    for model in (INDETERMINATE_SCALAR, HUGE_ROOT_SCALAR):
+        path.write_text(model)
+        assert run(capsys, "analyze", str(path))[::2] == (0, "")
+        code, out0, err0 = run(capsys, "solve", str(path))
+        code1, out1, err1 = run(capsys, "solve", str(path), "--kernel-point", "0")
+        assert code == code1 == 0 and err0 == err1 == ""
+        doc0, doc1 = json.loads(out0), json.loads(out1)
+        assert doc0["classification"] == doc1["classification"] == "indeterminate"
+        assert doc0["indeterminacy_dim"] == 1
+        assert doc0["h"] != doc1["h"]
 
 
 @pytest.mark.parametrize("point", ["99", "1", "-1", "abc", ""])

@@ -276,7 +276,8 @@ def test_predetermined_system_matches_dense_selectors(corpus, predetermined_prob
 def test_integer_ranks_match_a_fraction_reference(corpus, predetermined_probe):
     """rank_w and kernel_dim, counted on integer rows with A_i^T in place of
     the selector blocks, are rank_kernel's on the Fraction C built with the
-    pseudo-inverse selectors, in both flavors and at H = 0."""
+    pseudo-inverse selectors, in both flavors and at H = 0; the kernel read
+    off that count is rank_kernel's basis of the system's own C."""
     models = (list(corpus) + list(predetermined_probe) + ladder_shaped_models()
               + planted_models() + deep_planted_models())
     n_pred = n_h0 = n_wide = 0
@@ -289,6 +290,7 @@ def test_integer_ranks_match_a_fraction_reference(corpus, predetermined_probe):
             rank, kern = rank_kernel(ref_constraint_matrix(pipe, sel))
             assert (cs.rank_w, cs.kernel_dim) == (rank, len(kern)), (m.s, m.H, m.gamma)
             assert cs.effective_unknowns == rank + len(kern)
+            assert cs.kernel == tuple(rank_kernel(cs.C)[1]), (m.s, m.H, m.gamma)
         n_pred += m.predetermined
         n_h0 += m.H == 0
         n_wide += len(pipe.m_stack[0]) > m.s * m.H

@@ -24,6 +24,7 @@ from conftest import (
     random_gamma,
     random_model,
     rank_of,
+    ref_rref,
     sims_model,
     smith_reference,
     zero_polymatrix,
@@ -194,11 +195,18 @@ def test_local_stage_is_a_factorization_at_zero(corpus):
         assert E0 == loc.omega0 and rank_of(E0) == m.s
 
 
+def _augmented(cs) -> RationalMatrix:
+    """[C | rhs] of a constraint system."""
+    return RationalMatrix([c + r for c, r in zip(cs.C.entries, cs.rhs.entries)])
+
+
 def test_plain_reports_with_g_positive_match_the_global_smith_reference(
         corpus, predetermined_probe):
     """A plain model with G > 0 reads the row-reduced local data, not the
-    global Smith form, and its report and probe are those of the Smith form's."""
-    n = 0
+    global Smith form, also for its printed C and rhs.  Its report, probe and
+    rank_w are those of the Smith form's; when every g_i <= J1 so is the
+    solution set of C eps = rhs, and when some g_i > J1 it need not be."""
+    n = n_le = n_differ = 0
     for m in (corpus + predetermined_probe + ladder_shaped_models() + planted_models()
               + deep_planted_models()):
         m = m._replace()
@@ -207,9 +215,17 @@ def test_plain_reports_with_g_positive_match_the_global_smith_reference(
         ref = smith_reference(m)
         assert dimension_report(m) == dimension_report(ref)
         assert genericity_probe(m, trials=3) == genericity_probe(ref, trials=3)
+        pipe, ref_pipe = run_pipeline(m), run_pipeline(ref)
+        assert pipe.cs.rank_w == ref_pipe.cs.rank_w
+        same = ref_rref(_augmented(pipe.cs)) == ref_rref(_augmented(ref_pipe.cs))
+        if all(gi <= pipe.pi.J1 for gi in pipe.local.g):
+            assert same, (m.s, m.K, m.H, m.gamma)
+            n_le += 1
+        else:
+            n_differ += not same
         assert "sf" not in m.artifacts
         n += 1
-    assert n == 15
+    assert (n, n_le, n_differ) == (15, 7, 5)
 
 
 def _outcome(m):

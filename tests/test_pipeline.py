@@ -118,8 +118,8 @@ OUTCOME = {"refused": "refused", "no-solution": "no_causal_solution", "solvable"
 def test_counts_make_no_fraction_product(monkeypatch, corpus):
     """validate_semantics, dimension_report and genericity_probe count on
     integer rows: no Fraction product, pseudo-inverse or rank_kernel, in
-    either flavor, with g > J1 or J1 < H, or at H = 0.  Reading C, D and the
-    kernel of a system builds them."""
+    either flavor, with g > J1 or J1 < H, or at H = 0.  Reading C builds it;
+    the kernel is read off the elimination that counted rank_w."""
     counts = count_calls(monkeypatch, ("exactalg.pseudo_inverse_columns", "exactalg.rank_kernel"))
     counts["RationalMatrix.__mul__"] = 0
     mul = RationalMatrix.__mul__
@@ -142,7 +142,9 @@ def test_counts_make_no_fraction_product(monkeypatch, corpus):
                       "RationalMatrix.__mul__": 0}
     cs = run_pipeline(models[0]).cs  # sims: predetermined
     assert cs.flavor == "predetermined" and len(cs.kernel) == cs.kernel_dim
-    assert min(counts.values()) > 0, counts
+    assert not any(counts.values()), counts
+    assert cs.C.cols == cs.effective_unknowns
+    assert counts["exactalg.pseudo_inverse_columns"] > 0 and counts["RationalMatrix.__mul__"] > 0
 
 
 def test_e0_only_for_the_predetermined_system(monkeypatch):
@@ -206,14 +208,18 @@ def test_smith_form_runs_only_for_a_theta_when_det_pi0_is_nonzero(monkeypatch, w
 
 
 def test_smith_form_only_for_a_predetermined_model_with_g_positive(monkeypatch, corpus):
-    """validate + analyze + solve + verify compute no global Smith form on a
-    plain model, whatever G is, and one on a predetermined model with G > 0,
-    whose constraint system depends on the factors."""
+    """validate + analyze + constraints + solve + verify compute no global Smith
+    form on a plain model, whatever G is, and one on a predetermined model with
+    G > 0, whose constraint system depends on the factors: reading C, D, rhs
+    and the kernel of either system builds none."""
     counts, seen = count_calls(monkeypatch, ("canon.smith_form",)), set()
     for m in [parse_model(SIMS_JSON), *planted_models(), *deep_planted_models(), *corpus]:
         m, before = m._replace(), counts["canon.smith_form"]
         validate_semantics(m)
         dimension_report(m)
+        pipe = run_pipeline(m)
+        for cs in (pipe.cs, pipe.plain_cs):
+            assert len(cs.kernel) == cs.kernel_dim and cs.C.rows == cs.D.rows == cs.rhs.rows
         try:
             sr = solve_causal(m)
         except (FactorizationError, UnsupportedModelError):
@@ -284,7 +290,7 @@ def test_replaced_model_starts_with_an_empty_memo():
 
 def test_dropped_model_frees_its_artifacts():
     """No reference cycle: refcounting alone frees the memo with the model,
-    also the constraint system, which keeps a copy of the model for its views."""
+    also the constraint system, which keeps a copy of the model for its matrices."""
     m = parse_model(SIMS_JSON)
     sr = solve_causal(m)
     dimension_report(m)
