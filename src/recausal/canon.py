@@ -14,10 +14,15 @@ inclusion discs of Weierstrass corrections (Carstensen) from `root_discs`.
 Floating point seeds them (`_start_points`) and proves the first discs by an
 a-priori rounding-error bound (`_float_discs`); exact Gaussian-integer steps,
 radii bounded on 62-bit heads, run where floats cannot decide and when the
-solver's split refines, only if the unstable centers' sum cannot refuse it.  Its
+split refines, only if the unstable centers' sum cannot refuse it.  Its
 squarefree factors come from `squarefree_factors`, which proves a squarefree
 factor by one gcd modulo a fixed prime and runs Yun's decomposition only when
 that proof fails.  The ring tests compare integers; no module imports numpy.
+
+`factor_stable_unstable` splits det pi = D S, D = z^G U, over Q without
+factoring: the discs that classified each squarefree factor of det pi / z^G
+give its unstable roots, and their product, rounded onto the lattice Gauss's
+lemma allows, passes one exact division or proves that no rational split exists.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ import cmath
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from math import ceil, frexp, inf, isqrt, ldexp, log2, prod
 from sys import float_info
 
@@ -45,6 +51,13 @@ class UnitCircleRootError(ValueError):
 
 class FactorizationError(ArithmeticError):
     """phi has no exact rational stable/unstable split, or none was certified."""
+
+
+class UnsupportedModelError(ValueError):
+    """The model is outside what is supported: J1 < 0, or no solution to verify."""
+
+
+_TOL = Fraction(1e-9)  # widens the ring [1/xi, 1] that holds no root on each side
 
 
 class SmithForm:
@@ -356,16 +369,16 @@ def _scaled_float(x: int, bits: int) -> float:
         return inf if x > 0 else -inf
 
 
-def classify_roots(p: Poly, xi=1, tol: float = 1e-9) -> RootClassification:
+def classify_roots(p: Poly, xi=1) -> RootClassification:
     """Classify roots of p relative to the unit circle and growth bound xi.
 
     Factors z^m out exactly and splits the rest into squarefree factors,
     prod a_k^k, by `squarefree_factors`.  The first certified yield of
-    root_discs on each a_k puts every root, k times, in |z| < 1/xi - tol or
-    in |z| > 1 + tol, or raises UnitCircleRootError for a root in the ring
+    root_discs on each a_k puts every root, k times, in |z| < 1/xi - _TOL or
+    in |z| > 1 + _TOL, or raises UnitCircleRootError for a root in the ring
     between them: the discs decide each side, no float comparison does.  The
     roots listed are the disc centers, and `discs` keeps each a_k with its
-    yield for the solver's split.
+    yield for the split.
     """
     xi = rat(xi)
     if p.is_zero():
@@ -377,7 +390,7 @@ def classify_roots(p: Poly, xi=1, tol: float = 1e-9) -> RootClassification:
     for k, a in enumerate(squarefree_factors(p.shift(-m)), 1):
         if a.is_constant():
             continue
-        bits, Z, R, inside = disc = next(root_discs(a, xi, tol))
+        bits, Z, R, inside = disc = next(root_discs(a, xi))
         for (re, im), ins in zip(Z, inside):
             (unstable if ins else stable).extend(
                 [complex(_scaled_float(re, bits), _scaled_float(im, bits))] * k)
@@ -402,7 +415,7 @@ def _radius(n: int, den: int, ar: int, ai: int, dr: int, di: int) -> int:
     return r + (r * r < r2)
 
 
-def root_discs(f: Poly, xi=1, tol: float = 1e-9, start=None):
+def root_discs(f: Poly, xi=1, start=None):
     """Certified root discs of a squarefree monic f, refined on demand.
 
     Every root lies in some disc D(z_i, n |W_i|), W_i = f(z_i) / prod_(j != i)
@@ -412,14 +425,14 @@ def root_discs(f: Poly, xi=1, tol: float = 1e-9, start=None):
     z_i -= W_i on fixed-point Gaussian integers refine the seeds, the precision
     about doubling per step, with radii bounding n |W_i| (`_radius`).  Each
     yield (bits, centers, radii, inside) is a proof: disjoint discs over
-    2^bits, inside[i] True in |z| < 1/xi - tol and False in |z| > 1 + tol.  An
+    2^bits, inside[i] True in |z| < 1/xi - _TOL and False in |z| > 1 + _TOL.  An
     exact step raises UnitCircleRootError for a disc within the ring between
     them (or meeting it at the precision cap), FactorizationError at the cap.
     start = (bits, centers) of a yield resumes the exact steps after it.
     """
     n, num, den = int(f.degree), f.num, f.den
     xi = rat(xi)
-    lo, hi = 1 / xi - Fraction(tol), 1 + Fraction(tol)
+    lo, hi = 1 / xi - _TOL, 1 + _TOL
     # lo = ln/ld and hi = hn/hd, so the ring tests run on integers: a center c
     # has |c| < lo S - r iff ln S - r ld > 0 and |c|^2 ld^2 < (ln S - r ld)^2
     (ln, ld), (hn, hd) = lo.as_integer_ratio(), hi.as_integer_ratio()
@@ -491,3 +504,70 @@ def root_discs(f: Poly, xi=1, tol: float = 1e-9, start=None):
         f"cannot certify the stable/unstable split of a degree-{n} factor of phi "
         f"at {p} bits"
     )
+
+
+def _unstable_part(f: Poly, xi, certified) -> Poly:
+    """The monic factor U of a squarefree monic f = num/den over its roots in |z| < 1/xi.
+
+    certified is a first yield of root_discs(f, xi), refined further only on
+    demand.  den U is integral (Gauss's lemma), and minus its z^(m-1)
+    coefficient, the sum of the m unstable roots, lies within sum r_i of the
+    real part s of the sum of the m inside discs' centers c_i: a den s farther
+    than den sum r_i from Z proves U irrational, with no product formed.  Otherwise
+    E = prod(2 + r_i) - 2^m bounds |U - U~|_1 for U~ = prod (z - c_i), as
+    |c_i| < 1, so if den E < 1/2 a rational U is U~ rounded onto (1/den) Z[z];
+    a coefficient farther than E from there, or f mod U^ != 0, proves U irrational.
+    A divisor U^ is a product of m roots of f, and sep^m > 3 m E (sep a lower
+    bound on the root gaps; |U^ - U|_1 <= 3 m E) leaves only the unstable ones.
+    """
+    n, den = int(f.degree), f.den
+    for bits, Z, R, inside in chain([certified], root_discs(f, xi, certified[:2])):
+        unstable = [i for i in range(n) if inside[i]]
+        m = len(unstable)
+        if m in (0, n):
+            return f if m else Poly.const(1)
+        S = 1 << bits
+        T = den * sum(Z[i][0] for i in unstable)  # den sum c_i, over S
+        if abs(T - (2 * T + S) // (2 * S) * S) <= den * sum(R[i] for i in unstable):
+            Sm, E = S**m, prod(2 * S + R[i] for i in unstable) - (2 * S) ** m  # E over S^m
+            sep = min(
+                isqrt((Z[i][0] - Z[j][0]) ** 2 + (Z[i][1] - Z[j][1]) ** 2) - R[i] - R[j]
+                for i in range(n) for j in range(i)
+            )
+            if 2 * den * E >= Sm or sep <= 0 or sep**m <= 3 * m * E:
+                continue
+            coeffs = [(1, 0)]  # S^m U~, lowest first
+            for zr, zi in (Z[i] for i in unstable):
+                coeffs = [  # times (S z - Z_i)
+                    (S * a - zr * c + zi * d, S * b - zr * d - zi * c)
+                    for (a, b), (c, d) in zip([(0, 0)] + coeffs, coeffs + [(0, 0)])
+                ]
+            ks = [(2 * den * re + Sm) // (2 * Sm) for re, _ in coeffs]
+            if all(abs(im) <= E and abs(den * re - k * Sm) <= den * E
+                   for (re, im), k in zip(coeffs, ks)):
+                U = Poly([Fraction(k, den) for k in ks])
+                if (f % U).is_zero():
+                    return U
+        raise FactorizationError(
+            f"{m} of the {n} distinct roots of phi lie inside |z| < 1/xi and "
+            f"{n - m} outside |z| > 1, but their product is not rational; "
+            "no exact rational stable/unstable split exists"
+        )
+
+
+def factor_stable_unstable(det: Poly, J1: int, roots: RootClassification):
+    """det pi = D S with D = z^G U and S = det pi / D.
+
+    roots classifies det pi: G is its multiplicity of z = 0 and U = prod U_k^k the
+    unstable factor of det pi / z^G, U_k split off its Yun factor a_k from the discs
+    that classified it.  So D holds every root at zero or in |z| < 1/xi, S the rest.
+    """
+    if J1 < 0:
+        raise UnsupportedModelError(
+            f"J1 = {J1} < 0: the system is dated strictly in the past; "
+            "causal factorization is not defined for this configuration"
+        )
+    D = Poly.monomial(roots.zero_multiplicity)
+    for a, k, disc in roots.discs:
+        D = prod([_unstable_part(a, roots.xi, disc)] * k, start=D)
+    return D, det.exact_div(D)

@@ -55,7 +55,8 @@ def _load_model(path: str, xi_override) -> REModel:
 
 
 def _parse_options(args) -> str | None:
-    """Parse --xi in place by parse_model's rule and range-check --trials and --seed.
+    """Parse --xi in place by parse_model's rule and range-check --trials and --seed
+    for simulate and probe, the commands that read them.
 
     Returns why an option is invalid, or None.
     """
@@ -63,12 +64,13 @@ def _parse_options(args) -> str | None:
         args.xi = None if args.xi is None else parse_xi(args.xi)
     except ModelFormatError as exc:
         return f"--xi: {exc}"
-    if args.trials < 1:
-        return "--trials must be at least 1"
-    if args.command == "simulate" and args.trials < 3:
-        return "--trials must be at least 3 for simulate"
-    if args.seed < 0:
-        return "--seed must be non-negative"
+    if args.command in ("simulate", "probe"):
+        if args.trials < 1:
+            return "--trials must be at least 1"
+        if args.command == "simulate" and args.trials < 3:
+            return "--trials must be at least 3 for simulate"
+        if args.seed < 0:
+            return "--seed must be non-negative"
     return None
 
 
@@ -232,10 +234,8 @@ def main(argv=None) -> int:
         return 2
     try:
         m = _load_model(args.model, args.xi)
-        if args.max_lag < m.H:
-            print(
-                f"error: --max-lag must be at least H = {m.H}", file=sys.stderr
-            )
+        if args.command == "verify" and args.max_lag < m.H:  # only verify reads --max-lag
+            print(f"error: --max-lag must be at least H = {m.H}", file=sys.stderr)
             return 2
         doc = _COMMANDS[args.command](m, args)
         _emit(doc, args.format)

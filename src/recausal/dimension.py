@@ -7,7 +7,8 @@ run the global `smith_form` only for a predetermined model with G > 0, whose
 system can depend on the factors; a plain system prints the C, D and rhs its
 rank is counted on, which at some g_i > J1 need not have the solution set of
 the global Smith form's.  Otherwise only `recausal smith` and A_theta run it.
-The solve reads only `pi`, `roots`, adj pi (`adj`) and zeta(z) (`zc`), so
+The solve reads only `pi`, adj pi (`adj`), zeta(z) (`zc`) and `split`, the
+det pi = D S certified on the discs of `roots` that A_theta reads too, so
 analyze's free_parameters may differ from its indeterminacy_dim on a
 predetermined model with G > 0 or J1 < H.  `dimension_report` and
 `genericity_probe` read only ranks, which the systems count on integer rows:
@@ -21,7 +22,8 @@ import random
 from collections import namedtuple
 from fractions import Fraction
 
-from .canon import RedundantEquationsError, classify_roots, local_form, smith_form
+from .canon import RedundantEquationsError, classify_roots, factor_stable_unstable
+from .canon import local_form, smith_form
 from .constraints import (
     build_m_stack,
     build_plain_system,
@@ -52,9 +54,9 @@ class Pipeline:
 
     Every stage is computed on first use and kept in the model's own memo, so
     all Pipelines of one model share one pi, one Smith form, one root
-    classification and one constraint system.  The memo refers to no Pipeline and
-    no artifact refers to the model, so a dropped model is freed at once.
-    A stage that raises is not memoized; it raises again on the next use.
+    classification, one split and one constraint system.  The memo refers to
+    no Pipeline and no artifact refers to the model, so a dropped model is freed
+    at once.  A stage that raises is not memoized; it raises again on the next use.
     """
 
     __slots__ = ("model",)
@@ -94,6 +96,11 @@ class Pipeline:
         return classify_roots(self.pi.det, self.model.xi)
 
     @_stage
+    def split(self):
+        """(D, S) of det pi = D S, D = z^G U: read by the solve and A_theta."""
+        return factor_stable_unstable(self.pi.det, self.pi.J1, self.roots)
+
+    @_stage
     def zc(self):
         """zeta(z) as a polynomial matrix: read only by the solve after its split."""
         return zeta_coefficients(self.model)
@@ -131,8 +138,8 @@ DimensionReport = namedtuple("DimensionReport", (
     "distinctness_guaranteed flavor effective_unknowns bounds"))
 
 
-def dimension_report(m: REModel, pipe: Pipeline | None = None) -> DimensionReport:
-    pipe = pipe or run_pipeline(m)
+def dimension_report(m: REModel) -> DimensionReport:
+    pipe = run_pipeline(m)
     cs = pipe.cs
     g = pipe.local.g
     bounds = check_rank_bounds(pipe.plain_cs, pipe.local, pipe.m_stack, pipe.pi.J1, m.H, m.s)

@@ -18,15 +18,10 @@ divides adj(pi) R; or, with the entries of h outside `REModel.free_unknowns()`
 zero, some p = h + d with d in ker L (`_expectation_kernel`), so that
 N(z; p) = N(z; h) (predetermined flavor), and z^H D divides adj(pi) (M p - W).
 No factorization of pi enters.  adj(pi) and zeta(z) are read only once the
-split below is accepted: a refused model builds neither.
-
-det pi splits into D and S = det pi / D over Q without factoring: the
-certified discs that classified the roots of each squarefree factor of
-det pi / z^G give its unstable roots, their product is rounded onto the lattice
-Gauss's lemma allows, and one exact division accepts it or proves that no
-rational split exists.  Only `simulate` imports numpy.  The result,
-`SolutionReport`, is a named tuple; its A_theta, the one reader of the Smith
-form here, is a property computed on each read, so it takes no `A_theta=`.
+split, `Pipeline.split`, is accepted: a refused model builds neither.  Only
+`simulate` imports numpy.  The result, `SolutionReport`, is a named tuple; its
+A_theta, the one reader of the Smith form here, is a property computed on each
+read, so it takes no `A_theta=`.
 
 A solution y = (num/den) eps is verified by one polynomial identity: with R the
 series of model residuals and T = den R, z^H T = [Lambda | z^H W - U] [num ; den I]
@@ -39,99 +34,18 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from itertools import chain, product
-from math import isqrt, lcm, prod
+from math import lcm
 
-from .canon import FactorizationError, RootClassification, root_discs
+from .canon import FactorizationError, UnsupportedModelError, factor_stable_unstable  # re-exported
 from .constraints import _lcm_of_coefficients
-from .dimension import Pipeline, run_pipeline
+from .dimension import run_pipeline
 from .exactalg import Poly, PolyMatrix, RationalMatrix, _ZERO, _int_product, _numerators, _poly
 from .exactalg import _packed_product, _rmat, _solve_rows, poly_gcd, rank_kernel, solve_affine
 from .model import REModel
 
 
-class UnsupportedModelError(ValueError):
-    pass
-
-
 class KernelPointError(ValueError):
     """kernel_point is neither "min-norm" nor the index of a kernel basis vector."""
-
-
-def _unstable_part(f: Poly, xi, tol: float, certified) -> Poly:
-    """The monic factor U of a squarefree monic f = num/den over its roots in |z| < 1/xi.
-
-    certified is a first yield of root_discs(f, xi, tol), refined further only
-    on demand.  den U is integral (Gauss's lemma), and minus its z^(m-1)
-    coefficient, the sum of the m unstable roots, lies within sum r_i of the
-    real part s of the sum of the m inside discs' centers c_i: a den s farther
-    than den sum r_i from Z proves U irrational, with no product formed.  Otherwise
-    E = prod(2 + r_i) - 2^m bounds |U - U~|_1 for U~ = prod (z - c_i), as
-    |c_i| < 1, so if den E < 1/2 a rational U is U~ rounded onto (1/den) Z[z];
-    a coefficient farther than E from there, or f mod U^ != 0, proves U irrational.
-    A divisor U^ is a product of m roots of f, and sep^m > 3 m E (sep a lower
-    bound on the root gaps; |U^ - U|_1 <= 3 m E) leaves only the unstable ones.
-    """
-    n, den = int(f.degree), f.den
-    for bits, Z, R, inside in chain([certified], root_discs(f, xi, tol, certified[:2])):
-        unstable = [i for i in range(n) if inside[i]]
-        m = len(unstable)
-        if m in (0, n):
-            return f if m else Poly.const(1)
-        S = 1 << bits
-        T = den * sum(Z[i][0] for i in unstable)  # den sum c_i, over S
-        if abs(T - (2 * T + S) // (2 * S) * S) <= den * sum(R[i] for i in unstable):
-            Sm, E = S**m, prod(2 * S + R[i] for i in unstable) - (2 * S) ** m  # E over S^m
-            sep = min(
-                isqrt((Z[i][0] - Z[j][0]) ** 2 + (Z[i][1] - Z[j][1]) ** 2) - R[i] - R[j]
-                for i in range(n) for j in range(i)
-            )
-            if 2 * den * E >= Sm or sep <= 0 or sep**m <= 3 * m * E:
-                continue
-            coeffs = [(1, 0)]  # S^m U~, lowest first
-            for zr, zi in (Z[i] for i in unstable):
-                coeffs = [  # times (S z - Z_i)
-                    (S * a - zr * c + zi * d, S * b - zr * d - zi * c)
-                    for (a, b), (c, d) in zip([(0, 0)] + coeffs, coeffs + [(0, 0)])
-                ]
-            ks = [(2 * den * re + Sm) // (2 * Sm) for re, _ in coeffs]
-            if all(abs(im) <= E and abs(den * re - k * Sm) <= den * E
-                   for (re, im), k in zip(coeffs, ks)):
-                U = Poly([Fraction(k, den) for k in ks])
-                if (f % U).is_zero():
-                    return U
-        raise FactorizationError(
-            f"{m} of the {n} distinct roots of phi lie inside |z| < 1/xi and "
-            f"{n - m} outside |z| > 1, but their product is not rational; "
-            "no exact rational stable/unstable split exists"
-        )
-
-
-def _unstable_factor(rc: RootClassification, tol: float = 1e-9) -> Poly:
-    """The monic factor U = prod U_k^k of p / z^m over its roots in |z| < 1/xi.
-
-    rc classifies p; U_k is the unstable part of its Yun factor a_k, split
-    once from the discs that classified it.
-    """
-    U = Poly.const(1)
-    for a, k, disc in rc.discs:
-        U = prod([_unstable_part(a, rc.xi, tol, disc)] * k, start=U)
-    return U
-
-
-def factor_stable_unstable(det: Poly, J1: int, roots: RootClassification):
-    """det pi = D S with D = z^G U and S = det pi / D.
-
-    roots classifies det pi: G is its multiplicity of z = 0 and U the unstable
-    factor of det pi / z^G, so D holds every root of det pi at zero or inside
-    |z| < 1/xi and S every root outside |z| > 1.
-    """
-    if J1 < 0:
-        raise UnsupportedModelError(
-            f"J1 = {J1} < 0: the system is dated strictly in the past; "
-            "causal factorization is not defined for this configuration"
-        )
-    D = Poly.monomial(roots.zero_multiplicity) * _unstable_factor(roots)
-    return D, det.exact_div(D)
 
 
 def _cancellation_rows(P: list, D: Poly) -> list:
@@ -180,12 +94,12 @@ class SolutionReport(namedtuple("SolutionReport", (
     @property
     def A_theta(self):
         """pi_s num / den, pi_s = diag(z^min(g_i, J1) phi_i / gcd(phi_i, D)) Q the
-        stable Smith factor of pi; None without a solution.  Computed on each read."""
+        stable Smith factor of pi, D from the pipeline's `split`; None without a
+        solution.  Computed on each read."""
         pipe, num, den = self.pipeline, self.transfer_num, self.transfer_den
         if num is None:
             return None
-        sf, J1 = pipe.sf, pipe.pi.J1
-        D, _S = factor_stable_unstable(pipe.pi.det, J1, pipe.roots)
+        sf, J1, D = pipe.sf, pipe.pi.J1, pipe.split[0]
         pi_s = PolyMatrix.diag([
             Poly.monomial(min(gi, J1)) * phi.exact_div(poly_gcd(phi, D))
             for gi, phi in zip(sf.g, sf.phi)
@@ -216,17 +130,15 @@ def _kernel_index(kernel_point: str, n: int) -> int:
     return idx
 
 
-def solve_causal(
-    m: REModel, pipe: Pipeline | None = None, kernel_point: str = "min-norm"
-) -> SolutionReport:
+def solve_causal(m: REModel, kernel_point: str = "min-norm") -> SolutionReport:
     """Solve the RE model exactly and classify the causal solution set.
 
     h and the kernel vectors span all sH entries; the forced ones are zero.  Psi is
     a function of its head p = h + d, so indeterminacy_dim counts the p; on a
     predetermined G > 0 or J1 < H model it may differ from analyze's free_parameters."""
-    pipe = pipe or run_pipeline(m)
+    pipe = run_pipeline(m)
     n_unknowns, q, free = m.s * m.H, m.q, m.free_unknowns()
-    D, S = factor_stable_unstable(pipe.pi.det, pipe.pi.J1, pipe.roots)
+    D, S = pipe.split
     ker_l = _expectation_kernel(m) if m.predetermined else []  # d's coordinates follow h's
     P, den = _packed_product(pipe.adj, PolyMatrix([
         [row[a] for a in free] + [sum((e * x for e, x in zip(row, v)), Poly()) for v in ker_l] + w
@@ -283,7 +195,7 @@ def _numerator(m, split, P, free, h) -> PolyMatrix:
 def build_transfer(m, split, P, free, h):
     """Transfer function y = (num / den) eps for a loading stack h.
 
-    split = (D, S) from factor_stable_unstable and P the solve's product (_numerator).
+    split = (D, S), the pipeline's `split`, and P the solve's product (_numerator).
     num = adj(pi) N / D is exact once h satisfies the rows, and den = S, so num/den = pi^-1 N;
     den ends with den(0) = 1 and all roots outside the unit circle.  The
     third value is None for callers that unpack three; see SolutionReport.A_theta.

@@ -1232,7 +1232,7 @@ def ref_verify_per_h(m: REModel, sr, max_lag: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# symbolic stable/unstable split (oracle for solver._split_phi)
+# symbolic stable/unstable split (oracle for the certified split)
 
 
 def ref_split_phi(phi: Poly, xi=1, tol: float = 1e-9):
@@ -1266,8 +1266,8 @@ def ref_split_phi(phi: Poly, xi=1, tol: float = 1e-9):
     return stable, unstable
 
 
-def ref_unstable_part(f: Poly, xi, tol: float, certified) -> Poly:
-    """solver._unstable_part without its test on the sum of the unstable centers:
+def ref_unstable_part(f: Poly, xi, certified) -> Poly:
+    """canon._unstable_part without its test on the sum of the unstable centers:
     the rounding of U~ = prod (z - c_i) alone decides, refining as it needs.
 
     With m of the n discs D(c_i, r_i) inside, E = prod(2 + r_i) - 2^m bounds
@@ -1277,7 +1277,7 @@ def ref_unstable_part(f: Poly, xi, tol: float, certified) -> Poly:
     U^ is a product of m roots of f, and sep^m > 3 m E leaves only the unstable ones.
     """
     n, den = int(f.degree), f.den
-    for bits, Z, R, inside in chain([certified], root_discs(f, xi, tol, certified[:2])):
+    for bits, Z, R, inside in chain([certified], root_discs(f, xi, certified[:2])):
         unstable = [i for i in range(n) if inside[i]]
         m = len(unstable)
         if m in (0, n):

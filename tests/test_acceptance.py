@@ -80,8 +80,8 @@ def _c1():
     # empty predetermined constraint system: one unknown, one kernel direction
     assert pipe.cs.flavor == "predetermined"
     assert pipe.cs.rank_w == 0 and pipe.cs.kernel_dim == 1
-    assert dimension_report(m, pipe).free_parameters == 2
-    sr = solve_causal(m, pipe)
+    assert dimension_report(m).free_parameters == 2
+    sr = solve_causal(m)
     assert sr.classification == "determinate"
     assert sr.h == RationalMatrix(
         [[Fraction(-10, 11), Fraction(200000, 11)], [0, 0]]
@@ -145,7 +145,7 @@ def _c3():
         m = random_model(rng, s, rng.randint(0, 2), rng.randint(1, 2), force_g0=True)
         pipe = run_pipeline(m)
         assert all(g == 0 for g in pipe.sf.g)
-        assert dimension_report(m, pipe).free_parameters == pipe.pi.J1 * m.s * m.q
+        assert dimension_report(m).free_parameters == pipe.pi.J1 * m.s * m.q
     for _ in range(20):  # predetermined analogue
         s = rng.randint(2, 3)
         H = rng.randint(1, 2)
@@ -156,7 +156,7 @@ def _c3():
         assert all(g == 0 for g in pipe.sf.g)
         j1 = pipe.pi.J1
         expected = sum(m.gamma[i] * (j1 - i) for i in range(j1)) * m.q
-        assert dimension_report(m, pipe).free_parameters == expected
+        assert dimension_report(m).free_parameters == expected
 
 
 def test_criterion_03():

@@ -170,6 +170,7 @@ def test_simulate_with_three_trials(capsys):
     doc = json.loads(out, parse_constant=lambda c: pytest.fail(f"{c} in simulate output"))
     assert doc["T"] == 3 and sorted(doc["autocov"]) == ["0", "1", "2"]
     assert run(capsys, "probe", SIMS, "--trials", "1")[0] == 0  # the bound is simulate's
+    assert run(capsys, "smith", SIMS, "--trials", "0")[0] == 0  # only simulate and probe read it
 
 
 # A_00 = 1, A_01 = -2^1036: det pi has a root of modulus 2^1036, past the float range

@@ -62,7 +62,7 @@ def test_free_parameters_g0_plain():
         m = random_model(rng, s, rng.randint(0, 2), rng.randint(1, 2), force_g0=True)
         pipe = run_pipeline(m)
         assert all(g == 0 for g in pipe.sf.g)
-        rep = dimension_report(m, pipe)
+        rep = dimension_report(m)
         assert rep.free_parameters == pipe.pi.J1 * m.s * m.q, (m.s, m.K, m.H)
 
 
@@ -76,7 +76,7 @@ def test_free_parameters_g0_predetermined():
                          force_g0=True)
         pipe = run_pipeline(m)
         assert all(g == 0 for g in pipe.sf.g)
-        rep = dimension_report(m, pipe)
+        rep = dimension_report(m)
         j1 = pipe.pi.J1
         expected = sum(m.gamma[i] * (j1 - i) for i in range(j1)) * m.q
         assert rep.free_parameters == expected, (m.s, m.K, m.H, m.gamma)

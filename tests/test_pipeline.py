@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import recausal
-from recausal import solver
+from recausal import canon
 from recausal.canon import LocalSmith, RootClassification, UnitCircleRootError, classify_roots
 from recausal.cli import main
 from recausal.constraints import ConstraintSystem
@@ -161,25 +161,27 @@ def test_e0_only_for_the_predetermined_system(monkeypatch):
 
 @pytest.mark.parametrize("which", ["sims", "planted-s4", "refused", "no-solution", "solvable"])
 def test_adj_and_zeta_only_for_a_solve_past_the_split(monkeypatch, which):
-    """validate + analyze build neither adj pi nor zeta(z).  Only solve_causal
-    reads them, once factor_stable_unstable has accepted the split: a refused
-    model builds none, and a solve builds each once, however often it is read."""
+    """validate + analyze build neither adj pi nor zeta(z), nor the split.  Only
+    solve_causal reads them, once factor_stable_unstable has accepted the split:
+    a refused model builds none, and a solve builds each once and certifies the
+    split once, however often they are read (two solves and A_theta)."""
     make = {"sims": lambda: parse_model(SIMS_JSON), "planted-s4": solvable_planted_s4, **MAKE}
     m = make[which]()._replace()  # an empty memo
-    counts = count_calls(monkeypatch, ADJ_ZETA)
+    split = "solver.factor_stable_unstable"
+    counts = count_calls(monkeypatch, (*ADJ_ZETA, split))
     validate_semantics(m)
     dimension_report(m)
-    assert counts == dict.fromkeys(ADJ_ZETA, 0)
+    assert counts == {**dict.fromkeys(ADJ_ZETA, 0), split: 0}
     try:
         sr = solve_causal(m)
     except FactorizationError:
-        assert which == "refused" and counts == dict.fromkeys(ADJ_ZETA, 0)
+        assert which == "refused" and counts == {**dict.fromkeys(ADJ_ZETA, 0), split: 1}
         return
     assert which != "refused"
     if sr.transfer_num is not None:
         assert verify_solution(m, sr)["ok"] and sr.A_theta is not None
     assert solve_causal(m).classification == sr.classification
-    assert counts == dict.fromkeys(ADJ_ZETA, 1)
+    assert counts == {**dict.fromkeys(ADJ_ZETA, 1), split: 1}
 
 
 @pytest.mark.parametrize("which", ["refused", "no-solution", "solvable"])
@@ -400,8 +402,8 @@ def _scalar_model_with_a_fine_root():
 
 @pytest.mark.parametrize("which", ["sims", "generic", "planted", "refined"])
 def test_start_points_run_once_per_yun_factor(monkeypatch, which):
-    """validate + analyze + solve + verify place each root once: the solver's
-    split resumes from the discs that classified det pi."""
+    """validate + analyze + solve + verify place each root once: the split
+    resumes from the discs that classified det pi."""
     m = {
         "sims": lambda: parse_model(SIMS_JSON),
         "generic": lambda: random_model(random.Random(3), 3, 1, 1),
@@ -411,12 +413,13 @@ def test_start_points_run_once_per_yun_factor(monkeypatch, which):
     counts = count_calls(monkeypatch, ("canon._start_points",))
     resumed = []
 
-    def resumed_discs(*args, _discs=solver.root_discs):
-        for disc in _discs(*args):
-            resumed.append(disc[0])
+    def resumed_discs(f, xi=1, start=None, _discs=canon.root_discs):
+        for disc in _discs(f, xi, start):
+            if start is not None:  # classify_roots starts afresh, the split resumes
+                resumed.append(disc[0])
             yield disc
 
-    monkeypatch.setattr(solver, "root_discs", resumed_discs)
+    monkeypatch.setattr(canon, "root_discs", resumed_discs)
     validate_semantics(m)
     dimension_report(m)
     try:

@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recausal import dimension, solver
-from recausal.canon import SmithForm, UnitCircleRootError, classify_roots, smith_form
+from recausal import canon, dimension
+from recausal.canon import (
+    SmithForm, UnitCircleRootError, _unstable_part, classify_roots, smith_form,
+)
 from recausal.cli import _emit, build_parser, cmd_smith, cmd_solve
 from recausal.dimension import dimension_report, run_pipeline
 from recausal.exactalg import (
@@ -25,8 +27,6 @@ from recausal.solver import (
     _cancellation_rows,
     _expectation_kernel,
     _numerator,
-    _unstable_factor,
-    _unstable_part,
     factor_stable_unstable,
     simulate,
     solve_causal,
@@ -451,12 +451,12 @@ def test_transfer_series_requires_unit_den_at_zero():
         simulate(sr, T=10, seed=0)
 
 
-def _split_phi(phi, xi, tol=1e-9):
-    """(stable, unstable) parts of a monic phi by the solver's certified route:
-    classify its roots, then split each Yun factor from the same discs."""
+def _split_phi(phi, xi):
+    """(stable, unstable) parts of a monic phi by the certified route: classify
+    its roots, then split each Yun factor from the same discs."""
     phi = phi.monic()
-    u = _unstable_factor(classify_roots(phi, xi, tol), tol)
-    return phi.exact_div(u), u
+    u, stable = factor_stable_unstable(phi, 0, classify_roots(phi, xi))
+    return stable, u
 
 
 def _split_outcome(split, phi):
@@ -538,7 +538,7 @@ def test_split_phi_refuses_a_rounding_that_does_not_divide():
     # passes the rounding test as z, which does not divide phi
     coarse = (4, ((2, 0), (42, 0)), (5, 1), (True, False))
     with pytest.raises(FactorizationError, match="not rational"):
-        _unstable_part(Poly([1, -3, 1]), 1, 1e-9, coarse)
+        _unstable_part(Poly([1, -3, 1]), 1, coarse)
 
 
 def _has_roots(pipe):
@@ -568,20 +568,20 @@ def test_refusals_and_splits_match_the_rounding_reference(
     }
     pipes = {name: [p for p in map(run_pipeline, ms) if _has_roots(p)] for name, ms in sets.items()}
     with monkeypatch.context() as mp:
-        mp.setattr(solver, "_unstable_part", ref_unstable_part)
+        mp.setattr(canon, "_unstable_part", ref_unstable_part)
         expected = {name: [_split_or_refusal(p) for p in ps] for name, ps in pipes.items()}
     calls = {"isqrt": 0, "resumed": 0}
 
-    def isqrt(x, _isqrt=solver.isqrt):
+    def isqrt(x, _isqrt=canon.isqrt):
         calls["isqrt"] += 1
         return _isqrt(x)
 
-    def resumed_discs(*args, _discs=solver.root_discs):
+    def resumed_discs(*args, _discs=canon.root_discs):
         calls["resumed"] += 1
         yield from _discs(*args)
 
-    monkeypatch.setattr(solver, "isqrt", isqrt)
-    monkeypatch.setattr(solver, "root_discs", resumed_discs)
+    monkeypatch.setattr(canon, "isqrt", isqrt)
+    monkeypatch.setattr(canon, "root_discs", resumed_discs)
     refused = {}
     for name, ps in pipes.items():
         refused[name] = 0
@@ -590,7 +590,7 @@ def test_refusals_and_splits_match_the_rounding_reference(
             if isinstance(want, str):
                 refused[name] += 1
                 with pytest.raises(FactorizationError) as exc:
-                    solve_causal(pipe.model, pipe)
+                    solve_causal(pipe.model)
                 assert str(exc.value) == want
                 assert name != "ladder" or calls == {"isqrt": 0, "resumed": 0}
             else:
@@ -631,12 +631,12 @@ def test_divisibility_rows_match_smith_split(corpus):
     for m in list(corpus) + planted_models() + deep_planted_models() + [sims_model()]:
         pipe = run_pipeline(m)
         try:
-            sr = solve_causal(m, pipe)
+            sr = solve_causal(m)
         except (FactorizationError, UnsupportedModelError):
             continue
         J1 = pipe.pi.J1
         D, _S = factor_stable_unstable(pipe.pi.det, J1, pipe.roots)
-        split = ref_smith_split(pipe.sf, J1, _unstable_factor(pipe.roots))
+        split = ref_smith_split(pipe.sf, J1, D.shift(-pipe.roots.zero_multiplicity))
         A, W = assemble_rhs(m, pipe.zc, J1, pipe.pi.pi)
         n_new, new = _cancellation_affine_set(partial(divisibility_rows, pipe.adj, D), A, W)
         n_old, old = _cancellation_affine_set(partial(ref_cancellation_rows, split=split), A, W)
@@ -672,7 +672,7 @@ def test_residual_rows_and_numerator_match_full_map(corpus):
     for m in list(corpus) + planted_models() + deep_planted_models():
         pipe = run_pipeline(m)
         try:
-            sr = solve_causal(m, pipe)
+            sr = solve_causal(m)
         except (FactorizationError, UnsupportedModelError):
             continue
         J1, adj, unknowns = pipe.pi.J1, pipe.adj, range(m.s * m.H)
@@ -706,7 +706,7 @@ def test_cancellation_rows_and_numerator_match_per_unknown_map(corpus, predeterm
     for m in models:
         pipe = run_pipeline(m)
         try:
-            sr = solve_causal(m, pipe)
+            sr = solve_causal(m)
         except (FactorizationError, UnsupportedModelError):
             continue
         J1, adj, free = pipe.pi.J1, pipe.adj, m.free_unknowns()
@@ -753,7 +753,7 @@ def test_free_unknown_solve_matches_full_unknown_system(corpus, predetermined_pr
     for m in list(corpus) + list(predetermined_probe) + ladder_shaped_models() + planted_models():
         pipe = run_pipeline(m)
         try:
-            sr = solve_causal(m, pipe)
+            sr = solve_causal(m)
         except (FactorizationError, UnsupportedModelError):
             continue
         got, want = (sr.h_particular, list(sr.kernel)), full_unknown_system(m, pipe)
