@@ -3,7 +3,7 @@
 The Smith form is computed by exact elimination over Q[z], which also detects
 a singular input: its elimination runs out of nonzero pivots.  The row
 operations update D and P^-1, the column operations D alone.  Q, which only
-A_theta and `recausal smith` read, follows from one integer product P^-1 pi
+`recausal smith` reads, follows from one integer product P^-1 pi
 on first read, as do the inverses P and Q^-1: `SmithForm` is a plain class
 that caches them.  The constraint blocks read only a `LocalSmith`, the data at
 z = 0 of some pi = P diag(z^g) E: `local_form` finds it by row reduction at

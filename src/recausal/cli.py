@@ -165,7 +165,6 @@ def cmd_solve(m: REModel, args) -> dict:
         doc["kernel"] = [_vector_doc(v) for v in sr.kernel]
         doc["transfer_numerator"] = _polymatrix_doc(sr.transfer_num)
         doc["transfer_denominator"] = _poly_doc(sr.transfer_den)
-        doc["A_theta"] = _polymatrix_doc(sr.A_theta)
     return doc
 
 

@@ -6,9 +6,9 @@ the row reduction `canon.local_form`, so validate, analyze and constraints
 run the global `smith_form` only for a predetermined model with G > 0, whose
 system can depend on the factors; a plain system prints the C, D and rhs its
 rank is counted on, which at some g_i > J1 need not have the solution set of
-the global Smith form's.  Otherwise only `recausal smith` and A_theta run it.
-The solve reads only `pi`, adj pi (`adj`), zeta(z) (`zc`) and `split`, the
-det pi = D S certified on the discs of `roots` that A_theta reads too, so
+the global Smith form's.  Otherwise only `recausal smith` runs it.  The
+solve reads only `pi`, adj pi (`adj`), zeta(z) (`zc`) and `split`, the
+det pi = D S certified on the discs of `roots`, and no Smith form, so
 analyze's free_parameters may differ from its indeterminacy_dim on a
 predetermined model with G > 0 or J1 < H.  `dimension_report` and
 `genericity_probe` read only ranks, which the systems count on integer rows:
@@ -76,7 +76,8 @@ class Pipeline:
 
     @_stage
     def sf(self):
-        """Smith form of pi(z)."""
+        """Smith form of pi(z): read by `recausal smith` and by `local` on a
+        predetermined model with G > 0, never by solve, verify or simulate."""
         return smith_form(self.pi.pi)
 
     @_stage
@@ -97,7 +98,7 @@ class Pipeline:
 
     @_stage
     def split(self):
-        """(D, S) of det pi = D S, D = z^G U: read by the solve and A_theta."""
+        """(D, S) of det pi = D S, D = z^G U: read only by the solve."""
         return factor_stable_unstable(self.pi.det, self.pi.J1, self.roots)
 
     @_stage

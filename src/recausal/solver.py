@@ -19,9 +19,8 @@ zero, some p = h + d with d in ker L (`_expectation_kernel`), so that
 N(z; p) = N(z; h) (predetermined flavor), and z^H D divides adj(pi) (M p - W).
 No factorization of pi enters.  adj(pi) and zeta(z) are read only once the
 split, `Pipeline.split`, is accepted: a refused model builds neither.  Only
-`simulate` imports numpy.  The result, `SolutionReport`, is a named tuple; its
-A_theta, the one reader of the Smith form here, is a property computed on each
-read, so it takes no `A_theta=`.
+`simulate` imports numpy.  The result, `SolutionReport`, is a named tuple: h and
+num/den determine the solution.
 
 A solution y = (num/den) eps is verified by one polynomial identity: with R the
 series of model residuals and T = den R, z^H T = [Lambda | z^H W - U] [num ; den I]
@@ -85,26 +84,9 @@ def _expectation_kernel(m: REModel) -> list:
 # indeterminacy_dim: q times the dimension of the distinct solutions; h: the chosen
 # loading stack, sH x q, or None like h_particular, transfer_num and
 # transfer_den when there is no solution; kernel: basis vectors of length sH,
-# shared by the columns; pipeline: the model's Pipeline
-class SolutionReport(namedtuple("SolutionReport", (
-        "classification indeterminacy_dim h h_particular kernel transfer_num transfer_den "
-        "pipeline kernel_point"))):
-    __slots__ = ()
-
-    @property
-    def A_theta(self):
-        """pi_s num / den, pi_s = diag(z^min(g_i, J1) phi_i / gcd(phi_i, D)) Q the
-        stable Smith factor of pi, D from the pipeline's `split`; None without a
-        solution.  Computed on each read."""
-        pipe, num, den = self.pipeline, self.transfer_num, self.transfer_den
-        if num is None:
-            return None
-        sf, J1, D = pipe.sf, pipe.pi.J1, pipe.split[0]
-        pi_s = PolyMatrix.diag([
-            Poly.monomial(min(gi, J1)) * phi.exact_div(poly_gcd(phi, D))
-            for gi, phi in zip(sf.g, sf.phi)
-        ]) * sf.Q
-        return PolyMatrix([[e.exact_div(den) for e in row] for row in (pi_s * num).entries])
+# shared by the columns
+SolutionReport = namedtuple("SolutionReport", (
+    "classification indeterminacy_dim h h_particular kernel transfer_num transfer_den kernel_point"))
 
 
 def _min_norm_shift(X: RationalMatrix, kernel):
@@ -151,7 +133,7 @@ def solve_causal(m: REModel, kernel_point: str = "min-norm") -> SolutionReport:
         return SolutionReport(
             classification="no_causal_solution", indeterminacy_dim=0,
             h=None, h_particular=None, kernel=tuple(kernel),
-            transfer_num=None, transfer_den=None, pipeline=pipe, kernel_point=kernel_point,
+            transfer_num=None, transfer_den=None, kernel_point=kernel_point,
         )
     X = _rmat([list(X.entries[at[a]]) if a in at else [Fraction(0)] * q
                for a in range(n_unknowns)], q)
@@ -167,7 +149,7 @@ def solve_causal(m: REModel, kernel_point: str = "min-norm") -> SolutionReport:
     return SolutionReport(
         classification="indeterminate" if dim else "determinate", indeterminacy_dim=dim,
         h=chosen, h_particular=X, kernel=tuple(kernel),
-        transfer_num=num, transfer_den=den, pipeline=pipe, kernel_point=kernel_point,
+        transfer_num=num, transfer_den=den, kernel_point=kernel_point,
     )
 
 
@@ -198,7 +180,8 @@ def build_transfer(m, split, P, free, h):
     split = (D, S), the pipeline's `split`, and P the solve's product (_numerator).
     num = adj(pi) N / D is exact once h satisfies the rows, and den = S, so num/den = pi^-1 N;
     den ends with den(0) = 1 and all roots outside the unit circle.  The
-    third value is None for callers that unpack three; see SolutionReport.A_theta.
+    third value, once pi_s num / den for a stable Smith factor pi_s that the
+    model does not determine, stays None for callers that unpack three.
     """
     den = split[1]
     num = _numerator(m, split, P, free, h)

@@ -1392,9 +1392,9 @@ def ref_cancellation_rows(vec: PolyMatrix, split):
 
 
 def ref_transfer(N: PolyMatrix, split):
-    """(num, den, A_theta) of pi^-1 N through the Smith split, den(0) = 1.
+    """(num, den) of pi^-1 N through the Smith split, den(0) = 1.
 
-    A_theta = pi_u^-1 N and num / den = pi_s^-1 A_theta, reduced by the gcd of
+    With a_theta = pi_u^-1 N, num / den = pi_s^-1 a_theta, reduced by the gcd of
     den and every entry of num.
     """
     det_u, adj_u, det_s, adj_s, m0 = split
@@ -1407,7 +1407,7 @@ def ref_transfer(N: PolyMatrix, split):
     den = den.exact_div(common)
     inv = 1 / den[0]
     num = PolyMatrix([[e.exact_div(common) * inv for e in row] for row in num])
-    return num, den * inv, a_theta
+    return num, den * inv
 
 
 # ---------------------------------------------------------------------------

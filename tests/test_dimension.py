@@ -237,7 +237,7 @@ def _outcome(m):
         return rep, None, f"{type(exc).__name__}: {exc}"
     return rep, sr, (
         sr.classification, sr.indeterminacy_dim, sr.h, sr.kernel,
-        sr.transfer_num, sr.transfer_den, sr.A_theta,
+        sr.transfer_num, sr.transfer_den,
     )
 
 

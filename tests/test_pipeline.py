@@ -164,7 +164,7 @@ def test_adj_and_zeta_only_for_a_solve_past_the_split(monkeypatch, which):
     """validate + analyze build neither adj pi nor zeta(z), nor the split.  Only
     solve_causal reads them, once factor_stable_unstable has accepted the split:
     a refused model builds none, and a solve builds each once and certifies the
-    split once, however often they are read (two solves and A_theta)."""
+    split once, however often they are read (two solves)."""
     make = {"sims": lambda: parse_model(SIMS_JSON), "planted-s4": solvable_planted_s4, **MAKE}
     m = make[which]()._replace()  # an empty memo
     split = "solver.factor_stable_unstable"
@@ -179,15 +179,15 @@ def test_adj_and_zeta_only_for_a_solve_past_the_split(monkeypatch, which):
         return
     assert which != "refused"
     if sr.transfer_num is not None:
-        assert verify_solution(m, sr)["ok"] and sr.A_theta is not None
+        assert verify_solution(m, sr)["ok"]
     assert solve_causal(m).classification == sr.classification
     assert counts == {**dict.fromkeys(ADJ_ZETA, 1), split: 1}
 
 
 @pytest.mark.parametrize("which", ["refused", "no-solution", "solvable"])
-def test_smith_form_runs_only_for_a_theta_when_det_pi0_is_nonzero(monkeypatch, which):
+def test_smith_form_never_runs_when_det_pi0_is_nonzero(monkeypatch, which):
     """validate + analyze + solve (+ verify) of a det pi(0) != 0 model computes
-    no global Smith form; the first read of a solution's A_theta computes it once."""
+    no global Smith form and leaves none in the memo."""
     m, outcome = MAKE[which](), OUTCOME[which]
     assert build_pi(m).det[0] != 0
     counts = count_calls(monkeypatch)
@@ -203,10 +203,7 @@ def test_smith_form_runs_only_for_a_theta_when_det_pi0_is_nonzero(monkeypatch, w
             assert verify_solution(m, sr)["ok"]
     solved = dict.fromkeys(ADJ_ZETA, int(which != "refused"))
     assert counts == {"model.build_pi": 1, "canon.smith_form": 0, **solved}
-    if which == "solvable":
-        a_theta = sr.A_theta
-        assert a_theta is not None and counts["canon.smith_form"] == 1
-        assert sr.A_theta == a_theta and counts["canon.smith_form"] == 1  # the memoized form
+    assert "sf" not in m.artifacts
 
 
 def test_smith_form_only_for_a_predetermined_model_with_g_positive(monkeypatch, corpus):
@@ -239,7 +236,8 @@ def test_views_share_artifacts():
     a, b = run_pipeline(m), run_pipeline(m)
     assert a.sf is b.sf and a.cs is b.cs and a.pi is b.pi and a.roots is b.roots
     assert a.local is b.local
-    assert solve_causal(m).pipeline.sf is a.sf
+    solve_causal(m)
+    assert run_pipeline(m).sf is a.sf
 
 
 def test_validate_semantics_touches_only_pi_and_sf():
@@ -276,7 +274,7 @@ def test_records_keep_their_fields_and_defaults():
     )
     assert SolutionReport._fields == (
         "classification", "indeterminacy_dim", "h", "h_particular", "kernel", "transfer_num",
-        "transfer_den", "pipeline", "kernel_point",
+        "transfer_den", "kernel_point",
     )
 
 
@@ -296,7 +294,7 @@ def test_dropped_model_frees_its_artifacts():
     m = parse_model(SIMS_JSON)
     sr = solve_causal(m)
     dimension_report(m)
-    refs = [weakref.ref(sr.pipeline.sf), weakref.ref(m.artifacts["cs"])]
+    refs = [weakref.ref(run_pipeline(m).sf), weakref.ref(m.artifacts["cs"])]
     gc.disable()
     try:
         del m, sr

@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 
 from recausal import canon, dimension
 from recausal.canon import (
-    SmithForm, UnitCircleRootError, _unstable_part, classify_roots, smith_form,
+    RedundantEquationsError, SmithForm, UnitCircleRootError, _unstable_part, classify_roots,
+    smith_form,
 )
-from recausal.cli import _emit, build_parser, cmd_smith, cmd_solve
+from recausal.cli import _emit, build_parser, cmd_smith, cmd_solve, cmd_verify
 from recausal.dimension import dimension_report, run_pipeline
 from recausal.exactalg import (
     Poly, PolyMatrix, RationalMatrix, _packed_product, det_adjugate,
@@ -67,6 +68,13 @@ from conftest import (
 
 Z = Poly([0, 1])
 GOLDEN = Path(__file__).resolve().parent / "golden"
+MODELS = GOLDEN.parents[1] / "models"
+
+
+def golden_models():
+    """The models of models/ and tests/golden/, by file name."""
+    paths = [*MODELS.glob("*.json"), *GOLDEN.glob("*.json")]
+    return {p.stem: parse_model(p.read_text()) for p in paths if p.name != "cases.json"}
 
 
 def scalar_model(a, wold_len=1):
@@ -286,8 +294,7 @@ def test_verify_sims_and_negative_control():
     bad = SolutionReport(
         classification=sr.classification, indeterminacy_dim=sr.indeterminacy_dim,
         h=sr.h, h_particular=sr.h_particular, kernel=sr.kernel,
-        transfer_num=bad_num, transfer_den=sr.transfer_den,
-        pipeline=sr.pipeline, kernel_point=sr.kernel_point,
+        transfer_num=bad_num, transfer_den=sr.transfer_den, kernel_point=sr.kernel_point,
     )
     rep = verify_solution(m, bad, max_lag=10)
     assert not rep["ok"] and rep["failures"]
@@ -645,7 +652,7 @@ def test_divisibility_rows_match_smith_split(corpus):
         n_deep += max(pipe.sf.g) > J1 + 1
         if sr.h is not None:
             N = map_at(A, W, sr.h)
-            assert ref_transfer(N, split) == (sr.transfer_num, sr.transfer_den, sr.A_theta)
+            assert ref_transfer(N, split) == (sr.transfer_num, sr.transfer_den)
             n_transfers += 1
     assert n_sets >= 50 and n_transfers >= 30 and n_deep >= 8, (n_sets, n_transfers, n_deep)
 
@@ -790,27 +797,25 @@ def test_verify_reports_a_forced_entry_set_nonzero(corpus, predetermined_probe):
 
 def test_solve_and_verify_derive_no_smith_inverse():
     """Q, P and Q^-1 are derived on first read: validate, analyze, solve and
-    verify read none of them, while A_theta and `recausal smith` derive Q.
-    They compute a Smith form only for a predetermined model (all have G > 0)."""
-    n_theta = 0
+    verify read none of them, and only `recausal smith` derives them.  Solve
+    and verify compute no Smith form; validate and analyze compute one only for
+    a predetermined model (all have G > 0)."""
+    n_solved = 0
     for m in planted_models():
-        validate_semantics(m)
-        dimension_report(m)
         sr = solve_causal(m)
         if sr.transfer_num is not None:
             assert verify_solution(m, sr)["ok"]
+            n_solved += 1
+        assert "sf" not in m.artifacts
+        validate_semantics(m)
+        dimension_report(m)
         assert ("sf" in m.artifacts) == m.predetermined
         if m.predetermined:
             assert not {"Q", "P", "Q_inv"} & set(vars(m.artifacts["sf"]))
-        if sr.transfer_num is not None:
-            sr.A_theta
-            sf = m.artifacts["sf"]
-            assert "Q" in vars(sf) and not {"P", "Q_inv"} & set(vars(sf))
-            n_theta += 1
         m = m._replace()
         cmd_smith(m, None)
         assert {"Q", "P", "Q_inv"} <= set(vars(m.artifacts["sf"]))
-    assert n_theta == 10, n_theta
+    assert n_solved == 10, n_solved
 
 
 def test_planted_models_with_s0_zero_answer():
@@ -840,20 +845,65 @@ def _drop_smith_unimodulars(m):
 
 
 def test_solve_reads_no_smith_unimodular_but_q(capsys):
+    """The solve reads no Smith factor: from a memoized form stripped to g, phi
+    and Q it prints the golden solve and answers as a fresh model does, whose
+    solve and verify leave no Smith form in the memo."""
     m = sims_model()
     _drop_smith_unimodulars(m)
     _emit(cmd_solve(m, build_parser().parse_args(["solve", "sims.json"])), "json")
     assert capsys.readouterr().out == (GOLDEN / "sims_solve.stdout").read_text()
     assert "Q_inv" not in vars(m.artifacts["sf"])
-    # g = (0, 0, 2) > J1 = 1: A_theta reads min(g_i, J1) and Q
+    # g = (0, 0, 2) > J1 = 1
     m = planted_models()[3]
-    want = solve_causal(m._replace())
+    fresh = m._replace()
+    want = solve_causal(fresh)
+    assert verify_solution(fresh, want)["ok"] and "sf" not in fresh.artifacts
     _drop_smith_unimodulars(m)
     got = solve_causal(m)
     assert got.classification == want.classification == "determinate"
     assert "Q_inv" not in vars(m.artifacts["sf"])
-    for field in ("h", "kernel", "transfer_num", "transfer_den", "A_theta"):
+    for field in ("h", "kernel", "transfer_num", "transfer_den"):
         assert getattr(got, field) == getattr(want, field), field
+
+
+def _sheared_smith(sf: SmithForm) -> SmithForm:
+    """The factors P' = P T^-1 and Q' = N Q of the same pi = P d Q, d = diag(z^g phi),
+    for the shear N = I + e_(n-1,0): T = d N d^-1 adds d_(n-1) / d_0, a polynomial,
+    times row 0 of P^-1 to its row n-1."""
+    d = sf.invariant_factors()
+    rows = [[Poly.const(int(i == j)) for j in range(sf.size)] for i in range(sf.size)]
+    rows[-1][0] = d[-1].exact_div(d[0])
+    return SmithForm(sf.pi, sf.g, sf.phi, PolyMatrix(rows) * sf.P_inv)
+
+
+def _printed(capsys, m, argv):
+    """What `recausal <argv>` prints on stdout for the model object m, or its error."""
+    args = build_parser().parse_args([*argv, "model.json"])
+    try:
+        _emit({"solve": cmd_solve, "verify": cmd_verify}[argv[0]](m, args), "json")
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return capsys.readouterr().out
+
+
+def test_solve_and_verify_print_the_same_from_another_smith_factorization(capsys):
+    """solve and verify print only what the model determines: with another valid
+    Smith factorization of pi in the memo, their stdout is byte-equal to the run
+    that computes its own.  Still built from the factors, and not asserted here:
+    analyze, constraints and probe of a predetermined model with G > 0, whose
+    constraint system reads P^-1 and E(0) of the global Smith form."""
+    models = golden_models()
+    for name in ("sims", "generic", "planted3"):
+        sf = smith_form(build_pi(models[name]).pi)
+        sheared = _sheared_smith(sf)
+        assert sheared.Q != sf.Q and sheared.P_inv * sf.pi == PolyMatrix.diag(
+            sf.invariant_factors()) * sheared.Q, name
+        for argv in (["solve"], ["solve", "--kernel-point", "0"], ["verify"]):
+            m = models[name]._replace()
+            m.artifacts["sf"] = sheared
+            want = _printed(capsys, models[name]._replace(), argv)
+            assert _printed(capsys, m, argv) == want, (name, argv)
+            assert m.artifacts["sf"] is sheared
 
 
 def _verifies_at_every_kernel_point(m, sr):
@@ -915,25 +965,29 @@ def test_solver_matches_substitution_oracle(corpus, predetermined_probe):
     assert counts == {"all": 125, "below": 39, "indeterminate": 37}, counts
 
 
-def test_solve_and_verify_read_no_smith_or_constraint_stage(monkeypatch):
-    """On G > 0 the solve reads only pi, roots, adj and zeta(z): no Smith form,
-    no local data and no constraint system.  Only A_theta reads the Smith form."""
+def test_solve_and_verify_read_no_smith_or_constraint_stage(
+        monkeypatch, corpus, predetermined_probe):
+    """Solve, verify and simulate of a fresh model read only pi, roots, the split,
+    adj and zeta(z): no Smith form, no local data and no constraint system, on
+    every model set and golden model, whatever G and the flavor."""
     calls = []
     monkeypatch.setattr(dimension, "smith_form", lambda pi: calls.append(1) or smith_form(pi))
-    n_read = 0
-    for m in planted_models():
-        if build_pi(m).det[0] != 0:
-            continue
-        sr = solve_causal(m)
-        if sr.transfer_num is not None:
+    models = (list(corpus) + list(predetermined_probe) + ladder_shaped_models() + planted_models()
+              + deep_planted_models() + list(golden_models().values()))
+    n_solved = 0
+    for m in models:
+        m = m._replace()
+        try:
+            sr = solve_causal(m)
+        except (FactorizationError, UnsupportedModelError, RedundantEquationsError):
+            sr = None
+        if sr is not None and sr.transfer_num is not None:
             assert verify_solution(m, sr)["ok"]
+            simulate(sr, T=10, seed=0, truncation=10)
+            n_solved += 1
         assert not calls
         assert not {"sf", "local", "pb", "m_stack", "plain_cs", "cs"} & set(m.artifacts)
-        if sr.transfer_num is not None:
-            assert sr.A_theta is not None and len(calls) == 1
-            calls.clear()
-            n_read += 1
-    assert n_read >= 5, n_read
+    assert n_solved == 45, n_solved
 
 
 def test_expectation_kernel_is_the_kernel_of_pi_d_plus_m_d(corpus, predetermined_probe):
@@ -955,7 +1009,7 @@ def test_simulate_white_noise_and_determinism():
     white = SolutionReport(
         classification="determinate", indeterminacy_dim=0, h=None, h_particular=None,
         kernel=(), transfer_num=PolyMatrix.identity(2), transfer_den=Poly.const(1),
-        pipeline=None, kernel_point="min-norm",
+        kernel_point="min-norm",
     )
     rep = simulate(white, T=40000, seed=3)
     se = rep["mc_standard_error"]
