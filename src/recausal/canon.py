@@ -54,7 +54,8 @@ class FactorizationError(ArithmeticError):
 
 
 class UnsupportedModelError(ValueError):
-    """The model is outside what is supported: J1 < 0, or no solution to verify."""
+    """The model is outside what is supported: J1 < 0, no solution to verify, or a
+    transfer that `simulate` cannot filter in floats."""
 
 
 _TOL = Fraction(1e-9)  # widens the ring [1/xi, 1] that holds no root on each side

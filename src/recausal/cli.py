@@ -2,7 +2,8 @@
 
 Reports go to stdout (JSON by default, deterministic key order), diagnostics
 to stderr.  Exit codes: 0 success, 1 model/analysis error, a failed `verify`
-(its report is still printed) or `simulate` without numpy, 2 usage error.
+(its report is still printed), `simulate` without numpy or past the float range,
+2 usage error.
 """
 
 from __future__ import annotations

@@ -290,34 +290,61 @@ def verify_solution(m: REModel, sr: SolutionReport, max_lag: int = 50) -> dict:
     }
 
 
+def _mc_filter(coeffs, eps):
+    """y_t = sum_j coeffs[j] eps_(t-j) over the last len(eps) - len(coeffs) draws, lag 0 first."""
+    import numpy as np
+
+    truncation, T = len(coeffs), len(eps) - len(coeffs)
+    coeffs_t = np.ascontiguousarray(coeffs.transpose(0, 2, 1))
+    y = np.zeros((T, coeffs.shape[1]))
+    for j in range(truncation):
+        y += eps[truncation - j : truncation - j + T] @ coeffs_t[j]
+    return y
+
+
 def simulate(sr: SolutionReport, T: int, seed: int, truncation: int = 200) -> dict:
-    """Monte Carlo cross-check: filter N(0, I) innovations through the transfer."""
+    """Monte Carlo cross-check: filter N(0, I) innovations through the transfer.
+
+    `_mc_filter` multiplies by one contiguous copy of the transposed coefficient
+    stack: numpy sends a (T x q) @ (q x s) product with the strided view
+    `coeffs[j].T` down a slower BLAS path.  The products and the order they are
+    summed in are the same, so y has the same bytes as with the view.  A
+    coefficient or an autocovariance that is not a finite float raises
+    UnsupportedModelError naming it and its lag; mc_standard_error is finite
+    when exact_autocov at lag 0 is.
+    """
     if sr.transfer_num is None:
         raise ValueError("no transfer function to simulate")
     import numpy as np
 
-    series = transfer_series(sr.transfer_num, sr.transfer_den, truncation)
-    coeffs = np.array(
-        [[[float(e) for e in row] for row in mat.entries] for mat in series]
-    )
-    s, q = coeffs.shape[1], coeffs.shape[2]
+    stack = []
+    for lag, mat in enumerate(transfer_series(sr.transfer_num, sr.transfer_den, truncation)):
+        try:
+            stack.append([[float(e) for e in row] for row in mat.entries])
+        except OverflowError:
+            raise UnsupportedModelError(
+                f"transfer coefficient at lag {lag} is too large for a float") from None
+    coeffs = np.array(stack)
+    s = coeffs.shape[1]
     rng = np.random.default_rng(seed)
-    eps = rng.standard_normal((T + truncation, q))
-    y = np.zeros((T, s))
-    for j in range(truncation):
-        y += eps[truncation - j : truncation - j + T] @ coeffs[j].T
-    out = {"T": T, "seed": seed, "truncation": truncation, "autocov": {}}
-    for lag in range(3):
-        prod = y[lag:].T @ y[: T - lag] / (T - lag)
-        out["autocov"][lag] = prod.tolist()
-    exact = []
-    for lag in range(3):
-        acc = np.zeros((s, s))
-        for j in range(truncation - lag):
-            acc += coeffs[j + lag] @ coeffs[j].T
-        exact.append(acc.tolist())
-    out["exact_autocov"] = {lag: exact[lag] for lag in range(3)}
-    out["mc_standard_error"] = float(np.sqrt(1.0 / T)) * float(
-        np.abs(np.array(exact[0])).max() + 1.0
-    )
-    return out
+    eps = rng.standard_normal((T + truncation, coeffs.shape[2]))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is an error below
+        y = _mc_filter(coeffs, eps)
+        autocov = [y[lag:].T @ y[: T - lag] / (T - lag) for lag in range(3)]
+        exact = []
+        for lag in range(3):
+            acc = np.zeros((s, s))
+            for j in range(truncation - lag):
+                acc += coeffs[j + lag] @ coeffs[j].T
+            exact.append(acc)
+        se = float(np.sqrt(1.0 / T)) * float(np.abs(exact[0]).max() + 1.0)
+    for name, mats in (("autocov", autocov), ("exact_autocov", exact)):
+        for lag, a in enumerate(mats):
+            if not np.isfinite(a).all():
+                raise UnsupportedModelError(f"{name} at lag {lag} is not a finite float")
+    return {
+        "T": T, "seed": seed, "truncation": truncation,
+        "autocov": {lag: a.tolist() for lag, a in enumerate(autocov)},
+        "exact_autocov": {lag: a.tolist() for lag, a in enumerate(exact)},
+        "mc_standard_error": se,
+    }

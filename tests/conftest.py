@@ -1410,6 +1410,18 @@ def ref_transfer(N: PolyMatrix, split):
     return num, den * inv
 
 
+def ref_mc_filter(coeffs, eps):
+    """y_t = sum_j coeffs[j] eps_(t-j) by products with the transposed views
+    `coeffs[j].T`, lag 0 first: the reference for `solver._mc_filter`."""
+    import numpy as np
+
+    truncation, T = len(coeffs), len(eps) - len(coeffs)
+    y = np.zeros((T, coeffs.shape[1]))
+    for j in range(truncation):
+        y += eps[truncation - j : truncation - j + T] @ coeffs[j].T
+    return y
+
+
 # ---------------------------------------------------------------------------
 # paper fixtures: the Sims model and its published factorization
 

@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, deterministic output, subcommands, flags."""
 
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -171,6 +172,29 @@ def test_simulate_with_three_trials(capsys):
     assert doc["T"] == 3 and sorted(doc["autocov"]) == ["0", "1", "2"]
     assert run(capsys, "probe", SIMS, "--trials", "1")[0] == 0  # the bound is simulate's
     assert run(capsys, "smith", SIMS, "--trials", "0")[0] == 0  # only simulate and probe read it
+
+
+def _scalar_wold(w: int) -> str:
+    """y = w eps: a determinate scalar model whose transfer is the integer w."""
+    return json.dumps({"s": 1, "K": 0, "H": 0, "q": 1, "gamma": [1],
+                       "A": [{"k": 0, "h": 0, "matrix": [["1"]]}], "wold": [[[str(w)]]], "xi": "1"})
+
+
+@pytest.mark.parametrize("w, trials, message", [
+    (2**1100, "100000", "transfer coefficient at lag 0 is too large for a float"),
+    (10**200, "10", "autocov at lag 0 is not a finite float"),
+], ids=["2**1100", "10**200"])
+def test_simulate_past_the_float_range_is_one_error_line(capsys, tmp_path, w, trials, message):
+    """solve and verify are exact and accept the model; simulate prints no traceback,
+    no numpy warning and no non-JSON Infinity, but one error line and exit 1."""
+    path = tmp_path / "scalar.json"
+    path.write_text(_scalar_wold(w))
+    assert run(capsys, "solve", str(path))[::2] == (0, "")
+    assert run(capsys, "verify", str(path))[::2] == (0, "")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = run(capsys, "simulate", str(path), "--trials", trials)
+    assert got == (1, "", f"error: {message}\n")
 
 
 # A_00 = 1, A_01 = -2^1036: det pi has a root of modulus 2^1036, past the float range

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from recausal import canon, dimension
 from recausal.canon import (
@@ -27,6 +28,7 @@ from recausal.solver import (
     UnsupportedModelError,
     _cancellation_rows,
     _expectation_kernel,
+    _mc_filter,
     _numerator,
     factor_stable_unstable,
     simulate,
@@ -51,6 +53,7 @@ from conftest import (
     rank_of,
     ref_cancellation_rows,
     ref_expectation_kernel,
+    ref_mc_filter,
     ref_numerator,
     ref_residual_map,
     ref_residual_rows,
@@ -1018,6 +1021,56 @@ def test_simulate_white_noise_and_determinism():
             assert abs(rep["autocov"][0][i][j] - (1.0 if i == j else 0.0)) < 4 * se
     assert simulate(white, T=40000, seed=3) == rep
     assert simulate(white, T=40000, seed=4) != rep
+
+
+def _assert_filter_matches_reference(coeffs, eps):
+    got, want = _mc_filter(coeffs, eps), ref_mc_filter(coeffs, eps)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes(), (
+        f"the contiguous stack changed y: (s, q) = {coeffs.shape[1:]}, {len(coeffs)} lags, "
+        f"T = {len(eps) - len(coeffs)}, max |diff| {abs(got - want).max()!r}")
+
+
+@pytest.mark.parametrize("path", [GOLDEN.parent.parent / "models" / "sims.json",
+                                  GOLDEN / "generic.json", GOLDEN / "planted3.json"],
+                         ids=["sims", "generic", "planted3"])
+def test_mc_filter_matches_the_transposed_view_on_solved_models(path):
+    """simulate's filter, at its default T and truncation, gives y bit for bit as
+    the products with `coeffs[j].T` did: the BLAS path differs, the sums do not."""
+    import numpy as np
+
+    sr = solve_causal(parse_model(path.read_text()))
+    coeffs = np.array([[[float(e) for e in row] for row in mat.entries]
+                       for mat in transfer_series(sr.transfer_num, sr.transfer_den, 200)])
+    eps = np.random.default_rng(0).standard_normal((100000 + 200, coeffs.shape[2]))
+    _assert_filter_matches_reference(coeffs, eps)
+
+
+@st.composite
+def _filter_input(draw):
+    """A float coefficient stack with q <= s, at most 5, and innovations for T >= 3."""
+    s = draw(st.integers(1, 5))
+    q = draw(st.integers(1, s))
+    truncation, T = draw(st.integers(1, 12)), draw(st.integers(3, 40))
+    finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+    coeffs = draw(hnp.arrays(float, (truncation, s, q), elements=finite))
+    eps = draw(hnp.arrays(float, (truncation + T, q), elements=finite))
+    return coeffs, eps
+
+
+@settings(derandomize=True, max_examples=150, deadline=timedelta(seconds=4))
+@given(_filter_input())
+def test_mc_filter_matches_the_transposed_view_on_drawn_stacks(args):
+    _assert_filter_matches_reference(*args)
+
+
+def test_mc_filter_matches_the_transposed_view_at_three_trials():
+    import numpy as np
+
+    rng = np.random.default_rng(5)
+    for s, q in ((5, 2), (5, 5), (3, 1), (1, 1)):
+        _assert_filter_matches_reference(rng.standard_normal((200, s, q)),
+                                         rng.standard_normal((203, q)))
 
 
 def test_simulate_sims_autocovariance():
