@@ -1,9 +1,11 @@
-"""Command-line interface: analyze | smith | constraints | solve | verify | simulate | probe.
+"""Command-line interface: recausal <command> <model.json> [options].
 
-Reports go to stdout (JSON by default, deterministic key order), diagnostics
-to stderr.  Exit codes: 0 success, 1 model/analysis error, a failed `verify`
-(its report is still printed), `simulate` without numpy or past the float range,
-2 usage error.
+One parser reads the command (analyze | smith | constraints | solve | verify |
+simulate | probe), the model path and six options, before or after the path;
+each command checks only the options it reads.  Reports go to stdout (JSON by
+default, deterministic key order), diagnostics to stderr.  Exit codes: 0 success,
+1 model/analysis error, a failed `verify` (its report is still printed), `simulate`
+without numpy or past the float range, 2 usage error or an unreadable model path.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import sys
 
 from .canon import RedundantEquationsError, UnitCircleRootError
 from .dimension import dimension_report, genericity_probe, run_pipeline
-from .exactalg import Poly, PolyMatrix, RationalMatrix, rat_str
+from .exactalg import Poly, PolyMatrix, rat_rows, rat_str
 from .model import (
     ModelFormatError,
     REModel,
@@ -41,23 +43,24 @@ def _polymatrix_doc(m: PolyMatrix):
     return [[_poly_doc(e) for e in row] for row in m.entries]
 
 
-def _ratmatrix_doc(m: RationalMatrix):
-    return [[rat_str(e) for e in row] for row in m.entries]
-
-
 def _vector_doc(v):
     return [rat_str(x) for x in v]
 
 
 def _load_model(path: str, xi_override) -> REModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        m = parse_model(fh.read())
+    """The model at path with --xi applied; an OSError if the file cannot be read."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ModelFormatError(f"{path} is not UTF-8 text: {exc}") from exc
+    m = parse_model(text)
     return m if xi_override is None else m._replace(xi=xi_override)
 
 
 def _parse_options(args) -> str | None:
-    """Parse --xi in place by parse_model's rule and range-check --trials and --seed
-    for simulate and probe, the commands that read them.
+    """Parse --xi in place by parse_model's rule, default --trials per command and
+    range-check --trials and --seed for simulate and probe, the commands that read them.
 
     Returns why an option is invalid, or None.
     """
@@ -65,6 +68,8 @@ def _parse_options(args) -> str | None:
         args.xi = None if args.xi is None else parse_xi(args.xi)
     except ModelFormatError as exc:
         return f"--xi: {exc}"
+    if args.trials is None:
+        args.trials = 10 if args.command == "probe" else 100000
     if args.command in ("simulate", "probe"):
         if args.trials < 1:
             return "--trials must be at least 1"
@@ -144,9 +149,9 @@ def cmd_constraints(m: REModel, args) -> dict:
     return {
         "command": "constraints",
         "flavor": cs.flavor,
-        "C": _ratmatrix_doc(cs.C),
-        "D": _ratmatrix_doc(cs.D),
-        "rhs": _ratmatrix_doc(cs.rhs),
+        "C": rat_rows(cs.C),
+        "D": rat_rows(cs.D),
+        "rhs": rat_rows(cs.rhs),
         "rank_w": cs.rank_w,
         "kernel": [_vector_doc(v) for v in cs.kernel],
         "effective_unknowns": cs.effective_unknowns,
@@ -162,7 +167,7 @@ def cmd_solve(m: REModel, args) -> dict:
         "kernel_point": sr.kernel_point,
     }
     if sr.h is not None:
-        doc["h"] = _ratmatrix_doc(sr.h)
+        doc["h"] = rat_rows(sr.h)
         doc["kernel"] = [_vector_doc(v) for v in sr.kernel]
         doc["transfer_numerator"] = _polymatrix_doc(sr.transfer_num)
         doc["transfer_denominator"] = _poly_doc(sr.transfer_den)
@@ -210,60 +215,59 @@ def build_parser() -> argparse.ArgumentParser:
         prog="recausal",
         description="Exact analysis of linear rational-expectations models",
     )
-    sub = ap.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("model", help="path to the model JSON file")
-        p.add_argument("--xi", default=None, help="growth bound, rational >= 1")
-        p.add_argument("--max-lag", type=int, default=50, dest="max_lag")
-        p.add_argument("--trials", type=int, default=10 if name == "probe" else 100000)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument(
-            "--kernel-point", default="min-norm", dest="kernel_point",
-            help="'min-norm' or a kernel basis index 0..k-1 (k = kernel dimension)",
-        )
+    ap.add_argument("command", choices=_COMMANDS)
+    ap.add_argument("model", help="path to the model JSON file")
+    ap.add_argument("--xi", default=None, help="growth bound, rational >= 1")
+    ap.add_argument("--max-lag", type=int, default=50, dest="max_lag")
+    ap.add_argument("--trials", type=int, default=None,
+                    help="default 100000 for simulate, 10 for probe")
+    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--format", choices=("json", "text"), default="json")
+    ap.add_argument(
+        "--kernel-point", default="min-norm", dest="kernel_point",
+        help="'min-norm' or a kernel basis index 0..k-1 (k = kernel dimension)",
+    )
     return ap
+
+
+def _error(message, code: int) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     invalid = _parse_options(args)
     if invalid:
-        print(f"error: {invalid}", file=sys.stderr)
-        return 2
+        return _error(invalid, 2)
     try:
         m = _load_model(args.model, args.xi)
-        if args.command == "verify" and args.max_lag < m.H:  # only verify reads --max-lag
-            print(f"error: --max-lag must be at least H = {m.H}", file=sys.stderr)
-            return 2
+    except OSError as exc:  # around reading alone: a BrokenPipeError of print is no usage error
+        return _error(exc, 2)
+    except ModelFormatError as exc:
+        return _error(exc, 1)
+    if args.command == "verify" and args.max_lag < m.H:  # only verify reads --max-lag
+        return _error(f"--max-lag must be at least H = {m.H}", 2)
+    try:
         doc = _COMMANDS[args.command](m, args)
         _emit(doc, args.format)
         if args.command == "verify" and not doc["ok"]:
             lag = f" at lag {doc['failures'][0]['lag']}" if doc["failures"] else ""
-            print(f"error: verification failed{lag}", file=sys.stderr)
-            return 1
+            return _error(f"verification failed{lag}", 1)
         return 0
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except KernelPointError as exc:
-        print(f"error: --kernel-point {exc}", file=sys.stderr)
-        return 2
+        return _error(f"--kernel-point {exc}", 2)
     except (
-        ModelFormatError,
         RedundantEquationsError,
         UnitCircleRootError,
         UnsupportedModelError,
         FactorizationError,
     ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _error(exc, 1)
     except ModuleNotFoundError as exc:
         if exc.name != "numpy":
             raise
-        print(f"error: {args.command} needs numpy, which cannot be imported", file=sys.stderr)
-        return 1
+        return _error(f"{args.command} needs numpy, which cannot be imported", 1)
 
 
 if __name__ == "__main__":

@@ -48,6 +48,11 @@ def rat_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def rat_rows(m: "RationalMatrix") -> list:
+    """The matrix as rows of rat_str, as model files and reports write it."""
+    return [[rat_str(e) for e in row] for row in m.entries]
+
+
 class Poly:
     """Univariate polynomial over the rationals: sum(num[i] z^i) / den."""
 

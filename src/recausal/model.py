@@ -25,7 +25,8 @@ from itertools import product
 from math import lcm
 
 from .canon import RedundantEquationsError
-from .exactalg import Poly, PolyMatrix, RationalMatrix, _poly, _rmat, determinant, rat, rat_str
+from .exactalg import (Poly, PolyMatrix, RationalMatrix, _poly, _rmat, determinant, rat,
+                       rat_rows, rat_str)
 
 SCHEMA_VERSION = 1
 
@@ -34,10 +35,9 @@ class ModelFormatError(ValueError):
     pass
 
 
-class REModel(namedtuple("REModel", "s K H q A gamma wold xi r_hint",
-                         defaults=(Fraction(1), None))):
+class REModel(namedtuple("REModel", "s K H q A gamma wold xi", defaults=(Fraction(1),))):
     """A (k, h) -> RationalMatrix with zero matrices omitted, gamma = (s_0, ..., s_H),
-    wold = (w_0, ..., w_L) with each w_j s x q, r_hint an int or None."""
+    wold = (w_0, ..., w_L) with each w_j s x q."""
 
     @cached_property
     def artifacts(self) -> dict:
@@ -103,7 +103,7 @@ def parse_model(text: str) -> REModel:
     """Parse and validate a model from its JSON document."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ModelFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ModelFormatError("model document must be a JSON object")
@@ -154,16 +154,7 @@ def parse_model(text: str) -> REModel:
     if not wold:
         raise ModelFormatError("wold list must contain at least w_0")
     xi = parse_xi(doc.get("xi", 1))
-    r_hint = doc.get("r_hint")
-    if r_hint is not None and (type(r_hint) is not int or not (q <= r_hint <= s)):
-        raise ModelFormatError("r_hint must satisfy q <= r_hint <= s")
-    return REModel(
-        s=s, K=K, H=H, q=q, A=A, gamma=tuple(gamma), wold=wold, xi=xi, r_hint=r_hint
-    )
-
-
-def _matrix_doc(m: RationalMatrix):
-    return [[rat_str(e) for e in row] for row in m.entries]
+    return REModel(s=s, K=K, H=H, q=q, A=A, gamma=tuple(gamma), wold=wold, xi=xi)
 
 
 def serialize_model(m: REModel) -> str:
@@ -176,14 +167,12 @@ def serialize_model(m: REModel) -> str:
         "q": m.q,
         "gamma": list(m.gamma),
         "A": [
-            {"k": k, "h": h, "matrix": _matrix_doc(m.A[(k, h)])}
+            {"k": k, "h": h, "matrix": rat_rows(m.A[(k, h)])}
             for (k, h) in sorted(m.A)
         ],
-        "wold": [_matrix_doc(w) for w in m.wold],
+        "wold": [rat_rows(w) for w in m.wold],
         "xi": rat_str(m.xi),
     }
-    if m.r_hint is not None:
-        doc["r_hint"] = m.r_hint
     return json.dumps(doc, indent=2, sort_keys=True)
 
 

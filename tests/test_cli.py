@@ -121,6 +121,23 @@ def test_missing_file_exit_2(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "content, code, message",
+    [(None, 2, "Is a directory"), (b"\xff\xfe", 1, "is not UTF-8 text"),
+     (b"[" * 100_000 + b"]" * 100_000, 1, "invalid JSON: maximum recursion depth")],
+    ids=["directory", "not-utf8", "nested-100000-deep"],
+)
+def test_unreadable_or_malformed_file_is_one_error_line(capsys, tmp_path, content, code, message):
+    """A directory is a path that cannot be read (exit 2), as a missing file is;
+    a file that is not UTF-8 or whose JSON nests past the recursion limit is a
+    format error (exit 1).  Each is one error line, not a traceback."""
+    path = tmp_path / "model.json"
+    path.mkdir() if content is None else path.write_bytes(content)
+    got, out, err = run(capsys, "analyze", str(path))
+    assert (got, out) == (code, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
 def test_max_lag_below_h_exit_2(capsys):
     code, _, err = run(capsys, "verify", SIMS, "--max-lag", "0")
     assert code == 2
@@ -128,16 +145,22 @@ def test_max_lag_below_h_exit_2(capsys):
 
 
 def test_usage_errors_exit_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main([])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["solve", SIMS, "--no-such-flag"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["frobnicate", SIMS])
-    assert exc.value.code == 2
-    capsys.readouterr()
+    for argv in ([], ["frobnicate", SIMS], ["solve", SIMS, "--no-such-flag"],
+                 ["solve", SIMS, "--format", "xml"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "", argv
+        assert err.splitlines()[-1].startswith("recausal: error:"), argv
+
+
+def test_options_before_or_after_the_model(capsys):
+    """One parser: options may precede the command, the model or follow both."""
+    want = run(capsys, "solve", GENERIC, "--format", "text", "--kernel-point", "0")
+    assert run(capsys, "--format", "text", "solve", "--kernel-point", "0", GENERIC) == want
+    assert run(capsys, "solve", "--kernel-point", "0", GENERIC, "--format", "text") == want
+    assert want[0] == 0 and "kernel_point: 0" in want[1]
 
 
 def test_format_text(capsys):
@@ -314,7 +337,6 @@ def test_solve_refuses_negative_j1(capsys, tmp_path):
         ("gamma", lambda d: d.update(gamma=[True, False])),
         ("'k'", lambda d: d["A"][0].update(k=False)),
         ("'h'", lambda d: d["A"][1].update(h=True)),
-        ("r_hint", lambda d: d.update(r_hint=True)),
         ("A[0,0]", lambda d: d["A"][0].update(matrix=[[True]])),
         ("wold[0]", lambda d: d.update(wold=[[[True]]])),
         # parsed entries are reused within a document, and true == 1 hashes like 1

@@ -56,7 +56,6 @@ def _sims_doc():
         (lambda d: d.update(xi="1/2"), "xi"),
         (lambda d: d.update(xi="abc"), "xi must be a rational number, got 'abc'"),
         (lambda d: d.update(xi=1.5), "xi must be a rational number, got 1.5"),
-        (lambda d: d.update(r_hint=5), "r_hint"),
     ],
 )
 def test_parse_errors(mutate, message):
@@ -64,6 +63,16 @@ def test_parse_errors(mutate, message):
     mutate(doc)
     with pytest.raises(ModelFormatError, match=message):
         parse_model(json.dumps(doc))
+
+
+def test_unread_keys_are_ignored():
+    """A model file's r_hint, like its schema_version, is read by no code: a
+    document that carries it parses as the same document without it."""
+    doc = _sims_doc()
+    plain = parse_model(json.dumps(doc))
+    for key, value in (("r_hint", 2), ("r_hint", True), ("schema_version", 7)):
+        assert parse_model(json.dumps(dict(doc, **{key: value}))) == plain
+    assert not hasattr(plain, "r_hint")
 
 
 @pytest.mark.parametrize(
