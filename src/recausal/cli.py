@@ -5,13 +5,19 @@ simulate | probe), the model path and six options, before or after the path;
 each command checks only the options it reads.  Reports go to stdout (JSON by
 default, deterministic key order), diagnostics to stderr.  Exit codes: 0 success,
 1 model/analysis error, a failed `verify` (its report is still printed), `simulate`
-without numpy or past the float range, 2 usage error or an unreadable model path.
+without numpy or past the float range, a reader that closed stdout (no traceback),
+2 usage error or an unreadable model path.
+
+`run` is the script entry (`python -m recausal.cli` and the `recausal` script);
+`main(argv)` is the in-process API and changes no process-wide state.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import os
 import sys
 
 from .canon import RedundantEquationsError, UnitCircleRootError
@@ -89,6 +95,9 @@ def _emit(doc: dict, fmt: str):
 
 
 def _emit_text(doc, prefix=""):
+    """Keys sorted, one `- v` line per scalar of a list.  A list inside a list keeps its
+    shape: a list of scalars (a matrix row, a polynomial) is one `- [a, b]` line, a list
+    of lists (a row of polynomials) a bare `-` line above its items."""
     if isinstance(doc, dict):
         for k in sorted(doc):
             v = doc[k]
@@ -99,10 +108,15 @@ def _emit_text(doc, prefix=""):
                 print(f"{prefix}{k}: {v}")
     elif isinstance(doc, list):
         for v in doc:
-            if isinstance(v, (dict, list)):
+            if isinstance(v, dict):
+                _emit_text(v, prefix + "  ")
+            elif not isinstance(v, list):
+                print(f"{prefix}- {v}")
+            elif any(isinstance(x, (dict, list)) for x in v):
+                print(f"{prefix}-")
                 _emit_text(v, prefix + "  ")
             else:
-                print(f"{prefix}- {v}")
+                print(f"{prefix}- [{', '.join(map(str, v))}]")
     else:
         print(f"{prefix}{doc}")
 
@@ -270,5 +284,23 @@ def main(argv=None) -> int:
         return _error(f"{args.command} needs numpy, which cannot be imported", 1)
 
 
+def run() -> int:
+    """The script entry: main() on sys.argv, then gc.freeze(), so that the interpreter's
+    shutdown skips collecting the objects that exiting frees anyway (recausal holds no
+    finalizer or cyclic resource that needs it).  A reader that closes stdout early
+    gives exit 1 without a traceback, as the "Note on SIGPIPE" in Python's signal docs
+    recommends."""
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed pipe raises here, inside the try
+        return code
+    except BrokenPipeError:
+        # the final flush at exit must not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

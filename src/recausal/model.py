@@ -1,4 +1,4 @@
-"""Model specification, JSON (de)serialization, and construction of pi(z).
+"""Model specification, JSON parsing, and construction of pi(z).
 
 A model is the system
 
@@ -25,8 +25,7 @@ from itertools import product
 from math import lcm
 
 from .canon import RedundantEquationsError
-from .exactalg import (Poly, PolyMatrix, RationalMatrix, _poly, _rmat, determinant, rat,
-                       rat_rows, rat_str)
+from .exactalg import Poly, PolyMatrix, RationalMatrix, _poly, _rmat, determinant, rat
 
 SCHEMA_VERSION = 1
 
@@ -155,25 +154,6 @@ def parse_model(text: str) -> REModel:
         raise ModelFormatError("wold list must contain at least w_0")
     xi = parse_xi(doc.get("xi", 1))
     return REModel(s=s, K=K, H=H, q=q, A=A, gamma=tuple(gamma), wold=wold, xi=xi)
-
-
-def serialize_model(m: REModel) -> str:
-    """Normalized JSON form: lowest terms, sorted (k, h), zero matrices omitted."""
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "s": m.s,
-        "K": m.K,
-        "H": m.H,
-        "q": m.q,
-        "gamma": list(m.gamma),
-        "A": [
-            {"k": k, "h": h, "matrix": rat_rows(m.A[(k, h)])}
-            for (k, h) in sorted(m.A)
-        ],
-        "wold": [rat_rows(w) for w in m.wold],
-        "xi": rat_str(m.xi),
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)
 
 
 # A_star: i -> RationalMatrix for J0 <= i <= J1; det = det pi(z), never

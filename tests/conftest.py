@@ -5,6 +5,7 @@ Everything random is seeded, so the whole suite is deterministic.
 
 from __future__ import annotations
 
+import json
 import random
 from collections import namedtuple
 from fractions import Fraction
@@ -35,10 +36,12 @@ from recausal.exactalg import (
     poly_gcd,
     rank_kernel,
     rat,
+    rat_rows,
+    rat_str,
     solve_affine,
     vstack,
 )
-from recausal.model import REModel, build_pi
+from recausal.model import SCHEMA_VERSION, REModel, build_pi
 from recausal.solver import FactorizationError, _cancellation_rows, factor_stable_unstable
 
 
@@ -721,6 +724,26 @@ def corpus():
         models.append(random_model(rng, s, rng.randint(1, 2), rng.randint(1, 2), kill_a0h=True))
     assert len(models) == 100
     return models
+
+
+def serialize_model(m: REModel) -> str:
+    """Normalized JSON form: lowest terms, sorted (k, h), zero matrices omitted.
+    `parse_model` reads it back to an equal model."""
+    doc = {
+        "schema_version": SCHEMA_VERSION,
+        "s": m.s,
+        "K": m.K,
+        "H": m.H,
+        "q": m.q,
+        "gamma": list(m.gamma),
+        "A": [
+            {"k": k, "h": h, "matrix": rat_rows(m.A[(k, h)])}
+            for (k, h) in sorted(m.A)
+        ],
+        "wold": [rat_rows(w) for w in m.wold],
+        "xi": rat_str(m.xi),
+    }
+    return json.dumps(doc, indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

@@ -43,12 +43,13 @@ from conftest import (
     ref_float_radii,
     ref_smith_form,
     rank_of,
+    serialize_model,
     sims_model,
     sims_published_smith,
     smith_fixture,
     zero_polymatrix,
 )
-from recausal.model import build_pi, serialize_model
+from recausal.model import build_pi
 
 Z = Poly([0, 1])
 

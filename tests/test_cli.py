@@ -1,6 +1,11 @@
 """CLI behavior: exit codes, deterministic output, subcommands, flags."""
 
+import gc
 import json
+import os
+import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -168,6 +173,67 @@ def test_format_text(capsys):
     assert code == 0
     assert "classification: determinate" in out
     assert "{" not in out.splitlines()[0]
+
+
+def test_format_text_keeps_matrix_shape(capsys):
+    """A list of scalars inside a list is one `- [a, b]` line, so a 2 x 1 and a 1 x 2
+    matrix print differently; a row of polynomials is a bare `-` over its entries."""
+    printed = []
+    for doc in ({"m": [["1"], ["2"]]}, {"m": [["1", "2"]]}, {"m": [[["1"], []]]}, {"g": [0, 1]}):
+        cli._emit_text(doc)
+        printed.append(capsys.readouterr().out)
+    assert printed == [
+        "m:\n  - [1]\n  - [2]\n",
+        "m:\n  - [1, 2]\n",
+        "m:\n  -\n    - [1]\n    - []\n",
+        "g:\n  - 0\n  - 1\n",
+    ]
+
+
+def test_main_leaves_the_collector_as_it_was(capsys):
+    """main(argv) is the in-process API: it freezes and disables nothing."""
+    before = gc.get_freeze_count(), gc.isenabled()
+    assert run(capsys, "analyze", SIMS)[0] == 0
+    assert run(capsys, "analyze", REDUNDANT)[0] == 1
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+
+@pytest.mark.parametrize("path", [SIMS, REDUNDANT], ids=["sims", "redundant"])
+def test_run_returns_mains_exit_code_and_freezes(capsys, monkeypatch, path):
+    """The script entry returns main's exit code and leaves the collector frozen, so
+    that the interpreter's shutdown skips collecting what exiting frees anyway."""
+    want = run(capsys, "analyze", path)
+    monkeypatch.setattr(sys, "argv", ["recausal", "analyze", path])
+    before = gc.get_freeze_count()
+    try:
+        code = cli.run()
+        frozen = gc.get_freeze_count()
+    finally:
+        gc.unfreeze()
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == want
+    assert frozen > before
+
+
+def test_script_entry_is_the_main_block_entry():
+    """pyproject's `recausal` script and `python -m recausal.cli` call one function.
+    pyproject.toml is read as text: tomllib is not in Python 3.10."""
+    script = re.search(r'^recausal = "recausal\.cli:(\w+)"$',
+                       (ROOT / "pyproject.toml").read_text(), re.M)
+    block = re.search(r'^if __name__ == "__main__":\n    sys\.exit\((\w+)\(\)\)\n\Z',
+                      Path(cli.__file__).read_text(), re.M)
+    assert script and block and script[1] == block[1] == "run"
+
+
+def test_closed_stdout_is_exit_1_without_traceback():
+    """A reader that closes the pipe before the report is written (`| head -c 0`)."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.Popen([sys.executable, "-m", "recausal.cli", "analyze", SIMS], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (1, "")
 
 
 def test_probe(capsys):

@@ -13,10 +13,9 @@ from recausal.model import (
     REModel,
     build_pi,
     parse_model,
-    serialize_model,
     validate_semantics,
 )
-from conftest import SIMS_JSON, rand_frac, random_model, sims_model
+from conftest import SIMS_JSON, rand_frac, random_model, serialize_model, sims_model
 
 
 def test_parse_sims():

@@ -22,14 +22,14 @@ from recausal.constraints import ConstraintSystem
 from recausal.dimension import DimensionReport, dimension_report, genericity_probe, run_pipeline
 from recausal.exactalg import RationalMatrix
 from recausal.model import (
-    PiPolynomial, REModel, build_pi, parse_model, serialize_model, validate_semantics,
+    PiPolynomial, REModel, build_pi, parse_model, validate_semantics,
 )
 from recausal.solver import (
     FactorizationError, SolutionReport, UnsupportedModelError, solve_causal, verify_solution,
 )
 from conftest import (
     SIMS_JSON, deep_planted_models, ladder_shaped_models, planted_models, random_model,
-    ref_squarefree_factors,
+    ref_squarefree_factors, serialize_model,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
