@@ -95,13 +95,13 @@ def _emit(doc: dict, fmt: str):
 
 
 def _emit_text(doc, prefix=""):
-    """Keys sorted, one `- v` line per scalar of a list.  A list inside a list keeps its
-    shape: a list of scalars (a matrix row, a polynomial) is one `- [a, b]` line, a list
-    of lists (a row of polynomials) a bare `-` line above its items."""
+    """Keys sorted, one `- v` line per scalar of a list, `key: []` or `key: {}` if empty.
+    A list inside a list keeps its shape: a list of scalars (a matrix row, a polynomial)
+    is one `- [a, b]` line, a list of lists (a row of polynomials) a bare `-` above its items."""
     if isinstance(doc, dict):
         for k in sorted(doc):
             v = doc[k]
-            if isinstance(v, (dict, list)):
+            if isinstance(v, (dict, list)) and v:
                 print(f"{prefix}{k}:")
                 _emit_text(v, prefix + "  ")
             else:

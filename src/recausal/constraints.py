@@ -5,7 +5,7 @@ of P(z)^{-1} and the selector S, and assembles the linear system that every
 admissible stack of revision loadings must satisfy, in both the plain and the
 predetermined flavor, as a `ConstraintSystem`.  Its rank_w and the rank
 bounds are counted by `_row_echelon` (Bareiss, Math. Comp. 22, 1968) on
-integer rows: m_stack, the m_i summed from the A_kh over one lcm
+integer rows: m_stack, the m_i summed on `REModel.numerators`
 (`build_m_stack`), and each p_stack row scaled to integers, multiplied in one
 zero-skipping product.  The predetermined count puts A_i^T, A_i the first
 n_i columns of E(0), in place of S's block (A_i^T A_i)^-1 A_i^T: E(0) is
@@ -31,17 +31,18 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 
 from .canon import LocalSmith
 from .exactalg import (
     PolyMatrix,
     RationalMatrix,
     _NIL,
+    _combine,
     _echelon_kernel,
     _poly,
     _rmat,
     _row_echelon,
+    _scaled,
     block_diag,
     pseudo_inverse_columns,
     vstack,
@@ -49,23 +50,17 @@ from .exactalg import (
 from .model import REModel
 
 
-def _lcm_of_coefficients(m: REModel) -> int:
-    return lcm(*[a.denominator for A in m.A.values() for row in A.entries for a in row])
-
-
 def build_m_stack(m: REModel, n: int) -> tuple:
     """(N, L): the coefficients m_0, ..., m_(n-1) of zeta(z) stacked are N / L,
-    N integer rows and L the lcm of the A_kh denominators.  Column block j of
+    N integer rows summed on (L, the A_kh times L) = m.numerators.  Column block j of
     m_i is minus the sum of the A_kh with k + j - h = i, h <= j < H."""
-    s, H = m.s, m.H
-    L = _lcm_of_coefficients(m)
+    s, H, (L, num) = m.s, m.H, m.numerators
     N = [[0] * (s * H) for _ in range(n * s)]
-    for (k, h), A in m.A.items():
+    for (k, h), A in num.items():
         for j in range(h, min(H, n + h - k)):
-            for acc, row in zip(N[(k + j - h) * s :], A.entries):
+            for acc, row in zip(N[(k + j - h) * s :], A):
                 for c, a in enumerate(row, j * s):
-                    if a:
-                        acc[c] -= a.numerator * (L // a.denominator)
+                    acc[c] -= a
     return N, L
 
 
@@ -105,35 +100,18 @@ def build_selectors(m: REModel, loc: LocalSmith) -> RationalMatrix:
     )
 
 
-def _combine(terms, width: int) -> list:
-    """The sum of f * row over the (f, row) in terms, on integers, skipping f = 0."""
-    acc = [0] * width
-    for f, row in terms:
-        if f:
-            acc = [a + f * y for a, y in zip(acc, row)]
-    return acc
-
-
 def _echelon_w(m: REModel, N: list, pb: tuple, cols, loc: LocalSmith | None) -> tuple:
     """(rows, pivots): C's row space in reduced echelon form on integer rows, of
     each p_stack row times the lcm c of its denominators, times N on the columns
     cols; the predetermined flavor folds diag(1/c) into A_i^T."""
     Nc, w = [[row[c] for c in cols] for row in N], len(cols)
-    scaled = []  # (c, c times row r of p_stack N)
-    for prow in (row for blk in pb for row in blk.entries):
-        nz = [(x, Nc[k]) for k, x in enumerate(prow) if x]
-        c = lcm(*(x.denominator for x, _ in nz))
-        scaled.append((c, _combine([(x.numerator * (c // x.denominator), r) for x, r in nz], w)))
-    rows = [r for _, r in scaled]
-    if loc is not None:
-        s, H, E0, rows = m.s, m.H, loc.omega0.entries, []
-        for i in range(H):
-            blk = scaled[i::H]  # p_stack rows k H + i, k < s
-            for j in range(sum(a // s == i for a in cols)):
-                den = [E0[k][j].denominator * c for k, (c, _) in enumerate(blk)]
-                d = lcm(*den)
-                rows.append(_combine([(E0[k][j].numerator * (d // dk), r)
-                                      for k, ((_, r), dk) in enumerate(zip(blk, den))], w))
+    scaled = [_scaled(row) for blk in pb for row in blk.entries]  # (c row r of p_stack, c)
+    rows = [_combine(zip(r, Nc), w) for r, _ in scaled]  # c times row r of p_stack N
+    if loc is not None:  # row j of block i: A_i^T's row j over the c of p_stack rows k H + i
+        s, H, E0 = m.s, m.H, loc.omega0.entries
+        over_c = lambda i, j: _scaled([E0[k][j] / scaled[k * H + i][1] for k in range(s)])[0]
+        rows = [_combine(zip(over_c(i, j), rows[i::H]), w)
+                for i in range(H) for j in range(sum(a // s == i for a in cols))]
     pivots = _row_echelon(rows, w)
     return rows[: len(pivots)], pivots
 

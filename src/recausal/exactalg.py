@@ -11,9 +11,10 @@ matrix product, of PolyMatrix operands by `_packed_product`) run on integer
 matrices L*M(2^b) (Kronecker substitution) and read their results off
 base-2^b digits.  `rank_kernel`, `solve_affine` (via `_solve_rows`) and the
 constraint ranks share one fraction-free Gauss-Jordan elimination on
-integer rows (`_row_echelon`): rows are scaled by the lcm of
-their denominators and kept primitive, and each result entry is one division
-at the end; the reduced echelon form, and so every result, is that of a
+integer rows (`_row_echelon`): rows are scaled by the lcm of their
+denominators (`_scaled`, the one helper every Fraction row outside the A_kh
+goes through) and kept primitive, and each result entry is one division at
+the end; the reduced echelon form, and so every result, is that of a
 Fraction elimination of any positive multiples of the rows.  Every operation
 is exact; no floating point.
 """
@@ -59,9 +60,7 @@ class Poly:
     __slots__ = ("num", "den", "_coeffs")
 
     def __init__(self, coeffs=()):
-        cs = [c if isinstance(c, (int, Fraction)) else rat(c) for c in coeffs]
-        den = lcm(*[c.denominator for c in cs])
-        self._set([c.numerator * (den // c.denominator) for c in cs], den)
+        self._set(*_scaled([c if isinstance(c, (int, Fraction)) else rat(c) for c in coeffs]))
 
     def _set(self, num: list, den: int):
         # trusted: integer numerators over den > 0; trims and reduces in place
@@ -89,8 +88,7 @@ class Poly:
     @staticmethod
     def monomial(deg: int, c=1) -> "Poly":
         assert deg >= 0
-        c = rat(c)
-        return _poly([0] * deg + [c.numerator], c.denominator)
+        return Poly([0] * deg + [c])
 
     @property
     def coeffs(self) -> tuple:
@@ -632,13 +630,21 @@ def block_diag(mats) -> RationalMatrix:
     return _rmat(out, cols)
 
 
-def _int_rows(rows) -> list:
-    """Each row times the lcm of its denominators: integer rows, same row space."""
-    out = []
-    for row in rows:
-        L = lcm(*(x.denominator for x in row))
-        out.append([x.numerator * (L // x.denominator) for x in row])
-    return out
+def _scaled(xs: list) -> tuple:
+    """(ints, L): the rationals xs times L, the lcm of their denominators, as integers."""
+    L = lcm(*[x.denominator for x in xs])
+    return [x.numerator * (L // x.denominator) for x in xs], L
+
+
+def _combine(terms, width: int = 0) -> list:
+    """The sum of f * row over the (f, row) in terms, on integers, skipping f = 0; a row
+    shorter than the longest (or than width) counts as padded with zeros."""
+    acc = [0] * width
+    for f, row in terms:
+        if f:
+            acc += [0] * (len(row) - len(acc))
+            acc[: len(row)] = [a + f * y for a, y in zip(acc, row)]
+    return acc
 
 
 def _row_echelon(entries, ncols):
@@ -693,7 +699,7 @@ def _echelon_kernel(entries, pivots, ncols):
 
 def rank_kernel(M: RationalMatrix):
     """Exact rank and a basis of the right kernel."""
-    entries = _int_rows(M.entries)
+    entries = [_scaled(row)[0] for row in M.entries]  # integer rows, same row space
     pivots = _row_echelon(entries, M.cols)
     return len(pivots), _echelon_kernel(entries, pivots, M.cols)
 
@@ -705,7 +711,7 @@ def solve_affine(M: RationalMatrix, B: RationalMatrix):
     The elimination never picks a pivot in the B columns, so the M columns of
     the echelon form, and with them the kernel, are those of M alone.
     """
-    aug = _int_rows(mrow + brow for mrow, brow in zip(M.entries, B.entries))
+    aug = [_scaled(mrow + brow)[0] for mrow, brow in zip(M.entries, B.entries)]
     return _solve_rows(aug, M.cols, B.cols)
 
 

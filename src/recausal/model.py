@@ -12,7 +12,8 @@ gamma = (s_0, ..., s_H) with sum(gamma) = s.
 `m._replace(...)`.  A model is immutable once built: the artifacts derived
 from it (pi(z) with det pi, adj pi, its Smith form, the constraint systems)
 are memoized on the instance in `REModel.artifacts`, filled by
-`recausal.dimension.Pipeline`; a model from `_replace` starts with an empty memo.
+`recausal.dimension.Pipeline`, and its A_kh as integers in `REModel.numerators`,
+which every other module reads; a model from `_replace` starts with an empty memo.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import json
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
 from math import lcm
 
 from .canon import RedundantEquationsError
@@ -44,6 +44,14 @@ class REModel(namedtuple("REModel", "s K H q A gamma wold xi", defaults=(Fractio
         It lives in the instance __dict__ (REModel declares no __slots__), not in
         a field: == ignores it and `_replace` starts an empty one."""
         return {}
+
+    @cached_property
+    def numerators(self) -> tuple:
+        """(L, {(k, h): A_kh times L as integer rows}), L the lcm of the A_kh denominators:
+        the one place the A_kh become integers, memoized like `artifacts`."""
+        L = lcm(*[x.denominator for a in self.A.values() for row in a.entries for x in row])
+        return L, {kh: [[x.numerator * (L // x.denominator) for x in row] for row in a.entries]
+                   for kh, a in self.A.items()}
 
     def a(self, k: int, h: int) -> RationalMatrix:
         return self.A[k, h] if (k, h) in self.A else RationalMatrix.zero(self.s, self.s)
@@ -156,39 +164,34 @@ def parse_model(text: str) -> REModel:
     return REModel(s=s, K=K, H=H, q=q, A=A, gamma=tuple(gamma), wold=wold, xi=xi)
 
 
-# A_star: i -> RationalMatrix for J0 <= i <= J1; det = det pi(z), never
-# identically zero (the adjugate is the pipeline's own stage, `Pipeline.adj`)
-PiPolynomial = namedtuple("PiPolynomial", "pi A_star J0 J1 det")
+# det = det pi(z), never identically zero (the adjugate is the pipeline's own
+# stage, `Pipeline.adj`)
+PiPolynomial = namedtuple("PiPolynomial", "pi J0 J1 det")
 
 
 def build_pi(m: REModel) -> PiPolynomial:
-    """Assemble A*_i = sum_k A_{k, k+i} and pi(z) = sum_i A*_i z^{J1 - i}."""
+    """pi(z) = sum_i A*_i z^{J1 - i}, A*_i = sum_k A_{k, k+i}, summed on `m.numerators`."""
+    L, num = m.numerators
     sums = {}
-    for (k, h), a in m.A.items():
-        sums[h - k] = sums[h - k] + a if h - k in sums else a
-    stars = {i: sums[i] for i in sorted(sums) if not sums[i].is_zero()}
+    for (k, h), a in num.items():
+        b = sums.get(h - k)
+        sums[h - k] = a if b is None else [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    stars = [i for i in sorted(sums) if any(map(any, sums[i]))]
     if not stars:
         raise RedundantEquationsError(
             "pi(z) is identically zero (all diagonal sums A*_i vanish): "
             "system contains redundant equations"
         )
-    J0, J1 = min(stars), max(stars)
-    entries = [[None] * m.s for _ in range(m.s)]
-    for r, c in product(range(m.s), repeat=2):
-        # integer numerators of the coefficients A*_{J1 - d} of z^d over their lcm
-        fs = {J1 - i: a.entries[r][c] for i, a in stars.items()}
-        den = lcm(*(f.denominator for f in fs.values()))
-        num = [0] * (J1 - J0 + 1)
-        for d, f in fs.items():
-            num[d] = f.numerator * (den // f.denominator)
-        entries[r][c] = _poly(num, den)
-    pi = PolyMatrix(entries)
+    J0, J1 = stars[0], stars[-1]
+    zero = [[0] * m.s] * m.s
+    coeffs = [sums.get(J1 - d, zero) for d in range(J1 - J0 + 1)]  # L times that of z^d
+    pi = PolyMatrix([[_poly(list(f), L) for f in zip(*rows)] for rows in zip(*coeffs)])
     det = determinant(pi)
     if det.is_zero():
         raise RedundantEquationsError(
             "det pi(z) is identically zero: system contains redundant equations"
         )
-    return PiPolynomial(pi=pi, A_star=stars, J0=J0, J1=J1, det=det)
+    return PiPolynomial(pi=pi, J0=J0, J1=J1, det=det)
 
 
 def validate_semantics(m: REModel) -> dict:

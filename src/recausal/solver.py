@@ -36,10 +36,10 @@ from itertools import chain, product
 from math import lcm
 
 from .canon import FactorizationError, UnsupportedModelError, factor_stable_unstable  # re-exported
-from .constraints import _lcm_of_coefficients
 from .dimension import run_pipeline
-from .exactalg import Poly, PolyMatrix, RationalMatrix, _ZERO, _int_product, _numerators, _poly
-from .exactalg import _packed_product, _rmat, _solve_rows, poly_gcd, rank_kernel, solve_affine
+from .exactalg import Poly, PolyMatrix, RationalMatrix, _ZERO, _combine, _int_product, _numerators
+from .exactalg import _packed_product, _poly, _rmat, _scaled, _solve_rows, poly_gcd, rank_kernel
+from .exactalg import solve_affine
 from .model import REModel
 
 
@@ -71,12 +71,11 @@ def _expectation_kernel(m: REModel) -> list:
     """A basis of ker L, L(d) = sum_(k,h) sum_(j<h) A_kh d_j z^(k+j-h) for d in Q^sH: the
     terms of pi(z) d(z) + M d = z^J1 L(d) that zeta(z) leaves, summed like zeta_coefficients."""
     s, H = m.s, m.H
-    den = _lcm_of_coefficients(m)
-    rows = [[0] * (s * H) for _ in range((m.K + H) * s)]  # integer numerators over den
-    for (k, h), A in m.A.items():
-        for j, (i, row) in product(range(h), enumerate(A.entries)):
+    rows = [[0] * (s * H) for _ in range((m.K + H) * s)]  # L(d) times m.numerators' L
+    for (k, h), A in m.numerators[1].items():
+        for j, (i, row) in product(range(h), enumerate(A)):
             for c, a in enumerate(row, j * s):
-                rows[(k + j - h + H) * s + i][c] += a.numerator * (den // a.denominator)
+                rows[(k + j - h + H) * s + i][c] += a
     return rank_kernel(_rmat(rows, s * H))[1]
 
 
@@ -162,13 +161,8 @@ def _numerator(m, split, P, free, h) -> PolyMatrix:
     rows, den = P
     out = [[] for _ in rows]
     for (i, row), c in product(enumerate(rows), range(m.q)):
-        hc = [h.entries[a][c] for a in free]
-        L = lcm(*(x.denominator for x in hc))
-        terms = [(x.numerator * (L // x.denominator), f) for f, x in zip(row, hc) if x]
-        terms.append((-L, row[c - m.q]))
-        acc = [0] * max(len(f) for _, f in terms)
-        for k, f in terms:
-            acc[: len(f)] = [a + k * y for a, y in zip(acc, f)]
+        hc, L = _scaled([h.entries[a][c] for a in free])
+        acc = _combine([*zip(hc, row), (-L, row[c - m.q])])
         hz = Poly([h.entries[j * m.s + i][c] for j in range(m.H)])
         out[i].append(_poly(acc, den * L).exact_div(D).addmul(S, hz))
     return PolyMatrix(out)
@@ -227,7 +221,8 @@ def verify_solution(m: REModel, sr: SolutionReport, max_lag: int = 50) -> dict:
     Psi_<h is the head Psi_0 .. Psi_(h-1).  So T = den R is a polynomial with
     z^H T = [Lambda | z^H W - U] [num ; den I_q], Lambda = sum A_kh z^(k+H-h) and
     U = sum A_kh z^(k+H-h) Psi_<h built from the model's own A_kh: one integer
-    product (`_int_product`) with the left factor on numerators over one lcm.
+    product (`_int_product`) with the left factor on integers: the A_kh from
+    `REModel.numerators`, Psi_<H and the w_j by `_scaled`.
     As den(0) = 1, den is a unit of Q[[z]]: R_0 .. R_L all vanish iff
     coefficients H .. H+L of z^H T are zero.  Only if not is R rebuilt as the
     series of T/den, reporting each failing lag with its first nonzero position
@@ -238,25 +233,23 @@ def verify_solution(m: REModel, sr: SolutionReport, max_lag: int = 50) -> dict:
     s, q, H = m.s, m.q, m.H
     num, den = sr.transfer_num, sr.transfer_den
     head = transfer_series(num, den, H)
-    # [Lambda | z^H W - U] times L: entry x of an A_kh gives x L / lh, U's terms the rest of lh
-    lh = lcm(*(y.denominator for c in head for row in c.entries for y in row))
-    L = lcm(lh * _lcm_of_coefficients(m),
-            *(x.denominator for w in m.wold for row in w.entries for x in row))
+    # [Lambda | z^H W - U] times L: the A_kh over la, Psi_<H over lh, the w_j over lw
+    (la, A), (hs, lh) = m.numerators, _scaled([y for c in head for row in c.entries for y in row])
+    ws, lw = _scaled([x for w in m.wold for row in w.entries for x in row])
+    L = lcm(la * lh, lw)
     left = [[[0] * (max(m.K, len(m.wold) - 1) + H + 1) for _ in range(s + q)] for _ in range(s)]
-    for (k, h), a in m.A.items():
+    for (k, h), a in A.items():
         deg = k + H - h
-        for lrow, arow in zip(left, a.entries):
+        for lrow, arow in zip(left, a):
             for r, x in enumerate(arow):
                 if x:
-                    x = x.numerator * (L // (x.denominator * lh))
+                    x *= L // (la * lh)
                     lrow[r][deg] += x * lh
                     for j in range(h):
-                        for f, y in zip(lrow[s:], head[j].entries[r]):
-                            f[deg + j] -= x * y.numerator * (lh // y.denominator)
-    for d, w in enumerate(m.wold, H):
-        for lrow, wrow in zip(left, w.entries):
-            for f, x in zip(lrow[s:], wrow):
-                f[d] += x.numerator * (L // x.denominator)
+                        for f, y in zip(lrow[s:], hs[(j * s + r) * q : (j * s + r + 1) * q]):
+                            f[deg + j] -= x * y
+    for (d, i, c), x in zip(product(range(len(m.wold)), range(s), range(q)), ws):
+        left[i][s + c][d + H] += x * (L // lw)
     right, lr = _numerators(PolyMatrix(num.entries + [[den if i == c else _ZERO for c in range(q)]
                                                       for i in range(q)]))
     zT = _int_product(left, right, q)  # z^H T times L lr

@@ -9,7 +9,7 @@ import json
 import random
 from collections import namedtuple
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 from math import isqrt, lcm, prod
 
 import pytest
@@ -30,9 +30,11 @@ from recausal.exactalg import (
     PolyMatrix,
     RationalMatrix,
     _packed_product,
+    _poly,
     _rmat,
     block_diag,
     det_adjugate,
+    determinant,
     poly_gcd,
     rank_kernel,
     rat,
@@ -587,12 +589,9 @@ def random_model(
             continue
         m = REModel(s=s, K=K, H=H, q=q, A=A, gamma=tuple(gamma), wold=wold)
         try:
-            pp = build_pi(m)
-            det, _ = det_adjugate(pp.pi)
+            det, _ = det_adjugate(build_pi(m).pi)
             classify_roots(det, m.xi)
         except (RedundantEquationsError, UnitCircleRootError):
-            continue
-        if force_g0 and not pp.A_star.get(pp.J1):
             continue
         return m
     raise RuntimeError("could not generate a valid random model")
@@ -880,6 +879,30 @@ def same_affine_set(set_a, set_b) -> bool:
     kmat = RationalMatrix([list(v) for v in ka]).transpose()
     x, _ = solve_affine(kmat, diff)
     return x is not None
+
+
+def ref_build_pi(m: REModel):
+    """(pi, J0, J1, det) by the Fraction assembly: each A*_i = sum_k A_{k, k+i} a
+    RationalMatrix sum, the zero sums dropped, each entry of pi(z) = sum_i A*_i z^(J1 - i)
+    over the lcm of its own coefficients' denominators.  The reference for `build_pi`,
+    which sums `REModel.numerators`; None when every A*_i is zero."""
+    sums = {}
+    for (k, h), a in m.A.items():
+        sums[h - k] = sums[h - k] + a if h - k in sums else a
+    stars = {i: a for i, a in sums.items() if not a.is_zero()}
+    if not stars:
+        return None
+    J0, J1 = min(stars), max(stars)
+    entries = [[None] * m.s for _ in range(m.s)]
+    for r, c in product(range(m.s), repeat=2):
+        fs = {J1 - i: a.entries[r][c] for i, a in stars.items()}
+        den = lcm(*(f.denominator for f in fs.values()))
+        num = [0] * (J1 - J0 + 1)
+        for d, f in fs.items():
+            num[d] = f.numerator * (den // f.denominator)
+        entries[r][c] = _poly(num, den)
+    pi = PolyMatrix(entries)
+    return pi, J0, J1, determinant(pi)
 
 
 def ref_zeta_coefficients(m: REModel) -> PolyMatrix:

@@ -190,6 +190,13 @@ def test_format_text_keeps_matrix_shape(capsys):
     ]
 
 
+def test_format_text_prints_empty_values(capsys):
+    """An empty list or dict is `key: []` or `key: {}`, not a bare `key:` that reads
+    like a missing value."""
+    cli._emit_text({"a": [], "b": {}, "c": [1]})
+    assert capsys.readouterr().out == "a: []\nb: {}\nc:\n  - 1\n"
+
+
 def test_main_leaves_the_collector_as_it_was(capsys):
     """main(argv) is the in-process API: it freezes and disables nothing."""
     before = gc.get_freeze_count(), gc.isenabled()

@@ -2,9 +2,14 @@
 
 import json
 import random
+from datetime import timedelta
 from fractions import Fraction
+from itertools import product
+from math import lcm
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from recausal.canon import RedundantEquationsError
 from recausal.exactalg import Poly, PolyMatrix, RationalMatrix, det_adjugate, rat
@@ -15,7 +20,17 @@ from recausal.model import (
     parse_model,
     validate_semantics,
 )
-from conftest import SIMS_JSON, rand_frac, random_model, serialize_model, sims_model
+from conftest import (
+    SIMS_JSON,
+    deep_planted_models,
+    ladder_shaped_models,
+    planted_models,
+    rand_frac,
+    random_model,
+    ref_build_pi,
+    serialize_model,
+    sims_model,
+)
 
 
 def test_parse_sims():
@@ -125,8 +140,8 @@ def test_build_pi_univariate_k2h2():
             -1: a[(1, 0)] + a[(2, 1)],
             -2: a[(2, 0)],
         }
-        for i in range(-2, 3):
-            got = pp.A_star.get(i, RationalMatrix.zero(1, 1))[0, 0]
+        for i in range(-2, 3):  # A*_i is the coefficient of z^(J1 - i), zero outside J0..J1
+            got = pp.pi.coeff(pp.J1 - i)[0, 0]
             assert got == expected[i], (i, got, expected[i])
 
 
@@ -171,15 +186,78 @@ def test_build_pi_linearity():
     pp, pp2 = build_pi(m), build_pi(m2)
     k, h = key
     i = h - k
-    delta = pp2.A_star.get(i, RationalMatrix.zero(m.s, m.s)) - pp.A_star.get(
-        i, RationalMatrix.zero(m.s, m.s)
-    )
-    assert delta == m.A[key]
-    for j in set(pp.A_star) | set(pp2.A_star):
+    star = lambda pp, j: pp.pi.coeff(pp.J1 - j)  # A*_j, zero outside J0..J1
+    assert star(pp2, i) - star(pp, i) == m.A[key]
+    for j in range(min(pp.J0, pp2.J0), max(pp.J1, pp2.J1) + 1):
         if j != i:
-            assert pp.A_star.get(j, RationalMatrix.zero(m.s, m.s)) == pp2.A_star.get(
-                j, RationalMatrix.zero(m.s, m.s)
-            )
+            assert star(pp, j) == star(pp2, j)
+
+
+def _assert_build_pi_is_ref(m: REModel):
+    """build_pi on m.numerators gives the Fraction assembly's pi, J0, J1 and det, or
+    raises where that pi(z) or its det is identically zero."""
+    ref = ref_build_pi(m)
+    if ref is None or ref[3].is_zero():
+        with pytest.raises(RedundantEquationsError):
+            build_pi(m)
+    else:
+        assert tuple(build_pi(m)) == ref
+
+
+def test_build_pi_matches_the_fraction_assembly(corpus, predetermined_probe):
+    sets = (corpus, predetermined_probe, ladder_shaped_models(), planted_models(),
+            deep_planted_models())
+    for m in (m for models in sets for m in models):
+        _assert_build_pi_is_ref(m._replace())  # an empty memo: numerators built here
+
+
+_ENTRY = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def _coefficient_arrays(draw):
+    """A model of s <= 3, K, H <= 2 with random A_kh; in some draws A_11 is minus the sum
+    of the other A_kk, so A*_0 vanishes, at the edge of J0..J1, inside it or beyond it."""
+    s, K, H = draw(st.integers(1, 3)), draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    square = st.lists(st.lists(_ENTRY, min_size=s, max_size=s), min_size=s, max_size=s)
+    A = {kh: RationalMatrix(draw(square)) for kh in product(range(K + 1), range(H + 1))
+         if draw(st.booleans())}
+    others = [a for (k, h), a in A.items() if k == h != 1]
+    if min(K, H) and others and draw(st.booleans()):  # A_11 = -(the other A_kk)
+        A[1, 1] = -sum(others[1:], others[0])
+    A = {kh: a for kh, a in A.items() if not a.is_zero()}
+    return REModel(s=s, K=K, H=H, q=1, A=A, gamma=(s,) + (0,) * H,
+                   wold=(RationalMatrix([[1]] * s),))
+
+
+_CANCELLED = REModel(  # A*_0 = A_00 + A_11 = 0 between A*_1 = 2 and A*_-1 = 3/5
+    s=1, K=1, H=1, q=1, gamma=(1, 0), wold=(RationalMatrix([[1]]),),
+    A={(0, 0): RationalMatrix([["1/2"]]), (1, 1): RationalMatrix([["-1/2"]]),
+       (0, 1): RationalMatrix([[2]]), (1, 0): RationalMatrix([["3/5"]])})
+
+
+@settings(derandomize=True, max_examples=150, deadline=timedelta(seconds=2))
+@given(_coefficient_arrays())
+@example(_CANCELLED)
+@example(_CANCELLED._replace(A={kh: a for kh, a in _CANCELLED.A.items() if kh != (1, 0)}))
+def test_build_pi_matches_the_fraction_assembly_on_draws(m):
+    _assert_build_pi_is_ref(m)
+
+
+def test_numerators_are_memoized_per_model(corpus):
+    """m.numerators is computed once per model, like `artifacts`; a model from
+    _replace starts without it; its rows are the A_kh times the lcm L of their
+    denominators."""
+    for m in [sims_model(), *corpus]:
+        assert m.numerators is m.numerators
+        assert "numerators" not in m._replace().__dict__
+        L, num = m.numerators
+        assert L == lcm(*(x.denominator for a in m.A.values() for row in a.entries for x in row))
+        assert set(num) == set(m.A)
+        for kh, a in m.A.items():
+            scaled = [[x * L for x in row] for row in a.entries]
+            assert all(x.denominator == 1 for row in scaled for x in row)
+            assert num[kh] == [[int(x) for x in row] for row in scaled]
 
 
 def test_det_degree_bound():

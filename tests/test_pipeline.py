@@ -259,7 +259,7 @@ CS_FIELDS = ("C", "D", "rank_w", "kernel", "flavor", "effective_unknowns", "rhs"
 def test_records_keep_their_fields_and_defaults():
     assert REModel._fields == ("s", "K", "H", "q", "A", "gamma", "wold", "xi")
     assert REModel._field_defaults == {"xi": Fraction(1)}
-    assert PiPolynomial._fields == ("pi", "A_star", "J0", "J1", "det")
+    assert PiPolynomial._fields == ("pi", "J0", "J1", "det")
     assert RootClassification._fields == (
         "zero_multiplicity", "stable_roots", "unstable_roots", "xi", "discs",
     )
