@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import cmath
 from collections import namedtuple
+from decimal import Context, Decimal
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
@@ -51,6 +52,10 @@ class UnitCircleRootError(ValueError):
 
 class FactorizationError(ArithmeticError):
     """phi has no exact rational stable/unstable split, or none was certified."""
+
+
+class KernelPointError(ValueError):
+    """kernel_point is neither "min-norm" nor the index of a kernel basis vector."""
 
 
 class UnsupportedModelError(ValueError):
@@ -356,9 +361,14 @@ def _float_discs(f: Poly, seeds):
 
 
 def _ring_error(n: int, mod: float, xi) -> UnitCircleRootError:
+    """1/xi is printed as a float's :.6g would print it, but exactly: as a float it
+    underflows to 0 past xi = 2^1075."""
+    lo = Context(prec=6).divide(Decimal(xi.denominator), Decimal(xi.numerator)).normalize()
+    e = lo.adjusted()
+    lo = f"{lo:f}" if e >= -4 else f"{lo.scaleb(-e):f}e{e:03d}"
     return UnitCircleRootError(
         f"a root of a degree-{n} squarefree factor of det pi has modulus {mod:.6g}, inside "
-        f"the boundary ring [1/xi, 1] = [{float(1 / xi):.6g}, 1]; the theory assumes no such roots"
+        f"the boundary ring [1/xi, 1] = [{lo}, 1]; the theory assumes no such roots"
     )
 
 

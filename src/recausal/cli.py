@@ -1,6 +1,6 @@
 """Command-line interface: recausal <command> <model.json> [options].
 
-One parser reads the command (analyze | smith | constraints | solve | verify |
+`parse_args` reads the command (analyze | smith | constraints | solve | verify |
 simulate | probe), the model path and six options, before or after the path;
 each command checks only the options it reads.  Reports go to stdout (JSON by
 default, deterministic key order), diagnostics to stderr.  Exit codes: 0 success,
@@ -8,20 +8,32 @@ default, deterministic key order), diagnostics to stderr.  Exit codes: 0 success
 without numpy or past the float range, a reader that closed stdout (no traceback),
 2 usage error or an unreadable model path.
 
+A cold call compiles only what its command runs.  This module imports `canon`,
+`exactalg` and `model`, which holds the pipeline, and no argparse.  On top of
+those, `analyze` and `probe` import `dimension` and `constraints`, the command
+`constraints` imports `constraints` (from the pipeline's stage), `solve`, `verify`
+and `simulate` import `solver`, and `smith` imports nothing more.
+
 `run` is the script entry (`python -m recausal.cli` and the `recausal` script);
 `main(argv)` is the in-process API and changes no process-wide state.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import os
+import re
 import sys
+from types import SimpleNamespace
 
-from .canon import RedundantEquationsError, UnitCircleRootError
-from .dimension import dimension_report, genericity_probe, run_pipeline
+from .canon import (
+    FactorizationError,
+    KernelPointError,
+    RedundantEquationsError,
+    UnitCircleRootError,
+    UnsupportedModelError,
+)
 from .exactalg import Poly, PolyMatrix, rat_rows, rat_str
 from .model import (
     ModelFormatError,
@@ -29,15 +41,8 @@ from .model import (
     SCHEMA_VERSION,
     parse_model,
     parse_xi,
+    run_pipeline,
     validate_semantics,
-)
-from .solver import (
-    FactorizationError,
-    KernelPointError,
-    UnsupportedModelError,
-    simulate,
-    solve_causal,
-    verify_solution,
 )
 
 
@@ -122,6 +127,8 @@ def _emit_text(doc, prefix=""):
 
 
 def cmd_analyze(m: REModel, args) -> dict:
+    from .dimension import dimension_report
+
     rep = dimension_report(m)
     return {
         "command": "analyze",
@@ -173,6 +180,8 @@ def cmd_constraints(m: REModel, args) -> dict:
 
 
 def cmd_solve(m: REModel, args) -> dict:
+    from .solver import solve_causal
+
     sr = solve_causal(m, kernel_point=args.kernel_point)
     doc = {
         "command": "solve",
@@ -189,6 +198,8 @@ def cmd_solve(m: REModel, args) -> dict:
 
 
 def cmd_verify(m: REModel, args) -> dict:
+    from .solver import solve_causal, verify_solution
+
     sr = solve_causal(m, kernel_point=args.kernel_point)
     if sr.classification == "no_causal_solution":
         raise UnsupportedModelError("model has no causal solution; nothing to verify")
@@ -199,6 +210,8 @@ def cmd_verify(m: REModel, args) -> dict:
 
 
 def cmd_simulate(m: REModel, args) -> dict:
+    from .solver import simulate, solve_causal
+
     sr = solve_causal(m, kernel_point=args.kernel_point)
     if sr.classification == "no_causal_solution":
         raise UnsupportedModelError("model has no causal solution; nothing to simulate")
@@ -208,6 +221,8 @@ def cmd_simulate(m: REModel, args) -> dict:
 
 
 def cmd_probe(m: REModel, args) -> dict:
+    from .dimension import genericity_probe
+
     rep = genericity_probe(m, trials=args.trials, seed=args.seed)
     rep["command"] = "probe"
     return rep
@@ -224,24 +239,106 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="recausal",
-        description="Exact analysis of linear rational-expectations models",
-    )
-    ap.add_argument("command", choices=_COMMANDS)
-    ap.add_argument("model", help="path to the model JSON file")
-    ap.add_argument("--xi", default=None, help="growth bound, rational >= 1")
-    ap.add_argument("--max-lag", type=int, default=50, dest="max_lag")
-    ap.add_argument("--trials", type=int, default=None,
-                    help="default 100000 for simulate, 10 for probe")
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--format", choices=("json", "text"), default="json")
-    ap.add_argument(
-        "--kernel-point", default="min-norm", dest="kernel_point",
-        help="'min-norm' or a kernel basis index 0..k-1 (k = kernel dimension)",
-    )
-    return ap
+_USAGE = """\
+usage: recausal [-h] [--xi XI] [--max-lag MAX_LAG] [--trials TRIALS]
+                [--seed SEED] [--format {json,text}]
+                [--kernel-point KERNEL_POINT]
+                {analyze,smith,constraints,solve,verify,simulate,probe} model
+"""
+
+_HELP = _USAGE + """
+Exact analysis of linear rational-expectations models
+
+positional arguments:
+  {analyze,smith,constraints,solve,verify,simulate,probe}
+  model                 path to the model JSON file
+
+options:
+  -h, --help            show this help message and exit
+  --xi XI               growth bound, rational >= 1
+  --max-lag MAX_LAG
+  --trials TRIALS       default 100000 for simulate, 10 for probe
+  --seed SEED
+  --format {json,text}
+  --kernel-point KERNEL_POINT
+                        'min-norm' or a kernel basis index 0..k-1 (k = kernel
+                        dimension)
+"""
+
+# option -> (attribute, default, int for an integer or the tuple of valid values)
+_OPTIONS = {
+    "--xi": ("xi", None, None),
+    "--max-lag": ("max_lag", 50, int),
+    "--trials": ("trials", None, int),
+    "--seed": ("seed", 0, int),
+    "--format": ("format", "json", ("json", "text")),
+    "--kernel-point": ("kernel_point", "min-norm", None),
+}
+
+
+def _is_option(token: str) -> bool:
+    """Whether token reads as an option, by argparse's rule: -1, -.5 and "-a b" are values."""
+    return (token[:1] == "-" and token != "-" and " " not in token
+            and not re.match(r"-\d+$|-\d*\.\d+$", token))
+
+
+def _usage_error(message):
+    print(f"{_USAGE}recausal: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _invalid_choice(what, value, choices):
+    _usage_error(f"argument {what}: invalid choice: {value!r} "
+                 f"(choose from {', '.join(map(repr, choices))})")
+
+
+def parse_args(argv) -> SimpleNamespace:
+    """The command, the model path and the six options of argv, in any order.
+
+    An option is `--opt value` or `--opt=value`; its last occurrence wins.  A
+    value after a space must not read as an option: a leading "-" that is not
+    a negative number.  -h or --help prints the help and exits 0; a usage
+    error prints the usage line and `recausal: error: ...` on stderr and exits 2.
+    Errors come in argparse's order: a bad command or option value where it
+    stands, then a missing command or model, then all unrecognized tokens.
+    """
+    args = {name: default for name, default, _ in _OPTIONS.values()}
+    positional, extras = [], []
+    tokens = iter(argv)
+    for token in tokens:
+        option, eq, value = token.partition("=")
+        if option in ("-h", "--help"):
+            if eq:
+                _usage_error(f"argument -h/--help: ignored explicit argument {value!r}")
+            print(_HELP, end="")
+            raise SystemExit(0)
+        if option not in _OPTIONS:
+            if _is_option(token) or len(positional) == 2:
+                extras.append(token)
+            elif positional or token in _COMMANDS:
+                positional.append(token)
+            else:
+                _invalid_choice("command", token, _COMMANDS)
+            continue
+        if not eq:
+            value = next(tokens, None)
+            if value is None or _is_option(value):
+                _usage_error(f"argument {option}: expected one argument")
+        name, _, kind = _OPTIONS[option]
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                _usage_error(f"argument {option}: invalid int value: {value!r}")
+        elif kind is not None and value not in kind:
+            _invalid_choice(option, value, kind)
+        args[name] = value
+    if len(positional) < 2:
+        missing = ", ".join(["command", "model"][len(positional):])
+        _usage_error(f"the following arguments are required: {missing}")
+    if extras:
+        _usage_error(f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(command=positional[0], model=positional[1], **args)
 
 
 def _error(message, code: int) -> int:
@@ -250,7 +347,7 @@ def _error(message, code: int) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     invalid = _parse_options(args)
     if invalid:
         return _error(invalid, 2)

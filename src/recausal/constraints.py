@@ -1,13 +1,13 @@
 """Constraint systems on the martingale-difference revision processes.
 
-Builds the polynomial zeta(z) = sum_i m_i z^i, the per-row coefficient blocks
-of P(z)^{-1} and the selector S, and assembles the linear system that every
-admissible stack of revision loadings must satisfy, in both the plain and the
-predetermined flavor, as a `ConstraintSystem`.  Its rank_w and the rank
-bounds are counted by `_row_echelon` (Bareiss, Math. Comp. 22, 1968) on
-integer rows: m_stack, the m_i summed on `REModel.numerators`
-(`build_m_stack`), and each p_stack row scaled to integers, multiplied in one
-zero-skipping product.  The predetermined count puts A_i^T, A_i the first
+Builds the per-row coefficient blocks of P(z)^{-1} and the selector S, and
+assembles the linear system that every admissible stack of revision loadings
+must satisfy, in both the plain and the predetermined flavor, as a
+`ConstraintSystem`.  Its rank_w and the rank bounds are counted by
+`_row_echelon` (Bareiss, Math. Comp. 22, 1968) on integer rows: m_stack, the
+m_i of zeta(z) = sum_i m_i z^i summed on `REModel.numerators`
+(`model.build_m_stack`), and each p_stack row scaled to integers, multiplied
+in one zero-skipping product.  The predetermined count puts A_i^T, A_i the first
 n_i columns of E(0), in place of S's block (A_i^T A_i)^-1 A_i^T: E(0) is
 invertible, so both have the same row space, and no pseudo-inverse is
 solved.  The kernel is read off that elimination; C, D and rhs on first read.
@@ -24,7 +24,9 @@ g != 0 the pipeline keeps the factors of the global Smith form.
 The predetermined system takes the rows of the P^{-1} blocks in time-block
 order, applies S and keeps the columns of the entries of h that
 `REModel.free_unknowns()` leaves free.  These systems give analyze's count;
-the solve reads none of them.
+the solve reads none of them.  Only the pipeline's stages pb, plain_cs and cs
+(`model.Pipeline`) and `recausal.dimension` import this module, so solve,
+verify, simulate and smith never load it.
 """
 
 from __future__ import annotations
@@ -34,12 +36,10 @@ from functools import cached_property
 
 from .canon import LocalSmith
 from .exactalg import (
-    PolyMatrix,
     RationalMatrix,
     _NIL,
     _combine,
     _echelon_kernel,
-    _poly,
     _rmat,
     _row_echelon,
     _scaled,
@@ -48,28 +48,6 @@ from .exactalg import (
     vstack,
 )
 from .model import REModel
-
-
-def build_m_stack(m: REModel, n: int) -> tuple:
-    """(N, L): the coefficients m_0, ..., m_(n-1) of zeta(z) stacked are N / L,
-    N integer rows summed on (L, the A_kh times L) = m.numerators.  Column block j of
-    m_i is minus the sum of the A_kh with k + j - h = i, h <= j < H."""
-    s, H, (L, num) = m.s, m.H, m.numerators
-    N = [[0] * (s * H) for _ in range(n * s)]
-    for (k, h), A in num.items():
-        for j in range(h, min(H, n + h - k)):
-            for acc, row in zip(N[(k + j - h) * s :], A):
-                for c, a in enumerate(row, j * s):
-                    acc[c] -= a
-    return N, L
-
-
-def zeta_coefficients(m: REModel) -> PolyMatrix:
-    """zeta(z) = sum_i m_i z^i (s x sH) of zeta_t = sum_i m_i eps_bullet_{t-i}, by build_m_stack."""
-    s, n = m.s, m.H + m.K
-    N, L = build_m_stack(m, n)
-    return PolyMatrix([[_poly([N[i * s + r][c] for i in range(n)], L) for c in range(s * m.H)]
-                       for r in range(s)])
 
 
 def frak_p_blocks(loc: LocalSmith, J1: int, H: int) -> tuple:

@@ -1,4 +1,4 @@
-"""Model specification, JSON parsing, and construction of pi(z).
+"""Model specification, JSON parsing, pi(z) and the pipeline of derived artifacts.
 
 A model is the system
 
@@ -11,9 +11,14 @@ gamma = (s_0, ..., s_H) with sum(gamma) = s.
 `REModel` and `PiPolynomial` are named tuples: build a changed model with
 `m._replace(...)`.  A model is immutable once built: the artifacts derived
 from it (pi(z) with det pi, adj pi, its Smith form, the constraint systems)
-are memoized on the instance in `REModel.artifacts`, filled by
-`recausal.dimension.Pipeline`, and its A_kh as integers in `REModel.numerators`,
+are memoized on the instance in `REModel.artifacts`, filled by the stages of
+`Pipeline` (`run_pipeline`), and its A_kh as integers in `REModel.numerators`,
 which every other module reads; a model from `_replace` starts with an empty memo.
+`zeta_coefficients` builds zeta(z) = sum_i m_i z^i for the solve and
+`build_m_stack` its m_i on integer rows for the constraint systems; both read
+only `REModel.numerators`.  This module imports `canon` and `exactalg` alone;
+the stages that build a constraint system import `recausal.constraints` on
+first use, so a command that builds none never compiles it.
 """
 
 from __future__ import annotations
@@ -24,8 +29,9 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
-from .canon import RedundantEquationsError
-from .exactalg import Poly, PolyMatrix, RationalMatrix, _poly, _rmat, determinant, rat
+from .canon import RedundantEquationsError, classify_roots, factor_stable_unstable
+from .canon import local_form, smith_form
+from .exactalg import Poly, PolyMatrix, RationalMatrix, _poly, _rmat, det_adjugate, determinant, rat
 
 SCHEMA_VERSION = 1
 
@@ -40,7 +46,7 @@ class REModel(namedtuple("REModel", "s K H q A gamma wold xi", defaults=(Fractio
 
     @cached_property
     def artifacts(self) -> dict:
-        """stage name -> derived artifact, filled on first use (dimension.Pipeline).
+        """stage name -> derived artifact, filled on first use (`Pipeline`).
         It lives in the instance __dict__ (REModel declares no __slots__), not in
         a field: == ignores it and `_replace` starts an empty one."""
         return {}
@@ -194,6 +200,134 @@ def build_pi(m: REModel) -> PiPolynomial:
     return PiPolynomial(pi=pi, J0=J0, J1=J1, det=det)
 
 
+def build_m_stack(m: REModel, n: int) -> tuple:
+    """(N, L): the coefficients m_0, ..., m_(n-1) of zeta(z) stacked are N / L,
+    N integer rows summed on (L, the A_kh times L) = m.numerators.  Column block j of
+    m_i is minus the sum of the A_kh with k + j - h = i, h <= j < H."""
+    s, H, (L, num) = m.s, m.H, m.numerators
+    N = [[0] * (s * H) for _ in range(n * s)]
+    for (k, h), A in num.items():
+        for j in range(h, min(H, n + h - k)):
+            for acc, row in zip(N[(k + j - h) * s :], A):
+                for c, a in enumerate(row, j * s):
+                    acc[c] -= a
+    return N, L
+
+
+def zeta_coefficients(m: REModel) -> PolyMatrix:
+    """zeta(z) = sum_i m_i z^i (s x sH) of zeta_t = sum_i m_i eps_bullet_{t-i}, by build_m_stack."""
+    s, n = m.s, m.H + m.K
+    N, L = build_m_stack(m, n)
+    return PolyMatrix([[_poly([N[i * s + r][c] for i in range(n)], L) for c in range(s * m.H)]
+                       for r in range(s)])
+
+
+def _stage(build):
+    """A Pipeline attribute computed on first use and memoized on the model."""
+    name = build.__name__
+
+    def get(self):
+        memo = self.model.artifacts
+        if name not in memo:
+            memo[name] = build(self)
+        return memo[name]
+
+    return property(get, doc=build.__doc__)
+
+
+class Pipeline:
+    """View of one model's derived artifacts: pi(z) -> Smith data -> constraints.
+
+    Every stage is computed on first use and kept in the model's own memo, so
+    all Pipelines of one model share one pi, one Smith form, one root
+    classification, one split and one constraint system.  The memo refers to
+    no Pipeline and no artifact refers to the model, so a dropped model is freed
+    at once.  A stage that raises is not memoized; it raises again on the next use.
+    Only the stages pb, plain_cs and cs import `recausal.constraints`, which
+    imports this module.
+    """
+
+    __slots__ = ("model",)
+
+    def __init__(self, model: REModel):
+        self.model = model
+
+    @_stage
+    def pi(self):
+        """pi(z) with its determinant."""
+        return build_pi(self.model)
+
+    @_stage
+    def adj(self):
+        """adj pi(z), pi adj = det pi I: read only by the solve after its split."""
+        return det_adjugate(self.pi.pi)[1]
+
+    @_stage
+    def sf(self):
+        """Smith form of pi(z): read by `recausal smith` and by `local` on a
+        predetermined model with G > 0, never by solve, verify or simulate."""
+        return smith_form(self.pi.pi)
+
+    @_stage
+    def local(self):
+        """g, P^-1 and E(0) of pi = P diag(z^g) E, the data the constraints read, by
+        `local_form`; a predetermined model with G > 0, whose system depends on
+        the factors, reads the global Smith form's."""
+        pp, m = self.pi, self.model
+        if not (m.predetermined and pp.det[0] == 0):
+            return local_form(pp.pi, pp.det.zero_multiplicity())
+        # frak_p_blocks reads P^-1 below z^(H + max(g - J1, 0))
+        return self.sf.local(m.H + max(max(self.sf.g) - pp.J1, 0))
+
+    @_stage
+    def roots(self):
+        """Roots of det pi(z) relative to the unit circle and xi."""
+        return classify_roots(self.pi.det, self.model.xi)
+
+    @_stage
+    def split(self):
+        """(D, S) of det pi = D S, D = z^G U: read only by the solve."""
+        return factor_stable_unstable(self.pi.det, self.pi.J1, self.roots)
+
+    @_stage
+    def zc(self):
+        """zeta(z) as a polynomial matrix: read only by the solve after its split."""
+        return zeta_coefficients(self.model)
+
+    @_stage
+    def pb(self):
+        from .constraints import frak_p_blocks
+
+        return frak_p_blocks(self.local, self.pi.J1, self.model.H)
+
+    @_stage
+    def m_stack(self):
+        """The m_i of zeta(z) stacked on integer rows (N, L), as many as p_stack
+        has column blocks, H + max(g - J1, 0): the systems and bounds read it."""
+        return build_m_stack(self.model, self.pb[0].cols // self.model.s)
+
+    @_stage
+    def plain_cs(self):
+        """The plain system, on the row reduction's data at G > 0 too."""
+        from .constraints import build_plain_system
+
+        return build_plain_system(self.model, self.m_stack, self.pb)
+
+    @_stage
+    def cs(self):
+        """The model's constraint system, in its own flavor."""
+        if not self.model.predetermined:
+            return self.plain_cs
+        from .constraints import build_predetermined_system
+
+        return build_predetermined_system(self.model, self.m_stack, self.pb, self.local)
+
+
+def run_pipeline(m: REModel) -> Pipeline:
+    """The model's pipeline; its stages run on first use, once per model."""
+    return Pipeline(m)
+
+
 def validate_semantics(m: REModel) -> dict:
     """Point checks of the solvability assumptions; report style, no raise."""
     report = {"checks": [], "warnings": [], "ok": True}
@@ -215,8 +349,6 @@ def validate_semantics(m: REModel) -> dict:
         f"H={m.H}",
     )
     check("gamma_sum", sum(m.gamma) == m.s, f"gamma={m.gamma}")
-    from .dimension import run_pipeline  # dimension imports this module
-
     pipe = run_pipeline(m)
     try:
         pp, g = pipe.pi, pipe.local.g

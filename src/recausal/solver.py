@@ -35,16 +35,12 @@ from fractions import Fraction
 from itertools import chain, product
 from math import lcm
 
-from .canon import FactorizationError, UnsupportedModelError, factor_stable_unstable  # re-exported
-from .dimension import run_pipeline
+from .canon import FactorizationError, factor_stable_unstable  # re-exported
+from .canon import KernelPointError, UnsupportedModelError
 from .exactalg import Poly, PolyMatrix, RationalMatrix, _ZERO, _combine, _int_product, _numerators
 from .exactalg import _packed_product, _poly, _rmat, _scaled, _solve_rows, poly_gcd, rank_kernel
 from .exactalg import solve_affine
-from .model import REModel
-
-
-class KernelPointError(ValueError):
-    """kernel_point is neither "min-norm" nor the index of a kernel basis vector."""
+from .model import REModel, run_pipeline
 
 
 def _cancellation_rows(P: list, D: Poly) -> list:

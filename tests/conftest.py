@@ -23,7 +23,7 @@ from recausal.canon import (
     classify_roots,
     root_discs,
 )
-from recausal.constraints import build_selectors, zeta_coefficients
+from recausal.constraints import build_selectors
 from recausal.dimension import run_pipeline
 from recausal.exactalg import (
     Poly,
@@ -43,7 +43,7 @@ from recausal.exactalg import (
     solve_affine,
     vstack,
 )
-from recausal.model import SCHEMA_VERSION, REModel, build_pi
+from recausal.model import SCHEMA_VERSION, REModel, build_pi, zeta_coefficients
 from recausal.solver import FactorizationError, _cancellation_rows, factor_stable_unstable
 
 

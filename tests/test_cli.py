@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from recausal import cli
+from recausal import cli, solver
 from recausal.cli import main
 from recausal.exactalg import PolyMatrix
 from recausal.solver import solve_causal
@@ -112,7 +112,7 @@ def test_failed_verify_prints_report_and_exits_1(capsys, monkeypatch):
         num[0][0] = num[0][0] + 1
         return sr._replace(transfer_num=PolyMatrix(num))
 
-    monkeypatch.setattr(cli, "solve_causal", perturbed)
+    monkeypatch.setattr(solver, "solve_causal", perturbed)
     code, out, err = run(capsys, "verify", SIMS)
     assert code == 1
     doc = json.loads(out)
@@ -149,23 +149,72 @@ def test_max_lag_below_h_exit_2(capsys):
     assert "max-lag" in err
 
 
+USAGE_ERRORS = [
+    ([], "the following arguments are required: command, model"),
+    (["solve"], "the following arguments are required: model"),
+    (["frobnicate", SIMS], "argument command: invalid choice: 'frobnicate' (choose from "
+     "'analyze', 'smith', 'constraints', 'solve', 'verify', 'simulate', 'probe')"),
+    # argparse's order: the command's choice before a missing model, a missing
+    # model before unrecognized tokens, which are listed together in argv order
+    (["frobnicate"], "argument command: invalid choice: 'frobnicate' (choose from "
+     "'analyze', 'smith', 'constraints', 'solve', 'verify', 'simulate', 'probe')"),
+    (["solve", "--bogus"], "the following arguments are required: model"),
+    (["--bogus", "solve", SIMS, "extra", "--format", "text", "-q"],
+     "unrecognized arguments: --bogus extra -q"),
+    (["solve", SIMS, "--no-such-flag"], "unrecognized arguments: --no-such-flag"),
+    (["solve", SIMS, "--format", "xml"],
+     "argument --format: invalid choice: 'xml' (choose from 'json', 'text')"),
+    (["solve", SIMS, "--seed"], "argument --seed: expected one argument"),
+    (["solve", SIMS, "--xi", "--format", "text"], "argument --xi: expected one argument"),
+    (["solve", SIMS, "--seed", "x"], "argument --seed: invalid int value: 'x'"),
+    (["solve", SIMS, "--trials=2.5"], "argument --trials: invalid int value: '2.5'"),
+    (["solve", SIMS, "extra"], "unrecognized arguments: extra"),
+    (["solve", SIMS, "extra", "more"], "unrecognized arguments: extra more"),
+    (["solve", SIMS, "--help=1"], "argument -h/--help: ignored explicit argument '1'"),
+    # spellings argparse took: an option prefix and a `--` separator
+    (["verify", SIMS, "--max", "3"], "unrecognized arguments: --max 3"),
+    (["solve", "--", SIMS], "unrecognized arguments: --"),
+]
+
+
 def test_usage_errors_exit_2(capsys):
-    for argv in ([], ["frobnicate", SIMS], ["solve", SIMS, "--no-such-flag"],
-                 ["solve", SIMS, "--format", "xml"]):
+    """The usage line and one `recausal: error:` line on stderr, nothing on stdout."""
+    for argv, message in USAGE_ERRORS:
         with pytest.raises(SystemExit) as exc:
             main(argv)
-        assert exc.value.code == 2, argv
         out, err = capsys.readouterr()
-        assert out == "", argv
-        assert err.splitlines()[-1].startswith("recausal: error:"), argv
+        assert (exc.value.code, out) == (2, ""), argv
+        assert err.startswith("usage: recausal [-h]"), argv
+        assert err.endswith(f"\nrecausal: error: {message}\n"), argv
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_lists_every_command_and_option(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", flag, "--no-such-flag"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, err) == (0, "")
+    assert out.startswith("usage: recausal [-h]")
+    assert all(command in out for command in cli._COMMANDS)
+    assert all(option in out for option in ("--help", *cli._OPTIONS))
 
 
 def test_options_before_or_after_the_model(capsys):
-    """One parser: options may precede the command, the model or follow both."""
+    """One parser: options may precede the command, the model or follow both, as
+    `--opt value` or `--opt=value`; the last of a repeated option wins."""
     want = run(capsys, "solve", GENERIC, "--format", "text", "--kernel-point", "0")
     assert run(capsys, "--format", "text", "solve", "--kernel-point", "0", GENERIC) == want
     assert run(capsys, "solve", "--kernel-point", "0", GENERIC, "--format", "text") == want
+    assert run(capsys, "solve", GENERIC, "--format=text", "--kernel-point=0") == want
+    assert run(capsys, "--format", "json", "solve", "--kernel-point=min-norm", GENERIC,
+               "--format=text", "--kernel-point", "0") == want
     assert want[0] == 0 and "kernel_point: 0" in want[1]
+    # a negative number is a value, also after a space; --seed=-1 reaches its range check
+    for seed in (["--seed", "-1"], ["--seed=-1"]):
+        assert run(capsys, "probe", SIMS, *seed) == (2, "", "error: --seed must be non-negative\n")
+    # so is a token with a space in it, as in argparse
+    assert run(capsys, "solve", SIMS, "--xi", "-1 2") == (
+        2, "", "error: --xi: xi must be a rational number, got '-1 2'\n")
 
 
 def test_format_text(capsys):
@@ -362,6 +411,16 @@ def test_xi_override_hits_ring(capsys):
     code, _, err = run(capsys, "solve", SIMS, "--xi", "2")
     assert code == 1
     assert "error" in err
+
+
+@pytest.mark.parametrize("xi, low", [("2", "0.5"), ("7/3", "0.428571"), ("123456789", "8.1e-09"),
+                                     ("1e400", "1e-400"), (f"{3 * 10**500}/7", "2.33333e-500")])
+def test_ring_error_prints_one_over_xi_exactly(capsys, xi, low):
+    """The ring's lower end 1/xi is printed to 6 digits as a float would print it,
+    also where 1/xi as a float underflows to 0."""
+    code, out, err = run(capsys, "analyze", SIMS, "--xi", xi)
+    assert (code, out) == (1, "")
+    assert f"inside the boundary ring [1/xi, 1] = [{low}, 1];" in err
 
 
 def test_nothing_free_at_horizon_zero(capsys, tmp_path):

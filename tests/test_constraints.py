@@ -11,11 +11,10 @@ from recausal.constraints import (
     build_selectors,
     check_rank_bounds,
     frak_p_blocks,
-    zeta_coefficients,
 )
 from recausal.dimension import run_pipeline
 from recausal.exactalg import Poly, PolyMatrix, RationalMatrix, rank_kernel, vstack
-from recausal.model import REModel, build_pi
+from recausal.model import REModel, build_pi, zeta_coefficients
 from conftest import (
     affine_set,
     brute_force_plain,

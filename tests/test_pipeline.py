@@ -2,7 +2,7 @@
 byte-stable CLI output."""
 
 import gc
-import importlib
+import importlib.util
 import json
 import os
 import random
@@ -35,9 +35,9 @@ from conftest import (
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
 COUNTED = (
-    "model.build_pi", "canon.smith_form", "exactalg.det_adjugate", "constraints.zeta_coefficients",
+    "model.build_pi", "canon.smith_form", "exactalg.det_adjugate", "model.zeta_coefficients",
 )
-ADJ_ZETA = ("exactalg.det_adjugate", "constraints.zeta_coefficients")
+ADJ_ZETA = ("exactalg.det_adjugate", "model.zeta_coefficients")
 GENERIC = GOLDEN / "generic.json"  # plain, det pi(0) != 0, J1 = H - 1, solvable
 
 
@@ -94,7 +94,7 @@ def test_cli_analyze_computes_once(monkeypatch, capsys):
     assert main(["analyze", str(ROOT / "models" / "sims.json")]) == 0
     capsys.readouterr()
     assert counts["canon.smith_form"] == 1
-    assert counts["exactalg.det_adjugate"] == counts["constraints.zeta_coefficients"] == 0
+    assert counts["exactalg.det_adjugate"] == counts["model.zeta_coefficients"] == 0
 
 
 def test_cli_analyze_skips_smith_form_when_det_pi0_is_nonzero(monkeypatch, capsys):
@@ -304,12 +304,14 @@ def test_dropped_model_frees_its_artifacts():
 
 
 def test_import_loads_neither_sympy_nor_numpy():
-    """recausal.cli imports every module of the package; the package itself
+    """Importing every module of the package loads neither; the package itself
     binds no name but __version__ (the submodules bind themselves on import)."""
     src = os.path.dirname(os.path.dirname(recausal.__file__))
     code = (
         "import sys, recausal; print([k for k in vars(recausal) if not k.startswith('__')]); "
-        "import recausal.cli; print([m for m in ('sympy', 'numpy') if m in sys.modules])"
+        "import recausal.canon, recausal.cli, recausal.constraints, recausal.dimension, "
+        "recausal.exactalg, recausal.model, recausal.solver; "
+        "print([m for m in ('sympy', 'numpy') if m in sys.modules])"
     )
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
@@ -319,20 +321,56 @@ def test_import_loads_neither_sympy_nor_numpy():
     assert recausal.__version__
 
 
-def _cli_loads(argv, module):
-    """Whether a fresh interpreter has `module` loaded after recausal.cli.main(argv)."""
+def _cli_modules(argv):
+    """The modules a fresh interpreter has loaded after recausal.cli.main(argv)."""
     src = os.path.dirname(os.path.dirname(recausal.__file__))
     code = (
         f"import sys; from recausal.cli import main; main({argv!r}); "
-        f"print({module!r} in sys.modules, file=sys.stderr)"
+        f"print(' '.join(sys.modules), file=sys.stderr)"
     )
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert f'"command": "{argv[0]}"' in out.stdout
-    assert out.stderr.strip() in ("True", "False")
-    return out.stderr.strip() == "True"
+    return set(out.stderr.split())
+
+
+def _cli_loads(argv, module):
+    """Whether a fresh interpreter has `module` loaded after recausal.cli.main(argv)."""
+    return module in _cli_modules(argv)
+
+
+# the layers a command does not run, so a cold call of it never compiles them
+UNUSED_LAYERS = {
+    "analyze": ("solver",),
+    "probe": ("solver",),
+    "constraints": ("solver", "dimension"),
+    "smith": ("solver", "dimension", "constraints"),
+    "solve": ("dimension", "constraints"),
+    "verify": ("dimension", "constraints"),
+    "simulate": ("dimension", "constraints"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(UNUSED_LAYERS))
+def test_cli_command_loads_only_its_layers(command):
+    """No command imports argparse or a recausal module it does not run."""
+    loaded = _cli_modules([command, str(ROOT / "models" / "sims.json")])
+    assert {"recausal.canon", "recausal.exactalg", "recausal.model"} <= loaded
+    assert "argparse" not in loaded
+    assert not loaded & {"recausal." + layer for layer in UNUSED_LAYERS[command]}
+
+
+def test_traced_layers_stay_bound_under_their_module_names():
+    """perfbench's span recorder wraps each layer it times by module and name
+    (spans.TARGETS): a moved function must stay bound where the recorder looks."""
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for modname, names in spans.TARGETS.items():
+        mod = importlib.import_module("recausal." + modname)
+        assert all(callable(getattr(mod, name, None)) for name in names), modname
 
 
 def _bare_loads(module):

@@ -11,12 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from recausal import canon, dimension
+from recausal import canon, model
 from recausal.canon import (
     RedundantEquationsError, SmithForm, UnitCircleRootError, _unstable_part, classify_roots,
     smith_form,
 )
-from recausal.cli import _emit, build_parser, cmd_smith, cmd_solve, cmd_verify
+from recausal.cli import _emit, cmd_smith, cmd_solve, cmd_verify, parse_args
 from recausal.dimension import dimension_report, run_pipeline
 from recausal.exactalg import (
     Poly, PolyMatrix, RationalMatrix, _packed_product, det_adjugate,
@@ -853,7 +853,7 @@ def test_solve_reads_no_smith_unimodular_but_q(capsys):
     solve and verify leave no Smith form in the memo."""
     m = sims_model()
     _drop_smith_unimodulars(m)
-    _emit(cmd_solve(m, build_parser().parse_args(["solve", "sims.json"])), "json")
+    _emit(cmd_solve(m, parse_args(["solve", "sims.json"])), "json")
     assert capsys.readouterr().out == (GOLDEN / "sims_solve.stdout").read_text()
     assert "Q_inv" not in vars(m.artifacts["sf"])
     # g = (0, 0, 2) > J1 = 1
@@ -881,7 +881,7 @@ def _sheared_smith(sf: SmithForm) -> SmithForm:
 
 def _printed(capsys, m, argv):
     """What `recausal <argv>` prints on stdout for the model object m, or its error."""
-    args = build_parser().parse_args([*argv, "model.json"])
+    args = parse_args([*argv, "model.json"])
     try:
         _emit({"solve": cmd_solve, "verify": cmd_verify}[argv[0]](m, args), "json")
     except ValueError as exc:
@@ -974,7 +974,7 @@ def test_solve_and_verify_read_no_smith_or_constraint_stage(
     adj and zeta(z): no Smith form, no local data and no constraint system, on
     every model set and golden model, whatever G and the flavor."""
     calls = []
-    monkeypatch.setattr(dimension, "smith_form", lambda pi: calls.append(1) or smith_form(pi))
+    monkeypatch.setattr(model, "smith_form", lambda pi: calls.append(1) or smith_form(pi))
     models = (list(corpus) + list(predetermined_probe) + ladder_shaped_models() + planted_models()
               + deep_planted_models() + list(golden_models().values()))
     n_solved = 0
