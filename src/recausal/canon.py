@@ -6,9 +6,9 @@ operations update D and P^-1, the column operations D alone.  Q, which only
 `recausal smith` reads, follows from one integer product P^-1 pi
 on first read, as do the inverses P and Q^-1: `SmithForm` is a plain class
 that caches them.  The constraint blocks read only a `LocalSmith`, the data at
-z = 0 of some pi = P diag(z^g) E: `local_form` finds it by row reduction at
-z = 0, with no Smith elimination, and `SmithForm.local` reads the global
-form's.  `RootClassification` is a named tuple.
+z = 0 of some pi = P diag(z^g) E on integers: `local_form` finds it by row
+reduction at z = 0, with no Smith elimination, and `SmithForm.local` reads the
+global form's.  `RootClassification` is a named tuple.
 `classify_roots` sorts the roots of det pi against the unit circle on the
 inclusion discs of Weierstrass corrections (Carstensen) from `root_discs`.
 Floating point seeds them (`_start_points`) and proves the first discs by an
@@ -37,8 +37,8 @@ from math import ceil, frexp, inf, isqrt, ldexp, log2, prod
 from sys import float_info
 
 from .exactalg import (
-    _NIL, Poly, PolyMatrix, RationalMatrix, _det_adjugate, _numerators, _packed_product, _poly,
-    _rmat, _row_echelon, rat, squarefree_factors,
+    Poly, PolyMatrix, _det_adjugate, _numerators, _packed_product, _poly, _row_echelon, rat,
+    squarefree_factors,
 )
 
 
@@ -97,16 +97,15 @@ class SmithForm:
         return tuple(Poly.monomial(gi) * ph for gi, ph in zip(self.g, self.phi))
 
     def local(self, order: int | None = None) -> "LocalSmith":
-        """The data at z = 0 of pi = P diag(z^g) E: the coefficients of P^-1
-        below z^order, or all of them without an order, and E(0) on first read,
-        whose row i is the z^g_i coefficient of row i of P^-1 pi."""
+        """The data at z = 0 of pi = P diag(z^g) E: P^-1's `_numerators` below
+        z^order, or all of them without an order, and E(0) on first read, whose
+        row i is the z^g_i coefficient of row i of the packed product P^-1 pi."""
         def omega0():
             P, den = _packed_product(self.P_inv, self.pi)
-            return _rmat([[Fraction(f[gi] if gi < len(f) else 0, den) for f in row]
-                          for row, gi in zip(P, self.g)])
+            return [[f[gi] if gi < len(f) else 0 for f in row] for row, gi in zip(P, self.g)], den
 
-        p_inv = self.P_inv.coeff_list() if order is None else map(self.P_inv.coeff, range(order))
-        return LocalSmith(self.g, tuple(p_inv), omega0)
+        N, L = _numerators(self.P_inv)
+        return LocalSmith(self.g, ([[f[:order] for f in row] for row in N], L), omega0)
 
 
 def _unimodular_inverse(M: PolyMatrix) -> PolyMatrix:
@@ -117,11 +116,11 @@ def _unimodular_inverse(M: PolyMatrix) -> PolyMatrix:
 
 
 class LocalSmith:
-    """g, the coefficients of P^-1 (lowest power first) and omega0 = E(0) of a
-    factorization pi = P diag(z^g) E with P unimodular and E(0) invertible:
-    all the constraint systems read of the Smith form.  omega0, which only the
-    predetermined system reads, is given as a function and computed on first
-    read."""
+    """g, P^-1 and omega0 = E(0) of a factorization pi = P diag(z^g) E with P
+    unimodular and E(0) invertible, on integers: p_inv = (N, L), N[i][k] the
+    coefficients of entry (i, k) of L P^-1, lowest first, and omega0 = (E, d),
+    E(0) = E / d, given as a function and computed on first read: all the
+    constraint systems read of the Smith form, omega0 only the predetermined."""
 
     def __init__(self, g: tuple, p_inv: tuple, omega0):
         self.g, self.p_inv, self._omega0 = g, p_inv, omega0
@@ -142,10 +141,7 @@ def local_form(pi: PolyMatrix, G: int) -> LocalSmith:
     unimodular, so sum v = G proves E(0) = l / L invertible, E = diag(z^-v) R:
     at most G steps.  Sorted stably by v, g = v (Gohberg, Lancaster & Rodman,
     *Matrix Polynomials*, 1982, ch. 7)."""
-    s = pi.rows
-    if not G:
-        return LocalSmith((0,) * s, (RationalMatrix.identity(s),), lambda: pi.coeff(0))
-    N, L = _numerators(pi)
+    s, (N, L) = pi.rows, _numerators(pi)
     rows = [list(r) + [[int(i == k)] for k in range(s)] for i, r in enumerate(N)]
     at = lambda f, t: f[t] if 0 <= t < len(f) else 0
     val = lambda f: next((t for t, x in enumerate(f) if x), G)  # a zero entry counts as G
@@ -158,10 +154,8 @@ def local_form(pi: PolyMatrix, G: int) -> LocalSmith:
         rows[j] = [[sum(ci * at(r[k], t - d) for ci, d, r in sup)
                     for t in range(max(d + len(r[k]) for _, d, r in sup))] for k in range(2 * s)]
     order = sorted(range(s), key=v.__getitem__)
-    p_inv = tuple(_rmat([[Fraction(x) if (x := at(f, t)) else _NIL for f in rows[i][s:]]
-                         for i in order]) for t in range(max(len(f) for r in rows for f in r[s:])))
-    E0 = lambda: _rmat([[Fraction(at(f, v[i]), L) for f in rows[i][:s]] for i in order])
-    return LocalSmith(tuple(v[i] for i in order), p_inv, E0)
+    E0 = lambda: ([[at(f, v[i]) for f in rows[i][:s]] for i in order], L)
+    return LocalSmith(tuple(v[i] for i in order), ([rows[i][s:] for i in order], 1), E0)
 
 
 def smith_form(M: PolyMatrix) -> SmithForm:

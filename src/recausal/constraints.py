@@ -6,11 +6,14 @@ must satisfy, in both the plain and the predetermined flavor, as a
 `ConstraintSystem`.  Its rank_w and the rank bounds are counted by
 `_row_echelon` (Bareiss, Math. Comp. 22, 1968) on integer rows: m_stack, the
 m_i of zeta(z) = sum_i m_i z^i summed on `REModel.numerators`
-(`model.build_m_stack`), and each p_stack row scaled to integers, multiplied
-in one zero-skipping product.  The predetermined count puts A_i^T, A_i the first
-n_i columns of E(0), in place of S's block (A_i^T A_i)^-1 A_i^T: E(0) is
-invertible, so both have the same row space, and no pseudo-inverse is
-solved.  The kernel is read off that elimination; C, D and rhs on first read.
+(`model.build_m_stack`), and p_stack on the integers of P^{-1} that the
+`LocalSmith` holds over one denominator, multiplied in one zero-skipping
+product.  The predetermined count puts A_i^T, A_i the first n_i columns of
+E(0), in place of S's block (A_i^T A_i)^-1 A_i^T: E(0) is invertible, so both
+have the same row space, no pseudo-inverse is solved, and E(0)'s integer
+columns combine p_stack's rows.  The kernel is read off that elimination.
+Fractions are formed only for C, D and rhs, on first read, and for the
+pseudo-inverse of E(0)'s columns (`build_selectors`).
 
 Of a factorization pi = P diag(z^g) E (P unimodular, E(0) invertible; the
 Smith form with E = diag(phi) Q is one) the systems read only its data at
@@ -37,12 +40,10 @@ from functools import cached_property
 from .canon import LocalSmith
 from .exactalg import (
     RationalMatrix,
-    _NIL,
     _combine,
     _echelon_kernel,
     _rmat,
     _row_echelon,
-    _scaled,
     block_diag,
     pseudo_inverse_columns,
     vstack,
@@ -51,44 +52,36 @@ from .model import REModel
 
 
 def frak_p_blocks(loc: LocalSmith, J1: int, H: int) -> tuple:
-    """Per-row coefficient blocks of P^{-1} shaped by the partial multiplicities:
-    s matrices, each H x s(H + max(g - J1, 0))."""
-    g, pc = loc.g, loc.p_inv
-    s = len(g)
-    width = s * (H + max(max(g) - J1, 0))
-    blocks = []
-    for k, gk in enumerate(g):
-        # row r of block k holds coefficients r + o, ..., 0 of row k of P^-1;
-        # rows r < -o (g_k < J1) and coefficients past the known ones stay zero
-        o = gk - J1
-        rows = [[_NIL] * width for _ in range(H)]
-        for r in range(H):
-            for col_block in range(max(r + o + 1 - len(pc), 0), r + o + 1):
-                rows[r][col_block * s : (col_block + 1) * s] = pc[r + o - col_block].entries[k]
-        blocks.append(_rmat(rows))
-    return tuple(blocks)
+    """(rows, L): p_stack = rows / L, the per-row coefficient blocks of P^-1 shaped
+    by the partial multiplicities on loc.p_inv's integers, stacked: s blocks of H
+    rows, block k at rows k H .. k H + H - 1, each s(H + max(g - J1, 0)) wide."""
+    g, (N, L) = loc.g, loc.p_inv
+    n = H + max(max(g) - J1, 0)
+    # row r of block k holds coefficients r + o, ..., 0 of row k of P^-1, o = g_k - J1;
+    # rows r < -o (g_k < J1) and coefficients past the known ones stay zero
+    return [[f[t] if 0 <= (t := r + gk - J1 - j) < len(f) else 0 for j in range(n) for f in N[k]]
+            for k, gk in enumerate(g) for r in range(H)], L
 
 
 def build_selectors(m: REModel, loc: LocalSmith) -> RationalMatrix:
-    """S: block i left-inverts omega0's first columns, as many as block i of h
+    """S: block i left-inverts E(0)'s first columns, as many as block i of h
     has free entries."""
-    free = m.free_unknowns()
+    free, (E, d) = m.free_unknowns(), loc.omega0
+    E0 = _rmat([[Fraction(x, d) for x in row] for row in E])
     return block_diag(
-        pseudo_inverse_columns(loc.omega0, sum(a // m.s == i for a in free)) for i in range(m.H)
+        pseudo_inverse_columns(E0, sum(a // m.s == i for a in free)) for i in range(m.H)
     )
 
 
 def _echelon_w(m: REModel, N: list, pb: tuple, cols, loc: LocalSmith | None) -> tuple:
     """(rows, pivots): C's row space in reduced echelon form on integer rows, of
-    each p_stack row times the lcm c of its denominators, times N on the columns
-    cols; the predetermined flavor folds diag(1/c) into A_i^T."""
+    p_stack's integer rows times N on the columns cols; the predetermined flavor
+    combines them by the integer columns of E(0)."""
     Nc, w = [[row[c] for c in cols] for row in N], len(cols)
-    scaled = [_scaled(row) for blk in pb for row in blk.entries]  # (c row r of p_stack, c)
-    rows = [_combine(zip(r, Nc), w) for r, _ in scaled]  # c times row r of p_stack N
-    if loc is not None:  # row j of block i: A_i^T's row j over the c of p_stack rows k H + i
-        s, H, E0 = m.s, m.H, loc.omega0.entries
-        over_c = lambda i, j: _scaled([E0[k][j] / scaled[k * H + i][1] for k in range(s)])[0]
-        rows = [_combine(zip(over_c(i, j), rows[i::H]), w)
+    rows = [_combine(zip(r, Nc), w) for r in pb[0]]  # L times row r of p_stack N
+    if loc is not None:  # row j of block i: A_i^T's row j, E(0)'s column j, on rows k H + i
+        s, H, E = m.s, m.H, loc.omega0[0]
+        rows = [_combine(zip([e[j] for e in E], rows[i::H]), w)
                 for i in range(H) for j in range(sum(a // s == i for a in cols))]
     pivots = _row_echelon(rows, w)
     return rows[: len(pivots)], pivots
@@ -101,7 +94,7 @@ class ConstraintSystem:
     are built on first read.  C = D m_stack for D = p_stack (plain), or,
     given the LocalSmith loc, for D = S U^T p_stack with C on the free columns
     of h; U^T takes p_stack's rows in time-block order, row k H + i to row
-    i s + k.  ms = (N, L) is m_stack and pb the blocks of p_stack."""
+    i s + k.  ms = (N, L) is m_stack, N / L, and pb = (P, L') p_stack, P / L'."""
 
     def __init__(self, m: REModel, ms: tuple, pb: tuple, loc: LocalSmith | None = None):
         self.flavor = "plain" if loc is None else "predetermined"
@@ -117,8 +110,8 @@ class ConstraintSystem:
 
     @cached_property
     def _matrices(self) -> tuple:
-        m, (N, L), pb, loc, cols = self._src
-        D = vstack(pb)
+        m, (N, L), (P, lp), loc, cols = self._src
+        D = _rmat([[Fraction(x, lp) for x in row] for row in P], len(N))
         if loc is not None:
             rows = [k * m.H + i for i in range(m.H) for k in range(m.s)]
             D = build_selectors(m, loc) * D.submatrix(rows, range(D.cols))

@@ -7,14 +7,15 @@ run the global `smith_form` only for a predetermined model with G > 0, whose
 system can depend on the factors; a plain system prints the C, D and rhs its
 rank is counted on, which at some g_i > J1 need not have the solution set of
 the global Smith form's.  Otherwise only `recausal smith` runs it.  The
-solve reads only `pi`, adj pi (`adj`), zeta(z) (`zc`) and `split`, the
-det pi = D S certified on the discs of `roots`, and no Smith form, so
-analyze's free_parameters may differ from its indeterminacy_dim on a
-predetermined model with G > 0 or J1 < H.  `dimension_report` and
-`genericity_probe` read only ranks, which the systems count on integer rows:
-they form no Fraction product, C, kernel or pseudo-inverse, and E(0) only for
-a predetermined model.  `DimensionReport` is a named tuple.  Only `analyze` and
-`probe` import this module, and with it `recausal.constraints`.
+solve reads only the stages `pi`, adj pi (`adj`) and `split`, the det pi = D S
+certified on the discs of `roots`, builds zeta(z) on integer rows itself
+(`model.build_m_stack`), and reads no Smith form, so analyze's free_parameters
+may differ from its indeterminacy_dim on a predetermined model with G > 0 or
+J1 < H.  `dimension_report` and `genericity_probe` read only ranks, which the
+systems count on integer rows: they form no Fraction product, C, kernel or
+pseudo-inverse, and E(0), on integers too, only for a predetermined model.
+`DimensionReport` is a named tuple.  Only `analyze` and `probe` import this
+module, and with it `recausal.constraints`.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ base-2^b digits.  `rank_kernel`, `solve_affine` (via `_solve_rows`) and the
 constraint ranks share one fraction-free Gauss-Jordan elimination on
 integer rows (`_row_echelon`): rows are scaled by the lcm of their
 denominators (`_scaled`, the one helper every Fraction row outside the A_kh
-goes through) and kept primitive, and each result entry is one division at
+and the w_j goes through) and kept primitive, and each result entry is one division at
 the end; the reduced echelon form, and so every result, is that of a
 Fraction elimination of any positive multiples of the rows.  Every operation
 is exact; no floating point.
@@ -418,12 +418,6 @@ class PolyMatrix:
     def coeff(self, k: int) -> "RationalMatrix":
         """Coefficient matrix of z^k."""
         return _rmat([[e[k] for e in row] for row in self.entries])
-
-    def coeff_list(self):
-        """All coefficient matrices from z^0 up to the maximum degree."""
-        top = self.max_degree()
-        n = int(top) + 1 if top != NEG_INF else 1
-        return [self.coeff(k) for k in range(n)]
 
     def __repr__(self):
         return f"PolyMatrix({self.entries!r})"

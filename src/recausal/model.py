@@ -12,13 +12,15 @@ gamma = (s_0, ..., s_H) with sum(gamma) = s.
 `m._replace(...)`.  A model is immutable once built: the artifacts derived
 from it (pi(z) with det pi, adj pi, its Smith form, the constraint systems)
 are memoized on the instance in `REModel.artifacts`, filled by the stages of
-`Pipeline` (`run_pipeline`), and its A_kh as integers in `REModel.numerators`,
-which every other module reads; a model from `_replace` starts with an empty memo.
-`zeta_coefficients` builds zeta(z) = sum_i m_i z^i for the solve and
-`build_m_stack` its m_i on integer rows for the constraint systems; both read
-only `REModel.numerators`.  This module imports `canon` and `exactalg` alone;
-the stages that build a constraint system import `recausal.constraints` on
-first use, so a command that builds none never compiles it.
+`Pipeline` (`run_pipeline`), its A_kh as integers in `REModel.numerators` and
+its Wold coefficients as integers in `REModel.wold_numerators`, which every
+other module reads; a model from `_replace` starts with an empty memo.
+`build_m_stack` stacks the m_i of zeta(z) = sum_i m_i z^i on integer rows, from
+`REModel.numerators` alone: the constraint systems read them over H + max(g -
+J1, 0) blocks, and the solve builds its right factor from K + H of them.
+This module imports `canon` and `exactalg` alone; the stages that build a
+constraint system import `recausal.constraints` on first use, so a command
+that builds none never compiles it.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from math import lcm
 
 from .canon import RedundantEquationsError, classify_roots, factor_stable_unstable
 from .canon import local_form, smith_form
-from .exactalg import Poly, PolyMatrix, RationalMatrix, _poly, _rmat, det_adjugate, determinant, rat
+from .exactalg import PolyMatrix, RationalMatrix, _poly, _rmat, det_adjugate, determinant, rat
 
 SCHEMA_VERSION = 1
 
@@ -77,9 +79,13 @@ class REModel(namedtuple("REModel", "s K H q A gamma wold xi", defaults=(Fractio
             return self.wold[j]
         return RationalMatrix.zero(self.s, self.q)
 
-    def wold_poly(self) -> PolyMatrix:
-        return PolyMatrix([[Poly([w.entries[i][j] for w in self.wold]) for j in range(self.q)]
-                           for i in range(self.s)])
+    @cached_property
+    def wold_numerators(self) -> tuple:
+        """(L, W): W[i][c] the coefficients of entry (i, c) of w(z) = sum_j w_j z^j times L,
+        lowest first, L the lcm of the w_j denominators; memoized like `numerators`."""
+        L = lcm(*[x.denominator for w in self.wold for row in w.entries for x in row])
+        return L, [[[(x := w.entries[i][c]).numerator * (L // x.denominator) for w in self.wold]
+                     for c in range(self.q)] for i in range(self.s)]
 
 
 def _parse_matrix(obj, rows, cols, what, seen: dict) -> RationalMatrix:
@@ -214,14 +220,6 @@ def build_m_stack(m: REModel, n: int) -> tuple:
     return N, L
 
 
-def zeta_coefficients(m: REModel) -> PolyMatrix:
-    """zeta(z) = sum_i m_i z^i (s x sH) of zeta_t = sum_i m_i eps_bullet_{t-i}, by build_m_stack."""
-    s, n = m.s, m.H + m.K
-    N, L = build_m_stack(m, n)
-    return PolyMatrix([[_poly([N[i * s + r][c] for i in range(n)], L) for c in range(s * m.H)]
-                       for r in range(s)])
-
-
 def _stage(build):
     """A Pipeline attribute computed on first use and memoized on the model."""
     name = build.__name__
@@ -270,8 +268,8 @@ class Pipeline:
 
     @_stage
     def local(self):
-        """g, P^-1 and E(0) of pi = P diag(z^g) E, the data the constraints read, by
-        `local_form`; a predetermined model with G > 0, whose system depends on
+        """g, P^-1 and E(0) of pi = P diag(z^g) E on integers, the data the constraints
+        read, by `local_form`; a predetermined model with G > 0, whose system depends on
         the factors, reads the global Smith form's."""
         pp, m = self.pi, self.model
         if not (m.predetermined and pp.det[0] == 0):
@@ -290,11 +288,6 @@ class Pipeline:
         return factor_stable_unstable(self.pi.det, self.pi.J1, self.roots)
 
     @_stage
-    def zc(self):
-        """zeta(z) as a polynomial matrix: read only by the solve after its split."""
-        return zeta_coefficients(self.model)
-
-    @_stage
     def pb(self):
         from .constraints import frak_p_blocks
 
@@ -303,8 +296,10 @@ class Pipeline:
     @_stage
     def m_stack(self):
         """The m_i of zeta(z) stacked on integer rows (N, L), as many as p_stack
-        has column blocks, H + max(g - J1, 0): the systems and bounds read it."""
-        return build_m_stack(self.model, self.pb[0].cols // self.model.s)
+        has column blocks, H + max(g - J1, 0), or none at H = 0, where p_stack
+        has no rows: the systems and bounds read it."""
+        H = self.model.H
+        return build_m_stack(self.model, H and H + max(max(self.local.g) - self.pi.J1, 0))
 
     @_stage
     def plain_cs(self):

@@ -6,18 +6,18 @@ multiplicity of z = 0 in det pi and U its unstable factor, that is one
 divisibility condition: D divides adj(pi) N(z; h).  With N = pi(z) h(z) + R(z; h)
 for the residual R = M h - W, M = z^J1 zeta(z) and W = z^J1 w(z),
 adj(pi) pi = det(pi) I = D S I gives adj(pi) N = D S h(z) + adj(pi) R.  One
-integer product P = adj(pi) [M's solve columns | W] per solve serves twice: the
-conditions are the remainders of its entries mod D, linear in h, and the transfer
-is (adj(pi) R / D + S h(z)) / S with adj(pi) R summed from the columns of P.
-P is z^J1 adj(pi) [zeta's solve columns | w], J1 zero coefficients prepended to
-each entry of the unshifted product.
+integer product P = adj(pi) [M's solve columns | W] per solve (`_adj_product`,
+its right factor built on integers) serves twice: the conditions are the
+remainders of its entries mod D, linear in h, and the transfer is
+(adj(pi) R / D + S h(z)) / S with adj(pi) R summed from the columns of P.
+Neither the rows' echelon form nor the transfer sees a positive factor of P.
 
 The rows are verify_solution's acceptance test, linearized (see README): the
 head Psi_0 .. Psi_(H-1) of the solution must be h (plain flavor), so z^H D
 divides adj(pi) R; or, with the entries of h outside `REModel.free_unknowns()`
 zero, some p = h + d with d in ker L (`_expectation_kernel`), so that
 N(z; p) = N(z; h) (predetermined flavor), and z^H D divides adj(pi) (M p - W).
-No factorization of pi enters.  adj(pi) and zeta(z) are read only once the
+No factorization of pi enters.  adj(pi) and the product are built only once the
 split, `Pipeline.split`, is accepted: a refused model builds neither.  Only
 `simulate` imports numpy.  The result, `SolutionReport`, is a named tuple: h and
 num/den determine the solution.
@@ -34,18 +34,34 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import chain, product
 from math import lcm
+from operator import mul
 
 from .canon import FactorizationError, factor_stable_unstable  # re-exported
 from .canon import KernelPointError, UnsupportedModelError
 from .exactalg import Poly, PolyMatrix, RationalMatrix, _ZERO, _combine, _int_product, _numerators
-from .exactalg import _packed_product, _poly, _rmat, _scaled, _solve_rows, poly_gcd, rank_kernel
-from .exactalg import solve_affine
-from .model import REModel, run_pipeline
+from .exactalg import _poly, _rmat, _scaled, _solve_rows, poly_gcd, rank_kernel, solve_affine
+from .model import REModel, build_m_stack, run_pipeline
+
+
+def _adj_product(m: REModel, adj: PolyMatrix, J1: int, free, ker_l: list) -> tuple:
+    """(P, den): adj(pi) [M's free columns | M ker L | W] = P / den, P's entries integer
+    coefficient lists, lowest first, by one `_int_product` of adj(pi)'s `_numerators` and
+    the right factor on integers over one denominator: M = z^J1 zeta(z) from
+    build_m_stack(m, K + H), whose row i s + r is coefficient i of zeta's row r, and
+    W = z^J1 w(z) from `REModel.wold_numerators`."""
+    s, (N, L), (lw, W) = m.s, build_m_stack(m, m.K + m.H), m.wold_numerators
+    kv = [_scaled(v) for v in ker_l]  # (v times lv, lv)
+    lb, pad = lcm(L * lcm(*(lv for _, lv in kv)), lw), [0] * J1  # lb: B's denominator
+    B = [[pad + [x[a] * (lb // L) for x in N[r::s]] for a in free]
+         + [pad + [sum(map(mul, x, v)) * (lb // (L * lv)) for x in N[r::s]] for v, lv in kv]
+         + [pad + [y * (lb // lw) for y in f] for f in wr] for r, wr in enumerate(W)]
+    A, la = _numerators(adj)
+    return _int_product(A, B, len(free) + len(kv) + m.q), la * lb
 
 
 def _cancellation_rows(P: list, D: Poly) -> list:
     """Integer rows [X | B], X x = B saying that the monic D divides adj(pi) (M x - W), from
-    (P, den) = _packed_product(adj, [M's solve columns | W]).  Row k < d = deg D of row i of P
+    (P, den) = _adj_product(m, adj, J1, free, ker L).  Row k < d = deg D of row i of P
     is den e^(N-1-k) times the z^k remainder coefficients of its entries mod D, e = lead(D.num):
     the y^k coefficients of e^(N-1) f(y / e) mod the monic integer e^(d-1) D.num(y / e)."""
     d, e = int(D.degree), D.num[-1]
@@ -65,7 +81,7 @@ def _cancellation_rows(P: list, D: Poly) -> list:
 
 def _expectation_kernel(m: REModel) -> list:
     """A basis of ker L, L(d) = sum_(k,h) sum_(j<h) A_kh d_j z^(k+j-h) for d in Q^sH: the
-    terms of pi(z) d(z) + M d = z^J1 L(d) that zeta(z) leaves, summed like zeta_coefficients."""
+    terms of pi(z) d(z) + M d = z^J1 L(d) that zeta(z) leaves, summed like build_m_stack."""
     s, H = m.s, m.H
     rows = [[0] * (s * H) for _ in range((m.K + H) * s)]  # L(d) times m.numerators' L
     for (k, h), A in m.numerators[1].items():
@@ -117,10 +133,7 @@ def solve_causal(m: REModel, kernel_point: str = "min-norm") -> SolutionReport:
     n_unknowns, q, free = m.s * m.H, m.q, m.free_unknowns()
     D, S = pipe.split
     ker_l = _expectation_kernel(m) if m.predetermined else []  # d's coordinates follow h's
-    P, den = _packed_product(pipe.adj, PolyMatrix([
-        [row[a] for a in free] + [sum((e * x for e, x in zip(row, v)), Poly()) for v in ker_l] + w
-        for row, w in zip(pipe.zc.entries, m.wold_poly().entries)]))
-    P = [[[0] * pipe.pi.J1 + f if f else f for f in row] for row in P], den  # M, W = z^J1 (zeta, w)
+    P = _adj_product(m, pipe.adj, pipe.pi.J1, free, ker_l)
     X, kern = _solve_rows(_cancellation_rows(P[0], D.shift(m.H)), len(free) + len(ker_l), q)
     at = {a: i for i, a in enumerate(free)}
     kernel = [[v[at[a]] if a in at else Fraction(0) for a in range(n_unknowns)] for v in kern]
@@ -152,15 +165,16 @@ def _numerator(m, split, P, free, h) -> PolyMatrix:
     """adj(pi) N(z; h) / D = adj(pi) R / D + S h(z), as adj(pi) pi = D S I, for R = M h - W
     and h(z) = sum_j h_j z^j.  With P the solve's product adj(pi) [M's free columns | ... | W],
     adj(pi) R = sum_(a free) P[:, a] h_a - P[:, W] on integers, as the entries of h outside
-    free are zero."""
+    free are zero.  Each column of h is scaled to integers once, for all rows."""
     D, S = split
     rows, den = P
     out = [[] for _ in rows]
-    for (i, row), c in product(enumerate(rows), range(m.q)):
+    for c in range(m.q):
         hc, L = _scaled([h.entries[a][c] for a in free])
-        acc = _combine([*zip(hc, row), (-L, row[c - m.q])])
-        hz = Poly([h.entries[j * m.s + i][c] for j in range(m.H)])
-        out[i].append(_poly(acc, den * L).exact_div(D).addmul(S, hz))
+        for i, row in enumerate(rows):
+            acc = _combine([*zip(hc, row), (-L, row[c - m.q])])
+            hz = Poly([hj[c] for hj in h.entries[i :: m.s]])
+            out[i].append(_poly(acc, den * L).exact_div(D).addmul(S, hz))
     return PolyMatrix(out)
 
 
@@ -218,7 +232,8 @@ def verify_solution(m: REModel, sr: SolutionReport, max_lag: int = 50) -> dict:
     z^H T = [Lambda | z^H W - U] [num ; den I_q], Lambda = sum A_kh z^(k+H-h) and
     U = sum A_kh z^(k+H-h) Psi_<h built from the model's own A_kh: one integer
     product (`_int_product`) with the left factor on integers: the A_kh from
-    `REModel.numerators`, Psi_<H and the w_j by `_scaled`.
+    `REModel.numerators`, the w_j from `REModel.wold_numerators` and Psi_<H by
+    `_scaled`.
     As den(0) = 1, den is a unit of Q[[z]]: R_0 .. R_L all vanish iff
     coefficients H .. H+L of z^H T are zero.  Only if not is R rebuilt as the
     series of T/den, reporting each failing lag with its first nonzero position
@@ -231,7 +246,7 @@ def verify_solution(m: REModel, sr: SolutionReport, max_lag: int = 50) -> dict:
     head = transfer_series(num, den, H)
     # [Lambda | z^H W - U] times L: the A_kh over la, Psi_<H over lh, the w_j over lw
     (la, A), (hs, lh) = m.numerators, _scaled([y for c in head for row in c.entries for y in row])
-    ws, lw = _scaled([x for w in m.wold for row in w.entries for x in row])
+    lw, ws = m.wold_numerators
     L = lcm(la * lh, lw)
     left = [[[0] * (max(m.K, len(m.wold) - 1) + H + 1) for _ in range(s + q)] for _ in range(s)]
     for (k, h), a in A.items():
@@ -244,8 +259,8 @@ def verify_solution(m: REModel, sr: SolutionReport, max_lag: int = 50) -> dict:
                     for j in range(h):
                         for f, y in zip(lrow[s:], hs[(j * s + r) * q : (j * s + r + 1) * q]):
                             f[deg + j] -= x * y
-    for (d, i, c), x in zip(product(range(len(m.wold)), range(s), range(q)), ws):
-        left[i][s + c][d + H] += x * (L // lw)
+    for f, w in zip(chain.from_iterable(r[s:] for r in left), chain.from_iterable(ws)):
+        f[H : H + len(w)] = [x + y * (L // lw) for x, y in zip(f[H:], w)]
     right, lr = _numerators(PolyMatrix(num.entries + [[den if i == c else _ZERO for c in range(q)]
                                                       for i in range(q)]))
     zT = _int_product(left, right, q)  # z^H T times L lr

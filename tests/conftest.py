@@ -29,9 +29,11 @@ from recausal.exactalg import (
     Poly,
     PolyMatrix,
     RationalMatrix,
+    _numerators,
     _packed_product,
     _poly,
     _rmat,
+    _row_echelon,
     block_diag,
     det_adjugate,
     determinant,
@@ -43,7 +45,7 @@ from recausal.exactalg import (
     solve_affine,
     vstack,
 )
-from recausal.model import SCHEMA_VERSION, REModel, build_pi, zeta_coefficients
+from recausal.model import SCHEMA_VERSION, REModel, build_m_stack, build_pi
 from recausal.solver import FactorizationError, _cancellation_rows, factor_stable_unstable
 
 
@@ -167,7 +169,7 @@ def residual_map(m: REModel, zc: PolyMatrix, J1: int):
     R(z; h) = M h - W is N(z; h) without its pi(z) h(z) term; the map is the
     same for every innovation column.  The solver reads the same product
     unshifted and prepends J1 zero coefficients to each entry."""
-    return zc.shift(J1), m.wold_poly().shift(J1)
+    return zc.shift(J1), ref_wold_poly(m).shift(J1)
 
 
 def smith_reconstruct(sf: SmithForm) -> PolyMatrix:
@@ -779,7 +781,7 @@ def crosscheck_simplified(m: REModel, pipe) -> bool:
     if n <= 0:
         assert cs.C.is_zero(), "the simplified form is empty but the general system is not"
         return True
-    s, H, pc = m.s, m.H, loc.p_inv
+    s, H, pc = m.s, m.H, fraction_local(loc).p_inv
 
     def coeff(k):
         return pc[k] if k < len(pc) else RationalMatrix.zero(s, s)
@@ -799,7 +801,8 @@ def crosscheck_simplified(m: REModel, pipe) -> bool:
             keep_rows.extend(range(row0, row0 + keep))
         row0 += keep
     S2 = build_selectors(m, loc).submatrix(keep_rows, list(range(cut * s, H * s)))
-    simp_C = (S2 * toeplitz * vstack([pipe.zc.coeff(i) for i in range(n)])).submatrix(
+    zc = ref_zeta_coefficients(m)
+    simp_C = (S2 * toeplitz * vstack([zc.coeff(i) for i in range(n)])).submatrix(
         range(len(keep_rows)), m.free_unknowns())
     simp_rank, simp_kern = rank_kernel(simp_C)
     assert (simp_rank, len(simp_kern)) == (cs.rank_w, cs.kernel_dim), (
@@ -829,8 +832,8 @@ def brute_force_plain(m: REModel, pp, sf: SmithForm):
     for (k, i) is: coefficient i + g_k - J1 of the polynomial row must vanish.
     """
     s, H, q = m.s, m.H, m.q
-    T = sf.P_inv * zeta_coefficients(m)
-    W = sf.P_inv * m.wold_poly()
+    T = sf.P_inv * ref_zeta_coefficients(m)
+    W = sf.P_inv * ref_wold_poly(m)
     rows, rhs = [], []
     for k in range(s):
         for i in range(H):
@@ -906,8 +909,8 @@ def ref_build_pi(m: REModel):
 
 
 def ref_zeta_coefficients(m: REModel) -> PolyMatrix:
-    """zeta(z) by one Fraction subtraction per term into each coefficient list:
-    the reference for `zeta_coefficients`, which sums integer numerators."""
+    """zeta(z) (s x sH) by one Fraction subtraction per term into each coefficient
+    list: the reference for `build_m_stack`, which sums integer numerators."""
     s, H = m.s, m.H
     coeffs = [[[Fraction(0)] * (H + m.K) for _ in range(s * H)] for _ in range(s)]
     for (k, h), A in m.A.items():
@@ -920,16 +923,17 @@ def ref_zeta_coefficients(m: REModel) -> PolyMatrix:
 
 def ref_m_stack(zc: PolyMatrix, pb: tuple) -> RationalMatrix:
     """The coefficient matrices m_0, m_1, ... of zeta(z) stacked by
-    `PolyMatrix.coeff`, as many as the s P^-1 blocks pb have column blocks:
-    the reference for `Pipeline.m_stack`."""
-    n = pb[0].cols // len(pb)
+    `PolyMatrix.coeff`, as many as p_stack, pb = (rows, L), has column blocks
+    (none without rows): the reference for `Pipeline.m_stack`."""
+    n = len(pb[0][0]) // zc.rows if pb[0] else 0
     return vstack([zc.coeff(i) for i in range(n)]) if n else RationalMatrix.zero(0, zc.cols)
 
 
 def ref_constraint_matrix(pipe, sel: RefSelectors | None = None) -> RationalMatrix:
     """The Fraction C by matrix products: p_stack m_stack (plain), or, given
     the dense selectors sel, S U^T p_stack m_stack R^T (predetermined)."""
-    C = vstack(pipe.pb) * ref_m_stack(pipe.zc, pipe.pb)
+    C = vstack(fraction_blocks(pipe.pb, pipe.model.s)) * ref_m_stack(
+        ref_zeta_coefficients(pipe.model), pipe.pb)
     return C if sel is None else sel.S * sel.U.transpose() * C * sel.R.transpose()
 
 
@@ -948,7 +952,7 @@ def ref_expectation_kernel(m: REModel, pipe):
     """A basis of the d in Q^sH with pi(z) d(z) + M d = 0, M = z^J1 zeta(z),
     from the polynomial products: the reference for `_expectation_kernel`."""
     s, n = m.s, m.s * m.H
-    M, _ = residual_map(m, pipe.zc, pipe.pi.J1)
+    M, _ = residual_map(m, ref_zeta_coefficients(m), pipe.pi.J1)
     images = [pipe.pi.pi * PolyMatrix([[Poly.monomial(a // s) if r == a % s else Poly()]
                                        for r in range(s)])
               + PolyMatrix([[row[a]] for row in M.entries]) for a in range(n)]
@@ -969,7 +973,7 @@ def full_unknown_system(m: REModel, pipe):
     """
     s, H, q = m.s, m.H, m.q
     n = s * H
-    M, W = residual_map(m, pipe.zc, pipe.pi.J1)
+    M, W = residual_map(m, ref_zeta_coefficients(m), pipe.pi.J1)
     ker = ref_expectation_kernel(m, pipe) if m.predetermined else []
     width = n + len(ker)
     cols = [[row[a] for a in range(n)] + [sum((row[a] * v[a] for a in range(n)), Poly())
@@ -1016,7 +1020,7 @@ def substitution_set(m: REModel):
     # N(z; h) one unknown at a time, and its constant -z^J1 w(z)
     cols = [[pi[i, a % s].shift(a // s) + zc[i, a].shift(J1) for i in range(s)]
             for a in range(n)]
-    const = (m.wold_poly() * Fraction(-1)).shift(J1)
+    const = (ref_wold_poly(m) * Fraction(-1)).shift(J1)
     dN = max(int(e.degree) for e in chain(chain.from_iterable(cols), *const.entries)
              if not e.is_zero())
     dS, dpi = int(S.degree), int(pi.max_degree())
@@ -1085,6 +1089,107 @@ def substitution_set(m: REModel):
 
 
 # ---------------------------------------------------------------------------
+# Fraction and Poly forms of the integer layouts (references for them)
+
+
+def ref_wold_poly(m: REModel) -> PolyMatrix:
+    """w(z) = sum_j w_j z^j (s x q) as a polynomial matrix: the Poly form of
+    `REModel.wold_numerators`."""
+    return PolyMatrix([[Poly([w.entries[i][j] for w in m.wold]) for j in range(m.q)]
+                       for i in range(m.s)], m.q)
+
+
+def m_stack_zeta(m: REModel) -> PolyMatrix:
+    """zeta(z) (s x sH) read off build_m_stack(m, K + H), row i s + r coefficient i
+    of zeta's row r over the stack's L: the layout the solve's right factor reads."""
+    s, n = m.s, m.K + m.H
+    N, L = build_m_stack(m, n)
+    return PolyMatrix([[_poly([N[i * s + r][c] for i in range(n)], L) for c in range(s * m.H)]
+                       for r in range(s)], s * m.H)
+
+
+def ref_adj_product(m: REModel, adj: PolyMatrix, J1: int, free, ker_l) -> PolyMatrix:
+    """z^J1 adj(pi) [zeta's free columns | zeta ker L | w] by Poly arithmetic: the
+    right factor assembled as a PolyMatrix from `ref_zeta_coefficients` and
+    `ref_wold_poly`, the reference for `solver._adj_product` over its denominator."""
+    zc = ref_zeta_coefficients(m)
+    right = PolyMatrix([
+        [row[a] for a in free] + [sum((e * x for e, x in zip(row, v)), Poly()) for v in ker_l] + w
+        for row, w in zip(zc.entries, ref_wold_poly(m).entries)], len(free) + len(ker_l) + m.q)
+    return (adj * right).shift(J1)
+
+
+# g, the coefficients of P^-1 (lowest power first) and E(0), as Fraction matrices
+RefLocal = namedtuple("RefLocal", "g p_inv omega0")
+
+
+def fraction_local(loc: LocalSmith, n: int | None = None) -> RefLocal:
+    """The integer `LocalSmith` as Fractions: its first n coefficient matrices of
+    P^-1 (all it holds without n) and E(0)."""
+    (N, L), (E, d) = loc.p_inv, loc.omega0
+    n = max(len(f) for row in N for f in row) if n is None else n
+    p_inv = tuple(_rmat([[Fraction(f[t] if t < len(f) else 0, L) for f in row] for row in N])
+                  for t in range(n))
+    return RefLocal(loc.g, p_inv, _rmat([[Fraction(x, d) for x in row] for row in E]))
+
+
+def ref_local_form(pi: PolyMatrix, G: int) -> RefLocal:
+    """`local_form`'s row reduction with its results assembled as Fraction matrices,
+    and pi(0) for E(0) at G = 0: the reference for the integer LocalSmith's layout."""
+    s = pi.rows
+    if not G:
+        return RefLocal((0,) * s, (RationalMatrix.identity(s),), pi.coeff(0))
+    N, L = _numerators(pi)
+    rows = [list(r) + [[int(i == k)] for k in range(s)] for i, r in enumerate(N)]
+    at = lambda f, t: f[t] if 0 <= t < len(f) else 0
+    val = lambda f: next((t for t, x in enumerate(f) if x), G)
+    while sum(v := [min(map(val, r[:s])) for r in rows]) < G:
+        low = [[at(f, vi) for f in r[:s]] + [int(i == k) for k in range(s)]
+               for i, (r, vi) in enumerate(zip(rows, v))]
+        c = low[len(_row_echelon(low, s))][s:]
+        j = max((i for i in range(s) if c[i]), key=v.__getitem__)
+        sup = [(ci, v[j] - vi, r) for ci, vi, r in zip(c, v, rows) if ci]
+        rows[j] = [[sum(ci * at(r[k], t - d) for ci, d, r in sup)
+                    for t in range(max(d + len(r[k]) for _, d, r in sup))] for k in range(2 * s)]
+    order = sorted(range(s), key=v.__getitem__)
+    p_inv = tuple(RationalMatrix([[at(f, t) for f in rows[i][s:]] for i in order])
+                  for t in range(max(len(f) for r in rows for f in r[s:])))
+    E0 = RationalMatrix([[Fraction(at(f, v[i]), L) for f in rows[i][:s]] for i in order])
+    return RefLocal(tuple(v[i] for i in order), p_inv, E0)
+
+
+def ref_smith_local(sf: SmithForm, order: int | None = None) -> RefLocal:
+    """`SmithForm.local` as Fraction matrices: P^-1's coefficient matrices below z^order
+    (all of them without an order) and E(0), row i the z^g_i coefficient of row i
+    of the Poly product P^-1 pi."""
+    order = int(sf.P_inv.max_degree()) + 1 if order is None else order  # P^-1 is not zero
+    p_inv = map(sf.P_inv.coeff, range(order))
+    E0 = _rmat([[f[gi] for f in row] for row, gi in zip((sf.P_inv * sf.pi).entries, sf.g)])
+    return RefLocal(sf.g, tuple(p_inv), E0)
+
+
+def int_local(g: tuple, p_inv: tuple, E0: RationalMatrix) -> LocalSmith:
+    """The integer `LocalSmith` of Fraction data: P^-1's coefficient matrices and E(0)."""
+    L = lcm(*(x.denominator for c in p_inv for row in c.entries for x in row))
+    N = [[[c.entries[i][k].numerator * (L // c.entries[i][k].denominator) for c in p_inv]
+          for k in range(len(g))] for i in range(len(g))]
+    return LocalSmith(g, (N, L), lambda: int_stack(E0))
+
+
+def fraction_blocks(pb: tuple, s: int) -> tuple:
+    """p_stack = (rows, L) as its s blocks of Fraction rows, a block without rows 0 x 0."""
+    rows, L = pb
+    H = len(rows) // s
+    return tuple(_rmat([[Fraction(x, L) for x in row] for row in rows[k * H : (k + 1) * H]])
+                 for k in range(s))
+
+
+def int_p_stack(blocks) -> tuple:
+    """(rows, L): Fraction p_stack blocks on integer rows over one denominator."""
+    return int_stack(vstack(blocks))
+
+
+# ---------------------------------------------------------------------------
 # dense selectors and the per-unknown residual map (references for the
 # predetermined system's index selections and the solver's M h - W)
 
@@ -1109,11 +1214,11 @@ def ref_selectors(m: REModel, loc: LocalSmith) -> RefSelectors:
     R = RationalMatrix.zero(len(free), s * H)
     for i, a in enumerate(free):
         R.entries[i][a] = Fraction(1)
-    blocks = []
+    blocks, omega0 = [], fraction_local(loc).omega0
     for i in range(H):
-        A = loc.omega0.submatrix(range(s), range(sum(a // s == i for a in free)))
+        A = omega0.submatrix(range(s), range(sum(a // s == i for a in free)))
         blocks.append(invert(A.transpose() * A) * A.transpose())
-    return RefSelectors(U=U, R=R, S=block_diag(blocks), omega0=loc.omega0)
+    return RefSelectors(U=U, R=R, S=block_diag(blocks), omega0=omega0)
 
 
 def ref_residual_map(m: REModel, zc: PolyMatrix, J1: int):
@@ -1122,7 +1227,7 @@ def ref_residual_map(m: REModel, zc: PolyMatrix, J1: int):
     const = -z^J1 w(z) is s x q; per_unknown[a] is the s x 1 column
     z^J1 zeta[:, a] for entry a = j s + r of an h column.
     """
-    const = m.wold_poly() * Poly.monomial(J1) * Fraction(-1)
+    const = ref_wold_poly(m) * Poly.monomial(J1) * Fraction(-1)
     per_unknown = [
         PolyMatrix([[Poly([0] * J1 + [zc.coeff(i).entries[r][a] for i in range(m.H + m.K)])]
                     for r in range(m.s)])
@@ -1260,7 +1365,7 @@ def ref_verify_per_h(m: REModel, sr, max_lag: int) -> dict:
     s, q = m.s, m.q
     num, den = sr.transfer_num, sr.transfer_den
     head = ref_series(num, den, m.H)
-    T = m.wold_poly() * den
+    T = ref_wold_poly(m) * den
     for h in range(m.H + 1):
         lead = PolyMatrix([[Poly([m.a(k, h)[i, r] for k in range(m.K + 1)]) for r in range(s)]
                            for i in range(s)])

@@ -29,6 +29,7 @@ from recausal.exactalg import (
 from conftest import (
     check_smith_invariants,
     deep_planted_models,
+    fraction_local,
     invariant_factors_oracle,
     is_unimodular,
     ladder_shaped_models,
@@ -41,7 +42,9 @@ from conftest import (
     ref_classify_roots,
     ref_disc_radius,
     ref_float_radii,
+    ref_local_form,
     ref_smith_form,
+    ref_smith_local,
     rank_of,
     serialize_model,
     sims_model,
@@ -169,12 +172,13 @@ def test_smith_factors_match_four_factor_reference(corpus, predetermined_probe):
         sf, ref = smith_form(pi), ref_smith_form(pi)
         assert (sf.P_inv, sf.g, sf.phi) == (ref.P_inv, ref.g, ref.phi)
         assert not {"Q", "P", "Q_inv"} & set(vars(sf))
-        loc, loc2 = sf.local(), sf.local(2)
+        loc, loc2 = fraction_local(sf.local()), fraction_local(sf.local(2), 2)
         phi0 = RationalMatrix.zero(sf.size, sf.size)
         for i, ph in enumerate(ref.phi):
             phi0.entries[i][i] = ph[0]
         assert (loc.g, loc.p_inv, loc.omega0) == (
-            ref.g, tuple(ref.P_inv.coeff_list()), phi0 * ref.Q.coeff(0))
+            ref.g, tuple(map(ref.P_inv.coeff, range(int(ref.P_inv.max_degree()) + 1))),
+            phi0 * ref.Q.coeff(0))
         assert (loc2.g, loc2.p_inv, loc2.omega0) == (
             ref.g, tuple(map(ref.P_inv.coeff, range(2))), loc.omega0)
         assert not {"Q", "P", "Q_inv"} & set(vars(sf))  # E(0) derives none of them
@@ -187,11 +191,14 @@ def _assert_local_factorization(pi: PolyMatrix):
     """local_form(pi, G) factors pi at z = 0 in at most G steps (one
     `_row_echelon` each): P^-1 is unimodular, diag(z^-g) P^-1 pi is a
     polynomial whose value at 0 is the invertible omega0, and g is the Smith
-    form's.  Returns g."""
+    form's.  Its integers and the Smith form's local data, over their
+    denominators, are the Fraction LocalSmiths (`ref_local_form`,
+    `ref_smith_local`).  Returns g."""
     G = det_adjugate(pi)[0].zero_multiplicity()
     with mock.patch.object(canon, "_row_echelon", wraps=canon._row_echelon) as echelon:
-        loc = local_form(pi, G)
+        loc = fraction_local(local_form(pi, G))
     assert echelon.call_count <= G and sum(loc.g) == G
+    assert loc == ref_local_form(pi, G)
     p_inv = zero_polymatrix(pi.rows, pi.rows)
     for k, c in enumerate(loc.p_inv):
         p_inv = p_inv + polymatrix_from_rational(c) * Poly.monomial(k)
@@ -199,7 +206,8 @@ def _assert_local_factorization(pi: PolyMatrix):
     E = [[e.shift(-gk) for e in row] for row, gk in zip((p_inv * pi).entries, loc.g)]
     E0 = RationalMatrix([[e[0] for e in row] for row in E])
     assert E0 == loc.omega0 and rank_of(E0) == pi.rows
-    assert loc.g == smith_form(pi).g
+    sf = smith_form(pi)
+    assert loc.g == sf.g and fraction_local(sf.local()) == ref_smith_local(sf)
     return loc.g
 
 
@@ -209,6 +217,34 @@ def test_local_form_is_a_factorization_at_zero(corpus, predetermined_probe):
               + deep_planted_models()):
         n_positive += any(_assert_local_factorization(build_pi(m).pi))
     assert n_positive == 29
+
+
+def test_local_data_are_the_fraction_local_smith_on_integers(corpus, predetermined_probe):
+    """The integer LocalSmith of local_form, of SmithForm.local with and without an
+    order and of the pipeline's stage, taken over its denominators, is the Fraction
+    LocalSmith of the same reduction or elimination (`ref_local_form`,
+    `ref_smith_local`) on all five sets, with G > 0, predetermined, J1 < H and H = 0."""
+    counts = dict.fromkeys(("models", "G>0", "global", "predetermined", "J1<H", "H=0"), 0)
+    for m in (corpus + predetermined_probe + ladder_shaped_models() + planted_models()
+              + deep_planted_models()):
+        m = m._replace()  # an empty memo
+        pipe = run_pipeline(m)
+        pi, G, J1 = pipe.pi.pi, pipe.pi.det.zero_multiplicity(), pipe.pi.J1
+        sf = smith_form(pi)
+        assert fraction_local(local_form(pi, G)) == ref_local_form(pi, G)
+        assert fraction_local(sf.local()) == ref_smith_local(sf)
+        assert fraction_local(sf.local(2), 2) == ref_smith_local(sf, 2)
+        loc = pipe.local
+        if "sf" in m.artifacts:  # a predetermined model with G > 0 reads the global form
+            order = m.H + max(max(loc.g) - J1, 0)
+            assert fraction_local(loc, order) == ref_smith_local(pipe.sf, order)
+        else:
+            assert fraction_local(loc) == ref_local_form(pi, G)
+        for key, hit in (("models", True), ("G>0", G), ("global", "sf" in m.artifacts),
+                         ("predetermined", m.predetermined), ("J1<H", J1 < m.H), ("H=0", not m.H)):
+            counts[key] += bool(hit)
+    assert counts == {"models": 314, "G>0": 29, "global": 14, "predetermined": 162, "J1<H": 141,
+                      "H=0": 2}, counts
 
 
 @settings(derandomize=True, max_examples=40, deadline=timedelta(seconds=4))

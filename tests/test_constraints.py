@@ -4,7 +4,6 @@ import random
 from fractions import Fraction
 from math import lcm
 
-from recausal.canon import LocalSmith
 from recausal.constraints import (
     build_plain_system,
     build_predetermined_system,
@@ -14,13 +13,18 @@ from recausal.constraints import (
 )
 from recausal.dimension import run_pipeline
 from recausal.exactalg import Poly, PolyMatrix, RationalMatrix, rank_kernel, vstack
-from recausal.model import REModel, build_pi, zeta_coefficients
+from recausal.model import REModel, build_pi
 from conftest import (
     affine_set,
     brute_force_plain,
     deep_planted_models,
+    fraction_blocks,
+    fraction_local,
+    int_local,
+    int_p_stack,
     int_stack,
     ladder_shaped_models,
+    m_stack_zeta,
     planted_models,
     polymatrix_from_rational,
     rand_frac,
@@ -69,7 +73,7 @@ def test_zeta_univariate_k2h2():
     m = REModel(s=1, K=2, H=2, q=1,
                 A={kh: RationalMatrix([[v]]) for kh, v in a.items()},
                 gamma=(1, 0, 0), wold=(RationalMatrix([[1]]),))
-    zc = zeta_coefficients(m)
+    zc = m_stack_zeta(m)
     expected = [
         [-a[(0, 0)], -a[(0, 1)]],
         [-a[(1, 0)], -(a[(0, 0)] + a[(1, 1)])],
@@ -83,7 +87,7 @@ def test_zeta_univariate_k2h2():
 
 def test_zeta_sims():
     m = sims_model()
-    zc = zeta_coefficients(m)
+    zc = m_stack_zeta(m)
     assert zc.max_degree() == 1
     assert zc.coeff(0) == -m.a(0, 0)
     assert zc.coeff(1) == -m.a(1, 0)
@@ -96,7 +100,7 @@ def test_zeta_symbolic_expansion_oracle():
         s = rng.randint(1, 3)
         K, H = rng.randint(0, 3), rng.randint(1, 3)
         m = random_model(rng, s, K, H)
-        zc = zeta_coefficients(m)
+        zc = m_stack_zeta(m)
         by_power = {}
         for k in range(K + 1):
             for j in range(H):
@@ -125,7 +129,7 @@ def test_zeta_tail_vanishes(corpus):
         pp = build_pi(m)
         if not (m.K <= m.H - 1 or -pp.J0 >= m.K - (m.H - 1)):
             continue
-        zc = zeta_coefficients(m)
+        zc = m_stack_zeta(m)
         assert zc.max_degree() < max(0, m.H - pp.J0), (m.K, m.H, pp.J0)
 
 
@@ -134,7 +138,7 @@ def test_zeta_tail_vanishes(corpus):
 
 
 def test_p_inverse_published_sims():
-    pc = sims_published_smith().local().p_inv
+    pc = fraction_local(sims_published_smith().local()).p_inv
     assert pc[0] == RationalMatrix([[1, 90000], [0, Fraction(100, 99)]])
     assert pc[1] == RationalMatrix([[0, 0], [Fraction(-1, 99000), Fraction(-10, 11)]])
     assert len(pc) == 2
@@ -145,7 +149,7 @@ def test_p_inverse_defining_identity():
     for _ in range(10):
         m = random_model(rng, rng.randint(1, 3), rng.randint(0, 2), rng.randint(1, 2))
         pipe = run_pipeline(m)
-        pc = pipe.sf.local().p_inv
+        pc = fraction_local(pipe.sf.local()).p_inv
         acc = zero_polymatrix(m.s, m.s)
         for i, ci in enumerate(pc):
             acc = acc + polymatrix_from_rational(ci) * Poly.monomial(i)
@@ -155,7 +159,7 @@ def test_p_inverse_defining_identity():
 def test_frak_blocks_published_sims():
     sf = sims_published_smith()
     loc = sf.local()
-    pb = frak_p_blocks(loc, J1=1, H=1)
+    pb = fraction_blocks(frak_p_blocks(loc, J1=1, H=1), 2)
     # delta_k = J1 - g_k for g_k <= J1, and no g_k exceeds J1
     assert tuple(1 - gk for gk in loc.g) == (1, 0) and all(gk <= 1 for gk in loc.g)
     assert pb[0] == RationalMatrix.zero(1, 2)
@@ -165,7 +169,7 @@ def test_frak_blocks_published_sims():
 def test_frak_blocks_g_above_j1():
     m = _pi4_model()
     pipe = run_pipeline(m)
-    pb = pipe.pb
+    pb = fraction_blocks(pipe.pb, m.s)
     assert pipe.sf.g == (0, 0, 2, 2)
     # gamma_k = g_k - J1 for g_k > J1
     assert [gk - pipe.pi.J1 for gk in pipe.local.g[2:]] == [1, 1]
@@ -182,7 +186,7 @@ def test_selectors_published_sims():
     m = sims_model()
     loc = sims_published_smith().local()
     ref = ref_selectors(m, loc)
-    assert loc.omega0 == RationalMatrix([[1, 0], [0, Fraction(100, 99)]])
+    assert fraction_local(loc).omega0 == RationalMatrix([[1, 0], [0, Fraction(100, 99)]])
     assert build_selectors(m, loc) == ref.S == RationalMatrix([[1, 0]])
     assert ref.R == RationalMatrix([[1, 0]])
     assert ref.U == RationalMatrix.identity(2)
@@ -237,7 +241,7 @@ def test_m_stack_matches_the_coefficient_stack(corpus, predetermined_probe):
     n_h0 = n_wide = 0
     for m in models:
         pipe = run_pipeline(m)
-        zc = zeta_coefficients(m)
+        zc = m_stack_zeta(m)
         assert zc == ref_zeta_coefficients(m) and (zc.rows, zc.cols) == (m.s, m.s * m.H)
         N, L = pipe.m_stack
         ref = ref_m_stack(zc, pipe.pb)
@@ -261,9 +265,10 @@ def test_predetermined_system_matches_dense_selectors(corpus, predetermined_prob
             continue
         pipe = run_pipeline(m)
         cs, ref = pipe.cs, ref_selectors(m, pipe.local)
-        width = pipe.pb[0].cols // m.s
-        D = ref.S * ref.U.transpose() * vstack(pipe.pb)
-        C = D * vstack([pipe.zc.coeff(i) for i in range(width)]) * ref.R.transpose()
+        blocks, zc = fraction_blocks(pipe.pb, m.s), ref_zeta_coefficients(m)
+        width = blocks[0].cols // m.s
+        D = ref.S * ref.U.transpose() * vstack(blocks)
+        C = D * vstack([zc.coeff(i) for i in range(width)]) * ref.R.transpose()
         assert cs.D == D and cs.C == C, (m.s, m.H, m.gamma)
         assert cs.rhs == D * vstack([m.wold_coeff(j) for j in range(width)])
         assert (cs.C.rows, cs.C.cols) == (C.rows, C.cols) and cs.effective_unknowns == C.cols
@@ -298,8 +303,9 @@ def test_integer_ranks_match_a_fraction_reference(corpus, predetermined_probe):
 
 def test_predetermined_count_weights_the_scaled_rows():
     """A selector row a p_0 + b p_1 that vanishes exactly counts as zero, also
-    when the p_stack rows p_0 and p_1 are scaled to integers by different lcms:
-    s = 2, H = 1, gamma = (1, 1), A_0 = (a, b)^T the first column of E(0)."""
+    when the p_stack rows p_0 and p_1 have different lcms of their denominators:
+    p_stack holds them over one, and E(0) is taken on integers.  s = 2, H = 1,
+    gamma = (1, 1), A_0 = (a, b)^T the first column of E(0)."""
     rng = random.Random(35)
     n_unequal = 0
     for _ in range(30):
@@ -307,11 +313,12 @@ def test_predetermined_count_weights_the_scaled_rows():
         p0 = [rand_frac(rng, nonzero=True), rand_frac(rng)]
         p1 = [-a / b * x for x in p0]
         E0 = RationalMatrix([[a, 1], [b, 0]])
-        loc = LocalSmith((0, 0), (RationalMatrix.identity(2),), lambda: E0)
+        loc = int_local((0, 0), (RationalMatrix.identity(2),), E0)
         m = REModel(s=2, K=0, H=1, q=1, A={}, gamma=(1, 1), wold=(RationalMatrix([[1], [0]]),))
         ms = int_stack(RationalMatrix([[rand_frac(rng, nonzero=True), rand_frac(rng)]
                                        for _ in range(2)]))
-        cs = build_predetermined_system(m, ms, (RationalMatrix([p0]), RationalMatrix([p1])), loc)
+        pb = int_p_stack((RationalMatrix([p0]), RationalMatrix([p1])))
+        cs = build_predetermined_system(m, ms, pb, loc)
         assert cs.rank_w == rank_of(cs.C) == 0 and cs.kernel_dim == 1
         n_unequal += lcm(*(x.denominator for x in p0)) != lcm(*(x.denominator for x in p1))
     assert n_unequal >= 10, n_unequal
@@ -325,7 +332,7 @@ def test_plain_system_sims():
     m = _sims_as_plain()
     pp = build_pi(m)
     sf = sims_published_smith()
-    zc = zeta_coefficients(m)
+    zc = ref_zeta_coefficients(m)
     pb = frak_p_blocks(sf.local(), pp.J1, m.H)
     cs = build_plain_system(m, int_stack(ref_m_stack(zc, pb)), pb)
     # the single constraint row printed in the source example
@@ -416,7 +423,7 @@ def test_smith_choice_invariance(corpus):
         pipe = run_pipeline(m)
         sf2 = _diagonal_rescaled(pipe.sf, rng)
         assert smith_reconstruct(sf2) == pipe.pi.pi
-        zc = zeta_coefficients(m)
+        zc = ref_zeta_coefficients(m)
         pb2 = frak_p_blocks(sf2.local(), pipe.pi.J1, m.H)
         cs2 = build_plain_system(m, int_stack(ref_m_stack(zc, pb2)), pb2)
         assert cs2.rank_w == pipe.cs.rank_w
@@ -437,7 +444,7 @@ def test_rank_agreement_across_published_factorizations():
     pp = build_pi(m)
     pi, sf1, sf2 = _published_factorizations()
     assert pp.pi == pi
-    zc = zeta_coefficients(m)
+    zc = ref_zeta_coefficients(m)
     ranks = []
     kdims = []
     for sf in (sf1, sf2, run_pipeline(m).sf):

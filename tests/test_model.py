@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from recausal.canon import RedundantEquationsError
-from recausal.exactalg import Poly, PolyMatrix, RationalMatrix, det_adjugate, rat
+from recausal.exactalg import Poly, PolyMatrix, RationalMatrix, _poly, det_adjugate, rat
 from recausal.model import (
     ModelFormatError,
     REModel,
@@ -28,6 +28,7 @@ from conftest import (
     rand_frac,
     random_model,
     ref_build_pi,
+    ref_wold_poly,
     serialize_model,
     sims_model,
 )
@@ -258,6 +259,20 @@ def test_numerators_are_memoized_per_model(corpus):
             scaled = [[x * L for x in row] for row in a.entries]
             assert all(x.denominator == 1 for row in scaled for x in row)
             assert num[kh] == [[int(x) for x in row] for row in scaled]
+
+
+def test_wold_numerators_are_memoized_per_model(corpus):
+    """m.wold_numerators is computed once per model, like `numerators`; a model from
+    _replace starts without it; entry (i, c) lists the coefficients of w(z)'s entry
+    (i, c) times the lcm L of the w_j denominators."""
+    for m in [sims_model(), *corpus]:
+        assert m.wold_numerators is m.wold_numerators
+        assert "wold_numerators" not in m._replace().__dict__
+        L, W = m.wold_numerators
+        assert L == lcm(*(x.denominator for w in m.wold for row in w.entries for x in row))
+        assert (len(W), {len(row) for row in W}) == (m.s, {m.q})
+        assert PolyMatrix([[_poly(list(f), L) for f in row] for row in W], m.q) == ref_wold_poly(m)
+        assert all(len(f) == len(m.wold) for row in W for f in row)
 
 
 def test_det_degree_bound():

@@ -35,9 +35,10 @@ from conftest import (
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
 COUNTED = (
-    "model.build_pi", "canon.smith_form", "exactalg.det_adjugate", "model.zeta_coefficients",
+    "model.build_pi", "canon.smith_form", "exactalg.det_adjugate", "solver._adj_product",
 )
-ADJ_ZETA = ("exactalg.det_adjugate", "model.zeta_coefficients")
+# adj pi and the solve's product adj pi [M's free columns | M ker L | W], zeta(z) and w(z) in it
+ADJ_PRODUCT = ("exactalg.det_adjugate", "solver._adj_product")
 GENERIC = GOLDEN / "generic.json"  # plain, det pi(0) != 0, J1 = H - 1, solvable
 
 
@@ -94,7 +95,7 @@ def test_cli_analyze_computes_once(monkeypatch, capsys):
     assert main(["analyze", str(ROOT / "models" / "sims.json")]) == 0
     capsys.readouterr()
     assert counts["canon.smith_form"] == 1
-    assert counts["exactalg.det_adjugate"] == counts["model.zeta_coefficients"] == 0
+    assert counts["exactalg.det_adjugate"] == counts["solver._adj_product"] == 0
 
 
 def test_cli_analyze_skips_smith_form_when_det_pi0_is_nonzero(monkeypatch, capsys):
@@ -103,7 +104,7 @@ def test_cli_analyze_skips_smith_form_when_det_pi0_is_nonzero(monkeypatch, capsy
     counts = count_calls(monkeypatch)
     assert main(["analyze", str(GENERIC)]) == 0
     capsys.readouterr()
-    assert counts == {"model.build_pi": 1, "canon.smith_form": 0, **dict.fromkeys(ADJ_ZETA, 0)}
+    assert counts == {"model.build_pi": 1, "canon.smith_form": 0, **dict.fromkeys(ADJ_PRODUCT, 0)}
 
 
 # the three det pi(0) != 0 cases and the classification each solve ends in
@@ -161,27 +162,30 @@ def test_e0_only_for_the_predetermined_system(monkeypatch):
 
 @pytest.mark.parametrize("which", ["sims", "planted-s4", "refused", "no-solution", "solvable"])
 def test_adj_and_zeta_only_for_a_solve_past_the_split(monkeypatch, which):
-    """validate + analyze build neither adj pi nor zeta(z), nor the split.  Only
-    solve_causal reads them, once factor_stable_unstable has accepted the split:
-    a refused model builds none, and a solve builds each once and certifies the
-    split once, however often they are read (two solves)."""
+    """validate + analyze build neither adj pi nor the solve's product, in which
+    zeta(z) is built, nor the split.  Only solve_causal builds them, once
+    factor_stable_unstable has accepted the split: a refused model builds none,
+    and a solved one each once.  adj pi and the split are built once however
+    often they are read (two solves); the product, which no stage keeps, once
+    per solve."""
     make = {"sims": lambda: parse_model(SIMS_JSON), "planted-s4": solvable_planted_s4, **MAKE}
     m = make[which]()._replace()  # an empty memo
     split = "solver.factor_stable_unstable"
-    counts = count_calls(monkeypatch, (*ADJ_ZETA, split))
+    counts = count_calls(monkeypatch, (*ADJ_PRODUCT, split))
     validate_semantics(m)
     dimension_report(m)
-    assert counts == {**dict.fromkeys(ADJ_ZETA, 0), split: 0}
+    assert counts == {**dict.fromkeys(ADJ_PRODUCT, 0), split: 0}
     try:
         sr = solve_causal(m)
     except FactorizationError:
-        assert which == "refused" and counts == {**dict.fromkeys(ADJ_ZETA, 0), split: 1}
+        assert which == "refused" and counts == {**dict.fromkeys(ADJ_PRODUCT, 0), split: 1}
         return
     assert which != "refused"
+    assert counts == {**dict.fromkeys(ADJ_PRODUCT, 1), split: 1}
     if sr.transfer_num is not None:
         assert verify_solution(m, sr)["ok"]
     assert solve_causal(m).classification == sr.classification
-    assert counts == {**dict.fromkeys(ADJ_ZETA, 1), split: 1}
+    assert counts == {"exactalg.det_adjugate": 1, "solver._adj_product": 2, split: 1}
 
 
 @pytest.mark.parametrize("which", ["refused", "no-solution", "solvable"])
@@ -201,7 +205,7 @@ def test_smith_form_never_runs_when_det_pi0_is_nonzero(monkeypatch, which):
         assert sr.classification == outcome
         if sr.transfer_num is not None:
             assert verify_solution(m, sr)["ok"]
-    solved = dict.fromkeys(ADJ_ZETA, int(which != "refused"))
+    solved = dict.fromkeys(ADJ_PRODUCT, int(which != "refused"))
     assert counts == {"model.build_pi": 1, "canon.smith_form": 0, **solved}
     assert "sf" not in m.artifacts
 

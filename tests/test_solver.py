@@ -19,13 +19,14 @@ from recausal.canon import (
 from recausal.cli import _emit, cmd_smith, cmd_solve, cmd_verify, parse_args
 from recausal.dimension import dimension_report, run_pipeline
 from recausal.exactalg import (
-    Poly, PolyMatrix, RationalMatrix, _packed_product, det_adjugate,
+    Poly, PolyMatrix, RationalMatrix, _packed_product, _poly, det_adjugate,
 )
 from recausal.model import REModel, build_pi, parse_model, validate_semantics
 from recausal.solver import (
     FactorizationError,
     SolutionReport,
     UnsupportedModelError,
+    _adj_product,
     _cancellation_rows,
     _expectation_kernel,
     _mc_filter,
@@ -36,6 +37,7 @@ from recausal.solver import (
     transfer_series,
     verify_solution,
 )
+from test_model import _coefficient_arrays
 from conftest import (
     affine_set,
     assemble_rhs,
@@ -51,6 +53,7 @@ from conftest import (
     random_gamma,
     random_model,
     rank_of,
+    ref_adj_product,
     ref_cancellation_rows,
     ref_expectation_kernel,
     ref_mc_filter,
@@ -63,6 +66,8 @@ from conftest import (
     ref_unstable_part,
     ref_verify,
     ref_verify_per_h,
+    ref_wold_poly,
+    ref_zeta_coefficients,
     residual_map,
     same_affine_set,
     sims_model,
@@ -146,11 +151,10 @@ def test_assemble_rhs_h_zero():
     rng = random.Random(51)
     m = random_model(rng, 2, 1, 1)
     pp = build_pi(m)
-    pipe = run_pipeline(m)
-    A, W = assemble_rhs(m, pipe.zc, pp.J1, pp.pi)
+    A, W = assemble_rhs(m, ref_zeta_coefficients(m), pp.J1, pp.pi)
     h0 = RationalMatrix.zero(m.s * m.H, m.q)
     n = map_at(A, W, h0)
-    assert n == m.wold_poly() * Poly.monomial(pp.J1) * Fraction(-1)
+    assert n == ref_wold_poly(m) * Poly.monomial(pp.J1) * Fraction(-1)
     assert A.cols == m.s * m.H
 
 
@@ -159,7 +163,7 @@ def test_assemble_rhs_sims_b_theta():
     # B_theta(z) = (k_v + z, k_eps; 0, z)
     m = sims_model()
     pipe = run_pipeline(m)
-    A, W = assemble_rhs(m, pipe.zc, pipe.pi.J1, pipe.pi.pi)
+    A, W = assemble_rhs(m, ref_zeta_coefficients(m), pipe.pi.J1, pipe.pi.pi)
     kv, keps = Fraction(-10, 11), Fraction(200000, 11)
     h = RationalMatrix([[kv, keps], [0, 0]])
     n = map_at(A, W, h)
@@ -169,12 +173,11 @@ def test_assemble_rhs_sims_b_theta():
 def test_assemble_rhs_affine_linearity():
     rng = random.Random(52)
     m = random_model(rng, 2, 1, 2)
-    pipe = run_pipeline(m)
+    pipe, zc = run_pipeline(m), ref_zeta_coefficients(m)
     h1 = RationalMatrix([[Fraction(rng.randint(-3, 3))] * m.q for _ in range(m.s * m.H)])
     h2 = RationalMatrix([[Fraction(rng.randint(-3, 3))] * m.q for _ in range(m.s * m.H)])
     # both the full map N = A h - W and the solver's residual R = M h - W
-    for A, W in (assemble_rhs(m, pipe.zc, pipe.pi.J1, pipe.pi.pi),
-                 residual_map(m, pipe.zc, pipe.pi.J1)):
+    for A, W in (assemble_rhs(m, zc, pipe.pi.J1, pipe.pi.pi), residual_map(m, zc, pipe.pi.J1)):
         n0 = map_at(A, W, RationalMatrix.zero(m.s * m.H, m.q))
         lhs = map_at(A, W, h1 + h2) - n0
         rhs = (map_at(A, W, h1) - n0) + (map_at(A, W, h2) - n0)
@@ -186,9 +189,9 @@ def test_assemble_rhs_matches_direct_formula():
     rng = random.Random(53)
     for _ in range(5):
         m = random_model(rng, rng.randint(1, 3), rng.randint(0, 2), rng.randint(1, 2))
-        pipe = run_pipeline(m)
-        A, W = assemble_rhs(m, pipe.zc, pipe.pi.J1, pipe.pi.pi)
-        M, W_res = residual_map(m, pipe.zc, pipe.pi.J1)
+        pipe, zc = run_pipeline(m), ref_zeta_coefficients(m)
+        A, W = assemble_rhs(m, zc, pipe.pi.J1, pipe.pi.pi)
+        M, W_res = residual_map(m, zc, pipe.pi.J1)
         h = RationalMatrix(
             [[Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(m.q)]
              for _ in range(m.s * m.H)]
@@ -200,10 +203,10 @@ def test_assemble_rhs_matches_direct_formula():
                 for r in range(m.s)
             ]
         )
-        direct = pipe.pi.pi * hpoly - m.wold_poly() * Poly.monomial(pipe.pi.J1)
-        assert pipe.zc.max_degree() < m.H + m.K
+        direct = pipe.pi.pi * hpoly - ref_wold_poly(m) * Poly.monomial(pipe.pi.J1)
+        assert zc.max_degree() < m.H + m.K
         for i in range(m.H + m.K):
-            mi = pipe.zc.coeff(i)
+            mi = zc.coeff(i)
             direct = direct + polymatrix_from_rational(mi * h) * Poly.monomial(pipe.pi.J1 + i)
         assert got == direct
         assert pipe.pi.pi * hpoly + map_at(M, W_res, h) == direct
@@ -647,7 +650,7 @@ def test_divisibility_rows_match_smith_split(corpus):
         J1 = pipe.pi.J1
         D, _S = factor_stable_unstable(pipe.pi.det, J1, pipe.roots)
         split = ref_smith_split(pipe.sf, J1, D.shift(-pipe.roots.zero_multiplicity))
-        A, W = assemble_rhs(m, pipe.zc, J1, pipe.pi.pi)
+        A, W = assemble_rhs(m, ref_zeta_coefficients(m), J1, pipe.pi.pi)
         n_new, new = _cancellation_affine_set(partial(divisibility_rows, pipe.adj, D), A, W)
         n_old, old = _cancellation_affine_set(partial(ref_cancellation_rows, split=split), A, W)
         assert n_new == n_old and same_affine_set(new, old), (m.s, m.H, pipe.sf.g, J1)
@@ -661,7 +664,8 @@ def test_divisibility_rows_match_smith_split(corpus):
 
 
 def _solve_product(adj: PolyMatrix, M: PolyMatrix, W: PolyMatrix, cols):
-    """_packed_product(adj, [M's columns cols | W]), as solve_causal builds it."""
+    """_packed_product(adj, [M's columns cols | W]) of Poly matrices: the solve's
+    product, which `_adj_product` builds on integers, for any columns cols."""
     return _packed_product(adj, PolyMatrix([[row[a] for a in cols] + w
                                             for row, w in zip(M.entries, W.entries)]))
 
@@ -688,8 +692,9 @@ def test_residual_rows_and_numerator_match_full_map(corpus):
         J1, adj, unknowns = pipe.pi.J1, pipe.adj, range(m.s * m.H)
         split = factor_stable_unstable(pipe.pi.det, J1, pipe.roots)
         D = split[0]
-        A, W = assemble_rhs(m, pipe.zc, J1, pipe.pi.pi)
-        M, W_res = residual_map(m, pipe.zc, J1)
+        zc = ref_zeta_coefficients(m)
+        A, W = assemble_rhs(m, zc, J1, pipe.pi.pi)
+        M, W_res = residual_map(m, zc, J1)
         basis = [divisibility_rows(adj, D, v) for v in _columns(A)]
         rhs = [divisibility_rows(adj, D, v) for v in _columns(W)]
         n = len(rhs[0])
@@ -721,8 +726,9 @@ def test_cancellation_rows_and_numerator_match_per_unknown_map(corpus, predeterm
             continue
         J1, adj, free = pipe.pi.J1, pipe.adj, m.free_unknowns()
         split = factor_stable_unstable(pipe.pi.det, J1, pipe.roots)
-        M, W = residual_map(m, pipe.zc, J1)
-        const, per_unknown = ref_residual_map(m, pipe.zc, J1)
+        zc = ref_zeta_coefficients(m)
+        M, W = residual_map(m, zc, J1)
+        const, per_unknown = ref_residual_map(m, zc, J1)
         P = _solve_product(adj, M, W, free)
         rows = _cancellation_rows(P[0], split[0])
         ref_x, ref_b = ref_residual_rows(adj, split[0], const, [per_unknown[a] for a in free])
@@ -991,6 +997,50 @@ def test_solve_and_verify_read_no_smith_or_constraint_stage(
         assert not calls
         assert not {"sf", "local", "pb", "m_stack", "plain_cs", "cs"} & set(m.artifacts)
     assert n_solved == 45, n_solved
+
+
+def _assert_adj_product_is_ref(m: REModel) -> bool:
+    """`_adj_product` over its denominator is z^J1 adj(pi) times the Poly right factor
+    [zeta's free columns | zeta ker L | w] (`ref_adj_product`).  False where pi is
+    singular or J1 < 0, where no solve forms it."""
+    pipe = run_pipeline(m)
+    try:
+        J1 = pipe.pi.J1
+    except RedundantEquationsError:
+        return False
+    if J1 < 0:
+        return False
+    free = m.free_unknowns()
+    ker_l = _expectation_kernel(m) if m.predetermined else []
+    P, den = _adj_product(m, pipe.adj, J1, free, ker_l)
+    cols = len(free) + len(ker_l) + m.q
+    assert len(P) == m.s and all(len(row) == cols for row in P)
+    got = PolyMatrix([[_poly(list(f), den) for f in row] for row in P], cols)
+    assert got == ref_adj_product(m, pipe.adj, J1, free, ker_l), (m.s, m.H, m.gamma)
+    return True
+
+
+def test_adj_product_is_the_poly_right_factor_times_adj(corpus, predetermined_probe):
+    """The solve's integer product equals the Poly assembly on all five sets and sims,
+    with G > 0, predetermined (ker L nonempty too), J1 < H and H = 0."""
+    counts = dict.fromkeys(("models", "G>0", "predetermined", "ker", "J1<H", "H=0"), 0)
+    for m in (list(corpus) + list(predetermined_probe) + ladder_shaped_models()
+              + planted_models() + deep_planted_models() + [sims_model()]):
+        m = m._replace()
+        assert _assert_adj_product_is_ref(m)
+        pp = m.artifacts["pi"]
+        for key, hit in (("models", True), ("G>0", pp.det[0] == 0),
+                         ("predetermined", m.predetermined), ("J1<H", pp.J1 < m.H),
+                         ("ker", m.predetermined and _expectation_kernel(m)), ("H=0", m.H == 0)):
+            counts[key] += bool(hit)
+    assert counts == {"models": 315, "G>0": 30, "predetermined": 163, "ker": 12, "J1<H": 141,
+                      "H=0": 2}, counts
+
+
+@settings(derandomize=True, max_examples=150, deadline=timedelta(seconds=2))
+@given(_coefficient_arrays())
+def test_adj_product_is_the_poly_right_factor_times_adj_on_draws(m):
+    _assert_adj_product_is_ref(m)
 
 
 def test_expectation_kernel_is_the_kernel_of_pi_d_plus_m_d(corpus, predetermined_probe):
