@@ -89,10 +89,6 @@ class SmithForm:
     def Q_inv(self) -> PolyMatrix:
         return _unimodular_inverse(self.Q)
 
-    @property
-    def size(self) -> int:
-        return len(self.g)
-
     def invariant_factors(self):
         return tuple(Poly.monomial(gi) * ph for gi, ph in zip(self.g, self.phi))
 
@@ -104,15 +100,17 @@ class SmithForm:
             P, den = _packed_product(self.P_inv, self.pi)
             return [[f[gi] if gi < len(f) else 0 for f in row] for row, gi in zip(P, self.g)], den
 
-        N, L = _numerators(self.P_inv)
+        N, L = _numerators(self.P_inv.entries)
         return LocalSmith(self.g, ([[f[:order] for f in row] for row in N], L), omega0)
 
 
 def _unimodular_inverse(M: PolyMatrix) -> PolyMatrix:
-    """adj M / det M for a constant det M, by `_det_adjugate`: the public
-    det_adjugate stays the count of det pi work."""
-    det, adj = _det_adjugate(M)
-    return adj * (1 / det[0])
+    """adj M / det M = A / (L det M) for a constant det M, from `_det_adjugate`'s integer
+    pair (A, L): the public det_adjugate stays the count of det pi work."""
+    det, (A, L) = _det_adjugate(M)
+    c = 1 / det[0]
+    return PolyMatrix([[_poly([x * c.numerator for x in f], L * c.denominator) for f in row]
+                       for row in A])
 
 
 class LocalSmith:
@@ -141,7 +139,7 @@ def local_form(pi: PolyMatrix, G: int) -> LocalSmith:
     unimodular, so sum v = G proves E(0) = l / L invertible, E = diag(z^-v) R:
     at most G steps.  Sorted stably by v, g = v (Gohberg, Lancaster & Rodman,
     *Matrix Polynomials*, 1982, ch. 7)."""
-    s, (N, L) = pi.rows, _numerators(pi)
+    s, (N, L) = pi.rows, _numerators(pi.entries)
     rows = [list(r) + [[int(i == k)] for k in range(s)] for i, r in enumerate(N)]
     at = lambda f, t: f[t] if 0 <= t < len(f) else 0
     val = lambda f: next((t for t, x in enumerate(f) if x), G)  # a zero entry counts as G

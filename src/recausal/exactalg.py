@@ -9,8 +9,10 @@ Smith elimination and `PolyMatrix` products use it.  `determinant` (Bareiss,
 O(n^3)), `det_adjugate` (Faddeev-LeVerrier, O(n^4)) and `_int_product` (one
 matrix product, of PolyMatrix operands by `_packed_product`) run on integer
 matrices L*M(2^b) (Kronecker substitution) and read their results off
-base-2^b digits.  `rank_kernel`, `solve_affine` (via `_solve_rows`) and the
-constraint ranks share one fraction-free Gauss-Jordan elimination on
+base-2^b digits; `det_adjugate` keeps adj M as those digits, integer
+coefficient lists over one denominator, and builds no Poly per entry.
+`rank_kernel`, `solve_affine` (via `_solve_rows`) and the constraint ranks
+share one fraction-free Gauss-Jordan elimination on
 integer rows (`_row_echelon`): rows are scaled by the lcm of their
 denominators (`_scaled`, the one helper every Fraction row outside the A_kh
 and the w_j goes through) and kept primitive, and each result entry is one division at
@@ -363,13 +365,6 @@ class PolyMatrix:
     def identity(n: int) -> "PolyMatrix":
         return PolyMatrix([[_UNIT if i == j else _ZERO for j in range(n)] for i in range(n)])
 
-    @staticmethod
-    def diag(polys) -> "PolyMatrix":
-        n = len(polys)
-        return PolyMatrix(
-            [[_as_poly(polys[i]) if i == j else Poly() for j in range(n)] for i in range(n)]
-        )
-
     def __getitem__(self, ij):
         return self.entries[ij[0]][ij[1]]
 
@@ -411,20 +406,12 @@ class PolyMatrix:
         """Every entry times z^k, by Poly.shift."""
         return PolyMatrix([[e.shift(k) for e in row] for row in self.entries], self.cols)
 
-    def max_degree(self):
-        degs = [e.degree for row in self.entries for e in row if not e.is_zero()]
-        return max(degs) if degs else NEG_INF
-
-    def coeff(self, k: int) -> "RationalMatrix":
-        """Coefficient matrix of z^k."""
-        return _rmat([[e[k] for e in row] for row in self.entries])
-
     def __repr__(self):
         return f"PolyMatrix({self.entries!r})"
 
 
 def det_adjugate(M: PolyMatrix):
-    """(det M, adj M) with M * adj M = det(M) * I, by `_det_adjugate`."""
+    """(det M, (A, L)) with M * adj M = det(M) * I and adj M = A / L, by `_det_adjugate`."""
     return _det_adjugate(M)
 
 
@@ -436,17 +423,17 @@ def _pack(M: PolyMatrix):
     base-2^b digits (Kronecker substitution; von zur Gathen & Gerhard, 8.4)."""
     if M.rows != M.cols:
         raise ValueError("a determinant needs a square matrix")
-    N, L = _numerators(M)
+    N, L = _numerators(M.entries)
     b = prod(max(1, sum(sum(map(abs, f)) for f in row)) for row in N).bit_length() + 2
     return _at(N, b), b, L
 
 
-def _numerators(M: PolyMatrix):
-    """(N, L): N[i][j] the integer coefficients of entry (i, j) of L*M, lowest first, and L
-    the lcm of the entry denominators."""
-    L = lcm(*(e.den for row in M.entries for e in row))
+def _numerators(rows: list):
+    """(N, L): N[i][j] the integer coefficients of L times the Poly rows[i][j], lowest first,
+    and L the lcm of their denominators."""
+    L = lcm(*(e.den for row in rows for e in row))
     return [[e.num if e.den == L else [c * (L // e.den) for c in e.num] for e in row]
-            for row in M.entries], L
+            for row in rows], L
 
 
 def _at(N: list, b: int) -> list:
@@ -456,7 +443,7 @@ def _at(N: list, b: int) -> list:
 
 def _packed_product(A: PolyMatrix, B: PolyMatrix):
     """(P, den) with A * B = P / den: `_int_product` of the `_numerators` of A and B, den = L_A L_B."""
-    (NA, la), (NB, lb) = _numerators(A), _numerators(B)
+    (NA, la), (NB, lb) = _numerators(A.entries), _numerators(B.entries)
     return _int_product(NA, NB, B.cols), la * lb
 
 
@@ -491,14 +478,16 @@ def determinant(M: PolyMatrix) -> Poly:
 
 
 def _det_adjugate(M: PolyMatrix):
-    """(det M, adj M) with M * adj M = det(M) * I by one Faddeev-LeVerrier pass
+    """(det M, (A, L)) with M * adj M = det(M) * I and adj M = A / L, A[i][j] the integer
+    coefficients of entry (i, j), lowest first, over one L > 0, the pair in lowest terms:
+    the digits and L^(n-1) divided by one gcd.  One Faddeev-LeVerrier pass
     N_k = A N_{k-1} + c_k I, c_k = -tr(A N_{k-1}) / k, on the `_pack` matrix A.
     The c_k are the coefficients of det(x I - A), integers, so the division by
     k is exact, and A N_{n-1} = -c_n I by Cayley-Hamilton."""
     A, b, L = _pack(M)
     n = len(A)
     if n == 0:
-        return Poly.const(1), PolyMatrix([])
+        return Poly.const(1), ([], 1)
     N = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n):
         N = [[sum(map(mul, row, col)) for col in zip(*N)] for row in A]
@@ -508,8 +497,10 @@ def _det_adjugate(M: PolyMatrix):
     # det A = (-1)^n c_n with -c_n = (A N_{n-1})_00, and adj A = (-1)^(n-1) N_{n-1}
     sign = 1 if n % 2 else -1
     det = sign * sum(map(mul, A[0], (row[0] for row in N)))
-    adj = [[_poly(_unpack(sign * v, b), L ** (n - 1)) for v in row] for row in N]
-    return _poly(_unpack(det, b), L**n), PolyMatrix(adj)
+    adj = [[_unpack(sign * v, b) for v in row] for row in N]
+    g = gcd(L ** (n - 1), *(c for row in adj for f in row for c in f))
+    adj = [[[c // g for c in f] for f in row] for row in adj]
+    return _poly(_unpack(det, b), L**n), (adj, L ** (n - 1) // g)
 
 
 def _unpack(v: int, b: int) -> list:

@@ -257,7 +257,8 @@ class Pipeline:
 
     @_stage
     def adj(self):
-        """adj pi(z), pi adj = det pi I: read only by the solve after its split."""
+        """adj pi(z) = A / L as `det_adjugate`'s pair (A, L): integer coefficient lists,
+        lowest first, over one L > 0.  Read only by the solve after its split."""
         return det_adjugate(self.pi.pi)[1]
 
     @_stage

@@ -6,10 +6,11 @@ multiplicity of z = 0 in det pi and U its unstable factor, that is one
 divisibility condition: D divides adj(pi) N(z; h).  With N = pi(z) h(z) + R(z; h)
 for the residual R = M h - W, M = z^J1 zeta(z) and W = z^J1 w(z),
 adj(pi) pi = det(pi) I = D S I gives adj(pi) N = D S h(z) + adj(pi) R.  One
-integer product P = adj(pi) [M's solve columns | W] per solve (`_adj_product`,
-its right factor built on integers) serves twice: the conditions are the
-remainders of its entries mod D, linear in h, and the transfer is
-(adj(pi) R / D + S h(z)) / S with adj(pi) R summed from the columns of P.
+integer product P = adj(pi) [M's solve columns | W] per solve (`_adj_product`:
+adj(pi) is the pipeline's integer pair (A, L), the right factor is built on
+integers) serves twice: the conditions are the remainders of its entries mod D,
+linear in h, and the transfer is (adj(pi) R / D + S h(z)) / S with adj(pi) R
+summed from the columns of P.
 Neither the rows' echelon form nor the transfer sees a positive factor of P.
 
 The rows are verify_solution's acceptance test, linearized (see README): the
@@ -43,19 +44,18 @@ from .exactalg import _poly, _rmat, _scaled, _solve_rows, poly_gcd, rank_kernel,
 from .model import REModel, build_m_stack, run_pipeline
 
 
-def _adj_product(m: REModel, adj: PolyMatrix, J1: int, free, ker_l: list) -> tuple:
+def _adj_product(m: REModel, adj: tuple, J1: int, free, ker_l: list) -> tuple:
     """(P, den): adj(pi) [M's free columns | M ker L | W] = P / den, P's entries integer
-    coefficient lists, lowest first, by one `_int_product` of adj(pi)'s `_numerators` and
-    the right factor on integers over one denominator: M = z^J1 zeta(z) from
-    build_m_stack(m, K + H), whose row i s + r is coefficient i of zeta's row r, and
-    W = z^J1 w(z) from `REModel.wold_numerators`."""
-    s, (N, L), (lw, W) = m.s, build_m_stack(m, m.K + m.H), m.wold_numerators
+    coefficient lists, lowest first, by one `_int_product` of A, adj(pi) = A / la the
+    pipeline's pair (A, la), and the right factor on integers over one denominator:
+    M = z^J1 zeta(z) from build_m_stack(m, K + H), whose row i s + r is coefficient i of
+    zeta's row r, and W = z^J1 w(z) from `REModel.wold_numerators`."""
+    s, (A, la), (N, L), (lw, W) = m.s, adj, build_m_stack(m, m.K + m.H), m.wold_numerators
     kv = [_scaled(v) for v in ker_l]  # (v times lv, lv)
     lb, pad = lcm(L * lcm(*(lv for _, lv in kv)), lw), [0] * J1  # lb: B's denominator
     B = [[pad + [x[a] * (lb // L) for x in N[r::s]] for a in free]
          + [pad + [sum(map(mul, x, v)) * (lb // (L * lv)) for x in N[r::s]] for v, lv in kv]
          + [pad + [y * (lb // lw) for y in f] for f in wr] for r, wr in enumerate(W)]
-    A, la = _numerators(adj)
     return _int_product(A, B, len(free) + len(kv) + m.q), la * lb
 
 
@@ -261,8 +261,8 @@ def verify_solution(m: REModel, sr: SolutionReport, max_lag: int = 50) -> dict:
                             f[deg + j] -= x * y
     for f, w in zip(chain.from_iterable(r[s:] for r in left), chain.from_iterable(ws)):
         f[H : H + len(w)] = [x + y * (L // lw) for x, y in zip(f[H:], w)]
-    right, lr = _numerators(PolyMatrix(num.entries + [[den if i == c else _ZERO for c in range(q)]
-                                                      for i in range(q)]))
+    right, lr = _numerators(num.entries + [[den if i == c else _ZERO for c in range(q)]
+                                           for i in range(q)])
     zT = _int_product(left, right, q)  # z^H T times L lr
     failures = []
     if any(any(f[H : H + max_lag + 1]) for row in zT for f in row):

@@ -29,8 +29,8 @@ from recausal.exactalg import (
     Poly,
     PolyMatrix,
     RationalMatrix,
+    _int_product,
     _numerators,
-    _packed_product,
     _poly,
     _rmat,
     _row_echelon,
@@ -116,11 +116,37 @@ def rand_unimodular(rng, n, ops=4) -> PolyMatrix:
 def unimodular_inverse(M: PolyMatrix) -> PolyMatrix:
     det, adj = det_adjugate(M)
     assert det.is_constant() and not det.is_zero()
-    return adj * (Fraction(1) / det[0])
+    return adj_matrix(adj) * (Fraction(1) / det[0])
+
+
+def adj_matrix(adj: tuple) -> PolyMatrix:
+    """The PolyMatrix A / L of det_adjugate's pair (A, L)."""
+    A, L = adj
+    return PolyMatrix([[_poly(list(f), L) for f in row] for row in A])
 
 
 # ---------------------------------------------------------------------------
 # algebra only the tests use
+
+
+def max_degree(M: PolyMatrix):
+    """The largest degree of an entry of M; -inf for a zero matrix."""
+    degs = [e.degree for row in M.entries for e in row if not e.is_zero()]
+    return max(degs) if degs else float("-inf")
+
+
+def coeff(M: PolyMatrix, k: int) -> RationalMatrix:
+    """Coefficient matrix of z^k."""
+    return _rmat([[e[k] for e in row] for row in M.entries])
+
+
+def diag_matrix(polys) -> PolyMatrix:
+    n = len(polys)
+    return PolyMatrix([[polys[i] if i == j else Poly() for j in range(n)] for i in range(n)])
+
+
+def smith_size(sf: SmithForm) -> int:
+    return len(sf.g)
 
 
 def poly_eval(p: Poly, x) -> Fraction:
@@ -174,8 +200,8 @@ def residual_map(m: REModel, zc: PolyMatrix, J1: int):
 
 def smith_reconstruct(sf: SmithForm) -> PolyMatrix:
     """P diag(z^g) diag(phi) Q, the matrix sf is the Smith form of."""
-    alpha = PolyMatrix.diag([Poly.monomial(gi) for gi in sf.g])
-    return sf.P * alpha * PolyMatrix.diag(list(sf.phi)) * sf.Q
+    alpha = diag_matrix([Poly.monomial(gi) for gi in sf.g])
+    return sf.P * alpha * diag_matrix(list(sf.phi)) * sf.Q
 
 
 def assemble_rhs(m: REModel, zc, J1: int, pi: PolyMatrix):
@@ -323,7 +349,7 @@ def ref_det_adjugate(M: PolyMatrix):
     for k in range(1, n):
         MN = M * N
         c = sum((MN[i, i] for i in range(n)), Poly()) * Fraction(-1, k)
-        N = MN + PolyMatrix.diag([c] * n)
+        N = MN + diag_matrix([c] * n)
     MN = M * N
     det = sum((MN[i, i] for i in range(n)), Poly()) * Fraction(1, n)
     # det M = (-1)^n c_n = -(-1)^n tr(M N_{n-1}) / n, adj M = (-1)^(n-1) N_{n-1}
@@ -623,12 +649,12 @@ def planted_model(rng: random.Random, s, H, g_last, predetermined=False) -> REMo
     g = [0] * (s - 1) + [g_last]
     roots = [rng.choice(UNSTABLE_ROOTS)] + [rng.choice(STABLE_ROOTS) for _ in range(s - 1)]
     rng.shuffle(roots)
-    diag = PolyMatrix.diag([Poly.monomial(gi) * Poly([-r, 1]) for gi, r in zip(g, roots)])
+    diag = diag_matrix([Poly.monomial(gi) * Poly([-r, 1]) for gi, r in zip(g, roots)])
     pi = rand_unimodular(rng, s) * diag * rand_unimodular(rng, s)
-    D = int(pi.max_degree())
+    D = int(max_degree(pi))
     A = {}
     for d in range(D + 1):
-        mat = pi.coeff(d)
+        mat = coeff(pi, d)
         if not mat.is_zero():
             A[(0, H - d) if d <= H else (d - H, 0)] = mat
     q = rng.randint(1, s)
@@ -687,6 +713,10 @@ def ladder_shaped_models():
 
 @pytest.fixture(scope="session")
 def predetermined_probe():
+    return probe_models()
+
+
+def probe_models():
     """150 predetermined draws: s in {2, 3}, K, H in {1, 2}, kill_a0h with probability 1/2."""
     rng = random.Random(99)
     models = []
@@ -699,6 +729,10 @@ def predetermined_probe():
 
 @pytest.fixture(scope="session")
 def corpus():
+    return corpus_models()
+
+
+def corpus_models():
     """100 random models, all with s <= 3 and K, H <= 2 (see acceptance)."""
     rng = random.Random(20260823)
     models = []
@@ -783,12 +817,12 @@ def crosscheck_simplified(m: REModel, pipe) -> bool:
         return True
     s, H, pc = m.s, m.H, fraction_local(loc).p_inv
 
-    def coeff(k):
+    def p_coeff(k):
         return pc[k] if k < len(pc) else RationalMatrix.zero(s, s)
 
     toeplitz = vstack(
         [
-            hstack([coeff(r - c) if r >= c else RationalMatrix.zero(s, s) for c in range(n)])
+            hstack([p_coeff(r - c) if r >= c else RationalMatrix.zero(s, s) for c in range(n)])
             for r in range(n)
         ]
     )
@@ -802,7 +836,7 @@ def crosscheck_simplified(m: REModel, pipe) -> bool:
         row0 += keep
     S2 = build_selectors(m, loc).submatrix(keep_rows, list(range(cut * s, H * s)))
     zc = ref_zeta_coefficients(m)
-    simp_C = (S2 * toeplitz * vstack([zc.coeff(i) for i in range(n)])).submatrix(
+    simp_C = (S2 * toeplitz * vstack([coeff(zc, i) for i in range(n)])).submatrix(
         range(len(keep_rows)), m.free_unknowns())
     simp_rank, simp_kern = rank_kernel(simp_C)
     assert (simp_rank, len(simp_kern)) == (cs.rank_w, cs.kernel_dim), (
@@ -923,10 +957,10 @@ def ref_zeta_coefficients(m: REModel) -> PolyMatrix:
 
 def ref_m_stack(zc: PolyMatrix, pb: tuple) -> RationalMatrix:
     """The coefficient matrices m_0, m_1, ... of zeta(z) stacked by
-    `PolyMatrix.coeff`, as many as p_stack, pb = (rows, L), has column blocks
+    `coeff`, as many as p_stack, pb = (rows, L), has column blocks
     (none without rows): the reference for `Pipeline.m_stack`."""
     n = len(pb[0][0]) // zc.rows if pb[0] else 0
-    return vstack([zc.coeff(i) for i in range(n)]) if n else RationalMatrix.zero(0, zc.cols)
+    return vstack([coeff(zc, i) for i in range(n)]) if n else RationalMatrix.zero(0, zc.cols)
 
 
 def ref_constraint_matrix(pipe, sel: RefSelectors | None = None) -> RationalMatrix:
@@ -956,7 +990,7 @@ def ref_expectation_kernel(m: REModel, pipe):
     images = [pipe.pi.pi * PolyMatrix([[Poly.monomial(a // s) if r == a % s else Poly()]
                                        for r in range(s)])
               + PolyMatrix([[row[a]] for row in M.entries]) for a in range(n)]
-    top = max((int(v.max_degree()) + 1 for v in images if v.max_degree() >= 0), default=0)
+    top = max((int(max_degree(v)) + 1 for v in images if max_degree(v) >= 0), default=0)
     return rank_kernel(RationalMatrix([[v[r, 0][k] for v in images]
                                        for r in range(s) for k in range(top)]))[1]
 
@@ -984,7 +1018,8 @@ def full_unknown_system(m: REModel, pipe):
             rows.append([Fraction(int(a == j * s + r)) for a in range(width)])
             rhs.append([Fraction(0)] * q)
     D, _ = factor_stable_unstable(pipe.pi.det, pipe.pi.J1, pipe.roots)
-    P, _den = _packed_product(pipe.adj, PolyMatrix([c + w for c, w in zip(cols, W.entries)]))
+    right, _den = _numerators([c + w for c, w in zip(cols, W.entries)])
+    P = _int_product(pipe.adj[0], right, width + q)  # adj(pi) [M | W] over a positive factor
     canc = _cancellation_rows(P, D.shift(H))
     rows, rhs = rows + [r[:width] for r in canc], rhs + [r[width:] for r in canc]
     if not rows:  # keep the column counts of an empty system
@@ -1023,7 +1058,7 @@ def substitution_set(m: REModel):
     const = (ref_wold_poly(m) * Fraction(-1)).shift(J1)
     dN = max(int(e.degree) for e in chain(chain.from_iterable(cols), *const.entries)
              if not e.is_zero())
-    dS, dpi = int(S.degree), int(pi.max_degree())
+    dS, dpi = int(S.degree), int(max_degree(pi))
     nP = max((s - 1) * dpi + dN - (int(pp.det.degree) - dS), 0) + 1  # coefficients of P
     nU = n + s * nP
 
@@ -1108,15 +1143,16 @@ def m_stack_zeta(m: REModel) -> PolyMatrix:
                        for r in range(s)], s * m.H)
 
 
-def ref_adj_product(m: REModel, adj: PolyMatrix, J1: int, free, ker_l) -> PolyMatrix:
-    """z^J1 adj(pi) [zeta's free columns | zeta ker L | w] by Poly arithmetic: the
-    right factor assembled as a PolyMatrix from `ref_zeta_coefficients` and
-    `ref_wold_poly`, the reference for `solver._adj_product` over its denominator."""
+def ref_adj_product(m: REModel, adj: tuple, J1: int, free, ker_l) -> PolyMatrix:
+    """z^J1 adj(pi) [zeta's free columns | zeta ker L | w] by Poly arithmetic, adj(pi) the
+    pipeline's pair (A, L): the right factor assembled as a PolyMatrix from
+    `ref_zeta_coefficients` and `ref_wold_poly`, the reference for `solver._adj_product`
+    over its denominator."""
     zc = ref_zeta_coefficients(m)
     right = PolyMatrix([
         [row[a] for a in free] + [sum((e * x for e, x in zip(row, v)), Poly()) for v in ker_l] + w
         for row, w in zip(zc.entries, ref_wold_poly(m).entries)], len(free) + len(ker_l) + m.q)
-    return (adj * right).shift(J1)
+    return (adj_matrix(adj) * right).shift(J1)
 
 
 # g, the coefficients of P^-1 (lowest power first) and E(0), as Fraction matrices
@@ -1138,8 +1174,8 @@ def ref_local_form(pi: PolyMatrix, G: int) -> RefLocal:
     and pi(0) for E(0) at G = 0: the reference for the integer LocalSmith's layout."""
     s = pi.rows
     if not G:
-        return RefLocal((0,) * s, (RationalMatrix.identity(s),), pi.coeff(0))
-    N, L = _numerators(pi)
+        return RefLocal((0,) * s, (RationalMatrix.identity(s),), coeff(pi, 0))
+    N, L = _numerators(pi.entries)
     rows = [list(r) + [[int(i == k)] for k in range(s)] for i, r in enumerate(N)]
     at = lambda f, t: f[t] if 0 <= t < len(f) else 0
     val = lambda f: next((t for t, x in enumerate(f) if x), G)
@@ -1162,8 +1198,8 @@ def ref_smith_local(sf: SmithForm, order: int | None = None) -> RefLocal:
     """`SmithForm.local` as Fraction matrices: P^-1's coefficient matrices below z^order
     (all of them without an order) and E(0), row i the z^g_i coefficient of row i
     of the Poly product P^-1 pi."""
-    order = int(sf.P_inv.max_degree()) + 1 if order is None else order  # P^-1 is not zero
-    p_inv = map(sf.P_inv.coeff, range(order))
+    order = int(max_degree(sf.P_inv)) + 1 if order is None else order  # P^-1 is not zero
+    p_inv = (coeff(sf.P_inv, k) for k in range(order))
     E0 = _rmat([[f[gi] for f in row] for row, gi in zip((sf.P_inv * sf.pi).entries, sf.g)])
     return RefLocal(sf.g, tuple(p_inv), E0)
 
@@ -1229,7 +1265,7 @@ def ref_residual_map(m: REModel, zc: PolyMatrix, J1: int):
     """
     const = ref_wold_poly(m) * Poly.monomial(J1) * Fraction(-1)
     per_unknown = [
-        PolyMatrix([[Poly([0] * J1 + [zc.coeff(i).entries[r][a] for i in range(m.H + m.K)])]
+        PolyMatrix([[Poly([0] * J1 + [coeff(zc, i).entries[r][a] for i in range(m.H + m.K)])]
                     for r in range(m.s)])
         for a in range(m.s * m.H)
     ]
@@ -1520,9 +1556,9 @@ def ref_smith_split(sf: SmithForm, J1: int, U: Poly):
         un = poly_gcd(phi, U)
         diag_u.append(Poly.monomial(max(gi - J1, 0)) * un)
         diag_s.append(Poly.monomial(min(gi, J1)) * phi.exact_div(un))
-    det_u, adj_u = det_adjugate(sf.P * PolyMatrix.diag(diag_u))
-    det_s, adj_s = det_adjugate(PolyMatrix.diag(diag_s) * sf.Q)
-    return det_u, adj_u, det_s, adj_s, sum(min(gi, J1) for gi in sf.g)
+    det_u, adj_u = det_adjugate(sf.P * diag_matrix(diag_u))
+    det_s, adj_s = det_adjugate(diag_matrix(diag_s) * sf.Q)
+    return det_u, adj_matrix(adj_u), det_s, adj_matrix(adj_s), sum(min(gi, J1) for gi in sf.g)
 
 
 def ref_cancellation_rows(vec: PolyMatrix, split):
@@ -1613,7 +1649,7 @@ def sims_published_smith() -> SmithForm:
 
 def smith_fixture(P: PolyMatrix, Q: PolyMatrix, g, phi) -> SmithForm:
     """The SmithForm of pi = P diag(z^g) diag(phi) Q, which derives Q back from P^-1 and pi."""
-    alpha = PolyMatrix.diag([Poly.monomial(gi) * ph for gi, ph in zip(g, phi)])
+    alpha = diag_matrix([Poly.monomial(gi) * ph for gi, ph in zip(g, phi)])
     return SmithForm(pi=P * alpha * Q, g=tuple(g), phi=tuple(phi), P_inv=unimodular_inverse(P))
 
 
@@ -1621,8 +1657,8 @@ def check_smith_invariants(M: PolyMatrix, sf: SmithForm):
     """All SmithForm type invariants, assertion style."""
     assert smith_reconstruct(sf) == M
     assert is_unimodular(sf.P) and is_unimodular(sf.Q)
-    assert sf.P * sf.P_inv == PolyMatrix.identity(sf.size)
-    assert sf.Q * sf.Q_inv == PolyMatrix.identity(sf.size)
+    assert sf.P * sf.P_inv == PolyMatrix.identity(smith_size(sf))
+    assert sf.Q * sf.Q_inv == PolyMatrix.identity(smith_size(sf))
     assert list(sf.g) == sorted(sf.g)
     factors = sf.invariant_factors()
     for f in factors:

@@ -34,6 +34,7 @@ from conftest import (
     affine_set,
     brute_force_plain,
     check_smith_invariants,
+    diag_matrix,
     invariant_factors_oracle,
     invert,
     poly_eval,
@@ -212,7 +213,7 @@ def _c6():
             chain = [Poly.const(1)]
             for _ in range(n - 1):
                 chain.append((chain[-1] * base).monic() if rng.random() < 0.5 else chain[-1])
-            M = rand_unimodular(rng, n, ops=3) * PolyMatrix.diag(chain) * rand_unimodular(rng, n, ops=3)
+            M = rand_unimodular(rng, n, ops=3) * diag_matrix(chain) * rand_unimodular(rng, n, ops=3)
         else:
             n = rng.randint(1, 5)
             max_deg = rng.randint(0, 4) if n <= 3 else rng.randint(0, 2)

@@ -28,11 +28,14 @@ from recausal.exactalg import (
 )
 from conftest import (
     check_smith_invariants,
+    coeff,
     deep_planted_models,
+    diag_matrix,
     fraction_local,
     invariant_factors_oracle,
     is_unimodular,
     ladder_shaped_models,
+    max_degree,
     planted_models,
     polymatrix_from_rational,
     rand_invertible,
@@ -50,6 +53,7 @@ from conftest import (
     sims_model,
     sims_published_smith,
     smith_fixture,
+    smith_size,
     zero_polymatrix,
 )
 from recausal.model import build_pi
@@ -157,7 +161,7 @@ def test_smith_planted_sandwich():
         chain = [Poly.const(1)]
         for _ in range(n - 1):
             chain.append((chain[-1] * base).monic() if rng.random() < 0.7 else chain[-1])
-        M = rand_unimodular(rng, n) * PolyMatrix.diag(chain) * rand_unimodular(rng, n)
+        M = rand_unimodular(rng, n) * diag_matrix(chain) * rand_unimodular(rng, n)
         sf = smith_form(M)
         assert sf.invariant_factors() == tuple(chain)
 
@@ -173,14 +177,14 @@ def test_smith_factors_match_four_factor_reference(corpus, predetermined_probe):
         assert (sf.P_inv, sf.g, sf.phi) == (ref.P_inv, ref.g, ref.phi)
         assert not {"Q", "P", "Q_inv"} & set(vars(sf))
         loc, loc2 = fraction_local(sf.local()), fraction_local(sf.local(2), 2)
-        phi0 = RationalMatrix.zero(sf.size, sf.size)
+        phi0 = RationalMatrix.zero(smith_size(sf), smith_size(sf))
         for i, ph in enumerate(ref.phi):
             phi0.entries[i][i] = ph[0]
         assert (loc.g, loc.p_inv, loc.omega0) == (
-            ref.g, tuple(map(ref.P_inv.coeff, range(int(ref.P_inv.max_degree()) + 1))),
-            phi0 * ref.Q.coeff(0))
+            ref.g, tuple(coeff(ref.P_inv, k) for k in range(int(max_degree(ref.P_inv)) + 1)),
+            phi0 * coeff(ref.Q, 0))
         assert (loc2.g, loc2.p_inv, loc2.omega0) == (
-            ref.g, tuple(map(ref.P_inv.coeff, range(2))), loc.omega0)
+            ref.g, tuple(coeff(ref.P_inv, k) for k in range(2)), loc.omega0)
         assert not {"Q", "P", "Q_inv"} & set(vars(sf))  # E(0) derives none of them
         assert (sf.Q, sf.P, sf.Q_inv) == (ref.Q, ref.P, ref.Q_inv)
         checked += 1
@@ -257,7 +261,7 @@ def test_local_form_is_a_factorization_at_zero_on_drawn_pis(drawn, seed):
     rng, g = random.Random(seed), [0, *drawn]
     s = len(g)
     E = polymatrix_from_rational(rand_invertible(rng, s)) + rand_polymatrix(rng, s, 1) * Z
-    pi = rand_unimodular(rng, s) * PolyMatrix.diag([Poly.monomial(gi) for gi in g]) * E
+    pi = rand_unimodular(rng, s) * diag_matrix([Poly.monomial(gi) for gi in g]) * E
     assert _assert_local_factorization(pi) == tuple(sorted(g))
 
 
@@ -288,7 +292,7 @@ def test_is_unimodular():
     assert is_unimodular(PolyMatrix.identity(3))
     _, sf1, _ = _published_factorizations()
     assert is_unimodular(sf1.P)
-    assert not is_unimodular(PolyMatrix.diag([Z, Poly.const(1)]))
+    assert not is_unimodular(diag_matrix([Z, Poly.const(1)]))
 
 
 def test_classify_roots_examples():

@@ -16,6 +16,7 @@ from recausal.solver import (
     verify_solution,
 )
 from conftest import (
+    coeff,
     crosscheck_simplified,
     deep_planted_models,
     fraction_local,
@@ -188,7 +189,7 @@ def test_local_stage_is_a_factorization_at_zero(corpus):
             order = m.H + max(max(loc.g) - pipe.pi.J1, 0)
             p_inv = pipe.sf.P_inv
             assert fraction_local(pipe.local, order).p_inv == tuple(
-                p_inv.coeff(k) for k in range(order))
+                coeff(p_inv, k) for k in range(order))
         det, _ = det_adjugate(p_inv)
         assert det.is_constant() and not det.is_zero()
         E = (p_inv * pipe.pi.pi).entries

@@ -34,8 +34,11 @@ from recausal.exactalg import (
 from recausal.model import build_pi
 from conftest import (
     RefPoly,
+    adj_matrix,
+    diag_matrix,
     hstack,
     invert,
+    deep_planted_models,
     ladder_shaped_models,
     planted_models,
     poly_eval,
@@ -138,7 +141,7 @@ def _laplace_det(M: PolyMatrix) -> Poly:
 
 def test_det_adjugate_identity():
     det, adj = det_adjugate(PolyMatrix.identity(3))
-    assert det == 1 and adj == PolyMatrix.identity(3)
+    assert det == 1 and adj == ([[[1] if i == j else [] for j in range(3)] for i in range(3)], 1)
 
 
 def test_det_adjugate_sims_pi():
@@ -151,7 +154,7 @@ def test_det_adjugate_sims_pi():
     )
     det, adj = det_adjugate(pi)
     assert det == (1 - Fraction(9, 10) * z) * z * (1 - Fraction(11, 10) * z)
-    assert pi * adj == PolyMatrix.diag([det, det])
+    assert pi * adj_matrix(adj) == diag_matrix([det, det])
 
 
 def test_det_adjugate_random_vs_laplace():
@@ -159,9 +162,10 @@ def test_det_adjugate_random_vs_laplace():
     for _ in range(30):
         M = rand_polymatrix(rng, 4, 2)
         det, adj = det_adjugate(M)
+        adj = adj_matrix(adj)
         assert det == _laplace_det(M)
         prod = M * adj
-        assert prod == PolyMatrix.diag([det] * 4)
+        assert prod == diag_matrix([det] * 4)
         assert adj * M == prod
 
 
@@ -402,15 +406,27 @@ def test_rational_matrix_ops_match_reference(n, k, m, rnd):
 _BIG = {"lo": -(10**12), "hi": 10**12, "maxden": 10**9}
 
 
+def _check_adj_pair(adj: tuple, ref: list):
+    """det_adjugate's pair (A, L) is the RefPoly matrix ref over L, in lowest terms:
+    L > 0, gcd(L, every coefficient) = 1 and no list ends in a zero."""
+    A, L = adj
+    assert L > 0 and math.gcd(L, *(c for row in A for f in row for c in f)) == 1
+    assert all(not f or f[-1] for row in A for f in row)
+    assert [[RefPoly([Fraction(c, L) for c in f]) for f in row] for row in A] == ref
+
+
 def _check_det_adjugate(M: PolyMatrix):
     """det_adjugate and the Bareiss determinant against the Laplace-expansion
-    reference; returns (det, adj)."""
+    reference; returns (det, adj) with adj as a PolyMatrix."""
     ref = [[RefPoly(e.coeffs) for e in row] for row in M.entries]
-    det, adj = det_adjugate(M)
+    det, pair = det_adjugate(M)
     _check(det, ref_det(ref))
     _check(determinant(M), ref_det(ref))
+    ref_adj = ref_adjugate(ref)
+    _check_adj_pair(pair, ref_adj)
+    adj = adj_matrix(pair)
     assert (adj.rows, adj.cols) == (M.rows, M.cols)
-    for row, ref_row in zip(adj.entries, ref_adjugate(ref)):
+    for row, ref_row in zip(adj.entries, ref_adj):
         for e, r in zip(row, ref_row):
             _check(e, r)
     return det, adj
@@ -463,11 +479,11 @@ def test_determinant_swaps_rows_past_a_zero_pivot():
 
 
 def test_det_adjugate_small_orders():
-    assert det_adjugate(PolyMatrix([])) == (Poly.const(1), PolyMatrix([]))
+    assert det_adjugate(PolyMatrix([])) == (Poly.const(1), ([], 1))
     assert determinant(PolyMatrix([])) == Poly.const(1)
     p = Poly([Fraction(-3, 7), 0, Fraction(10**20, 3)])
     for e in (p, Poly(), Poly.const(-1)):
-        assert det_adjugate(PolyMatrix([[e]])) == (e, PolyMatrix.identity(1))
+        assert det_adjugate(PolyMatrix([[e]])) == (e, ([[[1]]], 1))
         assert determinant(PolyMatrix([[e]])) == e
 
 
@@ -504,13 +520,13 @@ def test_det_adjugate_coefficient_bound_met():
         [z * z * -3, Poly.const(-5), z * -11],  # det = -165 z^3
     ]
     for diag in cases:
-        M = PolyMatrix.diag(diag)
+        M = diag_matrix(diag)
         det, adj = _check_det_adjugate(M)
         want = Poly.const(1)
         for e in diag:
             want = want * e
         assert det == want
-        assert M * adj == PolyMatrix.diag([det] * M.rows)
+        assert M * adj == diag_matrix([det] * M.rows)
 
 
 def test_unpack_signed_digits_round_trip():
@@ -524,15 +540,32 @@ def test_unpack_signed_digits_round_trip():
     assert _unpack(0, 5) == []
 
 
-def test_det_adjugate_matches_q_recursion_on_model_pis(corpus):
-    """Every pi of the corpus, the planted and the ladder-shaped models, against the
-    Faddeev-LeVerrier recursion over Q[z]; build_pi's Bareiss det agrees."""
-    models = list(corpus) + planted_models() + ladder_shaped_models()
+def test_det_adjugate_matches_q_recursion_on_model_pis(corpus, predetermined_probe):
+    """Every pi of the five model sets against the Faddeev-LeVerrier recursion over
+    Q[z] and, as a lowest-terms pair (A, L), against the cofactor adjugate;
+    build_pi's Bareiss det agrees."""
+    models = (list(corpus) + list(predetermined_probe) + planted_models()
+              + deep_planted_models() + ladder_shaped_models())
     for m in models:
         pp = build_pi(m)
         det, adj = ref_det_adjugate(pp.pi)
-        assert det_adjugate(pp.pi) == (det, adj) and pp.det == det
-    assert len(models) == 156
+        got, pair = det_adjugate(pp.pi)
+        assert (got, adj_matrix(pair)) == (det, adj) and pp.det == det
+        ref = [[RefPoly(e.coeffs) for e in row] for row in pp.pi.entries]
+        _check_adj_pair(pair, ref_adjugate(ref))
+    assert len(models) == 314
+
+
+def test_det_adjugate_builds_one_poly(monkeypatch):
+    """The adjugate stays integer lists: a call builds one Poly, the det."""
+    calls = []
+    monkeypatch.setattr(exactalg, "_poly", lambda *a: calls.append(a) or _poly(*a))
+    rng = random.Random(11)
+    for n in range(1, 5):
+        M = rand_polymatrix(rng, n, 2)
+        calls.clear()
+        det, _ = det_adjugate(M)
+        assert len(calls) == 1 and _poly(*calls[0]) == det
 
 
 # ---------------------------------------------------------------------------

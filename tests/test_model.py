@@ -22,6 +22,7 @@ from recausal.model import (
 )
 from conftest import (
     SIMS_JSON,
+    coeff,
     deep_planted_models,
     ladder_shaped_models,
     planted_models,
@@ -142,7 +143,7 @@ def test_build_pi_univariate_k2h2():
             -2: a[(2, 0)],
         }
         for i in range(-2, 3):  # A*_i is the coefficient of z^(J1 - i), zero outside J0..J1
-            got = pp.pi.coeff(pp.J1 - i)[0, 0]
+            got = coeff(pp.pi, pp.J1 - i)[0, 0]
             assert got == expected[i], (i, got, expected[i])
 
 
@@ -187,7 +188,7 @@ def test_build_pi_linearity():
     pp, pp2 = build_pi(m), build_pi(m2)
     k, h = key
     i = h - k
-    star = lambda pp, j: pp.pi.coeff(pp.J1 - j)  # A*_j, zero outside J0..J1
+    star = lambda pp, j: coeff(pp.pi, pp.J1 - j)  # A*_j, zero outside J0..J1
     assert star(pp2, i) - star(pp, i) == m.A[key]
     for j in range(min(pp.J0, pp2.J0), max(pp.J1, pp2.J1) + 1):
         if j != i:

@@ -31,6 +31,7 @@ from conftest import (
     SIMS_JSON, deep_planted_models, ladder_shaped_models, planted_models, random_model,
     ref_squarefree_factors, serialize_model,
 )
+from digest import DIGEST, digest
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
@@ -186,6 +187,22 @@ def test_adj_and_zeta_only_for_a_solve_past_the_split(monkeypatch, which):
         assert verify_solution(m, sr)["ok"]
     assert solve_causal(m).classification == sr.classification
     assert counts == {"exactalg.det_adjugate": 1, "solver._adj_product": 2, split: 1}
+
+
+@pytest.mark.parametrize("which", ["sims", "planted-s4", "no-solution", "solvable"])
+def test_solve_reads_adj_as_integer_rows(monkeypatch, which):
+    """adj pi stays the pair (A, L) from the Faddeev-LeVerrier pass to the solve's
+    product: with pi built, a first solve packs only pi (`_pack` in det_adjugate) and a
+    second, with adj memoized, makes no `_numerators` call at all."""
+    make = {"sims": lambda: parse_model(SIMS_JSON), "planted-s4": solvable_planted_s4, **MAKE}
+    m = make[which]()._replace()  # an empty memo
+    run_pipeline(m).pi
+    counts = count_calls(monkeypatch, ("exactalg._numerators", "exactalg.det_adjugate"))
+    sr = solve_causal(m)
+    assert counts == {"exactalg._numerators": 1, "exactalg.det_adjugate": 1}
+    assert solve_causal(m) == sr and counts["exactalg._numerators"] == 1
+    A, L = run_pipeline(m).adj
+    assert L > 0 and len(A) == m.s and all(type(c) is int for row in A for f in row for c in f)
 
 
 @pytest.mark.parametrize("which", ["refused", "no-solution", "solvable"])
@@ -517,3 +534,10 @@ def test_cli_output_matches_golden(capsys, case):
     assert captured.out == (GOLDEN / f"{case}.stdout").read_text()
     assert captured.err == GOLDEN_CASES[case]["stderr"]
     assert code == GOLDEN_CASES[case]["exit"]
+
+
+def test_cli_output_matches_digest():
+    # python tests/digest.py rewrites the file; a change that alters some output must say why
+    want, got = json.loads(DIGEST.read_text()), digest()
+    differ = sorted(k for k in want.keys() | got.keys() if want.get(k) != got.get(k))
+    assert not differ, f"{len(differ)} model/command output(s) differ from the digest: {differ}"

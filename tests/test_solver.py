@@ -19,7 +19,7 @@ from recausal.canon import (
 from recausal.cli import _emit, cmd_smith, cmd_solve, cmd_verify, parse_args
 from recausal.dimension import dimension_report, run_pipeline
 from recausal.exactalg import (
-    Poly, PolyMatrix, RationalMatrix, _packed_product, _poly, det_adjugate,
+    Poly, PolyMatrix, RationalMatrix, _int_product, _numerators, _poly, det_adjugate,
 )
 from recausal.model import REModel, build_pi, parse_model, validate_semantics
 from recausal.solver import (
@@ -39,14 +39,18 @@ from recausal.solver import (
 )
 from test_model import _coefficient_arrays
 from conftest import (
+    adj_matrix,
     affine_set,
     assemble_rhs,
+    coeff,
     deep_planted_models,
     defect_model,
+    diag_matrix,
     divisibility_rows,
     full_unknown_system,
     ladder_shaped_models,
     map_at,
+    max_degree,
     planted_models,
     polymatrix_from_rational,
     rand_frac,
@@ -71,6 +75,7 @@ from conftest import (
     residual_map,
     same_affine_set,
     sims_model,
+    smith_size,
     substitution_set,
 )
 
@@ -82,7 +87,8 @@ MODELS = GOLDEN.parents[1] / "models"
 def golden_models():
     """The models of models/ and tests/golden/, by file name."""
     paths = [*MODELS.glob("*.json"), *GOLDEN.glob("*.json")]
-    return {p.stem: parse_model(p.read_text()) for p in paths if p.name != "cases.json"}
+    return {p.stem: parse_model(p.read_text()) for p in paths
+            if p.name not in ("cases.json", "digest.json")}
 
 
 def scalar_model(a, wold_len=1):
@@ -204,9 +210,9 @@ def test_assemble_rhs_matches_direct_formula():
             ]
         )
         direct = pipe.pi.pi * hpoly - ref_wold_poly(m) * Poly.monomial(pipe.pi.J1)
-        assert zc.max_degree() < m.H + m.K
+        assert max_degree(zc) < m.H + m.K
         for i in range(m.H + m.K):
-            mi = zc.coeff(i)
+            mi = coeff(zc, i)
             direct = direct + polymatrix_from_rational(mi * h) * Poly.monomial(pipe.pi.J1 + i)
         assert got == direct
         assert pipe.pi.pi * hpoly + map_at(M, W_res, h) == direct
@@ -651,7 +657,8 @@ def test_divisibility_rows_match_smith_split(corpus):
         D, _S = factor_stable_unstable(pipe.pi.det, J1, pipe.roots)
         split = ref_smith_split(pipe.sf, J1, D.shift(-pipe.roots.zero_multiplicity))
         A, W = assemble_rhs(m, ref_zeta_coefficients(m), J1, pipe.pi.pi)
-        n_new, new = _cancellation_affine_set(partial(divisibility_rows, pipe.adj, D), A, W)
+        adj = adj_matrix(pipe.adj)
+        n_new, new = _cancellation_affine_set(partial(divisibility_rows, adj, D), A, W)
         n_old, old = _cancellation_affine_set(partial(ref_cancellation_rows, split=split), A, W)
         assert n_new == n_old and same_affine_set(new, old), (m.s, m.H, pipe.sf.g, J1)
         n_sets += 1
@@ -663,11 +670,13 @@ def test_divisibility_rows_match_smith_split(corpus):
     assert n_sets >= 50 and n_transfers >= 30 and n_deep >= 8, (n_sets, n_transfers, n_deep)
 
 
-def _solve_product(adj: PolyMatrix, M: PolyMatrix, W: PolyMatrix, cols):
-    """_packed_product(adj, [M's columns cols | W]) of Poly matrices: the solve's
-    product, which `_adj_product` builds on integers, for any columns cols."""
-    return _packed_product(adj, PolyMatrix([[row[a] for a in cols] + w
-                                            for row, w in zip(M.entries, W.entries)]))
+def _solve_product(adj: tuple, M: PolyMatrix, W: PolyMatrix, cols):
+    """(P, den) = adj [M's columns cols | W] for the pipeline's pair adj = (A, L) and Poly
+    matrices M and W: the solve's product, which `_adj_product` builds on integers, for
+    any columns cols, by `_int_product` of A and the right factor's `_numerators`."""
+    (A, la), (B, lb) = adj, _numerators([[row[a] for a in cols] + w
+                                         for row, w in zip(M.entries, W.entries)])
+    return _int_product(A, B, len(cols) + W.cols), la * lb
 
 
 def _positive_multiple(row: list, ref: list) -> bool:
@@ -689,7 +698,7 @@ def test_residual_rows_and_numerator_match_full_map(corpus):
             sr = solve_causal(m)
         except (FactorizationError, UnsupportedModelError):
             continue
-        J1, adj, unknowns = pipe.pi.J1, pipe.adj, range(m.s * m.H)
+        J1, adj, unknowns = pipe.pi.J1, adj_matrix(pipe.adj), range(m.s * m.H)
         split = factor_stable_unstable(pipe.pi.det, J1, pipe.roots)
         D = split[0]
         zc = ref_zeta_coefficients(m)
@@ -698,7 +707,7 @@ def test_residual_rows_and_numerator_match_full_map(corpus):
         basis = [divisibility_rows(adj, D, v) for v in _columns(A)]
         rhs = [divisibility_rows(adj, D, v) for v in _columns(W)]
         n = len(rhs[0])
-        P = _solve_product(adj, M, W_res, unknowns)
+        P = _solve_product(pipe.adj, M, W_res, unknowns)
         rows = _cancellation_rows(P[0], D)
         assert len(rows) == n, (m.s, m.H, J1)
         for r, row in enumerate(rows):
@@ -724,12 +733,12 @@ def test_cancellation_rows_and_numerator_match_per_unknown_map(corpus, predeterm
             sr = solve_causal(m)
         except (FactorizationError, UnsupportedModelError):
             continue
-        J1, adj, free = pipe.pi.J1, pipe.adj, m.free_unknowns()
+        J1, adj, free = pipe.pi.J1, adj_matrix(pipe.adj), m.free_unknowns()
         split = factor_stable_unstable(pipe.pi.det, J1, pipe.roots)
         zc = ref_zeta_coefficients(m)
         M, W = residual_map(m, zc, J1)
         const, per_unknown = ref_residual_map(m, zc, J1)
-        P = _solve_product(adj, M, W, free)
+        P = _solve_product(pipe.adj, M, W, free)
         rows = _cancellation_rows(P[0], split[0])
         ref_x, ref_b = ref_residual_rows(adj, split[0], const, [per_unknown[a] for a in free])
         assert len(rows) == len(ref_x), (m.s, m.H, m.gamma)
@@ -880,7 +889,7 @@ def _sheared_smith(sf: SmithForm) -> SmithForm:
     for the shear N = I + e_(n-1,0): T = d N d^-1 adds d_(n-1) / d_0, a polynomial,
     times row 0 of P^-1 to its row n-1."""
     d = sf.invariant_factors()
-    rows = [[Poly.const(int(i == j)) for j in range(sf.size)] for i in range(sf.size)]
+    rows = [[Poly.const(int(i == j)) for j in range(smith_size(sf))] for i in range(smith_size(sf))]
     rows[-1][0] = d[-1].exact_div(d[0])
     return SmithForm(sf.pi, sf.g, sf.phi, PolyMatrix(rows) * sf.P_inv)
 
@@ -905,7 +914,7 @@ def test_solve_and_verify_print_the_same_from_another_smith_factorization(capsys
     for name in ("sims", "generic", "planted3"):
         sf = smith_form(build_pi(models[name]).pi)
         sheared = _sheared_smith(sf)
-        assert sheared.Q != sf.Q and sheared.P_inv * sf.pi == PolyMatrix.diag(
+        assert sheared.Q != sf.Q and sheared.P_inv * sf.pi == diag_matrix(
             sf.invariant_factors()) * sheared.Q, name
         for argv in (["solve"], ["solve", "--kernel-point", "0"], ["verify"]):
             m = models[name]._replace()
