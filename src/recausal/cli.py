@@ -9,10 +9,10 @@ without numpy or past the float range, a reader that closed stdout (no traceback
 2 usage error or an unreadable model path.
 
 A cold call compiles only what its command runs.  This module imports `canon`,
-`exactalg` and `model`, which holds the pipeline, and no argparse.  On top of
-those, `analyze` and `probe` import `dimension` and `constraints`, the command
-`constraints` imports `constraints` (from the pipeline's stage), `solve`, `verify`
-and `simulate` import `solver`, and `smith` imports nothing more.
+`exactalg` and `model`, whose models carry their own stages, and no argparse.
+On top of those, `analyze` and `probe` import `dimension` and `constraints`, the
+command `constraints` imports `constraints` (from the model's stage), `solve`,
+`verify` and `simulate` import `solver`, and `smith` imports nothing more.
 
 `run` is the script entry (`python -m recausal.cli` and the `recausal` script);
 `main(argv)` is the in-process API and changes no process-wide state.
@@ -41,7 +41,6 @@ from .model import (
     SCHEMA_VERSION,
     parse_model,
     parse_xi,
-    run_pipeline,
     validate_semantics,
 )
 
@@ -129,31 +128,17 @@ def _emit_text(doc, prefix=""):
 def cmd_analyze(m: REModel, args) -> dict:
     from .dimension import dimension_report
 
-    rep = dimension_report(m)
-    return {
-        "command": "analyze",
-        "validation": validate_semantics(m),
-        "flavor": rep.flavor,
-        "free_parameters": rep.free_parameters,
-        "kernel_dim": rep.kernel_dim,
-        "rank_w": rep.rank_w,
-        "effective_unknowns": rep.effective_unknowns,
-        "upper_bound": rep.upper_bound,
-        "lower_bound": rep.lower_bound,
-        "special_case_used": rep.special_case_used,
-        "distinctness_guaranteed": rep.distinctness_guaranteed,
-        "bounds": rep.bounds,
-    }
+    report = dimension_report(m)  # first: a model it cannot count raises before validation
+    return {"command": "analyze", "validation": validate_semantics(m), **report}
 
 
 def cmd_smith(m: REModel, args) -> dict:
-    pipe = run_pipeline(m)
-    sf = pipe.sf
+    sf = m.sf
     return {
         "command": "smith",
-        "J0": pipe.pi.J0,
-        "J1": pipe.pi.J1,
-        "pi": _polymatrix_doc(pipe.pi.pi),
+        "J0": m.pi.J0,
+        "J1": m.pi.J1,
+        "pi": _polymatrix_doc(m.pi.pi),
         "P": _polymatrix_doc(sf.P),
         "Q": _polymatrix_doc(sf.Q),
         "P_inv": _polymatrix_doc(sf.P_inv),
@@ -165,8 +150,7 @@ def cmd_smith(m: REModel, args) -> dict:
 
 
 def cmd_constraints(m: REModel, args) -> dict:
-    pipe = run_pipeline(m)
-    cs = pipe.cs
+    cs = m.cs
     return {
         "command": "constraints",
         "flavor": cs.flavor,
@@ -197,12 +181,20 @@ def cmd_solve(m: REModel, args) -> dict:
     return doc
 
 
-def cmd_verify(m: REModel, args) -> dict:
-    from .solver import solve_causal, verify_solution
+def _causal_solution(m: REModel, args, verb: str):
+    """The solve of cmd_verify and cmd_simulate; refused when there is no solution to `verb`."""
+    from .solver import solve_causal
 
     sr = solve_causal(m, kernel_point=args.kernel_point)
     if sr.classification == "no_causal_solution":
-        raise UnsupportedModelError("model has no causal solution; nothing to verify")
+        raise UnsupportedModelError(f"model has no causal solution; nothing to {verb}")
+    return sr
+
+
+def cmd_verify(m: REModel, args) -> dict:
+    from .solver import verify_solution
+
+    sr = _causal_solution(m, args, "verify")
     rep = verify_solution(m, sr, max_lag=args.max_lag)
     rep["command"] = "verify"
     rep["classification"] = sr.classification
@@ -210,11 +202,9 @@ def cmd_verify(m: REModel, args) -> dict:
 
 
 def cmd_simulate(m: REModel, args) -> dict:
-    from .solver import simulate, solve_causal
+    from .solver import simulate
 
-    sr = solve_causal(m, kernel_point=args.kernel_point)
-    if sr.classification == "no_causal_solution":
-        raise UnsupportedModelError("model has no causal solution; nothing to simulate")
+    sr = _causal_solution(m, args, "simulate")
     rep = simulate(sr, T=args.trials, seed=args.seed)
     rep["command"] = "simulate"
     return rep

@@ -17,18 +17,18 @@ pseudo-inverse of E(0)'s columns (`build_selectors`).
 
 Of a factorization pi = P diag(z^g) E (P unimodular, E(0) invertible; the
 Smith form with E = diag(phi) Q is one) the systems read only its data at
-z = 0, a `LocalSmith`: g, the coefficients of P^{-1} and E(0).  The pipeline
-builds the plain system, counted and printed, on `canon.local_form`'s: the
+z = 0, a `LocalSmith`: g, the coefficients of P^{-1} and E(0).  A model
+builds its plain system, counted and printed, on `canon.local_form`'s: the
 global Smith form's gives the same rank_w on the test sets, but the same
 solution set of C eps = rhs only where every g_i <= J1.  The predetermined
 system's rank can depend on the factors when g != 0 or J1 < H, so for
-g != 0 the pipeline keeps the factors of the global Smith form.
+g != 0 the stage `local` keeps the factors of the global Smith form.
 
 The predetermined system takes the rows of the P^{-1} blocks in time-block
 order, applies S and keeps the columns of the entries of h that
 `REModel.free_unknowns()` leaves free.  These systems give analyze's count;
-the solve reads none of them.  Only the pipeline's stages pb, plain_cs and cs
-(`model.Pipeline`) and `recausal.dimension` import this module, so solve,
+the solve reads none of them.  Only the model's stages pb, plain_cs and cs
+(`model.REModel`) and `recausal.dimension` import this module, so solve,
 verify, simulate and smith never load it.
 """
 

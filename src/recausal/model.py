@@ -9,12 +9,14 @@ process u_t = sum_j w_j eps_{t-j}, and predeterminedness multi-index
 gamma = (s_0, ..., s_H) with sum(gamma) = s.
 
 `REModel` and `PiPolynomial` are named tuples: build a changed model with
-`m._replace(...)`.  A model is immutable once built: the artifacts derived
-from it (pi(z) with det pi, adj pi, its Smith form, the constraint systems)
-are memoized on the instance in `REModel.artifacts`, filled by the stages of
-`Pipeline` (`run_pipeline`), its A_kh as integers in `REModel.numerators` and
-its Wold coefficients as integers in `REModel.wold_numerators`, which every
-other module reads; a model from `_replace` starts with an empty memo.
+`m._replace(...)`.  A model is immutable once built and is its own pipeline:
+its stages (`m.pi`, pi(z) with det pi, `m.adj`, `m.sf` its Smith form, ...,
+`m.cs` its constraint system) are read-only properties, each computed on first
+use and memoized on the instance in `REModel.artifacts`, which refers to no
+model, so a dropped model is freed at once.  Its A_kh as integers are in
+`REModel.numerators` and its Wold coefficients as integers in
+`REModel.wold_numerators`, which every other module reads; a model from
+`_replace` starts with an empty memo.
 `build_m_stack` stacks the m_i of zeta(z) = sum_i m_i z^i on integer rows, from
 `REModel.numerators` alone: the constraint systems read them over H + max(g -
 J1, 0) blocks, and the solve builds its right factor from K + H of them.
@@ -42,13 +44,28 @@ class ModelFormatError(ValueError):
     pass
 
 
+def _stage(build):
+    """An `REModel` stage: computed on first use and memoized in `REModel.artifacts`,
+    the one place a stage is computed.  A stage that raises is not memoized; it
+    raises again on the next use.  No setter: a stage cannot be assigned."""
+    name = build.__name__
+
+    def get(self):
+        memo = self.artifacts
+        if name not in memo:
+            memo[name] = build(self)
+        return memo[name]
+
+    return property(get, doc=build.__doc__)
+
+
 class REModel(namedtuple("REModel", "s K H q A gamma wold xi", defaults=(Fraction(1),))):
     """A (k, h) -> RationalMatrix with zero matrices omitted, gamma = (s_0, ..., s_H),
     wold = (w_0, ..., w_L) with each w_j s x q."""
 
     @cached_property
     def artifacts(self) -> dict:
-        """stage name -> derived artifact, filled on first use (`Pipeline`).
+        """stage name -> derived artifact, filled on first use (`_stage`).
         It lives in the instance __dict__ (REModel declares no __slots__), not in
         a field: == ignores it and `_replace` starts an empty one."""
         return {}
@@ -86,6 +103,73 @@ class REModel(namedtuple("REModel", "s K H q A gamma wold xi", defaults=(Fractio
         L = lcm(*[x.denominator for w in self.wold for row in w.entries for x in row])
         return L, [[[(x := w.entries[i][c]).numerator * (L // x.denominator) for w in self.wold]
                      for c in range(self.q)] for i in range(self.s)]
+
+    @_stage
+    def pi(self):
+        """pi(z) with its determinant."""
+        return build_pi(self)
+
+    @_stage
+    def adj(self):
+        """adj pi(z) = A / L as `det_adjugate`'s pair (A, L): integer coefficient lists,
+        lowest first, over one L > 0.  Read only by the solve after its split."""
+        return det_adjugate(self.pi.pi)[1]
+
+    @_stage
+    def sf(self):
+        """Smith form of pi(z): read by `recausal smith` and by `local` on a
+        predetermined model with G > 0, never by solve, verify or simulate."""
+        return smith_form(self.pi.pi)
+
+    @_stage
+    def local(self):
+        """g, P^-1 and E(0) of pi = P diag(z^g) E on integers, the data the constraints
+        read, by `local_form`; a predetermined model with G > 0, whose system depends on
+        the factors, reads the global Smith form's."""
+        pp = self.pi
+        if not (self.predetermined and pp.det[0] == 0):
+            return local_form(pp.pi, pp.det.zero_multiplicity())
+        # frak_p_blocks reads P^-1 below z^(H + max(g - J1, 0))
+        return self.sf.local(self.H + max(max(self.sf.g) - pp.J1, 0))
+
+    @_stage
+    def roots(self):
+        """Roots of det pi(z) relative to the unit circle and xi."""
+        return classify_roots(self.pi.det, self.xi)
+
+    @_stage
+    def split(self):
+        """(D, S) of det pi = D S, D = z^G U: read only by the solve."""
+        return factor_stable_unstable(self.pi.det, self.pi.J1, self.roots)
+
+    @_stage
+    def pb(self):
+        from .constraints import frak_p_blocks
+
+        return frak_p_blocks(self.local, self.pi.J1, self.H)
+
+    @_stage
+    def m_stack(self):
+        """The m_i of zeta(z) stacked on integer rows (N, L), as many as p_stack
+        has column blocks, H + max(g - J1, 0), or none at H = 0, where p_stack
+        has no rows: the systems and bounds read it."""
+        return build_m_stack(self, self.H and self.H + max(max(self.local.g) - self.pi.J1, 0))
+
+    @_stage
+    def plain_cs(self):
+        """The plain system, on the row reduction's data at G > 0 too."""
+        from .constraints import build_plain_system
+
+        return build_plain_system(self, self.m_stack, self.pb)
+
+    @_stage
+    def cs(self):
+        """The model's constraint system, in its own flavor."""
+        if not self.predetermined:
+            return self.plain_cs
+        from .constraints import build_predetermined_system
+
+        return build_predetermined_system(self, self.m_stack, self.pb, self.local)
 
 
 def _parse_matrix(obj, rows, cols, what, seen: dict) -> RationalMatrix:
@@ -176,8 +260,7 @@ def parse_model(text: str) -> REModel:
     return REModel(s=s, K=K, H=H, q=q, A=A, gamma=tuple(gamma), wold=wold, xi=xi)
 
 
-# det = det pi(z), never identically zero (the adjugate is the pipeline's own
-# stage, `Pipeline.adj`)
+# det = det pi(z), never identically zero (the adjugate is the stage `REModel.adj`)
 PiPolynomial = namedtuple("PiPolynomial", "pi J0 J1 det")
 
 
@@ -220,110 +303,6 @@ def build_m_stack(m: REModel, n: int) -> tuple:
     return N, L
 
 
-def _stage(build):
-    """A Pipeline attribute computed on first use and memoized on the model."""
-    name = build.__name__
-
-    def get(self):
-        memo = self.model.artifacts
-        if name not in memo:
-            memo[name] = build(self)
-        return memo[name]
-
-    return property(get, doc=build.__doc__)
-
-
-class Pipeline:
-    """View of one model's derived artifacts: pi(z) -> Smith data -> constraints.
-
-    Every stage is computed on first use and kept in the model's own memo, so
-    all Pipelines of one model share one pi, one Smith form, one root
-    classification, one split and one constraint system.  The memo refers to
-    no Pipeline and no artifact refers to the model, so a dropped model is freed
-    at once.  A stage that raises is not memoized; it raises again on the next use.
-    Only the stages pb, plain_cs and cs import `recausal.constraints`, which
-    imports this module.
-    """
-
-    __slots__ = ("model",)
-
-    def __init__(self, model: REModel):
-        self.model = model
-
-    @_stage
-    def pi(self):
-        """pi(z) with its determinant."""
-        return build_pi(self.model)
-
-    @_stage
-    def adj(self):
-        """adj pi(z) = A / L as `det_adjugate`'s pair (A, L): integer coefficient lists,
-        lowest first, over one L > 0.  Read only by the solve after its split."""
-        return det_adjugate(self.pi.pi)[1]
-
-    @_stage
-    def sf(self):
-        """Smith form of pi(z): read by `recausal smith` and by `local` on a
-        predetermined model with G > 0, never by solve, verify or simulate."""
-        return smith_form(self.pi.pi)
-
-    @_stage
-    def local(self):
-        """g, P^-1 and E(0) of pi = P diag(z^g) E on integers, the data the constraints
-        read, by `local_form`; a predetermined model with G > 0, whose system depends on
-        the factors, reads the global Smith form's."""
-        pp, m = self.pi, self.model
-        if not (m.predetermined and pp.det[0] == 0):
-            return local_form(pp.pi, pp.det.zero_multiplicity())
-        # frak_p_blocks reads P^-1 below z^(H + max(g - J1, 0))
-        return self.sf.local(m.H + max(max(self.sf.g) - pp.J1, 0))
-
-    @_stage
-    def roots(self):
-        """Roots of det pi(z) relative to the unit circle and xi."""
-        return classify_roots(self.pi.det, self.model.xi)
-
-    @_stage
-    def split(self):
-        """(D, S) of det pi = D S, D = z^G U: read only by the solve."""
-        return factor_stable_unstable(self.pi.det, self.pi.J1, self.roots)
-
-    @_stage
-    def pb(self):
-        from .constraints import frak_p_blocks
-
-        return frak_p_blocks(self.local, self.pi.J1, self.model.H)
-
-    @_stage
-    def m_stack(self):
-        """The m_i of zeta(z) stacked on integer rows (N, L), as many as p_stack
-        has column blocks, H + max(g - J1, 0), or none at H = 0, where p_stack
-        has no rows: the systems and bounds read it."""
-        H = self.model.H
-        return build_m_stack(self.model, H and H + max(max(self.local.g) - self.pi.J1, 0))
-
-    @_stage
-    def plain_cs(self):
-        """The plain system, on the row reduction's data at G > 0 too."""
-        from .constraints import build_plain_system
-
-        return build_plain_system(self.model, self.m_stack, self.pb)
-
-    @_stage
-    def cs(self):
-        """The model's constraint system, in its own flavor."""
-        if not self.model.predetermined:
-            return self.plain_cs
-        from .constraints import build_predetermined_system
-
-        return build_predetermined_system(self.model, self.m_stack, self.pb, self.local)
-
-
-def run_pipeline(m: REModel) -> Pipeline:
-    """The model's pipeline; its stages run on first use, once per model."""
-    return Pipeline(m)
-
-
 def validate_semantics(m: REModel) -> dict:
     """Point checks of the solvability assumptions; report style, no raise."""
     report = {"checks": [], "warnings": [], "ok": True}
@@ -345,9 +324,8 @@ def validate_semantics(m: REModel) -> dict:
         f"H={m.H}",
     )
     check("gamma_sum", sum(m.gamma) == m.s, f"gamma={m.gamma}")
-    pipe = run_pipeline(m)
     try:
-        pp, g = pipe.pi, pipe.local.g
+        pp, g = m.pi, m.local.g
         check("det_pi_nonzero", True, f"G = {sum(g)} zero(s) at zero, g = {g}")
         if any(gi > pp.J1 for gi in g):
             report["warnings"].append(

@@ -7,7 +7,7 @@ divisibility condition: D divides adj(pi) N(z; h).  With N = pi(z) h(z) + R(z; h
 for the residual R = M h - W, M = z^J1 zeta(z) and W = z^J1 w(z),
 adj(pi) pi = det(pi) I = D S I gives adj(pi) N = D S h(z) + adj(pi) R.  One
 integer product P = adj(pi) [M's solve columns | W] per solve (`_adj_product`:
-adj(pi) is the pipeline's integer pair (A, L), the right factor is built on
+adj(pi) is the model's stage `adj`, an integer pair (A, L), the right factor is built on
 integers) serves twice: the conditions are the remainders of its entries mod D,
 linear in h, and the transfer is (adj(pi) R / D + S h(z)) / S with adj(pi) R
 summed from the columns of P.
@@ -19,7 +19,7 @@ divides adj(pi) R; or, with the entries of h outside `REModel.free_unknowns()`
 zero, some p = h + d with d in ker L (`_expectation_kernel`), so that
 N(z; p) = N(z; h) (predetermined flavor), and z^H D divides adj(pi) (M p - W).
 No factorization of pi enters.  adj(pi) and the product are built only once the
-split, `Pipeline.split`, is accepted: a refused model builds neither.  Only
+split, `REModel.split`, is accepted: a refused model builds neither.  Only
 `simulate` imports numpy.  The result, `SolutionReport`, is a named tuple: h and
 num/den determine the solution.
 
@@ -41,13 +41,13 @@ from .canon import FactorizationError, factor_stable_unstable  # re-exported
 from .canon import KernelPointError, UnsupportedModelError
 from .exactalg import Poly, PolyMatrix, RationalMatrix, _ZERO, _combine, _int_product, _numerators
 from .exactalg import _poly, _rmat, _scaled, _solve_rows, poly_gcd, rank_kernel, solve_affine
-from .model import REModel, build_m_stack, run_pipeline
+from .model import REModel, build_m_stack
 
 
 def _adj_product(m: REModel, adj: tuple, J1: int, free, ker_l: list) -> tuple:
     """(P, den): adj(pi) [M's free columns | M ker L | W] = P / den, P's entries integer
     coefficient lists, lowest first, by one `_int_product` of A, adj(pi) = A / la the
-    pipeline's pair (A, la), and the right factor on integers over one denominator:
+    model's stage `adj`, and the right factor on integers over one denominator:
     M = z^J1 zeta(z) from build_m_stack(m, K + H), whose row i s + r is coefficient i of
     zeta's row r, and W = z^J1 w(z) from `REModel.wold_numerators`."""
     s, (A, la), (N, L), (lw, W) = m.s, adj, build_m_stack(m, m.K + m.H), m.wold_numerators
@@ -129,11 +129,10 @@ def solve_causal(m: REModel, kernel_point: str = "min-norm") -> SolutionReport:
     h and the kernel vectors span all sH entries; the forced ones are zero.  Psi is
     a function of its head p = h + d, so indeterminacy_dim counts the p; on a
     predetermined G > 0 or J1 < H model it may differ from analyze's free_parameters."""
-    pipe = run_pipeline(m)
     n_unknowns, q, free = m.s * m.H, m.q, m.free_unknowns()
-    D, S = pipe.split
+    D, S = m.split
     ker_l = _expectation_kernel(m) if m.predetermined else []  # d's coordinates follow h's
-    P = _adj_product(m, pipe.adj, pipe.pi.J1, free, ker_l)
+    P = _adj_product(m, m.adj, m.pi.J1, free, ker_l)
     X, kern = _solve_rows(_cancellation_rows(P[0], D.shift(m.H)), len(free) + len(ker_l), q)
     at = {a: i for i, a in enumerate(free)}
     kernel = [[v[at[a]] if a in at else Fraction(0) for a in range(n_unknowns)] for v in kern]
@@ -181,7 +180,7 @@ def _numerator(m, split, P, free, h) -> PolyMatrix:
 def build_transfer(m, split, P, free, h):
     """Transfer function y = (num / den) eps for a loading stack h.
 
-    split = (D, S), the pipeline's `split`, and P the solve's product (_numerator).
+    split = (D, S), the model's stage `split`, and P the solve's product (_numerator).
     num = adj(pi) N / D is exact once h satisfies the rows, and den = S, so num/den = pi^-1 N;
     den ends with den(0) = 1 and all roots outside the unit circle.  The
     third value, once pi_s num / den for a stable Smith factor pi_s that the

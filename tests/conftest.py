@@ -24,7 +24,6 @@ from recausal.canon import (
     root_discs,
 )
 from recausal.constraints import build_selectors
-from recausal.dimension import run_pipeline
 from recausal.exactalg import (
     Poly,
     PolyMatrix,
@@ -786,18 +785,18 @@ def serialize_model(m: REModel) -> str:
 
 
 def smith_reference(m: REModel) -> REModel:
-    """A copy of m whose pipeline reads the constraints from the global Smith form.
+    """A copy of m whose stages read the constraints from the global Smith form.
 
     The copy has its own memo, in which the `local` stage is the data at z = 0
     of smith_form(pi) whatever det pi(0) is, so its dimension_report and
-    solve_causal are those of a pipeline that always runs the elimination.
+    solve_causal are those of a model that always runs the elimination.
     """
     ref = m._replace()
-    ref.artifacts["local"] = run_pipeline(ref).sf.local()
+    ref.artifacts["local"] = ref.sf.local()
     return ref
 
 
-def crosscheck_simplified(m: REModel, pipe) -> bool:
+def crosscheck_simplified(m: REModel) -> bool:
     """The constant-g form of the predetermined system against the general one.
 
     When all g_i equal one gbar <= J1, the system reduces to
@@ -805,9 +804,9 @@ def crosscheck_simplified(m: REModel, pipe) -> bool:
     the first n = H - J1 + gbar coefficients of P^-1 and S2 the blocks of S from
     index J1 - gbar on; its rank and kernel dimension must be the general system's
     (and for n <= 0 the general system must vanish).  Asserts this for the
-    pipeline's own Smith data; returns whether the form applies.
+    model's own Smith data; returns whether the form applies.
     """
-    loc, J1, cs = pipe.local, pipe.pi.J1, pipe.cs
+    loc, J1, cs = m.local, m.pi.J1, m.cs
     if not m.predetermined or len(set(loc.g)) != 1 or loc.g[0] > J1:
         return False
     gbar = loc.g[0]
@@ -958,16 +957,15 @@ def ref_zeta_coefficients(m: REModel) -> PolyMatrix:
 def ref_m_stack(zc: PolyMatrix, pb: tuple) -> RationalMatrix:
     """The coefficient matrices m_0, m_1, ... of zeta(z) stacked by
     `coeff`, as many as p_stack, pb = (rows, L), has column blocks
-    (none without rows): the reference for `Pipeline.m_stack`."""
+    (none without rows): the reference for `REModel.m_stack`."""
     n = len(pb[0][0]) // zc.rows if pb[0] else 0
     return vstack([coeff(zc, i) for i in range(n)]) if n else RationalMatrix.zero(0, zc.cols)
 
 
-def ref_constraint_matrix(pipe, sel: RefSelectors | None = None) -> RationalMatrix:
+def ref_constraint_matrix(m: REModel, sel: RefSelectors | None = None) -> RationalMatrix:
     """The Fraction C by matrix products: p_stack m_stack (plain), or, given
     the dense selectors sel, S U^T p_stack m_stack R^T (predetermined)."""
-    C = vstack(fraction_blocks(pipe.pb, pipe.model.s)) * ref_m_stack(
-        ref_zeta_coefficients(pipe.model), pipe.pb)
+    C = vstack(fraction_blocks(m.pb, m.s)) * ref_m_stack(ref_zeta_coefficients(m), m.pb)
     return C if sel is None else sel.S * sel.U.transpose() * C * sel.R.transpose()
 
 
@@ -982,20 +980,20 @@ def int_stack(M: RationalMatrix) -> tuple:
     return [[x.numerator * (L // x.denominator) for x in row] for row in M.entries], L
 
 
-def ref_expectation_kernel(m: REModel, pipe):
+def ref_expectation_kernel(m: REModel):
     """A basis of the d in Q^sH with pi(z) d(z) + M d = 0, M = z^J1 zeta(z),
     from the polynomial products: the reference for `_expectation_kernel`."""
     s, n = m.s, m.s * m.H
-    M, _ = residual_map(m, ref_zeta_coefficients(m), pipe.pi.J1)
-    images = [pipe.pi.pi * PolyMatrix([[Poly.monomial(a // s) if r == a % s else Poly()]
-                                       for r in range(s)])
+    M, _ = residual_map(m, ref_zeta_coefficients(m), m.pi.J1)
+    images = [m.pi.pi * PolyMatrix([[Poly.monomial(a // s) if r == a % s else Poly()]
+                                    for r in range(s)])
               + PolyMatrix([[row[a]] for row in M.entries]) for a in range(n)]
     top = max((int(max_degree(v)) + 1 for v in images if max_degree(v) >= 0), default=0)
     return rank_kernel(RationalMatrix([[v[r, 0][k] for v in images]
                                        for r in range(s) for k in range(top)]))[1]
 
 
-def full_unknown_system(m: REModel, pipe):
+def full_unknown_system(m: REModel):
     """The causal solve's affine set of h over all sH entries of each h column.
 
     Built over every entry: a unit row for every entry that predeterminedness
@@ -1007,8 +1005,8 @@ def full_unknown_system(m: REModel, pipe):
     """
     s, H, q = m.s, m.H, m.q
     n = s * H
-    M, W = residual_map(m, ref_zeta_coefficients(m), pipe.pi.J1)
-    ker = ref_expectation_kernel(m, pipe) if m.predetermined else []
+    M, W = residual_map(m, ref_zeta_coefficients(m), m.pi.J1)
+    ker = ref_expectation_kernel(m) if m.predetermined else []
     width = n + len(ker)
     cols = [[row[a] for a in range(n)] + [sum((row[a] * v[a] for a in range(n)), Poly())
                                           for v in ker] for row in M.entries]
@@ -1017,9 +1015,9 @@ def full_unknown_system(m: REModel, pipe):
         for r in range(sum(m.gamma[: j + 1]), s):
             rows.append([Fraction(int(a == j * s + r)) for a in range(width)])
             rhs.append([Fraction(0)] * q)
-    D, _ = factor_stable_unstable(pipe.pi.det, pipe.pi.J1, pipe.roots)
+    D, _ = factor_stable_unstable(m.pi.det, m.pi.J1, m.roots)
     right, _den = _numerators([c + w for c, w in zip(cols, W.entries)])
-    P = _int_product(pipe.adj[0], right, width + q)  # adj(pi) [M | W] over a positive factor
+    P = _int_product(m.adj[0], right, width + q)  # adj(pi) [M | W] over a positive factor
     canc = _cancellation_rows(P, D.shift(H))
     rows, rhs = rows + [r[:width] for r in canc], rhs + [r[width:] for r in canc]
     if not rows:  # keep the column counts of an empty system

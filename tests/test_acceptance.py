@@ -15,7 +15,7 @@ import numpy as np
 import conftest
 from recausal.canon import UnitCircleRootError, smith_form
 from recausal.constraints import check_rank_bounds
-from recausal.dimension import dimension_report, run_pipeline
+from recausal.dimension import dimension_report
 from recausal.exactalg import (
     Poly,
     PolyMatrix,
@@ -72,16 +72,15 @@ def _emit(line: str):
 def _c1():
     t0 = time.perf_counter()
     m = parse_model((ROOT / "models" / "sims.json").read_text())
-    pipe = run_pipeline(m)
-    assert pipe.sf.g == (0, 1)
-    assert pipe.sf.invariant_factors() == (
+    assert m.sf.g == (0, 1)
+    assert m.sf.invariant_factors() == (
         Poly.const(1),
         Poly([0, Fraction(100, 99), Fraction(-200, 99), 1]),
     )
     # empty predetermined constraint system: one unknown, one kernel direction
-    assert pipe.cs.flavor == "predetermined"
-    assert pipe.cs.rank_w == 0 and pipe.cs.kernel_dim == 1
-    assert dimension_report(m).free_parameters == 2
+    assert m.cs.flavor == "predetermined"
+    assert m.cs.rank_w == 0 and m.cs.kernel_dim == 1
+    assert dimension_report(m)["free_parameters"] == 2
     sr = solve_causal(m)
     assert sr.classification == "determinate"
     assert sr.h == RationalMatrix(
@@ -144,20 +143,18 @@ def _c3():
     for _ in range(20):  # plain, all partial multiplicities zero
         s = rng.randint(1, 3)
         m = random_model(rng, s, rng.randint(0, 2), rng.randint(1, 2), force_g0=True)
-        pipe = run_pipeline(m)
-        assert all(g == 0 for g in pipe.sf.g)
-        assert dimension_report(m).free_parameters == pipe.pi.J1 * m.s * m.q
+        assert all(g == 0 for g in m.sf.g)
+        assert dimension_report(m)["free_parameters"] == m.pi.J1 * m.s * m.q
     for _ in range(20):  # predetermined analogue
         s = rng.randint(2, 3)
         H = rng.randint(1, 2)
         m = random_model(
             rng, s, rng.randint(0, 2), H, gamma=random_gamma(rng, s, H), force_g0=True
         )
-        pipe = run_pipeline(m)
-        assert all(g == 0 for g in pipe.sf.g)
-        j1 = pipe.pi.J1
+        assert all(g == 0 for g in m.sf.g)
+        j1 = m.pi.J1
         expected = sum(m.gamma[i] * (j1 - i) for i in range(j1)) * m.q
-        assert dimension_report(m).free_parameters == expected
+        assert dimension_report(m)["free_parameters"] == expected
 
 
 def test_criterion_03():
@@ -171,8 +168,7 @@ def _c4():
         H = rng.randint(0, 2)
         gamma = random_gamma(rng, s, H) if (H > 0 and rng.random() < 0.4) else None
         m = random_model(rng, s, rng.randint(0, 2), H, gamma=gamma)
-        pipe = run_pipeline(m)
-        rep = check_rank_bounds(pipe.plain_cs, pipe.local, pipe.m_stack, pipe.pi.J1, m.H, m.s)
+        rep = check_rank_bounds(m.plain_cs, m.local, m.m_stack, m.pi.J1, m.H, m.s)
         assert rep["upper_ok"], (m.s, m.K, m.H, rep)
         assert rep["lower_ok"], (m.s, m.K, m.H, rep)
 
@@ -185,14 +181,13 @@ def _c5(corpus):
     assert len(corpus) == 100
     assert all(m.s <= 3 and m.K <= 2 and m.H <= 2 for m in corpus)
     for m in corpus:
-        pipe = run_pipeline(m)
         if m.H == 0:
-            assert pipe.cs.effective_unknowns == 0 and pipe.cs.kernel_dim == 0
+            assert m.cs.effective_unknowns == 0 and m.cs.kernel_dim == 0
             continue
-        mbf, bbf = brute_force_plain(m, pipe.pi, pipe.sf)
+        mbf, bbf = brute_force_plain(m, m.pi, m.sf)
         n = m.s * m.H
         assert same_affine_set(
-            affine_set(pipe.plain_cs.C, pipe.plain_cs.rhs, n), affine_set(mbf, bbf, n)
+            affine_set(m.plain_cs.C, m.plain_cs.rhs, n), affine_set(mbf, bbf, n)
         ), (m.s, m.K, m.H)
 
 

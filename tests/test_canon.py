@@ -22,7 +22,6 @@ from recausal.canon import (
     root_discs,
     smith_form,
 )
-from recausal.dimension import run_pipeline
 from recausal.exactalg import (
     Poly, PolyMatrix, RationalMatrix, det_adjugate, poly_gcd, squarefree_factors,
 )
@@ -232,16 +231,15 @@ def test_local_data_are_the_fraction_local_smith_on_integers(corpus, predetermin
     for m in (corpus + predetermined_probe + ladder_shaped_models() + planted_models()
               + deep_planted_models()):
         m = m._replace()  # an empty memo
-        pipe = run_pipeline(m)
-        pi, G, J1 = pipe.pi.pi, pipe.pi.det.zero_multiplicity(), pipe.pi.J1
+        pi, G, J1 = m.pi.pi, m.pi.det.zero_multiplicity(), m.pi.J1
         sf = smith_form(pi)
         assert fraction_local(local_form(pi, G)) == ref_local_form(pi, G)
         assert fraction_local(sf.local()) == ref_smith_local(sf)
         assert fraction_local(sf.local(2), 2) == ref_smith_local(sf, 2)
-        loc = pipe.local
+        loc = m.local
         if "sf" in m.artifacts:  # a predetermined model with G > 0 reads the global form
             order = m.H + max(max(loc.g) - J1, 0)
-            assert fraction_local(loc, order) == ref_smith_local(pipe.sf, order)
+            assert fraction_local(loc, order) == ref_smith_local(m.sf, order)
         else:
             assert fraction_local(loc) == ref_local_form(pi, G)
         for key, hit in (("models", True), ("G>0", G), ("global", "sf" in m.artifacts),
@@ -342,9 +340,9 @@ def _classified(classify, p, xi):
 
 def test_classify_roots_matches_float_reference_on_model_dets(corpus):
     models = list(corpus) + planted_models() + [sims_model()]
-    outcomes = [_classified(classify_roots, run_pipeline(m).pi.det, m.xi) for m in models]
+    outcomes = [_classified(classify_roots, m.pi.det, m.xi) for m in models]
     assert outcomes == [
-        _classified(ref_classify_roots, run_pipeline(m).pi.det, m.xi) for m in models
+        _classified(ref_classify_roots, m.pi.det, m.xi) for m in models
     ]
     assert sum(o[2] > 0 for o in outcomes) >= 50 and sum(o[0] > 0 for o in outcomes) >= 10
 
@@ -511,7 +509,7 @@ def test_disc_radii_bound_the_exact_radii_on_model_factors(corpus, predetermined
     factors = {}
     for m in (corpus + predetermined_probe + ladder_shaped_models() + planted_models()
               + deep_planted_models()):
-        det = run_pipeline(m).pi.det
+        det = m.pi.det
         for a in squarefree_factors(det.shift(-det.zero_multiplicity())):
             if not a.is_constant():
                 factors[a, m.xi] = None
@@ -565,7 +563,7 @@ def test_float_discs_decide_the_ladder_shaped_dets():
     factors = 0
     with mock.patch.object(canon, "_radius", wraps=canon._radius) as radius:
         for m in ladder_shaped_models():
-            factors += len(classify_roots(run_pipeline(m).pi.det, m.xi).discs)
+            factors += len(classify_roots(m.pi.det, m.xi).discs)
     assert radius.call_count == 0 and factors == 37
 
 

@@ -11,7 +11,6 @@ from recausal.constraints import (
     check_rank_bounds,
     frak_p_blocks,
 )
-from recausal.dimension import run_pipeline
 from recausal.exactalg import Poly, PolyMatrix, RationalMatrix, rank_kernel, vstack
 from recausal.model import REModel, build_pi
 from conftest import (
@@ -151,12 +150,11 @@ def test_p_inverse_defining_identity():
     rng = random.Random(33)
     for _ in range(10):
         m = random_model(rng, rng.randint(1, 3), rng.randint(0, 2), rng.randint(1, 2))
-        pipe = run_pipeline(m)
-        pc = fraction_local(pipe.sf.local()).p_inv
+        pc = fraction_local(m.sf.local()).p_inv
         acc = zero_polymatrix(m.s, m.s)
         for i, ci in enumerate(pc):
             acc = acc + polymatrix_from_rational(ci) * Poly.monomial(i)
-        assert acc * pipe.sf.P == PolyMatrix.identity(m.s)
+        assert acc * m.sf.P == PolyMatrix.identity(m.s)
 
 
 def test_frak_blocks_published_sims():
@@ -171,11 +169,10 @@ def test_frak_blocks_published_sims():
 
 def test_frak_blocks_g_above_j1():
     m = _pi4_model()
-    pipe = run_pipeline(m)
-    pb = fraction_blocks(pipe.pb, m.s)
-    assert pipe.sf.g == (0, 0, 2, 2)
+    pb = fraction_blocks(m.pb, m.s)
+    assert m.sf.g == (0, 0, 2, 2)
     # gamma_k = g_k - J1 for g_k > J1
-    assert [gk - pipe.pi.J1 for gk in pipe.local.g[2:]] == [1, 1]
+    assert [gk - m.pi.J1 for gk in m.local.g[2:]] == [1, 1]
     assert len(pb) == m.s
     for blk in pb:
         assert (blk.rows, blk.cols) == (1, 4 * 2)  # H x s(H + gamma_s)
@@ -200,8 +197,7 @@ def test_selector_invariants(corpus):
     for m in corpus:
         if not m.predetermined or m.H == 0:
             continue
-        pipe = run_pipeline(m)
-        S, sel = build_selectors(m, pipe.local), ref_selectors(m, pipe.local)
+        S, sel = build_selectors(m, m.local), ref_selectors(m, m.local)
         n = m.s * m.H
         # U is a permutation
         assert all(sum(row) == 1 for row in sel.U.entries)
@@ -217,7 +213,7 @@ def test_selector_invariants(corpus):
             cols = sel.omega0.submatrix(range(m.s), range(keep))
             assert blk * cols == RationalMatrix.identity(keep)
             row0 += keep
-        assert S.rows == len(m.free_unknowns()) == pipe.cs.effective_unknowns == sum(
+        assert S.rows == len(m.free_unknowns()) == m.cs.effective_unknowns == sum(
             m.gamma[i] * (m.H - i) for i in range(m.H)
         )
 
@@ -229,7 +225,7 @@ def test_free_unknowns_are_the_columns_r_keeps(corpus, predetermined_probe):
     n_forced = 0
     for m in list(corpus) + list(predetermined_probe) + ladder_shaped_models() + planted_models():
         free, n = m.free_unknowns(), m.s * m.H
-        assert ref_selectors(m, run_pipeline(m).local).R.entries == [
+        assert ref_selectors(m, m.local).R.entries == [
             [int(c == a) for c in range(n)] for a in free]
         n_forced += len(free) < n
     assert n_forced >= 150, n_forced
@@ -243,11 +239,10 @@ def test_m_stack_matches_the_coefficient_stack(corpus, predetermined_probe):
               + planted_models() + deep_planted_models())
     n_h0 = n_wide = 0
     for m in models:
-        pipe = run_pipeline(m)
         zc = m_stack_zeta(m)
         assert zc == ref_zeta_coefficients(m) and (zc.rows, zc.cols) == (m.s, m.s * m.H)
-        N, L = pipe.m_stack
-        ref = ref_m_stack(zc, pipe.pb)
+        N, L = m.m_stack
+        ref = ref_m_stack(zc, m.pb)
         assert [[Fraction(x, L) for x in row] for row in N] == ref.entries
         assert all(len(row) == m.s * m.H for row in N)
         if m.H == 0:  # p_stack has no rows, so no column blocks either
@@ -255,7 +250,7 @@ def test_m_stack_matches_the_coefficient_stack(corpus, predetermined_probe):
             n_h0 += 1
             continue
         n_wide += len(N) > m.s * (max_degree(zc) + 1)
-        assert len(N) == pipe.cs.D.cols == pipe.plain_cs.D.cols
+        assert len(N) == m.cs.D.cols == m.plain_cs.D.cols
     assert n_h0 == 2 and n_wide == 18, (n_h0, n_wide)
 
 
@@ -266,9 +261,8 @@ def test_predetermined_system_matches_dense_selectors(corpus, predetermined_prob
     for m in models:
         if not m.predetermined or m.H == 0:
             continue
-        pipe = run_pipeline(m)
-        cs, ref = pipe.cs, ref_selectors(m, pipe.local)
-        blocks, zc = fraction_blocks(pipe.pb, m.s), ref_zeta_coefficients(m)
+        cs, ref = m.cs, ref_selectors(m, m.local)
+        blocks, zc = fraction_blocks(m.pb, m.s), ref_zeta_coefficients(m)
         width = blocks[0].cols // m.s
         D = ref.S * ref.U.transpose() * vstack(blocks)
         C = D * vstack([coeff(zc, i) for i in range(width)]) * ref.R.transpose()
@@ -289,18 +283,17 @@ def test_integer_ranks_match_a_fraction_reference(corpus, predetermined_probe):
               + planted_models() + deep_planted_models())
     n_pred = n_h0 = n_wide = 0
     for m in models:
-        pipe = run_pipeline(m)
-        systems = [(pipe.plain_cs, None)]
+        systems = [(m.plain_cs, None)]
         if m.predetermined:
-            systems.append((pipe.cs, ref_selectors(m, pipe.local)))
+            systems.append((m.cs, ref_selectors(m, m.local)))
         for cs, sel in systems:
-            rank, kern = rank_kernel(ref_constraint_matrix(pipe, sel))
+            rank, kern = rank_kernel(ref_constraint_matrix(m, sel))
             assert (cs.rank_w, cs.kernel_dim) == (rank, len(kern)), (m.s, m.H, m.gamma)
             assert cs.effective_unknowns == rank + len(kern)
             assert cs.kernel == tuple(rank_kernel(cs.C)[1]), (m.s, m.H, m.gamma)
         n_pred += m.predetermined
         n_h0 += m.H == 0
-        n_wide += len(pipe.m_stack[0]) > m.s * m.H
+        n_wide += len(m.m_stack[0]) > m.s * m.H
     assert (n_pred, n_h0, n_wide) == (162, 2, 17)
 
 
@@ -349,14 +342,12 @@ def test_plain_system_sims():
 def test_plain_system_sims_pipeline_choice_free():
     # same ranks with our own Smith factorization instead of the published one
     m = _sims_as_plain()
-    pipe = run_pipeline(m)
-    assert pipe.cs.flavor == "plain"
-    assert pipe.cs.rank_w == 1 and pipe.cs.kernel_dim == 1
+    assert m.cs.flavor == "plain"
+    assert m.cs.rank_w == 1 and m.cs.kernel_dim == 1
 
 
 def test_predetermined_system_sims():
-    pipe = run_pipeline(sims_model())
-    cs = pipe.cs
+    cs = sims_model().cs
     assert cs.flavor == "predetermined"
     assert cs.effective_unknowns == 1
     assert cs.rank_w == 0 and cs.kernel_dim == 1  # "no constraints in this example"
@@ -369,13 +360,12 @@ def test_predetermined_reduces_to_plain(corpus):
     for m in corpus:
         if m.predetermined or m.H == 0 or checked >= 10:
             continue
-        pipe = run_pipeline(m)
-        pred = build_predetermined_system(m, pipe.m_stack, pipe.pb, pipe.local)
+        pred = build_predetermined_system(m, m.m_stack, m.pb, m.local)
         n = m.s * m.H
         assert pred.effective_unknowns == n
-        assert pred.rank_w == pipe.cs.rank_w
+        assert pred.rank_w == m.cs.rank_w
         assert same_affine_set(
-            affine_set(pred.C, pred.rhs, n), affine_set(pipe.cs.C, pipe.cs.rhs, n)
+            affine_set(pred.C, pred.rhs, n), affine_set(m.cs.C, m.cs.rhs, n)
         )
         checked += 1
     assert checked == 10
@@ -392,11 +382,10 @@ def test_brute_force_oracle_spot_check(corpus):
     for m in corpus:
         if m.H == 0 or done >= 24:
             continue
-        pipe = run_pipeline(m)
-        mbf, bbf = brute_force_plain(m, pipe.pi, pipe.sf)
+        mbf, bbf = brute_force_plain(m, m.pi, m.sf)
         n = m.s * m.H
         assert same_affine_set(
-            affine_set(pipe.plain_cs.C, pipe.plain_cs.rhs, n), affine_set(mbf, bbf, n)
+            affine_set(m.plain_cs.C, m.plain_cs.rhs, n), affine_set(mbf, bbf, n)
         ), (m.s, m.K, m.H)
         done += 1
     assert done == 24
@@ -423,17 +412,16 @@ def test_smith_choice_invariance(corpus):
     for m in corpus:
         if m.H == 0 or m.predetermined or checked >= 20:
             continue
-        pipe = run_pipeline(m)
-        sf2 = _diagonal_rescaled(pipe.sf, rng)
-        assert smith_reconstruct(sf2) == pipe.pi.pi
+        sf2 = _diagonal_rescaled(m.sf, rng)
+        assert smith_reconstruct(sf2) == m.pi.pi
         zc = ref_zeta_coefficients(m)
-        pb2 = frak_p_blocks(sf2.local(), pipe.pi.J1, m.H)
+        pb2 = frak_p_blocks(sf2.local(), m.pi.J1, m.H)
         cs2 = build_plain_system(m, int_stack(ref_m_stack(zc, pb2)), pb2)
-        assert cs2.rank_w == pipe.cs.rank_w
-        assert cs2.kernel_dim == pipe.cs.kernel_dim
+        assert cs2.rank_w == m.cs.rank_w
+        assert cs2.kernel_dim == m.cs.kernel_dim
         n = m.s * m.H
         assert same_affine_set(
-            affine_set(cs2.C, cs2.rhs, n), affine_set(pipe.cs.C, pipe.cs.rhs, n)
+            affine_set(cs2.C, cs2.rhs, n), affine_set(m.cs.C, m.cs.rhs, n)
         )
         checked += 1
     assert checked == 20
@@ -450,7 +438,7 @@ def test_rank_agreement_across_published_factorizations():
     zc = ref_zeta_coefficients(m)
     ranks = []
     kdims = []
-    for sf in (sf1, sf2, run_pipeline(m).sf):
+    for sf in (sf1, sf2, m.sf):
         pb = frak_p_blocks(sf.local(), pp.J1, m.H)
         cs = build_plain_system(m, int_stack(ref_m_stack(zc, pb)), pb)
         ranks.append(cs.rank_w)
@@ -464,8 +452,7 @@ def test_rank_agreement_across_published_factorizations():
 
 def test_rank_bounds_sims_as_plain():
     m = _sims_as_plain()
-    pipe = run_pipeline(m)
-    rep = check_rank_bounds(pipe.cs, pipe.local, pipe.m_stack, pipe.pi.J1, m.H, m.s)
+    rep = check_rank_bounds(m.cs, m.local, m.m_stack, m.pi.J1, m.H, m.s)
     assert rep["upper_bound"] == 1  # (H-J1)s + min(0,1) + min(1,1)
     assert rep["lower_bound"] == 1
     assert rep["rank_w"] == 1
@@ -476,8 +463,7 @@ def test_rank_bounds_g_above_j1_published_typo():
     # with g = (0,0,2,2) and J1 = H = 1 the published lower-bound summand
     # H - J1 + g_k would exceed the upper bound; the proof's form does not
     m = _pi4_model()
-    pipe = run_pipeline(m)
-    rep = check_rank_bounds(pipe.cs, pipe.local, pipe.m_stack, pipe.pi.J1, m.H, m.s)
+    rep = check_rank_bounds(m.cs, m.local, m.m_stack, m.pi.J1, m.H, m.s)
     assert rep["upper_bound"] == 2
     assert rep["published_lower_bound"] == 4
     assert rep["lower_bound"] <= rep["upper_bound"]
@@ -486,7 +472,6 @@ def test_rank_bounds_g_above_j1_published_typo():
 
 def test_rank_bounds_corpus(corpus):
     for m in corpus:
-        pipe = run_pipeline(m)
-        rep = check_rank_bounds(pipe.plain_cs, pipe.local, pipe.m_stack, pipe.pi.J1, m.H, m.s)
+        rep = check_rank_bounds(m.plain_cs, m.local, m.m_stack, m.pi.J1, m.H, m.s)
         assert rep["upper_ok"], (m.s, m.K, m.H, rep)
         assert rep["lower_ok"], (m.s, m.K, m.H, rep)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from recausal import dimension
-from recausal.dimension import _perturb, dimension_report, genericity_probe, run_pipeline
+from recausal.dimension import _perturb, dimension_report, genericity_probe
 from recausal.exactalg import Poly, RationalMatrix, det_adjugate
 from recausal.model import REModel, build_pi
 from recausal.solver import (
@@ -35,13 +35,13 @@ from conftest import (
 
 def test_sims_report():
     rep = dimension_report(sims_model())
-    assert rep.flavor == "predetermined"
-    assert rep.free_parameters == 2
-    assert rep.kernel_dim == 1
-    assert rep.rank_w == 0
-    assert rep.special_case_used in ("general", "g<=J1")
+    assert rep["flavor"] == "predetermined"
+    assert rep["free_parameters"] == 2
+    assert rep["kernel_dim"] == 1
+    assert rep["rank_w"] == 0
+    assert rep["special_case_used"] in ("general", "g<=J1")
     # one unstable root (10/11) remains, so distinctness is not guaranteed
-    assert not rep.distinctness_guaranteed
+    assert not rep["distinctness_guaranteed"]
 
 
 def test_scalar_first_order_report():
@@ -52,8 +52,8 @@ def test_scalar_first_order_report():
         gamma=(1, 0), wold=(RationalMatrix([[1]]),),
     )
     rep = dimension_report(m)
-    assert rep.free_parameters == 1
-    assert rep.special_case_used == "g=0"
+    assert rep["free_parameters"] == 1
+    assert rep["special_case_used"] == "g=0"
 
 
 def test_free_parameters_g0_plain():
@@ -62,10 +62,9 @@ def test_free_parameters_g0_plain():
     for _ in range(8):
         s = rng.randint(1, 3)
         m = random_model(rng, s, rng.randint(0, 2), rng.randint(1, 2), force_g0=True)
-        pipe = run_pipeline(m)
-        assert all(g == 0 for g in pipe.sf.g)
+        assert all(g == 0 for g in m.sf.g)
         rep = dimension_report(m)
-        assert rep.free_parameters == pipe.pi.J1 * m.s * m.q, (m.s, m.K, m.H)
+        assert rep["free_parameters"] == m.pi.J1 * m.s * m.q, (m.s, m.K, m.H)
 
 
 def test_free_parameters_g0_predetermined():
@@ -76,19 +75,18 @@ def test_free_parameters_g0_predetermined():
         H = rng.randint(1, 2)
         m = random_model(rng, s, rng.randint(0, 2), H, gamma=random_gamma(rng, s, H),
                          force_g0=True)
-        pipe = run_pipeline(m)
-        assert all(g == 0 for g in pipe.sf.g)
+        assert all(g == 0 for g in m.sf.g)
         rep = dimension_report(m)
-        j1 = pipe.pi.J1
+        j1 = m.pi.J1
         expected = sum(m.gamma[i] * (j1 - i) for i in range(j1)) * m.q
-        assert rep.free_parameters == expected, (m.s, m.K, m.H, m.gamma)
+        assert rep["free_parameters"] == expected, (m.s, m.K, m.H, m.gamma)
 
 
 def test_bounds_embedded_in_report(corpus):
     for m in corpus[:20]:
         rep = dimension_report(m)
-        assert rep.free_parameters == rep.kernel_dim * m.q
-        assert rep.bounds["upper_ok"] and rep.bounds["lower_ok"]
+        assert rep["free_parameters"] == rep["kernel_dim"] * m.q
+        assert rep["bounds"]["upper_ok"] and rep["bounds"]["lower_ok"]
 
 
 def test_monotonicity_heuristic():
@@ -100,7 +98,7 @@ def test_monotonicity_heuristic():
     while checked < 10:
         s, H = rng.randint(2, 3), rng.randint(1, 2)
         m = random_model(rng, s, rng.randint(0, 2), H)
-        base = dimension_report(m).free_parameters
+        base = dimension_report(m)["free_parameters"]
         gamma = list(m.gamma)
         gamma[0] -= 1
         gamma[1] += 1
@@ -108,7 +106,7 @@ def test_monotonicity_heuristic():
             continue
         shifted = REModel(s=m.s, K=m.K, H=m.H, q=m.q, A=m.A, gamma=tuple(gamma),
                           wold=m.wold, xi=m.xi)
-        moved = dimension_report(shifted).free_parameters
+        moved = dimension_report(shifted)["free_parameters"]
         if moved > base:
             findings.append((m.s, m.K, m.H, base, moved))
         checked += 1
@@ -139,9 +137,8 @@ def test_genericity_probe_flags_rank_drop():
         A={(0, 0): a00, (0, 1): a01, (1, 2): RationalMatrix.identity(2)},
         gamma=(2, 0, 0), wold=(RationalMatrix.identity(2),),
     )
-    pipe = run_pipeline(m)
-    assert pipe.pi.J1 == 1  # A02 absent, A12 = I
-    assert pipe.cs.rank_w == 1  # dependent rows at the supplied point
+    assert m.pi.J1 == 1  # A02 absent, A12 = I
+    assert m.cs.rank_w == 1  # dependent rows at the supplied point
     rep = genericity_probe(m, trials=12, seed=7)
     assert rep["non_generic"]
     assert rep["modal_rank"] > rep["base_rank"]
@@ -178,21 +175,20 @@ def test_local_stage_is_a_factorization_at_zero(corpus):
     Smith form's P^-1; every other model's comes whole from `local_form`."""
     for m in corpus + planted_models() + [sims_model()]:
         m = m._replace()  # an empty memo
-        pipe = run_pipeline(m)
-        loc = fraction_local(pipe.local)
-        assert (pipe.pi.det[0] != 0) == (loc.g == (0,) * m.s)
+        loc = fraction_local(m.local)
+        assert (m.pi.det[0] != 0) == (loc.g == (0,) * m.s)
         p_inv = zero_polymatrix(m.s, m.s)
         for k, c in enumerate(loc.p_inv):
             p_inv = p_inv + polymatrix_from_rational(c) * Poly.monomial(k)
-        assert ("sf" in m.artifacts) == (m.predetermined and pipe.pi.det[0] == 0)
-        if m.predetermined and pipe.pi.det[0] == 0:
-            order = m.H + max(max(loc.g) - pipe.pi.J1, 0)
-            p_inv = pipe.sf.P_inv
-            assert fraction_local(pipe.local, order).p_inv == tuple(
+        assert ("sf" in m.artifacts) == (m.predetermined and m.pi.det[0] == 0)
+        if m.predetermined and m.pi.det[0] == 0:
+            order = m.H + max(max(loc.g) - m.pi.J1, 0)
+            p_inv = m.sf.P_inv
+            assert fraction_local(m.local, order).p_inv == tuple(
                 coeff(p_inv, k) for k in range(order))
         det, _ = det_adjugate(p_inv)
         assert det.is_constant() and not det.is_zero()
-        E = (p_inv * pipe.pi.pi).entries
+        E = (p_inv * m.pi.pi).entries
         assert all(e[j] == 0 for k, gk in enumerate(loc.g) for e in E[k] for j in range(gk))
         E0 = RationalMatrix([[e[gk] for e in E[k]] for k, gk in enumerate(loc.g)])
         assert E0 == loc.omega0 and rank_of(E0) == m.s
@@ -218,10 +214,9 @@ def test_plain_reports_with_g_positive_match_the_global_smith_reference(
         ref = smith_reference(m)
         assert dimension_report(m) == dimension_report(ref)
         assert genericity_probe(m, trials=3) == genericity_probe(ref, trials=3)
-        pipe, ref_pipe = run_pipeline(m), run_pipeline(ref)
-        assert pipe.cs.rank_w == ref_pipe.cs.rank_w
-        same = ref_rref(_augmented(pipe.cs)) == ref_rref(_augmented(ref_pipe.cs))
-        if all(gi <= pipe.pi.J1 for gi in pipe.local.g):
+        assert m.cs.rank_w == ref.cs.rank_w
+        same = ref_rref(_augmented(m.cs)) == ref_rref(_augmented(ref.cs))
+        if all(gi <= m.pi.J1 for gi in m.local.g):
             assert same, (m.s, m.K, m.H, m.gamma)
             n_le += 1
         else:
@@ -251,10 +246,10 @@ def test_local_stage_matches_global_smith_reference(corpus, predetermined_probe)
     no Smith data, so its answer is the same on both paths, and it verifies."""
     same = dependent = 0
     for m in corpus + predetermined_probe + ladder_shaped_models():
-        pp = run_pipeline(m).pi
+        pp = m.pi
         if pp.det[0] == 0:
             continue
-        assert run_pipeline(m).local.g == (0,) * m.s
+        assert m.local.g == (0,) * m.s
         ref = smith_reference(m)
         new, old = _outcome(m), _outcome(ref)
         assert new[2] == old[2], (m.s, m.K, m.H, m.gamma)
@@ -275,5 +270,5 @@ def test_constant_g_form_agrees_with_the_general_predetermined_system(
     g_i <= J1, on the pipeline's own Smith data (P = I when det pi(0) != 0)."""
     applied = 0
     for m in corpus + planted_models() + predetermined_probe:
-        applied += crosscheck_simplified(m, run_pipeline(m))
+        applied += crosscheck_simplified(m)
     assert applied == 130

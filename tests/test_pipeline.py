@@ -1,4 +1,4 @@
-"""One computation per artifact: the memoized pipeline, lazy imports, and
+"""One computation per artifact: the model's memoized stages, lazy imports, and
 byte-stable CLI output."""
 
 import gc
@@ -19,7 +19,7 @@ from recausal import canon
 from recausal.canon import LocalSmith, RootClassification, UnitCircleRootError, classify_roots
 from recausal.cli import main
 from recausal.constraints import ConstraintSystem
-from recausal.dimension import DimensionReport, dimension_report, genericity_probe, run_pipeline
+from recausal.dimension import dimension_report, genericity_probe
 from recausal.exactalg import RationalMatrix
 from recausal.model import (
     PiPolynomial, REModel, build_pi, parse_model, validate_semantics,
@@ -142,7 +142,7 @@ def test_counts_make_no_fraction_product(monkeypatch, corpus):
         genericity_probe(m, trials=2)
     assert counts == {"exactalg.pseudo_inverse_columns": 0, "exactalg.rank_kernel": 0,
                       "RationalMatrix.__mul__": 0}
-    cs = run_pipeline(models[0]).cs  # sims: predetermined
+    cs = models[0].cs  # sims: predetermined
     assert cs.flavor == "predetermined" and len(cs.kernel) == cs.kernel_dim
     assert not any(counts.values()), counts
     assert cs.C.cols == cs.effective_unknowns
@@ -196,12 +196,12 @@ def test_solve_reads_adj_as_integer_rows(monkeypatch, which):
     second, with adj memoized, makes no `_numerators` call at all."""
     make = {"sims": lambda: parse_model(SIMS_JSON), "planted-s4": solvable_planted_s4, **MAKE}
     m = make[which]()._replace()  # an empty memo
-    run_pipeline(m).pi
+    m.pi
     counts = count_calls(monkeypatch, ("exactalg._numerators", "exactalg.det_adjugate"))
     sr = solve_causal(m)
     assert counts == {"exactalg._numerators": 1, "exactalg.det_adjugate": 1}
     assert solve_causal(m) == sr and counts["exactalg._numerators"] == 1
-    A, L = run_pipeline(m).adj
+    A, L = m.adj
     assert L > 0 and len(A) == m.s and all(type(c) is int for row in A for f in row for c in f)
 
 
@@ -237,8 +237,7 @@ def test_smith_form_only_for_a_predetermined_model_with_g_positive(monkeypatch, 
         m, before = m._replace(), counts["canon.smith_form"]
         validate_semantics(m)
         dimension_report(m)
-        pipe = run_pipeline(m)
-        for cs in (pipe.cs, pipe.plain_cs):
+        for cs in (m.cs, m.plain_cs):
             assert len(cs.kernel) == cs.kernel_dim and cs.C.rows == cs.D.rows == cs.rhs.rows
         try:
             sr = solve_causal(m)
@@ -254,11 +253,27 @@ def test_smith_form_only_for_a_predetermined_model_with_g_positive(monkeypatch, 
 
 def test_views_share_artifacts():
     m = parse_model(SIMS_JSON)
-    a, b = run_pipeline(m), run_pipeline(m)
-    assert a.sf is b.sf and a.cs is b.cs and a.pi is b.pi and a.roots is b.roots
-    assert a.local is b.local
+    sf, cs, pi, roots, local = m.sf, m.cs, m.pi, m.roots, m.local
+    assert m.sf is sf and m.cs is cs and m.pi is pi and m.roots is roots
+    assert m.local is local
     solve_causal(m)
-    assert run_pipeline(m).sf is a.sf
+    assert m.sf is sf
+
+
+STAGES = ("pi", "adj", "sf", "local", "roots", "split", "pb", "m_stack", "plain_cs", "cs")
+
+
+def test_stages_cannot_be_assigned():
+    """A stage is a read-only property: only its first read fills the memo."""
+    m = parse_model(SIMS_JSON)
+    pi = m.pi
+    for name in STAGES:
+        assert isinstance(getattr(REModel, name), property), name
+        with pytest.raises(AttributeError):
+            setattr(m, name, pi)
+    with pytest.raises(AttributeError):
+        m.pi = pi
+    assert m.pi is pi and set(m.artifacts) == {"pi"}
 
 
 def test_validate_semantics_touches_only_pi_and_sf():
@@ -285,11 +300,11 @@ def test_records_keep_their_fields_and_defaults():
         "zero_multiplicity", "stable_roots", "unstable_roots", "xi", "discs",
     )
     assert RootClassification._field_defaults == {"discs": ()}
-    pipe = run_pipeline(parse_model(SIMS_JSON))
-    assert isinstance(pipe.local, LocalSmith) and isinstance(pipe.cs, ConstraintSystem)
-    assert all(hasattr(pipe.local, f) for f in LOCAL_FIELDS)
-    assert all(hasattr(pipe.cs, f) for f in CS_FIELDS)
-    assert DimensionReport._fields == (
+    m = parse_model(SIMS_JSON)
+    assert isinstance(m.local, LocalSmith) and isinstance(m.cs, ConstraintSystem)
+    assert all(hasattr(m.local, f) for f in LOCAL_FIELDS)
+    assert all(hasattr(m.cs, f) for f in CS_FIELDS)
+    assert tuple(dimension_report(m)) == (
         "free_parameters", "kernel_dim", "rank_w", "upper_bound", "lower_bound",
         "special_case_used", "distinctness_guaranteed", "flavor", "effective_unknowns", "bounds",
     )
@@ -301,11 +316,11 @@ def test_records_keep_their_fields_and_defaults():
 
 def test_replaced_model_starts_with_an_empty_memo():
     m = parse_model(SIMS_JSON)
-    run_pipeline(m).cs
+    m.cs
     same, wider = m._replace(), m._replace(xi=Fraction(2))
     assert same == m and same.artifacts == {} and {"pi", "cs"} <= set(m.artifacts)
     assert wider.xi == 2 and wider != m and wider.artifacts == {}
-    cs, old = run_pipeline(same).cs, m.artifacts["cs"]
+    cs, old = same.cs, m.artifacts["cs"]
     assert cs is not old and [getattr(cs, f) for f in CS_FIELDS] == [getattr(old, f) for f in CS_FIELDS]
 
 
@@ -315,7 +330,7 @@ def test_dropped_model_frees_its_artifacts():
     m = parse_model(SIMS_JSON)
     sr = solve_causal(m)
     dimension_report(m)
-    refs = [weakref.ref(run_pipeline(m).sf), weakref.ref(m.artifacts["cs"])]
+    refs = [weakref.ref(m.sf), weakref.ref(m.artifacts["cs"])]
     gc.disable()
     try:
         del m, sr
@@ -492,7 +507,7 @@ def test_start_points_run_once_per_yun_factor(monkeypatch, which):
     else:
         if sr.transfer_num is not None:
             verify_solution(m, sr)
-    det = run_pipeline(m).pi.det
+    det = m.pi.det
     assert counts["canon._start_points"] == _yun_factor_count(det) > 0
     assert bool(resumed) == (which == "refined")
 
@@ -501,8 +516,8 @@ def test_classify_roots_needs_no_gcd_on_squarefree_dets(monkeypatch, corpus):
     """Every corpus det pi / z^G is squarefree, so the mod-p certificate
     settles each without Yun's gcds; a planted det with a repeated root still
     gets Yun's factors."""
-    dets = [(run_pipeline(m).pi.det, m.xi) for m in corpus]
-    repeated = run_pipeline(planted_models()[8]).pi.det
+    dets = [(m.pi.det, m.xi) for m in corpus]
+    repeated = planted_models()[8].pi.det
     counts = count_calls(monkeypatch, ("exactalg.poly_gcd",))
     for det, xi in dets:
         try:

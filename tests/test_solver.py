@@ -17,7 +17,7 @@ from recausal.canon import (
     smith_form,
 )
 from recausal.cli import _emit, cmd_smith, cmd_solve, cmd_verify, parse_args
-from recausal.dimension import dimension_report, run_pipeline
+from recausal.dimension import dimension_report
 from recausal.exactalg import (
     Poly, PolyMatrix, RationalMatrix, _int_product, _numerators, _poly, det_adjugate,
 )
@@ -114,9 +114,9 @@ def _split(pi, J1):
 
 
 def test_factor_sims():
-    pipe = run_pipeline(sims_model())
-    D, S = factor_stable_unstable(pipe.pi.det, pipe.pi.J1, pipe.roots)
-    assert D * S == pipe.pi.det
+    m = sims_model()
+    D, S = factor_stable_unstable(m.pi.det, m.pi.J1, m.roots)
+    assert D * S == m.pi.det
     # D carries z = 0 and the unstable root 10/11, S the stable root 10/9
     assert D.monic() == Z * (Z - Fraction(10, 11))
     assert S.monic() == Z - Fraction(10, 9)
@@ -168,8 +168,7 @@ def test_assemble_rhs_sims_b_theta():
     # with h = (k_v, k_eps; 0, 0) the right-hand side is the example's
     # B_theta(z) = (k_v + z, k_eps; 0, z)
     m = sims_model()
-    pipe = run_pipeline(m)
-    A, W = assemble_rhs(m, ref_zeta_coefficients(m), pipe.pi.J1, pipe.pi.pi)
+    A, W = assemble_rhs(m, ref_zeta_coefficients(m), m.pi.J1, m.pi.pi)
     kv, keps = Fraction(-10, 11), Fraction(200000, 11)
     h = RationalMatrix([[kv, keps], [0, 0]])
     n = map_at(A, W, h)
@@ -179,11 +178,11 @@ def test_assemble_rhs_sims_b_theta():
 def test_assemble_rhs_affine_linearity():
     rng = random.Random(52)
     m = random_model(rng, 2, 1, 2)
-    pipe, zc = run_pipeline(m), ref_zeta_coefficients(m)
+    zc = ref_zeta_coefficients(m)
     h1 = RationalMatrix([[Fraction(rng.randint(-3, 3))] * m.q for _ in range(m.s * m.H)])
     h2 = RationalMatrix([[Fraction(rng.randint(-3, 3))] * m.q for _ in range(m.s * m.H)])
     # both the full map N = A h - W and the solver's residual R = M h - W
-    for A, W in (assemble_rhs(m, zc, pipe.pi.J1, pipe.pi.pi), residual_map(m, zc, pipe.pi.J1)):
+    for A, W in (assemble_rhs(m, zc, m.pi.J1, m.pi.pi), residual_map(m, zc, m.pi.J1)):
         n0 = map_at(A, W, RationalMatrix.zero(m.s * m.H, m.q))
         lhs = map_at(A, W, h1 + h2) - n0
         rhs = (map_at(A, W, h1) - n0) + (map_at(A, W, h2) - n0)
@@ -195,9 +194,9 @@ def test_assemble_rhs_matches_direct_formula():
     rng = random.Random(53)
     for _ in range(5):
         m = random_model(rng, rng.randint(1, 3), rng.randint(0, 2), rng.randint(1, 2))
-        pipe, zc = run_pipeline(m), ref_zeta_coefficients(m)
-        A, W = assemble_rhs(m, zc, pipe.pi.J1, pipe.pi.pi)
-        M, W_res = residual_map(m, zc, pipe.pi.J1)
+        zc = ref_zeta_coefficients(m)
+        A, W = assemble_rhs(m, zc, m.pi.J1, m.pi.pi)
+        M, W_res = residual_map(m, zc, m.pi.J1)
         h = RationalMatrix(
             [[Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(m.q)]
              for _ in range(m.s * m.H)]
@@ -209,13 +208,13 @@ def test_assemble_rhs_matches_direct_formula():
                 for r in range(m.s)
             ]
         )
-        direct = pipe.pi.pi * hpoly - ref_wold_poly(m) * Poly.monomial(pipe.pi.J1)
+        direct = m.pi.pi * hpoly - ref_wold_poly(m) * Poly.monomial(m.pi.J1)
         assert max_degree(zc) < m.H + m.K
         for i in range(m.H + m.K):
             mi = coeff(zc, i)
-            direct = direct + polymatrix_from_rational(mi * h) * Poly.monomial(pipe.pi.J1 + i)
+            direct = direct + polymatrix_from_rational(mi * h) * Poly.monomial(m.pi.J1 + i)
         assert got == direct
-        assert pipe.pi.pi * hpoly + map_at(M, W_res, h) == direct
+        assert m.pi.pi * hpoly + map_at(M, W_res, h) == direct
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +488,7 @@ def test_split_phi_matches_symbolic_split(corpus):
     phis = {
         ph
         for m in list(corpus) + planted_models() + [sims_model()]
-        for ph in run_pipeline(m).sf.phi
+        for ph in m.sf.phi
         if not ph.is_constant()
     }
     assert len(phis) >= 50
@@ -560,16 +559,16 @@ def test_split_phi_refuses_a_rounding_that_does_not_divide():
         _unstable_part(Poly([1, -3, 1]), 1, coarse)
 
 
-def _has_roots(pipe):
+def _has_roots(m):
     try:
-        return pipe.roots is not None
+        return m.roots is not None
     except UnitCircleRootError:
         return False
 
 
-def _split_or_refusal(pipe):
+def _split_or_refusal(m):
     try:
-        return factor_stable_unstable(pipe.pi.det, pipe.pi.J1, pipe.roots)[0]
+        return factor_stable_unstable(m.pi.det, m.pi.J1, m.roots)[0]
     except FactorizationError as exc:
         return str(exc)
 
@@ -585,10 +584,10 @@ def test_refusals_and_splits_match_the_rounding_reference(
         "refused12": [parse_model((GOLDEN / "refused12.json").read_text())],
         "planted": planted_models() + deep_planted_models(),
     }
-    pipes = {name: [p for p in map(run_pipeline, ms) if _has_roots(p)] for name, ms in sets.items()}
+    kept = {name: [m for m in ms if _has_roots(m)] for name, ms in sets.items()}
     with monkeypatch.context() as mp:
         mp.setattr(canon, "_unstable_part", ref_unstable_part)
-        expected = {name: [_split_or_refusal(p) for p in ps] for name, ps in pipes.items()}
+        expected = {name: [_split_or_refusal(m) for m in ms] for name, ms in kept.items()}
     calls = {"isqrt": 0, "resumed": 0}
 
     def isqrt(x, _isqrt=canon.isqrt):
@@ -602,18 +601,18 @@ def test_refusals_and_splits_match_the_rounding_reference(
     monkeypatch.setattr(canon, "isqrt", isqrt)
     monkeypatch.setattr(canon, "root_discs", resumed_discs)
     refused = {}
-    for name, ps in pipes.items():
+    for name, ms in kept.items():
         refused[name] = 0
-        for pipe, want in zip(ps, expected[name]):
+        for m, want in zip(ms, expected[name]):
             calls.update(isqrt=0, resumed=0)
             if isinstance(want, str):
                 refused[name] += 1
                 with pytest.raises(FactorizationError) as exc:
-                    solve_causal(pipe.model)
+                    solve_causal(m)
                 assert str(exc.value) == want
                 assert name != "ladder" or calls == {"isqrt": 0, "resumed": 0}
             else:
-                assert _split_or_refusal(pipe) == want
+                assert _split_or_refusal(m) == want
     assert refused == {"corpus": 67, "probe": 129, "ladder": 34, "refused12": 1, "planted": 0}
 
 
@@ -648,21 +647,20 @@ def _cancellation_affine_set(rows_of, A, W):
 def test_divisibility_rows_match_smith_split(corpus):
     n_sets = n_transfers = n_deep = 0
     for m in list(corpus) + planted_models() + deep_planted_models() + [sims_model()]:
-        pipe = run_pipeline(m)
         try:
             sr = solve_causal(m)
         except (FactorizationError, UnsupportedModelError):
             continue
-        J1 = pipe.pi.J1
-        D, _S = factor_stable_unstable(pipe.pi.det, J1, pipe.roots)
-        split = ref_smith_split(pipe.sf, J1, D.shift(-pipe.roots.zero_multiplicity))
-        A, W = assemble_rhs(m, ref_zeta_coefficients(m), J1, pipe.pi.pi)
-        adj = adj_matrix(pipe.adj)
+        J1 = m.pi.J1
+        D, _S = factor_stable_unstable(m.pi.det, J1, m.roots)
+        split = ref_smith_split(m.sf, J1, D.shift(-m.roots.zero_multiplicity))
+        A, W = assemble_rhs(m, ref_zeta_coefficients(m), J1, m.pi.pi)
+        adj = adj_matrix(m.adj)
         n_new, new = _cancellation_affine_set(partial(divisibility_rows, adj, D), A, W)
         n_old, old = _cancellation_affine_set(partial(ref_cancellation_rows, split=split), A, W)
-        assert n_new == n_old and same_affine_set(new, old), (m.s, m.H, pipe.sf.g, J1)
+        assert n_new == n_old and same_affine_set(new, old), (m.s, m.H, m.sf.g, J1)
         n_sets += 1
-        n_deep += max(pipe.sf.g) > J1 + 1
+        n_deep += max(m.sf.g) > J1 + 1
         if sr.h is not None:
             N = map_at(A, W, sr.h)
             assert ref_transfer(N, split) == (sr.transfer_num, sr.transfer_den)
@@ -693,21 +691,20 @@ def test_residual_rows_and_numerator_match_full_map(corpus):
     # Fraction row of remainder coefficients of adj(pi) N mod D
     n_models = n_rows = n_nums = 0
     for m in list(corpus) + planted_models() + deep_planted_models():
-        pipe = run_pipeline(m)
         try:
             sr = solve_causal(m)
         except (FactorizationError, UnsupportedModelError):
             continue
-        J1, adj, unknowns = pipe.pi.J1, adj_matrix(pipe.adj), range(m.s * m.H)
-        split = factor_stable_unstable(pipe.pi.det, J1, pipe.roots)
+        J1, adj, unknowns = m.pi.J1, adj_matrix(m.adj), range(m.s * m.H)
+        split = factor_stable_unstable(m.pi.det, J1, m.roots)
         D = split[0]
         zc = ref_zeta_coefficients(m)
-        A, W = assemble_rhs(m, zc, J1, pipe.pi.pi)
+        A, W = assemble_rhs(m, zc, J1, m.pi.pi)
         M, W_res = residual_map(m, zc, J1)
         basis = [divisibility_rows(adj, D, v) for v in _columns(A)]
         rhs = [divisibility_rows(adj, D, v) for v in _columns(W)]
         n = len(rhs[0])
-        P = _solve_product(pipe.adj, M, W_res, unknowns)
+        P = _solve_product(m.adj, M, W_res, unknowns)
         rows = _cancellation_rows(P[0], D)
         assert len(rows) == n, (m.s, m.H, J1)
         for r, row in enumerate(rows):
@@ -728,17 +725,16 @@ def test_cancellation_rows_and_numerator_match_per_unknown_map(corpus, predeterm
     n_models = n_forced = n_nums = 0
     models = list(corpus) + list(predetermined_probe) + planted_models() + deep_planted_models()
     for m in models:
-        pipe = run_pipeline(m)
         try:
             sr = solve_causal(m)
         except (FactorizationError, UnsupportedModelError):
             continue
-        J1, adj, free = pipe.pi.J1, adj_matrix(pipe.adj), m.free_unknowns()
-        split = factor_stable_unstable(pipe.pi.det, J1, pipe.roots)
+        J1, adj, free = m.pi.J1, adj_matrix(m.adj), m.free_unknowns()
+        split = factor_stable_unstable(m.pi.det, J1, m.roots)
         zc = ref_zeta_coefficients(m)
         M, W = residual_map(m, zc, J1)
         const, per_unknown = ref_residual_map(m, zc, J1)
-        P = _solve_product(pipe.adj, M, W, free)
+        P = _solve_product(m.adj, M, W, free)
         rows = _cancellation_rows(P[0], split[0])
         ref_x, ref_b = ref_residual_rows(adj, split[0], const, [per_unknown[a] for a in free])
         assert len(rows) == len(ref_x), (m.s, m.H, m.gamma)
@@ -776,12 +772,11 @@ def test_horizon_zero_solutions_have_q_columns(corpus):
 def test_free_unknown_solve_matches_full_unknown_system(corpus, predetermined_probe):
     n_sets = n_forced = n_answered = 0
     for m in list(corpus) + list(predetermined_probe) + ladder_shaped_models() + planted_models():
-        pipe = run_pipeline(m)
         try:
             sr = solve_causal(m)
         except (FactorizationError, UnsupportedModelError):
             continue
-        got, want = (sr.h_particular, list(sr.kernel)), full_unknown_system(m, pipe)
+        got, want = (sr.h_particular, list(sr.kernel)), full_unknown_system(m)
         assert same_affine_set(got, want), (m.s, m.H, m.gamma)
         # solve_affine normalises by its pivots, and forced entries are pivots of
         # unit rows, so both solves give the same particular solution and kernel
@@ -844,7 +839,7 @@ def test_planted_models_with_s0_zero_answer():
     for m in planted_models():
         for k in range(1, m.H + 1):
             mk = m._replace(gamma=tuple(m.s if i == k else 0 for i in range(m.H + 1)))
-            assert dimension_report(mk).effective_unknowns == m.s * (m.H - k)
+            assert dimension_report(mk)["effective_unknowns"] == m.s * (m.H - k)
             sr = solve_causal(mk)
             if sr.transfer_num is not None:
                 assert verify_solution(mk, sr)["ok"]
@@ -855,9 +850,8 @@ def test_planted_models_with_s0_zero_answer():
 def _drop_smith_unimodulars(m):
     """Build m's constraint system, then leave only g, phi and the derived Q in
     its memoized Smith form: without P^-1 and pi, P cannot be derived either."""
-    pipe = run_pipeline(m)
-    pipe.cs
-    sf = pipe.sf
+    m.cs
+    sf = m.sf
     m.artifacts["sf"] = SmithForm(pi=None, g=sf.g, phi=sf.phi, P_inv=None)
     m.artifacts["sf"].Q = sf.Q
 
@@ -1012,20 +1006,19 @@ def _assert_adj_product_is_ref(m: REModel) -> bool:
     """`_adj_product` over its denominator is z^J1 adj(pi) times the Poly right factor
     [zeta's free columns | zeta ker L | w] (`ref_adj_product`).  False where pi is
     singular or J1 < 0, where no solve forms it."""
-    pipe = run_pipeline(m)
     try:
-        J1 = pipe.pi.J1
+        J1 = m.pi.J1
     except RedundantEquationsError:
         return False
     if J1 < 0:
         return False
     free = m.free_unknowns()
     ker_l = _expectation_kernel(m) if m.predetermined else []
-    P, den = _adj_product(m, pipe.adj, J1, free, ker_l)
+    P, den = _adj_product(m, m.adj, J1, free, ker_l)
     cols = len(free) + len(ker_l) + m.q
     assert len(P) == m.s and all(len(row) == cols for row in P)
     got = PolyMatrix([[_poly(list(f), den) for f in row] for row in P], cols)
-    assert got == ref_adj_product(m, pipe.adj, J1, free, ker_l), (m.s, m.H, m.gamma)
+    assert got == ref_adj_product(m, m.adj, J1, free, ker_l), (m.s, m.H, m.gamma)
     return True
 
 
@@ -1058,7 +1051,7 @@ def test_expectation_kernel_is_the_kernel_of_pi_d_plus_m_d(corpus, predetermined
     for m in list(corpus) + list(predetermined_probe) + ladder_shaped_models() + planted_models():
         if m.H == 0:
             continue
-        want = ref_expectation_kernel(m, run_pipeline(m))
+        want = ref_expectation_kernel(m)
         got = _expectation_kernel(m)
         assert len(got) == len(want)
         assert not got or rank_of(RationalMatrix(got + want)) == len(got)
