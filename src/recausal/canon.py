@@ -5,10 +5,10 @@ a singular input: its elimination runs out of nonzero pivots.  The row
 operations update D and P^-1, the column operations D alone.  Q, which only
 `recausal smith` reads, follows from one integer product P^-1 pi
 on first read, as do the inverses P and Q^-1: `SmithForm` is a plain class
-that caches them.  The constraint blocks read only a `LocalSmith`, the data at
-z = 0 of some pi = P diag(z^g) E on integers: `local_form` finds it by row
-reduction at z = 0, with no Smith elimination, and `SmithForm.local` reads the
-global form's.  `RootClassification` is a named tuple.
+that caches them.  The constraint blocks read only a `LocalSmith`, the named
+tuple (g, P^-1) of some pi = P diag(z^g) E on integers: `local_form` finds one
+by row reduction at z = 0, with no Smith elimination, and the global form's g
+and P^-1 are another.  `RootClassification` is a named tuple.
 `classify_roots` sorts the roots of det pi against the unit circle on the
 inclusion discs of Weierstrass corrections (Carstensen) from `root_discs`.
 Floating point seeds them (`_start_points`) and proves the first discs by an
@@ -92,17 +92,6 @@ class SmithForm:
     def invariant_factors(self):
         return tuple(Poly.monomial(gi) * ph for gi, ph in zip(self.g, self.phi))
 
-    def local(self, order: int | None = None) -> "LocalSmith":
-        """The data at z = 0 of pi = P diag(z^g) E: P^-1's `_numerators` below
-        z^order, or all of them without an order, and E(0) on first read, whose
-        row i is the z^g_i coefficient of row i of the packed product P^-1 pi."""
-        def omega0():
-            P, den = _packed_product(self.P_inv, self.pi)
-            return [[f[gi] if gi < len(f) else 0 for f in row] for row, gi in zip(P, self.g)], den
-
-        N, L = _numerators(self.P_inv.entries)
-        return LocalSmith(self.g, ([[f[:order] for f in row] for row in N], L), omega0)
-
 
 def _unimodular_inverse(M: PolyMatrix) -> PolyMatrix:
     """adj M / det M = A / (L det M) for a constant det M, from `_det_adjugate`'s integer
@@ -113,19 +102,9 @@ def _unimodular_inverse(M: PolyMatrix) -> PolyMatrix:
                        for row in A])
 
 
-class LocalSmith:
-    """g, P^-1 and omega0 = E(0) of a factorization pi = P diag(z^g) E with P
-    unimodular and E(0) invertible, on integers: p_inv = (N, L), N[i][k] the
-    coefficients of entry (i, k) of L P^-1, lowest first, and omega0 = (E, d),
-    E(0) = E / d, given as a function and computed on first read: all the
-    constraint systems read of the Smith form, omega0 only the predetermined."""
-
-    def __init__(self, g: tuple, p_inv: tuple, omega0):
-        self.g, self.p_inv, self._omega0 = g, p_inv, omega0
-
-    @cached_property
-    def omega0(self):
-        return self._omega0()
+# g and P^-1 of pi = P diag(z^g) E, P unimodular and E(0) invertible, on integers: p_inv =
+# (N, L), N[i][k] the coefficients of entry (i, k) of L P^-1, lowest first
+LocalSmith = namedtuple("LocalSmith", "g p_inv")
 
 
 def local_form(pi: PolyMatrix, G: int) -> LocalSmith:
@@ -139,7 +118,7 @@ def local_form(pi: PolyMatrix, G: int) -> LocalSmith:
     unimodular, so sum v = G proves E(0) = l / L invertible, E = diag(z^-v) R:
     at most G steps.  Sorted stably by v, g = v (Gohberg, Lancaster & Rodman,
     *Matrix Polynomials*, 1982, ch. 7)."""
-    s, (N, L) = pi.rows, _numerators(pi.entries)
+    s, N = pi.rows, _numerators(pi.entries)[0]
     rows = [list(r) + [[int(i == k)] for k in range(s)] for i, r in enumerate(N)]
     at = lambda f, t: f[t] if 0 <= t < len(f) else 0
     val = lambda f: next((t for t, x in enumerate(f) if x), G)  # a zero entry counts as G
@@ -152,8 +131,7 @@ def local_form(pi: PolyMatrix, G: int) -> LocalSmith:
         rows[j] = [[sum(ci * at(r[k], t - d) for ci, d, r in sup)
                     for t in range(max(d + len(r[k]) for _, d, r in sup))] for k in range(2 * s)]
     order = sorted(range(s), key=v.__getitem__)
-    E0 = lambda: ([[at(f, v[i]) for f in rows[i][:s]] for i in order], L)
-    return LocalSmith(tuple(v[i] for i in order), ([rows[i][s:] for i in order], 1), E0)
+    return LocalSmith(tuple(v[i] for i in order), ([rows[i][s:] for i in order], 1))
 
 
 def smith_form(M: PolyMatrix) -> SmithForm:
@@ -245,10 +223,6 @@ class RootClassification(namedtuple(
     (a_k, k, first certified yield of root_discs(a_k)) per Yun factor."""
 
     __slots__ = ()
-
-    @property
-    def total(self) -> int:
-        return self.zero_multiplicity + len(self.stable_roots) + len(self.unstable_roots)
 
 
 def _start_points(f: Poly):

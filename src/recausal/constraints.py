@@ -9,15 +9,15 @@ m_i of zeta(z) = sum_i m_i z^i summed on `REModel.numerators`
 (`model.build_m_stack`), and p_stack on the integers of P^{-1} that the
 `LocalSmith` holds over one denominator, multiplied in one zero-skipping
 product.  The predetermined count puts A_i^T, A_i the first n_i columns of
-E(0), in place of S's block (A_i^T A_i)^-1 A_i^T: E(0) is invertible, so both
+E(0) (`omega0`), in place of S's block (A_i^T A_i)^-1 A_i^T: E(0) is invertible, so both
 have the same row space, no pseudo-inverse is solved, and E(0)'s integer
 columns combine p_stack's rows.  The kernel is read off that elimination.
 Fractions are formed only for C, D and rhs, on first read, and for the
 pseudo-inverse of E(0)'s columns (`build_selectors`).
 
-Of a factorization pi = P diag(z^g) E (P unimodular, E(0) invertible; the
-Smith form with E = diag(phi) Q is one) the systems read only its data at
-z = 0, a `LocalSmith`: g, the coefficients of P^{-1} and E(0).  A model
+Of a factorization pi = P diag(z^g) E (P unimodular, E(0) invertible; the Smith
+form with E = diag(phi) Q is one) the systems read only g and P^{-1}, a `LocalSmith`,
+and E(0), which `omega0` reads off them and pi once per predetermined system.  A model
 builds its plain system, counted and printed, on `canon.local_form`'s: the
 global Smith form's gives the same rank_w on the test sets, but the same
 solution set of C eps = rhs only where every g_i <= J1.  The predetermined
@@ -39,9 +39,11 @@ from functools import cached_property
 
 from .canon import LocalSmith
 from .exactalg import (
+    PolyMatrix,
     RationalMatrix,
     _combine,
     _echelon_kernel,
+    _numerators,
     _rmat,
     _row_echelon,
     block_diag,
@@ -63,24 +65,39 @@ def frak_p_blocks(loc: LocalSmith, J1: int, H: int) -> tuple:
             for k, gk in enumerate(g) for r in range(H)], L
 
 
-def build_selectors(m: REModel, loc: LocalSmith) -> RationalMatrix:
-    """S: block i left-inverts E(0)'s first columns, as many as block i of h
-    has free entries."""
-    free, (E, d) = m.free_unknowns(), loc.omega0
+def omega0(pi: PolyMatrix, loc: LocalSmith) -> tuple:
+    """(E, d): E(0) = E / d of pi = P diag(z^g) E, row i the z^g_i coefficient of row i of
+    P^-1 pi, summed over t <= g_i on loc.p_inv's integers and pi's `_numerators` with no term
+    for a zero coefficient of P^-1; d = L(P^-1) L(pi)."""
+    (N, L), (A, la), E = loc.p_inv, _numerators(pi.entries), []
+    for row, gi in zip(N, loc.g):
+        acc = [0] * pi.cols
+        for f, a in zip(row, A):  # c z^t of entry (i, k) of L P^-1, a row k of L pi
+            for t, c in enumerate(f[: gi + 1]):
+                if c:
+                    acc = [x + c * h[gi - t] if gi - t < len(h) else x for x, h in zip(acc, a)]
+        E.append(acc)
+    return E, L * la
+
+
+def build_selectors(m: REModel, e0: tuple) -> RationalMatrix:
+    """S: block i left-inverts the first columns of E(0) = E / d, e0 = (E, d), as many
+    as block i of h has free entries."""
+    free, (E, d) = m.free_unknowns(), e0
     E0 = _rmat([[Fraction(x, d) for x in row] for row in E])
     return block_diag(
         pseudo_inverse_columns(E0, sum(a // m.s == i for a in free)) for i in range(m.H)
     )
 
 
-def _echelon_w(m: REModel, N: list, pb: tuple, cols, loc: LocalSmith | None) -> tuple:
+def _echelon_w(m: REModel, N: list, pb: tuple, cols, e0: tuple | None) -> tuple:
     """(rows, pivots): C's row space in reduced echelon form on integer rows, of
     p_stack's integer rows times N on the columns cols; the predetermined flavor
-    combines them by the integer columns of E(0)."""
+    combines them by the integer columns of E(0), e0 = (E, d)."""
     Nc, w = [[row[c] for c in cols] for row in N], len(cols)
     rows = [_combine(zip(r, Nc), w) for r in pb[0]]  # L times row r of p_stack N
-    if loc is not None:  # row j of block i: A_i^T's row j, E(0)'s column j, on rows k H + i
-        s, H, E = m.s, m.H, loc.omega0[0]
+    if e0 is not None:  # row j of block i: A_i^T's row j, E(0)'s column j, on rows k H + i
+        s, H, E = m.s, m.H, e0[0]
         rows = [_combine(zip([e[j] for e in E], rows[i::H]), w)
                 for i in range(H) for j in range(sum(a // s == i for a in cols))]
     pivots = _row_echelon(rows, w)
@@ -91,17 +108,18 @@ class ConstraintSystem:
     """C eps_bullet = rhs, flavor "plain" or "predetermined": rank_w, and the
     reduced rows the kernel of C is read off, are counted on integer rows on
     construction; C, D and rhs (D applied to the stacked Wold coefficients)
-    are built on first read.  C = D m_stack for D = p_stack (plain), or,
-    given the LocalSmith loc, for D = S U^T p_stack with C on the free columns
-    of h; U^T takes p_stack's rows in time-block order, row k H + i to row
+    are built on first read.  C = D m_stack for D = p_stack (plain), or, given the
+    LocalSmith loc and E(0), read once by `omega0`, for D = S U^T p_stack with C on the
+    free columns of h; U^T takes p_stack's rows in time-block order, row k H + i to row
     i s + k.  ms = (N, L) is m_stack, N / L, and pb = (P, L') p_stack, P / L'."""
 
     def __init__(self, m: REModel, ms: tuple, pb: tuple, loc: LocalSmith | None = None):
         self.flavor = "plain" if loc is None else "predetermined"
         cols = range(m.s * m.H) if loc is None else m.free_unknowns()
-        self._echelon = _echelon_w(m, ms[0], pb, cols, loc)
+        e0 = None if loc is None else omega0(m.pi.pi, loc)
+        self._echelon = _echelon_w(m, ms[0], pb, cols, e0)
         self.effective_unknowns, self.rank_w = len(cols), len(self._echelon[1])
-        self._src = m._replace(), ms, pb, loc, cols  # m's copy: no cycle
+        self._src = m._replace(), ms, pb, e0, cols  # m's copy: no cycle
 
     kernel_dim = property(lambda self: self.effective_unknowns - self.rank_w)
     C = property(lambda self: self._matrices[0])
@@ -110,11 +128,11 @@ class ConstraintSystem:
 
     @cached_property
     def _matrices(self) -> tuple:
-        m, (N, L), (P, lp), loc, cols = self._src
+        m, (N, L), (P, lp), e0, cols = self._src
         D = _rmat([[Fraction(x, lp) for x in row] for row in P], len(N))
-        if loc is not None:
+        if e0 is not None:
             rows = [k * m.H + i for i in range(m.H) for k in range(m.s)]
-            D = build_selectors(m, loc) * D.submatrix(rows, range(D.cols))
+            D = build_selectors(m, e0) * D.submatrix(rows, range(D.cols))
         W = [m.wold_coeff(j) for j in range(len(N) // m.s)]
         return (D * _rmat([[Fraction(row[c], L) for c in cols] for row in N], len(cols)), D,
                 D * vstack(W) if W else RationalMatrix.zero(0, m.q))

@@ -28,6 +28,8 @@ from .constraints import check_rank_bounds
 from .exactalg import _rmat
 from .model import REModel
 
+_MAGNITUDE = Fraction(1, 64)  # a perturbation moves a nonzero entry of an A_kh by at most this
+
 
 def run_pipeline(m: REModel) -> REModel:
     """The model itself, whose stages are its properties: kept bound under this name
@@ -63,10 +65,10 @@ def dimension_report(m: REModel) -> dict:
     }
 
 
-def _perturb(m: REModel, rng: random.Random, magnitude=Fraction(1, 64)) -> REModel:
+def _perturb(m: REModel, rng: random.Random) -> REModel:
     """Structure-preserving perturbation: nonzero entries of A_kh jitter, zeros stay."""
     def jitter(e):
-        return e + Fraction(rng.randint(-8, 8), 8) * magnitude if e else e
+        return e + Fraction(rng.randint(-8, 8), 8) * _MAGNITUDE if e else e
 
     return m._replace(A={key: _rmat([[jitter(e) for e in row] for row in mat.entries])
                          for key, mat in m.A.items()})

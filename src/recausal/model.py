@@ -34,8 +34,9 @@ from functools import cached_property
 from math import lcm
 
 from .canon import RedundantEquationsError, classify_roots, factor_stable_unstable
-from .canon import local_form, smith_form
-from .exactalg import PolyMatrix, RationalMatrix, _poly, _rmat, det_adjugate, determinant, rat
+from .canon import LocalSmith, local_form, smith_form
+from .exactalg import PolyMatrix, RationalMatrix, _numerators, _poly, _rmat, det_adjugate
+from .exactalg import determinant, rat
 
 SCHEMA_VERSION = 1
 
@@ -77,9 +78,6 @@ class REModel(namedtuple("REModel", "s K H q A gamma wold xi", defaults=(Fractio
         L = lcm(*[x.denominator for a in self.A.values() for row in a.entries for x in row])
         return L, {kh: [[x.numerator * (L // x.denominator) for x in row] for row in a.entries]
                    for kh, a in self.A.items()}
-
-    def a(self, k: int, h: int) -> RationalMatrix:
-        return self.A[k, h] if (k, h) in self.A else RationalMatrix.zero(self.s, self.s)
 
     @property
     def predetermined(self) -> bool:
@@ -123,14 +121,12 @@ class REModel(namedtuple("REModel", "s K H q A gamma wold xi", defaults=(Fractio
 
     @_stage
     def local(self):
-        """g, P^-1 and E(0) of pi = P diag(z^g) E on integers, the data the constraints
-        read, by `local_form`; a predetermined model with G > 0, whose system depends on
-        the factors, reads the global Smith form's."""
+        """The `LocalSmith` (g, P^-1) the constraints read, by `local_form`; a predetermined
+        model with G > 0, whose system depends on the factors, reads the global Smith form's."""
         pp = self.pi
         if not (self.predetermined and pp.det[0] == 0):
             return local_form(pp.pi, pp.det.zero_multiplicity())
-        # frak_p_blocks reads P^-1 below z^(H + max(g - J1, 0))
-        return self.sf.local(self.H + max(max(self.sf.g) - pp.J1, 0))
+        return LocalSmith(self.sf.g, _numerators(self.sf.P_inv.entries))
 
     @_stage
     def roots(self):

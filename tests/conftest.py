@@ -23,7 +23,7 @@ from recausal.canon import (
     classify_roots,
     root_discs,
 )
-from recausal.constraints import build_selectors
+from recausal.constraints import build_selectors, omega0
 from recausal.exactalg import (
     Poly,
     PolyMatrix,
@@ -137,6 +137,16 @@ def max_degree(M: PolyMatrix):
 def coeff(M: PolyMatrix, k: int) -> RationalMatrix:
     """Coefficient matrix of z^k."""
     return _rmat([[e[k] for e in row] for row in M.entries])
+
+
+def a_kh(m: REModel, k: int, h: int) -> RationalMatrix:
+    """A_kh of m, the zero matrix for an omitted pair."""
+    return m.A[k, h] if (k, h) in m.A else RationalMatrix.zero(m.s, m.s)
+
+
+def root_total(rc: RootClassification) -> int:
+    """The number of roots a classification lists, each by its multiplicity."""
+    return rc.zero_multiplicity + len(rc.stable_roots) + len(rc.unstable_roots)
 
 
 def diag_matrix(polys) -> PolyMatrix:
@@ -792,7 +802,7 @@ def smith_reference(m: REModel) -> REModel:
     solve_causal are those of a model that always runs the elimination.
     """
     ref = m._replace()
-    ref.artifacts["local"] = ref.sf.local()
+    ref.artifacts["local"] = smith_local(ref.sf)
     return ref
 
 
@@ -814,7 +824,7 @@ def crosscheck_simplified(m: REModel) -> bool:
     if n <= 0:
         assert cs.C.is_zero(), "the simplified form is empty but the general system is not"
         return True
-    s, H, pc = m.s, m.H, fraction_local(loc).p_inv
+    s, H, pc = m.s, m.H, fraction_local(m.pi.pi, loc).p_inv
 
     def p_coeff(k):
         return pc[k] if k < len(pc) else RationalMatrix.zero(s, s)
@@ -833,7 +843,7 @@ def crosscheck_simplified(m: REModel) -> bool:
         if i >= cut:
             keep_rows.extend(range(row0, row0 + keep))
         row0 += keep
-    S2 = build_selectors(m, loc).submatrix(keep_rows, list(range(cut * s, H * s)))
+    S2 = build_selectors(m, omega0(m.pi.pi, loc)).submatrix(keep_rows, list(range(cut * s, H * s)))
     zc = ref_zeta_coefficients(m)
     simp_C = (S2 * toeplitz * vstack([coeff(zc, i) for i in range(n)])).submatrix(
         range(len(keep_rows)), m.free_unknowns())
@@ -1157,10 +1167,15 @@ def ref_adj_product(m: REModel, adj: tuple, J1: int, free, ker_l) -> PolyMatrix:
 RefLocal = namedtuple("RefLocal", "g p_inv omega0")
 
 
-def fraction_local(loc: LocalSmith, n: int | None = None) -> RefLocal:
-    """The integer `LocalSmith` as Fractions: its first n coefficient matrices of
-    P^-1 (all it holds without n) and E(0)."""
-    (N, L), (E, d) = loc.p_inv, loc.omega0
+def smith_local(sf: SmithForm) -> LocalSmith:
+    """The `LocalSmith` of the global Smith form, as the stage `local` builds it."""
+    return LocalSmith(sf.g, _numerators(sf.P_inv.entries))
+
+
+def fraction_local(pi: PolyMatrix, loc: LocalSmith, n: int | None = None) -> RefLocal:
+    """The integer `LocalSmith` of pi as Fractions: its first n coefficient matrices of
+    P^-1 (all it holds without n), and E(0) from `omega0`."""
+    (N, L), (E, d) = loc.p_inv, omega0(pi, loc)
     n = max(len(f) for row in N for f in row) if n is None else n
     p_inv = tuple(_rmat([[Fraction(f[t] if t < len(f) else 0, L) for f in row] for row in N])
                   for t in range(n))
@@ -1193,21 +1208,21 @@ def ref_local_form(pi: PolyMatrix, G: int) -> RefLocal:
 
 
 def ref_smith_local(sf: SmithForm, order: int | None = None) -> RefLocal:
-    """`SmithForm.local` as Fraction matrices: P^-1's coefficient matrices below z^order
-    (all of them without an order) and E(0), row i the z^g_i coefficient of row i
-    of the Poly product P^-1 pi."""
+    """The Smith form's `LocalSmith` and E(0) as Fraction matrices: P^-1's coefficient
+    matrices below z^order (all of them without an order) and E(0), row i the z^g_i
+    coefficient of row i of the Poly product P^-1 pi."""
     order = int(max_degree(sf.P_inv)) + 1 if order is None else order  # P^-1 is not zero
     p_inv = (coeff(sf.P_inv, k) for k in range(order))
     E0 = _rmat([[f[gi] for f in row] for row, gi in zip((sf.P_inv * sf.pi).entries, sf.g)])
     return RefLocal(sf.g, tuple(p_inv), E0)
 
 
-def int_local(g: tuple, p_inv: tuple, E0: RationalMatrix) -> LocalSmith:
-    """The integer `LocalSmith` of Fraction data: P^-1's coefficient matrices and E(0)."""
+def int_local(g: tuple, p_inv: tuple) -> LocalSmith:
+    """The integer `LocalSmith` of Fraction data: g and P^-1's coefficient matrices."""
     L = lcm(*(x.denominator for c in p_inv for row in c.entries for x in row))
     N = [[[c.entries[i][k].numerator * (L // c.entries[i][k].denominator) for c in p_inv]
           for k in range(len(g))] for i in range(len(g))]
-    return LocalSmith(g, (N, L), lambda: int_stack(E0))
+    return LocalSmith(g, (N, L))
 
 
 def fraction_blocks(pb: tuple, s: int) -> tuple:
@@ -1248,11 +1263,11 @@ def ref_selectors(m: REModel, loc: LocalSmith) -> RefSelectors:
     R = RationalMatrix.zero(len(free), s * H)
     for i, a in enumerate(free):
         R.entries[i][a] = Fraction(1)
-    blocks, omega0 = [], fraction_local(loc).omega0
+    blocks, E0 = [], fraction_local(m.pi.pi, loc).omega0
     for i in range(H):
-        A = omega0.submatrix(range(s), range(sum(a // s == i for a in free)))
+        A = E0.submatrix(range(s), range(sum(a // s == i for a in free)))
         blocks.append(invert(A.transpose() * A) * A.transpose())
-    return RefSelectors(U=U, R=R, S=block_diag(blocks), omega0=omega0)
+    return RefSelectors(U=U, R=R, S=block_diag(blocks), omega0=E0)
 
 
 def ref_residual_map(m: REModel, zc: PolyMatrix, J1: int):
@@ -1401,7 +1416,7 @@ def ref_verify_per_h(m: REModel, sr, max_lag: int) -> dict:
     head = ref_series(num, den, m.H)
     T = ref_wold_poly(m) * den
     for h in range(m.H + 1):
-        lead = PolyMatrix([[Poly([m.a(k, h)[i, r] for k in range(m.K + 1)]) for r in range(s)]
+        lead = PolyMatrix([[Poly([a_kh(m, k, h)[i, r] for k in range(m.K + 1)]) for r in range(s)]
                            for i in range(s)])
         psi_h = PolyMatrix([[Poly([psi[i][c] for psi in head[:h]]) for c in range(q)]
                             for i in range(s)])

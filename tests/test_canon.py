@@ -48,10 +48,12 @@ from conftest import (
     ref_smith_form,
     ref_smith_local,
     rank_of,
+    root_total,
     serialize_model,
     sims_model,
     sims_published_smith,
     smith_fixture,
+    smith_local,
     smith_size,
     zero_polymatrix,
 )
@@ -175,7 +177,7 @@ def test_smith_factors_match_four_factor_reference(corpus, predetermined_probe):
         sf, ref = smith_form(pi), ref_smith_form(pi)
         assert (sf.P_inv, sf.g, sf.phi) == (ref.P_inv, ref.g, ref.phi)
         assert not {"Q", "P", "Q_inv"} & set(vars(sf))
-        loc, loc2 = fraction_local(sf.local()), fraction_local(sf.local(2), 2)
+        loc, loc2 = fraction_local(pi, smith_local(sf)), fraction_local(pi, smith_local(sf), 2)
         phi0 = RationalMatrix.zero(smith_size(sf), smith_size(sf))
         for i, ph in enumerate(ref.phi):
             phi0.entries[i][i] = ph[0]
@@ -199,7 +201,7 @@ def _assert_local_factorization(pi: PolyMatrix):
     `ref_smith_local`).  Returns g."""
     G = det_adjugate(pi)[0].zero_multiplicity()
     with mock.patch.object(canon, "_row_echelon", wraps=canon._row_echelon) as echelon:
-        loc = fraction_local(local_form(pi, G))
+        loc = fraction_local(pi, local_form(pi, G))
     assert echelon.call_count <= G and sum(loc.g) == G
     assert loc == ref_local_form(pi, G)
     p_inv = zero_polymatrix(pi.rows, pi.rows)
@@ -210,7 +212,7 @@ def _assert_local_factorization(pi: PolyMatrix):
     E0 = RationalMatrix([[e[0] for e in row] for row in E])
     assert E0 == loc.omega0 and rank_of(E0) == pi.rows
     sf = smith_form(pi)
-    assert loc.g == sf.g and fraction_local(sf.local()) == ref_smith_local(sf)
+    assert loc.g == sf.g and fraction_local(pi, smith_local(sf)) == ref_smith_local(sf)
     return loc.g
 
 
@@ -223,9 +225,9 @@ def test_local_form_is_a_factorization_at_zero(corpus, predetermined_probe):
 
 
 def test_local_data_are_the_fraction_local_smith_on_integers(corpus, predetermined_probe):
-    """The integer LocalSmith of local_form, of SmithForm.local with and without an
-    order and of the pipeline's stage, taken over its denominators, is the Fraction
-    LocalSmith of the same reduction or elimination (`ref_local_form`,
+    """The integer LocalSmith of local_form, of the Smith form's (g, P^-1), whole and
+    below z^2, and of the pipeline's stage, taken over its denominators with `omega0`'s
+    E(0), is the Fraction LocalSmith of the same reduction or elimination (`ref_local_form`,
     `ref_smith_local`) on all five sets, with G > 0, predetermined, J1 < H and H = 0."""
     counts = dict.fromkeys(("models", "G>0", "global", "predetermined", "J1<H", "H=0"), 0)
     for m in (corpus + predetermined_probe + ladder_shaped_models() + planted_models()
@@ -233,15 +235,16 @@ def test_local_data_are_the_fraction_local_smith_on_integers(corpus, predetermin
         m = m._replace()  # an empty memo
         pi, G, J1 = m.pi.pi, m.pi.det.zero_multiplicity(), m.pi.J1
         sf = smith_form(pi)
-        assert fraction_local(local_form(pi, G)) == ref_local_form(pi, G)
-        assert fraction_local(sf.local()) == ref_smith_local(sf)
-        assert fraction_local(sf.local(2), 2) == ref_smith_local(sf, 2)
+        assert fraction_local(pi, local_form(pi, G)) == ref_local_form(pi, G)
+        assert fraction_local(pi, smith_local(sf)) == ref_smith_local(sf)
+        assert fraction_local(pi, smith_local(sf), 2) == ref_smith_local(sf, 2)
         loc = m.local
         if "sf" in m.artifacts:  # a predetermined model with G > 0 reads the global form
             order = m.H + max(max(loc.g) - J1, 0)
-            assert fraction_local(loc, order) == ref_smith_local(m.sf, order)
+            assert fraction_local(pi, loc, order) == ref_smith_local(m.sf, order)
+            assert fraction_local(pi, loc) == ref_smith_local(m.sf)
         else:
-            assert fraction_local(loc) == ref_local_form(pi, G)
+            assert fraction_local(pi, loc) == ref_local_form(pi, G)
         for key, hit in (("models", True), ("G>0", G), ("global", "sf" in m.artifacts),
                          ("predetermined", m.predetermined), ("J1<H", J1 < m.H), ("H=0", not m.H)):
             counts[key] += bool(hit)
@@ -300,7 +303,7 @@ def test_classify_roots_examples():
     rc = classify_roots(1 - Fraction(11, 10) * Z)
     assert len(rc.unstable_roots) == 1 and abs(rc.unstable_roots[0] - 10 / 11) < 1e-9
     rc = classify_roots(Z * Z)
-    assert rc.zero_multiplicity == 2 and rc.total == 2
+    assert rc.zero_multiplicity == 2 and root_total(rc) == 2
 
 
 def test_classify_roots_boundary_and_xi():

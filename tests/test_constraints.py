@@ -10,10 +10,12 @@ from recausal.constraints import (
     build_selectors,
     check_rank_bounds,
     frak_p_blocks,
+    omega0,
 )
 from recausal.exactalg import Poly, PolyMatrix, RationalMatrix, rank_kernel, vstack
 from recausal.model import REModel, build_pi
 from conftest import (
+    a_kh,
     affine_set,
     brute_force_plain,
     coeff,
@@ -39,6 +41,7 @@ from conftest import (
     same_affine_set,
     sims_model,
     sims_published_smith,
+    smith_local,
     smith_reconstruct,
     smith_size,
     zero_polymatrix,
@@ -91,8 +94,8 @@ def test_zeta_sims():
     m = sims_model()
     zc = m_stack_zeta(m)
     assert max_degree(zc) == 1
-    assert coeff(zc, 0) == -m.a(0, 0)
-    assert coeff(zc, 1) == -m.a(1, 0)
+    assert coeff(zc, 0) == -a_kh(m, 0, 0)
+    assert coeff(zc, 1) == -a_kh(m, 1, 0)
 
 
 def test_zeta_symbolic_expansion_oracle():
@@ -107,7 +110,7 @@ def test_zeta_symbolic_expansion_oracle():
         for k in range(K + 1):
             for j in range(H):
                 for h in range(j + 1):
-                    mat = m.a(k, h)
+                    mat = a_kh(m, k, h)
                     if mat.is_zero():
                         continue
                     key = (k + j - h, j)
@@ -140,7 +143,8 @@ def test_zeta_tail_vanishes(corpus):
 
 
 def test_p_inverse_published_sims():
-    pc = fraction_local(sims_published_smith().local()).p_inv
+    sf = sims_published_smith()
+    pc = fraction_local(sf.pi, smith_local(sf)).p_inv
     assert pc[0] == RationalMatrix([[1, 90000], [0, Fraction(100, 99)]])
     assert pc[1] == RationalMatrix([[0, 0], [Fraction(-1, 99000), Fraction(-10, 11)]])
     assert len(pc) == 2
@@ -150,7 +154,7 @@ def test_p_inverse_defining_identity():
     rng = random.Random(33)
     for _ in range(10):
         m = random_model(rng, rng.randint(1, 3), rng.randint(0, 2), rng.randint(1, 2))
-        pc = fraction_local(m.sf.local()).p_inv
+        pc = fraction_local(m.pi.pi, smith_local(m.sf)).p_inv
         acc = zero_polymatrix(m.s, m.s)
         for i, ci in enumerate(pc):
             acc = acc + polymatrix_from_rational(ci) * Poly.monomial(i)
@@ -159,7 +163,7 @@ def test_p_inverse_defining_identity():
 
 def test_frak_blocks_published_sims():
     sf = sims_published_smith()
-    loc = sf.local()
+    loc = smith_local(sf)
     pb = fraction_blocks(frak_p_blocks(loc, J1=1, H=1), 2)
     # delta_k = J1 - g_k for g_k <= J1, and no g_k exceeds J1
     assert tuple(1 - gk for gk in loc.g) == (1, 0) and all(gk <= 1 for gk in loc.g)
@@ -183,11 +187,11 @@ def test_frak_blocks_g_above_j1():
 
 
 def test_selectors_published_sims():
-    m = sims_model()
-    loc = sims_published_smith().local()
+    m, sf = sims_model(), sims_published_smith()
+    loc = smith_local(sf)
     ref = ref_selectors(m, loc)
-    assert fraction_local(loc).omega0 == RationalMatrix([[1, 0], [0, Fraction(100, 99)]])
-    assert build_selectors(m, loc) == ref.S == RationalMatrix([[1, 0]])
+    assert fraction_local(sf.pi, loc).omega0 == RationalMatrix([[1, 0], [0, Fraction(100, 99)]])
+    assert build_selectors(m, omega0(sf.pi, loc)) == ref.S == RationalMatrix([[1, 0]])
     assert ref.R == RationalMatrix([[1, 0]])
     assert ref.U == RationalMatrix.identity(2)
     assert m.free_unknowns() == (0,)
@@ -197,7 +201,7 @@ def test_selector_invariants(corpus):
     for m in corpus:
         if not m.predetermined or m.H == 0:
             continue
-        S, sel = build_selectors(m, m.local), ref_selectors(m, m.local)
+        S, sel = build_selectors(m, omega0(m.pi.pi, m.local)), ref_selectors(m, m.local)
         n = m.s * m.H
         # U is a permutation
         assert all(sum(row) == 1 for row in sel.U.entries)
@@ -301,7 +305,8 @@ def test_predetermined_count_weights_the_scaled_rows():
     """A selector row a p_0 + b p_1 that vanishes exactly counts as zero, also
     when the p_stack rows p_0 and p_1 have different lcms of their denominators:
     p_stack holds them over one, and E(0) is taken on integers.  s = 2, H = 1,
-    gamma = (1, 1), A_0 = (a, b)^T the first column of E(0)."""
+    gamma = (1, 1), A_0 = (a, b)^T the first column of E(0), which `omega0` reads
+    off pi = A_00 = E(0) at g = 0 and P^-1 = I."""
     rng = random.Random(35)
     n_unequal = 0
     for _ in range(30):
@@ -309,8 +314,10 @@ def test_predetermined_count_weights_the_scaled_rows():
         p0 = [rand_frac(rng, nonzero=True), rand_frac(rng)]
         p1 = [-a / b * x for x in p0]
         E0 = RationalMatrix([[a, 1], [b, 0]])
-        loc = int_local((0, 0), (RationalMatrix.identity(2),), E0)
-        m = REModel(s=2, K=0, H=1, q=1, A={}, gamma=(1, 1), wold=(RationalMatrix([[1], [0]]),))
+        loc = int_local((0, 0), (RationalMatrix.identity(2),))
+        m = REModel(s=2, K=0, H=1, q=1, A={(0, 0): E0}, gamma=(1, 1),
+                    wold=(RationalMatrix([[1], [0]]),))
+        assert fraction_local(m.pi.pi, loc).omega0 == E0
         ms = int_stack(RationalMatrix([[rand_frac(rng, nonzero=True), rand_frac(rng)]
                                        for _ in range(2)]))
         pb = int_p_stack((RationalMatrix([p0]), RationalMatrix([p1])))
@@ -329,7 +336,7 @@ def test_plain_system_sims():
     pp = build_pi(m)
     sf = sims_published_smith()
     zc = ref_zeta_coefficients(m)
-    pb = frak_p_blocks(sf.local(), pp.J1, m.H)
+    pb = frak_p_blocks(smith_local(sf), pp.J1, m.H)
     cs = build_plain_system(m, int_stack(ref_m_stack(zc, pb)), pb)
     # the single constraint row printed in the source example
     c = Fraction(100, 99)
@@ -415,7 +422,7 @@ def test_smith_choice_invariance(corpus):
         sf2 = _diagonal_rescaled(m.sf, rng)
         assert smith_reconstruct(sf2) == m.pi.pi
         zc = ref_zeta_coefficients(m)
-        pb2 = frak_p_blocks(sf2.local(), m.pi.J1, m.H)
+        pb2 = frak_p_blocks(smith_local(sf2), m.pi.J1, m.H)
         cs2 = build_plain_system(m, int_stack(ref_m_stack(zc, pb2)), pb2)
         assert cs2.rank_w == m.cs.rank_w
         assert cs2.kernel_dim == m.cs.kernel_dim
@@ -439,7 +446,7 @@ def test_rank_agreement_across_published_factorizations():
     ranks = []
     kdims = []
     for sf in (sf1, sf2, m.sf):
-        pb = frak_p_blocks(sf.local(), pp.J1, m.H)
+        pb = frak_p_blocks(smith_local(sf), pp.J1, m.H)
         cs = build_plain_system(m, int_stack(ref_m_stack(zc, pb)), pb)
         ranks.append(cs.rank_w)
         kdims.append(cs.kernel_dim)

@@ -170,12 +170,12 @@ def test_genericity_probe_counts_singular_points_and_propagates_other_errors(mon
 def test_local_stage_is_a_factorization_at_zero(corpus):
     """The stage's data factor pi: P^-1 is unimodular, diag(z^-g) P^-1 pi is a
     polynomial E, and E(0) = omega0 is invertible; g = 0 iff det pi(0) != 0.
-    For a predetermined model with G > 0 the stage keeps the P^-1 coefficients
-    below z^(H + max(g - J1, 0)), the ones frak_p_blocks reads, of the global
-    Smith form's P^-1; every other model's comes whole from `local_form`."""
+    For a predetermined model with G > 0 the stage keeps the global Smith form's
+    P^-1 whole, and so the coefficients below z^(H + max(g - J1, 0)) that
+    frak_p_blocks reads; every other model's comes from `local_form`."""
     for m in corpus + planted_models() + [sims_model()]:
         m = m._replace()  # an empty memo
-        loc = fraction_local(m.local)
+        loc = fraction_local(m.pi.pi, m.local)
         assert (m.pi.det[0] != 0) == (loc.g == (0,) * m.s)
         p_inv = zero_polymatrix(m.s, m.s)
         for k, c in enumerate(loc.p_inv):
@@ -183,8 +183,9 @@ def test_local_stage_is_a_factorization_at_zero(corpus):
         assert ("sf" in m.artifacts) == (m.predetermined and m.pi.det[0] == 0)
         if m.predetermined and m.pi.det[0] == 0:
             order = m.H + max(max(loc.g) - m.pi.J1, 0)
+            assert p_inv == m.sf.P_inv
             p_inv = m.sf.P_inv
-            assert fraction_local(m.local, order).p_inv == tuple(
+            assert fraction_local(m.pi.pi, m.local, order).p_inv == tuple(
                 coeff(p_inv, k) for k in range(order))
         det, _ = det_adjugate(p_inv)
         assert det.is_constant() and not det.is_zero()

@@ -22,6 +22,7 @@ from recausal.model import (
 )
 from conftest import (
     SIMS_JSON,
+    a_kh,
     coeff,
     deep_planted_models,
     ladder_shaped_models,
@@ -39,9 +40,9 @@ def test_parse_sims():
     m = sims_model()
     assert (m.s, m.K, m.H, m.q) == (2, 1, 1, 2)
     assert m.gamma == (1, 1)
-    assert m.a(0, 0)[0, 0] == Fraction(-9, 10)
-    assert m.a(1, 0)[1, 1] == Fraction(-11, 10)
-    assert m.a(1, 1).is_zero()  # omitted pair means zero
+    assert a_kh(m, 0, 0)[0, 0] == Fraction(-9, 10)
+    assert a_kh(m, 1, 0)[1, 1] == Fraction(-11, 10)
+    assert a_kh(m, 1, 1).is_zero()  # omitted pair means zero
     assert m.predetermined
 
 

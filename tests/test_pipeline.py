@@ -31,7 +31,7 @@ from conftest import (
     SIMS_JSON, deep_planted_models, ladder_shaped_models, planted_models, random_model,
     ref_squarefree_factors, serialize_model,
 )
-from digest import DIGEST, digest
+from digest import DIGEST, digest, model_sets
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
@@ -150,15 +150,27 @@ def test_counts_make_no_fraction_product(monkeypatch, corpus):
 
 
 def test_e0_only_for_the_predetermined_system(monkeypatch):
-    """E(0) comes from the product P^-1 pi on its first read, which only the
-    predetermined system makes: validate and analyze of a plain model with
-    G > 0 compute no such product, of a predetermined one exactly one."""
-    counts = count_calls(monkeypatch, ("exactalg._packed_product",))
+    """E(0) is read off P^-1 and pi by `omega0`, which only the predetermined
+    system calls, once for its count and C, D and rhs: validate and analyze of a
+    plain model with G > 0 make no such call, of a predetermined one exactly one.
+    On the five sets validate, analyze and probe call it once per predetermined
+    system built and form no product P^-1 pi (`_packed_product`)."""
+    e0, built, product = ("constraints.omega0", "constraints.build_predetermined_system",
+                          "exactalg._packed_product")
+    counts = count_calls(monkeypatch, (e0, built, product))
     for m in planted_models():
-        before = counts["exactalg._packed_product"]
+        before = counts[e0]
         validate_semantics(m)
         dimension_report(m)
-        assert counts["exactalg._packed_product"] - before == m.predetermined, m.gamma
+        m.cs.C, m.cs.D, m.cs.rhs
+        assert counts[e0] - before == m.predetermined, m.gamma
+    for name, models in model_sets().items():
+        for i, m in enumerate(models):
+            validate_semantics(m)
+            dimension_report(m)
+            genericity_probe(m, trials=2)
+            assert counts[product] == 0 and counts[e0] == counts[built], (name, i)
+    assert counts[built] > 0
 
 
 @pytest.mark.parametrize("which", ["sims", "planted-s4", "refused", "no-solution", "solvable"])
@@ -287,8 +299,7 @@ def test_validate_semantics_touches_only_pi_and_sf():
     assert set(generic.artifacts) == {"pi", "local"}
 
 
-# the attributes of the plain classes whose Fraction parts are built on first read
-LOCAL_FIELDS = ("g", "p_inv", "omega0")
+# the attributes of `ConstraintSystem`, whose Fraction parts are built on first read
 CS_FIELDS = ("C", "D", "rank_w", "kernel", "flavor", "effective_unknowns", "rhs", "kernel_dim")
 
 
@@ -301,8 +312,8 @@ def test_records_keep_their_fields_and_defaults():
     )
     assert RootClassification._field_defaults == {"discs": ()}
     m = parse_model(SIMS_JSON)
+    assert LocalSmith._fields == ("g", "p_inv")
     assert isinstance(m.local, LocalSmith) and isinstance(m.cs, ConstraintSystem)
-    assert all(hasattr(m.local, f) for f in LOCAL_FIELDS)
     assert all(hasattr(m.cs, f) for f in CS_FIELDS)
     assert tuple(dimension_report(m)) == (
         "free_parameters", "kernel_dim", "rank_w", "upper_bound", "lower_bound",
