@@ -293,15 +293,27 @@ def verify_solution(m: REModel, sr: SolutionReport, max_lag: int = 50) -> dict:
     }
 
 
-def _mc_filter(coeffs, eps):
-    """y_t = sum_j coeffs[j] eps_(t-j) over the last len(eps) - len(coeffs) draws, lag 0 first."""
+_BLOCK = 8192  # rows of y per block of simulate's innovation window, at least 2 (see _mc_filter)
+
+
+def _mc_filter(coeffs, rng, y):
+    """Add y_t = sum_j coeffs[j] eps_(t-j), lag 0 first, into the zeros y (T x s), eps the
+    (T + len(coeffs)) x q stream of rng.standard_normal(out=...) read through one window
+    of _BLOCK + len(coeffs) rows; each lag's block product goes to one _BLOCK x s buffer.
+    A one-row block is multiplied as two rows: numpy's gemv path can differ from gemm."""
     import numpy as np
 
-    truncation, T = len(coeffs), len(eps) - len(coeffs)
+    truncation, n_rows = len(coeffs), len(y)
     coeffs_t = np.ascontiguousarray(coeffs.transpose(0, 2, 1))
-    y = np.zeros((T, coeffs.shape[1]))
-    for j in range(truncation):
-        y += eps[truncation - j : truncation - j + T] @ coeffs_t[j]
+    window, buf = np.zeros((_BLOCK + truncation, coeffs.shape[2])), np.empty((_BLOCK, y.shape[1]))
+    rng.standard_normal(out=window[:truncation])
+    for t in range(0, n_rows, _BLOCK):
+        n = min(_BLOCK, n_rows - t)
+        rng.standard_normal(out=window[truncation : truncation + n])
+        for j in range(truncation):
+            rows = window[truncation - j : truncation - j + max(n, 2)]
+            y[t : t + n] += np.matmul(rows, coeffs_t[j], out=buf[: len(rows)])[:n]
+        window[:truncation] = window[n : n + truncation]
     return y
 
 
@@ -309,12 +321,13 @@ def simulate(sr: SolutionReport, T: int, seed: int, truncation: int = 200) -> di
     """Monte Carlo cross-check: filter N(0, I) innovations through the transfer.
 
     `_mc_filter` multiplies by one contiguous copy of the transposed coefficient
-    stack: numpy sends a (T x q) @ (q x s) product with the strided view
-    `coeffs[j].T` down a slower BLAS path.  The products and the order they are
-    summed in are the same, so y has the same bytes as with the view.  A
-    coefficient or an autocovariance that is not a finite float raises
-    UnsupportedModelError naming it and its lag; mc_standard_error is finite
-    when exact_autocov at lag 0 is.
+    stack (numpy sends a product with the strided view `coeffs[j].T` down a slower
+    BLAS path) and streams the draws, the same as one (T + truncation) x q draw,
+    through one window of `_BLOCK` + truncation rows: beside y (T x s) it holds
+    O(_BLOCK) floats.  Every row of y gets the same products, summed in the same
+    order, as with the view.  A y numpy cannot allocate, or a coefficient or an
+    autocovariance that is not a finite float, raises UnsupportedModelError naming
+    it; mc_standard_error is finite when exact_autocov at lag 0 is.
     """
     if sr.transfer_num is None:
         raise ValueError("no transfer function to simulate")
@@ -329,10 +342,12 @@ def simulate(sr: SolutionReport, T: int, seed: int, truncation: int = 200) -> di
                 f"transfer coefficient at lag {lag} is too large for a float") from None
     coeffs = np.array(stack)
     s = coeffs.shape[1]
-    rng = np.random.default_rng(seed)
-    eps = rng.standard_normal((T + truncation, coeffs.shape[2]))
+    try:
+        y = np.zeros((T, s))
+    except (ValueError, MemoryError):
+        raise UnsupportedModelError(f"cannot allocate y, {8 * s * T} bytes for T = {T}") from None
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is an error below
-        y = _mc_filter(coeffs, eps)
+        _mc_filter(coeffs, np.random.default_rng(seed), y)
         autocov = [y[lag:].T @ y[: T - lag] / (T - lag) for lag in range(3)]
         exact = []
         for lag in range(3):

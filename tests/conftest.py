@@ -1622,6 +1622,46 @@ def ref_mc_filter(coeffs, eps):
     return y
 
 
+def ref_simulate(sr, T, seed, truncation=200):
+    """`solver.simulate` as one (T + truncation) x q draw filtered by `ref_mc_filter`,
+    whole products per lag: the reference for the windowed filter's output."""
+    import numpy as np
+
+    from recausal.canon import UnsupportedModelError
+    from recausal.solver import transfer_series
+
+    stack = []
+    for lag, mat in enumerate(transfer_series(sr.transfer_num, sr.transfer_den, truncation)):
+        try:
+            stack.append([[float(e) for e in row] for row in mat.entries])
+        except OverflowError:
+            raise UnsupportedModelError(
+                f"transfer coefficient at lag {lag} is too large for a float") from None
+    coeffs = np.array(stack)
+    s = coeffs.shape[1]
+    eps = np.random.default_rng(seed).standard_normal((T + truncation, coeffs.shape[2]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = ref_mc_filter(coeffs, eps)
+        autocov = [y[lag:].T @ y[: T - lag] / (T - lag) for lag in range(3)]
+        exact = []
+        for lag in range(3):
+            acc = np.zeros((s, s))
+            for j in range(truncation - lag):
+                acc += coeffs[j + lag] @ coeffs[j].T
+            exact.append(acc)
+        se = float(np.sqrt(1.0 / T)) * float(np.abs(exact[0]).max() + 1.0)
+    for name, mats in (("autocov", autocov), ("exact_autocov", exact)):
+        for lag, a in enumerate(mats):
+            if not np.isfinite(a).all():
+                raise UnsupportedModelError(f"{name} at lag {lag} is not a finite float")
+    return {
+        "T": T, "seed": seed, "truncation": truncation,
+        "autocov": {lag: a.tolist() for lag, a in enumerate(autocov)},
+        "exact_autocov": {lag: a.tolist() for lag, a in enumerate(exact)},
+        "mc_standard_error": se,
+    }
+
+
 # ---------------------------------------------------------------------------
 # paper fixtures: the Sims model and its published factorization
 

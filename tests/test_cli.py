@@ -342,6 +342,14 @@ def test_simulate_past_the_float_range_is_one_error_line(capsys, tmp_path, w, tr
     assert got == (1, "", f"error: {message}\n")
 
 
+def test_simulate_past_the_allocatable_trials_is_one_error_line(capsys):
+    """numpy refuses a y of 10^19 rows before allocating it (more than its largest dimension):
+    one error line naming T and y's bytes, exit 1, no traceback."""
+    T = 10**19
+    assert run(capsys, "simulate", SIMS, "--trials", str(T)) == (
+        1, "", f"error: cannot allocate y, {16 * T} bytes for T = {T}\n")
+
+
 # A_00 = 1, A_01 = -2^1036: det pi has a root of modulus 2^1036, past the float range
 HUGE_ROOT_SCALAR = INDETERMINATE_SCALAR.replace('"-1"', '"1"').replace('"2"', f'"{-2**1036}"')
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from recausal import canon, model
+from recausal import canon, model, solver
 from recausal.canon import (
     RedundantEquationsError, SmithForm, UnitCircleRootError, _unstable_part, classify_roots,
     smith_form,
@@ -64,6 +64,7 @@ from conftest import (
     ref_numerator,
     ref_residual_map,
     ref_residual_rows,
+    ref_simulate,
     ref_smith_split,
     ref_split_phi,
     ref_transfer,
@@ -1075,20 +1076,37 @@ def test_simulate_white_noise_and_determinism():
     assert simulate(white, T=40000, seed=4) != rep
 
 
+class _Replay:
+    """Stands in for a Generator: standard_normal(out=...) fills out with the next rows of eps."""
+
+    def __init__(self, eps):
+        self.eps, self.used = eps, 0
+
+    def standard_normal(self, out):
+        out[...] = self.eps[self.used : self.used + len(out)]
+        self.used += len(out)
+
+
 def _assert_filter_matches_reference(coeffs, eps):
-    got, want = _mc_filter(coeffs, eps), ref_mc_filter(coeffs, eps)
+    """The windowed filter, fed eps block by block, gives ref_mc_filter's y on the whole eps."""
+    import numpy as np
+
+    replay = _Replay(eps)
+    got = _mc_filter(coeffs, replay, np.zeros((len(eps) - len(coeffs), coeffs.shape[1])))
+    want = ref_mc_filter(coeffs, eps)
+    assert replay.used == len(eps)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes(), (
-        f"the contiguous stack changed y: (s, q) = {coeffs.shape[1:]}, {len(coeffs)} lags, "
-        f"T = {len(eps) - len(coeffs)}, max |diff| {abs(got - want).max()!r}")
+        f"the window changed y: (s, q) = {coeffs.shape[1:]}, {len(coeffs)} lags, "
+        f"T = {len(eps) - len(coeffs)}, block {solver._BLOCK}, max |diff| {abs(got - want).max()!r}")
 
 
 @pytest.mark.parametrize("path", [GOLDEN.parent.parent / "models" / "sims.json",
                                   GOLDEN / "generic.json", GOLDEN / "planted3.json"],
                          ids=["sims", "generic", "planted3"])
 def test_mc_filter_matches_the_transposed_view_on_solved_models(path):
-    """simulate's filter, at its default T and truncation, gives y bit for bit as
-    the products with `coeffs[j].T` did: the BLAS path differs, the sums do not."""
+    """simulate's filter, at its default T and truncation (12 blocks), gives y bit for bit
+    as whole products with `coeffs[j].T` did: the BLAS path differs, the sums do not."""
     import numpy as np
 
     sr = solve_causal(parse_model(path.read_text()))
@@ -1100,20 +1118,24 @@ def test_mc_filter_matches_the_transposed_view_on_solved_models(path):
 
 @st.composite
 def _filter_input(draw):
-    """A float coefficient stack with q <= s, at most 5, and innovations for T >= 3."""
+    """A float coefficient stack with q <= s, at most 5, innovations for T >= 3, and a
+    block of 2 to 9 rows, so that most draws cross block edges."""
     s = draw(st.integers(1, 5))
     q = draw(st.integers(1, s))
     truncation, T = draw(st.integers(1, 12)), draw(st.integers(3, 40))
     finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
     coeffs = draw(hnp.arrays(float, (truncation, s, q), elements=finite))
     eps = draw(hnp.arrays(float, (truncation + T, q), elements=finite))
-    return coeffs, eps
+    return coeffs, eps, draw(st.integers(2, 9))
 
 
 @settings(derandomize=True, max_examples=150, deadline=timedelta(seconds=4))
 @given(_filter_input())
 def test_mc_filter_matches_the_transposed_view_on_drawn_stacks(args):
-    _assert_filter_matches_reference(*args)
+    coeffs, eps, block = args
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_BLOCK", block)
+        _assert_filter_matches_reference(coeffs, eps)
 
 
 def test_mc_filter_matches_the_transposed_view_at_three_trials():
@@ -1123,6 +1145,81 @@ def test_mc_filter_matches_the_transposed_view_at_three_trials():
     for s, q in ((5, 2), (5, 5), (3, 1), (1, 1)):
         _assert_filter_matches_reference(rng.standard_normal((200, s, q)),
                                          rng.standard_normal((203, q)))
+
+
+@pytest.mark.parametrize("blocks, rows", [(1, -1), (1, 0), (1, 1), (2, 7)],
+                         ids=["B-1", "B", "B+1", "2B+7"])
+def test_mc_filter_matches_the_transposed_view_at_block_edges(blocks, rows):
+    """T = blocks B + rows at the module's block B (T = 3 is the test above): one short
+    of, at, one past and two blocks past an edge.  A last block of one row goes down
+    gemm, as the whole product did."""
+    import numpy as np
+
+    T, rng = blocks * solver._BLOCK + rows, np.random.default_rng(7)
+    for s, q in ((5, 2), (5, 5), (4, 3), (3, 1), (1, 1)):
+        _assert_filter_matches_reference(rng.standard_normal((200, s, q)),
+                                         rng.standard_normal((T + 200, q)))
+
+
+def test_blockwise_draws_are_one_draw():
+    """The filter's standard_normal(out=...) calls read the stream of one whole draw, so a
+    numpy change to how draws split across calls fails here, not only as a golden diff."""
+    import numpy as np
+
+    class Record:
+        def __init__(self, seed):
+            self.rng, self.parts = np.random.default_rng(seed), []
+
+        def standard_normal(self, out):
+            self.rng.standard_normal(out=out)
+            self.parts.append(out.copy())
+
+    T = 2 * solver._BLOCK + 7
+    for q, seed in ((1, 0), (2, 11), (5, 3)):
+        rec = Record(seed)
+        _mc_filter(np.zeros((200, 5, q)), rec, np.zeros((T, 5)))
+        assert [len(p) for p in rec.parts] == [200, solver._BLOCK, solver._BLOCK, 7]
+        whole = np.random.default_rng(seed).standard_normal((T + 200, q))
+        assert np.concatenate(rec.parts).tobytes() == whole.tobytes()
+
+
+def test_simulate_is_the_whole_draw_reference_on_the_five_sets(corpus, predetermined_probe):
+    """Every solvable model of the five sets simulates to ref_simulate's dict (one whole
+    draw, whole products per lag) at T = 3 and at T = 20000 (3 blocks)."""
+    shapes = {}  # (s, q) of the models simulated
+    for m in (list(corpus) + list(predetermined_probe) + ladder_shaped_models()
+              + planted_models() + deep_planted_models()):
+        try:
+            sr = solve_causal(m)
+        except (FactorizationError, UnsupportedModelError):
+            continue
+        if sr.transfer_num is None:
+            continue
+        for T in (3, 20000):
+            assert simulate(sr, T=T, seed=0) == ref_simulate(sr, T=T, seed=0), (m.s, m.q, T)
+        shapes[m.s, m.q] = shapes.get((m.s, m.q), 0) + 1
+    assert shapes == {(1, 1): 11, (2, 1): 8, (2, 2): 10, (3, 1): 1, (3, 2): 3, (3, 3): 3,
+                      (4, 1): 3, (4, 2): 2, (4, 3): 1}, shapes
+
+
+@pytest.mark.parametrize("path", [GOLDEN.parent.parent / "models" / "sims.json",
+                                  GOLDEN / "planted3.json"], ids=["sims", "planted3"])
+def test_simulate_footprint_is_y_plus_a_window(path):
+    """Beside y (T x s doubles) simulate holds less than 2 MiB at T = 400000: the draws
+    stream through the window, and no T-row product or (T + 200) x q draw is made."""
+    import tracemalloc
+
+    import numpy  # noqa: F401 -- loaded before tracing starts: the import is not the footprint
+
+    sr = solve_causal(parse_model(path.read_text()))
+    s, T = sr.transfer_num.rows, 400000
+    tracemalloc.start()
+    try:
+        simulate(sr, T=T, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < s * T * 8 + 2 * 2**20, peak / 2**20
 
 
 def test_simulate_sims_autocovariance():
