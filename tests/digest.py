@@ -2,11 +2,12 @@
 tests/golden/digest.json.
 
 For every model of the corpus, the predetermined probe, the ladder-shaped,
-planted and deep planted sets, `cli.main` runs analyze, constraints, solve and
-verify in process on the model's serialized file.  Each call is recorded as the
-first 16 hex digits of the sha256 of its (exit code, stdout, stderr), the
-model file's path written as "model.json".  test_pipeline compares a fresh
-digest with the committed one and names every model and command that differs.
+planted and deep planted sets, `cli.main` runs analyze, smith, constraints,
+solve, verify and probe (its default trials and seed) in process on the
+model's serialized file.  Each call is recorded as the first 16 hex digits of
+the sha256 of its (exit code, stdout, stderr), the model file's path written as
+"model.json".  test_pipeline compares a fresh digest with the committed one and
+names every model and command that differs.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 DIGEST = HERE / "golden" / "digest.json"
-COMMANDS = ("analyze", "constraints", "solve", "verify")
+COMMANDS = ("analyze", "smith", "constraints", "solve", "verify", "probe")
 
 
 def model_sets() -> dict:
