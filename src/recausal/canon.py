@@ -7,8 +7,8 @@ operations update D and P^-1, the column operations D alone.  Q, which only
 on first read, as do the inverses P and Q^-1: `SmithForm` is a plain class
 that caches them.  The constraint blocks read only a `LocalSmith`, the named
 tuple (g, P^-1) of some pi = P diag(z^g) E on integers: `local_form` finds one
-by row reduction at z = 0, with no Smith elimination, and the global form's g
-and P^-1 are another.  `RootClassification` is a named tuple.
+by row reduction at z = 0 on pi's integer rows, with no Smith elimination, and
+the global form's g and P^-1 are another.  `RootClassification` is a named tuple.
 `classify_roots` sorts the roots of det pi against the unit circle on the
 inclusion discs of Weierstrass corrections (Carstensen) from `root_discs`.
 Floating point seeds them (`_start_points`) and proves the first discs by an
@@ -37,7 +37,7 @@ from math import ceil, frexp, inf, isqrt, ldexp, log2, prod
 from sys import float_info
 
 from .exactalg import (
-    Poly, PolyMatrix, _det_adjugate, _numerators, _packed_product, _poly, _row_echelon, rat,
+    Poly, PolyMatrix, _det_adjugate, _packed_product, _poly, _row_echelon, rat,
     squarefree_factors,
 )
 
@@ -107,18 +107,18 @@ def _unimodular_inverse(M: PolyMatrix) -> PolyMatrix:
 LocalSmith = namedtuple("LocalSmith", "g p_inv")
 
 
-def local_form(pi: PolyMatrix, G: int) -> LocalSmith:
-    """The `LocalSmith` of pi by row reduction at z = 0, G the valuation of det pi.
+def local_form(N: list, G: int) -> LocalSmith:
+    """The `LocalSmith` of pi = N / L by row reduction at z = 0, N pi's integer rows
+    (`PiPolynomial.numerators`) and G the valuation of det pi.
 
-    rows[i] holds row i of L R (R = P^-1 pi, L the lcm of pi's denominators)
-    and of P^-1 as integer coefficient lists, from L pi and I.  Row i of R has
-    valuation v_i <= G and lowest coefficient l_i.  While sum v < G the l_i have
-    a left dependency c, and rows[j], j in its support with the largest v_j,
-    becomes sum_i c_i z^(v_j - v_i) rows[i], of a larger valuation.  P^-1 stays
-    unimodular, so sum v = G proves E(0) = l / L invertible, E = diag(z^-v) R:
-    at most G steps.  Sorted stably by v, g = v (Gohberg, Lancaster & Rodman,
+    rows[i] holds row i of L R (R = P^-1 pi) and of P^-1 as integer coefficient
+    lists, from N = L pi and I.  Row i of R has valuation v_i <= G and lowest
+    coefficient l_i.  While sum v < G the l_i have a left dependency c, and
+    rows[j], j in its support with the largest v_j, becomes sum_i c_i z^(v_j -
+    v_i) rows[i], of a larger valuation.  P^-1 stays unimodular, so sum v = G
+    proves E(0) = l / L invertible, E = diag(z^-v) R: at most G steps.  Sorted stably by v, g = v (Gohberg, Lancaster & Rodman,
     *Matrix Polynomials*, 1982, ch. 7)."""
-    s, N = pi.rows, _numerators(pi.entries)[0]
+    s = len(N)
     rows = [list(r) + [[int(i == k)] for k in range(s)] for i, r in enumerate(N)]
     at = lambda f, t: f[t] if 0 <= t < len(f) else 0
     val = lambda f: next((t for t, x in enumerate(f) if x), G)  # a zero entry counts as G

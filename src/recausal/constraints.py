@@ -17,7 +17,8 @@ pseudo-inverse of E(0)'s columns (`build_selectors`).
 
 Of a factorization pi = P diag(z^g) E (P unimodular, E(0) invertible; the Smith
 form with E = diag(phi) Q is one) the systems read only g and P^{-1}, a `LocalSmith`,
-and E(0), which `omega0` reads off them and pi once per predetermined system.  A model
+and E(0), which `omega0` reads off them and pi's integer rows
+(`PiPolynomial.numerators`) once per predetermined system.  A model
 builds its plain system, counted and printed, on `canon.local_form`'s: the
 global Smith form's gives the same rank_w on the test sets, but the same
 solution set of C eps = rhs only where every g_i <= J1.  The predetermined
@@ -39,16 +40,8 @@ from functools import cached_property
 
 from .canon import LocalSmith
 from .exactalg import (
-    PolyMatrix,
-    RationalMatrix,
-    _combine,
-    _echelon_kernel,
-    _numerators,
-    _rmat,
-    _row_echelon,
-    block_diag,
-    pseudo_inverse_columns,
-    vstack,
+    RationalMatrix, _combine, _echelon_kernel, _rmat, _row_echelon, block_diag,
+    pseudo_inverse_columns, vstack,
 )
 from .model import REModel
 
@@ -65,13 +58,13 @@ def frak_p_blocks(loc: LocalSmith, J1: int, H: int) -> tuple:
             for k, gk in enumerate(g) for r in range(H)], L
 
 
-def omega0(pi: PolyMatrix, loc: LocalSmith) -> tuple:
+def omega0(pi: tuple, loc: LocalSmith) -> tuple:
     """(E, d): E(0) = E / d of pi = P diag(z^g) E, row i the z^g_i coefficient of row i of
-    P^-1 pi, summed over t <= g_i on loc.p_inv's integers and pi's `_numerators` with no term
-    for a zero coefficient of P^-1; d = L(P^-1) L(pi)."""
-    (N, L), (A, la), E = loc.p_inv, _numerators(pi.entries), []
+    P^-1 pi, summed over t <= g_i on loc.p_inv's integers and pi's, pi = (A, la) the pair
+    `PiPolynomial.numerators`, with no term for a zero coefficient of P^-1; d = L(P^-1) la."""
+    (N, L), (A, la), E = loc.p_inv, pi, []
     for row, gi in zip(N, loc.g):
-        acc = [0] * pi.cols
+        acc = [0] * len(A)
         for f, a in zip(row, A):  # c z^t of entry (i, k) of L P^-1, a row k of L pi
             for t, c in enumerate(f[: gi + 1]):
                 if c:
@@ -116,7 +109,7 @@ class ConstraintSystem:
     def __init__(self, m: REModel, ms: tuple, pb: tuple, loc: LocalSmith | None = None):
         self.flavor = "plain" if loc is None else "predetermined"
         cols = range(m.s * m.H) if loc is None else m.free_unknowns()
-        e0 = None if loc is None else omega0(m.pi.pi, loc)
+        e0 = None if loc is None else omega0(m.pi.numerators, loc)
         self._echelon = _echelon_w(m, ms[0], pb, cols, e0)
         self.effective_unknowns, self.rank_w = len(cols), len(self._echelon[1])
         self._src = m._replace(), ms, pb, e0, cols  # m's copy: no cycle

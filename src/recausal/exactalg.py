@@ -11,6 +11,7 @@ matrix product, of PolyMatrix operands by `_packed_product`) run on integer
 matrices L*M(2^b) (Kronecker substitution) and read their results off
 base-2^b digits; `det_adjugate` keeps adj M as those digits, integer
 coefficient lists over one denominator, and builds no Poly per entry.
+`determinant` takes M's `_numerators` (pi's: `PiPolynomial.numerators`).
 `rank_kernel`, `solve_affine` (via `_solve_rows`) and the constraint ranks
 share one fraction-free Gauss-Jordan elimination on
 integer rows (`_row_echelon`): rows are scaled by the lcm of their
@@ -415,17 +416,16 @@ def det_adjugate(M: PolyMatrix):
     return _det_adjugate(M)
 
 
-def _pack(M: PolyMatrix):
-    """(A, b, L): A = M_Z(2^b) for M_Z = L*M, L the lcm of the entry denominators.
-    Each coefficient of det M_Z and of its (n-1)-minors is at most B = prod_i
-    max(1, sum_j |(M_Z)_ij|_1) (|p|_1: the sum of the absolute coefficients), so
-    for b = bitlen(B) + 2 `_unpack` reads them off the values at z = 2^b as signed
-    base-2^b digits (Kronecker substitution; von zur Gathen & Gerhard, 8.4)."""
-    if M.rows != M.cols:
+def _pack(N: list):
+    """(A, b): A = N(2^b) for a square matrix N of integer coefficient lists.  Each
+    coefficient of det N and of its (n-1)-minors is at most B = prod_i max(1, sum_j
+    |N_ij|_1) (|p|_1: the sum of the absolute coefficients), so for b = bitlen(B) + 2
+    `_unpack` reads them off the values at z = 2^b as signed base-2^b digits
+    (Kronecker substitution; von zur Gathen & Gerhard, 8.4)."""
+    if any(len(row) != len(N) for row in N):
         raise ValueError("a determinant needs a square matrix")
-    N, L = _numerators(M.entries)
     b = prod(max(1, sum(sum(map(abs, f)) for f in row)) for row in N).bit_length() + 2
-    return _at(N, b), b, L
+    return _at(N, b), b
 
 
 def _numerators(rows: list):
@@ -457,12 +457,13 @@ def _int_product(A: list, B: list, cols: int) -> list:
     return [[_unpack(sum(map(mul, row, col)), b) for col in at] for row in _at(A, b)]
 
 
-def determinant(M: PolyMatrix) -> Poly:
-    """det M by one fraction-free Bareiss elimination on the `_pack` matrix: step
-    k sets a_ij <- (p_k a_ij - a_ik a_kj) / p_(k-1) below and right of the pivot
-    p_k, an exact division (Math. Comp. 22, 1968).  A zero pivot swaps in a lower
+def determinant(N: list, L: int) -> Poly:
+    """det M for M = N / L, N[i][j] the integer coefficients of entry (i, j) of L M, lowest
+    first (`_numerators`' pair), by one fraction-free Bareiss elimination on the `_pack`
+    matrix: step k sets a_ij <- (p_k a_ij - a_ik a_kj) / p_(k-1) below and right of the
+    pivot p_k, an exact division (Math. Comp. 22, 1968).  A zero pivot swaps in a lower
     row and flips the sign; a column with no nonzero entry left means det M = 0."""
-    A, b, L = _pack(M)
+    A, b = _pack(N)
     n, sign, prev = len(A), 1, 1
     for k in range(n - 1):
         if not A[k][k]:
@@ -484,7 +485,8 @@ def _det_adjugate(M: PolyMatrix):
     N_k = A N_{k-1} + c_k I, c_k = -tr(A N_{k-1}) / k, on the `_pack` matrix A.
     The c_k are the coefficients of det(x I - A), integers, so the division by
     k is exact, and A N_{n-1} = -c_n I by Cayley-Hamilton."""
-    A, b, L = _pack(M)
+    N, L = _numerators(M.entries)
+    A, b = _pack(N)
     n = len(A)
     if n == 0:
         return Poly.const(1), ([], 1)

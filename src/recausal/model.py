@@ -9,13 +9,13 @@ process u_t = sum_j w_j eps_{t-j}, and predeterminedness multi-index
 gamma = (s_0, ..., s_H) with sum(gamma) = s.
 
 `REModel` and `PiPolynomial` are named tuples: build a changed model with
-`m._replace(...)`.  A model is immutable once built and is its own pipeline:
-its stages (`m.pi`, pi(z) with det pi, `m.adj`, `m.sf` its Smith form, ...,
-`m.cs` its constraint system) are read-only properties, each computed on first
-use and memoized on the instance in `REModel.artifacts`, which refers to no
-model, so a dropped model is freed at once.  Its A_kh as integers are in
-`REModel.numerators` and its Wold coefficients as integers in
-`REModel.wold_numerators`, which every other module reads; a model from
+`m._replace(...)`.  A model is immutable once built and is its own pipeline: its
+stages (`m.pi`, pi(z) with det pi and its integer rows, `m.adj`, `m.sf` its Smith
+form, ..., `m.cs`) are read-only properties, each computed on first use and
+memoized on the instance in `REModel.artifacts`, which refers to no model, so a
+dropped model is freed at once.  Its A_kh and its Wold coefficients as integers
+are in `REModel.numerators` and `REModel.wold_numerators`, and pi's rows in
+`PiPolynomial.numerators`, which every other module reads; a model from
 `_replace` starts with an empty memo.
 `build_m_stack` stacks the m_i of zeta(z) = sum_i m_i z^i on integer rows, from
 `REModel.numerators` alone: the constraint systems read them over H + max(g -
@@ -104,7 +104,7 @@ class REModel(namedtuple("REModel", "s K H q A gamma wold xi", defaults=(Fractio
 
     @_stage
     def pi(self):
-        """pi(z) with its determinant."""
+        """pi(z) with its determinant and its integer rows (`PiPolynomial.numerators`)."""
         return build_pi(self)
 
     @_stage
@@ -121,11 +121,11 @@ class REModel(namedtuple("REModel", "s K H q A gamma wold xi", defaults=(Fractio
 
     @_stage
     def local(self):
-        """The `LocalSmith` (g, P^-1) the constraints read, by `local_form`; a predetermined
-        model with G > 0, whose system depends on the factors, reads the global Smith form's."""
+        """The `LocalSmith` (g, P^-1) the constraints read, by `local_form` on pi's rows; a
+        predetermined model with G > 0, whose system depends on the factors, reads `sf`'s."""
         pp = self.pi
         if not (self.predetermined and pp.det[0] == 0):
-            return local_form(pp.pi, pp.det.zero_multiplicity())
+            return local_form(pp.numerators[0], pp.det.zero_multiplicity())
         return LocalSmith(self.sf.g, _numerators(self.sf.P_inv.entries))
 
     @_stage
@@ -256,12 +256,14 @@ def parse_model(text: str) -> REModel:
     return REModel(s=s, K=K, H=H, q=q, A=A, gamma=tuple(gamma), wold=wold, xi=xi)
 
 
-# det = det pi(z), never identically zero (the adjugate is the stage `REModel.adj`)
-PiPolynomial = namedtuple("PiPolynomial", "pi J0 J1 det")
+# det = det pi(z), never identically zero (the adjugate is the stage `REModel.adj`); numerators =
+# `_numerators(pi.entries)`, pi = N / L, L the lcm of the reduced entry denominators
+PiPolynomial = namedtuple("PiPolynomial", "pi J0 J1 det numerators")
 
 
 def build_pi(m: REModel) -> PiPolynomial:
-    """pi(z) = sum_i A*_i z^{J1 - i}, A*_i = sum_k A_{k, k+i}, summed on `m.numerators`."""
+    """pi(z) = sum_i A*_i z^{J1 - i}, A*_i = sum_k A_{k, k+i}, summed on `m.numerators`, with
+    det pi by `determinant` on pi's integer rows, derived here once for every reader."""
     L, num = m.numerators
     sums = {}
     for (k, h), a in num.items():
@@ -277,12 +279,13 @@ def build_pi(m: REModel) -> PiPolynomial:
     zero = [[0] * m.s] * m.s
     coeffs = [sums.get(J1 - d, zero) for d in range(J1 - J0 + 1)]  # L times that of z^d
     pi = PolyMatrix([[_poly(list(f), L) for f in zip(*rows)] for rows in zip(*coeffs)])
-    det = determinant(pi)
+    numerators = _numerators(pi.entries)
+    det = determinant(*numerators)
     if det.is_zero():
         raise RedundantEquationsError(
             "det pi(z) is identically zero: system contains redundant equations"
         )
-    return PiPolynomial(pi=pi, J0=J0, J1=J1, det=det)
+    return PiPolynomial(pi=pi, J0=J0, J1=J1, det=det, numerators=numerators)
 
 
 def build_m_stack(m: REModel, n: int) -> tuple:

@@ -843,7 +843,8 @@ def crosscheck_simplified(m: REModel) -> bool:
         if i >= cut:
             keep_rows.extend(range(row0, row0 + keep))
         row0 += keep
-    S2 = build_selectors(m, omega0(m.pi.pi, loc)).submatrix(keep_rows, list(range(cut * s, H * s)))
+    S2 = build_selectors(m, omega0(m.pi.numerators, loc))
+    S2 = S2.submatrix(keep_rows, list(range(cut * s, H * s)))
     zc = ref_zeta_coefficients(m)
     simp_C = (S2 * toeplitz * vstack([coeff(zc, i) for i in range(n)])).submatrix(
         range(len(keep_rows)), m.free_unknowns())
@@ -928,10 +929,11 @@ def same_affine_set(set_a, set_b) -> bool:
 
 
 def ref_build_pi(m: REModel):
-    """(pi, J0, J1, det) by the Fraction assembly: each A*_i = sum_k A_{k, k+i} a
+    """(pi, J0, J1, det, (N, L)) by the Fraction assembly: each A*_i = sum_k A_{k, k+i} a
     RationalMatrix sum, the zero sums dropped, each entry of pi(z) = sum_i A*_i z^(J1 - i)
-    over the lcm of its own coefficients' denominators.  The reference for `build_pi`,
-    which sums `REModel.numerators`; None when every A*_i is zero."""
+    over the lcm of its own coefficients' denominators, and pi's rows N / L, L the lcm
+    of all its coefficients' denominators.  The reference for `build_pi`, which sums
+    `REModel.numerators`; None when every A*_i is zero."""
     sums = {}
     for (k, h), a in m.A.items():
         sums[h - k] = sums[h - k] + a if h - k in sums else a
@@ -947,8 +949,9 @@ def ref_build_pi(m: REModel):
         for d, f in fs.items():
             num[d] = f.numerator * (den // f.denominator)
         entries[r][c] = _poly(num, den)
-    pi = PolyMatrix(entries)
-    return pi, J0, J1, determinant(pi)
+    L = lcm(*(c.denominator for row in entries for e in row for c in e.coeffs))
+    rows = [[[int(c * L) for c in e.coeffs] for e in row] for row in entries], L
+    return PolyMatrix(entries), J0, J1, determinant(*rows), rows
 
 
 def ref_zeta_coefficients(m: REModel) -> PolyMatrix:
@@ -1174,8 +1177,8 @@ def smith_local(sf: SmithForm) -> LocalSmith:
 
 def fraction_local(pi: PolyMatrix, loc: LocalSmith, n: int | None = None) -> RefLocal:
     """The integer `LocalSmith` of pi as Fractions: its first n coefficient matrices of
-    P^-1 (all it holds without n), and E(0) from `omega0`."""
-    (N, L), (E, d) = loc.p_inv, omega0(pi, loc)
+    P^-1 (all it holds without n), and E(0) from `omega0` on pi's integer rows."""
+    (N, L), (E, d) = loc.p_inv, omega0(_numerators(pi.entries), loc)
     n = max(len(f) for row in N for f in row) if n is None else n
     p_inv = tuple(_rmat([[Fraction(f[t] if t < len(f) else 0, L) for f in row] for row in N])
                   for t in range(n))

@@ -217,6 +217,55 @@ def test_solve_reads_adj_as_integer_rows(monkeypatch, which):
     assert L > 0 and len(A) == m.s and all(type(c) is int for row in A for f in row for c in f)
 
 
+def test_pi_rows_are_derived_once(monkeypatch, capsys, tmp_path):
+    """pi's integer rows are derived from its Poly entries once per pi, by `build_pi`,
+    which keeps them in `PiPolynomial.numerators` for determinant, local_form and
+    omega0: on the five sets validate, analyze, constraints and probe derive them
+    nowhere else, and solve and verify once more, inside `det_adjugate`."""
+    from recausal import exactalg, model
+
+    numerators, build, calls, pis = exactalg._numerators, model.build_pi, [], []
+
+    def numerators_spy(rows):
+        frame, chain = sys._getframe(1), []
+        while frame is not None:
+            chain.append(frame.f_code.co_name)
+            frame = frame.f_back
+        calls.append((rows, chain))
+        return numerators(rows)
+
+    def build_spy(m):
+        pis.append(build(m))
+        return pis[-1]
+
+    for mod in [mod for n, mod in sys.modules.items() if n.split(".")[0] == "recausal"]:
+        for attr, val in list(vars(mod).items()):
+            for orig, spy in ((numerators, numerators_spy), (build, build_spy)):
+                if val is orig:
+                    monkeypatch.setattr(mod, attr, spy)
+    path, again_in_solve, n_models = tmp_path / "model.json", 0, 0
+    for m in (m for models in model_sets().values() for m in models):
+        path.write_text(serialize_model(m))
+        for command in ("validate", "analyze", "constraints", "probe", "solve", "verify"):
+            del calls[:], pis[:]
+            if command == "validate":
+                validate_semantics(m._replace())  # an empty memo
+            else:
+                main([command, str(path)])
+            capsys.readouterr()
+            on_pi = [chain for rows, chain in calls if any(rows is pp.pi.entries for pp in pis)]
+            again = [chain for chain in on_pi if chain[0] != "build_pi"]
+            assert pis and len(on_pi) - len(again) == len(pis), (command, [c[:3] for c in again])
+            if command in ("solve", "verify"):
+                assert len(again) <= 1 and all("det_adjugate" in chain for chain in again)
+                again_in_solve += len(again)
+            else:
+                assert again == [], (command, again)
+        assert m.pi.numerators == numerators(m.pi.pi.entries)
+        n_models += 1
+    assert n_models == 314 and again_in_solve > 0
+
+
 @pytest.mark.parametrize("which", ["refused", "no-solution", "solvable"])
 def test_smith_form_never_runs_when_det_pi0_is_nonzero(monkeypatch, which):
     """validate + analyze + solve (+ verify) of a det pi(0) != 0 model computes
@@ -306,7 +355,7 @@ CS_FIELDS = ("C", "D", "rank_w", "kernel", "flavor", "effective_unknowns", "rhs"
 def test_records_keep_their_fields_and_defaults():
     assert REModel._fields == ("s", "K", "H", "q", "A", "gamma", "wold", "xi")
     assert REModel._field_defaults == {"xi": Fraction(1)}
-    assert PiPolynomial._fields == ("pi", "J0", "J1", "det")
+    assert PiPolynomial._fields == ("pi", "J0", "J1", "det", "numerators")
     assert RootClassification._fields == (
         "zero_multiplicity", "stable_roots", "unstable_roots", "xi", "discs",
     )
