@@ -1,118 +1,89 @@
 """Constraint systems on the martingale-difference revision processes.
 
-Builds the per-row coefficient blocks of P(z)^{-1} and the selector S, and
-assembles the linear system that every admissible stack of revision loadings
+Assembles the linear system that every admissible stack of revision loadings
 must satisfy, in both the plain and the predetermined flavor, as a
-`ConstraintSystem`.  Its rank_w and the rank bounds are counted by
-`_row_echelon` (Bareiss, Math. Comp. 22, 1968) on integer rows: m_stack, the
-m_i of zeta(z) = sum_i m_i z^i summed on `REModel.numerators`
-(`model.build_m_stack`), and p_stack on the integers of P^{-1} that the
-`LocalSmith` holds over one denominator, multiplied in one zero-skipping
-product.  The predetermined count puts A_i^T, A_i the first n_i columns of
-E(0) (`omega0`), in place of S's block (A_i^T A_i)^-1 A_i^T: E(0) is invertible, so both
-have the same row space, no pseudo-inverse is solved, and E(0)'s integer
-columns combine p_stack's rows.  The kernel is read off that elimination.
-Fractions are formed only for C, D and rhs, on first read, and for the
-pseudo-inverse of E(0)'s columns (`build_selectors`).
+`ConstraintSystem` C x = rhs.  Both read the Smith data at z = 0 of a
+factorization pi = P diag(z^g) E (P unimodular, E(0) invertible), the
+`LocalSmith` (g, P^-1) of the model's stage `local`, which `canon.local_form`
+finds by a row reduction on pi's integer rows.  D = p_stack is a stack of
+coefficient rows of P^-1, C is D times m_stack's columns of the unknowns,
+the m_i of zeta(z) = sum_i m_i z^i (`model.build_m_stack`), and rhs is D times
+the w_j stacked.  rank_w is counted by `_row_echelon` (Bareiss, Math. Comp. 22,
+1968) on the integer rows of C, from one zero-skipping product of p_stack's and
+m_stack's integers, and the kernel is read off the same elimination.
+Fractions are formed only for C, D and rhs, on first read.
 
-Of a factorization pi = P diag(z^g) E (P unimodular, E(0) invertible; the Smith
-form with E = diag(phi) Q is one) the systems read only g and P^{-1}, a `LocalSmith`,
-and E(0), which `omega0` reads off them and pi's integer rows
-(`PiPolynomial.numerators`) once per predetermined system.  A model
-builds its plain system, counted and printed, on `canon.local_form`'s: the
-global Smith form's gives the same rank_w on the test sets, but the same
-solution set of C eps = rhs only where every g_i <= J1.  The predetermined
-system's rank can depend on the factors when g != 0 or J1 < H, so for
-g != 0 the stage `local` keeps the factors of the global Smith form.
-
-The predetermined system takes the rows of the P^{-1} blocks in time-block
-order, applies S and keeps the columns of the entries of h that
-`REModel.free_unknowns()` leaves free.  These systems give analyze's count;
-the solve reads none of them.  Only the model's stages pb, plain_cs and cs
-(`model.REModel`) and `recausal.dimension` import this module, so solve,
-verify, simulate and smith never load it.
+The plain system (`frak_p_blocks`) takes H rows per row i of P^-1, its
+coefficients g_i - J1 .. g_i - J1 + H - 1, on all sH entries of h.  The
+predetermined system takes the causal rows at z = 0: with p = h + d, h zero
+outside `REModel.free_unknowns()` and d in ker L (`REModel.ker_l`), a causal
+solution needs pi^-1 z^J1 (zeta p - w) = O(z^H), that is, row i of
+P^-1 (zeta p - w) vanishes mod z^(H + g_i - J1), as E is a unit of Q[[z]].
+Its unknowns are the free entries of h and the coordinates of d, and it
+counts the distinct heads p: effective_unknowns is the dimension of the
+p-space, the free entries plus ker L, and C factors through p, so
+kernel_dim = effective_unknowns - rank_w is the dimension of the p of its
+kernel.  Its solution set does not depend on the factorization.  These
+systems give analyze's count; the solve reads none of them.  Only the
+model's stages pb, plain_cs and cs (`model.REModel`) and `recausal.dimension`
+import this module, so solve, verify, simulate and smith never load it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
+from operator import mul
 
 from .canon import LocalSmith
-from .exactalg import (
-    RationalMatrix, _combine, _echelon_kernel, _rmat, _row_echelon, block_diag,
-    pseudo_inverse_columns, vstack,
-)
+from .exactalg import _combine, _echelon_kernel, _rmat, _row_echelon, _scaled
 from .model import REModel
 
 
-def frak_p_blocks(loc: LocalSmith, J1: int, H: int) -> tuple:
+def frak_p_blocks(loc: LocalSmith, J1: int, H: int, causal: bool = False) -> tuple:
     """(rows, L): p_stack = rows / L, the per-row coefficient blocks of P^-1 shaped
-    by the partial multiplicities on loc.p_inv's integers, stacked: s blocks of H
-    rows, block k at rows k H .. k H + H - 1, each s(H + max(g - J1, 0)) wide."""
+    by the partial multiplicities on loc.p_inv's integers, stacked by row k of P^-1,
+    each s(H + max(g - J1, 0)) wide: the row of coefficient t of row k of P^-1 zeta
+    holds coefficients t, ..., 0 of row k of P^-1.  Block k has the H rows
+    t = g_k - J1 .. g_k - J1 + H - 1, a row t < 0 zero, or, causal, the rows
+    t = 0 .. H + g_k - J1 - 1, none if H + g_k <= J1."""
     g, (N, L) = loc.g, loc.p_inv
     n = H + max(max(g) - J1, 0)
-    # row r of block k holds coefficients r + o, ..., 0 of row k of P^-1, o = g_k - J1;
-    # rows r < -o (g_k < J1) and coefficients past the known ones stay zero
-    return [[f[t] if 0 <= (t := r + gk - J1 - j) < len(f) else 0 for j in range(n) for f in N[k]]
-            for k, gk in enumerate(g) for r in range(H)], L
+    return [[f[t - j] if 0 <= t - j < len(f) else 0 for j in range(n) for f in N[k]]
+            for k, gk in enumerate(g) for t in range(0 if causal else gk - J1, H + gk - J1)], L
 
 
-def omega0(pi: tuple, loc: LocalSmith) -> tuple:
-    """(E, d): E(0) = E / d of pi = P diag(z^g) E, row i the z^g_i coefficient of row i of
-    P^-1 pi, summed over t <= g_i on loc.p_inv's integers and pi's, pi = (A, la) the pair
-    `PiPolynomial.numerators`, with no term for a zero coefficient of P^-1; d = L(P^-1) la."""
-    (N, L), (A, la), E = loc.p_inv, pi, []
-    for row, gi in zip(N, loc.g):
-        acc = [0] * len(A)
-        for f, a in zip(row, A):  # c z^t of entry (i, k) of L P^-1, a row k of L pi
-            for t, c in enumerate(f[: gi + 1]):
-                if c:
-                    acc = [x + c * h[gi - t] if gi - t < len(h) else x for x, h in zip(acc, a)]
-        E.append(acc)
-    return E, L * la
-
-
-def build_selectors(m: REModel, e0: tuple) -> RationalMatrix:
-    """S: block i left-inverts the first columns of E(0) = E / d, e0 = (E, d), as many
-    as block i of h has free entries."""
-    free, (E, d) = m.free_unknowns(), e0
-    E0 = _rmat([[Fraction(x, d) for x in row] for row in E])
-    return block_diag(
-        pseudo_inverse_columns(E0, sum(a // m.s == i for a in free)) for i in range(m.H)
-    )
-
-
-def _echelon_w(m: REModel, N: list, pb: tuple, cols, e0: tuple | None) -> tuple:
-    """(rows, pivots): C's row space in reduced echelon form on integer rows, of
-    p_stack's integer rows times N on the columns cols; the predetermined flavor
-    combines them by the integer columns of E(0), e0 = (E, d)."""
-    Nc, w = [[row[c] for c in cols] for row in N], len(cols)
-    rows = [_combine(zip(r, Nc), w) for r in pb[0]]  # L times row r of p_stack N
-    if e0 is not None:  # row j of block i: A_i^T's row j, E(0)'s column j, on rows k H + i
-        s, H, E = m.s, m.H, e0[0]
-        rows = [_combine(zip([e[j] for e in E], rows[i::H]), w)
-                for i in range(H) for j in range(sum(a // s == i for a in cols))]
-    pivots = _row_echelon(rows, w)
-    return rows[: len(pivots)], pivots
+def _columns(ms: tuple, cols, ker_l: list) -> tuple:
+    """(R, lb): [m_stack's columns cols | m_stack d for d in ker_l] = R / lb on integer rows,
+    ms = (N, L) m_stack."""
+    (N, L), kv = ms, [_scaled(v) for v in ker_l]  # (v times lv, lv)
+    lb = L * lcm(*(lv for _, lv in kv))
+    return [[x[a] * (lb // L) for a in cols]
+            + [sum(map(mul, x, v)) * (lb // (L * lv)) for v, lv in kv] for x in N], lb
 
 
 class ConstraintSystem:
-    """C eps_bullet = rhs, flavor "plain" or "predetermined": rank_w, and the
-    reduced rows the kernel of C is read off, are counted on integer rows on
-    construction; C, D and rhs (D applied to the stacked Wold coefficients)
-    are built on first read.  C = D m_stack for D = p_stack (plain), or, given the
-    LocalSmith loc and E(0), read once by `omega0`, for D = S U^T p_stack with C on the
-    free columns of h; U^T takes p_stack's rows in time-block order, row k H + i to row
-    i s + k.  ms = (N, L) is m_stack, N / L, and pb = (P, L') p_stack, P / L'."""
+    """C x = rhs, flavor "plain" or "predetermined", for D = p_stack: C = D [m_stack's
+    columns of the unknowns], rhs = D (the w_j stacked).  The unknowns x are all sH
+    entries of h (plain), or the free entries of h and the coordinates of d in ker L,
+    ker_l its basis (predetermined).  rank_w, and the reduced rows the kernel of C is
+    read off, are counted on integer rows on construction; C, D and rhs are built on
+    first read.  ms = (N, L) is m_stack, N / L, and pb = (P, L') p_stack, P / L'."""
 
-    def __init__(self, m: REModel, ms: tuple, pb: tuple, loc: LocalSmith | None = None):
-        self.flavor = "plain" if loc is None else "predetermined"
-        cols = range(m.s * m.H) if loc is None else m.free_unknowns()
-        e0 = None if loc is None else omega0(m.pi.numerators, loc)
-        self._echelon = _echelon_w(m, ms[0], pb, cols, e0)
-        self.effective_unknowns, self.rank_w = len(cols), len(self._echelon[1])
-        self._src = m._replace(), ms, pb, e0, cols  # m's copy: no cycle
+    def __init__(self, m: REModel, ms: tuple, pb: tuple, ker_l: list | None = None):
+        self.flavor = "plain" if ker_l is None else "predetermined"
+        cols = range(m.s * m.H) if ker_l is None else m.free_unknowns()
+        ker_l = ker_l or []
+        R, n = _columns(ms, cols, ker_l), len(cols) + len(ker_l)
+        rows = [_combine(zip(r, R[0]), n) for r in pb[0]]  # L' lb times row r of p_stack R
+        pivots = _row_echelon(rows, n)
+        self._echelon, self._src = (rows[: len(pivots)], pivots, n), (pb, R, m._replace())
+        self.rank_w, self.effective_unknowns = len(pivots), len(cols)
+        if ker_l:  # the p-space: the free entries and ker L's part on the forced ones
+            forced = sorted(set(range(m.s * m.H)) - set(cols))
+            d = [_scaled([v[a] for a in forced])[0] for v in ker_l]
+            self.effective_unknowns += len(_row_echelon(d, len(forced)))
 
     kernel_dim = property(lambda self: self.effective_unknowns - self.rank_w)
     C = property(lambda self: self._matrices[0])
@@ -121,18 +92,14 @@ class ConstraintSystem:
 
     @cached_property
     def _matrices(self) -> tuple:
-        m, (N, L), (P, lp), e0, cols = self._src
-        D = _rmat([[Fraction(x, lp) for x in row] for row in P], len(N))
-        if e0 is not None:
-            rows = [k * m.H + i for i in range(m.H) for k in range(m.s)]
-            D = build_selectors(m, e0) * D.submatrix(rows, range(D.cols))
-        W = [m.wold_coeff(j) for j in range(len(N) // m.s)]
-        return (D * _rmat([[Fraction(row[c], L) for c in cols] for row in N], len(cols)), D,
-                D * vstack(W) if W else RationalMatrix.zero(0, m.q))
+        ((P, lp), (R, lb), m), n = self._src, self._echelon[2]
+        D = _rmat([[Fraction(x, lp) for x in row] for row in P], len(R))
+        W = _rmat([list(row) for j in range(len(R) // m.s) for row in m.wold_coeff(j).entries], m.q)
+        return D * _rmat([[Fraction(x, lb) for x in row] for row in R], n), D, D * W
 
     @cached_property
     def kernel(self) -> tuple:
-        return tuple(_echelon_kernel(*self._echelon, self.effective_unknowns))
+        return tuple(_echelon_kernel(*self._echelon))
 
 
 def build_plain_system(m: REModel, ms: tuple, pb: tuple) -> ConstraintSystem:
@@ -140,10 +107,10 @@ def build_plain_system(m: REModel, ms: tuple, pb: tuple) -> ConstraintSystem:
     return ConstraintSystem(m, ms, pb)
 
 
-def build_predetermined_system(m: REModel, ms: tuple, pb: tuple,
-                               loc: LocalSmith) -> ConstraintSystem:
-    """Constraint system on the non-trivial revision components eps^{p,bullet}."""
-    return ConstraintSystem(m, ms, pb, loc)
+def build_predetermined_system(m: REModel, ms: tuple, loc: LocalSmith,
+                               ker_l: list) -> ConstraintSystem:
+    """The causal rows at z = 0 on the free entries of h and ker L, ker_l its basis."""
+    return ConstraintSystem(m, ms, frak_p_blocks(loc, m.pi.J1, m.H, causal=True), ker_l)
 
 
 def check_rank_bounds(

@@ -429,10 +429,10 @@ def _pack(N: list):
 
 
 def _numerators(rows: list):
-    """(N, L): N[i][j] the integer coefficients of L times the Poly rows[i][j], lowest first,
-    and L the lcm of their denominators."""
+    """(N, L): N[i][j] the list of integer coefficients of L times the Poly rows[i][j],
+    lowest first, and L the lcm of their denominators."""
     L = lcm(*(e.den for row in rows for e in row))
-    return [[e.num if e.den == L else [c * (L // e.den) for c in e.num] for e in row]
+    return [[list(e.num) if e.den == L else [c * (L // e.den) for c in e.num] for e in row]
             for row in rows], L
 
 
@@ -584,9 +584,6 @@ class RationalMatrix:
     def is_zero(self) -> bool:
         return all(e == 0 for row in self.entries for e in row)
 
-    def submatrix(self, row_idx, col_idx) -> "RationalMatrix":
-        return _rmat([[self.entries[i][j] for j in col_idx] for i in row_idx], len(col_idx))
-
     def __repr__(self):
         return f"RationalMatrix({self.entries!r})"
 
@@ -599,22 +596,6 @@ def _rmat(entries, cols: int = 0) -> RationalMatrix:
     m.rows = len(entries)
     m.cols = len(entries[0]) if entries else cols
     return m
-
-
-def vstack(mats) -> RationalMatrix:
-    mats = list(mats)
-    cols = mats[0].cols
-    assert all(m.cols == cols for m in mats)
-    return _rmat([list(row) for m in mats for row in m.entries], cols)
-
-
-def block_diag(mats) -> RationalMatrix:
-    mats = list(mats)
-    cols, c0, out = sum(m.cols for m in mats), 0, []
-    for m in mats:
-        out += [[_NIL] * c0 + row + [_NIL] * (cols - c0 - m.cols) for row in m.entries]
-        c0 += m.cols
-    return _rmat(out, cols)
 
 
 def _scaled(xs: list) -> tuple:
@@ -713,13 +694,3 @@ def _solve_rows(aug: list, n: int, q: int):
     for row, pc in zip(aug, pivots):
         part[pc] = [Fraction(x, row[pc]) for x in row[n:]]
     return _rmat(part, q), kern
-
-
-def pseudo_inverse_columns(M: RationalMatrix, ncols: int) -> RationalMatrix:
-    """Moore-Penrose pseudo-inverse (A^T A)^{-1} A^T of the first ncols columns."""
-    A = M.submatrix(range(M.rows), range(ncols))
-    At = A.transpose()
-    X, kern = solve_affine(At * A, At)
-    if X is None or kern:
-        raise ValueError("rank-deficient column block has no left inverse")
-    return X

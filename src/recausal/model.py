@@ -19,10 +19,12 @@ are in `REModel.numerators` and `REModel.wold_numerators`, and pi's rows in
 `_replace` starts with an empty memo.
 `build_m_stack` stacks the m_i of zeta(z) = sum_i m_i z^i on integer rows, from
 `REModel.numerators` alone: the constraint systems read them over H + max(g -
-J1, 0) blocks, and the solve builds its right factor from K + H of them.
-This module imports `canon` and `exactalg` alone; the stages that build a
-constraint system import `recausal.constraints` on first use, so a command
-that builds none never compiles it.
+J1, 0) blocks, and the solve builds its right factor from K + H of them.  The
+stage `ker_l`, ker L on the same integers, is read by the solve and by the
+predetermined system, so analyze needs no `recausal.solver`.  This module
+imports `canon` and `exactalg` alone; the stages that build a constraint
+system import `recausal.constraints` on first use, so a command that builds
+none never compiles it.
 """
 
 from __future__ import annotations
@@ -31,12 +33,13 @@ import json
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
 from math import lcm
 
 from .canon import RedundantEquationsError, classify_roots, factor_stable_unstable
-from .canon import LocalSmith, local_form, smith_form
-from .exactalg import PolyMatrix, RationalMatrix, _numerators, _poly, _rmat, det_adjugate
-from .exactalg import determinant, rat
+from .canon import local_form, smith_form
+from .exactalg import PolyMatrix, RationalMatrix, _echelon_kernel, _numerators, _poly, _rmat
+from .exactalg import _row_echelon, det_adjugate, determinant, rat
 
 SCHEMA_VERSION = 1
 
@@ -115,18 +118,29 @@ class REModel(namedtuple("REModel", "s K H q A gamma wold xi", defaults=(Fractio
 
     @_stage
     def sf(self):
-        """Smith form of pi(z): read by `recausal smith` and by `local` on a
-        predetermined model with G > 0, never by solve, verify or simulate."""
+        """Smith form of pi(z): read only by `recausal smith`."""
         return smith_form(self.pi.pi)
 
     @_stage
     def local(self):
-        """The `LocalSmith` (g, P^-1) the constraints read, by `local_form` on pi's rows; a
-        predetermined model with G > 0, whose system depends on the factors, reads `sf`'s."""
-        pp = self.pi
-        if not (self.predetermined and pp.det[0] == 0):
-            return local_form(pp.numerators[0], pp.det.zero_multiplicity())
-        return LocalSmith(self.sf.g, _numerators(self.sf.P_inv.entries))
+        """The `LocalSmith` (g, P^-1) the constraints read, by `local_form` on pi's rows."""
+        return local_form(self.pi.numerators[0], self.pi.det.zero_multiplicity())
+
+    @_stage
+    def ker_l(self):
+        """A basis of ker L, L(d) = sum_(k,h) sum_(j<h) A_kh d_j z^(k+j-h) for d in Q^sH: the
+        terms of pi(z) d(z) + M d = z^J1 L(d) that zeta(z) leaves, summed like build_m_stack,
+        by one integer elimination.  Empty with none at J1 = H and G = 0: pi(0) = A_0H is then
+        invertible, and the z^(j-H) coefficient of L(d) is A_0H d_j plus terms in d_(<j)."""
+        s, H, pp = self.s, self.H, self.pi
+        if pp.J1 == H and pp.det[0] != 0:
+            return []
+        rows = [[0] * (s * H) for _ in range((self.K + H) * s)]  # L(d) times numerators' L
+        for (k, h), A in self.numerators[1].items():
+            for j, (i, row) in product(range(h), enumerate(A)):
+                for c, a in enumerate(row, j * s):
+                    rows[(k + j - h + H) * s + i][c] += a
+        return _echelon_kernel(rows, _row_echelon(rows, s * H), s * H)
 
     @_stage
     def roots(self):
@@ -160,12 +174,13 @@ class REModel(namedtuple("REModel", "s K H q A gamma wold xi", defaults=(Fractio
 
     @_stage
     def cs(self):
-        """The model's constraint system, in its own flavor."""
+        """The model's constraint system, in its own flavor: the predetermined one is
+        the causal rows at z = 0 on the free entries of h and ker L."""
         if not self.predetermined:
             return self.plain_cs
         from .constraints import build_predetermined_system
 
-        return build_predetermined_system(self, self.m_stack, self.pb, self.local)
+        return build_predetermined_system(self, self.m_stack, self.local, self.ker_l)
 
 
 def _parse_matrix(obj, rows, cols, what, seen: dict) -> RationalMatrix:

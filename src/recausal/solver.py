@@ -16,9 +16,11 @@ Neither the rows' echelon form nor the transfer sees a positive factor of P.
 The rows are verify_solution's acceptance test, linearized (see README): the
 head Psi_0 .. Psi_(H-1) of the solution must be h (plain flavor), so z^H D
 divides adj(pi) R; or, with the entries of h outside `REModel.free_unknowns()`
-zero, some p = h + d with d in ker L (`_expectation_kernel`), so that
+zero, some p = h + d with d in ker L (the model's stage `ker_l`), so that
 N(z; p) = N(z; h) (predetermined flavor), and z^H D divides adj(pi) (M p - W).
-No factorization of pi enters.  adj(pi) and the product are built only once the
+No factorization of pi enters.  Mod z^(G+H) these are analyze's predetermined
+rows (`recausal.constraints`); the factor U adds the cancellation of the
+unstable roots.  adj(pi) and the product are built only once the
 split, `REModel.split`, is accepted: a refused model builds neither.  Only
 `simulate` imports numpy.  The result, `SolutionReport`, is a named tuple: h and
 num/den determine the solution.
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from itertools import chain, product
+from itertools import chain
 from math import lcm
 from operator import mul
 
@@ -79,18 +81,6 @@ def _cancellation_rows(P: list, D: Poly) -> list:
     return out
 
 
-def _expectation_kernel(m: REModel) -> list:
-    """A basis of ker L, L(d) = sum_(k,h) sum_(j<h) A_kh d_j z^(k+j-h) for d in Q^sH: the
-    terms of pi(z) d(z) + M d = z^J1 L(d) that zeta(z) leaves, summed like build_m_stack."""
-    s, H = m.s, m.H
-    rows = [[0] * (s * H) for _ in range((m.K + H) * s)]  # L(d) times m.numerators' L
-    for (k, h), A in m.numerators[1].items():
-        for j, (i, row) in product(range(h), enumerate(A)):
-            for c, a in enumerate(row, j * s):
-                rows[(k + j - h + H) * s + i][c] += a
-    return rank_kernel(_rmat(rows, s * H))[1]
-
-
 # classification: "no_causal_solution" | "determinate" | "indeterminate";
 # indeterminacy_dim: q times the dimension of the distinct solutions; h: the chosen
 # loading stack, sH x q, or None like h_particular, transfer_num and
@@ -128,10 +118,11 @@ def solve_causal(m: REModel, kernel_point: str = "min-norm") -> SolutionReport:
 
     h and the kernel vectors span all sH entries; the forced ones are zero.  Psi is
     a function of its head p = h + d, so indeterminacy_dim counts the p; on a
-    predetermined G > 0 or J1 < H model it may differ from analyze's free_parameters."""
+    predetermined model it differs from analyze's free_parameters only by the
+    cancellation of the unstable roots."""
     n_unknowns, q, free = m.s * m.H, m.q, m.free_unknowns()
     D, S = m.split
-    ker_l = _expectation_kernel(m) if m.predetermined else []  # d's coordinates follow h's
+    ker_l = m.ker_l if m.predetermined else []  # d's coordinates follow h's
     P = _adj_product(m, m.adj, m.pi.J1, free, ker_l)
     X, kern = _solve_rows(_cancellation_rows(P[0], D.shift(m.H)), len(free) + len(ker_l), q)
     at = {a: i for i, a in enumerate(free)}

@@ -23,7 +23,6 @@ from recausal.canon import (
     classify_roots,
     root_discs,
 )
-from recausal.constraints import build_selectors, omega0
 from recausal.exactalg import (
     Poly,
     PolyMatrix,
@@ -33,7 +32,6 @@ from recausal.exactalg import (
     _poly,
     _rmat,
     _row_echelon,
-    block_diag,
     det_adjugate,
     determinant,
     poly_gcd,
@@ -42,7 +40,6 @@ from recausal.exactalg import (
     rat_rows,
     rat_str,
     solve_affine,
-    vstack,
 )
 from recausal.model import SCHEMA_VERSION, REModel, build_m_stack, build_pi
 from recausal.solver import FactorizationError, _cancellation_rows, factor_stable_unstable
@@ -180,6 +177,17 @@ def zero_polymatrix(rows: int, cols: int) -> PolyMatrix:
 def polymatrix_from_rational(m: RationalMatrix) -> PolyMatrix:
     """The constant polynomial matrix with coefficient m."""
     return PolyMatrix([[Poly.const(e) for e in row] for row in m.entries])
+
+
+def submatrix(M: RationalMatrix, row_idx, col_idx) -> RationalMatrix:
+    return _rmat([[M.entries[i][j] for j in col_idx] for i in row_idx], len(col_idx))
+
+
+def vstack(mats) -> RationalMatrix:
+    mats = list(mats)
+    cols = mats[0].cols
+    assert all(m.cols == cols for m in mats)
+    return _rmat([list(row) for m in mats for row in m.entries], cols)
 
 
 def hstack(mats) -> RationalMatrix:
@@ -806,56 +814,6 @@ def smith_reference(m: REModel) -> REModel:
     return ref
 
 
-def crosscheck_simplified(m: REModel) -> bool:
-    """The constant-g form of the predetermined system against the general one.
-
-    When all g_i equal one gbar <= J1, the system reduces to
-    S2 T m_stack on the free columns of h, with T the block Toeplitz matrix of
-    the first n = H - J1 + gbar coefficients of P^-1 and S2 the blocks of S from
-    index J1 - gbar on; its rank and kernel dimension must be the general system's
-    (and for n <= 0 the general system must vanish).  Asserts this for the
-    model's own Smith data; returns whether the form applies.
-    """
-    loc, J1, cs = m.local, m.pi.J1, m.cs
-    if not m.predetermined or len(set(loc.g)) != 1 or loc.g[0] > J1:
-        return False
-    gbar = loc.g[0]
-    n = m.H - J1 + gbar
-    if n <= 0:
-        assert cs.C.is_zero(), "the simplified form is empty but the general system is not"
-        return True
-    s, H, pc = m.s, m.H, fraction_local(m.pi.pi, loc).p_inv
-
-    def p_coeff(k):
-        return pc[k] if k < len(pc) else RationalMatrix.zero(s, s)
-
-    toeplitz = vstack(
-        [
-            hstack([p_coeff(r - c) if r >= c else RationalMatrix.zero(s, s) for c in range(n)])
-            for r in range(n)
-        ]
-    )
-    cut = J1 - gbar  # first block index retained in S2
-    keep_rows = []
-    row0 = 0
-    for i in range(H):
-        keep = sum(m.gamma[: i + 1])
-        if i >= cut:
-            keep_rows.extend(range(row0, row0 + keep))
-        row0 += keep
-    S2 = build_selectors(m, omega0(m.pi.numerators, loc))
-    S2 = S2.submatrix(keep_rows, list(range(cut * s, H * s)))
-    zc = ref_zeta_coefficients(m)
-    simp_C = (S2 * toeplitz * vstack([coeff(zc, i) for i in range(n)])).submatrix(
-        range(len(keep_rows)), m.free_unknowns())
-    simp_rank, simp_kern = rank_kernel(simp_C)
-    assert (simp_rank, len(simp_kern)) == (cs.rank_w, cs.kernel_dim), (
-        f"constant-g form: rank {simp_rank}, kernel {len(simp_kern)}; "
-        f"general: rank {cs.rank_w}, kernel {cs.kernel_dim}"
-    )
-    return True
-
-
 # ---------------------------------------------------------------------------
 # brute-force constraint oracle (independent derivation, see tests)
 
@@ -975,11 +933,53 @@ def ref_m_stack(zc: PolyMatrix, pb: tuple) -> RationalMatrix:
     return vstack([coeff(zc, i) for i in range(n)]) if n else RationalMatrix.zero(0, zc.cols)
 
 
-def ref_constraint_matrix(m: REModel, sel: RefSelectors | None = None) -> RationalMatrix:
-    """The Fraction C by matrix products: p_stack m_stack (plain), or, given
-    the dense selectors sel, S U^T p_stack m_stack R^T (predetermined)."""
-    C = vstack(fraction_blocks(m.pb, m.s)) * ref_m_stack(ref_zeta_coefficients(m), m.pb)
-    return C if sel is None else sel.S * sel.U.transpose() * C * sel.R.transpose()
+def ref_constraint_matrix(m: REModel) -> RationalMatrix:
+    """The plain system's Fraction C by matrix products: p_stack m_stack."""
+    return vstack(fraction_blocks(m.pb, m.s)) * ref_m_stack(ref_zeta_coefficients(m), m.pb)
+
+
+def ref_causal_system(m: REModel, loc: LocalSmith) -> tuple:
+    """(D, C, rhs) of the predetermined system by Poly products: row (i, t), t < H + g_i - J1,
+    holds the z^t coefficients of row i of P^-1 zeta(z) [e_a for the free a | d for the d of
+    ker L] (C) and of P^-1 w(z) (rhs), P^-1 from loc as a PolyMatrix, and coefficients t, t - 1,
+    ..., 0 of row i of P^-1 in its column blocks 0, 1, ..., t (D, as wide as m_stack)."""
+    s, J1, free, ker = m.s, m.pi.J1, m.free_unknowns(), ref_expectation_kernel(m)
+    (N, L), width = loc.p_inv, len(m.m_stack[0])
+    p_inv = PolyMatrix([[_poly(list(f), L) for f in row] for row in N])
+    T = p_inv * PolyMatrix([
+        [row[a] for a in free] + [sum((e * x for e, x in zip(row, v)), Poly()) for v in ker] + w
+        for row, w in zip(ref_zeta_coefficients(m).entries, ref_wold_poly(m).entries)],
+        len(free) + len(ker) + m.q)
+    at = [(i, t) for i, gi in enumerate(loc.g) for t in range(m.H + gi - J1)]
+    n = len(free) + len(ker)
+    D = _rmat([[p_inv[i, c % s][t - c // s] if c // s <= t else Fraction(0) for c in range(width)]
+               for i, t in at], width)
+    C = _rmat([[T[i, c][t] for c in range(n)] for i, t in at], n)
+    return D, C, _rmat([[T[i, c][t] for c in range(n, T.cols)] for i, t in at], m.q)
+
+
+def causal_rows_oracle(m: REModel) -> tuple:
+    """(kernel dimension, heads rank, consistency) of the causal rows mod z^(G+H): z^(G+H)
+    divides adj(pi) (M p - W), M = z^J1 zeta(z) and W = z^J1 w(z), for p = h + d with h zero
+    outside the free entries and d in ker L, the unknowns the free entries and d's coordinates.
+    adj(pi) from `det_adjugate`, the right factor from the Poly residual map, the rows from
+    `_cancellation_rows` with z^(G+H) in place of `full_unknown_system`'s z^H D.  The heads
+    rank is the dimension of the p of the kernel, as the solve counts its heads."""
+    H, q, n, free = m.H, m.q, m.s * m.H, m.free_unknowns()
+    M, W = residual_map(m, ref_zeta_coefficients(m), m.pi.J1)
+    ker = ref_expectation_kernel(m) if m.predetermined else []
+    width = len(free) + len(ker)
+    right, _den = _numerators([[row[a] for a in free]
+                               + [sum((row[a] * v[a] for a in range(n)), Poly()) for v in ker] + w
+                               for row, w in zip(M.entries, W.entries)])
+    det, (A, _la) = det_adjugate(m.pi.pi)
+    rows = _cancellation_rows(_int_product(A, right, width + q),
+                              Poly.monomial(det.zero_multiplicity() + H))
+    X, kern = affine_set(RationalMatrix([r[:width] for r in rows]),
+                         RationalMatrix([r[width:] for r in rows]), width)
+    heads = [[(v[free.index(a)] if a in free else 0)
+              + sum(c * d[a] for c, d in zip(v[len(free):], ker)) for a in range(n)] for v in kern]
+    return len(kern), rank_of(RationalMatrix(heads)) if heads else 0, X is not None
 
 
 def rank_of(M: RationalMatrix) -> int:
@@ -995,7 +995,7 @@ def int_stack(M: RationalMatrix) -> tuple:
 
 def ref_expectation_kernel(m: REModel):
     """A basis of the d in Q^sH with pi(z) d(z) + M d = 0, M = z^J1 zeta(z),
-    from the polynomial products: the reference for `_expectation_kernel`."""
+    from the polynomial products: the reference for `REModel.ker_l`."""
     s, n = m.s, m.s * m.H
     M, _ = residual_map(m, ref_zeta_coefficients(m), m.pi.J1)
     images = [m.pi.pi * PolyMatrix([[Poly.monomial(a // s) if r == a % s else Poly()]
@@ -1038,7 +1038,7 @@ def full_unknown_system(m: REModel):
     X, kern = affine_set(RationalMatrix(rows), RationalMatrix(rhs), width)
     if X is None:
         return None, [v[:n] for v in kern]
-    return X.submatrix(range(n), range(q)), [v[:n] for v in kern]
+    return submatrix(X, range(n), range(q)), [v[:n] for v in kern]
 
 
 def substitution_set(m: REModel):
@@ -1130,7 +1130,7 @@ def substitution_set(m: REModel):
     X, kern = affine_set(RationalMatrix([f[:nU] for f in rows]),
                          RationalMatrix([[-v for v in f[nU:]] for f in rows]), nU)
     dim = rank_of(RationalMatrix([v[n:] for v in kern])) if X is not None and kern else 0
-    h_set = (None if X is None else X.submatrix(range(n), range(q)), [v[:n] for v in kern])
+    h_set = (None if X is None else submatrix(X, range(n), range(q)), [v[:n] for v in kern])
     return h_set, dim
 
 
@@ -1167,22 +1167,25 @@ def ref_adj_product(m: REModel, adj: tuple, J1: int, free, ker_l) -> PolyMatrix:
 
 
 # g, the coefficients of P^-1 (lowest power first) and E(0), as Fraction matrices
-RefLocal = namedtuple("RefLocal", "g p_inv omega0")
+RefLocal = namedtuple("RefLocal", "g p_inv e0")
 
 
 def smith_local(sf: SmithForm) -> LocalSmith:
-    """The `LocalSmith` of the global Smith form, as the stage `local` builds it."""
+    """The `LocalSmith` of the global Smith form, on integers as `local_form` returns one."""
     return LocalSmith(sf.g, _numerators(sf.P_inv.entries))
 
 
 def fraction_local(pi: PolyMatrix, loc: LocalSmith, n: int | None = None) -> RefLocal:
     """The integer `LocalSmith` of pi as Fractions: its first n coefficient matrices of
-    P^-1 (all it holds without n), and E(0) from `omega0` on pi's integer rows."""
-    (N, L), (E, d) = loc.p_inv, omega0(_numerators(pi.entries), loc)
+    P^-1 (all it holds without n), and E(0), row i the z^g_i coefficient of row i of
+    the Poly product P^-1 pi."""
+    N, L = loc.p_inv
     n = max(len(f) for row in N for f in row) if n is None else n
     p_inv = tuple(_rmat([[Fraction(f[t] if t < len(f) else 0, L) for f in row] for row in N])
                   for t in range(n))
-    return RefLocal(loc.g, p_inv, _rmat([[Fraction(x, d) for x in row] for row in E]))
+    prod_rows = (PolyMatrix([[_poly(list(f), L) for f in row] for row in N]) * pi).entries
+    e0 = _rmat([[f[gi] for f in row] for row, gi in zip(prod_rows, loc.g)])
+    return RefLocal(loc.g, p_inv, e0)
 
 
 def ref_local_form(pi: PolyMatrix, G: int) -> RefLocal:
@@ -1236,41 +1239,8 @@ def fraction_blocks(pb: tuple, s: int) -> tuple:
                  for k in range(s))
 
 
-def int_p_stack(blocks) -> tuple:
-    """(rows, L): Fraction p_stack blocks on integer rows over one denominator."""
-    return int_stack(vstack(blocks))
-
-
 # ---------------------------------------------------------------------------
-# dense selectors and the per-unknown residual map (references for the
-# predetermined system's index selections and the solver's M h - W)
-
-
-RefSelectors = namedtuple("RefSelectors", "U R S omega0")
-
-
-def ref_selectors(m: REModel, loc: LocalSmith) -> RefSelectors:
-    """Dense U, R and S of the predetermined system, built entry by entry.
-
-    U row k H + i selects component k of time-block i, R keeps the free
-    entries of h, and S block i is (A^T A)^-1 A^T for A the first columns of
-    omega0, as many as block i of h has free entries.  The predetermined
-    system has D = S U^T p_stack and C = D m_stack R^T.
-    """
-    s, H = m.s, m.H
-    U = RationalMatrix.zero(s * H, s * H)
-    for k in range(s):
-        for i in range(H):
-            U.entries[k * H + i][i * s + k] = Fraction(1)
-    free = m.free_unknowns()
-    R = RationalMatrix.zero(len(free), s * H)
-    for i, a in enumerate(free):
-        R.entries[i][a] = Fraction(1)
-    blocks, E0 = [], fraction_local(m.pi.pi, loc).omega0
-    for i in range(H):
-        A = E0.submatrix(range(s), range(sum(a // s == i for a in free)))
-        blocks.append(invert(A.transpose() * A) * A.transpose())
-    return RefSelectors(U=U, R=R, S=block_diag(blocks), omega0=E0)
+# the per-unknown residual map (references for the solver's M h - W)
 
 
 def ref_residual_map(m: REModel, zc: PolyMatrix, J1: int):

@@ -77,9 +77,9 @@ def _c1():
         Poly.const(1),
         Poly([0, Fraction(100, 99), Fraction(-200, 99), 1]),
     )
-    # empty predetermined constraint system: one unknown, one kernel direction
+    # the causal rows: one row on h's free entry and ker L, one kernel direction
     assert m.cs.flavor == "predetermined"
-    assert m.cs.rank_w == 0 and m.cs.kernel_dim == 1
+    assert m.cs.rank_w == 1 and m.cs.kernel_dim == 1
     assert dimension_report(m)["free_parameters"] == 2
     sr = solve_causal(m)
     assert sr.classification == "determinate"

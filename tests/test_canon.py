@@ -181,11 +181,11 @@ def test_smith_factors_match_four_factor_reference(corpus, predetermined_probe):
         phi0 = RationalMatrix.zero(smith_size(sf), smith_size(sf))
         for i, ph in enumerate(ref.phi):
             phi0.entries[i][i] = ph[0]
-        assert (loc.g, loc.p_inv, loc.omega0) == (
+        assert (loc.g, loc.p_inv, loc.e0) == (
             ref.g, tuple(coeff(ref.P_inv, k) for k in range(int(max_degree(ref.P_inv)) + 1)),
             phi0 * coeff(ref.Q, 0))
-        assert (loc2.g, loc2.p_inv, loc2.omega0) == (
-            ref.g, tuple(coeff(ref.P_inv, k) for k in range(2)), loc.omega0)
+        assert (loc2.g, loc2.p_inv, loc2.e0) == (
+            ref.g, tuple(coeff(ref.P_inv, k) for k in range(2)), loc.e0)
         assert not {"Q", "P", "Q_inv"} & set(vars(sf))  # E(0) derives none of them
         assert (sf.Q, sf.P, sf.Q_inv) == (ref.Q, ref.P, ref.Q_inv)
         checked += 1
@@ -195,7 +195,7 @@ def test_smith_factors_match_four_factor_reference(corpus, predetermined_probe):
 def _assert_local_factorization(pi: PolyMatrix):
     """local_form(N, G), N pi's integer rows, factors pi at z = 0 in at most G steps (one
     `_row_echelon` each): P^-1 is unimodular, diag(z^-g) P^-1 pi is a
-    polynomial whose value at 0 is the invertible omega0, and g is the Smith
+    polynomial whose value at 0 is the invertible E(0), and g is the Smith
     form's.  Its integers and the Smith form's local data, over their
     denominators, are the Fraction LocalSmiths (`ref_local_form`,
     `ref_smith_local`).  Returns g."""
@@ -210,7 +210,7 @@ def _assert_local_factorization(pi: PolyMatrix):
     assert is_unimodular(p_inv)
     E = [[e.shift(-gk) for e in row] for row, gk in zip((p_inv * pi).entries, loc.g)]
     E0 = RationalMatrix([[e[0] for e in row] for row in E])
-    assert E0 == loc.omega0 and rank_of(E0) == pi.rows
+    assert E0 == loc.e0 and rank_of(E0) == pi.rows
     sf = smith_form(pi)
     assert loc.g == sf.g and fraction_local(pi, smith_local(sf)) == ref_smith_local(sf)
     return loc.g
@@ -226,10 +226,12 @@ def test_local_form_is_a_factorization_at_zero(corpus, predetermined_probe):
 
 def test_local_data_are_the_fraction_local_smith_on_integers(corpus, predetermined_probe):
     """The integer LocalSmith of local_form, of the Smith form's (g, P^-1), whole and
-    below z^2, and of the pipeline's stage, taken over its denominators with `omega0`'s
-    E(0), is the Fraction LocalSmith of the same reduction or elimination (`ref_local_form`,
-    `ref_smith_local`) on all five sets, with G > 0, predetermined, J1 < H and H = 0."""
-    counts = dict.fromkeys(("models", "G>0", "global", "predetermined", "J1<H", "H=0"), 0)
+    below z^2, and of the pipeline's stage, taken over its denominators with E(0) from the
+    Poly product P^-1 pi, is the Fraction LocalSmith of the same reduction or elimination
+    (`ref_local_form`, `ref_smith_local`) on all five sets, with G > 0, predetermined,
+    J1 < H and H = 0: the stage is local_form's for every model, with no global form."""
+    counts = dict.fromkeys(("models", "G>0", "predetermined G>0", "predetermined", "J1<H",
+                            "H=0"), 0)
     for m in (corpus + predetermined_probe + ladder_shaped_models() + planted_models()
               + deep_planted_models()):
         m = m._replace()  # an empty memo
@@ -238,18 +240,12 @@ def test_local_data_are_the_fraction_local_smith_on_integers(corpus, predetermin
         assert fraction_local(pi, local_form(m.pi.numerators[0], G)) == ref_local_form(pi, G)
         assert fraction_local(pi, smith_local(sf)) == ref_smith_local(sf)
         assert fraction_local(pi, smith_local(sf), 2) == ref_smith_local(sf, 2)
-        loc = m.local
-        if "sf" in m.artifacts:  # a predetermined model with G > 0 reads the global form
-            order = m.H + max(max(loc.g) - J1, 0)
-            assert fraction_local(pi, loc, order) == ref_smith_local(m.sf, order)
-            assert fraction_local(pi, loc) == ref_smith_local(m.sf)
-        else:
-            assert fraction_local(pi, loc) == ref_local_form(pi, G)
-        for key, hit in (("models", True), ("G>0", G), ("global", "sf" in m.artifacts),
+        assert fraction_local(pi, m.local) == ref_local_form(pi, G) and "sf" not in m.artifacts
+        for key, hit in (("models", True), ("G>0", G), ("predetermined G>0", m.predetermined and G),
                          ("predetermined", m.predetermined), ("J1<H", J1 < m.H), ("H=0", not m.H)):
             counts[key] += bool(hit)
-    assert counts == {"models": 314, "G>0": 29, "global": 14, "predetermined": 162, "J1<H": 141,
-                      "H=0": 2}, counts
+    assert counts == {"models": 314, "G>0": 29, "predetermined G>0": 14, "predetermined": 162,
+                      "J1<H": 141, "H=0": 2}, counts
 
 
 @settings(derandomize=True, max_examples=40, deadline=timedelta(seconds=4))

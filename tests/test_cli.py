@@ -83,8 +83,8 @@ def test_constraints_sims(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["flavor"] == "predetermined"
-    assert doc["rank_w"] == 0
-    assert doc["effective_unknowns"] == 1
+    assert doc["rank_w"] == 1
+    assert doc["effective_unknowns"] == 2  # h's free entry and the one vector of ker L
     assert len(doc["kernel"]) == 1
 
 
@@ -433,12 +433,13 @@ def test_ring_error_prints_one_over_xi_exactly(capsys, xi, low):
 
 def test_nothing_free_at_horizon_zero(capsys, tmp_path):
     """gamma = (0, ...): every variable is predetermined, so all of h is forced
-    to zero.  Each command answers; an emitted solution verifies."""
+    to zero, and the heads p are ker L, of dimension 1 in sims.  Each command
+    answers; an emitted solution verifies."""
     sims = json.loads(Path(SIMS).read_text())
     sims["gamma"] = [0, 2]
     path = tmp_path / "sims_s0.json"
     path.write_text(json.dumps(sims))
-    expect = {"analyze": ("effective_unknowns", 0), "constraints": ("effective_unknowns", 0),
+    expect = {"analyze": ("effective_unknowns", 1), "constraints": ("effective_unknowns", 1),
               "solve": ("classification", "no_causal_solution")}
     for cmd, (key, value) in expect.items():
         code, out, err = run(capsys, cmd, str(path))

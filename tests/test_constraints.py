@@ -7,43 +7,43 @@ from math import lcm
 from recausal.constraints import (
     build_plain_system,
     build_predetermined_system,
-    build_selectors,
     check_rank_bounds,
     frak_p_blocks,
-    omega0,
 )
-from recausal.exactalg import Poly, PolyMatrix, RationalMatrix, _numerators, rank_kernel, vstack
+from recausal.exactalg import Poly, PolyMatrix, RationalMatrix, rank_kernel
 from recausal.model import REModel, build_pi
 from conftest import (
     a_kh,
     affine_set,
     brute_force_plain,
+    causal_rows_oracle,
     coeff,
     deep_planted_models,
     fraction_blocks,
     fraction_local,
     int_local,
-    int_p_stack,
     int_stack,
     ladder_shaped_models,
     m_stack_zeta,
     max_degree,
+    planted_model,
     planted_models,
     polymatrix_from_rational,
     rand_frac,
     rand_unimodular,
     random_model,
     rank_of,
+    ref_causal_system,
     ref_constraint_matrix,
     ref_m_stack,
     ref_zeta_coefficients,
-    ref_selectors,
     same_affine_set,
     sims_model,
     sims_published_smith,
     smith_local,
     smith_reconstruct,
     smith_size,
+    submatrix,
     zero_polymatrix,
 )
 
@@ -120,7 +120,7 @@ def test_zeta_symbolic_expansion_oracle():
         for i in range(H + K):
             mi = coeff(zc, i)
             for j in range(H):
-                block = mi.submatrix(range(s), range(j * s, (j + 1) * s))
+                block = submatrix(mi, range(s), range(j * s, (j + 1) * s))
                 assert block == by_power.get((i, j), RationalMatrix.zero(s, s))
         for key in by_power:
             assert 0 <= key[0] < H + K
@@ -183,44 +183,7 @@ def test_frak_blocks_g_above_j1():
 
 
 # ---------------------------------------------------------------------------
-# selectors
-
-
-def test_selectors_published_sims():
-    m, sf = sims_model(), sims_published_smith()
-    loc = smith_local(sf)
-    ref = ref_selectors(m, loc)
-    assert fraction_local(sf.pi, loc).omega0 == RationalMatrix([[1, 0], [0, Fraction(100, 99)]])
-    e0 = omega0(_numerators(sf.pi.entries), loc)
-    assert build_selectors(m, e0) == ref.S == RationalMatrix([[1, 0]])
-    assert ref.R == RationalMatrix([[1, 0]])
-    assert ref.U == RationalMatrix.identity(2)
-    assert m.free_unknowns() == (0,)
-
-
-def test_selector_invariants(corpus):
-    for m in corpus:
-        if not m.predetermined or m.H == 0:
-            continue
-        S, sel = build_selectors(m, omega0(m.pi.numerators, m.local)), ref_selectors(m, m.local)
-        n = m.s * m.H
-        # U is a permutation
-        assert all(sum(row) == 1 for row in sel.U.entries)
-        assert all(sum(sel.U.entries[r][c] for r in range(n)) == 1 for c in range(n))
-        assert sel.R * sel.R.transpose() == RationalMatrix.identity(sel.R.rows)
-        assert rank_of(sel.omega0) == m.s
-        assert S == sel.S
-        # each S block left-inverts the kept columns of omega0
-        row0 = 0
-        for i in range(m.H):
-            keep = sum(m.gamma[: i + 1])
-            blk = S.submatrix(range(row0, row0 + keep), range(i * m.s, (i + 1) * m.s))
-            cols = sel.omega0.submatrix(range(m.s), range(keep))
-            assert blk * cols == RationalMatrix.identity(keep)
-            row0 += keep
-        assert S.rows == len(m.free_unknowns()) == m.cs.effective_unknowns == sum(
-            m.gamma[i] * (m.H - i) for i in range(m.H)
-        )
+# the predetermined system: the causal rows at z = 0
 
 
 def test_free_unknowns_are_the_columns_r_keeps(corpus, predetermined_probe):
@@ -230,8 +193,10 @@ def test_free_unknowns_are_the_columns_r_keeps(corpus, predetermined_probe):
     n_forced = 0
     for m in list(corpus) + list(predetermined_probe) + ladder_shaped_models() + planted_models():
         free, n = m.free_unknowns(), m.s * m.H
-        assert ref_selectors(m, m.local).R.entries == [
-            [int(c == a) for c in range(n)] for a in free]
+        assert list(free) == sorted(set(free)) and all(0 <= a < n for a in free)
+        assert len(free) == sum(m.gamma[i] * (m.H - i) for i in range(m.H))
+        if m.predetermined:  # the system's columns: the free entries of h, then ker L
+            assert m.cs.C.cols == len(free) + len(m.ker_l)
         n_forced += len(free) < n
     assert n_forced >= 150, n_forced
 
@@ -259,43 +224,85 @@ def test_m_stack_matches_the_coefficient_stack(corpus, predetermined_probe):
     assert n_h0 == 2 and n_wide == 18, (n_h0, n_wide)
 
 
-def test_predetermined_system_matches_dense_selectors(corpus, predetermined_probe):
-    # row and column selections against D = S U^T p_stack and C = D m_stack R^T
-    n_checked = n_reordered = 0
+def test_predetermined_system_matches_the_poly_causal_rows(corpus, predetermined_probe):
+    """D, C and rhs of the predetermined system are the causal rows by Poly products: the
+    z^t coefficients, t < H + g_i - J1, of row i of P^-1 zeta(z) [e_a, a free | ker L] and
+    of P^-1 w(z) (`ref_causal_system`), with ker L nonempty and rows t past H too."""
+    n_checked = n_ker = n_long = 0
     models = list(corpus) + list(predetermined_probe) + planted_models() + deep_planted_models()
     for m in models:
-        if not m.predetermined or m.H == 0:
+        if not m.predetermined:
             continue
-        cs, ref = m.cs, ref_selectors(m, m.local)
-        blocks, zc = fraction_blocks(m.pb, m.s), ref_zeta_coefficients(m)
-        width = blocks[0].cols // m.s
-        D = ref.S * ref.U.transpose() * vstack(blocks)
-        C = D * vstack([coeff(zc, i) for i in range(width)]) * ref.R.transpose()
-        assert cs.D == D and cs.C == C, (m.s, m.H, m.gamma)
-        assert cs.rhs == D * vstack([m.wold_coeff(j) for j in range(width)])
-        assert (cs.C.rows, cs.C.cols) == (C.rows, C.cols) and cs.effective_unknowns == C.cols
+        cs = m.cs
+        D, C, rhs = ref_causal_system(m, m.local)
+        assert (cs.D, cs.C, cs.rhs) == (D, C, rhs), (m.s, m.H, m.gamma)
+        assert (cs.C.rows, cs.C.cols) == (C.rows, len(m.free_unknowns()) + len(m.ker_l))
         n_checked += 1
-        n_reordered += ref.U != RationalMatrix.identity(m.s * m.H)
-    assert n_checked >= 140 and n_reordered >= 70, (n_checked, n_reordered)
+        n_ker += bool(m.ker_l)
+        n_long += C.rows > m.s * m.H
+    assert (n_checked, n_ker, n_long) == (144, 11, 2), (n_checked, n_ker, n_long)
+
+
+def _assert_causal_rows_oracle(m: REModel) -> bool:
+    """The predetermined system's kernel dimension, heads rank (its kernel_dim, and the
+    rank of the p = h + d of its kernel) and consistency are `causal_rows_oracle`'s.
+    Returns the consistency."""
+    cs, free = m.cs, m.free_unknowns()
+    heads = [[(v[free.index(a)] if a in free else 0)
+              + sum(c * d[a] for c, d in zip(v[len(free):], m.ker_l))
+              for a in range(m.s * m.H)] for v in cs.kernel]
+    consistent = affine_set(cs.C, cs.rhs, cs.C.cols)[0] is not None
+    assert (len(cs.kernel), cs.kernel_dim, consistent) == causal_rows_oracle(m), m.gamma
+    assert (rank_of(RationalMatrix(heads)) if heads else 0) == cs.kernel_dim
+    return consistent
+
+
+def test_predetermined_system_is_the_causal_rows_oracle(corpus, predetermined_probe):
+    """The causal rows at z = 0 and the rows of adj(pi) mod z^(G+H) have the same kernel
+    dimension, heads rank and consistency on every predetermined model of the five sets."""
+    n = n_inconsistent = n_g = 0
+    for m in (list(corpus) + list(predetermined_probe) + ladder_shaped_models()
+              + planted_models() + deep_planted_models()):
+        if m.predetermined:
+            n_inconsistent += not _assert_causal_rows_oracle(m)
+            n_g += m.pi.det[0] == 0
+            n += 1
+    assert (n, n_g, n_inconsistent) == (162, 14, 66), (n, n_g, n_inconsistent)
+
+
+def test_predetermined_system_is_the_causal_rows_oracle_on_planted_draws():
+    """The same on seeded `planted_model` draws, predetermined with G > 0: s = 2, 3,
+    H = 1, 2 and g_last = 1 .. 3, so some g_i > J1 + 1."""
+    rng, n, n_deep = random.Random(41), 0, 0
+    while n < 24:
+        s, H, g_last = rng.choice((2, 3)), rng.choice((1, 2)), rng.randint(1, 3)
+        m = planted_model(rng, s, H, g_last, predetermined=True)
+        if m.predetermined:
+            assert m.pi.det[0] == 0
+            _assert_causal_rows_oracle(m)
+            n += 1
+            n_deep += g_last > H + 1
+    assert n_deep > 0, n_deep
 
 
 def test_integer_ranks_match_a_fraction_reference(corpus, predetermined_probe):
-    """rank_w and kernel_dim, counted on integer rows with A_i^T in place of
-    the selector blocks, are rank_kernel's on the Fraction C built with the
-    pseudo-inverse selectors, in both flavors and at H = 0; the kernel read
-    off that count is rank_kernel's basis of the system's own C."""
+    """rank_w and the kernel, counted on integer rows, are rank_kernel's on the Fraction
+    C built by Poly and matrix products, in both flavors and at H = 0: the plain system's
+    kernel_dim is its nullity, the predetermined system's the rank of the p = h + d of its
+    kernel; the kernel read off that count is rank_kernel's basis of the system's own C."""
     models = (list(corpus) + list(predetermined_probe) + ladder_shaped_models()
               + planted_models() + deep_planted_models())
     n_pred = n_h0 = n_wide = 0
     for m in models:
-        systems = [(m.plain_cs, None)]
+        systems = [(m.plain_cs, ref_constraint_matrix(m))]
         if m.predetermined:
-            systems.append((m.cs, ref_selectors(m, m.local)))
-        for cs, sel in systems:
-            rank, kern = rank_kernel(ref_constraint_matrix(m, sel))
-            assert (cs.rank_w, cs.kernel_dim) == (rank, len(kern)), (m.s, m.H, m.gamma)
-            assert cs.effective_unknowns == rank + len(kern)
+            systems.append((m.cs, ref_causal_system(m, m.local)[1]))
+        for cs, C in systems:
+            rank, kern = rank_kernel(C)
+            assert (cs.rank_w, len(cs.kernel)) == (rank, len(kern)), (m.s, m.H, m.gamma)
             assert cs.kernel == tuple(rank_kernel(cs.C)[1]), (m.s, m.H, m.gamma)
+        assert m.plain_cs.effective_unknowns == m.plain_cs.rank_w + m.plain_cs.kernel_dim
+        assert m.plain_cs.kernel_dim == len(m.plain_cs.kernel)
         n_pred += m.predetermined
         n_h0 += m.H == 0
         n_wide += len(m.m_stack[0]) > m.s * m.H
@@ -303,29 +310,26 @@ def test_integer_ranks_match_a_fraction_reference(corpus, predetermined_probe):
 
 
 def test_predetermined_count_weights_the_scaled_rows():
-    """A selector row a p_0 + b p_1 that vanishes exactly counts as zero, also
-    when the p_stack rows p_0 and p_1 have different lcms of their denominators:
-    p_stack holds them over one, and E(0) is taken on integers.  s = 2, H = 1,
-    gamma = (1, 1), A_0 = (a, b)^T the first column of E(0), which `omega0` reads
-    off pi = A_00 = E(0) at g = 0 and P^-1 = I."""
+    """A p_stack row p_1 = c p_0 counts once, also when p_0 and p_1 have different lcms of
+    their denominators: P^-1's rows are held over one denominator, and m_stack and the w_j
+    over another.  s = 2, H = 1, gamma = (1, 1), g = 0 and J1 = 0, so the system is the
+    one row block P^-1 m_0 on the free entry of h, given no ker L."""
     rng = random.Random(35)
-    n_unequal = 0
+    n_unequal = n_rank = 0
     for _ in range(30):
-        a, b = rand_frac(rng, nonzero=True), rand_frac(rng, nonzero=True)
+        c = rand_frac(rng, nonzero=True)
         p0 = [rand_frac(rng, nonzero=True), rand_frac(rng)]
-        p1 = [-a / b * x for x in p0]
-        E0 = RationalMatrix([[a, 1], [b, 0]])
-        loc = int_local((0, 0), (RationalMatrix.identity(2),))
-        m = REModel(s=2, K=0, H=1, q=1, A={(0, 0): E0}, gamma=(1, 1),
-                    wold=(RationalMatrix([[1], [0]]),))
-        assert fraction_local(m.pi.pi, loc).omega0 == E0
+        loc = int_local((0, 0), (RationalMatrix([p0, [c * x for x in p0]]),))
+        m = REModel(s=2, K=0, H=1, q=1, A={(0, 0): RationalMatrix.identity(2)}, gamma=(1, 1),
+                    wold=(RationalMatrix([[rand_frac(rng)], [rand_frac(rng)]]),))
         ms = int_stack(RationalMatrix([[rand_frac(rng, nonzero=True), rand_frac(rng)]
                                        for _ in range(2)]))
-        pb = int_p_stack((RationalMatrix([p0]), RationalMatrix([p1])))
-        cs = build_predetermined_system(m, ms, pb, loc)
-        assert cs.rank_w == rank_of(cs.C) == 0 and cs.kernel_dim == 1
-        n_unequal += lcm(*(x.denominator for x in p0)) != lcm(*(x.denominator for x in p1))
-    assert n_unequal >= 10, n_unequal
+        cs = build_predetermined_system(m, ms, loc, [])
+        assert cs.C.rows == 2 and cs.C.entries[1] == [c * x for x in cs.C.entries[0]]
+        assert cs.rank_w == rank_of(cs.C) == any(cs.C.entries[0]) and cs.kernel_dim == 1 - cs.rank_w
+        n_unequal += lcm(*(x.denominator for x in p0)) != lcm(*((c * x).denominator for x in p0))
+        n_rank += cs.rank_w
+    assert n_unequal >= 10 and n_rank >= 25, (n_unequal, n_rank)
 
 
 # ---------------------------------------------------------------------------
@@ -355,20 +359,27 @@ def test_plain_system_sims_pipeline_choice_free():
 
 
 def test_predetermined_system_sims():
-    cs = sims_model().cs
+    """The source reports no constraints on its system here; the causal rows are one
+    row on the free entry of h and the one vector of ker L, and count the same one
+    kernel direction."""
+    m = sims_model()
+    cs = m.cs
     assert cs.flavor == "predetermined"
-    assert cs.effective_unknowns == 1
-    assert cs.rank_w == 0 and cs.kernel_dim == 1  # "no constraints in this example"
-    assert cs.C.is_zero()
+    assert len(m.ker_l) == 1 and cs.effective_unknowns == 2
+    assert cs.rank_w == 1 and cs.kernel_dim == 1
+    assert cs.C == RationalMatrix([[Fraction(-1, 100000), -1]])
+    assert cs.rhs == RationalMatrix([[0, -1]])
 
 
 def test_predetermined_reduces_to_plain(corpus):
-    # gamma = (s, 0, ..., 0): both constructions describe the same solution set
+    # gamma = (s, 0, ..., 0) and no ker L: where every g_i <= J1 the causal rows are the
+    # plain system's, which has a zero row where g_i - J1 + t < 0
     checked = 0
     for m in corpus:
         if m.predetermined or m.H == 0 or checked >= 10:
             continue
-        pred = build_predetermined_system(m, m.m_stack, m.pb, m.local)
+        assert all(gi <= m.pi.J1 for gi in m.local.g)
+        pred = build_predetermined_system(m, m.m_stack, m.local, [])
         n = m.s * m.H
         assert pred.effective_unknowns == n
         assert pred.rank_w == m.cs.rank_w

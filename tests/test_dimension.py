@@ -1,14 +1,17 @@
 """Dimension reports, free-parameter formulas, genericity probe."""
 
+import importlib
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from recausal import dimension
 from recausal.dimension import _perturb, dimension_report, genericity_probe
 from recausal.exactalg import Poly, RationalMatrix, det_adjugate
-from recausal.model import REModel, build_pi
+from recausal.canon import RedundantEquationsError, UnitCircleRootError
+from recausal.model import REModel, build_pi, parse_model, validate_semantics
 from recausal.solver import (
     FactorizationError,
     UnsupportedModelError,
@@ -16,8 +19,7 @@ from recausal.solver import (
     verify_solution,
 )
 from conftest import (
-    coeff,
-    crosscheck_simplified,
+    affine_set,
     deep_planted_models,
     fraction_local,
     ladder_shaped_models,
@@ -25,6 +27,7 @@ from conftest import (
     polymatrix_from_rational,
     random_gamma,
     random_model,
+    rand_invertible,
     rank_of,
     ref_rref,
     sims_model,
@@ -32,13 +35,15 @@ from conftest import (
     zero_polymatrix,
 )
 
+ROOT = Path(__file__).resolve().parents[1]
+
 
 def test_sims_report():
     rep = dimension_report(sims_model())
     assert rep["flavor"] == "predetermined"
     assert rep["free_parameters"] == 2
     assert rep["kernel_dim"] == 1
-    assert rep["rank_w"] == 0
+    assert rep["rank_w"] == 1 and rep["effective_unknowns"] == 2  # h's free entry and ker L
     assert rep["special_case_used"] in ("general", "g<=J1")
     # one unstable root (10/11) remains, so distinctness is not guaranteed
     assert not rep["distinctness_guaranteed"]
@@ -124,7 +129,7 @@ def test_genericity_probe_generic_point():
 def test_genericity_probe_sims_stable():
     rep = genericity_probe(sims_model(), trials=10, seed=1)
     assert not rep["non_generic"]
-    assert rep["base_rank"] == 0
+    assert rep["base_rank"] == 1  # the causal row on h's free entry and ker L
 
 
 def test_genericity_probe_flags_rank_drop():
@@ -169,10 +174,8 @@ def test_genericity_probe_counts_singular_points_and_propagates_other_errors(mon
 
 def test_local_stage_is_a_factorization_at_zero(corpus):
     """The stage's data factor pi: P^-1 is unimodular, diag(z^-g) P^-1 pi is a
-    polynomial E, and E(0) = omega0 is invertible; g = 0 iff det pi(0) != 0.
-    For a predetermined model with G > 0 the stage keeps the global Smith form's
-    P^-1 whole, and so the coefficients below z^(H + max(g - J1, 0)) that
-    frak_p_blocks reads; every other model's comes from `local_form`."""
+    polynomial E, and E(0) is invertible; g = 0 iff det pi(0) != 0.  Every
+    model's comes from `local_form`, with no global Smith form."""
     for m in corpus + planted_models() + [sims_model()]:
         m = m._replace()  # an empty memo
         loc = fraction_local(m.pi.pi, m.local)
@@ -180,19 +183,13 @@ def test_local_stage_is_a_factorization_at_zero(corpus):
         p_inv = zero_polymatrix(m.s, m.s)
         for k, c in enumerate(loc.p_inv):
             p_inv = p_inv + polymatrix_from_rational(c) * Poly.monomial(k)
-        assert ("sf" in m.artifacts) == (m.predetermined and m.pi.det[0] == 0)
-        if m.predetermined and m.pi.det[0] == 0:
-            order = m.H + max(max(loc.g) - m.pi.J1, 0)
-            assert p_inv == m.sf.P_inv
-            p_inv = m.sf.P_inv
-            assert fraction_local(m.pi.pi, m.local, order).p_inv == tuple(
-                coeff(p_inv, k) for k in range(order))
+        assert "sf" not in m.artifacts
         det, _ = det_adjugate(p_inv)
         assert det.is_constant() and not det.is_zero()
         E = (p_inv * m.pi.pi).entries
         assert all(e[j] == 0 for k, gk in enumerate(loc.g) for e in E[k] for j in range(gk))
         E0 = RationalMatrix([[e[gk] for e in E[k]] for k, gk in enumerate(loc.g)])
-        assert E0 == loc.omega0 and rank_of(E0) == m.s
+        assert E0 == loc.e0 and rank_of(E0) == m.s
 
 
 def _augmented(cs) -> RationalMatrix:
@@ -242,10 +239,10 @@ def _outcome(m):
 
 def test_local_stage_matches_global_smith_reference(corpus, predetermined_probe):
     """With det pi(0) != 0 the constraints read pi = I I pi instead of the
-    global Smith form, and every answer stays the same.  The exception is the
-    predetermined J1 < H system, which depends on the factors; the solve reads
-    no Smith data, so its answer is the same on both paths, and it verifies."""
-    same = dependent = 0
+    global Smith form, and every answer stays the same, also the predetermined
+    J1 < H count, whose causal rows do not depend on the factors; the solve
+    reads no Smith data, and its solution verifies."""
+    same = n_below = 0
     for m in corpus + predetermined_probe + ladder_shaped_models():
         pp = m.pi
         if pp.det[0] == 0:
@@ -256,20 +253,74 @@ def test_local_stage_matches_global_smith_reference(corpus, predetermined_probe)
         assert new[2] == old[2], (m.s, m.K, m.H, m.gamma)
         if new[1] is not None and new[1].transfer_num is not None:
             assert verify_solution(m, new[1])["ok"], (m.s, m.K, m.H, m.gamma)
-        if not (m.predetermined and pp.J1 < m.H):
-            assert new[0] == old[0], (m.s, m.K, m.H, m.gamma)
-            same += 1
-        else:
-            dependent += 1
-    assert (same, dependent) == (203, 82)
+        assert new[0] == old[0], (m.s, m.K, m.H, m.gamma)
+        same += 1
+        n_below += m.predetermined and pp.J1 < m.H
+    assert (same, n_below) == (285, 82)
 
 
-def test_constant_g_form_agrees_with_the_general_predetermined_system(
-    corpus, predetermined_probe
-):
-    """The constant-g oracle applies to every predetermined model with one
-    g_i <= J1, on the pipeline's own Smith data (P = I when det pi(0) != 0)."""
-    applied = 0
-    for m in corpus + planted_models() + predetermined_probe:
-        applied += crosscheck_simplified(m)
-    assert applied == 130
+def _left_multiplied(m: REModel, T: RationalMatrix) -> REModel:
+    """T m: every A_kh and w_j left-multiplied by the invertible T, the same solution set."""
+    return m._replace(A={kh: T * a for kh, a in m.A.items()}, wold=tuple(T * w for w in m.wold))
+
+
+def _analyze(m: REModel):
+    """analyze's document, or the class of the error it stops at."""
+    try:
+        return {"validation": validate_semantics(m), **dimension_report(m)}
+    except (UnitCircleRootError, RedundantEquationsError, UnsupportedModelError) as exc:
+        return type(exc).__name__
+
+
+def test_analyze_is_invariant_under_left_multiplication(corpus, predetermined_probe):
+    """analyze's document is the same for m and for T m, over three seeded invertible T per
+    model, on the five sets, and on a predetermined model with G > 0 also for the global
+    Smith form's factors (`smith_reference`) in place of `local_form`'s."""
+    rng, n, n_smith = random.Random(20261020), 0, 0
+    for m in (corpus + predetermined_probe + ladder_shaped_models() + planted_models()
+              + deep_planted_models()):
+        doc = _analyze(m)
+        for _ in range(3):
+            assert _analyze(_left_multiplied(m, rand_invertible(rng, m.s))) == doc, m.gamma
+        if m.predetermined and m.pi.det[0] == 0:
+            assert _analyze(smith_reference(m)) == doc, m.gamma
+            n_smith += 1
+        n += 1
+    assert (n, n_smith) == (314, 14), (n, n_smith)
+
+
+def test_analyze_is_invariant_on_the_benchmark_planted_models(monkeypatch):
+    """The same on the predetermined models of perfbench's planted seeds 101-103, i < 20,
+    all with G > 0: one seeded T per model, and the global Smith form's factors."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    gen = importlib.import_module("gen")
+    rng, n = random.Random(20261021), 0
+    for seed in (101, 102, 103):
+        for i in range(20):
+            m = parse_model(gen.to_json(gen.planted_model(seed, i)))
+            if not m.predetermined:
+                continue
+            doc = _analyze(m)
+            assert _analyze(_left_multiplied(m, rand_invertible(rng, m.s))) == doc, (seed, i)
+            assert m.pi.det[0] == 0 and _analyze(smith_reference(m)) == doc, (seed, i)
+            n += 1
+    assert n == 26, n
+
+
+def test_free_parameters_are_the_solve_count_without_unstable_roots(corpus, predetermined_probe):
+    """Where det pi has no unstable root, the solve's rows are the causal rows mod z^(G+H),
+    so on a predetermined model whose rows are consistent analyze's free_parameters is the
+    solve's indeterminacy_dim."""
+    n = 0
+    for m in (corpus + predetermined_probe + ladder_shaped_models() + planted_models()
+              + deep_planted_models()):
+        if not m.predetermined or m.roots.unstable_roots:
+            continue
+        rep, sr = dimension_report(m), solve_causal(m)
+        cs = m.cs
+        if affine_set(cs.C, cs.rhs, cs.C.cols)[0] is None:
+            assert sr.classification == "no_causal_solution"
+            continue
+        assert rep["free_parameters"] == sr.indeterminacy_dim, m.gamma
+        n += 1
+    assert n == 5, n

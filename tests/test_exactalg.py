@@ -24,13 +24,11 @@ from recausal.exactalg import (
     det_adjugate,
     determinant,
     poly_gcd,
-    pseudo_inverse_columns,
     rank_kernel,
     rat,
     rat_str,
     solve_affine,
     squarefree_factors,
-    vstack,
 )
 from recausal.model import build_pi
 from conftest import (
@@ -56,6 +54,8 @@ from conftest import (
     ref_rank_of,
     ref_solve_affine,
     ref_squarefree_factors,
+    submatrix,
+    vstack,
     zero_polymatrix,
 )
 
@@ -218,25 +218,6 @@ def test_solve_affine_kernel_is_rank_kernel():
             assert kern == rank_kernel(M)[1]
 
 
-def test_pseudo_inverse_columns():
-    assert pseudo_inverse_columns(RationalMatrix.identity(2), 1) == RationalMatrix([[1, 0]])
-    rng = random.Random(7)
-    for _ in range(20):
-        n = rng.randint(2, 4)
-        M = rand_matrix(rng, n, n)
-        if rank_of(M) < n:
-            continue
-        X = pseudo_inverse_columns(M, n)
-        assert X * M == RationalMatrix.identity(n)
-        assert M * X == RationalMatrix.identity(n)
-    for _ in range(10):
-        A = vstack([RationalMatrix.identity(3), rand_matrix(rng, 2, 3)])
-        X = pseudo_inverse_columns(hstack([A, rand_matrix(rng, 5, 1)]), 3)
-        assert X * A == RationalMatrix.identity(3)
-    with pytest.raises(ValueError):
-        pseudo_inverse_columns(RationalMatrix([[1, 0], [2, 0]]), 2)
-
-
 def test_invert():
     rng = random.Random(8)
     for _ in range(20):
@@ -391,7 +372,7 @@ def test_rational_matrix_ops_match_reference(n, k, m, rnd):
         (A - A * 3, [[x - 3 * x for x in row] for row in a]),
         (-A, [[-x for x in row] for row in a]),
         (A.transpose(), [list(col) for col in zip(*a)]),
-        (A.submatrix(range(n), [k - 1]), [[row[k - 1]] for row in a]),
+        (submatrix(A, range(n), [k - 1]), [[row[k - 1]] for row in a]),
         (hstack([A, A]), [row + row for row in a]),
         (vstack([B, B]), b + b),
     ]
@@ -465,6 +446,16 @@ def test_packed_product_matches_polymatrix_product(operands):
     P, den = _packed_product(A, B)
     assert den > 0 and (len(P), all(len(row) == B.cols for row in P)) == (A.rows, True)
     assert PolyMatrix([[_poly(list(e), den) for e in row] for row in P], B.cols) == A * B
+
+
+def test_numerators_rows_are_lists_whatever_the_denominator():
+    """Every entry of `_numerators`' rows is a list, also one whose denominator is
+    already L, so the rows equal rows built as lists."""
+    rows = [[Poly([Fraction(1, 2), 1]), Poly([Fraction(1, 6), Fraction(5, 6)])],
+            [Poly(), Poly([Fraction(1, 3)])]]
+    N, L = _numerators(rows)
+    assert L == 6 and rows[0][1].den == L
+    assert N == [[[3, 6], [1, 5]], [[], [2]]]
 
 
 def test_determinant_swaps_rows_past_a_zero_pivot():
@@ -630,11 +621,9 @@ def test_empty_shapes_keep_their_columns():
     assert (E.rows, E.cols) == (0, 3)
     assert (E.transpose().rows, E.transpose().cols) == (3, 0)
     assert (E.transpose().transpose().rows, E.transpose().transpose().cols) == (0, 3)
-    S = RationalMatrix.identity(3).submatrix(range(3), range(0))
+    S = submatrix(RationalMatrix.identity(3), range(3), range(0))
     assert (S.rows, S.cols) == (3, 0) and (S.transpose().rows, S.transpose().cols) == (0, 3)
     assert ((E * RationalMatrix.zero(3, 2)).rows, (E * RationalMatrix.zero(3, 2)).cols) == (0, 2)
     assert (vstack([E, E]).cols, hstack([E, E]).cols) == (3, 6)
     X, kern = solve_affine(RationalMatrix.zero(0, 0), RationalMatrix.zero(0, 3))
     assert (X.rows, X.cols, kern) == (0, 3, [])
-    X = pseudo_inverse_columns(RationalMatrix.identity(2), 0)
-    assert (X.rows, X.cols) == (0, 2)

@@ -207,7 +207,7 @@ def _assert_build_pi_is_ref(m: REModel):
         pp = build_pi(m)
         (N, L), (ref_N, ref_L) = pp.numerators, ref[4]
         assert tuple(pp[:4]) == ref[:4] and L == ref_L
-        assert [[list(f) for f in row] for row in N] == ref_N
+        assert N == ref_N and all(type(f) is list for row in N for f in row)
 
 
 def test_build_pi_matches_the_fraction_assembly(corpus, predetermined_probe):

@@ -25,10 +25,10 @@ from recausal.model import (
     PiPolynomial, REModel, build_pi, parse_model, validate_semantics,
 )
 from recausal.solver import (
-    FactorizationError, SolutionReport, UnsupportedModelError, solve_causal, verify_solution,
+    FactorizationError, SolutionReport, solve_causal, verify_solution,
 )
 from conftest import (
-    SIMS_JSON, deep_planted_models, ladder_shaped_models, planted_models, random_model,
+    SIMS_JSON, ladder_shaped_models, planted_models, random_model,
     ref_squarefree_factors, serialize_model,
 )
 from digest import DIGEST, digest, model_sets
@@ -80,28 +80,27 @@ def solvable_planted_s4():
 
 @pytest.mark.parametrize("which", ["sims", "planted-s4"])
 def test_each_artifact_computed_once(monkeypatch, which):
-    """planted-s4 is plain with G > 0: its g and ranks come from the row
-    reduction, so it computes no global Smith form (sims, predetermined, one)."""
+    """sims is predetermined with G > 0 and planted-s4 plain with G > 0: the g and
+    ranks of both come from the row reduction, so neither computes a global Smith form."""
     if which == "sims":
         m = parse_model(SIMS_JSON)
     else:
         m = solvable_planted_s4()._replace()  # same model, empty memo
     counts = count_calls(monkeypatch)
     analyze_solve_verify(m)
-    assert counts == {**dict.fromkeys(COUNTED, 1), "canon.smith_form": int(which == "sims")}
+    assert counts == {**dict.fromkeys(COUNTED, 1), "canon.smith_form": 0}
 
 
 def test_cli_analyze_computes_once(monkeypatch, capsys):
     counts = count_calls(monkeypatch)
     assert main(["analyze", str(ROOT / "models" / "sims.json")]) == 0
     capsys.readouterr()
-    assert counts["canon.smith_form"] == 1
+    assert counts["canon.smith_form"] == 0 and counts["model.build_pi"] == 1
     assert counts["exactalg.det_adjugate"] == counts["solver._adj_product"] == 0
 
 
 def test_cli_analyze_skips_smith_form_when_det_pi0_is_nonzero(monkeypatch, capsys):
-    """sims has det pi(0) = 0, so its constraints need the Smith form; the
-    generic model's read pi = I I pi and need none."""
+    """The generic model's constraints read pi = I I pi, with no Smith form."""
     counts = count_calls(monkeypatch)
     assert main(["analyze", str(GENERIC)]) == 0
     capsys.readouterr()
@@ -119,10 +118,10 @@ OUTCOME = {"refused": "refused", "no-solution": "no_causal_solution", "solvable"
 
 def test_counts_make_no_fraction_product(monkeypatch, corpus):
     """validate_semantics, dimension_report and genericity_probe count on
-    integer rows: no Fraction product, pseudo-inverse or rank_kernel, in
+    integer rows: no Fraction product or rank_kernel, in
     either flavor, with g > J1 or J1 < H, or at H = 0.  Reading C builds it;
     the kernel is read off the elimination that counted rank_w."""
-    counts = count_calls(monkeypatch, ("exactalg.pseudo_inverse_columns", "exactalg.rank_kernel"))
+    counts = count_calls(monkeypatch, ("exactalg.rank_kernel",))
     counts["RationalMatrix.__mul__"] = 0
     mul = RationalMatrix.__mul__
 
@@ -140,37 +139,12 @@ def test_counts_make_no_fraction_product(monkeypatch, corpus):
         validate_semantics(m)
         dimension_report(m)
         genericity_probe(m, trials=2)
-    assert counts == {"exactalg.pseudo_inverse_columns": 0, "exactalg.rank_kernel": 0,
-                      "RationalMatrix.__mul__": 0}
+    assert counts == {"exactalg.rank_kernel": 0, "RationalMatrix.__mul__": 0}
     cs = models[0].cs  # sims: predetermined
     assert cs.flavor == "predetermined" and len(cs.kernel) == cs.kernel_dim
     assert not any(counts.values()), counts
     assert cs.C.cols == cs.effective_unknowns
-    assert counts["exactalg.pseudo_inverse_columns"] > 0 and counts["RationalMatrix.__mul__"] > 0
-
-
-def test_e0_only_for_the_predetermined_system(monkeypatch):
-    """E(0) is read off P^-1 and pi by `omega0`, which only the predetermined
-    system calls, once for its count and C, D and rhs: validate and analyze of a
-    plain model with G > 0 make no such call, of a predetermined one exactly one.
-    On the five sets validate, analyze and probe call it once per predetermined
-    system built and form no product P^-1 pi (`_packed_product`)."""
-    e0, built, product = ("constraints.omega0", "constraints.build_predetermined_system",
-                          "exactalg._packed_product")
-    counts = count_calls(monkeypatch, (e0, built, product))
-    for m in planted_models():
-        before = counts[e0]
-        validate_semantics(m)
-        dimension_report(m)
-        m.cs.C, m.cs.D, m.cs.rhs
-        assert counts[e0] - before == m.predetermined, m.gamma
-    for name, models in model_sets().items():
-        for i, m in enumerate(models):
-            validate_semantics(m)
-            dimension_report(m)
-            genericity_probe(m, trials=2)
-            assert counts[product] == 0 and counts[e0] == counts[built], (name, i)
-    assert counts[built] > 0
+    assert counts["RationalMatrix.__mul__"] > 0
 
 
 @pytest.mark.parametrize("which", ["sims", "planted-s4", "refused", "no-solution", "solvable"])
@@ -219,8 +193,8 @@ def test_solve_reads_adj_as_integer_rows(monkeypatch, which):
 
 def test_pi_rows_are_derived_once(monkeypatch, capsys, tmp_path):
     """pi's integer rows are derived from its Poly entries once per pi, by `build_pi`,
-    which keeps them in `PiPolynomial.numerators` for determinant, local_form and
-    omega0: on the five sets validate, analyze, constraints and probe derive them
+    which keeps them in `PiPolynomial.numerators` for determinant and local_form:
+    on the five sets validate, analyze, constraints and probe derive them
     nowhere else, and solve and verify once more, inside `det_adjugate`."""
     from recausal import exactalg, model
 
@@ -288,28 +262,22 @@ def test_smith_form_never_runs_when_det_pi0_is_nonzero(monkeypatch, which):
     assert "sf" not in m.artifacts
 
 
-def test_smith_form_only_for_a_predetermined_model_with_g_positive(monkeypatch, corpus):
-    """validate + analyze + constraints + solve + verify compute no global Smith
-    form on a plain model, whatever G is, and one on a predetermined model with
-    G > 0, whose constraint system depends on the factors: reading C, D, rhs
-    and the kernel of either system builds none."""
-    counts, seen = count_calls(monkeypatch, ("canon.smith_form",)), set()
-    for m in [parse_model(SIMS_JSON), *planted_models(), *deep_planted_models(), *corpus]:
-        m, before = m._replace(), counts["canon.smith_form"]
-        validate_semantics(m)
-        dimension_report(m)
-        for cs in (m.cs, m.plain_cs):
-            assert len(cs.kernel) == cs.kernel_dim and cs.C.rows == cs.D.rows == cs.rhs.rows
-        try:
-            sr = solve_causal(m)
-        except (FactorizationError, UnsupportedModelError):
-            sr = None
-        if sr is not None and sr.transfer_num is not None:
-            assert verify_solution(m, sr)["ok"]
-        kind = (m.predetermined, m.artifacts["pi"].det[0] == 0)
-        assert counts["canon.smith_form"] - before == (kind == (True, True)), kind
-        seen.add(kind)
+def test_smith_form_runs_only_for_recausal_smith(monkeypatch, capsys, tmp_path):
+    """validate, analyze, constraints, probe, solve and verify compute no global Smith
+    form on any model of the five sets, whatever its flavor and G; `recausal smith`
+    computes one."""
+    counts, seen, path = count_calls(monkeypatch, ("canon.smith_form",)), set(), tmp_path / "m.json"
+    for m in (m for models in model_sets().values() for m in models):
+        path.write_text(serialize_model(m))
+        validate_semantics(m._replace())
+        for command in ("analyze", "constraints", "probe", "solve", "verify"):
+            main([command, str(path)])
+        capsys.readouterr()
+        assert counts["canon.smith_form"] == 0, m.gamma
+        seen.add((m.predetermined, m.pi.det[0] == 0))
     assert len(seen) == 4
+    assert main(["smith", str(path)]) == 0 and counts["canon.smith_form"] == 1
+    capsys.readouterr()
 
 
 def test_views_share_artifacts():
@@ -321,7 +289,7 @@ def test_views_share_artifacts():
     assert m.sf is sf
 
 
-STAGES = ("pi", "adj", "sf", "local", "roots", "split", "pb", "m_stack", "plain_cs", "cs")
+STAGES = ("pi", "adj", "sf", "local", "ker_l", "roots", "split", "pb", "m_stack", "plain_cs", "cs")
 
 
 def test_stages_cannot_be_assigned():
@@ -337,15 +305,12 @@ def test_stages_cannot_be_assigned():
     assert m.pi is pi and set(m.artifacts) == {"pi"}
 
 
-def test_validate_semantics_touches_only_pi_and_sf():
-    """validate_semantics reads g from the local Smith data, which needs the
-    global form only when det pi(0) = 0, as in sims."""
-    m = parse_model(SIMS_JSON)
-    validate_semantics(m)
-    assert set(m.artifacts) == {"pi", "local", "sf"}
-    generic = parse_model(GENERIC.read_text())
-    validate_semantics(generic)
-    assert set(generic.artifacts) == {"pi", "local"}
+def test_validate_semantics_touches_only_pi_and_local():
+    """validate_semantics reads g from the local Smith data, which the row
+    reduction gives whatever det pi(0) is: sims has det pi(0) = 0."""
+    for m in (parse_model(SIMS_JSON), parse_model(GENERIC.read_text())):
+        validate_semantics(m)
+        assert set(m.artifacts) == {"pi", "local"}
 
 
 # the attributes of `ConstraintSystem`, whose Fraction parts are built on first read
@@ -458,6 +423,11 @@ def test_cli_command_loads_only_its_layers(command):
     assert not loaded & {"recausal." + layer for layer in UNUSED_LAYERS[command]}
 
 
+# layers that spans.TARGETS still names but src no longer has, so their metrics read 0:
+# the predetermined count's selectors left with the E(0) selector system
+REMOVED_LAYERS = ("constraints.build_selectors",)
+
+
 def test_traced_layers_stay_bound_under_their_module_names():
     """perfbench's span recorder wraps each layer it times by module and name
     (spans.TARGETS): a moved function must stay bound where the recorder looks."""
@@ -466,7 +436,10 @@ def test_traced_layers_stay_bound_under_their_module_names():
     spec.loader.exec_module(spans)
     for modname, names in spans.TARGETS.items():
         mod = importlib.import_module("recausal." + modname)
+        names = [name for name in names if f"{modname}.{name}" not in REMOVED_LAYERS]
         assert all(callable(getattr(mod, name, None)) for name in names), modname
+    assert not any(hasattr(importlib.import_module("recausal." + name.split(".")[0]),
+                           name.split(".")[1]) for name in REMOVED_LAYERS)
 
 
 def _bare_loads(module):

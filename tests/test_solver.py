@@ -28,7 +28,6 @@ from recausal.solver import (
     UnsupportedModelError,
     _adj_product,
     _cancellation_rows,
-    _expectation_kernel,
     _mc_filter,
     _numerator,
     factor_stable_unstable,
@@ -811,9 +810,8 @@ def test_verify_reports_a_forced_entry_set_nonzero(corpus, predetermined_probe):
 
 def test_solve_and_verify_derive_no_smith_inverse():
     """Q, P and Q^-1 are derived on first read: validate, analyze, solve and
-    verify read none of them, and only `recausal smith` derives them.  Solve
-    and verify compute no Smith form; validate and analyze compute one only for
-    a predetermined model (all have G > 0)."""
+    verify read none of them, and only `recausal smith` derives them.  Solve,
+    verify, validate and analyze compute no Smith form (all have G > 0)."""
     n_solved = 0
     for m in planted_models():
         sr = solve_causal(m)
@@ -823,9 +821,7 @@ def test_solve_and_verify_derive_no_smith_inverse():
         assert "sf" not in m.artifacts
         validate_semantics(m)
         dimension_report(m)
-        assert ("sf" in m.artifacts) == m.predetermined
-        if m.predetermined:
-            assert not {"Q", "P", "Q_inv"} & set(vars(m.artifacts["sf"]))
+        assert "sf" not in m.artifacts
         m = m._replace()
         cmd_smith(m, None)
         assert {"Q", "P", "Q_inv"} <= set(vars(m.artifacts["sf"]))
@@ -834,13 +830,17 @@ def test_solve_and_verify_derive_no_smith_inverse():
 
 def test_planted_models_with_s0_zero_answer():
     """gamma = (0, .., s, .., 0) with s at k >= 1 forces blocks 0 .. k-1 of h
-    to zero, all of h for k = H.  Every planted model (all have J1 = H) gets a
-    verdict, and each emitted solution verifies."""
+    to zero, all of h for k = H: analyze's p-space is the free entries and ker L.
+    Every planted model (all have J1 = H) gets a verdict, and each emitted
+    solution verifies."""
     emitted = 0
     for m in planted_models():
         for k in range(1, m.H + 1):
             mk = m._replace(gamma=tuple(m.s if i == k else 0 for i in range(m.H + 1)))
-            assert dimension_report(mk)["effective_unknowns"] == m.s * (m.H - k)
+            free = [[int(a == b) for b in range(m.s * m.H)] for a in mk.free_unknowns()]
+            assert len(free) == m.s * (m.H - k)
+            assert dimension_report(mk)["effective_unknowns"] == (
+                rank_of(RationalMatrix(free + mk.ker_l)) if free or mk.ker_l else 0)
             sr = solve_causal(mk)
             if sr.transfer_num is not None:
                 assert verify_solution(mk, sr)["ok"]
@@ -902,9 +902,7 @@ def _printed(capsys, m, argv):
 def test_solve_and_verify_print_the_same_from_another_smith_factorization(capsys):
     """solve and verify print only what the model determines: with another valid
     Smith factorization of pi in the memo, their stdout is byte-equal to the run
-    that computes its own.  Still built from the factors, and not asserted here:
-    analyze, constraints and probe of a predetermined model with G > 0, whose
-    constraint system reads P^-1 and E(0) of the global Smith form."""
+    that computes its own.  analyze, constraints and probe read no Smith form."""
     models = golden_models()
     for name in ("sims", "generic", "planted3"):
         sf = smith_form(build_pi(models[name]).pi)
@@ -927,9 +925,9 @@ def _verifies_at_every_kernel_point(m, sr):
 
 
 def test_predetermined_verdicts_are_those_of_substitution(predetermined_probe):
-    """Predetermined models whose set of solutions the constraint system misstates:
-    seven have no causal solution, four have exactly one and three have a family
-    of the given dimension; every solution verifies at every kernel point."""
+    """Predetermined models with G > 0 or J1 < H: seven have no causal solution, four
+    have exactly one and three have a family of the given dimension; every solution
+    verifies at every kernel point."""
     planted = planted_models()
     none = [predetermined_probe[i] for i in (13, 40, 69, 99, 114)]
     for m in none + [ladder_shaped_models()[6], defect_model()]:
@@ -1014,7 +1012,7 @@ def _assert_adj_product_is_ref(m: REModel) -> bool:
     if J1 < 0:
         return False
     free = m.free_unknowns()
-    ker_l = _expectation_kernel(m) if m.predetermined else []
+    ker_l = m.ker_l if m.predetermined else []
     P, den = _adj_product(m, m.adj, J1, free, ker_l)
     cols = len(free) + len(ker_l) + m.q
     assert len(P) == m.s and all(len(row) == cols for row in P)
@@ -1034,7 +1032,7 @@ def test_adj_product_is_the_poly_right_factor_times_adj(corpus, predetermined_pr
         pp = m.artifacts["pi"]
         for key, hit in (("models", True), ("G>0", pp.det[0] == 0),
                          ("predetermined", m.predetermined), ("J1<H", pp.J1 < m.H),
-                         ("ker", m.predetermined and _expectation_kernel(m)), ("H=0", m.H == 0)):
+                         ("ker", m.predetermined and m.ker_l), ("H=0", m.H == 0)):
             counts[key] += bool(hit)
     assert counts == {"models": 315, "G>0": 30, "predetermined": 163, "ker": 12, "J1<H": 141,
                       "H=0": 2}, counts
@@ -1047,18 +1045,22 @@ def test_adj_product_is_the_poly_right_factor_times_adj_on_draws(m):
 
 
 def test_expectation_kernel_is_the_kernel_of_pi_d_plus_m_d(corpus, predetermined_probe):
-    """ker L from the A_kh spans the d with pi(z) d(z) + M d = 0, from polynomial products."""
-    n_models = n_nonzero = 0
+    """ker L from the A_kh, the stage `REModel.ker_l`, is the basis of the d with
+    pi(z) d(z) + M d = 0 that the elimination of the polynomial products gives; the
+    stage is empty with no elimination at J1 = H and G = 0."""
+    n_models = n_nonzero = n_short = 0
     for m in list(corpus) + list(predetermined_probe) + ladder_shaped_models() + planted_models():
         if m.H == 0:
             continue
-        want = ref_expectation_kernel(m)
-        got = _expectation_kernel(m)
-        assert len(got) == len(want)
-        assert not got or rank_of(RationalMatrix(got + want)) == len(got)
+        m = m._replace()
+        short = m.pi.J1 == m.H and m.pi.det[0] != 0
+        got = m.ker_l
+        assert got == ref_expectation_kernel(m)
+        assert not (short and got)
         n_models += 1
         n_nonzero += bool(got)
-    assert (n_models, n_nonzero) == (304, 17)
+        n_short += short
+    assert (n_models, n_nonzero) == (304, 17) and n_short > 0, n_short
 
 
 def test_simulate_white_noise_and_determinism():
