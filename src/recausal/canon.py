@@ -37,8 +37,8 @@ from math import ceil, frexp, inf, isqrt, ldexp, log2, prod
 from sys import float_info
 
 from .exactalg import (
-    Poly, PolyMatrix, _det_adjugate, _packed_product, _poly, _row_echelon, rat,
-    squarefree_factors,
+    Poly, PolyMatrix, _UNIT, _ZERO, _det_adjugate, _int_product, _numerators, _poly,
+    _row_echelon, rat, squarefree_factors,
 )
 
 
@@ -77,9 +77,10 @@ class SmithForm:
 
     @cached_property
     def Q(self) -> PolyMatrix:
-        P, den = _packed_product(self.P_inv, self.pi)
-        return PolyMatrix([[_poly(f, den).shift(-gi).exact_div(ph) for f in row]
-                           for row, gi, ph in zip(P, self.g, self.phi)])
+        (NP, lp), (N, L) = _numerators(self.P_inv.entries), _numerators(self.pi.entries)
+        R = _int_product(NP, N, self.pi.cols)  # L lp P^-1 pi
+        return PolyMatrix([[_poly(f, lp * L).shift(-gi).exact_div(ph) for f in row]
+                           for row, gi, ph in zip(R, self.g, self.phi)])
 
     @cached_property
     def P(self) -> PolyMatrix:
@@ -150,7 +151,7 @@ def smith_form(M: PolyMatrix) -> SmithForm:
     n = M.rows
 
     D = [[M.entries[i][j] for j in range(n)] for i in range(n)]
-    Pinv = [list(r) for r in PolyMatrix.identity(n).entries]
+    Pinv = [[_UNIT if i == j else _ZERO for j in range(n)] for i in range(n)]
 
     def add_row(i, j, f: Poly):
         # row_i += f * row_j of D and of P^-1

@@ -4,10 +4,11 @@ Scalars and matrix entries are `fractions.Fraction`.  A `Poly` holds integer
 numerators `num` over one positive common denominator `den`, in lowest terms
 with trailing zeros trimmed, so its arithmetic runs on Python integers with
 one normalisation per result.  `Poly.addmul(f, g)` is self + f*g as one such
-result, accumulated on the numerators over their common denominator; the
-Smith elimination and `PolyMatrix` products use it.  `determinant` (Bareiss,
-O(n^3)), `det_adjugate` (Faddeev-LeVerrier, O(n^4)) and `_int_product` (one
-matrix product, of PolyMatrix operands by `_packed_product`) run on integer
+result, accumulated on the numerators over their common denominator; `Poly`
+products and the Smith elimination's row operations use it.  Every matrix
+product of the commands is `_int_product`, on integer coefficient lists (a
+`PolyMatrix` multiplies only by a scalar).  `determinant` (Bareiss, O(n^3)),
+`det_adjugate` (Faddeev-LeVerrier, O(n^4)) and `_int_product` run on integer
 matrices L*M(2^b) (Kronecker substitution) and read their results off
 base-2^b digits; `det_adjugate` keeps adj M as those digits, integer
 coefficient lists over one denominator, and builds no Poly per entry.
@@ -150,9 +151,6 @@ class Poly:
 
     def __sub__(self, other):
         return self + (-_as_poly(other))
-
-    def __rsub__(self, other):
-        return _as_poly(other) + (-self)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -362,50 +360,14 @@ class PolyMatrix:
         self.cols = len(self.entries[0]) if self.entries else cols
         assert all(len(row) == self.cols for row in self.entries)
 
-    @staticmethod
-    def identity(n: int) -> "PolyMatrix":
-        return PolyMatrix([[_UNIT if i == j else _ZERO for j in range(n)] for i in range(n)])
-
-    def __getitem__(self, ij):
-        return self.entries[ij[0]][ij[1]]
-
     def __eq__(self, other):
         if not isinstance(other, PolyMatrix):
             return NotImplemented
         return self.entries == other.entries
 
-    def __add__(self, other):
-        assert (self.rows, self.cols) == (other.rows, other.cols)
-        pairs = zip(self.entries, other.entries)
-        return PolyMatrix([[a + b for a, b in zip(r, o)] for r, o in pairs])
-
-    def __sub__(self, other):
-        assert (self.rows, self.cols) == (other.rows, other.cols)
-        pairs = zip(self.entries, other.entries)
-        return PolyMatrix([[a - b for a, b in zip(r, o)] for r, o in pairs])
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Poly)):
-            return PolyMatrix([[e * other for e in row] for row in self.entries])
-        assert self.cols == other.rows
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = _ZERO
-                for k in range(self.cols):
-                    a = self.entries[i][k]
-                    b = other.entries[k][j]
-                    acc = acc.addmul(a, b)
-                row.append(acc)
-            out.append(row)
-        return PolyMatrix(out)
-
-    __rmul__ = __mul__
-
-    def shift(self, k: int) -> "PolyMatrix":
-        """Every entry times z^k, by Poly.shift."""
-        return PolyMatrix([[e.shift(k) for e in row] for row in self.entries], self.cols)
+    def __mul__(self, c):
+        """Every entry times the scalar or Poly c."""
+        return PolyMatrix([[e * c for e in row] for row in self.entries], self.cols)
 
     def __repr__(self):
         return f"PolyMatrix({self.entries!r})"
@@ -439,12 +401,6 @@ def _numerators(rows: list):
 def _at(N: list, b: int) -> list:
     """The values at z = 2^b of a matrix of integer coefficient lists."""
     return [[sum(c << (b * i) for i, c in enumerate(f)) for f in row] for row in N]
-
-
-def _packed_product(A: PolyMatrix, B: PolyMatrix):
-    """(P, den) with A * B = P / den: `_int_product` of the `_numerators` of A and B, den = L_A L_B."""
-    (NA, la), (NB, lb) = _numerators(A.entries), _numerators(B.entries)
-    return _int_product(NA, NB, B.cols), la * lb
 
 
 def _int_product(A: list, B: list, cols: int) -> list:
@@ -526,15 +482,8 @@ class RationalMatrix:
         assert all(len(row) == self.cols for row in self.entries)
 
     @staticmethod
-    def identity(n: int) -> "RationalMatrix":
-        return _rmat([[_ONE if i == j else _NIL for j in range(n)] for i in range(n)])
-
-    @staticmethod
     def zero(rows: int, cols: int) -> "RationalMatrix":
         return _rmat([[_NIL] * cols for _ in range(rows)], cols)
-
-    def __getitem__(self, ij):
-        return self.entries[ij[0]][ij[1]]
 
     def __eq__(self, other):
         if not isinstance(other, RationalMatrix):
@@ -550,9 +499,6 @@ class RationalMatrix:
         assert (self.rows, self.cols) == (other.rows, other.cols)
         pairs = zip(self.entries, other.entries)
         return _rmat([[a - b for a, b in zip(r, o)] for r, o in pairs], self.cols)
-
-    def __neg__(self):
-        return _rmat([[-e for e in row] for row in self.entries], self.cols)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -256,8 +256,8 @@ def verify_solution(m: REModel, sr: SolutionReport, max_lag: int = 50) -> dict:
     zT = _int_product(left, right, q)  # z^H T times L lr
     failures = []
     if any(any(f[H : H + max_lag + 1]) for row in zT for f in row):
-        zT = PolyMatrix([[_poly(f, L * lr) for f in row] for row in zT])
-        for d, res in enumerate(transfer_series(zT.shift(-H), den, max_lag + 1)):
+        T = PolyMatrix([[_poly(f, L * lr).shift(-H) for f in row] for row in zT])
+        for d, res in enumerate(transfer_series(T, den, max_lag + 1)):
             bad = [(i, c, v) for i, row in enumerate(res.entries) for c, v in enumerate(row) if v]
             if bad:
                 i, c, v = bad[0]

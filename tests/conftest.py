@@ -98,14 +98,14 @@ def rand_polymatrix(rng, n, max_deg, cols=None, **kw) -> PolyMatrix:
 
 def rand_unimodular(rng, n, ops=4) -> PolyMatrix:
     """Product of elementary shear matrices: unimodular by construction."""
-    u = PolyMatrix.identity(n)
+    u = identity_polymatrix(n)
     for _ in range(ops):
         i, j = rng.randrange(n), rng.randrange(n)
         if i == j:
             continue
         e = [[Poly.const(1 if a == b else 0) for b in range(n)] for a in range(n)]
         e[i][j] = Poly([rand_frac(rng, -2, 2, 2) for _ in range(rng.randint(1, 2))])
-        u = u * PolyMatrix(e)
+        u = mat_mul(u, PolyMatrix(e))
     return u
 
 
@@ -123,6 +123,44 @@ def adj_matrix(adj: tuple) -> PolyMatrix:
 
 # ---------------------------------------------------------------------------
 # algebra only the tests use
+
+
+def identity_polymatrix(n: int) -> PolyMatrix:
+    return diag_matrix([Poly.const(1)] * n)
+
+
+def identity_matrix(n: int) -> RationalMatrix:
+    return RationalMatrix([[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def mat_mul(*factors: PolyMatrix) -> PolyMatrix:
+    """The product of the factors, left to right, one `Poly.addmul` per entry product: the
+    reference the commands' packed integer products (`_int_product`) are checked against."""
+    out = factors[0]
+    for B in factors[1:]:
+        assert out.cols == B.rows
+        rows = []
+        for row in out.entries:
+            acc = [Poly()] * B.cols
+            for a, brow in zip(row, B.entries):
+                acc = [x.addmul(a, b) for x, b in zip(acc, brow)]
+            rows.append(acc)
+        out = PolyMatrix(rows, B.cols)
+    return out
+
+
+def mat_add(A: PolyMatrix, B: PolyMatrix) -> PolyMatrix:
+    assert (A.rows, A.cols) == (B.rows, B.cols)
+    return PolyMatrix([[a + b for a, b in zip(r, o)] for r, o in zip(A.entries, B.entries)], A.cols)
+
+
+def mat_sub(A: PolyMatrix, B: PolyMatrix) -> PolyMatrix:
+    return mat_add(A, B * -1)
+
+
+def mat_shift(M: PolyMatrix, k: int) -> PolyMatrix:
+    """Every entry times z^k, by Poly.shift (a negative k divides, which must be exact)."""
+    return PolyMatrix([[e.shift(k) for e in row] for row in M.entries], M.cols)
 
 
 def max_degree(M: PolyMatrix):
@@ -201,7 +239,7 @@ def hstack(mats) -> RationalMatrix:
 
 def invert(M: RationalMatrix) -> RationalMatrix:
     assert M.rows == M.cols
-    X, kern = solve_affine(M, RationalMatrix.identity(M.rows))
+    X, kern = solve_affine(M, identity_matrix(M.rows))
     if X is None or kern:
         raise ValueError("matrix is singular")
     return X
@@ -212,13 +250,13 @@ def residual_map(m: REModel, zc: PolyMatrix, J1: int):
     R(z; h) = M h - W is N(z; h) without its pi(z) h(z) term; the map is the
     same for every innovation column.  The solver reads the same product
     unshifted and prepends J1 zero coefficients to each entry."""
-    return zc.shift(J1), ref_wold_poly(m).shift(J1)
+    return mat_shift(zc, J1), mat_shift(ref_wold_poly(m), J1)
 
 
 def smith_reconstruct(sf: SmithForm) -> PolyMatrix:
     """P diag(z^g) diag(phi) Q, the matrix sf is the Smith form of."""
     alpha = diag_matrix([Poly.monomial(gi) for gi in sf.g])
-    return sf.P * alpha * diag_matrix(list(sf.phi)) * sf.Q
+    return mat_mul(sf.P, alpha, diag_matrix(list(sf.phi)), sf.Q)
 
 
 def assemble_rhs(m: REModel, zc, J1: int, pi: PolyMatrix):
@@ -231,13 +269,13 @@ def assemble_rhs(m: REModel, zc, J1: int, pi: PolyMatrix):
     """
     M, W = residual_map(m, zc, J1)
     s = m.s
-    return PolyMatrix([[pi.entries[i][a % s].shift(a // s) + M[i, a] for a in range(M.cols)]
+    return PolyMatrix([[pi.entries[i][a % s].shift(a // s) + M.entries[i][a] for a in range(M.cols)]
                        for i in range(s)]), W
 
 
 def map_at(A: PolyMatrix, W: PolyMatrix, h: RationalMatrix) -> PolyMatrix:
     """A h - W for a constant loading stack h."""
-    return A * PolyMatrix(h.entries, h.cols) - W
+    return mat_sub(mat_mul(A, PolyMatrix(h.entries, h.cols)), W)
 
 
 # ---------------------------------------------------------------------------
@@ -362,13 +400,13 @@ def ref_det_adjugate(M: PolyMatrix):
     n = M.rows
     if n == 0:
         return Poly.const(1), PolyMatrix([])
-    N = PolyMatrix.identity(n)
+    N = identity_polymatrix(n)
     for k in range(1, n):
-        MN = M * N
-        c = sum((MN[i, i] for i in range(n)), Poly()) * Fraction(-1, k)
-        N = MN + diag_matrix([c] * n)
-    MN = M * N
-    det = sum((MN[i, i] for i in range(n)), Poly()) * Fraction(1, n)
+        MN = mat_mul(M, N)
+        c = sum((MN.entries[i][i] for i in range(n)), Poly()) * Fraction(-1, k)
+        N = mat_add(MN, diag_matrix([c] * n))
+    MN = mat_mul(M, N)
+    det = sum((MN.entries[i][i] for i in range(n)), Poly()) * Fraction(1, n)
     # det M = (-1)^n c_n = -(-1)^n tr(M N_{n-1}) / n, adj M = (-1)^(n-1) N_{n-1}
     sign = 1 if n % 2 else -1
     return det * sign, N * sign
@@ -452,7 +490,7 @@ def ref_smith_form(M: PolyMatrix) -> RefSmith:
     four unimodular factors P, Q, P^-1, Q^-1 updated by every operation."""
     n = M.rows
     D = [list(row) for row in M.entries]
-    P, Pinv, Q, Qinv = ([list(r) for r in PolyMatrix.identity(n).entries] for _ in range(4))
+    P, Pinv, Q, Qinv = ([list(r) for r in identity_polymatrix(n).entries] for _ in range(4))
 
     def add_row(i, j, f):  # row_i += f row_j; P: col_j -= f col_i
         for c in range(n):
@@ -667,7 +705,7 @@ def planted_model(rng: random.Random, s, H, g_last, predetermined=False) -> REMo
     roots = [rng.choice(UNSTABLE_ROOTS)] + [rng.choice(STABLE_ROOTS) for _ in range(s - 1)]
     rng.shuffle(roots)
     diag = diag_matrix([Poly.monomial(gi) * Poly([-r, 1]) for gi, r in zip(g, roots)])
-    pi = rand_unimodular(rng, s) * diag * rand_unimodular(rng, s)
+    pi = mat_mul(rand_unimodular(rng, s), diag, rand_unimodular(rng, s))
     D = int(max_degree(pi))
     A = {}
     for d in range(D + 1):
@@ -834,8 +872,8 @@ def brute_force_plain(m: REModel, pp, sf: SmithForm):
     for (k, i) is: coefficient i + g_k - J1 of the polynomial row must vanish.
     """
     s, H, q = m.s, m.H, m.q
-    T = sf.P_inv * ref_zeta_coefficients(m)
-    W = sf.P_inv * ref_wold_poly(m)
+    T = mat_mul(sf.P_inv, ref_zeta_coefficients(m))
+    W = mat_mul(sf.P_inv, ref_wold_poly(m))
     rows, rhs = [], []
     for k in range(s):
         for i in range(H):
@@ -946,16 +984,16 @@ def ref_causal_system(m: REModel, loc: LocalSmith) -> tuple:
     s, J1, free, ker = m.s, m.pi.J1, m.free_unknowns(), ref_expectation_kernel(m)
     (N, L), width = loc.p_inv, len(m.m_stack[0])
     p_inv = PolyMatrix([[_poly(list(f), L) for f in row] for row in N])
-    T = p_inv * PolyMatrix([
+    T = mat_mul(p_inv, PolyMatrix([
         [row[a] for a in free] + [sum((e * x for e, x in zip(row, v)), Poly()) for v in ker] + w
         for row, w in zip(ref_zeta_coefficients(m).entries, ref_wold_poly(m).entries)],
-        len(free) + len(ker) + m.q)
+        len(free) + len(ker) + m.q))
     at = [(i, t) for i, gi in enumerate(loc.g) for t in range(m.H + gi - J1)]
     n = len(free) + len(ker)
-    D = _rmat([[p_inv[i, c % s][t - c // s] if c // s <= t else Fraction(0) for c in range(width)]
-               for i, t in at], width)
-    C = _rmat([[T[i, c][t] for c in range(n)] for i, t in at], n)
-    return D, C, _rmat([[T[i, c][t] for c in range(n, T.cols)] for i, t in at], m.q)
+    D = _rmat([[p_inv.entries[i][c % s][t - c // s] if c // s <= t else Fraction(0)
+                for c in range(width)] for i, t in at], width)
+    C = _rmat([[T.entries[i][c][t] for c in range(n)] for i, t in at], n)
+    return D, C, _rmat([[T.entries[i][c][t] for c in range(n, T.cols)] for i, t in at], m.q)
 
 
 def causal_rows_oracle(m: REModel) -> tuple:
@@ -998,11 +1036,11 @@ def ref_expectation_kernel(m: REModel):
     from the polynomial products: the reference for `REModel.ker_l`."""
     s, n = m.s, m.s * m.H
     M, _ = residual_map(m, ref_zeta_coefficients(m), m.pi.J1)
-    images = [m.pi.pi * PolyMatrix([[Poly.monomial(a // s) if r == a % s else Poly()]
-                                    for r in range(s)])
-              + PolyMatrix([[row[a]] for row in M.entries]) for a in range(n)]
+    images = [mat_add(mat_mul(m.pi.pi, PolyMatrix([[Poly.monomial(a // s) if r == a % s else Poly()]
+                                                   for r in range(s)])),
+                      PolyMatrix([[row[a]] for row in M.entries])) for a in range(n)]
     top = max((int(max_degree(v)) + 1 for v in images if max_degree(v) >= 0), default=0)
-    return rank_kernel(RationalMatrix([[v[r, 0][k] for v in images]
+    return rank_kernel(RationalMatrix([[v.entries[r][0][k] for v in images]
                                        for r in range(s) for k in range(top)]))[1]
 
 
@@ -1064,9 +1102,9 @@ def substitution_set(m: REModel):
     S = ref_split_phi(pp.det.shift(-G).monic(), m.xi)[0]
     zc = ref_zeta_coefficients(m)
     # N(z; h) one unknown at a time, and its constant -z^J1 w(z)
-    cols = [[pi[i, a % s].shift(a // s) + zc[i, a].shift(J1) for i in range(s)]
+    cols = [[pi.entries[i][a % s].shift(a // s) + zc.entries[i][a].shift(J1) for i in range(s)]
             for a in range(n)]
-    const = (ref_wold_poly(m) * Fraction(-1)).shift(J1)
+    const = mat_shift(ref_wold_poly(m) * Fraction(-1), J1)
     dN = max(int(e.degree) for e in chain(chain.from_iterable(cols), *const.entries)
              if not e.is_zero())
     dS, dpi = int(S.degree), int(max_degree(pi))
@@ -1095,7 +1133,7 @@ def substitution_set(m: REModel):
             f = form()
             for r in range(s):
                 for k in range(max(0, d - dpi), min(d, nP - 1) + 1):
-                    f[n + r * nP + k] += pi[i, r][d - k]
+                    f[n + r * nP + k] += pi.entries[i][r][d - k]
             for a in range(n):
                 f[a] -= s_cols[a][d]
             f[nU:] = [-e[d] for e in s_const]
@@ -1113,11 +1151,11 @@ def substitution_set(m: REModel):
         psi.append(out)
     for d in range(B + 1):
         for i in range(s):
-            f = form(c=[m.wold_coeff(d)[i, c] for c in range(q)])
+            f = form(c=m.wold_coeff(d).entries[i])
             for (k, h), A in m.A.items():
                 if k <= d:
                     for r in range(s):
-                        axpy(f, A[i, r], psi[d - k + h][r])
+                        axpy(f, A.entries[i][r], psi[d - k + h][r])
             rows.append(f)
     for j in range(H):
         for r in range(s):
@@ -1163,7 +1201,7 @@ def ref_adj_product(m: REModel, adj: tuple, J1: int, free, ker_l) -> PolyMatrix:
     right = PolyMatrix([
         [row[a] for a in free] + [sum((e * x for e, x in zip(row, v)), Poly()) for v in ker_l] + w
         for row, w in zip(zc.entries, ref_wold_poly(m).entries)], len(free) + len(ker_l) + m.q)
-    return (adj_matrix(adj) * right).shift(J1)
+    return mat_shift(mat_mul(adj_matrix(adj), right), J1)
 
 
 # g, the coefficients of P^-1 (lowest power first) and E(0), as Fraction matrices
@@ -1183,7 +1221,7 @@ def fraction_local(pi: PolyMatrix, loc: LocalSmith, n: int | None = None) -> Ref
     n = max(len(f) for row in N for f in row) if n is None else n
     p_inv = tuple(_rmat([[Fraction(f[t] if t < len(f) else 0, L) for f in row] for row in N])
                   for t in range(n))
-    prod_rows = (PolyMatrix([[_poly(list(f), L) for f in row] for row in N]) * pi).entries
+    prod_rows = mat_mul(PolyMatrix([[_poly(list(f), L) for f in row] for row in N]), pi).entries
     e0 = _rmat([[f[gi] for f in row] for row, gi in zip(prod_rows, loc.g)])
     return RefLocal(loc.g, p_inv, e0)
 
@@ -1193,7 +1231,7 @@ def ref_local_form(pi: PolyMatrix, G: int) -> RefLocal:
     and pi(0) for E(0) at G = 0: the reference for the integer LocalSmith's layout."""
     s = pi.rows
     if not G:
-        return RefLocal((0,) * s, (RationalMatrix.identity(s),), coeff(pi, 0))
+        return RefLocal((0,) * s, (identity_matrix(s),), coeff(pi, 0))
     N, L = _numerators(pi.entries)
     rows = [list(r) + [[int(i == k)] for k in range(s)] for i, r in enumerate(N)]
     at = lambda f, t: f[t] if 0 <= t < len(f) else 0
@@ -1219,7 +1257,7 @@ def ref_smith_local(sf: SmithForm, order: int | None = None) -> RefLocal:
     coefficient of row i of the Poly product P^-1 pi."""
     order = int(max_degree(sf.P_inv)) + 1 if order is None else order  # P^-1 is not zero
     p_inv = (coeff(sf.P_inv, k) for k in range(order))
-    E0 = _rmat([[f[gi] for f in row] for row, gi in zip((sf.P_inv * sf.pi).entries, sf.g)])
+    E0 = _rmat([[f[gi] for f in row] for row, gi in zip(mat_mul(sf.P_inv, sf.pi).entries, sf.g)])
     return RefLocal(sf.g, tuple(p_inv), E0)
 
 
@@ -1272,7 +1310,7 @@ def divisibility_rows(adj: PolyMatrix, D: Poly, vec: PolyMatrix) -> list:
     """Remainder coefficients of adj vec mod D for an s x 1 column vec; all zero
     iff D divides adj vec."""
     out = []
-    for row in (adj * vec).entries:
+    for row in mat_mul(adj, vec).entries:
         r = row[0] % D
         out += [r[k] for k in range(int(D.degree))]
     return out
@@ -1292,11 +1330,11 @@ def ref_residual_rows(adj: PolyMatrix, D: Poly, const, per_unknown):
 def ref_numerator(m: REModel, adj: PolyMatrix, split, const, per_unknown, h) -> PolyMatrix:
     """adj(pi) R / D + S h(z) for the residual R = n_of_h(m, const, per_unknown, h)."""
     D, S = split
-    adj_r = adj * n_of_h(m, const, per_unknown, h)
+    adj_r = mat_mul(adj, n_of_h(m, const, per_unknown, h))
     return PolyMatrix([
-        [adj_r[i, c].exact_div(D) + S * Poly([h.entries[j * m.s + i][c] for j in range(m.H)])
-         for c in range(m.q)]
-        for i in range(m.s)
+        [e.exact_div(D) + S * Poly([h.entries[j * m.s + i][c] for j in range(m.H)])
+         for c, e in enumerate(row)]
+        for i, row in enumerate(adj_r.entries)
     ])
 
 
@@ -1333,12 +1371,13 @@ def ref_verify(m: REModel, sr, max_lag: int) -> dict:
     psi = ref_series(sr.transfer_num, sr.transfer_den, max_lag + m.H + 1)
     failures = []
     for d in range(max_lag + 1):
-        res = [[m.wold_coeff(d)[i, c] for c in range(q)] for i in range(s)]
+        res = [list(row) for row in m.wold_coeff(d).entries]
         for (k, h), a_kh in m.A.items():
             if k <= d:
                 for i in range(s):
                     for c in range(q):
-                        res[i][c] += sum(a_kh[i, r] * psi[d - k + h][r][c] for r in range(s))
+                        res[i][c] += sum(a * psi[d - k + h][r][c]
+                                         for r, a in enumerate(a_kh.entries[i]))
         bad = [(i, c) for i in range(s) for c in range(q) if res[i][c] != 0]
         if bad:
             i, c = bad[0]
@@ -1355,7 +1394,7 @@ def _ref_report(m: REModel, sr, max_lag: int, failures) -> dict:
     if sr.h is not None:
         for j in range(m.H):
             for r in range(sum(m.gamma[: j + 1]), s):
-                if any(sr.h[j * s + r, c] != 0 for c in range(q)):
+                if any(sr.h.entries[j * s + r]):
                     predet.append({"j": j, "row": r})
         if not m.predetermined:
             first = [
@@ -1363,7 +1402,7 @@ def _ref_report(m: REModel, sr, max_lag: int, failures) -> dict:
                 for j in range(m.H)
                 for r in range(s)
                 for c in range(q)
-                if psi[j][r][c] != sr.h[j * s + r, c]
+                if psi[j][r][c] != sr.h.entries[j * s + r][c]
             ]
     return {
         "ok": not failures and not predet and not first,
@@ -1389,11 +1428,11 @@ def ref_verify_per_h(m: REModel, sr, max_lag: int) -> dict:
     head = ref_series(num, den, m.H)
     T = ref_wold_poly(m) * den
     for h in range(m.H + 1):
-        lead = PolyMatrix([[Poly([a_kh(m, k, h)[i, r] for k in range(m.K + 1)]) for r in range(s)]
-                           for i in range(s)])
+        lead = PolyMatrix([[Poly([a_kh(m, k, h).entries[i][r] for k in range(m.K + 1)])
+                            for r in range(s)] for i in range(s)])
         psi_h = PolyMatrix([[Poly([psi[i][c] for psi in head[:h]]) for c in range(q)]
                             for i in range(s)])
-        T = T + lead * (num - psi_h * den).shift(-h)
+        T = mat_add(T, mat_mul(lead, mat_shift(mat_sub(num, psi_h * den), -h)))
     failures = []
     if any(e[d] for row in T.entries for e in row for d in range(max_lag + 1)):
         for d, res in enumerate(ref_series(T, den, max_lag + 1)):
@@ -1542,8 +1581,8 @@ def ref_smith_split(sf: SmithForm, J1: int, U: Poly):
         un = poly_gcd(phi, U)
         diag_u.append(Poly.monomial(max(gi - J1, 0)) * un)
         diag_s.append(Poly.monomial(min(gi, J1)) * phi.exact_div(un))
-    det_u, adj_u = det_adjugate(sf.P * diag_matrix(diag_u))
-    det_s, adj_s = det_adjugate(diag_matrix(diag_s) * sf.Q)
+    det_u, adj_u = det_adjugate(mat_mul(sf.P, diag_matrix(diag_u)))
+    det_s, adj_s = det_adjugate(mat_mul(diag_matrix(diag_s), sf.Q))
     return det_u, adj_matrix(adj_u), det_s, adj_matrix(adj_s), sum(min(gi, J1) for gi in sf.g)
 
 
@@ -1556,11 +1595,11 @@ def ref_cancellation_rows(vec: PolyMatrix, split):
     """
     det_u, adj_u, _det_s, adj_s, m0 = split
     out, quo = [], []
-    for row in (adj_u * vec).entries:
+    for row in mat_mul(adj_u, vec).entries:
         q, r = row[0].divmod(det_u)
         out += [r[k] for k in range(int(det_u.degree))]
         quo.append([q])
-    out += [row[0][k] for row in (adj_s * PolyMatrix(quo)).entries for k in range(m0)]
+    out += [row[0][k] for row in mat_mul(adj_s, PolyMatrix(quo)).entries for k in range(m0)]
     return out
 
 
@@ -1571,8 +1610,8 @@ def ref_transfer(N: PolyMatrix, split):
     den and every entry of num.
     """
     det_u, adj_u, det_s, adj_s, m0 = split
-    a_theta = PolyMatrix([[e.exact_div(det_u) for e in row] for row in (adj_u * N).entries])
-    num = [[e.shift(-m0) for e in row] for row in (adj_s * a_theta).entries]
+    a_theta = PolyMatrix([[e.exact_div(det_u) for e in row] for row in mat_mul(adj_u, N).entries])
+    num = [[e.shift(-m0) for e in row] for row in mat_mul(adj_s, a_theta).entries]
     den = det_s.shift(-m0)
     common = den
     for e in (e for row in num for e in row):
@@ -1676,15 +1715,16 @@ def sims_published_smith() -> SmithForm:
 def smith_fixture(P: PolyMatrix, Q: PolyMatrix, g, phi) -> SmithForm:
     """The SmithForm of pi = P diag(z^g) diag(phi) Q, which derives Q back from P^-1 and pi."""
     alpha = diag_matrix([Poly.monomial(gi) * ph for gi, ph in zip(g, phi)])
-    return SmithForm(pi=P * alpha * Q, g=tuple(g), phi=tuple(phi), P_inv=unimodular_inverse(P))
+    return SmithForm(pi=mat_mul(P, alpha, Q), g=tuple(g), phi=tuple(phi),
+                     P_inv=unimodular_inverse(P))
 
 
 def check_smith_invariants(M: PolyMatrix, sf: SmithForm):
     """All SmithForm type invariants, assertion style."""
     assert smith_reconstruct(sf) == M
     assert is_unimodular(sf.P) and is_unimodular(sf.Q)
-    assert sf.P * sf.P_inv == PolyMatrix.identity(smith_size(sf))
-    assert sf.Q * sf.Q_inv == PolyMatrix.identity(smith_size(sf))
+    assert mat_mul(sf.P, sf.P_inv) == identity_polymatrix(smith_size(sf))
+    assert mat_mul(sf.Q, sf.Q_inv) == identity_polymatrix(smith_size(sf))
     assert list(sf.g) == sorted(sf.g)
     factors = sf.invariant_factors()
     for f in factors:

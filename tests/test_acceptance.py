@@ -35,8 +35,10 @@ from conftest import (
     brute_force_plain,
     check_smith_invariants,
     diag_matrix,
+    identity_matrix,
     invariant_factors_oracle,
     invert,
+    mat_mul,
     poly_eval,
     rand_frac,
     rand_matrix,
@@ -208,7 +210,8 @@ def _c6():
             chain = [Poly.const(1)]
             for _ in range(n - 1):
                 chain.append((chain[-1] * base).monic() if rng.random() < 0.5 else chain[-1])
-            M = rand_unimodular(rng, n, ops=3) * diag_matrix(chain) * rand_unimodular(rng, n, ops=3)
+            M = mat_mul(rand_unimodular(rng, n, ops=3), diag_matrix(chain),
+                        rand_unimodular(rng, n, ops=3))
         else:
             n = rng.randint(1, 5)
             max_deg = rng.randint(0, 4) if n <= 3 else rng.randint(0, 2)
@@ -293,9 +296,9 @@ def _bk_draw(rng):
         C = rand_matrix(rng, s, q)
     m = REModel(
         s=s, K=0, H=1, q=q,
-        A={(0, 0): -B, (0, 1): RationalMatrix.identity(s)},
+        A={(0, 0): B * -1, (0, 1): identity_matrix(s)},
         gamma=(s0, s - s0),
-        wold=(-C,),
+        wold=(C * -1,),
     )
     return m, B, C, s0
 

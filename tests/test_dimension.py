@@ -22,7 +22,10 @@ from conftest import (
     affine_set,
     deep_planted_models,
     fraction_local,
+    identity_matrix,
     ladder_shaped_models,
+    mat_add,
+    mat_mul,
     planted_models,
     polymatrix_from_rational,
     random_gamma,
@@ -139,8 +142,8 @@ def test_genericity_probe_flags_rank_drop():
     a01 = RationalMatrix([[3, 1], [6, 2]])
     m = REModel(
         s=2, K=1, H=2, q=2,
-        A={(0, 0): a00, (0, 1): a01, (1, 2): RationalMatrix.identity(2)},
-        gamma=(2, 0, 0), wold=(RationalMatrix.identity(2),),
+        A={(0, 0): a00, (0, 1): a01, (1, 2): identity_matrix(2)},
+        gamma=(2, 0, 0), wold=(identity_matrix(2),),
     )
     assert m.pi.J1 == 1  # A02 absent, A12 = I
     assert m.cs.rank_w == 1  # dependent rows at the supplied point
@@ -158,7 +161,7 @@ def test_genericity_probe_counts_singular_points_and_propagates_other_errors(mon
     )
     rng = random.Random(1)
     points = [_perturb(m, rng) for _ in range(30)]
-    singular = sum(p.A[(0, 0)][0, 0] * p.A[(0, 0)][1, 1] == 0 for p in points)
+    singular = sum(p.A[(0, 0)].entries[0][0] * p.A[(0, 0)].entries[1][1] == 0 for p in points)
     assert singular > 0
     rep = genericity_probe(m, trials=30, seed=1)
     assert rep["failed_trials"] == singular
@@ -182,11 +185,11 @@ def test_local_stage_is_a_factorization_at_zero(corpus):
         assert (m.pi.det[0] != 0) == (loc.g == (0,) * m.s)
         p_inv = zero_polymatrix(m.s, m.s)
         for k, c in enumerate(loc.p_inv):
-            p_inv = p_inv + polymatrix_from_rational(c) * Poly.monomial(k)
+            p_inv = mat_add(p_inv, polymatrix_from_rational(c) * Poly.monomial(k))
         assert "sf" not in m.artifacts
         det, _ = det_adjugate(p_inv)
         assert det.is_constant() and not det.is_zero()
-        E = (p_inv * m.pi.pi).entries
+        E = mat_mul(p_inv, m.pi.pi).entries
         assert all(e[j] == 0 for k, gk in enumerate(loc.g) for e in E[k] for j in range(gk))
         E0 = RationalMatrix([[e[gk] for e in E[k]] for k, gk in enumerate(loc.g)])
         assert E0 == loc.e0 and rank_of(E0) == m.s

@@ -14,8 +14,8 @@ from recausal.exactalg import (
     NEG_INF,
     _P,
     _coprime_to_derivative_mod_p,
+    _int_product,
     _numerators,
-    _packed_product,
     _poly,
     _unpack,
     Poly,
@@ -36,9 +36,12 @@ from conftest import (
     adj_matrix,
     diag_matrix,
     hstack,
+    identity_matrix,
+    identity_polymatrix,
     invert,
     deep_planted_models,
     ladder_shaped_models,
+    mat_mul,
     planted_models,
     poly_eval,
     poly_lcm,
@@ -141,7 +144,7 @@ def _laplace_det(M: PolyMatrix) -> Poly:
 
 
 def test_det_adjugate_identity():
-    det, adj = det_adjugate(PolyMatrix.identity(3))
+    det, adj = det_adjugate(identity_polymatrix(3))
     assert det == 1 and adj == ([[[1] if i == j else [] for j in range(3)] for i in range(3)], 1)
 
 
@@ -149,13 +152,13 @@ def test_det_adjugate_sims_pi():
     z = Poly([0, 1])
     pi = PolyMatrix(
         [
-            [1 - Fraction(9, 10) * z, Poly()],
-            [z * Fraction(1, 100000), z * (1 - Fraction(11, 10) * z)],
+            [Poly([1, Fraction(-9, 10)]), Poly()],
+            [z * Fraction(1, 100000), z * Poly([1, Fraction(-11, 10)])],
         ]
     )
     det, adj = det_adjugate(pi)
-    assert det == (1 - Fraction(9, 10) * z) * z * (1 - Fraction(11, 10) * z)
-    assert pi * adj_matrix(adj) == diag_matrix([det, det])
+    assert det == Poly([1, Fraction(-9, 10)]) * z * Poly([1, Fraction(-11, 10)])
+    assert mat_mul(pi, adj_matrix(adj)) == diag_matrix([det, det])
 
 
 def test_det_adjugate_random_vs_laplace():
@@ -165,15 +168,15 @@ def test_det_adjugate_random_vs_laplace():
         det, adj = det_adjugate(M)
         adj = adj_matrix(adj)
         assert det == _laplace_det(M)
-        prod = M * adj
+        prod = mat_mul(M, adj)
         assert prod == diag_matrix([det] * 4)
-        assert adj * M == prod
+        assert mat_mul(adj, M) == prod
 
 
 def test_rank_kernel_trivial():
     rank, kern = rank_kernel(RationalMatrix.zero(3, 5))
     assert rank == 0 and len(kern) == 5
-    rank, kern = rank_kernel(RationalMatrix.identity(4))
+    rank, kern = rank_kernel(identity_matrix(4))
     assert rank == 4 and kern == []
 
 
@@ -183,8 +186,8 @@ def test_rank_kernel_planted_rank():
     for _ in range(50):
         k = rng.randint(1, 3)
         n, m = k + rng.randint(1, 3), k + rng.randint(1, 3)
-        L = vstack([RationalMatrix.identity(k), rand_matrix(rng, n - k, k)])
-        R = hstack([RationalMatrix.identity(k), rand_matrix(rng, k, m - k)])
+        L = vstack([identity_matrix(k), rand_matrix(rng, n - k, k)])
+        R = hstack([identity_matrix(k), rand_matrix(rng, k, m - k)])
         M = L * R
         rank, kern = rank_kernel(M)
         assert rank == k
@@ -226,7 +229,7 @@ def test_invert():
             with pytest.raises(ValueError):
                 invert(M)
         else:
-            assert M * invert(M) == RationalMatrix.identity(3)
+            assert M * invert(M) == identity_matrix(3)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +373,6 @@ def test_rational_matrix_ops_match_reference(n, k, m, rnd):
         (A * B, prod),
         (A + A, [[x + x for x in row] for row in a]),
         (A - A * 3, [[x - 3 * x for x in row] for row in a]),
-        (-A, [[-x for x in row] for row in a]),
         (A.transpose(), [list(col) for col in zip(*a)]),
         (submatrix(A, range(n), [k - 1]), [[row[k - 1]] for row in a]),
         (hstack([A, A]), [row + row for row in a]),
@@ -442,10 +444,13 @@ def _product_operands(draw):
 @example((PolyMatrix([[]]), PolyMatrix([], 2)))
 @example((PolyMatrix([], 2), PolyMatrix([[Poly([1])], [Poly([Fraction(-5, 7)])]])))
 def test_packed_product_matches_polymatrix_product(operands):
+    """`_int_product` of the `_numerators` of A and B is A B over the product of their
+    denominators, as `SmithForm.Q` reads it."""
     A, B = operands
-    P, den = _packed_product(A, B)
+    (NA, la), (NB, lb) = _numerators(A.entries), _numerators(B.entries)
+    P, den = _int_product(NA, NB, B.cols), la * lb
     assert den > 0 and (len(P), all(len(row) == B.cols for row in P)) == (A.rows, True)
-    assert PolyMatrix([[_poly(list(e), den) for e in row] for row in P], B.cols) == A * B
+    assert PolyMatrix([[_poly(list(e), den) for e in row] for row in P], B.cols) == mat_mul(A, B)
 
 
 def test_numerators_rows_are_lists_whatever_the_denominator():
@@ -492,8 +497,8 @@ def test_det_adjugate_singular():
             # a zero row: only the cofactors that delete it survive, in column 0 of adj
             zero_row = PolyMatrix([[Poly()] * n] + M.entries[1:])
             det, adj = _check_det_adjugate(zero_row)
-            assert det.is_zero() and (zero_row * adj).entries == [[Poly()] * n] * n
-            assert all(adj[i, j].is_zero() for i in range(n) for j in range(1, n))
+            assert det.is_zero() and mat_mul(zero_row, adj).entries == [[Poly()] * n] * n
+            assert all(adj.entries[i][j].is_zero() for i in range(n) for j in range(1, n))
             # a repeated row: det = 0, adj of rank 1
             repeated = PolyMatrix([M.entries[1]] + M.entries[1:])
             det, adj = _check_det_adjugate(repeated)
@@ -502,7 +507,7 @@ def test_det_adjugate_singular():
                 # rank n - 2: every (n-1)-minor vanishes
                 X = rand_polymatrix(rng, n, 1, cols=n - 2, **kw)
                 Y = rand_polymatrix(rng, n - 2, 1, cols=n, **kw)
-                det, adj = _check_det_adjugate(X * Y)
+                det, adj = _check_det_adjugate(mat_mul(X, Y))
                 assert det.is_zero() and adj == zero_polymatrix(n, n)
 
 
@@ -523,7 +528,7 @@ def test_det_adjugate_coefficient_bound_met():
         for e in diag:
             want = want * e
         assert det == want
-        assert M * adj == diag_matrix([det] * M.rows)
+        assert mat_mul(M, adj) == diag_matrix([det] * M.rows)
 
 
 def test_unpack_signed_digits_round_trip():
@@ -621,7 +626,7 @@ def test_empty_shapes_keep_their_columns():
     assert (E.rows, E.cols) == (0, 3)
     assert (E.transpose().rows, E.transpose().cols) == (3, 0)
     assert (E.transpose().transpose().rows, E.transpose().transpose().cols) == (0, 3)
-    S = submatrix(RationalMatrix.identity(3), range(3), range(0))
+    S = submatrix(identity_matrix(3), range(3), range(0))
     assert (S.rows, S.cols) == (3, 0) and (S.transpose().rows, S.transpose().cols) == (0, 3)
     assert ((E * RationalMatrix.zero(3, 2)).rows, (E * RationalMatrix.zero(3, 2)).cols) == (0, 2)
     assert (vstack([E, E]).cols, hstack([E, E]).cols) == (3, 6)

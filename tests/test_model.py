@@ -25,6 +25,7 @@ from conftest import (
     a_kh,
     coeff,
     deep_planted_models,
+    identity_matrix,
     ladder_shaped_models,
     planted_models,
     rand_frac,
@@ -40,8 +41,8 @@ def test_parse_sims():
     m = sims_model()
     assert (m.s, m.K, m.H, m.q) == (2, 1, 1, 2)
     assert m.gamma == (1, 1)
-    assert a_kh(m, 0, 0)[0, 0] == Fraction(-9, 10)
-    assert a_kh(m, 1, 0)[1, 1] == Fraction(-11, 10)
+    assert a_kh(m, 0, 0).entries[0][0] == Fraction(-9, 10)
+    assert a_kh(m, 1, 0).entries[1][1] == Fraction(-11, 10)
     assert a_kh(m, 1, 1).is_zero()  # omitted pair means zero
     assert m.predetermined
 
@@ -110,7 +111,7 @@ def test_rat_reads_strings_as_fraction_does(text):
     doc = _sims_doc()
     doc["A"][0]["matrix"][0][0] = text
     try:
-        got = parse_model(json.dumps(doc)).A[0, 0][0, 0]
+        got = parse_model(json.dumps(doc)).A[0, 0].entries[0][0]
     except ModelFormatError as exc:
         got = str(exc)
     want = outcome(Fraction)
@@ -144,7 +145,7 @@ def test_build_pi_univariate_k2h2():
             -2: a[(2, 0)],
         }
         for i in range(-2, 3):  # A*_i is the coefficient of z^(J1 - i), zero outside J0..J1
-            got = coeff(pp.pi, pp.J1 - i)[0, 0]
+            got = coeff(pp.pi, pp.J1 - i).entries[0][0]
             assert got == expected[i], (i, got, expected[i])
 
 
@@ -156,13 +157,13 @@ def test_build_pi_first_order():
                 gamma=(1, 0), wold=(RationalMatrix([[1]]),))
     pp = build_pi(m)
     assert (pp.J0, pp.J1) == (0, 1)
-    assert pp.pi.entries[0][0] == Poly([a01[0, 0], a00[0, 0]])
+    assert pp.pi.entries[0][0] == Poly([a01.entries[0][0], a00.entries[0][0]])
 
 
 def test_build_pi_redundant():
     # A00 = -I = -A_KK with K = H makes pi identically zero
-    eye = RationalMatrix.identity(2)
-    m = REModel(s=2, K=1, H=1, q=1, A={(0, 0): -eye, (1, 1): eye},
+    eye = identity_matrix(2)
+    m = REModel(s=2, K=1, H=1, q=1, A={(0, 0): eye * -1, (1, 1): eye},
                 gamma=(2, 0), wold=(RationalMatrix([[1], [0]]),))
     with pytest.raises(RedundantEquationsError):
         build_pi(m)
@@ -230,7 +231,7 @@ def _coefficient_arrays(draw):
          if draw(st.booleans())}
     others = [a for (k, h), a in A.items() if k == h != 1]
     if min(K, H) and others and draw(st.booleans()):  # A_11 = -(the other A_kk)
-        A[1, 1] = -sum(others[1:], others[0])
+        A[1, 1] = sum(others[1:], others[0]) * -1
     A = {kh: a for kh, a in A.items() if not a.is_zero()}
     return REModel(s=s, K=K, H=H, q=1, A=A, gamma=(s,) + (0,) * H,
                    wold=(RationalMatrix([[1]] * s),))
@@ -293,8 +294,8 @@ def test_validate_semantics():
     rep = validate_semantics(sims_model())
     assert rep["ok"]
     assert any("G = 1" in c["detail"] for c in rep["checks"] if c["name"] == "det_pi_nonzero")
-    eye = RationalMatrix.identity(2)
-    bad = REModel(s=2, K=1, H=1, q=1, A={(0, 0): -eye, (1, 1): eye},
+    eye = identity_matrix(2)
+    bad = REModel(s=2, K=1, H=1, q=1, A={(0, 0): eye * -1, (1, 1): eye},
                   gamma=(2, 0), wold=(RationalMatrix([[1], [0]]),))
     rep = validate_semantics(bad)
     assert not rep["ok"]

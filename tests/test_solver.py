@@ -47,8 +47,12 @@ from conftest import (
     diag_matrix,
     divisibility_rows,
     full_unknown_system,
+    identity_polymatrix,
     ladder_shaped_models,
     map_at,
+    mat_add,
+    mat_mul,
+    mat_sub,
     max_degree,
     planted_models,
     polymatrix_from_rational,
@@ -124,14 +128,15 @@ def test_factor_sims():
 
 def test_factor_scalar_split():
     # pi = (1 - 2z)(1 - z/2): root 1/2 is unstable, root 2 stable
-    D, S = _split(PolyMatrix([[(1 - 2 * Z) * (1 - Fraction(1, 2) * Z)]]), J1=2)
+    D, S = _split(PolyMatrix([[Poly([1, -2]) * Poly([1, Fraction(-1, 2)])]]), J1=2)
     assert D.monic() == Z - Fraction(1, 2)
     assert S.monic() == Z - 2
 
 
 def test_factor_all_roots_outside():
     # no unstable roots and G = 0: nothing to cancel, D = 1
-    pi = PolyMatrix([[1 - Fraction(1, 3) * Z, Poly()], [Poly.const(1), 1 - Fraction(1, 4) * Z]])
+    pi = PolyMatrix([[Poly([1, Fraction(-1, 3)]), Poly()],
+                     [Poly.const(1), Poly([1, Fraction(-1, 4)])]])
     D, S = _split(pi, J1=1)
     assert D == Poly.const(1)
     assert S.monic() == (Z - 3) * (Z - 4)
@@ -146,7 +151,7 @@ def test_factor_rejects_straddling_irreducible():
 
 def test_factor_rejects_negative_j1():
     with pytest.raises(UnsupportedModelError):
-        _split(PolyMatrix([[1 - Fraction(1, 2) * Z]]), J1=-1)
+        _split(PolyMatrix([[Poly([1, Fraction(-1, 2)])]]), J1=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +189,8 @@ def test_assemble_rhs_affine_linearity():
     # both the full map N = A h - W and the solver's residual R = M h - W
     for A, W in (assemble_rhs(m, zc, m.pi.J1, m.pi.pi), residual_map(m, zc, m.pi.J1)):
         n0 = map_at(A, W, RationalMatrix.zero(m.s * m.H, m.q))
-        lhs = map_at(A, W, h1 + h2) - n0
-        rhs = (map_at(A, W, h1) - n0) + (map_at(A, W, h2) - n0)
+        lhs = mat_sub(map_at(A, W, h1 + h2), n0)
+        rhs = mat_add(mat_sub(map_at(A, W, h1), n0), mat_sub(map_at(A, W, h2), n0))
         assert lhs == rhs
 
 
@@ -208,13 +213,13 @@ def test_assemble_rhs_matches_direct_formula():
                 for r in range(m.s)
             ]
         )
-        direct = m.pi.pi * hpoly - ref_wold_poly(m) * Poly.monomial(m.pi.J1)
+        direct = mat_sub(mat_mul(m.pi.pi, hpoly), ref_wold_poly(m) * Poly.monomial(m.pi.J1))
         assert max_degree(zc) < m.H + m.K
         for i in range(m.H + m.K):
             mi = coeff(zc, i)
-            direct = direct + polymatrix_from_rational(mi * h) * Poly.monomial(m.pi.J1 + i)
+            direct = mat_add(direct, polymatrix_from_rational(mi * h) * Poly.monomial(m.pi.J1 + i))
         assert got == direct
-        assert m.pi.pi * hpoly + map_at(M, W_res, h) == direct
+        assert mat_add(mat_mul(m.pi.pi, hpoly), map_at(M, W_res, h)) == direct
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +265,9 @@ def test_scalar_determinate_series_oracle():
         series = transfer_series(sr.transfer_num, sr.transfer_den, 10)
         for j in range(10):
             expect = sum(
-                (a ** i) * m.wold_coeff(j + i)[0, 0] for i in range(len(m.wold))
+                (a ** i) * m.wold_coeff(j + i).entries[0][0] for i in range(len(m.wold))
             )
-            assert series[j][0, 0] == expect, (a, j)
+            assert series[j].entries[0][0] == expect, (a, j)
 
 
 def test_indeterminate_distinct_kernel_points():
@@ -285,7 +290,7 @@ def test_h0_trivial_model():
     sr = solve_causal(m)
     assert sr.classification == "determinate"
     series = transfer_series(sr.transfer_num, sr.transfer_den, 4)
-    assert [x[0, 0] for x in series] == [1, Fraction(1, 2), 0, 0]
+    assert [x.entries[0][0] for x in series] == [1, Fraction(1, 2), 0, 0]
     assert verify_solution(m, sr)["ok"]
 
 
@@ -714,7 +719,7 @@ def test_residual_rows_and_numerator_match_full_map(corpus):
         n_rows += n > 0
         if sr.h is not None:
             N = map_at(A, W, sr.h)
-            full = PolyMatrix([[e.exact_div(D) for e in row] for row in (adj * N).entries])
+            full = PolyMatrix([[e.exact_div(D) for e in row] for row in mat_mul(adj, N).entries])
             assert _numerator(m, split, P, unknowns, sr.h) == full
             n_nums += 1
     assert n_models >= 50 and n_rows >= 35 and n_nums >= 30, (n_models, n_rows, n_nums)
@@ -886,7 +891,7 @@ def _sheared_smith(sf: SmithForm) -> SmithForm:
     d = sf.invariant_factors()
     rows = [[Poly.const(int(i == j)) for j in range(smith_size(sf))] for i in range(smith_size(sf))]
     rows[-1][0] = d[-1].exact_div(d[0])
-    return SmithForm(sf.pi, sf.g, sf.phi, PolyMatrix(rows) * sf.P_inv)
+    return SmithForm(sf.pi, sf.g, sf.phi, mat_mul(PolyMatrix(rows), sf.P_inv))
 
 
 def _printed(capsys, m, argv):
@@ -907,8 +912,8 @@ def test_solve_and_verify_print_the_same_from_another_smith_factorization(capsys
     for name in ("sims", "generic", "planted3"):
         sf = smith_form(build_pi(models[name]).pi)
         sheared = _sheared_smith(sf)
-        assert sheared.Q != sf.Q and sheared.P_inv * sf.pi == diag_matrix(
-            sf.invariant_factors()) * sheared.Q, name
+        assert sheared.Q != sf.Q and mat_mul(sheared.P_inv, sf.pi) == mat_mul(diag_matrix(
+            sf.invariant_factors()), sheared.Q), name
         for argv in (["solve"], ["solve", "--kernel-point", "0"], ["verify"]):
             m = models[name]._replace()
             m.artifacts["sf"] = sheared
@@ -1066,7 +1071,7 @@ def test_expectation_kernel_is_the_kernel_of_pi_d_plus_m_d(corpus, predetermined
 def test_simulate_white_noise_and_determinism():
     white = SolutionReport(
         classification="determinate", indeterminacy_dim=0, h=None, h_particular=None,
-        kernel=(), transfer_num=PolyMatrix.identity(2), transfer_den=Poly.const(1),
+        kernel=(), transfer_num=identity_polymatrix(2), transfer_den=Poly.const(1),
         kernel_point="min-norm",
     )
     rep = simulate(white, T=40000, seed=3)
