@@ -10,8 +10,8 @@ coefficient rows of P^-1, C is D times m_stack's columns of the unknowns,
 the m_i of zeta(z) = sum_i m_i z^i (`model.build_m_stack`), and rhs is D times
 the w_j stacked.  rank_w is counted by `_row_echelon` (Bareiss, Math. Comp. 22,
 1968) on the integer rows of C, from one zero-skipping product of p_stack's and
-m_stack's integers, and the kernel is read off the same elimination.
-Fractions are formed only for C, D and rhs, on first read.
+m_stack's integers, and the kernel is read off the same elimination.  Fractions are
+formed only on a first read of C, D or rhs: C is those integer rows over one denominator.
 
 The plain system (`frak_p_blocks`) takes H rows per row i of P^-1, its
 coefficients g_i - J1 .. g_i - J1 + H - 1, on all sH entries of h.  The
@@ -63,13 +63,19 @@ def _columns(ms: tuple, cols, ker_l: list) -> tuple:
             + [sum(map(mul, x, v)) * (lb // (L * lv)) for v, lv in kv] for x in N], lb
 
 
+def _over(P: list, B: list, cols: int, den: int):
+    """P B / den, cols wide, for integer rows P and B by one `_combine` per row of P."""
+    return _rmat([[Fraction(x, den) for x in _combine(zip(r, B), cols)] for r in P], cols)
+
+
 class ConstraintSystem:
     """C x = rhs, flavor "plain" or "predetermined", for D = p_stack: C = D [m_stack's
     columns of the unknowns], rhs = D (the w_j stacked).  The unknowns x are all sH
     entries of h (plain), or the free entries of h and the coordinates of d in ker L,
     ker_l its basis (predetermined).  rank_w, and the reduced rows the kernel of C is
-    read off, are counted on integer rows on construction; C, D and rhs are built on
-    first read.  ms = (N, L) is m_stack, N / L, and pb = (P, L') p_stack, P / L'."""
+    read off, are counted on integer rows on construction.  C, D and rhs are built on
+    first read, C from the rows that were ranked and rhs from `REModel.wold_numerators`
+    (`_over`).  ms = (N, L) is m_stack, N / L, and pb = (P, L') p_stack, P / L'."""
 
     def __init__(self, m: REModel, ms: tuple, pb: tuple, ker_l: list | None = None):
         self.flavor = "plain" if ker_l is None else "predetermined"
@@ -78,7 +84,7 @@ class ConstraintSystem:
         R, n = _columns(ms, cols, ker_l), len(cols) + len(ker_l)
         rows = [_combine(zip(r, R[0]), n) for r in pb[0]]  # L' lb times row r of p_stack R
         pivots = _row_echelon(rows, n)
-        self._echelon, self._src = (rows[: len(pivots)], pivots, n), (pb, R, m._replace())
+        self._echelon, self._src = (rows[: len(pivots)], pivots, n), (pb, R, m.wold_numerators)
         self.rank_w, self.effective_unknowns = len(pivots), len(cols)
         if ker_l:  # the p-space: the free entries and ker L's part on the forced ones
             forced = sorted(set(range(m.s * m.H)) - set(cols))
@@ -92,10 +98,11 @@ class ConstraintSystem:
 
     @cached_property
     def _matrices(self) -> tuple:
-        ((P, lp), (R, lb), m), n = self._src, self._echelon[2]
+        (P, lp), (R, lb), (lw, W) = self._src
+        n, q = self._echelon[2], len(W[0])
+        ws = [[f[j] for f in wr] for j in range(q and len(W[0][0])) for wr in W]  # w_j stacked
         D = _rmat([[Fraction(x, lp) for x in row] for row in P], len(R))
-        W = _rmat([list(row) for j in range(len(R) // m.s) for row in m.wold_coeff(j).entries], m.q)
-        return D * _rmat([[Fraction(x, lb) for x in row] for row in R], n), D, D * W
+        return _over(P, R, n, lp * lb), D, _over(P, ws, q, lp * lw)
 
     @cached_property
     def kernel(self) -> tuple:

@@ -6,8 +6,9 @@ with trailing zeros trimmed, so its arithmetic runs on Python integers with
 one normalisation per result.  `Poly.addmul(f, g)` is self + f*g as one such
 result, accumulated on the numerators over their common denominator; `Poly`
 products and the Smith elimination's row operations use it.  Every matrix
-product of the commands is `_int_product`, on integer coefficient lists (a
-`PolyMatrix` multiplies only by a scalar).  `determinant` (Bareiss, O(n^3)),
+product of the commands is `_int_product` on integer coefficient lists or `_combine`
+on integer rows: a `PolyMatrix` multiplies only by a scalar, and a `RationalMatrix`
+only holds entries.  `determinant` (Bareiss, O(n^3)),
 `det_adjugate` (Faddeev-LeVerrier, O(n^4)) and `_int_product` run on integer
 matrices L*M(2^b) (Kronecker substitution) and read their results off
 base-2^b digits; `det_adjugate` keeps adj M as those digits, integer
@@ -25,6 +26,7 @@ is exact; no floating point.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import mul
@@ -34,13 +36,17 @@ _NIL, _ONE = Fraction(0), Fraction(1)  # shared entries of zero and identity mat
 
 
 def rat(x) -> Fraction:
-    """Coerce ints, strings like "p/q", and Fractions to Fraction."""
+    """Coerce ints, strings like "p/q", and Fractions to Fraction; a decimal exponent past
+    4300 in magnitude, for which Fraction computes 10**exp, is a ValueError."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, str):
         p, slash, q = x.partition("/")  # ASCII "p" and "p/q" by int(), the rest by Fraction
         if x.isascii() and p.removeprefix("-").isdigit() and (q.isdigit() or not slash):
             return Fraction(int(p), int(q or 1))
+        e = re.search(r"E([-+]?\d+(_\d+)*)\s*\Z", x, re.IGNORECASE)  # Fraction's exponent
+        if e and abs(int(e[1])) > 4300:
+            raise ValueError(f"decimal exponent {e[1]} exceeds the limit (4300)")
         return Fraction(x)
     if isinstance(x, int):
         return Fraction(x)
@@ -147,8 +153,6 @@ class Poly:
             out[i] += n
         return _poly(out, da)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         return self + (-_as_poly(other))
 
@@ -157,8 +161,6 @@ class Poly:
             p = other.numerator
             return _poly([n * p for n in self.num], self.den * other.denominator)
         return _ZERO.addmul(self, _as_poly(other))
-
-    __rmul__ = __mul__
 
     def addmul(self, f: "Poly", g: "Poly") -> "Poly":
         """self + f * g, accumulated on integer numerators and normalised once."""
@@ -471,7 +473,7 @@ def _unpack(v: int, b: int) -> list:
 
 
 class RationalMatrix:
-    """Matrix of Fraction entries, row-major."""
+    """Matrix of Fraction entries, row-major; it holds entries, with no arithmetic."""
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -489,43 +491,6 @@ class RationalMatrix:
         if not isinstance(other, RationalMatrix):
             return NotImplemented
         return self.entries == other.entries
-
-    def __add__(self, other):
-        assert (self.rows, self.cols) == (other.rows, other.cols)
-        pairs = zip(self.entries, other.entries)
-        return _rmat([[a + b for a, b in zip(r, o)] for r, o in pairs], self.cols)
-
-    def __sub__(self, other):
-        assert (self.rows, self.cols) == (other.rows, other.cols)
-        pairs = zip(self.entries, other.entries)
-        return _rmat([[a - b for a, b in zip(r, o)] for r, o in pairs], self.cols)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return _rmat([[e * other for e in row] for row in self.entries], self.cols)
-        assert self.cols == other.rows, (self.cols, other.rows)
-        ot = other.entries
-        out = []
-        for i in range(self.rows):
-            srow = self.entries[i]
-            row = [Fraction(0)] * other.cols
-            for k in range(self.cols):
-                a = srow[k]
-                if a == 0:
-                    continue
-                orow = ot[k]
-                for j in range(other.cols):
-                    if orow[j] != 0:
-                        row[j] += a * orow[j]
-            out.append(row)
-        return _rmat(out, other.cols)
-
-    __rmul__ = __mul__
-
-    def transpose(self) -> "RationalMatrix":
-        return _rmat(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)], self.rows
-        )
 
     def is_zero(self) -> bool:
         return all(e == 0 for row in self.entries for e in row)

@@ -92,11 +92,6 @@ class REModel(namedtuple("REModel", "s K H q A gamma wold xi", defaults=(Fractio
         s, gamma = self.s, self.gamma
         return tuple(j * s + r for j in range(self.H) for r in range(sum(gamma[: j + 1])))
 
-    def wold_coeff(self, j: int) -> RationalMatrix:
-        if 0 <= j < len(self.wold):
-            return self.wold[j]
-        return RationalMatrix.zero(self.s, self.q)
-
     @cached_property
     def wold_numerators(self) -> tuple:
         """(L, W): W[i][c] the coefficients of entry (i, c) of w(z) = sum_j w_j z^j times L,

@@ -90,15 +90,19 @@ SolutionReport = namedtuple("SolutionReport", (
     "classification indeterminacy_dim h h_particular kernel transfer_num transfer_den kernel_point"))
 
 
-def _min_norm_shift(X: RationalMatrix, kernel):
-    """Project the particular solution onto the min-norm representative."""
+def _dot(u, v) -> Fraction:
+    return sum((a * b for a, b in zip(u, v) if a and b), Fraction(0))
+
+
+def _min_norm_shift(X: list, kernel) -> list:
+    """X - K coef for K^T K coef = K^T X, K's columns the kernel vectors, on lists of Fraction
+    rows: the min-norm point of X + span K, each column orthogonal to every kernel vector."""
     if not kernel:
         return X
-    K = RationalMatrix([list(v) for v in kernel]).transpose()
-    Kt = K.transpose()
-    G = Kt * K
-    coef, _ = solve_affine(G, Kt * X)
-    return X - K * coef
+    G = [[_dot(u, v) for v in kernel] for u in kernel]
+    KX = [[_dot(u, col) for col in zip(*X)] for u in kernel]
+    coef = solve_affine(_rmat(G), _rmat(KX, len(X[0])))[0].entries
+    return [[x - _dot(ka, c) for x, c in zip(row, zip(*coef))] for row, ka in zip(X, zip(*kernel))]
 
 
 def _kernel_index(kernel_point: str, n: int) -> int:
@@ -133,13 +137,13 @@ def solve_causal(m: REModel, kernel_point: str = "min-norm") -> SolutionReport:
             h=None, h_particular=None, kernel=tuple(kernel),
             transfer_num=None, transfer_den=None, kernel_point=kernel_point,
         )
-    X = _rmat([list(X.entries[at[a]]) if a in at else [Fraction(0)] * q
-               for a in range(n_unknowns)], q)
+    X = [list(X.entries[at[a]]) if a in at else [Fraction(0)] * q for a in range(n_unknowns)]
     if kernel_point == "min-norm":
         chosen = _min_norm_shift(X, kernel)
     else:
         v = kernel[_kernel_index(kernel_point, len(kernel))]
-        chosen = X + RationalMatrix([[v[a]] * q for a in range(n_unknowns)])
+        chosen = [[x + v[a] for x in row] for a, row in enumerate(X)]
+    X, chosen = _rmat(X, q), _rmat(chosen, q)
     num, den, _ = build_transfer(m, (D, S), P, free, chosen)
     heads = [[x + sum(c * d[a] for c, d in zip(v[len(free):], ker_l)) for a, x in enumerate(hv)]
              for hv, v in zip(kernel, kern)]

@@ -158,6 +158,38 @@ def mat_sub(A: PolyMatrix, B: PolyMatrix) -> PolyMatrix:
     return mat_add(A, B * -1)
 
 
+def rmat_mul(*factors) -> RationalMatrix:
+    """The product of the RationalMatrix factors, left to right, by the textbook Fraction
+    loop; an int or Fraction factor scales every entry."""
+    out = factors[0]
+    for B in factors[1:]:
+        if isinstance(B, (int, Fraction)):
+            out = _rmat([[e * B for e in row] for row in out.entries], out.cols)
+            continue
+        assert out.cols == B.rows, (out.cols, B.rows)
+        out = _rmat([[sum((a * brow[j] for a, brow in zip(row, B.entries)), Fraction(0))
+                      for j in range(B.cols)] for row in out.entries], B.cols)
+    return out
+
+
+def rmat_add(A: RationalMatrix, B: RationalMatrix) -> RationalMatrix:
+    assert (A.rows, A.cols) == (B.rows, B.cols)
+    return _rmat([[a + b for a, b in zip(r, o)] for r, o in zip(A.entries, B.entries)], A.cols)
+
+
+def rmat_sub(A: RationalMatrix, B: RationalMatrix) -> RationalMatrix:
+    return rmat_add(A, rmat_mul(B, -1))
+
+
+def rmat_transpose(M: RationalMatrix) -> RationalMatrix:
+    return _rmat([[row[j] for row in M.entries] for j in range(M.cols)], M.rows)
+
+
+def wold_coeff(m: REModel, j: int) -> RationalMatrix:
+    """w_j of m, the zero matrix beyond the Wold terms."""
+    return m.wold[j] if 0 <= j < len(m.wold) else RationalMatrix.zero(m.s, m.q)
+
+
 def mat_shift(M: PolyMatrix, k: int) -> PolyMatrix:
     """Every entry times z^k, by Poly.shift (a negative k divides, which must be exact)."""
     return PolyMatrix([[e.shift(k) for e in row] for row in M.entries], M.cols)
@@ -913,13 +945,13 @@ def same_affine_set(set_a, set_b) -> bool:
         union = RationalMatrix([list(v) for v in ka] + [list(v) for v in kb])
         if rank_of(union) != len(ka):
             return False
-    diff = xa - xb
+    diff = rmat_sub(xa, xb)
     if diff.is_zero():
         return True
     if not ka:
         return False
     # difference of particulars must lie in the common kernel span
-    kmat = RationalMatrix([list(v) for v in ka]).transpose()
+    kmat = rmat_transpose(RationalMatrix([list(v) for v in ka]))
     x, _ = solve_affine(kmat, diff)
     return x is not None
 
@@ -932,7 +964,7 @@ def ref_build_pi(m: REModel):
     `REModel.numerators`; None when every A*_i is zero."""
     sums = {}
     for (k, h), a in m.A.items():
-        sums[h - k] = sums[h - k] + a if h - k in sums else a
+        sums[h - k] = rmat_add(sums[h - k], a) if h - k in sums else a
     stars = {i: a for i, a in sums.items() if not a.is_zero()}
     if not stars:
         return None
@@ -973,7 +1005,7 @@ def ref_m_stack(zc: PolyMatrix, pb: tuple) -> RationalMatrix:
 
 def ref_constraint_matrix(m: REModel) -> RationalMatrix:
     """The plain system's Fraction C by matrix products: p_stack m_stack."""
-    return vstack(fraction_blocks(m.pb, m.s)) * ref_m_stack(ref_zeta_coefficients(m), m.pb)
+    return rmat_mul(vstack(fraction_blocks(m.pb, m.s)), ref_m_stack(ref_zeta_coefficients(m), m.pb))
 
 
 def ref_causal_system(m: REModel, loc: LocalSmith) -> tuple:
@@ -1151,7 +1183,7 @@ def substitution_set(m: REModel):
         psi.append(out)
     for d in range(B + 1):
         for i in range(s):
-            f = form(c=m.wold_coeff(d).entries[i])
+            f = form(c=wold_coeff(m, d).entries[i])
             for (k, h), A in m.A.items():
                 if k <= d:
                     for r in range(s):
@@ -1371,7 +1403,7 @@ def ref_verify(m: REModel, sr, max_lag: int) -> dict:
     psi = ref_series(sr.transfer_num, sr.transfer_den, max_lag + m.H + 1)
     failures = []
     for d in range(max_lag + 1):
-        res = [list(row) for row in m.wold_coeff(d).entries]
+        res = [list(row) for row in wold_coeff(m, d).entries]
         for (k, h), a_kh in m.A.items():
             if k <= d:
                 for i in range(s):

@@ -48,6 +48,7 @@ from conftest import (
     random_gamma,
     random_model,
     rank_of,
+    rmat_mul,
     same_affine_set,
 )
 
@@ -288,7 +289,7 @@ def _bk_draw(rng):
         if rank_of(cand) == s:
             V = cand
     D = RationalMatrix([[d[i] if i == j else 0 for j in range(s)] for i in range(s)])
-    B = invert(V) * D * V
+    B = rmat_mul(invert(V), D, V)
     s0 = sum(1 for v in d if abs(v) > 1)
     q = s0
     C = rand_matrix(rng, s, q)
@@ -296,9 +297,9 @@ def _bk_draw(rng):
         C = rand_matrix(rng, s, q)
     m = REModel(
         s=s, K=0, H=1, q=q,
-        A={(0, 0): B * -1, (0, 1): identity_matrix(s)},
+        A={(0, 0): rmat_mul(B, -1), (0, 1): identity_matrix(s)},
         gamma=(s0, s - s0),
-        wold=(C * -1,),
+        wold=(rmat_mul(C, -1),),
     )
     return m, B, C, s0
 

@@ -6,14 +6,16 @@ import os
 import re
 import subprocess
 import sys
+import time
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from recausal import cli, solver
 from recausal.cli import main
-from recausal.exactalg import PolyMatrix
+from recausal.exactalg import PolyMatrix, rat
 from recausal.solver import solve_causal
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -412,6 +414,34 @@ def test_kernel_point_in_range(capsys):
 def test_bad_numeric_argument_exit_2(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("entry", ["1e5000", "1e-5000", "2.5E+20000000"])
+def test_decimal_exponent_past_the_digit_limit_is_one_error_line(capsys, tmp_path, entry):
+    """A decimal exponent beyond 4300 in magnitude is refused as an integer string of over
+    4300 digits is, before Fraction computes 10**exp: as an A entry, a w entry or xi it is
+    one error line and exit 1, as --xi exit 2, each well within a second."""
+    doc = json.loads(Path(SIMS).read_text())
+    cases = [("A", "A[0,0]: malformed rational entry: decimal exponent"),
+             ("wold", "wold[0]: malformed rational entry: decimal exponent"),
+             ("xi", f"xi must be a rational number, got {entry!r}")]
+    path = tmp_path / "model.json"
+    for field, message in cases:
+        bad = json.loads(json.dumps(doc))
+        if field == "xi":
+            bad["xi"] = entry
+        else:
+            (bad["A"][0]["matrix"] if field == "A" else bad["wold"][0])[0][0] = entry
+        path.write_text(json.dumps(bad))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "analyze", str(path))
+        assert time.perf_counter() - start < 1 and (code, out) == (1, ""), field
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+    start = time.perf_counter()
+    assert run(capsys, "analyze", SIMS, "--xi", entry) == (
+        2, "", f"error: --xi: xi must be a rational number, got {entry!r}\n")
+    assert time.perf_counter() - start < 1
+    assert (rat("1e3"), rat("-2.5e-3"), rat("1e4300") == 10**4300) == (1000, Fraction(-1, 400), True)
 
 
 def test_xi_override_hits_ring(capsys):

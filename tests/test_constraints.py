@@ -41,6 +41,8 @@ from conftest import (
     ref_constraint_matrix,
     ref_m_stack,
     ref_zeta_coefficients,
+    rmat_mul,
+    rmat_sub,
     same_affine_set,
     sims_model,
     sims_published_smith,
@@ -98,8 +100,8 @@ def test_zeta_sims():
     m = sims_model()
     zc = m_stack_zeta(m)
     assert max_degree(zc) == 1
-    assert coeff(zc, 0) == a_kh(m, 0, 0) * -1
-    assert coeff(zc, 1) == a_kh(m, 1, 0) * -1
+    assert coeff(zc, 0) == rmat_mul(a_kh(m, 0, 0), -1)
+    assert coeff(zc, 1) == rmat_mul(a_kh(m, 1, 0), -1)
 
 
 def test_zeta_symbolic_expansion_oracle():
@@ -118,7 +120,7 @@ def test_zeta_symbolic_expansion_oracle():
                     if mat.is_zero():
                         continue
                     key = (k + j - h, j)
-                    by_power[key] = by_power.get(key, RationalMatrix.zero(s, s)) - mat
+                    by_power[key] = rmat_sub(by_power.get(key, RationalMatrix.zero(s, s)), mat)
         assert (zc.rows, zc.cols) == (s, s * H)
         assert max_degree(zc) < H + K
         for i in range(H + K):

@@ -33,6 +33,7 @@ from conftest import (
     rand_invertible,
     rank_of,
     ref_rref,
+    rmat_mul,
     sims_model,
     smith_reference,
     zero_polymatrix,
@@ -264,7 +265,8 @@ def test_local_stage_matches_global_smith_reference(corpus, predetermined_probe)
 
 def _left_multiplied(m: REModel, T: RationalMatrix) -> REModel:
     """T m: every A_kh and w_j left-multiplied by the invertible T, the same solution set."""
-    return m._replace(A={kh: T * a for kh, a in m.A.items()}, wold=tuple(T * w for w in m.wold))
+    return m._replace(A={kh: rmat_mul(T, a) for kh, a in m.A.items()},
+                      wold=tuple(rmat_mul(T, w) for w in m.wold))
 
 
 def _analyze(m: REModel):

@@ -4,6 +4,7 @@ import json
 import random
 from datetime import timedelta
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 from math import lcm
 
@@ -21,6 +22,9 @@ from recausal.model import (
     validate_semantics,
 )
 from conftest import (
+    rmat_add,
+    rmat_mul,
+    rmat_sub,
     SIMS_JSON,
     a_kh,
     coeff,
@@ -94,7 +98,8 @@ def test_unread_keys_are_ignored():
 
 
 @pytest.mark.parametrize(
-    "text", ["1/0", "abc", "1.5", " 3", "+3", "3/-4", "1_000", "\u0663", "-0", "007/014"]
+    "text", ["1/0", "abc", "1.5", " 3", "+3", "3/-4", "1_000", "\u0663", "-0", "007/014",
+             "1e3", "-2.5e-3", "1E+4300", "1e+-5", "1e5__0", "1e_5", "1e5_0"]
 )
 def test_rat_reads_strings_as_fraction_does(text):
     """rat reads ASCII "p" and "p/q" by int() and the rest by Fraction: either
@@ -163,7 +168,7 @@ def test_build_pi_first_order():
 def test_build_pi_redundant():
     # A00 = -I = -A_KK with K = H makes pi identically zero
     eye = identity_matrix(2)
-    m = REModel(s=2, K=1, H=1, q=1, A={(0, 0): eye * -1, (1, 1): eye},
+    m = REModel(s=2, K=1, H=1, q=1, A={(0, 0): rmat_mul(eye, -1), (1, 1): eye},
                 gamma=(2, 0), wold=(RationalMatrix([[1], [0]]),))
     with pytest.raises(RedundantEquationsError):
         build_pi(m)
@@ -185,13 +190,13 @@ def test_build_pi_linearity():
     m = random_model(rng, 2, 1, 2)
     key = sorted(m.A)[0]
     doubled = dict(m.A)
-    doubled[key] = m.A[key] * 2
+    doubled[key] = rmat_mul(m.A[key], 2)
     m2 = REModel(s=m.s, K=m.K, H=m.H, q=m.q, A=doubled, gamma=m.gamma, wold=m.wold)
     pp, pp2 = build_pi(m), build_pi(m2)
     k, h = key
     i = h - k
     star = lambda pp, j: coeff(pp.pi, pp.J1 - j)  # A*_j, zero outside J0..J1
-    assert star(pp2, i) - star(pp, i) == m.A[key]
+    assert rmat_sub(star(pp2, i), star(pp, i)) == m.A[key]
     for j in range(min(pp.J0, pp2.J0), max(pp.J1, pp2.J1) + 1):
         if j != i:
             assert star(pp, j) == star(pp2, j)
@@ -231,7 +236,7 @@ def _coefficient_arrays(draw):
          if draw(st.booleans())}
     others = [a for (k, h), a in A.items() if k == h != 1]
     if min(K, H) and others and draw(st.booleans()):  # A_11 = -(the other A_kk)
-        A[1, 1] = sum(others[1:], others[0]) * -1
+        A[1, 1] = rmat_mul(reduce(rmat_add, others), -1)
     A = {kh: a for kh, a in A.items() if not a.is_zero()}
     return REModel(s=s, K=K, H=H, q=1, A=A, gamma=(s,) + (0,) * H,
                    wold=(RationalMatrix([[1]] * s),))
@@ -295,7 +300,7 @@ def test_validate_semantics():
     assert rep["ok"]
     assert any("G = 1" in c["detail"] for c in rep["checks"] if c["name"] == "det_pi_nonzero")
     eye = identity_matrix(2)
-    bad = REModel(s=2, K=1, H=1, q=1, A={(0, 0): eye * -1, (1, 1): eye},
+    bad = REModel(s=2, K=1, H=1, q=1, A={(0, 0): rmat_mul(eye, -1), (1, 1): eye},
                   gamma=(2, 0), wold=(RationalMatrix([[1], [0]]),))
     rep = validate_semantics(bad)
     assert not rep["ok"]

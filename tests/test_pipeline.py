@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import recausal
-from recausal import canon
+from recausal import canon, constraints
 from recausal.canon import LocalSmith, RootClassification, UnitCircleRootError, classify_roots
 from recausal.cli import main
 from recausal.constraints import ConstraintSystem
@@ -118,19 +118,16 @@ OUTCOME = {"refused": "refused", "no-solution": "no_causal_solution", "solvable"
 
 def test_counts_make_no_fraction_product(monkeypatch, corpus):
     """validate_semantics, dimension_report and genericity_probe count on
-    integer rows: no Fraction product or rank_kernel, in
-    either flavor, with g > J1 or J1 < H, or at H = 0.  Reading C builds it;
+    integer rows: no rank_kernel, and no system builds its Fraction C, D and rhs, in
+    either flavor, with g > J1 or J1 < H, or at H = 0.  Reading C builds them;
     the kernel is read off the elimination that counted rank_w."""
-    counts = count_calls(monkeypatch, ("exactalg.rank_kernel",))
-    counts["RationalMatrix.__mul__"] = 0
-    mul = RationalMatrix.__mul__
+    counts, systems = count_calls(monkeypatch, ("exactalg.rank_kernel",)), []
+    for name in ("build_plain_system", "build_predetermined_system"):
+        def recorded(*args, _build=getattr(constraints, name)):
+            systems.append(_build(*args))
+            return systems[-1]
 
-    def counted_mul(self, other):
-        counts["RationalMatrix.__mul__"] += 1
-        return mul(self, other)
-
-    monkeypatch.setattr(RationalMatrix, "__mul__", counted_mul)
-    monkeypatch.setattr(RationalMatrix, "__rmul__", counted_mul)
+        monkeypatch.setattr(constraints, name, recorded)
     models = [parse_model(SIMS_JSON), parse_model(GENERIC.read_text()),
               parse_model((GOLDEN / "defect.json").read_text()),
               *(m._replace() for m in corpus if m.H == 0),
@@ -139,12 +136,13 @@ def test_counts_make_no_fraction_product(monkeypatch, corpus):
         validate_semantics(m)
         dimension_report(m)
         genericity_probe(m, trials=2)
-    assert counts == {"exactalg.rank_kernel": 0, "RationalMatrix.__mul__": 0}
+    assert counts == {"exactalg.rank_kernel": 0}
+    assert systems and not any("_matrices" in vars(cs) for cs in systems)
     cs = models[0].cs  # sims: predetermined
     assert cs.flavor == "predetermined" and len(cs.kernel) == cs.kernel_dim
-    assert not any(counts.values()), counts
+    assert not any(counts.values()) and "_matrices" not in vars(cs), counts
     assert cs.C.cols == cs.effective_unknowns
-    assert counts["RationalMatrix.__mul__"] > 0
+    assert "_matrices" in vars(cs)
 
 
 @pytest.mark.parametrize("which", ["sims", "planted-s4", "refused", "no-solution", "solvable"])

@@ -1,5 +1,6 @@
 """Stable/unstable split of det pi, causal solving, exact verification, simulation."""
 
+import importlib
 import random
 from datetime import timedelta
 from fractions import Fraction
@@ -20,6 +21,7 @@ from recausal.cli import _emit, cmd_smith, cmd_solve, cmd_verify, parse_args
 from recausal.dimension import dimension_report
 from recausal.exactalg import (
     Poly, PolyMatrix, RationalMatrix, _int_product, _numerators, _poly, det_adjugate,
+    solve_affine,
 )
 from recausal.model import REModel, build_pi, parse_model, validate_semantics
 from recausal.solver import (
@@ -36,6 +38,7 @@ from recausal.solver import (
     transfer_series,
     verify_solution,
 )
+from digest import model_sets
 from test_model import _coefficient_arrays
 from conftest import (
     adj_matrix,
@@ -77,10 +80,15 @@ from conftest import (
     ref_wold_poly,
     ref_zeta_coefficients,
     residual_map,
+    rmat_add,
+    rmat_mul,
+    rmat_sub,
+    rmat_transpose,
     same_affine_set,
     sims_model,
     smith_size,
     substitution_set,
+    wold_coeff,
 )
 
 Z = Poly([0, 1])
@@ -189,7 +197,7 @@ def test_assemble_rhs_affine_linearity():
     # both the full map N = A h - W and the solver's residual R = M h - W
     for A, W in (assemble_rhs(m, zc, m.pi.J1, m.pi.pi), residual_map(m, zc, m.pi.J1)):
         n0 = map_at(A, W, RationalMatrix.zero(m.s * m.H, m.q))
-        lhs = mat_sub(map_at(A, W, h1 + h2), n0)
+        lhs = mat_sub(map_at(A, W, rmat_add(h1, h2)), n0)
         rhs = mat_add(mat_sub(map_at(A, W, h1), n0), mat_sub(map_at(A, W, h2), n0))
         assert lhs == rhs
 
@@ -217,7 +225,8 @@ def test_assemble_rhs_matches_direct_formula():
         assert max_degree(zc) < m.H + m.K
         for i in range(m.H + m.K):
             mi = coeff(zc, i)
-            direct = mat_add(direct, polymatrix_from_rational(mi * h) * Poly.monomial(m.pi.J1 + i))
+            mih = polymatrix_from_rational(rmat_mul(mi, h))
+            direct = mat_add(direct, mih * Poly.monomial(m.pi.J1 + i))
         assert got == direct
         assert mat_add(mat_mul(m.pi.pi, hpoly), map_at(M, W_res, h)) == direct
 
@@ -265,7 +274,7 @@ def test_scalar_determinate_series_oracle():
         series = transfer_series(sr.transfer_num, sr.transfer_den, 10)
         for j in range(10):
             expect = sum(
-                (a ** i) * m.wold_coeff(j + i).entries[0][0] for i in range(len(m.wold))
+                (a ** i) * wold_coeff(m, j + i).entries[0][0] for i in range(len(m.wold))
             )
             assert series[j].entries[0][0] == expect, (a, j)
 
@@ -281,6 +290,42 @@ def test_indeterminate_distinct_kernel_points():
     s1 = transfer_series(sr1.transfer_num, sr1.transfer_den, m.H)
     assert s0 != s1
     assert verify_solution(m, sr0)["ok"] and verify_solution(m, sr1)["ok"]
+
+
+def test_default_h_is_the_min_norm_point(monkeypatch):
+    """On every indeterminate model of the five sets and of perfbench's planted seeds
+    101-103, i < 20, the default h is the min-norm point of h_particular + span(kernel):
+    each kernel vector is orthogonal to every column of h, and h - h_particular lies in
+    the span of the kernel."""
+    monkeypatch.syspath_prepend(str(GOLDEN.parents[1] / "perfbench"))
+    gen = importlib.import_module("gen")
+    models = [m for ms in model_sets().values() for m in ms] + [
+        parse_model(gen.to_json(gen.planted_model(seed, i))) for seed in (101, 102, 103)
+        for i in range(20)]
+    n = 0
+    for m in models:
+        try:
+            sr = solve_causal(m)
+        except (FactorizationError, UnsupportedModelError):
+            continue
+        if sr.classification != "indeterminate":
+            continue
+        K = RationalMatrix([list(v) for v in sr.kernel])
+        assert rmat_mul(K, sr.h).is_zero(), (m.s, m.H, m.gamma)
+        shift = rmat_sub(sr.h, sr.h_particular)
+        assert solve_affine(rmat_transpose(K), shift)[0] is not None, (m.s, m.H, m.gamma)
+        n += 1
+    assert n == 68, n
+
+
+def test_no_innovations_keep_zero_columns():
+    """At q = 0 the min-norm and kernel-point h and the constraint rhs keep their rows
+    and have no columns."""
+    m = scalar_model(Fraction(2))._replace(q=0, wold=(RationalMatrix([[]]),) * 2)
+    for point in ("min-norm", "0"):
+        sr = solve_causal(m, kernel_point=point)
+        assert (sr.h.rows, sr.h.cols, sr.h_particular.cols, len(sr.kernel)) == (1, 0, 0, 1)
+    assert (m.cs.rhs.rows, m.cs.rhs.cols, m.cs.C.cols) == (m.cs.C.rows, 0, 1)
 
 
 def test_h0_trivial_model():
