@@ -12,9 +12,9 @@ the global form's g and P^-1 are another.  `RootClassification` is a named tuple
 `classify_roots` sorts the roots of det pi against the unit circle on the
 inclusion discs of Weierstrass corrections (Carstensen) from `root_discs`.
 Floating point seeds them (`_start_points`) and proves the first discs by an
-a-priori rounding-error bound (`_float_discs`); exact Gaussian-integer steps,
-radii bounded on 62-bit heads, run where floats cannot decide and when the
-split refines, only if the unstable centers' sum cannot refuse it.  Its
+a-priori rounding-error bound (`_float_discs`); exact Gaussian-integer steps
+with exact radii ceil(n |W_i| 2^bits) run where floats cannot decide and when
+the split refines, only if the unstable centers' sum cannot refuse it.  Its
 squarefree factors come from `squarefree_factors`, which proves a squarefree
 factor by one gcd modulo a fixed prime and runs Yun's decomposition only when
 that proof fails.  The ring tests compare integers; no module imports numpy.
@@ -380,15 +380,9 @@ def classify_roots(p: Poly, xi=1) -> RootClassification:
     )
 
 
-def _radius(n: int, den: int, ar: int, ai: int, dr: int, di: int) -> int:
-    """An integer R >= n |ar + i ai| / (den |dr + i di|), at most 1 + 2^-56 times
-    it plus 1: the bound on 62-bit heads, rounded up in the numerator and down
-    in the denominator, so no product of the full-size numbers is formed."""
-    ea = max(0, max(abs(ar), abs(ai)).bit_length() - 62)
-    ed = max(0, max(abs(dr), abs(di)).bit_length() - 62)
-    top = n * n * ((-(-abs(ar) >> ea)) ** 2 + (-(-abs(ai) >> ea)) ** 2) << max(0, 2 * (ea - ed))
-    bot = den * den * ((abs(dr) >> ed) ** 2 + (abs(di) >> ed) ** 2) << max(0, 2 * (ed - ea))
-    r2 = -(-top // bot)
+def _radius(n: int, g: tuple, q: int) -> int:
+    """ceil(n |g| / q), g Gaussian: the least r with r^2 q^2 >= n^2 |g|^2, by one isqrt."""
+    r2 = -(-n * n * (g[0] ** 2 + g[1] ** 2) // (q * q))
     r = isqrt(r2)
     return r + (r * r < r2)
 
@@ -401,7 +395,7 @@ def root_discs(f: Poly, xi=1, start=None):
     Numer. Math. 59, 1991).  A call without start first tries `_float_discs`;
     where floats cannot decide, or a disc meets the ring, Weierstrass steps
     z_i -= W_i on fixed-point Gaussian integers refine the seeds, the precision
-    about doubling per step, with radii bounding n |W_i| (`_radius`).  Each
+    about doubling per step, with radii ceil(n |W_i| 2^bits) (`_radius`).  Each
     yield (bits, centers, radii, inside) is a proof: disjoint discs over
     2^bits, inside[i] True in |z| < 1/xi - _TOL and False in |z| > 1 + _TOL.  An
     exact step raises UnitCircleRootError for a disc within the ring between
@@ -461,8 +455,9 @@ def root_discs(f: Poly, xi=1, start=None):
                 if j != i:
                     u, v = x - u, y - v
                     dr, di = dr * u - di * v, dr * v + di * u
-            V.append((ar, ai, dr, di))  # W_i = (ar + i ai) / (den S (dr + i di))
-            R.append(_radius(n, den, ar, ai, dr, di))
+            g, q = (ar * dr + ai * di, ai * dr - ar * di), den * (dr * dr + di * di)
+            V.append((g, q))  # W_i S = (ar + i ai) / (den (dr + i di)) = g / q
+            R.append(_radius(n, g, q))
         alone, inside = place(p, Z, R)
         if alone and None not in inside and not (start and step == 0):
             yield p, tuple(Z), tuple(R), tuple(inside)
@@ -471,8 +466,7 @@ def root_discs(f: Poly, xi=1, start=None):
         # one more step; the error about squares, so the precision doubles
         p2 = max(p, min(cap, 2 * (p - max(R).bit_length()) + 32))
         sh = p2 - p
-        for i, ((a, b), (ar, ai, dr, di)) in enumerate(zip(Z, V)):  # W_i S = g / q
-            g, q = (ar * dr + ai * di, ai * dr - ar * di), den * (dr * dr + di * di)
+        for i, ((a, b), (g, q)) in enumerate(zip(Z, V)):
             Z[i] = ((a << sh) - (g[0] << sh) // q, (b << sh) - (g[1] << sh) // q)
         p = p2
     if None in inside:

@@ -31,12 +31,6 @@ from .model import REModel
 _MAGNITUDE = Fraction(1, 64)  # a perturbation moves a nonzero entry of an A_kh by at most this
 
 
-def run_pipeline(m: REModel) -> REModel:
-    """The model itself, whose stages are its properties: kept bound under this name
-    for perfbench's span recorder, which wraps it by name."""
-    return m
-
-
 def dimension_report(m: REModel) -> dict:
     """The count analyze prints: free parameters, ranks, bounds and the case used."""
     cs, g, J1 = m.cs, m.local.g, m.pi.J1

@@ -32,7 +32,7 @@ from math import gcd, lcm, prod
 from operator import mul
 
 NEG_INF = float("-inf")  # degree of the zero polynomial
-_NIL, _ONE = Fraction(0), Fraction(1)  # shared entries of zero and identity matrices
+_NIL, _ONE = Fraction(0), Fraction(1)  # shared zero entries, and the one of a kernel vector
 
 
 def rat(x) -> Fraction:
@@ -482,10 +482,6 @@ class RationalMatrix:
         self.rows = len(self.entries)
         self.cols = len(self.entries[0]) if self.entries else 0
         assert all(len(row) == self.cols for row in self.entries)
-
-    @staticmethod
-    def zero(rows: int, cols: int) -> "RationalMatrix":
-        return _rmat([[_NIL] * cols for _ in range(rows)], cols)
 
     def __eq__(self, other):
         if not isinstance(other, RationalMatrix):

@@ -133,6 +133,11 @@ def identity_matrix(n: int) -> RationalMatrix:
     return RationalMatrix([[int(i == j) for j in range(n)] for i in range(n)])
 
 
+def zero_matrix(rows: int, cols: int) -> RationalMatrix:
+    """The rows x cols zero matrix, which keeps cols when it has no rows."""
+    return _rmat([[Fraction(0)] * cols for _ in range(rows)], cols)
+
+
 def mat_mul(*factors: PolyMatrix) -> PolyMatrix:
     """The product of the factors, left to right, one `Poly.addmul` per entry product: the
     reference the commands' packed integer products (`_int_product`) are checked against."""
@@ -187,7 +192,7 @@ def rmat_transpose(M: RationalMatrix) -> RationalMatrix:
 
 def wold_coeff(m: REModel, j: int) -> RationalMatrix:
     """w_j of m, the zero matrix beyond the Wold terms."""
-    return m.wold[j] if 0 <= j < len(m.wold) else RationalMatrix.zero(m.s, m.q)
+    return m.wold[j] if 0 <= j < len(m.wold) else zero_matrix(m.s, m.q)
 
 
 def mat_shift(M: PolyMatrix, k: int) -> PolyMatrix:
@@ -208,7 +213,7 @@ def coeff(M: PolyMatrix, k: int) -> RationalMatrix:
 
 def a_kh(m: REModel, k: int, h: int) -> RationalMatrix:
     """A_kh of m, the zero matrix for an omitted pair."""
-    return m.A[k, h] if (k, h) in m.A else RationalMatrix.zero(m.s, m.s)
+    return m.A[k, h] if (k, h) in m.A else zero_matrix(m.s, m.s)
 
 
 def root_total(rc: RootClassification) -> int:
@@ -917,14 +922,14 @@ def brute_force_plain(m: REModel, pp, sf: SmithForm):
                 rows.append([T.entries[k][a][pw] for a in range(s * H)])
                 rhs.append([W.entries[k][c][pw] for c in range(q)])
     if not rows:
-        return RationalMatrix.zero(0, 0), RationalMatrix.zero(0, q)
+        return zero_matrix(0, 0), zero_matrix(0, q)
     return RationalMatrix(rows), RationalMatrix(rhs)
 
 
 def affine_set(M: RationalMatrix, B: RationalMatrix, n_unknowns: int):
     """(particular | None, kernel basis) of M x = B in R^{n_unknowns}."""
     if M.rows == 0:
-        part = RationalMatrix.zero(n_unknowns, B.cols)
+        part = zero_matrix(n_unknowns, B.cols)
         kern = [
             [Fraction(1) if i == j else Fraction(0) for i in range(n_unknowns)]
             for j in range(n_unknowns)
@@ -1000,7 +1005,7 @@ def ref_m_stack(zc: PolyMatrix, pb: tuple) -> RationalMatrix:
     `coeff`, as many as p_stack, pb = (rows, L), has column blocks
     (none without rows): the reference for `REModel.m_stack`."""
     n = len(pb[0][0]) // zc.rows if pb[0] else 0
-    return vstack([coeff(zc, i) for i in range(n)]) if n else RationalMatrix.zero(0, zc.cols)
+    return vstack([coeff(zc, i) for i in range(n)]) if n else zero_matrix(0, zc.cols)
 
 
 def ref_constraint_matrix(m: REModel) -> RationalMatrix:
@@ -1104,7 +1109,7 @@ def full_unknown_system(m: REModel):
     canc = _cancellation_rows(P, D.shift(H))
     rows, rhs = rows + [r[:width] for r in canc], rhs + [r[width:] for r in canc]
     if not rows:  # keep the column counts of an empty system
-        return affine_set(RationalMatrix.zero(0, n), RationalMatrix.zero(0, q), n)
+        return affine_set(zero_matrix(0, n), zero_matrix(0, q), n)
     X, kern = affine_set(RationalMatrix(rows), RationalMatrix(rhs), width)
     if X is None:
         return None, [v[:n] for v in kern]

@@ -50,6 +50,7 @@ from conftest import (
     smith_reconstruct,
     smith_size,
     submatrix,
+    zero_matrix,
     zero_polymatrix,
 )
 
@@ -62,7 +63,7 @@ def _sims_as_plain():
 def _pi4_model(rng=None):
     """s=4 model whose pi(z) is two diagonal (z,1;0,z) blocks: g=(0,0,2,2) > J1=1."""
     rng = rng or random.Random(99)
-    a01 = RationalMatrix.zero(4, 4)
+    a01 = zero_matrix(4, 4)
     a01.entries[0][1] = Fraction(1)
     a01.entries[2][3] = Fraction(1)
     return REModel(
@@ -120,14 +121,14 @@ def test_zeta_symbolic_expansion_oracle():
                     if mat.is_zero():
                         continue
                     key = (k + j - h, j)
-                    by_power[key] = rmat_sub(by_power.get(key, RationalMatrix.zero(s, s)), mat)
+                    by_power[key] = rmat_sub(by_power.get(key, zero_matrix(s, s)), mat)
         assert (zc.rows, zc.cols) == (s, s * H)
         assert max_degree(zc) < H + K
         for i in range(H + K):
             mi = coeff(zc, i)
             for j in range(H):
                 block = submatrix(mi, range(s), range(j * s, (j + 1) * s))
-                assert block == by_power.get((i, j), RationalMatrix.zero(s, s))
+                assert block == by_power.get((i, j), zero_matrix(s, s))
         for key in by_power:
             assert 0 <= key[0] < H + K
 
@@ -173,7 +174,7 @@ def test_frak_blocks_published_sims():
     pb = fraction_blocks(frak_p_blocks(loc, J1=1, H=1), 2)
     # delta_k = J1 - g_k for g_k <= J1, and no g_k exceeds J1
     assert tuple(1 - gk for gk in loc.g) == (1, 0) and all(gk <= 1 for gk in loc.g)
-    assert pb[0] == RationalMatrix.zero(1, 2)
+    assert pb[0] == zero_matrix(1, 2)
     assert pb[1] == RationalMatrix([[0, Fraction(100, 99)]])
 
 

@@ -60,6 +60,7 @@ from conftest import (
     rmat_mul,
     submatrix,
     vstack,
+    zero_matrix,
     zero_polymatrix,
 )
 
@@ -175,7 +176,7 @@ def test_det_adjugate_random_vs_laplace():
 
 
 def test_rank_kernel_trivial():
-    rank, kern = rank_kernel(RationalMatrix.zero(3, 5))
+    rank, kern = rank_kernel(zero_matrix(3, 5))
     assert rank == 0 and len(kern) == 5
     rank, kern = rank_kernel(identity_matrix(4))
     assert rank == 4 and kern == []
@@ -574,7 +575,7 @@ def _linear_systems(draw):
     included.  Rows of M may be zero, a copy or a sum of earlier rows; B is
     M X (consistent) or drawn (mostly inconsistent when M is rank deficient)."""
     rows, cols, k = draw(st.integers(0, 5)), draw(st.integers(0, 5)), draw(st.integers(0, 2))
-    M = RationalMatrix.zero(rows, cols)
+    M = zero_matrix(rows, cols)
     for i, row in enumerate(M.entries):
         kind = draw(st.sampled_from(("drawn", "zero", "copy", "sum") if i else ("drawn", "zero")))
         if kind == "drawn":
@@ -584,9 +585,9 @@ def _linear_systems(draw):
         elif kind == "sum":
             a, b = M.entries[draw(st.integers(0, i - 1))], M.entries[draw(st.integers(0, i - 1))]
             row[:] = [x + draw(_fracs()) * y for x, y in zip(a, b)]
-    B = RationalMatrix.zero(rows, k)
+    B = zero_matrix(rows, k)
     if draw(st.booleans()):
-        X = RationalMatrix.zero(cols, k)
+        X = zero_matrix(cols, k)
         for row in X.entries:
             row[:] = [draw(_fracs()) for _ in range(k)]
         B = rmat_mul(M, X)
@@ -616,10 +617,10 @@ def test_elimination_matches_fraction_reference(system):
 
 
 def test_empty_shapes_keep_their_columns():
-    E = RationalMatrix.zero(0, 3)
+    E = zero_matrix(0, 3)
     assert (E.rows, E.cols) == (0, 3)
     S = submatrix(identity_matrix(3), range(3), range(0))
     assert (S.rows, S.cols) == (3, 0)
     assert (vstack([E, E]).cols, hstack([E, E]).cols) == (3, 6)
-    X, kern = solve_affine(RationalMatrix.zero(0, 0), RationalMatrix.zero(0, 3))
+    X, kern = solve_affine(zero_matrix(0, 0), zero_matrix(0, 3))
     assert (X.rows, X.cols, kern) == (0, 3, [])

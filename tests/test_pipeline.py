@@ -1,6 +1,7 @@
 """One computation per artifact: the model's memoized stages, lazy imports, and
 byte-stable CLI output."""
 
+import ast
 import gc
 import importlib.util
 import json
@@ -31,7 +32,7 @@ from conftest import (
     SIMS_JSON, ladder_shaped_models, planted_models, random_model,
     ref_squarefree_factors, serialize_model,
 )
-from digest import DIGEST, digest, model_sets
+from digest import DIGEST, OUTCOMES, digest, model_sets, outcomes
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
@@ -422,8 +423,9 @@ def test_cli_command_loads_only_its_layers(command):
 
 
 # layers that spans.TARGETS still names but src no longer has, so their metrics read 0:
-# the predetermined count's selectors left with the E(0) selector system
-REMOVED_LAYERS = ("constraints.build_selectors",)
+# the predetermined count's selectors left with the E(0) selector system, and the
+# pipeline, which the model's own stages replaced, left once it only returned the model
+REMOVED_LAYERS = ("constraints.build_selectors", "dimension.run_pipeline")
 
 
 def test_traced_layers_stay_bound_under_their_module_names():
@@ -438,6 +440,27 @@ def test_traced_layers_stay_bound_under_their_module_names():
         assert all(callable(getattr(mod, name, None)) for name in names), modname
     assert not any(hasattr(importlib.import_module("recausal." + name.split(".")[0]),
                            name.split(".")[1]) for name in REMOVED_LAYERS)
+
+
+def test_every_src_function_has_a_src_reader():
+    """Code only the tests read lives in tests/: every src function and method, dunders
+    aside, is read by some src line.  A function counts as read by its name as a name or
+    an attribute, a method (a def in a class body) only as an attribute, since a local
+    variable of the same name does not call it."""
+    defs, names, attrs = [], set(), set()
+    for path in sorted((ROOT / "src" / "recausal").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("__"):
+                defs.append((f"{path.name}:{node.lineno}", node.name, id(node) in methods))
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+    unread = [f"{name} ({where})" for where, name, method in defs
+              if name not in attrs and (method or name not in names)]
+    assert not unread, f"src functions no src line reads: {unread}"
 
 
 def _bare_loads(module):
@@ -587,3 +610,18 @@ def test_cli_output_matches_digest():
     want, got = json.loads(DIGEST.read_text()), digest()
     differ = sorted(k for k in want.keys() | got.keys() if want.get(k) != got.get(k))
     assert not differ, f"{len(differ)} model/command output(s) differ from the digest: {differ}"
+
+
+def _outcome(entry) -> str:
+    if entry is None:
+        return "absent"
+    verdict, dim = entry
+    return verdict if dim is None else f"{verdict}, dim {dim}"
+
+
+def test_solve_outcomes_match_the_ledger():
+    # python tests/digest.py rewrites the ledger; a change that moves an outcome must say why
+    want, got = json.loads(OUTCOMES.read_text()), outcomes()
+    moved = [f"{k}: {_outcome(want.get(k))} → {_outcome(got.get(k))}"
+             for k in [*got, *(k for k in want if k not in got)] if want.get(k) != got.get(k)]
+    assert not moved, f"{len(moved)} model(s) moved from the outcome ledger: {moved}"

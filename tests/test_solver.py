@@ -89,6 +89,7 @@ from conftest import (
     smith_size,
     substitution_set,
     wold_coeff,
+    zero_matrix,
 )
 
 Z = Poly([0, 1])
@@ -100,7 +101,7 @@ def golden_models():
     """The models of models/ and tests/golden/, by file name."""
     paths = [*MODELS.glob("*.json"), *GOLDEN.glob("*.json")]
     return {p.stem: parse_model(p.read_text()) for p in paths
-            if p.name not in ("cases.json", "digest.json")}
+            if p.name not in ("cases.json", "digest.json", "outcomes.json")}
 
 
 def scalar_model(a, wold_len=1):
@@ -171,7 +172,7 @@ def test_assemble_rhs_h_zero():
     m = random_model(rng, 2, 1, 1)
     pp = build_pi(m)
     A, W = assemble_rhs(m, ref_zeta_coefficients(m), pp.J1, pp.pi)
-    h0 = RationalMatrix.zero(m.s * m.H, m.q)
+    h0 = zero_matrix(m.s * m.H, m.q)
     n = map_at(A, W, h0)
     assert n == ref_wold_poly(m) * Poly.monomial(pp.J1) * Fraction(-1)
     assert A.cols == m.s * m.H
@@ -196,7 +197,7 @@ def test_assemble_rhs_affine_linearity():
     h2 = RationalMatrix([[Fraction(rng.randint(-3, 3))] * m.q for _ in range(m.s * m.H)])
     # both the full map N = A h - W and the solver's residual R = M h - W
     for A, W in (assemble_rhs(m, zc, m.pi.J1, m.pi.pi), residual_map(m, zc, m.pi.J1)):
-        n0 = map_at(A, W, RationalMatrix.zero(m.s * m.H, m.q))
+        n0 = map_at(A, W, zero_matrix(m.s * m.H, m.q))
         lhs = mat_sub(map_at(A, W, rmat_add(h1, h2)), n0)
         rhs = mat_add(mat_sub(map_at(A, W, h1), n0), mat_sub(map_at(A, W, h2), n0))
         assert lhs == rhs
@@ -690,7 +691,7 @@ def _cancellation_affine_set(rows_of, A, W):
     M = RationalMatrix([[b[r] for b in basis] for r in range(n)])
     B = RationalMatrix([[c[r] for c in rhs] for r in range(n)])
     if not n:
-        M, B = RationalMatrix.zero(0, len(basis)), RationalMatrix.zero(0, W.cols)
+        M, B = zero_matrix(0, len(basis)), zero_matrix(0, W.cols)
     return n, affine_set(M, B, len(basis))
 
 
