@@ -14,10 +14,13 @@ inclusion discs of Weierstrass corrections (Carstensen) from `root_discs`.
 Floating point seeds them (`_start_points`) and proves the first discs by an
 a-priori rounding-error bound (`_float_discs`); exact Gaussian-integer steps
 with exact radii ceil(n |W_i| 2^bits) run where floats cannot decide and when
-the split refines, only if the unstable centers' sum cannot refuse it.  Its
-squarefree factors come from `squarefree_factors`, which proves a squarefree
-factor by one gcd modulo a fixed prime and runs Yun's decomposition only when
-that proof fails.  The ring tests compare integers; no module imports numpy.
+the split refines, only if the unstable centers' sum cannot refuse it.  The
+first disjoint float discs of det pi / z^G itself, each on one side of the
+ring, also prove it squarefree, as each holds exactly one root counted with
+multiplicity.  Only where they fail does `squarefree_factors` run, which
+proves a squarefree factor by one gcd modulo a fixed prime and runs Yun's
+decomposition only when that proof fails.  The ring tests compare integers
+(`_place`); no module imports numpy.
 
 `factor_stable_unstable` splits det pi = D S, D = z^G U, over Q without
 factoring: the discs that classified each squarefree factor of det pi / z^G
@@ -220,10 +223,16 @@ class RootClassification(namedtuple(
         "RootClassification", "zero_multiplicity stable_roots unstable_roots xi discs",
         defaults=((),))):
     """stable_roots (|root| > 1) and unstable_roots (|root| < 1/xi) are disc
-    centers, each repeated by its multiplicity; discs holds
-    (a_k, k, first certified yield of root_discs(a_k)) per Yun factor."""
+    centers, each repeated by its multiplicity; discs holds (a_k, k, its
+    first certified yield, as root_discs(a_k) gives it) per Yun factor a_k of
+    p / z^m: the one (f, 1, yield) wherever f = p / z^m is squarefree."""
 
     __slots__ = ()
+
+
+# classify_roots' first pass stops here: squarefree dets mostly converge sooner, and a
+# repeated root, whose points converge only linearly, is left to the squarefree split
+_FIRST_SWEEPS = 10
 
 
 def _start_points(f: Poly):
@@ -235,9 +244,12 @@ def _start_points(f: Poly):
     points (k, log2 |num_k|) puts l - k points on the circle of radius
     |num_k / num_l|^(1/(l - k)), on g(w) = f(2^e w) / (num_n 2^(ne)), 2^e between
     the inner and outer radius: no conversion overflows (else no sweeps run).  A
-    point leaves after a correction below 1e-5 of its modulus and of 1/|s| (s the
-    deflation sum): at cubic convergence the next, even in a cluster, would be
-    below about 1e-14.  Only speed depends on them.
+    point leaves after a correction below 1e-3 of its modulus and of 1/|s| (s the
+    deflation sum): at cubic convergence the next, out of a cluster, would be
+    about 1e-9, and the discs' certificate, not this rule, decides.  A generator
+    whose last yield is the points: its first is None if some still move after
+    _FIRST_SWEEPS sweeps, and a caller that needs the points resumes the same
+    sweeps, until all have stopped or 100 have run.  Only speed depends on them.
     """
     n, num = int(f.degree), f.num
     hull = []
@@ -257,8 +269,10 @@ def _start_points(f: Poly):
              for k in range(n - 1, -1, -1)]  # g but its leading 1, highest first
         z, active = [2.0 ** (t - e) * c for t, c in circles], range(n)
     except OverflowError:
-        return rim
-    for _ in range(100):
+        yield rim
+        return
+    points = lambda: [x if cmath.isfinite(x := zi * 2.0**e) else r for zi, r in zip(z, rim)]
+    for sweep in range(1, 101):
         moving = []
         for i in active:
             zi, p, dp = z[i], 1.0, 0.0
@@ -273,12 +287,14 @@ def _start_points(f: Poly):
             except ZeroDivisionError:  # a critical point, or two points met
                 w = (abs(zi) + 1) * 1e-3j
             z[i] = zi - w
-            if not (abs(w) <= 1e-5 * abs(zi) and abs(w * s) <= 1e-5):
+            if not (abs(w) <= 1e-3 * abs(zi) and abs(w * s) <= 1e-3):
                 moving.append(i)
         if not moving:
             break
+        if sweep == _FIRST_SWEEPS:
+            yield None
         active = moving
-    return [x if cmath.isfinite(x := zi * 2.0**e) else r for zi, r in zip(z, rim)]
+    yield points()
 
 
 _U = 2.0**-53  # the unit roundoff of a double
@@ -347,11 +363,54 @@ def _scaled_float(x: int, bits: int) -> float:
         return inf if x > 0 else -inf
 
 
+def _place(p: int, Z, R, xi: Fraction, exact=True):
+    """(all disjoint, sides) of the discs D(Z_i, R_i) over 2^p: a side is True in
+    |z| < 1/xi - _TOL, False in |z| > 1 + _TOL and None if undecided.  In an
+    exact step an isolated disc within the ring between them raises
+    UnitCircleRootError.  lo = ln/ld and hi = hn/hd from the integer ratios of
+    xi and _TOL, so the tests run on integers: a center c has |c| < lo S - r iff
+    ln S - r ld > 0 and |c|^2 ld^2 < (ln S - r ld)^2, S = 2^p.  The tests are
+    homogeneous in each pair, so neither is reduced."""
+    (xn, xd), (tn, td) = xi.as_integer_ratio(), _TOL.as_integer_ratio()
+    ln, ld, hn, hd, n = xd * td - tn * xn, xn * td, td + tn, td, len(Z)
+    alone = [True] * n  # D(z_i, R_i) meets no other disc
+    for i, ((a, b), ri) in enumerate(zip(Z, R)):
+        for j in range(i):
+            if (a - Z[j][0]) ** 2 + (b - Z[j][1]) ** 2 <= (ri + R[j]) ** 2:
+                alone[i] = alone[j] = False
+    inside, lS, hS = [], ln << p, hn << p
+    for (a, b), r, isolated in zip(Z, R, alone):
+        c2, t = a * a + b * b, lS - r * ld
+        side = True if t > 0 and c2 * ld * ld < t * t else (
+            False if c2 * hd * hd > (hS + r * hd) ** 2 else None)
+        if (exact and side is None and isolated and (lS + r * ld) ** 2 <= c2 * ld * ld
+                and c2 * hd * hd <= (hS - r * hd) ** 2):  # a root in the ring
+            raise _ring_error(n, abs(complex(a / (1 << p), b / (1 << p))), xi)
+        inside.append(side)
+    return all(alone), inside
+
+
+def _float_yield(f: Poly, seeds, xi: Fraction):
+    """root_discs' first yield from the float discs of the monic f at seeds
+    (`_float_discs`) if they are disjoint and each on one side of the ring, else None."""
+    if disc := _float_discs(f, seeds):
+        alone, inside = _place(*disc, xi, exact=False)
+        if alone and None not in inside:
+            return *disc, tuple(inside)
+    return None
+
+
 def classify_roots(p: Poly, xi=1) -> RootClassification:
     """Classify roots of p relative to the unit circle and growth bound xi.
 
-    Factors z^m out exactly and splits the rest into squarefree factors,
-    prod a_k^k, by `squarefree_factors`.  The first certified yield of
+    Factors z^m out exactly.  The first pass certifies the monic f = p / z^m
+    itself: `_float_discs` on `_start_points`' first yield, if its points have
+    stopped by then.  If its n discs are disjoint and each on one side of the
+    ring, each holds exactly one root counted with multiplicity (Carstensen),
+    which proves f squarefree: discs is ((f, 1, that yield),), and neither the
+    mod-p proof nor Yun runs.  Otherwise `squarefree_factors` splits f into
+    prod a_k^k; a squarefree f resumes the first pass's sweeps, and each Yun
+    factor of any other is seeded afresh.  The first certified yield of
     root_discs on each a_k puts every root, k times, in |z| < 1/xi - _TOL or
     in |z| > 1 + _TOL, or raises UnitCircleRootError for a root in the ring
     between them: the discs decide each side, no float comparison does.  The
@@ -365,14 +424,20 @@ def classify_roots(p: Poly, xi=1) -> RootClassification:
         raise ValueError("xi must be at least 1")
     m = p.zero_multiplicity()
     stable, unstable, discs = [], [], []
-    for k, a in enumerate(squarefree_factors(p.shift(-m)), 1):
-        if a.is_constant():
-            continue
-        bits, Z, R, inside = disc = next(root_discs(a, xi))
+    if (f := p.shift(-m)).degree:
+        a = f.monic()
+        points = _start_points(a)
+        if (seeds := next(points)) and (disc := _float_yield(a, seeds, xi)):
+            discs.append((a, 1, disc))
+        elif len(factors := squarefree_factors(f)) == 1:  # the first pass's seeds go on
+            discs.append((a, 1, next(root_discs(a, xi, seeds=next(points, seeds)))))
+        else:
+            discs += [(b, k, next(root_discs(b, xi)))
+                      for k, b in enumerate(factors, 1) if not b.is_constant()]
+    for a, k, (bits, Z, R, inside) in discs:
         for (re, im), ins in zip(Z, inside):
             (unstable if ins else stable).extend(
                 [complex(_scaled_float(re, bits), _scaled_float(im, bits))] * k)
-        discs.append((a, k, disc))
     key = lambda c: (c.real, c.imag)
     return RootClassification(
         m, tuple(sorted(stable, key=key)), tuple(sorted(unstable, key=key)), xi,
@@ -387,51 +452,31 @@ def _radius(n: int, g: tuple, q: int) -> int:
     return r + (r * r < r2)
 
 
-def root_discs(f: Poly, xi=1, start=None):
+def root_discs(f: Poly, xi=1, start=None, seeds=None):
     """Certified root discs of a squarefree monic f, refined on demand.
 
     Every root lies in some disc D(z_i, n |W_i|), W_i = f(z_i) / prod_(j != i)
     (z_i - z_j), and k discs meeting no other hold exactly k roots (Carstensen,
-    Numer. Math. 59, 1991).  A call without start first tries `_float_discs`;
-    where floats cannot decide, or a disc meets the ring, Weierstrass steps
-    z_i -= W_i on fixed-point Gaussian integers refine the seeds, the precision
-    about doubling per step, with radii ceil(n |W_i| 2^bits) (`_radius`).  Each
-    yield (bits, centers, radii, inside) is a proof: disjoint discs over
-    2^bits, inside[i] True in |z| < 1/xi - _TOL and False in |z| > 1 + _TOL.  An
-    exact step raises UnitCircleRootError for a disc within the ring between
-    them (or meeting it at the precision cap), FactorizationError at the cap.
-    start = (bits, centers) of a yield resumes the exact steps after it.
+    Numer. Math. 59, 1991).  A call without start first tries `_float_discs` at
+    seeds (by default the last yield of `_start_points(f)`); where floats cannot
+    decide, or a disc meets the ring, Weierstrass steps z_i -= W_i on fixed-point
+    Gaussian integers refine the seeds, the precision about doubling per step,
+    with radii ceil(n |W_i| 2^bits) (`_radius`).  Each yield (bits, centers,
+    radii, inside) is a proof: disjoint discs over 2^bits, inside[i] True in |z|
+    < 1/xi - _TOL and False in |z| > 1 + _TOL (`_place`).  An exact step raises
+    UnitCircleRootError for a disc within the ring between them (or meeting it
+    at the precision cap), FactorizationError at the cap.  start = (bits,
+    centers) of a yield resumes the exact steps after it.
     """
     n, num, den = int(f.degree), f.num, f.den
     xi = rat(xi)
-    lo, hi = 1 / xi - _TOL, 1 + _TOL
-    # lo = ln/ld and hi = hn/hd, so the ring tests run on integers: a center c
-    # has |c| < lo S - r iff ln S - r ld > 0 and |c|^2 ld^2 < (ln S - r ld)^2
-    (ln, ld), (hn, hd) = lo.as_integer_ratio(), hi.as_integer_ratio()
     # 1024 bits plus about twice Mahler's bound on -log2 of the root separation
     cap = 1024 + 2 * n * (max(abs(c) for c in num).bit_length() + n.bit_length())
-
-    def place(p, Z, R, exact=True):  # all disjoint, and the sides (None: undecided)
-        alone = [True] * n  # D(z_i, R_i) meets no other disc
-        for i, ((a, b), ri) in enumerate(zip(Z, R)):
-            for j in range(i):
-                if (a - Z[j][0]) ** 2 + (b - Z[j][1]) ** 2 <= (ri + R[j]) ** 2:
-                    alone[i] = alone[j] = False
-        inside, lS, hS = [], ln << p, hn << p
-        for (a, b), r, isolated in zip(Z, R, alone):
-            c2, t = a * a + b * b, lS - r * ld
-            side = True if t > 0 and c2 * ld * ld < t * t else (
-                False if c2 * hd * hd > (hS + r * hd) ** 2 else None)
-            if (exact and side is None and isolated and (lS + r * ld) ** 2 <= c2 * ld * ld
-                    and c2 * hd * hd <= (hS - r * hd) ** 2):  # a root in the ring
-                raise _ring_error(n, abs(complex(a / (1 << p), b / (1 << p))), xi)
-            inside.append(side)
-        return all(alone), inside
-
-    if start is None and (disc := _float_discs(f, seeds := _start_points(f))):
-        alone, inside = place(*disc, exact=False)
-        if alone and None not in inside:
-            yield *disc, tuple(inside)
+    if start is None:
+        if seeds is None:
+            *_, seeds = _start_points(f)
+        if disc := _float_yield(f, seeds, xi):
+            yield disc
             start = disc[:2]
     p, Z = (start[0], list(start[1])) if start else (64, [])
     # distinct nudges along 1 + 2i break the symmetry of real or conjugate
@@ -458,7 +503,7 @@ def root_discs(f: Poly, xi=1, start=None):
             g, q = (ar * dr + ai * di, ai * dr - ar * di), den * (dr * dr + di * di)
             V.append((g, q))  # W_i S = (ar + i ai) / (den (dr + i di)) = g / q
             R.append(_radius(n, g, q))
-        alone, inside = place(p, Z, R)
+        alone, inside = _place(p, Z, R, xi)
         if alone and None not in inside and not (start and step == 0):
             yield p, tuple(Z), tuple(R), tuple(inside)
         if p >= cap or step == cap - 1:

@@ -349,7 +349,13 @@ def main(argv=None) -> int:
         return _error(exc, 1)
     if args.command == "verify" and args.max_lag < m.H:  # only verify reads --max-lag
         return _error(f"--max-lag must be at least H = {m.H}", 2)
+    # CPython refuses str() of an int past 4300 digits (by default, where the limit exists),
+    # which guards against quadratic conversion of untrusted text; `rat` bounds the model's
+    # exponents already, so the limit is lifted while the report is formed and printed
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     try:
+        if limit is not None:
+            sys.set_int_max_str_digits(0)
         doc = _COMMANDS[args.command](m, args)
         _emit(doc, args.format)
         if args.command == "verify" and not doc["ok"]:
@@ -369,6 +375,9 @@ def main(argv=None) -> int:
         if exc.name != "numpy":
             raise
         return _error(f"{args.command} needs numpy, which cannot be imported", 1)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def run() -> int:

@@ -336,7 +336,9 @@ def squarefree_factors(f: Poly) -> list:
     ([] for a constant) without Yun: a repeated factor h^2 of f over Q may be
     taken in Z[z] (Gauss's lemma), lead(h) divides that numerator, so h keeps
     its degree mod _P and divides both f and f' there.  Yun runs when the
-    check fails, as it does on every f with a repeated root.
+    check fails, as it does on every f with a repeated root.  `classify_roots`
+    calls it only where its first disjoint float discs fail: they prove a
+    squarefree det pi / z^G without either check.
     """
     if f.num and f.num[-1] % _P and _coprime_to_derivative_mod_p(f.num):
         return [f.monic()] if f.degree else []

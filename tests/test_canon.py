@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from recausal import canon
+from recausal import canon, exactalg
 from recausal.canon import (
     FactorizationError,
     RedundantEquationsError,
@@ -404,13 +404,19 @@ def test_classify_roots_ring_boundaries(xi):
             classify_roots(Z * Z + r * r, xi)
 
 
+def _seeds(f: Poly) -> list:
+    """The last yield of _start_points(f): the points once every sweep has run."""
+    *_, points = _start_points(f)
+    return points
+
+
 def _nearest_distances(points, roots):
     return [min(abs(z - complex(r)) for z in points) for r in roots]
 
 
 def test_start_points_on_degree_one():
-    assert _start_points(Z - Fraction(3, 7)) == [pytest.approx(3 / 7, rel=1e-15)]
-    assert _start_points(Z * 2 + 5) == [pytest.approx(-2.5, rel=1e-15)]
+    assert _seeds(Z - Fraction(3, 7)) == [pytest.approx(3 / 7, rel=1e-15)]
+    assert _seeds(Z * 2 + 5) == [pytest.approx(-2.5, rel=1e-15)]
 
 
 def test_start_points_on_a_cluster_of_close_simple_roots():
@@ -418,20 +424,20 @@ def test_start_points_on_a_cluster_of_close_simple_roots():
     f = Poly.const(1)
     for r in roots:
         f = f * (Z - r)
-    points = _start_points(f)
+    points = _seeds(f)
     assert len(points) == 4
     assert max(_nearest_distances(points, roots)) < 1e-6
 
 
 def test_start_points_on_coefficients_of_size_2_to_the_100():
     # roots near 2^-100 and 2^100, and (2^100 + 1) / 2^99 next to -3 2^98 / (2^100 + 7)
-    points = _start_points(Poly([1, -(2**100), 1]))
+    points = _seeds(Poly([1, -(2**100), 1]))
     assert sorted(abs(z) for z in points) == [
         pytest.approx(2.0**-100, rel=1e-12), pytest.approx(2.0**100, rel=1e-12)
     ]
     roots = [Fraction(2**100 + 1, 2**99), Fraction(-3 * 2**98, 2**100 + 7), Fraction(1, 3)]
     f = (Z - roots[0]) * (Z - roots[1]) * (Z - roots[2])
-    assert max(_nearest_distances(_start_points(f), roots)) < 1e-12
+    assert max(_nearest_distances(_seeds(f), roots)) < 1e-12
 
 
 def test_root_discs_enclose_known_roots():
@@ -539,12 +545,47 @@ def test_float_discs_fall_back_to_the_exact_steps(f, outcome, declines):
     """Where the float discs cannot decide, the first yield comes from the
     exact steps (`_radius`), with the same verdict, and so does the ring
     error; the float radii bound the exact ones."""
-    points = _start_points(f)
+    points = _seeds(f)
     assert len(points) == f.degree and all(cmath.isfinite(z) for z in points)
     with mock.patch.object(canon, "_radius", wraps=canon._radius) as radius:
         assert _classified(classify_roots, f, 1) == outcome
     assert (radius.call_count > 0) == declines
     assert _check_float_radii([(f.monic(), 1)]) == (not declines)
+
+
+def _slow_to_converge() -> Poly:
+    """A degree-100 random integer polynomial whose points still move after the
+    first pass's sweeps: its floats decline there and certify once they resume."""
+    rng = random.Random(16)
+    return Poly([rng.randint(-9, 9) for _ in range(100)] + [1])
+
+
+@pytest.mark.parametrize("f, moving, exact", [
+    (_slow_to_converge(), True, False),
+    ((Z - Fraction(1, 3)) * (Z - Fraction(1, 3) - Fraction(1, 2**47)) * (Z + Fraction(5, 2)),
+     True, True),
+    ((Z - 1 + Fraction(1, 10**12)) * (Z - 3), False, True),  # a root 1e-12 inside |z| = 1
+])
+def test_squarefree_polynomials_whose_first_pass_declines_are_seeded_once(f, moving, exact):
+    """Where classify_roots' first float pass declines on a squarefree p, the mod-p
+    proof runs (no Yun) and root_discs goes on from the same sweeps, once more
+    where points still moved after the first pass: they certify the random
+    polynomial with no exact step, and the exact steps classify the cubic with
+    two roots 2^-47 apart and refuse the root in the ring.  _start_points runs
+    once."""
+    a = f.monic()
+    points = list(_start_points(a))
+    assert (points[0] is None) == moving
+    assert (canon._float_yield(a, points[-1], Fraction(1)) is None) == exact
+    with mock.patch.object(canon, "_start_points", wraps=_start_points) as seeds, \
+            mock.patch.object(canon, "_radius", wraps=canon._radius) as radius, \
+            mock.patch.object(exactalg, "_coprime_to_derivative_mod_p",
+                              wraps=exactalg._coprime_to_derivative_mod_p) as mod_p, \
+            mock.patch.object(exactalg, "poly_gcd", wraps=exactalg.poly_gcd) as gcd:
+        got = _classified(classify_roots, f, 1)
+    assert got == _classified(ref_classify_roots, f, 1)
+    assert (seeds.call_count, mod_p.call_count, gcd.call_count) == (1, 1, 0)
+    assert (radius.call_count > 0) == exact
 
 
 def test_classify_roots_beyond_the_float_range():
@@ -647,7 +688,7 @@ def test_start_points_on_spread_moduli_and_sparse_coefficients(f):
     """Root moduli from 10^-6 to 10^6, and coefficients zero between the ends:
     n finite start points, from which root_discs certifies."""
     assume(int(f.degree) <= 12 and poly_gcd(f, f.derivative()).is_constant())
-    points = _start_points(f)
+    points = _seeds(f)
     assert len(points) == f.degree and all(cmath.isfinite(z) for z in points)
     bits, centers, radii, inside = next(root_discs(f.monic()))
     assert len(centers) == f.degree and None not in inside

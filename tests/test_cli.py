@@ -444,6 +444,36 @@ def test_decimal_exponent_past_the_digit_limit_is_one_error_line(capsys, tmp_pat
     assert (rat("1e3"), rat("-2.5e-3"), rat("1e4300") == 10**4300) == (1000, Fraction(-1, 400), True)
 
 
+# pi(z) = 10^-4300 + 10^4300 z: the report's rationals pass CPython's default limit of 4300
+# digits for str() of an int, which the decimal exponents that `rat` accepts stay within
+BEYOND_THE_DIGIT_LIMIT = """{"s": 1, "K": 0, "H": 1, "q": 1, "gamma": [1, 0],
+ "A": [{"k": 0, "h": 0, "matrix": [["1e-4300"]]}, {"k": 0, "h": 1, "matrix": [["1e4300"]]}],
+ "wold": [[["1"]]]}"""
+
+
+def test_rationals_past_the_digit_limit_end_in_a_report(capsys, tmp_path):
+    """Every command on the model above, each in a fresh interpreter: exit 0, 1 or 2,
+    stdout a JSON document or empty, stderr at most one `error:` line and no traceback.
+    solve and smith print the 4301-digit root; main restores the process's limit."""
+    path = tmp_path / "model.json"
+    path.write_text(BEYOND_THE_DIGIT_LIMIT)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for command in ("analyze", "smith", "constraints", "solve", "verify", "probe", "simulate"):
+        got = subprocess.run([sys.executable, "-m", "recausal.cli", command, str(path)], env=env,
+                             capture_output=True, encoding="utf-8")
+        lines = got.stderr.splitlines()
+        assert got.returncode in (0, 1, 2), (command, got.stderr)
+        assert "Traceback" not in got.stderr and len(lines) <= 1, (command, got.stderr)
+        assert all(line.startswith("error: ") for line in lines), (command, got.stderr)
+        assert got.stdout == "" or isinstance(json.loads(got.stdout), dict), command
+        if command in ("smith", "solve"):
+            assert got.returncode == 0 and "1" + "0" * 4300 in got.stdout, command
+    if hasattr(sys, "get_int_max_str_digits"):
+        limit = sys.get_int_max_str_digits()
+        assert run(capsys, "solve", str(path))[0] == 0
+        assert sys.get_int_max_str_digits() == limit
+
+
 def test_xi_override_hits_ring(capsys):
     # widening the annulus to xi = 2 puts both nonzero roots inside it
     code, _, err = run(capsys, "solve", SIMS, "--xi", "2")

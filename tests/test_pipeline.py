@@ -21,7 +21,7 @@ from recausal.canon import LocalSmith, RootClassification, UnitCircleRootError, 
 from recausal.cli import main
 from recausal.constraints import ConstraintSystem
 from recausal.dimension import dimension_report, genericity_probe
-from recausal.exactalg import RationalMatrix
+from recausal.exactalg import Poly, RationalMatrix
 from recausal.model import (
     PiPolynomial, REModel, build_pi, parse_model, validate_semantics,
 )
@@ -521,32 +521,55 @@ def _yun_factor_count(det):
     return len([f for f, _k in sympy.sqf_list(expr)[1] if sympy.degree(f, z) > 0])
 
 
+def _scalar_model(f: Poly) -> REModel:
+    """The scalar model with pi(z) = f(z), of degree d >= 2: K = 1 and H = d - 1, A_10
+    holds the leading coefficient of f and A_0h that of z^(H - h)."""
+    c, d = f.coeffs, int(f.degree)
+    A = {(0, h): [[c[d - 1 - h]]] for h in range(d)}
+    A[1, 0] = [[c[d]]]
+    return REModel(
+        s=1, K=1, H=d - 1, q=1, A={k: RationalMatrix(v) for k, v in A.items()},
+        gamma=(1,) + (0,) * (d - 1), wold=(RationalMatrix([[1]]),),
+    )
+
+
 def _scalar_model_with_a_fine_root():
     """pi(z) = (z - r)(z - 3) with r = 1/3 + 2^-60: the first certified discs
     are too coarse to round the unstable factor, so the split refines them."""
     r = Fraction(1, 3) + Fraction(1, 2**60)
-    A = {(0, 1): [[3 * r]], (0, 0): [[-(r + 3)]], (1, 0): [[1]]}
-    return REModel(
-        s=1, K=1, H=1, q=1, A={k: RationalMatrix(v) for k, v in A.items()},
-        gamma=(1, 0), wold=(RationalMatrix([[1]]),),
-    )
+    return _scalar_model(Poly([-r, 1]) * Poly([-3, 1]))
 
 
-@pytest.mark.parametrize("which", ["sims", "generic", "planted", "refined"])
+def _scalar_model_with_a_cluster():
+    """pi(z) = (z - 1/3)(z - 1/3 - 2^-47)(z + 5/2): squarefree, but the float discs
+    of the two roots 2^-47 apart meet, so the exact steps classify det pi, and
+    the split refines their discs to round the unstable factor."""
+    r = Fraction(1, 3)
+    return _scalar_model(
+        Poly([-r, 1]) * Poly([-r - Fraction(1, 2**47), 1]) * Poly([Fraction(5, 2), 1]))
+
+
+@pytest.mark.parametrize("which", ["sims", "generic", "planted", "refined", "declined"])
 def test_start_points_run_once_per_yun_factor(monkeypatch, which):
-    """validate + analyze + solve + verify place each root once: the split
-    resumes from the discs that classified det pi."""
+    """validate + analyze + solve + verify seed det pi / z^G once, in
+    classify_roots' first float pass: it certifies a squarefree det itself
+    (no squarefree proof runs), and a squarefree det whose floats decline
+    resumes its sweeps.  Only a det with a repeated root is seeded again,
+    once per Yun factor.  The split resumes from the discs that classified
+    det pi."""
     m = {
         "sims": lambda: parse_model(SIMS_JSON),
         "generic": lambda: random_model(random.Random(3), 3, 1, 1),
         "planted": lambda: planted_models()[8],  # two Yun factors
         "refined": _scalar_model_with_a_fine_root,
+        "declined": _scalar_model_with_a_cluster,
     }[which]()
-    counts = count_calls(monkeypatch, ("canon._start_points",))
+    mod_p = "exactalg._coprime_to_derivative_mod_p"
+    counts = count_calls(monkeypatch, ("canon._start_points", mod_p))
     resumed = []
 
-    def resumed_discs(f, xi=1, start=None, _discs=canon.root_discs):
-        for disc in _discs(f, xi, start):
+    def resumed_discs(f, xi=1, start=None, seeds=None, _discs=canon.root_discs):
+        for disc in _discs(f, xi, start, seeds):
             if start is not None:  # classify_roots starts afresh, the split resumes
                 resumed.append(disc[0])
             yield disc
@@ -561,24 +584,36 @@ def test_start_points_run_once_per_yun_factor(monkeypatch, which):
     else:
         if sr.transfer_num is not None:
             verify_solution(m, sr)
-    det = m.pi.det
-    assert counts["canon._start_points"] == _yun_factor_count(det) > 0
-    assert bool(resumed) == (which == "refined")
+    yun = _yun_factor_count(m.pi.det)
+    first_pass = which in ("sims", "generic", "refined")  # certified by it
+    assert (counts[mod_p] == 0) == first_pass
+    assert counts["canon._start_points"] == (1 if yun == 1 else 1 + yun)
+    assert (yun == 1) == (which != "planted")
+    assert bool(resumed) == (which in ("refined", "declined"))
 
 
 def test_classify_roots_needs_no_gcd_on_squarefree_dets(monkeypatch, corpus):
-    """Every corpus det pi / z^G is squarefree, so the mod-p certificate
-    settles each without Yun's gcds; a planted det with a repeated root still
-    gets Yun's factors."""
+    """Every corpus det pi / z^G is squarefree, so no Yun gcd runs on it, and
+    where the first float pass certifies it (on `_start_points`' first yield)
+    its discs are the proof: no mod-p certificate runs either.  A planted det
+    with a repeated root still gets Yun's factors."""
     dets = [(m.pi.det, m.xi) for m in corpus]
     repeated = planted_models()[8].pi.det
-    counts = count_calls(monkeypatch, ("exactalg.poly_gcd",))
+    mod_p = "exactalg._coprime_to_derivative_mod_p"
+    counts = count_calls(monkeypatch, ("exactalg.poly_gcd", mod_p))
+    certified = 0
     for det, xi in dets:
+        f = det.shift(-det.zero_multiplicity()).monic()
+        seeds = f.degree and next(canon._start_points(f))  # None if its points still move
+        first = bool(seeds) and canon._float_yield(f, seeds, xi) is not None
+        proofs = counts[mod_p]
         try:
             classify_roots(det, xi)
         except UnitCircleRootError:
             pass
-    assert counts["exactalg.poly_gcd"] == 0
+        assert counts[mod_p] == proofs or not first
+        certified += first
+    assert counts["exactalg.poly_gcd"] == 0 and certified > 0
     rc = classify_roots(repeated)
     assert counts["exactalg.poly_gcd"] > 0
     yun = ref_squarefree_factors(repeated.shift(-rc.zero_multiplicity))
