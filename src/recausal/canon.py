@@ -286,8 +286,9 @@ def _start_points(f: Poly):
                 w = N / (1 - N * s)
             except ZeroDivisionError:  # a critical point, or two points met
                 w = (abs(zi) + 1) * 1e-3j
-            z[i] = zi - w
-            if not (abs(w) <= 1e-3 * abs(zi) and abs(w * s) <= 1e-3):
+            if cmath.isfinite(zw := zi - w):  # else it stays: one NaN point spreads through s
+                z[i] = zw
+            if not (cmath.isfinite(zw) and abs(w) <= 1e-3 * abs(zi) and abs(w * s) <= 1e-3):
                 moving.append(i)
         if not moving:
             break

@@ -6,16 +6,14 @@ the row reduction `canon.local_form`, so validate, analyze, constraints and
 probe run no global `smith_form`; only `recausal smith` runs it.  A plain system
 prints the C, D and rhs its rank is counted on, which at some g_i > J1 need not
 have the solution set of the global Smith form's.  The predetermined system is
-the causal rows at z = 0, whose solution set no factorization changes.  The
-solve reads only the stages `pi`, adj pi (`adj`), `ker_l` and `split`, the
-det pi = D S certified on the discs of `roots`, builds zeta(z) on integer rows
-itself (`model.build_m_stack`), and reads no Smith form; on a predetermined
-model analyze's free_parameters and its indeterminacy_dim differ only by the
-cancellation of the unstable roots.  `dimension_report` and `genericity_probe`
-read only ranks, which the systems count on integer rows: they form no
-Fraction product, C or kernel.
-`dimension_report` returns the mapping `analyze` prints.  Only `analyze` and
-`probe` import this module, and with it `recausal.constraints`.
+the stage `causal`, the causal rows at z = 0, whose solution set no factorization
+changes; the solve stacks the same rows on those of the unstable factor, so on a
+predetermined model analyze's free_parameters and its indeterminacy_dim differ
+only by the cancellation of the unstable roots.  `dimension_report` and
+`genericity_probe` read only ranks, which the systems count on integer rows:
+they form no Fraction product, C or kernel.  `dimension_report` returns the
+mapping `analyze` prints.  Only `analyze` and `probe` import this module, and
+with it `recausal.constraints`.
 """
 
 from __future__ import annotations

@@ -18,13 +18,14 @@ are in `REModel.numerators` and `REModel.wold_numerators`, and pi's rows in
 `PiPolynomial.numerators`, which every other module reads; a model from
 `_replace` starts with an empty memo.
 `build_m_stack` stacks the m_i of zeta(z) = sum_i m_i z^i on integer rows, from
-`REModel.numerators` alone: the constraint systems read them over H + max(g -
-J1, 0) blocks, and the solve builds its right factor from K + H of them.  The
-stage `ker_l`, ker L on the same integers, is read by the solve and by the
-predetermined system, so analyze needs no `recausal.solver`.  This module
-imports `canon` and `exactalg` alone; the stages that build a constraint
-system import `recausal.constraints` on first use, so a command that builds
-none never compiles it.
+`REModel.numerators` alone, and `right_factor` lays [zeta's columns of the
+unknowns | zeta d for d in ker L | w] out on them once for every row system: a
+`ConstraintSystem` multiplies it by coefficient rows of P^-1 (`frak_p_blocks`),
+the solve by adj pi.  The stage `causal`, the causal rows at z = 0 on the solve's
+unknowns (with `ker_l`, ker L on the same integers), is read by the solve and is
+the predetermined system, so analyze needs no `recausal.solver` and solve no
+`recausal.constraints`.  This module imports `canon` and `exactalg` alone; the
+stages plain_cs and cs import `recausal.constraints` on first use.
 """
 
 from __future__ import annotations
@@ -35,11 +36,12 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import lcm
+from operator import mul
 
 from .canon import RedundantEquationsError, classify_roots, factor_stable_unstable
 from .canon import local_form, smith_form
-from .exactalg import PolyMatrix, RationalMatrix, _echelon_kernel, _numerators, _poly, _rmat
-from .exactalg import _row_echelon, det_adjugate, determinant, rat
+from .exactalg import PolyMatrix, RationalMatrix, _combine, _echelon_kernel, _numerators, _poly
+from .exactalg import _rmat, _row_echelon, _scaled, det_adjugate, determinant, rat
 
 SCHEMA_VERSION = 1
 
@@ -149,16 +151,27 @@ class REModel(namedtuple("REModel", "s K H q A gamma wold xi", defaults=(Fractio
 
     @_stage
     def pb(self):
-        from .constraints import frak_p_blocks
-
+        """p_stack of the plain system (`frak_p_blocks`)."""
         return frak_p_blocks(self.local, self.pi.J1, self.H)
 
     @_stage
     def m_stack(self):
-        """The m_i of zeta(z) stacked on integer rows (N, L), as many as p_stack
-        has column blocks, H + max(g - J1, 0), or none at H = 0, where p_stack
-        has no rows: the systems and bounds read it."""
-        return build_m_stack(self, self.H and self.H + max(max(self.local.g) - self.pi.J1, 0))
+        """The m_i of zeta(z) stacked on integer rows (N, L), as many as p_stack has
+        column blocks, H + max(g - J1, 0), also at H = 0, where zeta has no columns and
+        the causal rows constrain w alone: the systems and bounds read it."""
+        return build_m_stack(self, self.H + max(max(self.local.g) - self.pi.J1, 0))
+
+    @_stage
+    def causal(self):
+        """The causal rows at z = 0, a `ConstraintSystem` on the solve's unknowns: the free
+        entries of h and ker L, or all sH entries of h on a plain model.  Row (i, t),
+        t < H + g_i - J1, holds the z^t coefficients of row i of P^-1 (zeta p - w), zero for a
+        causal solution: as pi = P diag(z^g) E with E and det pi / z^G units of Q[[z]], they
+        say that z^(G+H) divides adj(pi) (M p - W), M = z^J1 zeta(z) and W = z^J1 w(z)."""
+        ker_l = self.ker_l if self.predetermined else None
+        return ConstraintSystem(self, frak_p_blocks(self.local, self.pi.J1, self.H, causal=True),
+                                right_factor(self, self.m_stack, self.free_unknowns(), ker_l or []),
+                                ker_l)
 
     @_stage
     def plain_cs(self):
@@ -170,12 +183,12 @@ class REModel(namedtuple("REModel", "s K H q A gamma wold xi", defaults=(Fractio
     @_stage
     def cs(self):
         """The model's constraint system, in its own flavor: the predetermined one is
-        the causal rows at z = 0 on the free entries of h and ker L."""
+        the stage `causal`."""
         if not self.predetermined:
             return self.plain_cs
         from .constraints import build_predetermined_system
 
-        return build_predetermined_system(self, self.m_stack, self.local, self.ker_l)
+        return build_predetermined_system(self)
 
 
 def _parse_matrix(obj, rows, cols, what, seen: dict) -> RationalMatrix:
@@ -310,6 +323,71 @@ def build_m_stack(m: REModel, n: int) -> tuple:
                 for c, a in enumerate(row, j * s):
                     acc[c] -= a
     return N, L
+
+
+def right_factor(m: REModel, ms: tuple, cols, ker_l: list) -> tuple:
+    """(R, den): [zeta's columns cols | zeta d for d in ker_l | w] = R / den on integer rows,
+    as many coefficients as ms = (N, L) = build_m_stack(m, n) has blocks: row i s + r holds
+    coefficient i of row r, w's from `REModel.wold_numerators`."""
+    s, (N, L), (lw, W) = m.s, ms, m.wold_numerators
+    kv = [_scaled(v) for v in ker_l]  # (v times lv, lv)
+    lb = lcm(L * lcm(*(lv for _, lv in kv)), lw)
+    c, cw, kv = lb // L, lb // lw, [(v, lb // (L * lv)) for v, lv in kv]
+    return [[x[a] * c for a in cols] + [sum(map(mul, x, v)) * ck for v, ck in kv]
+            + [f[i] * cw if i < len(f) else 0 for f in W[r]]
+            for x, (i, r) in zip(N, product(range(len(N) // s), range(s)))], lb
+
+
+def frak_p_blocks(loc, J1: int, H: int, causal: bool = False) -> tuple:
+    """(rows, L): p_stack = rows / L, the per-row coefficient blocks of P^-1 shaped
+    by the partial multiplicities on loc.p_inv's integers (loc a `LocalSmith`), stacked by
+    row k of P^-1, each s(H + max(g - J1, 0)) wide: the row of coefficient t of row k of
+    P^-1 zeta holds coefficients t, ..., 0 of row k of P^-1.  Block k has the H rows
+    t = g_k - J1 .. g_k - J1 + H - 1, a row t < 0 zero, or, causal, the rows
+    t = 0 .. H + g_k - J1 - 1, none if H + g_k <= J1."""
+    g, (N, L) = loc.g, loc.p_inv
+    n = H + max(max(g) - J1, 0)
+    return [[f[t - j] if 0 <= t - j < len(f) else 0 for j in range(n) for f in N[k]]
+            for k, gk in enumerate(g) for t in range(0 if causal else gk - J1, H + gk - J1)], L
+
+
+class ConstraintSystem:
+    """C x = rhs from [C | rhs] = D R on integer rows: D = pb = (P, L') a stack of coefficient
+    rows of P^-1 (`frak_p_blocks`) and R = (B, L) a `right_factor`, one `_combine` per row of
+    P.  The unknowns x are all sH entries of h (flavor "plain"), or the free entries of h and
+    the coordinates of d in ker L, ker_l its basis ("predetermined").  rank_w and the kernel
+    are read off a copy of the rows eliminated on C's columns (`_row_echelon`), `echelon` with
+    its pivot columns `pivots`; the Fraction matrices C, D and rhs are built on first read."""
+
+    def __init__(self, m: REModel, pb: tuple, R: tuple, ker_l: list | None = None):
+        self.flavor = "plain" if ker_l is None else "predetermined"
+        n = m.s * m.H if ker_l is None else len(m.free_unknowns()) + len(ker_l)
+        self._src, self._n, self._q = (pb, R), n, m.q
+        self._rows = [_combine(zip(r, R[0]), n + m.q) for r in pb[0]]  # times L' L
+        self.echelon = [list(r) for r in self._rows]
+        self.pivots = _row_echelon(self.echelon, n)
+        self.rank_w, self.effective_unknowns = len(self.pivots), n
+        if ker_l:  # the p-space: the free entries and ker L's part on the forced ones
+            forced = sorted(set(range(m.s * m.H)) - set(m.free_unknowns()))
+            d = [_scaled([v[a] for a in forced])[0] for v in ker_l]
+            self.effective_unknowns += len(_row_echelon(d, len(forced))) - len(ker_l)
+
+    kernel_dim = property(lambda self: self.effective_unknowns - self.rank_w)
+    C = property(lambda self: self._matrices[0])
+    D = property(lambda self: self._matrices[1])
+    rhs = property(lambda self: self._matrices[2])
+
+    @cached_property
+    def _matrices(self) -> tuple:
+        ((P, lp), (B, lb)), n = self._src, self._n
+        C, rhs = ([[Fraction(x, lp * lb) for x in r[cols]] for r in self._rows]
+                  for cols in (slice(n), slice(n, None)))
+        D = _rmat([[Fraction(x, lp) for x in row] for row in P], len(B))
+        return _rmat(C, n), D, _rmat(rhs, self._q)
+
+    @cached_property
+    def kernel(self) -> tuple:
+        return tuple(_echelon_kernel(self.echelon, self.pivots, self._n))
 
 
 def validate_semantics(m: REModel) -> dict:

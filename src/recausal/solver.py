@@ -5,25 +5,24 @@ pole at z = 0 or at an unstable root of det pi.  With D = z^G U, G the
 multiplicity of z = 0 in det pi and U its unstable factor, that is one
 divisibility condition: D divides adj(pi) N(z; h).  With N = pi(z) h(z) + R(z; h)
 for the residual R = M h - W, M = z^J1 zeta(z) and W = z^J1 w(z),
-adj(pi) pi = det(pi) I = D S I gives adj(pi) N = D S h(z) + adj(pi) R.  One
-integer product P = adj(pi) [M's solve columns | W] per solve (`_adj_product`:
-adj(pi) is the model's stage `adj`, an integer pair (A, L), the right factor is built on
-integers) serves twice: the conditions are the remainders of its entries mod D,
-linear in h, and the transfer is (adj(pi) R / D + S h(z)) / S with adj(pi) R
-summed from the columns of P.
-Neither the rows' echelon form nor the transfer sees a positive factor of P.
+adj(pi) pi = det(pi) I = D S I gives adj(pi) N = D S h(z) + adj(pi) R.
 
 The rows are verify_solution's acceptance test, linearized (see README): the
 head Psi_0 .. Psi_(H-1) of the solution must be h (plain flavor), so z^H D
 divides adj(pi) R; or, with the entries of h outside `REModel.free_unknowns()`
 zero, some p = h + d with d in ker L (the model's stage `ker_l`), so that
 N(z; p) = N(z; h) (predetermined flavor), and z^H D divides adj(pi) (M p - W).
-No factorization of pi enters.  Mod z^(G+H) these are analyze's predetermined
-rows (`recausal.constraints`); the factor U adds the cancellation of the
-unstable roots.  adj(pi) and the product are built only once the
-split, `REModel.split`, is accepted: a refused model builds neither.  Only
-`simulate` imports numpy.  The result, `SolutionReport`, is a named tuple: h and
-num/den determine the solution.
+As U(0) != 0 this splits in two.  z^(G+H) dividing it is a statement about pi
+at z = 0: the model's stage `causal`, rows from the local data that analyze's
+predetermined count shares, already eliminated.  U dividing it adds the
+cancellation of the unstable roots: the remainders mod U of the entries of one
+integer product P = adj(pi) [M's solve columns | W] (`_adj_product`, adj(pi) the
+model's stage `adj`, an integer pair (A, L), times `model.right_factor`), which
+also gives the transfer (adj(pi) R / D + S h(z)) / S, adj(pi) R summed from the
+columns of P.  Neither the rows' echelon form nor the transfer sees a positive
+factor of P.  adj(pi) and P are built only once the split, `REModel.split`, is
+accepted: a refused model builds neither.  Only `simulate` imports numpy.  The
+result, `SolutionReport`, is a named tuple: h and num/den determine the solution.
 
 A solution y = (num/den) eps is verified by one polynomial identity: with R the
 series of model residuals and T = den R, z^H T = [Lambda | z^H W - U] [num ; den I]
@@ -37,28 +36,24 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import chain
 from math import lcm
-from operator import mul
 
 from .canon import FactorizationError, factor_stable_unstable  # re-exported
 from .canon import KernelPointError, UnsupportedModelError
 from .exactalg import Poly, PolyMatrix, RationalMatrix, _ZERO, _combine, _int_product, _numerators
 from .exactalg import _poly, _rmat, _scaled, _solve_rows, poly_gcd, rank_kernel, solve_affine
-from .model import REModel, build_m_stack
+from .model import REModel, build_m_stack, right_factor
 
 
 def _adj_product(m: REModel, adj: tuple, J1: int, free, ker_l: list) -> tuple:
     """(P, den): adj(pi) [M's free columns | M ker L | W] = P / den, P's entries integer
     coefficient lists, lowest first, by one `_int_product` of A, adj(pi) = A / la the
-    model's stage `adj`, and the right factor on integers over one denominator:
-    M = z^J1 zeta(z) from build_m_stack(m, K + H), whose row i s + r is coefficient i of
-    zeta's row r, and W = z^J1 w(z) from `REModel.wold_numerators`."""
-    s, (A, la), (N, L), (lw, W) = m.s, adj, build_m_stack(m, m.K + m.H), m.wold_numerators
-    kv = [_scaled(v) for v in ker_l]  # (v times lv, lv)
-    lb, pad = lcm(L * lcm(*(lv for _, lv in kv)), lw), [0] * J1  # lb: B's denominator
-    B = [[pad + [x[a] * (lb // L) for x in N[r::s]] for a in free]
-         + [pad + [sum(map(mul, x, v)) * (lb // (L * lv)) for x in N[r::s]] for v, lv in kv]
-         + [pad + [y * (lb // lw) for y in f] for f in wr] for r, wr in enumerate(W)]
-    return _int_product(A, B, len(free) + len(kv) + m.q), la * lb
+    model's stage `adj`, and the columns of `right_factor` read as polynomials times z^J1,
+    over all max(K + H, len(wold)) coefficients of zeta and w: M = z^J1 zeta(z), W = z^J1 w(z)."""
+    s, (A, la) = m.s, adj
+    R, lb = right_factor(m, build_m_stack(m, max(m.K + m.H, len(m.wold))), free, ker_l)
+    pad, n = [0] * J1, len(free) + len(ker_l) + m.q
+    B = [[pad + list(f) for f in zip(*R[r::s])] for r in range(s)]
+    return _int_product(A, B, n), la * lb
 
 
 def _cancellation_rows(P: list, D: Poly) -> list:
@@ -69,10 +64,10 @@ def _cancellation_rows(P: list, D: Poly) -> list:
     d, e = int(D.degree), D.num[-1]
     Dy = [(j, c * e ** (d - 1 - j)) for j, c in enumerate(D.num[:d]) if c]
     top = max([d] + [len(f) for row in P for f in row])  # N, at least d
-    out = []
+    out, powers = [], [e**k for k in range(top - 1, -1, -1)]  # e^(N-1-t) for t = 0 .. N-1
     for row in P:
-        V = [[x * e ** (top - 1 - t) for x in coeff]
-             for t, coeff in enumerate(zip(*(f + [0] * (top - len(f)) for f in row)))]
+        V = [[x * p for x in coeff]
+             for p, coeff in zip(powers, zip(*(f + [0] * (top - len(f)) for f in row)))]
         for t in range(top - 1, d - 1, -1):  # cancel y^t by V[t] y^(t-d) e^(d-1) D.num(y / e)
             v = V.pop()
             for j, c in Dy:
@@ -128,7 +123,9 @@ def solve_causal(m: REModel, kernel_point: str = "min-norm") -> SolutionReport:
     D, S = m.split
     ker_l = m.ker_l if m.predetermined else []  # d's coordinates follow h's
     P = _adj_product(m, m.adj, m.pi.J1, free, ker_l)
-    X, kern = _solve_rows(_cancellation_rows(P[0], D.shift(m.H)), len(free) + len(ker_l), q)
+    rows = [list(r) for r in m.causal.echelon]  # z^(G+H), then U = D / z^G
+    rows += _cancellation_rows(P[0], D.shift(-m.roots.zero_multiplicity))
+    X, kern = _solve_rows(rows, len(free) + len(ker_l), q)
     at = {a: i for i, a in enumerate(free)}
     kernel = [[v[at[a]] if a in at else Fraction(0) for a in range(n_unknowns)] for v in kern]
     if X is None:

@@ -1034,12 +1034,15 @@ def ref_causal_system(m: REModel, loc: LocalSmith) -> tuple:
 
 
 def causal_rows_oracle(m: REModel) -> tuple:
-    """(kernel dimension, heads rank, consistency) of the causal rows mod z^(G+H): z^(G+H)
-    divides adj(pi) (M p - W), M = z^J1 zeta(z) and W = z^J1 w(z), for p = h + d with h zero
-    outside the free entries and d in ker L, the unknowns the free entries and d's coordinates.
-    adj(pi) from `det_adjugate`, the right factor from the Poly residual map, the rows from
-    `_cancellation_rows` with z^(G+H) in place of `full_unknown_system`'s z^H D.  The heads
-    rank is the dimension of the p of the kernel, as the solve counts its heads."""
+    """(kernel dimension, heads rank, consistency, reduced echelon form) of the causal rows
+    mod z^(G+H): z^(G+H) divides adj(pi) (M p - W), M = z^J1 zeta(z) and W = z^J1 w(z), for
+    p = h + d with h zero outside the free entries and d in ker L, the unknowns the free
+    entries and d's coordinates (all sH entries of h and no ker L on a plain model).
+    adj(pi) from `det_adjugate`, the right factor from the Poly residual map, the rows
+    [X | B] from `_cancellation_rows` with z^(G+H) in place of `full_unknown_system`'s
+    z^H D.  The heads rank is the dimension of the p of the kernel, as the solve counts its
+    heads; the reduced echelon form is `ref_rref`'s of the [X | B] rows, pivots in B too,
+    so it names their row space."""
     H, q, n, free = m.H, m.q, m.s * m.H, m.free_unknowns()
     M, W = residual_map(m, ref_zeta_coefficients(m), m.pi.J1)
     ker = ref_expectation_kernel(m) if m.predetermined else []
@@ -1054,7 +1057,8 @@ def causal_rows_oracle(m: REModel) -> tuple:
                          RationalMatrix([r[width:] for r in rows]), width)
     heads = [[(v[free.index(a)] if a in free else 0)
               + sum(c * d[a] for c, d in zip(v[len(free):], ker)) for a in range(n)] for v in kern]
-    return len(kern), rank_of(RationalMatrix(heads)) if heads else 0, X is not None
+    return (len(kern), rank_of(RationalMatrix(heads)) if heads else 0, X is not None,
+            ref_rref(RationalMatrix(rows)))
 
 
 def rank_of(M: RationalMatrix) -> int:

@@ -440,6 +440,21 @@ def test_start_points_on_coefficients_of_size_2_to_the_100():
     assert max(_nearest_distances(_seeds(f), roots)) < 1e-12
 
 
+def test_start_points_keep_an_overflowing_point_from_spreading_nan():
+    """On this degree-300 integer polynomial the Aberth update of three points overflows
+    to a non-finite value.  Such a point stays where it was and counts as moving: before,
+    its NaN entered every deflation sum, 299 of the 300 points ended non-finite (and were
+    handed on as their start circle points), and classify_roots took over a minute."""
+    import numpy as np
+
+    rng = random.Random(0)
+    coeffs = [rng.randint(-100, 100) for _ in range(300)] + [rng.randint(1, 100)]
+    points = _seeds(Poly(coeffs).monic())
+    assert len(points) == 300 and all(cmath.isfinite(z) for z in points)
+    near = [min(abs(z - r) for z in points) <= 1e-6 * abs(r) for r in np.roots(coeffs[::-1])]
+    assert sum(near) >= 297, sum(near)
+
+
 def test_root_discs_enclose_known_roots():
     # a pair of roots 2^-40 apart inside the unit circle, one root outside
     roots = [Fraction(1, 3), Fraction(1, 3) + Fraction(1, 2**40), Fraction(-5, 2)]

@@ -1,17 +1,22 @@
 """CLI behavior: exit codes, deterministic output, subcommands, flags."""
 
 import gc
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import time
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 from recausal import cli, solver
 from recausal.cli import main
@@ -562,3 +567,96 @@ def test_json_booleans_are_not_numbers(capsys, tmp_path, field, mutate):
     code, out, err = run(capsys, "analyze", str(path))
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1 and field in err, err
+
+
+# ---------------------------------------------------------------------------
+# fuzz: the exit contract on mutated documents and argv
+
+_FUZZ_BASES = [Path(SIMS).read_text(), Path(GENERIC).read_text(), INDETERMINATE_SCALAR,
+               (ROOT / "tests" / "golden" / "defect.json").read_text(),
+               (ROOT / "tests" / "golden" / "refused.json").read_text()]
+_FUZZ_VALUES = st.one_of(
+    st.sampled_from([None, True, False, 0, 1, -1, 2, 3, 2**70, -(2**70), 0.5, float("nan"),
+                     float("inf"), [], {}, [[]], [[[]]], "", "0", "1", "-1", "1/0", "0/0", "1/-2",
+                     "NaN", "nan", "inf", "-inf", "1e4300", "1e-4300", "1e4301", "2.5E+20000000",
+                     "1_000", " 1 ", "0x10", "١", "1/3", "-7/2", "1.25", "k", "matrix"]),
+    st.integers(-3, 3).map(lambda d: [[str(d)]]),
+    st.recursive(st.just("1"), lambda inner: st.lists(inner, max_size=2), max_leaves=4),
+)
+# option -> values, each a valid one or one a check should refuse; -h and --help print the
+# help text, and --trials sets the run time of simulate and probe, so it stays small here
+_FUZZ_OPTIONS = {
+    "--xi": ["1", "2", "3/2", "0", "-1", "abc", "1/0", "1e4301", "true"],
+    "--max-lag": ["-1", "0", "1", "3", "50", "x", "1.5"],
+    "--trials": ["-1", "0", "2", "3", "17", "y"],
+    "--seed": ["-1", "0", "7", str(10**19), "z"],
+    "--format": ["json", "text", "xml"],
+    "--kernel-point": ["min-norm", "0", "1", "-1", "abc", "", str(10**30)],
+}
+
+
+def _fuzz_paths(doc, path=()):
+    yield path
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _fuzz_paths(value, path + (key,))
+
+
+def _fuzz_mutate(data, doc):
+    """One mutation of doc at a drawn place: a value replaced or wrapped in a list, a key or
+    an item dropped or duplicated, or a key added."""
+    path = data.draw(st.sampled_from(list(_fuzz_paths(doc))[1:]))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    key, op = path[-1], data.draw(st.sampled_from(["value", "wrap", "drop", "duplicate", "add"]))
+    if op == "value":
+        parent[key] = data.draw(_FUZZ_VALUES)
+    elif op == "wrap":
+        parent[key] = [parent[key]]
+    elif op == "drop":
+        del parent[key]
+    elif op == "duplicate" and isinstance(parent, list):
+        parent.insert(key, json.loads(json.dumps(parent[key])))
+    elif isinstance(parent, dict):
+        parent[data.draw(st.sampled_from(["extra", "k", "h", "xi", "matrix"]))] = data.draw(_FUZZ_VALUES)
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_fuzzed_documents_and_argv_keep_the_exit_contract(data):
+    """cli.main in process on model documents around valid ones, mutated up to three times,
+    and on argv over the seven commands and their options, before or after the path: the
+    exit code is 0, 1 or 2, stdout is a document (JSON with --format json) or empty, stderr
+    holds at most one `error:` line, and no exception leaves main."""
+    doc = json.loads(data.draw(st.sampled_from(_FUZZ_BASES)))
+    for _ in range(data.draw(st.integers(0, 3))):
+        if isinstance(doc, (dict, list)) and doc:
+            _fuzz_mutate(data, doc)
+    options = data.draw(st.lists(st.sampled_from(sorted(_FUZZ_OPTIONS)), max_size=3, unique=True))
+    tokens, values = [], {}
+    for option in options:
+        values[option] = value = data.draw(st.sampled_from(_FUZZ_OPTIONS[option]))
+        tokens += [f"{option}={value}"] if data.draw(st.booleans()) else [option, value]
+    command = data.draw(st.sampled_from(sorted(cli._COMMANDS)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(doc))
+        cut = data.draw(st.integers(0, len(tokens)))
+        argv = [command, *tokens[:cut], path, *tokens[cut:]]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # a usage error, which parse_args ends with
+                code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    event(f"{command} exit {code}")
+    assert code in (0, 1, 2), (argv, code, err)
+    assert sum("error:" in line for line in err.splitlines()) <= 1, (argv, err)
+    assert "Traceback" not in err, (argv, err)
+    if out and values.get("--format") != "text":
+        assert isinstance(json.loads(out), dict), (argv, out)
+    assert out or code != 0, argv

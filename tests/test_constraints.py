@@ -4,14 +4,18 @@ import random
 from fractions import Fraction
 from math import lcm
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from recausal.constraints import (
     build_plain_system,
-    build_predetermined_system,
     check_rank_bounds,
-    frak_p_blocks,
 )
+from recausal.canon import RedundantEquationsError
 from recausal.exactalg import Poly, RationalMatrix, rank_kernel
-from recausal.model import REModel, build_pi
+from recausal.model import ConstraintSystem, REModel, build_pi, frak_p_blocks, right_factor
+from recausal.solver import solve_causal, verify_solution
 from conftest import (
     a_kh,
     affine_set,
@@ -40,6 +44,7 @@ from conftest import (
     ref_causal_system,
     ref_constraint_matrix,
     ref_m_stack,
+    ref_rref,
     ref_zeta_coefficients,
     rmat_mul,
     rmat_sub,
@@ -222,7 +227,7 @@ def test_m_stack_matches_the_coefficient_stack(corpus, predetermined_probe):
         ref = ref_m_stack(zc, m.pb)
         assert [[Fraction(x, L) for x in row] for row in N] == ref.entries
         assert all(len(row) == m.s * m.H for row in N)
-        if m.H == 0:  # p_stack has no rows, so no column blocks either
+        if m.H == 0:  # p_stack has no rows, and g <= J1 here, so no column blocks either
             assert N == [] and ref.cols == 0
             n_h0 += 1
             continue
@@ -259,7 +264,7 @@ def _assert_causal_rows_oracle(m: REModel) -> bool:
               + sum(c * d[a] for c, d in zip(v[len(free):], m.ker_l))
               for a in range(m.s * m.H)] for v in cs.kernel]
     consistent = affine_set(cs.C, cs.rhs, cs.C.cols)[0] is not None
-    assert (len(cs.kernel), cs.kernel_dim, consistent) == causal_rows_oracle(m), m.gamma
+    assert (len(cs.kernel), cs.kernel_dim, consistent) == causal_rows_oracle(m)[:3], m.gamma
     assert (rank_of(RationalMatrix(heads)) if heads else 0) == cs.kernel_dim
     return consistent
 
@@ -290,6 +295,60 @@ def test_predetermined_system_is_the_causal_rows_oracle_on_planted_draws():
             n += 1
             n_deep += g_last > H + 1
     assert n_deep > 0, n_deep
+
+
+def _assert_same_row_space(m: REModel) -> bool:
+    """The stage `causal`, the solve's rows mod z^(G+H) from local data, and the rows of
+    adj(pi) reduced mod z^(G+H) (`causal_rows_oracle`) have one reduced echelon form of
+    [X | B], so one row space.  Returns their consistency."""
+    *_, consistent, rref = causal_rows_oracle(m)
+    assert ref_rref(RationalMatrix(m.causal.echelon)) == rref, (m.s, m.H, m.gamma)
+    return consistent
+
+
+def test_causal_stage_has_the_row_space_of_the_adj_rows(corpus, predetermined_probe):
+    """On every model of the five sets with pi nonsingular and J1 >= 0, in both flavors:
+    so the solve, which stacks the stage on the rows mod U, has the row space of the rows
+    mod z^(G+H) U, and with it the same reduced echelon form, h, kernel and transfer."""
+    n = n_g = n_inconsistent = 0
+    for m in (list(corpus) + list(predetermined_probe) + ladder_shaped_models()
+              + planted_models() + deep_planted_models()):
+        try:
+            if m.pi.J1 < 0:
+                continue
+        except RedundantEquationsError:
+            continue
+        n_inconsistent += not _assert_same_row_space(m)
+        n_g += m.pi.det[0] == 0
+        n += 1
+    assert (n, n_g, n_inconsistent) == (314, 29, 84), (n, n_g, n_inconsistent)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from((2, 3)), st.sampled_from((1, 2)),
+       st.integers(1, 3), st.booleans())
+def test_causal_stage_has_the_row_space_of_the_adj_rows_on_drawn_planted_models(
+        seed, s, H, g_last, predetermined):
+    """The same on `planted_model` draws, G = g_last > 0, some g_i > J1 + 1, both flavors."""
+    m = planted_model(random.Random(seed), s, H, g_last, predetermined=predetermined)
+    assert m.pi.det[0] == 0
+    _assert_same_row_space(m)
+
+
+@pytest.mark.parametrize("w0, verdict", [(1, "no_causal_solution"), (0, "determinate")])
+def test_causal_stage_at_horizon_zero_constrains_w_alone(w0, verdict):
+    """H = 0 and g = (0, 1) > J1 = 0: s = 2, K = 1, q = 1, A_00 = diag(1, 0), A_10 = I/2,
+    w_0 = (1, w0).  pi = diag(1 + z/2, z/2), so z divides row 2 of pi^-1 w(z) only if
+    w0 = 0.  zeta has no columns, and the stage still takes max(g) - J1 = 1 block of it
+    and of w: its one row is w's alone."""
+    m = REModel(s=2, K=1, H=0, q=1, gamma=(2,), wold=(RationalMatrix([[1], [w0]]),),
+                A={(0, 0): RationalMatrix([[1, 0], [0, 0]]),
+                   (1, 0): RationalMatrix([[Fraction(1, 2), 0], [0, Fraction(1, 2)]])})
+    assert (m.local.g, m.pi.J1, m.causal.C.cols) == ((0, 1), 0, 0)
+    assert _assert_same_row_space(m) == (w0 == 0) and len(m.causal.echelon) == 1
+    sr = solve_causal(m)
+    assert sr.classification == verdict
+    assert sr.transfer_num is None or verify_solution(m, sr)["ok"]
 
 
 def test_integer_ranks_match_a_fraction_reference(corpus, predetermined_probe):
@@ -331,7 +390,7 @@ def test_predetermined_count_weights_the_scaled_rows():
                     wold=(RationalMatrix([[rand_frac(rng)], [rand_frac(rng)]]),))
         ms = int_stack(RationalMatrix([[rand_frac(rng, nonzero=True), rand_frac(rng)]
                                        for _ in range(2)]))
-        cs = build_predetermined_system(m, ms, loc, [])
+        cs = ConstraintSystem(m, frak_p_blocks(loc, 0, 1, causal=True), right_factor(m, ms, (0,), []), [])
         assert cs.C.rows == 2 and cs.C.entries[1] == [c * x for x in cs.C.entries[0]]
         assert cs.rank_w == rank_of(cs.C) == any(cs.C.entries[0]) and cs.kernel_dim == 1 - cs.rank_w
         n_unequal += lcm(*(x.denominator for x in p0)) != lcm(*((c * x).denominator for x in p0))
@@ -379,14 +438,14 @@ def test_predetermined_system_sims():
 
 
 def test_predetermined_reduces_to_plain(corpus):
-    # gamma = (s, 0, ..., 0) and no ker L: where every g_i <= J1 the causal rows are the
-    # plain system's, which has a zero row where g_i - J1 + t < 0
+    # gamma = (s, 0, ..., 0) and no ker L: where every g_i <= J1 the causal rows, the stage
+    # `causal` of a plain model, are the plain system's, which has a zero row where g_i - J1 + t < 0
     checked = 0
     for m in corpus:
         if m.predetermined or m.H == 0 or checked >= 10:
             continue
         assert all(gi <= m.pi.J1 for gi in m.local.g)
-        pred = build_predetermined_system(m, m.m_stack, m.local, [])
+        pred = m.causal
         n = m.s * m.H
         assert pred.effective_unknowns == n
         assert pred.rank_w == m.cs.rank_w

@@ -19,11 +19,10 @@ import recausal
 from recausal import canon, constraints
 from recausal.canon import LocalSmith, RootClassification, UnitCircleRootError, classify_roots
 from recausal.cli import main
-from recausal.constraints import ConstraintSystem
 from recausal.dimension import dimension_report, genericity_probe
 from recausal.exactalg import Poly, RationalMatrix
 from recausal.model import (
-    PiPolynomial, REModel, build_pi, parse_model, validate_semantics,
+    ConstraintSystem, PiPolynomial, REModel, build_pi, parse_model, validate_semantics,
 )
 from recausal.solver import (
     FactorizationError, SolutionReport, solve_causal, verify_solution,
@@ -288,7 +287,8 @@ def test_views_share_artifacts():
     assert m.sf is sf
 
 
-STAGES = ("pi", "adj", "sf", "local", "ker_l", "roots", "split", "pb", "m_stack", "plain_cs", "cs")
+STAGES = ("pi", "adj", "sf", "local", "ker_l", "roots", "split", "pb", "m_stack", "causal", "plain_cs",
+          "cs")
 
 
 def test_stages_cannot_be_assigned():

@@ -1029,9 +1029,10 @@ def test_solver_matches_substitution_oracle(corpus, predetermined_probe):
 
 def test_solve_and_verify_read_no_smith_or_constraint_stage(
         monkeypatch, corpus, predetermined_probe):
-    """Solve, verify and simulate of a fresh model read only pi, roots, the split,
-    adj and zeta(z): no Smith form, no local data and no constraint system, on
-    every model set and golden model, whatever G and the flavor."""
+    """Solve, verify and simulate of a fresh model read only pi, roots, the split, the
+    causal rows at z = 0 (the stage `causal`, on local data and m_stack), adj and zeta(z):
+    no Smith form, no plain p_stack and no constraint system, on every model set and
+    golden model, whatever G and the flavor.  A refused model reads no local data."""
     calls = []
     monkeypatch.setattr(model, "smith_form", lambda pi: calls.append(1) or smith_form(pi))
     models = (list(corpus) + list(predetermined_probe) + ladder_shaped_models() + planted_models()
@@ -1048,7 +1049,8 @@ def test_solve_and_verify_read_no_smith_or_constraint_stage(
             simulate(sr, T=10, seed=0, truncation=10)
             n_solved += 1
         assert not calls
-        assert not {"sf", "local", "pb", "m_stack", "plain_cs", "cs"} & set(m.artifacts)
+        assert not {"sf", "pb", "plain_cs", "cs"} & set(m.artifacts)
+        assert ("causal" in m.artifacts) == ("local" in m.artifacts) == (sr is not None)
     assert n_solved == 45, n_solved
 
 
