@@ -71,6 +71,7 @@ def _load_model(path: str, xi_override) -> REModel:
 def _parse_options(args) -> str | None:
     """Parse --xi in place by parse_model's rule, default --trials per command and
     range-check --trials and --seed for simulate and probe, the commands that read them.
+    probe takes at most 10000 trials, each under a millisecond at s <= 5: seconds in all.
 
     Returns why an option is invalid, or None.
     """
@@ -85,6 +86,8 @@ def _parse_options(args) -> str | None:
             return "--trials must be at least 1"
         if args.command == "simulate" and args.trials < 3:
             return "--trials must be at least 3 for simulate"
+        if args.command == "probe" and args.trials > 10000:
+            return "--trials must be at most 10000 for probe"
         if args.seed < 0:
             return "--seed must be non-negative"
     return None

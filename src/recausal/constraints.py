@@ -6,59 +6,53 @@ satisfy, in both the plain and the predetermined flavor, as a
 factorization pi = P diag(z^g) E (P unimodular, E(0) invertible), the
 `LocalSmith` (g, P^-1) of the model's stage `local`, which `canon.local_form`
 finds by a row reduction on pi's integer rows.  [C | rhs] = D R for D = p_stack,
-a stack of coefficient rows of P^-1 (`model.frak_p_blocks`), and the one right
-factor R = [m_stack's columns of the unknowns | m_stack ker L | the w_j stacked]
-(`model.right_factor`, m_stack the m_i of zeta(z) = sum_i m_i z^i), by one
-zero-skipping product on integers.  rank_w is counted by `_row_echelon`
-(Bareiss, Math. Comp. 22, 1968) on those rows, eliminated on C's columns, and
-the kernel is read off the same elimination.
+a stack of coefficient rows of P^-1 (`model.frak_p_blocks`), and a right factor
+R = [m_stack's columns of the unknowns | m_stack ker L | the w_j stacked]
+(`model.right_factor`, m_stack the model's one stack of the m_i of
+zeta(z) = sum_i m_i z^i), by one zero-skipping product on integers.  rank_w is
+counted by `_row_echelon` (Bareiss, Math. Comp. 22, 1968) on those rows,
+eliminated on C's columns, and the kernel is read off the same elimination.
 
 The plain system takes H rows per row i of P^-1, its coefficients
-g_i - J1 .. g_i - J1 + H - 1, on all sH entries of h.  The predetermined system
-is the model's stage `causal`, the causal rows at z = 0: with p = h + d, h zero
-outside `REModel.free_unknowns()` and d in ker L (`REModel.ker_l`), a causal
-solution needs pi^-1 z^J1 (zeta p - w) = O(z^H), that is, row i of
-P^-1 (zeta p - w) vanishes mod z^(H + g_i - J1), as E is a unit of Q[[z]].
-It counts the distinct heads p: effective_unknowns is the dimension of the
-p-space, the free entries plus ker L, and C factors through p, so
-kernel_dim = effective_unknowns - rank_w is the dimension of the p of its
-kernel.  Its solution set does not depend on the factorization.  The solve
-reads the same stage, one elimination shared, but not this module: only the
-model's stages plain_cs and cs and `recausal.dimension` import it, so solve,
-verify, simulate and smith never load it.
+g_i - J1 .. g_i - J1 + H - 1, on all sH entries of h, which on a plain model are the
+solve's unknowns: its R is then the model's stage `rf`.  The predetermined system is
+the model's stage `causal`, the causal rows at z = 0: with p = h + d, h zero outside
+`REModel.free_unknowns()` and d in ker L (`REModel.ker_l`), a causal solution needs
+pi^-1 z^J1 (zeta p - w) = O(z^H), that is, row i of P^-1 (zeta p - w) vanishes
+mod z^(H + g_i - J1), as E is a unit of Q[[z]].  It counts the distinct heads p:
+effective_unknowns is the dimension of the p-space, the free entries plus ker L, and
+C factors through p, so kernel_dim = effective_unknowns - rank_w is the dimension of
+the p of its kernel.  Its solution set does not depend on the factorization.  The
+solve reads the same stage, one elimination and one count shared, but not this module:
+only the stage plain_cs and `recausal.dimension` import it, so solve, verify, simulate
+and smith never load it.
 """
 
 from __future__ import annotations
 
-from .canon import LocalSmith
 from .exactalg import _row_echelon
 from .model import ConstraintSystem, REModel, right_factor
 
 
 def build_plain_system(m: REModel, ms: tuple, pb: tuple) -> ConstraintSystem:
-    """Constraint system C eps_bullet = D (innovation stack), no predeterminedness."""
-    return ConstraintSystem(m, pb, right_factor(m, ms, range(m.s * m.H), []))
+    """Constraint system C eps_bullet = D (innovation stack), no predeterminedness.  On a
+    plain model's own m_stack its right factor is the stage `rf`: the same unknowns."""
+    own = ms is m.m_stack and not m.predetermined
+    return ConstraintSystem(m, pb, m.rf if own else right_factor(m, ms, range(m.s * m.H), []))
 
 
-def build_predetermined_system(m: REModel) -> ConstraintSystem:
-    """The causal rows at z = 0 on the free entries of h and ker L: the stage `causal`."""
-    return m.causal
+def check_rank_bounds(m: REModel) -> dict:
+    """Evaluate the rank bounds for the model's plain system at this parameter point.
 
-
-def check_rank_bounds(
-    cs: ConstraintSystem, loc: LocalSmith, ms: tuple, J1: int, H: int, s: int
-) -> dict:
-    """Evaluate the rank bounds for the plain system at this parameter point.
-
-    ms = (N, L) is m_stack with at least H blocks m_i; the hypotheses read
-    the ranks of N's rows.
+    The hypotheses read the ranks of the rows of m_stack = (N, L), which has
+    at least H blocks m_i.
 
     The published lower-bound summand for g_k > J1 reads H - J1 + g_k, but the
     proof establishes H - (g_k - J1) per block; we evaluate the proof form and
     report the published form alongside.
     """
-    assert cs.flavor == "plain"
-    N, n, g = ms[0], s * H, loc.g
+    cs, s, H, J1, g = m.plain_cs, m.s, m.H, m.pi.J1, m.local.g
+    N, n = m.m_stack[0], s * H
     hyp, lower = H == 0 or len(_row_echelon(N[:n], n)) == n, 0
     for gk in g:
         term = H - J1 + gk if gk <= J1 else max(H - (gk - J1), 0)

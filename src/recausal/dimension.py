@@ -7,13 +7,13 @@ probe run no global `smith_form`; only `recausal smith` runs it.  A plain system
 prints the C, D and rhs its rank is counted on, which at some g_i > J1 need not
 have the solution set of the global Smith form's.  The predetermined system is
 the stage `causal`, the causal rows at z = 0, whose solution set no factorization
-changes; the solve stacks the same rows on those of the unstable factor, so on a
-predetermined model analyze's free_parameters and its indeterminacy_dim differ
-only by the cancellation of the unstable roots.  `dimension_report` and
-`genericity_probe` read only ranks, which the systems count on integer rows:
-they form no Fraction product, C or kernel.  `dimension_report` returns the
-mapping `analyze` prints.  Only `analyze` and `probe` import this module, and
-with it `recausal.constraints`.
+changes; the solve stacks the same rows, and their count of heads, on those of the
+unstable factor, so on a predetermined model analyze's free_parameters and its
+indeterminacy_dim differ only by the cancellation of the unstable roots.
+`dimension_report` (with `check_rank_bounds`, which reads the model's plain system
+and m_stack) and `genericity_probe` read only ranks, which the systems count on
+integer rows: they form no Fraction product, C or kernel.  Only `analyze` and
+`probe` import this module, and with it `recausal.constraints`.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ _MAGNITUDE = Fraction(1, 64)  # a perturbation moves a nonzero entry of an A_kh 
 def dimension_report(m: REModel) -> dict:
     """The count analyze prints: free parameters, ranks, bounds and the case used."""
     cs, g, J1 = m.cs, m.local.g, m.pi.J1
-    bounds = check_rank_bounds(m.plain_cs, m.local, m.m_stack, J1, m.H, m.s)
+    bounds = check_rank_bounds(m)
     if m.H == 0:
         special = "H=0"
     elif all(gi == 0 for gi in g):

@@ -14,8 +14,8 @@ matrices L*M(2^b) (Kronecker substitution) and read their results off
 base-2^b digits; `det_adjugate` keeps adj M as those digits, integer
 coefficient lists over one denominator, and builds no Poly per entry.
 `determinant` takes M's `_numerators` (pi's: `PiPolynomial.numerators`).
-`rank_kernel`, `solve_affine` (via `_solve_rows`) and the constraint ranks
-share one fraction-free Gauss-Jordan elimination on
+`solve_affine` (via `_solve_rows`), the constraint ranks and their kernels
+(`_echelon_kernel`) share one fraction-free Gauss-Jordan elimination on
 integer rows (`_row_echelon`): rows are scaled by the lcm of their
 denominators (`_scaled`, the one helper every Fraction row outside the A_kh
 and the w_j goes through) and kept primitive, and each result entry is one division at
@@ -572,13 +572,6 @@ def _echelon_kernel(entries, pivots, ncols):
             v[pc] = Fraction(-row[fc], row[pc])
         basis.append(v)
     return basis
-
-
-def rank_kernel(M: RationalMatrix):
-    """Exact rank and a basis of the right kernel."""
-    entries = [_scaled(row)[0] for row in M.entries]  # integer rows, same row space
-    pivots = _row_echelon(entries, M.cols)
-    return len(pivots), _echelon_kernel(entries, pivots, M.cols)
 
 
 def solve_affine(M: RationalMatrix, B: RationalMatrix):

@@ -17,15 +17,15 @@ dropped model is freed at once.  Its A_kh and its Wold coefficients as integers
 are in `REModel.numerators` and `REModel.wold_numerators`, and pi's rows in
 `PiPolynomial.numerators`, which every other module reads; a model from
 `_replace` starts with an empty memo.
-`build_m_stack` stacks the m_i of zeta(z) = sum_i m_i z^i on integer rows, from
-`REModel.numerators` alone, and `right_factor` lays [zeta's columns of the
-unknowns | zeta d for d in ker L | w] out on them once for every row system: a
-`ConstraintSystem` multiplies it by coefficient rows of P^-1 (`frak_p_blocks`),
-the solve by adj pi.  The stage `causal`, the causal rows at z = 0 on the solve's
-unknowns (with `ker_l`, ker L on the same integers), is read by the solve and is
-the predetermined system, so analyze needs no `recausal.solver` and solve no
-`recausal.constraints`.  This module imports `canon` and `exactalg` alone; the
-stages plain_cs and cs import `recausal.constraints` on first use.
+`build_m_stack` stacks the m_i of zeta(z) = sum_i m_i z^i on integer rows from
+`REModel.numerators`, once: each reader of the stage `m_stack` reads a prefix.
+`right_factor` lays [zeta's columns of the unknowns | zeta d for d in ker L | w] out
+on it once per layout of unknowns: the stage `rf`, on the solve's, is read by the
+stage `causal` (with `ker_l`, ker L on the same integers), a plain model's plain
+system and the solve's product with adj pi.  `causal`, the causal rows at z = 0, is
+the predetermined system and the solve's rows mod z^(G+H), so analyze needs no
+`recausal.solver` and solve no `recausal.constraints`.  This module imports `canon`
+and `exactalg` alone; the stage plain_cs imports `recausal.constraints` on first use.
 """
 
 from __future__ import annotations
@@ -156,10 +156,18 @@ class REModel(namedtuple("REModel", "s K H q A gamma wold xi", defaults=(Fractio
 
     @_stage
     def m_stack(self):
-        """The m_i of zeta(z) stacked on integer rows (N, L), as many as p_stack has
-        column blocks, H + max(g - J1, 0), also at H = 0, where zeta has no columns and
-        the causal rows constrain w alone: the systems and bounds read it."""
-        return build_m_stack(self, self.H + max(max(self.local.g) - self.pi.J1, 0))
+        """The m_i of zeta(z) stacked on integer rows (N, L), as many as its longest reader reads:
+        the solve's product K + H and len(wold), all of zeta and w, and the systems and bounds a
+        prefix, p_stack's H + max(g - J1, 0) blocks (also at H = 0, where zeta has no columns)."""
+        return build_m_stack(self, max(self.K + self.H, len(self.wold),
+                                       self.H + max(self.local.g) - self.pi.J1))
+
+    @_stage
+    def rf(self):
+        """`right_factor` on m_stack for the solve's unknowns, the free entries of h and ker L,
+        or all sH entries of h on a plain model, whose plain_cs reads it; so do causal and solve."""
+        return right_factor(self, self.m_stack, self.free_unknowns(),
+                            self.ker_l if self.predetermined else [])
 
     @_stage
     def causal(self):
@@ -168,10 +176,8 @@ class REModel(namedtuple("REModel", "s K H q A gamma wold xi", defaults=(Fractio
         t < H + g_i - J1, holds the z^t coefficients of row i of P^-1 (zeta p - w), zero for a
         causal solution: as pi = P diag(z^g) E with E and det pi / z^G units of Q[[z]], they
         say that z^(G+H) divides adj(pi) (M p - W), M = z^J1 zeta(z) and W = z^J1 w(z)."""
-        ker_l = self.ker_l if self.predetermined else None
         return ConstraintSystem(self, frak_p_blocks(self.local, self.pi.J1, self.H, causal=True),
-                                right_factor(self, self.m_stack, self.free_unknowns(), ker_l or []),
-                                ker_l)
+                                self.rf, self.ker_l if self.predetermined else None)
 
     @_stage
     def plain_cs(self):
@@ -184,11 +190,7 @@ class REModel(namedtuple("REModel", "s K H q A gamma wold xi", defaults=(Fractio
     def cs(self):
         """The model's constraint system, in its own flavor: the predetermined one is
         the stage `causal`."""
-        if not self.predetermined:
-            return self.plain_cs
-        from .constraints import build_predetermined_system
-
-        return build_predetermined_system(self)
+        return self.causal if self.predetermined else self.plain_cs
 
 
 def _parse_matrix(obj, rows, cols, what, seen: dict) -> RationalMatrix:
@@ -353,16 +355,17 @@ def frak_p_blocks(loc, J1: int, H: int, causal: bool = False) -> tuple:
 
 class ConstraintSystem:
     """C x = rhs from [C | rhs] = D R on integer rows: D = pb = (P, L') a stack of coefficient
-    rows of P^-1 (`frak_p_blocks`) and R = (B, L) a `right_factor`, one `_combine` per row of
-    P.  The unknowns x are all sH entries of h (flavor "plain"), or the free entries of h and
-    the coordinates of d in ker L, ker_l its basis ("predetermined").  rank_w and the kernel
-    are read off a copy of the rows eliminated on C's columns (`_row_echelon`), `echelon` with
-    its pivot columns `pivots`; the Fraction matrices C, D and rhs are built on first read."""
+    rows of P^-1 (`frak_p_blocks`) and R = (B, L) a `right_factor`, one `_combine` per row of P
+    on B's first rows.  The n unknowns x are all sH entries of h (flavor "plain"), or the free
+    entries of h and the coordinates of d in ker L, ker_l its basis ("predetermined").  rank_w
+    and the kernel are read off a copy of the rows eliminated on C's columns (`_row_echelon`),
+    `echelon` with its pivot columns `pivots`; C, D and rhs, Fraction matrices, are built on
+    first read, D with no columns when it has no rows."""
 
     def __init__(self, m: REModel, pb: tuple, R: tuple, ker_l: list | None = None):
         self.flavor = "plain" if ker_l is None else "predetermined"
         n = m.s * m.H if ker_l is None else len(m.free_unknowns()) + len(ker_l)
-        self._src, self._n, self._q = (pb, R), n, m.q
+        self._src, self.n, self._q = (pb, R), n, m.q
         self._rows = [_combine(zip(r, R[0]), n + m.q) for r in pb[0]]  # times L' L
         self.echelon = [list(r) for r in self._rows]
         self.pivots = _row_echelon(self.echelon, n)
@@ -379,15 +382,15 @@ class ConstraintSystem:
 
     @cached_property
     def _matrices(self) -> tuple:
-        ((P, lp), (B, lb)), n = self._src, self._n
+        ((P, lp), (_, lb)), n = self._src, self.n
         C, rhs = ([[Fraction(x, lp * lb) for x in r[cols]] for r in self._rows]
                   for cols in (slice(n), slice(n, None)))
-        D = _rmat([[Fraction(x, lp) for x in row] for row in P], len(B))
+        D = _rmat([[Fraction(x, lp) for x in row] for row in P])
         return _rmat(C, n), D, _rmat(rhs, self._q)
 
     @cached_property
     def kernel(self) -> tuple:
-        return tuple(_echelon_kernel(self.echelon, self.pivots, self._n))
+        return tuple(_echelon_kernel(self.echelon, self.pivots, self.n))
 
 
 def validate_semantics(m: REModel) -> dict:

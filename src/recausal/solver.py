@@ -12,13 +12,13 @@ head Psi_0 .. Psi_(H-1) of the solution must be h (plain flavor), so z^H D
 divides adj(pi) R; or, with the entries of h outside `REModel.free_unknowns()`
 zero, some p = h + d with d in ker L (the model's stage `ker_l`), so that
 N(z; p) = N(z; h) (predetermined flavor), and z^H D divides adj(pi) (M p - W).
-As U(0) != 0 this splits in two.  z^(G+H) dividing it is a statement about pi
-at z = 0: the model's stage `causal`, rows from the local data that analyze's
-predetermined count shares, already eliminated.  U dividing it adds the
-cancellation of the unstable roots: the remainders mod U of the entries of one
-integer product P = adj(pi) [M's solve columns | W] (`_adj_product`, adj(pi) the
-model's stage `adj`, an integer pair (A, L), times `model.right_factor`), which
-also gives the transfer (adj(pi) R / D + S h(z)) / S, adj(pi) R summed from the
+As U(0) != 0 this splits in two.  z^(G+H) dividing it is a statement about pi at
+z = 0: the model's stage `causal`, rows from the local data that analyze's
+predetermined count shares, already eliminated, with its count of the heads p.
+U dividing it adds the cancellation of the unstable roots: the remainders mod U of
+the entries of one integer product P = adj(pi) [M's solve columns | W] of the stages
+`adj`, an integer pair (A, L), and `rf`, the right factor of `causal` (`_adj_product`),
+which also gives the transfer (adj(pi) R / D + S h(z)) / S, adj(pi) R summed from the
 columns of P.  Neither the rows' echelon form nor the transfer sees a positive
 factor of P.  adj(pi) and P are built only once the split, `REModel.split`, is
 accepted: a refused model builds neither.  Only `simulate` imports numpy.  The
@@ -40,25 +40,23 @@ from math import lcm
 from .canon import FactorizationError, factor_stable_unstable  # re-exported
 from .canon import KernelPointError, UnsupportedModelError
 from .exactalg import Poly, PolyMatrix, RationalMatrix, _ZERO, _combine, _int_product, _numerators
-from .exactalg import _poly, _rmat, _scaled, _solve_rows, poly_gcd, rank_kernel, solve_affine
-from .model import REModel, build_m_stack, right_factor
+from .exactalg import _poly, _rmat, _scaled, _solve_rows, poly_gcd, solve_affine
+from .model import REModel
 
 
-def _adj_product(m: REModel, adj: tuple, J1: int, free, ker_l: list) -> tuple:
+def _adj_product(adj: tuple, rf: tuple, J1: int) -> tuple:
     """(P, den): adj(pi) [M's free columns | M ker L | W] = P / den, P's entries integer
-    coefficient lists, lowest first, by one `_int_product` of A, adj(pi) = A / la the
-    model's stage `adj`, and the columns of `right_factor` read as polynomials times z^J1,
-    over all max(K + H, len(wold)) coefficients of zeta and w: M = z^J1 zeta(z), W = z^J1 w(z)."""
-    s, (A, la) = m.s, adj
-    R, lb = right_factor(m, build_m_stack(m, max(m.K + m.H, len(m.wold))), free, ker_l)
-    pad, n = [0] * J1, len(free) + len(ker_l) + m.q
-    B = [[pad + list(f) for f in zip(*R[r::s])] for r in range(s)]
-    return _int_product(A, B, n), la * lb
+    coefficient lists, lowest first, by one `_int_product` of A, adj(pi) = A / la the model's
+    stage `adj`, and the columns of rf = (R, lb), its stage `rf`, read as polynomials times
+    z^J1, every coefficient of zeta and w: M = z^J1 zeta(z), W = z^J1 w(z)."""
+    (A, la), (R, lb), s = adj, rf, len(adj[0])
+    B = [[[0] * J1 + list(f) for f in zip(*R[r::s])] for r in range(s)]
+    return _int_product(A, B, len(R[0])), la * lb
 
 
 def _cancellation_rows(P: list, D: Poly) -> list:
     """Integer rows [X | B], X x = B saying that the monic D divides adj(pi) (M x - W), from
-    (P, den) = _adj_product(m, adj, J1, free, ker L).  Row k < d = deg D of row i of P
+    (P, den) = _adj_product(m.adj, m.rf, J1).  Row k < d = deg D of row i of P
     is den e^(N-1-k) times the z^k remainder coefficients of its entries mod D, e = lead(D.num):
     the y^k coefficients of e^(N-1) f(y / e) mod the monic integer e^(d-1) D.num(y / e)."""
     d, e = int(D.degree), D.num[-1]
@@ -115,17 +113,17 @@ def _kernel_index(kernel_point: str, n: int) -> int:
 def solve_causal(m: REModel, kernel_point: str = "min-norm") -> SolutionReport:
     """Solve the RE model exactly and classify the causal solution set.
 
-    h and the kernel vectors span all sH entries; the forced ones are zero.  Psi is
-    a function of its head p = h + d, so indeterminacy_dim counts the p; on a
-    predetermined model it differs from analyze's free_parameters only by the
-    cancellation of the unstable roots."""
+    h and the kernel vectors span all sH entries; the forced ones are zero.  Psi and the
+    rows are functions of the head p = h + d, so the kernel holds the x with p = 0, of
+    dimension n - effective_unknowns for the n unknowns of the stage `causal`:
+    indeterminacy_dim counts the p of the rest.  On a predetermined model it differs from
+    analyze's free_parameters only by the cancellation of the unstable roots."""
     n_unknowns, q, free = m.s * m.H, m.q, m.free_unknowns()
-    D, S = m.split
-    ker_l = m.ker_l if m.predetermined else []  # d's coordinates follow h's
-    P = _adj_product(m, m.adj, m.pi.J1, free, ker_l)
-    rows = [list(r) for r in m.causal.echelon]  # z^(G+H), then U = D / z^G
+    (D, S), cs = m.split, m.causal
+    P = _adj_product(m.adj, m.rf, m.pi.J1)
+    rows = [list(r) for r in cs.echelon]  # z^(G+H), then U = D / z^G
     rows += _cancellation_rows(P[0], D.shift(-m.roots.zero_multiplicity))
-    X, kern = _solve_rows(rows, len(free) + len(ker_l), q)
+    X, kern = _solve_rows(rows, cs.n, q)
     at = {a: i for i, a in enumerate(free)}
     kernel = [[v[at[a]] if a in at else Fraction(0) for a in range(n_unknowns)] for v in kern]
     if X is None:
@@ -142,9 +140,7 @@ def solve_causal(m: REModel, kernel_point: str = "min-norm") -> SolutionReport:
         chosen = [[x + v[a] for x in row] for a, row in enumerate(X)]
     X, chosen = _rmat(X, q), _rmat(chosen, q)
     num, den, _ = build_transfer(m, (D, S), P, free, chosen)
-    heads = [[x + sum(c * d[a] for c, d in zip(v[len(free):], ker_l)) for a, x in enumerate(hv)]
-             for hv, v in zip(kernel, kern)]
-    dim = q * (rank_kernel(_rmat(heads, n_unknowns))[0] if ker_l else len(kernel))
+    dim = q * (len(kern) - cs.n + cs.effective_unknowns)
     return SolutionReport(
         classification="indeterminate" if dim else "determinate", indeterminacy_dim=dim,
         h=chosen, h_particular=X, kernel=tuple(kernel),

@@ -30,12 +30,13 @@ from recausal.exactalg import (
     _int_product,
     _numerators,
     _poly,
+    _echelon_kernel,
     _rmat,
     _row_echelon,
+    _scaled,
     det_adjugate,
     determinant,
     poly_gcd,
-    rank_kernel,
     rat,
     rat_rows,
     rat_str,
@@ -1003,7 +1004,8 @@ def ref_zeta_coefficients(m: REModel) -> PolyMatrix:
 def ref_m_stack(zc: PolyMatrix, pb: tuple) -> RationalMatrix:
     """The coefficient matrices m_0, m_1, ... of zeta(z) stacked by
     `coeff`, as many as p_stack, pb = (rows, L), has column blocks
-    (none without rows): the reference for `REModel.m_stack`."""
+    (none without rows): the reference for the prefix of `REModel.m_stack` that the
+    constraint systems read."""
     n = len(pb[0][0]) // zc.rows if pb[0] else 0
     return vstack([coeff(zc, i) for i in range(n)]) if n else zero_matrix(0, zc.cols)
 
@@ -1017,9 +1019,10 @@ def ref_causal_system(m: REModel, loc: LocalSmith) -> tuple:
     """(D, C, rhs) of the predetermined system by Poly products: row (i, t), t < H + g_i - J1,
     holds the z^t coefficients of row i of P^-1 zeta(z) [e_a for the free a | d for the d of
     ker L] (C) and of P^-1 w(z) (rhs), P^-1 from loc as a PolyMatrix, and coefficients t, t - 1,
-    ..., 0 of row i of P^-1 in its column blocks 0, 1, ..., t (D, as wide as m_stack)."""
+    ..., 0 of row i of P^-1 in its column blocks 0, 1, ..., t (D, as wide as p_stack:
+    H + max(g - J1, 0) blocks)."""
     s, J1, free, ker = m.s, m.pi.J1, m.free_unknowns(), ref_expectation_kernel(m)
-    (N, L), width = loc.p_inv, len(m.m_stack[0])
+    (N, L), width = loc.p_inv, m.s * (m.H + max(max(loc.g) - m.pi.J1, 0))
     p_inv = PolyMatrix([[_poly(list(f), L) for f in row] for row in N])
     T = mat_mul(p_inv, PolyMatrix([
         [row[a] for a in free] + [sum((e * x for e, x in zip(row, v)), Poly()) for v in ker] + w
@@ -1055,10 +1058,25 @@ def causal_rows_oracle(m: REModel) -> tuple:
                               Poly.monomial(det.zero_multiplicity() + H))
     X, kern = affine_set(RationalMatrix([r[:width] for r in rows]),
                          RationalMatrix([r[width:] for r in rows]), width)
+    return len(kern), heads_rank(kern, free, ker, n), X is not None, ref_rref(RationalMatrix(rows))
+
+
+def heads_rank(kern, free, ker, n: int) -> int:
+    """The rank of the heads p = h + sum_i c_i d_i of the kernel vectors v = (h's entries
+    at free, then the c_i), d_i the vectors of ker, h zero outside free, p in Q^n: the
+    dimension of the distinct solutions in a kernel, as Psi is a function of its head p."""
     heads = [[(v[free.index(a)] if a in free else 0)
               + sum(c * d[a] for c, d in zip(v[len(free):], ker)) for a in range(n)] for v in kern]
-    return (len(kern), rank_of(RationalMatrix(heads)) if heads else 0, X is not None,
-            ref_rref(RationalMatrix(rows)))
+    return rank_of(RationalMatrix(heads)) if heads else 0
+
+
+def rank_kernel(M: RationalMatrix):
+    """Exact rank and a basis of the right kernel by src's integer elimination: M's rows
+    scaled to integers (`_scaled`), `_row_echelon` and `_echelon_kernel`, as the constraint
+    systems count theirs."""
+    entries = [_scaled(row)[0] for row in M.entries]  # integer rows, same row space
+    pivots = _row_echelon(entries, M.cols)
+    return len(pivots), _echelon_kernel(entries, pivots, M.cols)
 
 
 def rank_of(M: RationalMatrix) -> int:
@@ -1095,6 +1113,24 @@ def full_unknown_system(m: REModel):
     (predetermined flavor only).  Returns the h part of the affine set in
     (h, d): no nonzero d has h = 0, as p is then the head of pi^-1 N(z; 0).
     """
+    X, kern, _ker = _full_unknown_affine(m)
+    n = m.s * m.H
+    if X is None:
+        return None, [v[:n] for v in kern]
+    return submatrix(X, range(n), range(m.q)), [v[:n] for v in kern]
+
+
+def full_unknown_heads(m: REModel) -> int:
+    """The dimension of the distinct causal solutions by a rank of their heads: the heads
+    rank (`heads_rank`) of the kernel of `full_unknown_system`'s (h, d) rows, or 0 when they
+    are inconsistent; the reference for `solve_causal`'s indeterminacy_dim / q."""
+    X, kern, ker = _full_unknown_affine(m)
+    n = m.s * m.H
+    return 0 if X is None else heads_rank(kern, range(n), ker, n)
+
+
+def _full_unknown_affine(m: REModel) -> tuple:
+    """(particular or None, kernel, ker L's basis) of `full_unknown_system`'s rows in (h, d)."""
     s, H, q = m.s, m.H, m.q
     n = s * H
     M, W = residual_map(m, ref_zeta_coefficients(m), m.pi.J1)
@@ -1113,11 +1149,8 @@ def full_unknown_system(m: REModel):
     canc = _cancellation_rows(P, D.shift(H))
     rows, rhs = rows + [r[:width] for r in canc], rhs + [r[width:] for r in canc]
     if not rows:  # keep the column counts of an empty system
-        return affine_set(zero_matrix(0, n), zero_matrix(0, q), n)
-    X, kern = affine_set(RationalMatrix(rows), RationalMatrix(rhs), width)
-    if X is None:
-        return None, [v[:n] for v in kern]
-    return submatrix(X, range(n), range(q)), [v[:n] for v in kern]
+        return (*affine_set(zero_matrix(0, width), zero_matrix(0, q), width), ker)
+    return (*affine_set(RationalMatrix(rows), RationalMatrix(rhs), width), ker)
 
 
 def substitution_set(m: REModel):

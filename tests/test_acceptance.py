@@ -171,7 +171,7 @@ def _c4():
         H = rng.randint(0, 2)
         gamma = random_gamma(rng, s, H) if (H > 0 and rng.random() < 0.4) else None
         m = random_model(rng, s, rng.randint(0, 2), H, gamma=gamma)
-        rep = check_rank_bounds(m.plain_cs, m.local, m.m_stack, m.pi.J1, m.H, m.s)
+        rep = check_rank_bounds(m)
         assert rep["upper_ok"], (m.s, m.K, m.H, rep)
         assert rep["lower_ok"], (m.s, m.K, m.H, rep)
 

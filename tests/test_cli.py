@@ -414,11 +414,21 @@ def test_kernel_point_in_range(capsys):
         (["probe", SIMS, "--trials", "-1"], "--trials must be at least 1"),
         (["simulate", SIMS, "--trials", "1"], "--trials must be at least 3 for simulate"),
         (["simulate", SIMS, "--trials", "2"], "--trials must be at least 3 for simulate"),
+        (["probe", SIMS, "--trials", "10001"], "--trials must be at most 10000 for probe"),
+        (["probe", SIMS, "--trials", "1000000000"], "--trials must be at most 10000 for probe"),
     ],
 )
 def test_bad_numeric_argument_exit_2(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_probe_trials_bound_is_probe_only():
+    """probe takes up to 10000 trials; simulate's T has no such bound, and its default is
+    100000.  Checked on the options alone, so no trial runs."""
+    for argv in (["probe", SIMS, "--trials", "10000"], ["simulate", SIMS, "--trials", "10001"],
+                 ["simulate", SIMS], ["smith", SIMS, "--trials", "10001"]):
+        assert cli._parse_options(cli.parse_args(argv)) is None, argv
 
 
 @pytest.mark.parametrize("entry", ["1e5000", "1e-5000", "2.5E+20000000"])

@@ -13,7 +13,7 @@ from recausal.constraints import (
     check_rank_bounds,
 )
 from recausal.canon import RedundantEquationsError
-from recausal.exactalg import Poly, RationalMatrix, rank_kernel
+from recausal.exactalg import Poly, RationalMatrix
 from recausal.model import ConstraintSystem, REModel, build_pi, frak_p_blocks, right_factor
 from recausal.solver import solve_causal, verify_solution
 from conftest import (
@@ -25,6 +25,7 @@ from conftest import (
     deep_planted_models,
     fraction_blocks,
     fraction_local,
+    heads_rank,
     identity_matrix,
     identity_polymatrix,
     int_local,
@@ -40,6 +41,7 @@ from conftest import (
     rand_frac,
     rand_unimodular,
     random_model,
+    rank_kernel,
     rank_of,
     ref_causal_system,
     ref_constraint_matrix,
@@ -214,26 +216,32 @@ def test_free_unknowns_are_the_columns_r_keeps(corpus, predetermined_probe):
 
 
 def test_m_stack_matches_the_coefficient_stack(corpus, predetermined_probe):
-    """The pipeline's one m_stack, which both constraint systems and the rank
-    bounds read, is built from the A_kh; it equals zeta's coefficient matrices
-    stacked as wide as p_stack, also past zeta's degree (g > J1) and at H = 0."""
+    """The pipeline's one m_stack, which both constraint systems, the rank bounds and the
+    solve's product read, is built from the A_kh; it equals zeta's coefficient matrices
+    stacked as far as its longest reader reads: p_stack's column blocks, which the systems
+    read as a prefix, also past zeta's degree (g > J1), and the solve's max(K + H, len(wold))
+    coefficients of zeta and w, also at H = 0."""
     models = (list(corpus) + list(predetermined_probe) + ladder_shaped_models()
               + planted_models() + deep_planted_models())
-    n_h0 = n_wide = 0
+    n_h0 = n_wide = n_solve = 0
     for m in models:
         zc = m_stack_zeta(m)
         assert zc == ref_zeta_coefficients(m) and (zc.rows, zc.cols) == (m.s, m.s * m.H)
         N, L = m.m_stack
-        ref = ref_m_stack(zc, m.pb)
-        assert [[Fraction(x, L) for x in row] for row in N] == ref.entries
+        ref = ref_m_stack(zc, m.pb)  # as wide as p_stack
+        assert len(N) == max(ref.rows, m.s * (m.K + m.H), m.s * len(m.wold))
+        full = [coeff(zc, i).entries for i in range(len(N) // m.s)]
+        assert [[Fraction(x, L) for x in row] for row in N] == [row for c in full for row in c]
+        assert [[Fraction(x, L) for x in row] for row in N[: ref.rows]] == ref.entries
         assert all(len(row) == m.s * m.H for row in N)
+        n_solve += len(N) > ref.rows
         if m.H == 0:  # p_stack has no rows, and g <= J1 here, so no column blocks either
-            assert N == [] and ref.cols == 0
+            assert ref.rows == ref.cols == 0 and len(N) == m.s * max(m.K, len(m.wold))
             n_h0 += 1
             continue
-        n_wide += len(N) > m.s * (max_degree(zc) + 1)
-        assert len(N) == m.cs.D.cols == m.plain_cs.D.cols
-    assert n_h0 == 2 and n_wide == 18, (n_h0, n_wide)
+        n_wide += ref.rows > m.s * (max_degree(zc) + 1)
+        assert ref.rows == m.plain_cs.D.cols and m.cs.D.cols == (ref.rows if m.cs.D.rows else 0)
+    assert n_h0 == 2 and n_wide == 18 and n_solve > 0, (n_h0, n_wide, n_solve)
 
 
 def test_predetermined_system_matches_the_poly_causal_rows(corpus, predetermined_probe):
@@ -259,13 +267,10 @@ def _assert_causal_rows_oracle(m: REModel) -> bool:
     """The predetermined system's kernel dimension, heads rank (its kernel_dim, and the
     rank of the p = h + d of its kernel) and consistency are `causal_rows_oracle`'s.
     Returns the consistency."""
-    cs, free = m.cs, m.free_unknowns()
-    heads = [[(v[free.index(a)] if a in free else 0)
-              + sum(c * d[a] for c, d in zip(v[len(free):], m.ker_l))
-              for a in range(m.s * m.H)] for v in cs.kernel]
+    cs = m.cs
     consistent = affine_set(cs.C, cs.rhs, cs.C.cols)[0] is not None
     assert (len(cs.kernel), cs.kernel_dim, consistent) == causal_rows_oracle(m)[:3], m.gamma
-    assert (rank_of(RationalMatrix(heads)) if heads else 0) == cs.kernel_dim
+    assert heads_rank(cs.kernel, m.free_unknowns(), m.ker_l, m.s * m.H) == cs.kernel_dim
     return consistent
 
 
@@ -371,7 +376,7 @@ def test_integer_ranks_match_a_fraction_reference(corpus, predetermined_probe):
         assert m.plain_cs.kernel_dim == len(m.plain_cs.kernel)
         n_pred += m.predetermined
         n_h0 += m.H == 0
-        n_wide += len(m.m_stack[0]) > m.s * m.H
+        n_wide += max(m.local.g) > m.pi.J1  # p_stack wider than H blocks
     assert (n_pred, n_h0, n_wide) == (162, 2, 17)
 
 
@@ -537,7 +542,7 @@ def test_rank_agreement_across_published_factorizations():
 
 def test_rank_bounds_sims_as_plain():
     m = _sims_as_plain()
-    rep = check_rank_bounds(m.cs, m.local, m.m_stack, m.pi.J1, m.H, m.s)
+    rep = check_rank_bounds(m)
     assert rep["upper_bound"] == 1  # (H-J1)s + min(0,1) + min(1,1)
     assert rep["lower_bound"] == 1
     assert rep["rank_w"] == 1
@@ -548,7 +553,7 @@ def test_rank_bounds_g_above_j1_published_typo():
     # with g = (0,0,2,2) and J1 = H = 1 the published lower-bound summand
     # H - J1 + g_k would exceed the upper bound; the proof's form does not
     m = _pi4_model()
-    rep = check_rank_bounds(m.cs, m.local, m.m_stack, m.pi.J1, m.H, m.s)
+    rep = check_rank_bounds(m)
     assert rep["upper_bound"] == 2
     assert rep["published_lower_bound"] == 4
     assert rep["lower_bound"] <= rep["upper_bound"]
@@ -557,6 +562,6 @@ def test_rank_bounds_g_above_j1_published_typo():
 
 def test_rank_bounds_corpus(corpus):
     for m in corpus:
-        rep = check_rank_bounds(m.plain_cs, m.local, m.m_stack, m.pi.J1, m.H, m.s)
+        rep = check_rank_bounds(m)
         assert rep["upper_ok"], (m.s, m.K, m.H, rep)
         assert rep["lower_ok"], (m.s, m.K, m.H, rep)

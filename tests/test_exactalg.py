@@ -24,7 +24,6 @@ from recausal.exactalg import (
     det_adjugate,
     determinant,
     poly_gcd,
-    rank_kernel,
     rat,
     rat_str,
     solve_affine,
@@ -48,6 +47,7 @@ from conftest import (
     rand_matrix,
     rand_poly,
     rand_polymatrix,
+    rank_kernel,
     rank_of,
     ref_adjugate,
     ref_det,
@@ -176,10 +176,11 @@ def test_det_adjugate_random_vs_laplace():
 
 
 def test_rank_kernel_trivial():
-    rank, kern = rank_kernel(zero_matrix(3, 5))
-    assert rank == 0 and len(kern) == 5
-    rank, kern = rank_kernel(identity_matrix(4))
-    assert rank == 4 and kern == []
+    """`_row_echelon` and `_echelon_kernel` (conftest's rank_kernel) on the extremes."""
+    for M in (zero_matrix(3, 5), identity_matrix(4), zero_matrix(0, 3)):
+        assert rank_kernel(M) == ref_rank_kernel(M)
+    assert len(rank_kernel(zero_matrix(3, 5))[1]) == 5
+    assert rank_kernel(identity_matrix(4)) == (4, [])
 
 
 def test_rank_kernel_planted_rank():
@@ -192,7 +193,7 @@ def test_rank_kernel_planted_rank():
         R = hstack([identity_matrix(k), rand_matrix(rng, k, m - k)])
         M = rmat_mul(L, R)
         rank, kern = rank_kernel(M)
-        assert rank == k
+        assert rank == k and (rank, kern) == ref_rank_kernel(M)
         assert rank + len(kern) == M.cols
         for v in kern:
             prod = rmat_mul(M, RationalMatrix([[x] for x in v]))

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import recausal
-from recausal import canon, constraints
+from recausal import canon
 from recausal.canon import LocalSmith, RootClassification, UnitCircleRootError, classify_roots
 from recausal.cli import main
 from recausal.dimension import dimension_report, genericity_probe
@@ -81,14 +81,19 @@ def solvable_planted_s4():
 @pytest.mark.parametrize("which", ["sims", "planted-s4"])
 def test_each_artifact_computed_once(monkeypatch, which):
     """sims is predetermined with G > 0 and planted-s4 plain with G > 0: the g and
-    ranks of both come from the row reduction, so neither computes a global Smith form."""
+    ranks of both come from the row reduction, so neither computes a global Smith form.
+    zeta's stack is one stage for the systems, the bounds and the solve, and so is the right
+    factor on the solve's unknowns; only sims' plain system, on all sH entries of h and
+    no ker L, lays out a second right factor."""
     if which == "sims":
         m = parse_model(SIMS_JSON)
     else:
         m = solvable_planted_s4()._replace()  # same model, empty memo
-    counts = count_calls(monkeypatch)
+    stack = ("model.build_m_stack", "model.right_factor")
+    counts = count_calls(monkeypatch, COUNTED + stack)
     analyze_solve_verify(m)
-    assert counts == {**dict.fromkeys(COUNTED, 1), "canon.smith_form": 0}
+    assert counts == {**dict.fromkeys(COUNTED, 1), "canon.smith_form": 0,
+                      "model.build_m_stack": 1, "model.right_factor": 2 if which == "sims" else 1}
 
 
 def test_cli_analyze_computes_once(monkeypatch, capsys):
@@ -118,16 +123,17 @@ OUTCOME = {"refused": "refused", "no-solution": "no_causal_solution", "solvable"
 
 def test_counts_make_no_fraction_product(monkeypatch, corpus):
     """validate_semantics, dimension_report and genericity_probe count on
-    integer rows: no rank_kernel, and no system builds its Fraction C, D and rhs, in
-    either flavor, with g > J1 or J1 < H, or at H = 0.  Reading C builds them;
-    the kernel is read off the elimination that counted rank_w."""
-    counts, systems = count_calls(monkeypatch, ("exactalg.rank_kernel",)), []
-    for name in ("build_plain_system", "build_predetermined_system"):
-        def recorded(*args, _build=getattr(constraints, name)):
-            systems.append(_build(*args))
-            return systems[-1]
+    integer rows: no solve_affine, src's one elimination of a Fraction matrix, and no
+    system builds its Fraction C, D and rhs, in either flavor, with g > J1 or J1 < H, or
+    at H = 0.  Reading C builds them; the kernel is read off the elimination that counted
+    rank_w."""
+    counts, systems = count_calls(monkeypatch, ("exactalg.solve_affine",)), []
 
-        monkeypatch.setattr(constraints, name, recorded)
+    def recorded(cs, *args, _init=ConstraintSystem.__init__):
+        _init(cs, *args)
+        systems.append(cs)
+
+    monkeypatch.setattr(ConstraintSystem, "__init__", recorded)
     models = [parse_model(SIMS_JSON), parse_model(GENERIC.read_text()),
               parse_model((GOLDEN / "defect.json").read_text()),
               *(m._replace() for m in corpus if m.H == 0),
@@ -136,8 +142,9 @@ def test_counts_make_no_fraction_product(monkeypatch, corpus):
         validate_semantics(m)
         dimension_report(m)
         genericity_probe(m, trials=2)
-    assert counts == {"exactalg.rank_kernel": 0}
-    assert systems and not any("_matrices" in vars(cs) for cs in systems)
+    assert counts == {"exactalg.solve_affine": 0}
+    assert {cs.flavor for cs in systems} == {"plain", "predetermined"}
+    assert not any("_matrices" in vars(cs) for cs in systems)
     cs = models[0].cs  # sims: predetermined
     assert cs.flavor == "predetermined" and len(cs.kernel) == cs.kernel_dim
     assert not any(counts.values()) and "_matrices" not in vars(cs), counts
@@ -287,8 +294,8 @@ def test_views_share_artifacts():
     assert m.sf is sf
 
 
-STAGES = ("pi", "adj", "sf", "local", "ker_l", "roots", "split", "pb", "m_stack", "causal", "plain_cs",
-          "cs")
+STAGES = ("pi", "adj", "sf", "local", "ker_l", "roots", "split", "pb", "m_stack", "rf", "causal",
+          "plain_cs", "cs")
 
 
 def test_stages_cannot_be_assigned():
@@ -423,9 +430,12 @@ def test_cli_command_loads_only_its_layers(command):
 
 
 # layers that spans.TARGETS still names but src no longer has, so their metrics read 0:
-# the predetermined count's selectors left with the E(0) selector system, and the
-# pipeline, which the model's own stages replaced, left once it only returned the model
-REMOVED_LAYERS = ("constraints.build_selectors", "dimension.run_pipeline")
+# the predetermined count's selectors left with the E(0) selector system, the
+# pipeline, which the model's own stages replaced, left once it only returned the model,
+# rank_kernel once the solve counted its heads by the causal stage's effective_unknowns,
+# and build_predetermined_system, which only returned the stage `causal`
+REMOVED_LAYERS = ("constraints.build_selectors", "dimension.run_pipeline", "exactalg.rank_kernel",
+                  "constraints.build_predetermined_system")
 
 
 def test_traced_layers_stay_bound_under_their_module_names():

@@ -49,6 +49,7 @@ from conftest import (
     defect_model,
     diag_matrix,
     divisibility_rows,
+    full_unknown_heads,
     full_unknown_system,
     identity_polymatrix,
     ladder_shaped_models,
@@ -57,6 +58,7 @@ from conftest import (
     mat_mul,
     mat_sub,
     max_degree,
+    planted_model,
     planted_models,
     polymatrix_from_rational,
     rand_frac,
@@ -820,6 +822,42 @@ def test_horizon_zero_solutions_have_q_columns(corpus):
 # the solve over the free unknowns against the full-unknown assembly
 
 
+def _assert_counts_the_distinct_heads(m: REModel) -> bool:
+    """indeterminacy_dim, which the solve reads off the causal stage's effective_unknowns, is
+    q times the rank of the heads p = h + sum c d of the kernel of `full_unknown_system`'s
+    rows (`full_unknown_heads`).  Returns whether the solve answered."""
+    try:
+        sr = solve_causal(m)
+    except (FactorizationError, UnsupportedModelError):
+        return False
+    assert sr.indeterminacy_dim == m.q * full_unknown_heads(m), (m.s, m.H, m.gamma)
+    return True
+
+
+def test_indeterminacy_dim_counts_the_distinct_heads(corpus, predetermined_probe):
+    """On every answered model of the five sets, in both flavors."""
+    counts = dict.fromkeys(("answered", "predetermined", "indeterminate", "ker"), 0)
+    for m in (list(corpus) + list(predetermined_probe) + ladder_shaped_models()
+              + planted_models() + deep_planted_models()):
+        if _assert_counts_the_distinct_heads(m):
+            for key, hit in (("answered", True), ("predetermined", m.predetermined),
+                             ("indeterminate", solve_causal(m).indeterminacy_dim),
+                             ("ker", m.predetermined and m.ker_l)):
+                counts[key] += bool(hit)
+    assert counts == {"answered": 84, "predetermined": 28, "indeterminate": 31, "ker": 11}, counts
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from((2, 3)), st.sampled_from((1, 2)),
+       st.integers(1, 3), st.booleans())
+def test_indeterminacy_dim_counts_the_distinct_heads_on_drawn_planted_models(
+        seed, s, H, g_last, predetermined):
+    """The same on `planted_model` draws, G = g_last > 0, both flavors; each is answered."""
+    m = planted_model(random.Random(seed), s, H, g_last, predetermined=predetermined)
+    assert m.pi.det[0] == 0 and _assert_counts_the_distinct_heads(m)
+
+
+
 def test_free_unknown_solve_matches_full_unknown_system(corpus, predetermined_probe):
     n_sets = n_forced = n_answered = 0
     for m in list(corpus) + list(predetermined_probe) + ladder_shaped_models() + planted_models():
@@ -1066,7 +1104,7 @@ def _assert_adj_product_is_ref(m: REModel) -> bool:
         return False
     free = m.free_unknowns()
     ker_l = m.ker_l if m.predetermined else []
-    P, den = _adj_product(m, m.adj, J1, free, ker_l)
+    P, den = _adj_product(m.adj, m.rf, J1)
     cols = len(free) + len(ker_l) + m.q
     assert len(P) == m.s and all(len(row) == cols for row in P)
     got = PolyMatrix([[_poly(list(f), den) for f in row] for row in P], cols)
