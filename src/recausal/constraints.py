@@ -36,8 +36,10 @@ from .model import ConstraintSystem, REModel, right_factor
 
 def build_plain_system(m: REModel, ms: tuple, pb: tuple) -> ConstraintSystem:
     """Constraint system C eps_bullet = D (innovation stack), no predeterminedness.  On a
-    plain model's own m_stack its right factor is the stage `rf`: the same unknowns."""
+    plain model's own m_stack its right factor is the stage `rf`: the same unknowns; else it
+    is laid out on the prefix of ms that pb = p_stack has columns for, all its product reads."""
     own = ms is m.m_stack and not m.predetermined
+    ms = ms[0][: len(pb[0][0]) if pb[0] else 0], ms[1]
     return ConstraintSystem(m, pb, m.rf if own else right_factor(m, ms, range(m.s * m.H), []))
 
 

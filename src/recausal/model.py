@@ -359,8 +359,9 @@ class ConstraintSystem:
     on B's first rows.  The n unknowns x are all sH entries of h (flavor "plain"), or the free
     entries of h and the coordinates of d in ker L, ker_l its basis ("predetermined").  rank_w
     and the kernel are read off a copy of the rows eliminated on C's columns (`_row_echelon`),
-    `echelon` with its pivot columns `pivots`; C, D and rhs, Fraction matrices, are built on
-    first read, D with no columns when it has no rows."""
+    `echelon` with its pivot columns `pivots`, and `consistent` says that no row below them has
+    a nonzero rhs; C, D and rhs, Fraction matrices, are built on first read, D with no columns
+    when it has no rows."""
 
     def __init__(self, m: REModel, pb: tuple, R: tuple, ker_l: list | None = None):
         self.flavor = "plain" if ker_l is None else "predetermined"
@@ -376,6 +377,7 @@ class ConstraintSystem:
             self.effective_unknowns += len(_row_echelon(d, len(forced))) - len(ker_l)
 
     kernel_dim = property(lambda self: self.effective_unknowns - self.rank_w)
+    consistent = property(lambda self: not any(map(any, self.echelon[self.rank_w :])))
     C = property(lambda self: self._matrices[0])
     D = property(lambda self: self._matrices[1])
     rhs = property(lambda self: self._matrices[2])

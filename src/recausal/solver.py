@@ -21,8 +21,10 @@ the entries of one integer product P = adj(pi) [M's solve columns | W] of the st
 which also gives the transfer (adj(pi) R / D + S h(z)) / S, adj(pi) R summed from the
 columns of P.  Neither the rows' echelon form nor the transfer sees a positive
 factor of P.  adj(pi) and P are built only once the split, `REModel.split`, is
-accepted: a refused model builds neither.  Only `simulate` imports numpy.  The
-result, `SolutionReport`, is a named tuple: h and num/den determine the solution.
+accepted and the rows mod z^(G+H) are consistent (`ConstraintSystem.consistent`):
+a refused model builds neither, and inconsistent rows end the solve in
+no_causal_solution.  Only `simulate` imports numpy.  The result, `SolutionReport`,
+is a named tuple: h and num/den determine the solution, and a none report has no kernel.
 
 A solution y = (num/den) eps is verified by one polynomial identity: with R the
 series of model residuals and T = den R, z^H T = [Lambda | z^H W - U] [num ; den I]
@@ -36,6 +38,7 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import chain
 from math import lcm
+from operator import mul
 
 from .canon import FactorizationError, factor_stable_unstable  # re-exported
 from .canon import KernelPointError, UnsupportedModelError
@@ -78,24 +81,30 @@ def _cancellation_rows(P: list, D: Poly) -> list:
 # indeterminacy_dim: q times the dimension of the distinct solutions; h: the chosen
 # loading stack, sH x q, or None like h_particular, transfer_num and
 # transfer_den when there is no solution; kernel: basis vectors of length sH,
-# shared by the columns
+# shared by the columns, () when there is no solution
 SolutionReport = namedtuple("SolutionReport", (
     "classification indeterminacy_dim h h_particular kernel transfer_num transfer_den kernel_point"))
 
 
-def _dot(u, v) -> Fraction:
-    return sum((a * b for a, b in zip(u, v) if a and b), Fraction(0))
-
-
 def _min_norm_shift(X: list, kernel) -> list:
     """X - K coef for K^T K coef = K^T X, K's columns the kernel vectors, on lists of Fraction
-    rows: the min-norm point of X + span K, each column orthogonal to every kernel vector."""
+    rows: the min-norm point of X + span K, each column orthogonal to every kernel vector.
+    On integers K = K' diag(a)^-1 and X_c = X'_c / b_c, so coef_c = diag(a) c' / b_c for
+    K'^T K' c' = K'^T X'_c and K coef_c = K' c' / b_c: one Fraction per entry it changes."""
     if not kernel:
         return X
-    G = [[_dot(u, v) for v in kernel] for u in kernel]
-    KX = [[_dot(u, col) for col in zip(*X)] for u in kernel]
-    coef = solve_affine(_rmat(G), _rmat(KX, len(X[0])))[0].entries
-    return [[x - _dot(ka, c) for x, c in zip(row, zip(*coef))] for row, ka in zip(X, zip(*kernel))]
+    K = [_scaled(u)[0] for u in kernel]
+    cols = [_scaled(col) for col in zip(*X)]
+    G = [[sum(map(mul, u, v)) for v in K] for u in K]
+    KX = [[sum(map(mul, u, x)) for x, _ in cols] for u in K]
+    coef = solve_affine(_rmat(G), _rmat(KX, len(cols)))[0].entries  # _scaled reads ints too
+    out, KT = [list(row) for row in X], list(zip(*K))
+    for c, ((x, b), coef_c) in enumerate(zip(cols, zip(*coef))):
+        cc, lc = _scaled(coef_c)  # c' = cc / lc
+        for a, ka in enumerate(KT):
+            if d := sum(map(mul, ka, cc)):
+                out[a][c] = Fraction(x[a] * lc - d, b * lc)
+    return out
 
 
 def _kernel_index(kernel_point: str, n: int) -> int:
@@ -120,18 +129,20 @@ def solve_causal(m: REModel, kernel_point: str = "min-norm") -> SolutionReport:
     analyze's free_parameters only by the cancellation of the unstable roots."""
     n_unknowns, q, free = m.s * m.H, m.q, m.free_unknowns()
     (D, S), cs = m.split, m.causal
-    P = _adj_product(m.adj, m.rf, m.pi.J1)
-    rows = [list(r) for r in cs.echelon]  # z^(G+H), then U = D / z^G
-    rows += _cancellation_rows(P[0], D.shift(-m.roots.zero_multiplicity))
-    X, kern = _solve_rows(rows, cs.n, q)
-    at = {a: i for i, a in enumerate(free)}
-    kernel = [[v[at[a]] if a in at else Fraction(0) for a in range(n_unknowns)] for v in kern]
+    X = None
+    if cs.consistent:  # else no p passes z^(G+H), and adj pi is never built
+        P = _adj_product(m.adj, m.rf, m.pi.J1)
+        rows = [list(r) for r in cs.echelon]  # z^(G+H), then U = D / z^G
+        rows += _cancellation_rows(P[0], D.shift(-m.roots.zero_multiplicity))
+        X, kern = _solve_rows(rows, cs.n, q)
     if X is None:
         return SolutionReport(
             classification="no_causal_solution", indeterminacy_dim=0,
-            h=None, h_particular=None, kernel=tuple(kernel),
+            h=None, h_particular=None, kernel=(),
             transfer_num=None, transfer_den=None, kernel_point=kernel_point,
         )
+    at = {a: i for i, a in enumerate(free)}
+    kernel = [[v[at[a]] if a in at else Fraction(0) for a in range(n_unknowns)] for v in kern]
     X = [list(X.entries[at[a]]) if a in at else [Fraction(0)] * q for a in range(n_unknowns)]
     if kernel_point == "min-norm":
         chosen = _min_norm_shift(X, kernel)

@@ -1120,6 +1120,22 @@ def full_unknown_system(m: REModel):
     return submatrix(X, range(n), range(m.q)), [v[:n] for v in kern]
 
 
+def ref_min_norm_shift(X: list, kernel) -> list:
+    """The min-norm point of X + span K on Fractions, K's columns the kernel vectors and X
+    a list of Fraction rows: X - K coef for K^T K coef = K^T X, every product a Fraction sum.
+    The reference for `solver._min_norm_shift`, which forms them on integers."""
+    if not kernel:
+        return X
+
+    def dot(u, v):
+        return sum((a * b for a, b in zip(u, v) if a and b), Fraction(0))
+
+    G = [[dot(u, v) for v in kernel] for u in kernel]
+    KX = [[dot(u, col) for col in zip(*X)] for u in kernel]
+    coef = solve_affine(_rmat(G), _rmat(KX, len(X[0])))[0].entries
+    return [[x - dot(ka, c) for x, c in zip(row, zip(*coef))] for row, ka in zip(X, zip(*kernel))]
+
+
 def full_unknown_heads(m: REModel) -> int:
     """The dimension of the distinct causal solutions by a rank of their heads: the heads
     rank (`heads_rank`) of the kernel of `full_unknown_system`'s (h, d) rows, or 0 when they

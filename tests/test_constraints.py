@@ -268,10 +268,9 @@ def _assert_causal_rows_oracle(m: REModel) -> bool:
     rank of the p = h + d of its kernel) and consistency are `causal_rows_oracle`'s.
     Returns the consistency."""
     cs = m.cs
-    consistent = affine_set(cs.C, cs.rhs, cs.C.cols)[0] is not None
-    assert (len(cs.kernel), cs.kernel_dim, consistent) == causal_rows_oracle(m)[:3], m.gamma
+    assert (len(cs.kernel), cs.kernel_dim, cs.consistent) == causal_rows_oracle(m)[:3], m.gamma
     assert heads_rank(cs.kernel, m.free_unknowns(), m.ker_l, m.s * m.H) == cs.kernel_dim
-    return consistent
+    return cs.consistent
 
 
 def test_predetermined_system_is_the_causal_rows_oracle(corpus, predetermined_probe):
@@ -305,9 +304,10 @@ def test_predetermined_system_is_the_causal_rows_oracle_on_planted_draws():
 def _assert_same_row_space(m: REModel) -> bool:
     """The stage `causal`, the solve's rows mod z^(G+H) from local data, and the rows of
     adj(pi) reduced mod z^(G+H) (`causal_rows_oracle`) have one reduced echelon form of
-    [X | B], so one row space.  Returns their consistency."""
+    [X | B], so one row space, and the stage's `consistent` is the oracle's.  Returns it."""
     *_, consistent, rref = causal_rows_oracle(m)
     assert ref_rref(RationalMatrix(m.causal.echelon)) == rref, (m.s, m.H, m.gamma)
+    assert m.causal.consistent == consistent, (m.s, m.H, m.gamma)
     return consistent
 
 

@@ -14,6 +14,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import recausal
 from recausal import canon
@@ -25,10 +27,10 @@ from recausal.model import (
     ConstraintSystem, PiPolynomial, REModel, build_pi, parse_model, validate_semantics,
 )
 from recausal.solver import (
-    FactorizationError, SolutionReport, solve_causal, verify_solution,
+    FactorizationError, SolutionReport, UnsupportedModelError, solve_causal, verify_solution,
 )
 from conftest import (
-    SIMS_JSON, ladder_shaped_models, planted_models, random_model,
+    SIMS_JSON, deep_planted_models, ladder_shaped_models, planted_model, planted_models, random_model,
     ref_squarefree_factors, serialize_model,
 )
 from digest import DIGEST, OUTCOMES, digest, model_sets, outcomes
@@ -156,8 +158,8 @@ def test_counts_make_no_fraction_product(monkeypatch, corpus):
 def test_adj_and_zeta_only_for_a_solve_past_the_split(monkeypatch, which):
     """validate + analyze build neither adj pi nor the solve's product, in which
     zeta(z) is built, nor the split.  Only solve_causal builds them, once
-    factor_stable_unstable has accepted the split: a refused model builds none,
-    and a solved one each once.  adj pi and the split are built once however
+    factor_stable_unstable has accepted the split and the causal rows are consistent,
+    as in every case here: a refused model builds none, and a solved one each once.  adj pi and the split are built once however
     often they are read (two solves); the product, which no stage keeps, once
     per solve."""
     make = {"sims": lambda: parse_model(SIMS_JSON), "planted-s4": solvable_planted_s4, **MAKE}
@@ -178,6 +180,43 @@ def test_adj_and_zeta_only_for_a_solve_past_the_split(monkeypatch, which):
         assert verify_solution(m, sr)["ok"]
     assert solve_causal(m).classification == sr.classification
     assert counts == {"exactalg.det_adjugate": 1, "solver._adj_product": 2, split: 1}
+
+
+def _assert_adj_only_past_consistent_rows(m) -> bool | None:
+    """A solve past the split builds adj pi and its product once if the causal rows at
+    z = 0 are consistent, and neither if not, where it ends in no_causal_solution.
+    Returns the consistency, or None when the split is refused."""
+    m = m._replace()  # an empty memo
+    with pytest.MonkeyPatch.context() as mp:
+        counts = count_calls(mp, ADJ_PRODUCT)
+        try:
+            sr = solve_causal(m)
+        except (FactorizationError, UnsupportedModelError):
+            return None
+    consistent = m.causal.consistent
+    assert ("adj" in m.artifacts) == consistent, (m.s, m.H, m.gamma)
+    assert counts == dict.fromkeys(ADJ_PRODUCT, int(consistent)), (m.s, m.H, m.gamma)
+    assert consistent or sr.classification == "no_causal_solution", (m.s, m.H, m.gamma)
+    return consistent
+
+
+def test_no_adj_past_inconsistent_causal_rows(corpus, predetermined_probe):
+    """On the five sets, both verdicts of the rows occur past the split."""
+    seen = [_assert_adj_only_past_consistent_rows(m) for m in (
+        list(corpus) + list(predetermined_probe) + ladder_shaped_models() + planted_models()
+        + deep_planted_models())]
+    assert (seen.count(True), seen.count(False)) == (54, 30), (seen.count(True), seen.count(False))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from((2, 3)), st.sampled_from((1, 2)),
+       st.integers(1, 3), st.booleans())
+def test_no_adj_past_inconsistent_causal_rows_on_drawn_planted_models(
+        seed, s, H, g_last, predetermined):
+    """The same on `planted_model` draws, G = g_last > 0, both flavors."""
+    m = planted_model(random.Random(seed), s, H, g_last, predetermined=predetermined)
+    assert m.pi.det[0] == 0
+    _assert_adj_only_past_consistent_rows(m)
 
 
 @pytest.mark.parametrize("which", ["sims", "planted-s4", "no-solution", "solvable"])

@@ -31,6 +31,7 @@ from recausal.solver import (
     _adj_product,
     _cancellation_rows,
     _mc_filter,
+    _min_norm_shift,
     _numerator,
     factor_stable_unstable,
     simulate,
@@ -68,6 +69,7 @@ from conftest import (
     ref_adj_product,
     ref_cancellation_rows,
     ref_expectation_kernel,
+    ref_min_norm_shift,
     ref_mc_filter,
     ref_numerator,
     ref_residual_map,
@@ -319,6 +321,54 @@ def test_default_h_is_the_min_norm_point(monkeypatch):
         assert solve_affine(rmat_transpose(K), shift)[0] is not None, (m.s, m.H, m.gamma)
         n += 1
     assert n == 68, n
+
+
+def _assert_min_norm_is_ref(sr) -> None:
+    """The integer min-norm shift of h_particular is the Fraction reference's, and h."""
+    X, kernel = [list(r) for r in sr.h_particular.entries], [list(v) for v in sr.kernel]
+    assert _min_norm_shift(X, kernel) == ref_min_norm_shift(X, kernel) == sr.h.entries
+
+
+def test_min_norm_shift_matches_the_fraction_reference(corpus, predetermined_probe):
+    """On every model of the five sets with a causal solution, in both flavors."""
+    n = n_kernel = 0
+    for m in (list(corpus) + list(predetermined_probe) + ladder_shaped_models()
+              + planted_models() + deep_planted_models()):
+        try:
+            sr = solve_causal(m)
+        except (FactorizationError, UnsupportedModelError):
+            continue
+        if sr.h is not None:
+            _assert_min_norm_is_ref(sr)
+            n, n_kernel = n + 1, n_kernel + bool(sr.kernel)
+    assert (n, n_kernel) == (42, 31), (n, n_kernel)
+
+
+def test_min_norm_shift_matches_the_fraction_reference_on_planted_draws():
+    """The same on 40 seeded `planted_model` draws with a causal solution, G = g_last > 0,
+    both flavors."""
+    rng, n, n_kernel = random.Random(50), 0, 0
+    while n < 40:
+        s, H, g_last = rng.choice((2, 3)), rng.choice((1, 2)), rng.randint(1, 3)
+        sr = solve_causal(planted_model(rng, s, H, g_last, predetermined=rng.random() < 0.5))
+        if sr.h is not None:
+            _assert_min_norm_is_ref(sr)
+            n, n_kernel = n + 1, n_kernel + bool(sr.kernel)
+    assert n_kernel >= 10, n_kernel
+
+
+@pytest.mark.parametrize("kernel, want", [
+    ([[1, 1, 0], [0, 0, 0]],  # a zero kernel vector
+     [[Fraction(3, 4), Fraction(1, 3)], [Fraction(-3, 4), Fraction(-1, 3)], [5, Fraction(1, 7)]]),
+    ([[1, Fraction(1, 2), 0], [1, Fraction(1, 2), 0]],  # a repeated one
+     [[Fraction(2, 5), Fraction(2, 15)], [Fraction(-4, 5), Fraction(-4, 15)], [5, Fraction(1, 7)]]),
+])
+def test_min_norm_shift_with_a_singular_gram_matrix(kernel, want):
+    """K^T K is singular, and the min-norm point is still the projection of each column of X
+    off the span of the kernel vectors, (1, 1, 0) or (2, 1, 0): unique, though coef is not."""
+    X = [[Fraction(1), Fraction(2, 3)], [Fraction(-1, 2), Fraction(0)], [Fraction(5), Fraction(1, 7)]]
+    kernel = [[Fraction(x) for x in v] for v in kernel]
+    assert _min_norm_shift(X, kernel) == ref_min_norm_shift(X, kernel) == want
 
 
 def test_no_innovations_keep_zero_columns():
@@ -859,6 +909,8 @@ def test_indeterminacy_dim_counts_the_distinct_heads_on_drawn_planted_models(
 
 
 def test_free_unknown_solve_matches_full_unknown_system(corpus, predetermined_probe):
+    """An answered solve has the particular solution and kernel of the system over all sH
+    entries of h; a none report carries no kernel, and that system has no solution."""
     n_sets = n_forced = n_answered = 0
     for m in list(corpus) + list(predetermined_probe) + ladder_shaped_models() + planted_models():
         try:
@@ -866,10 +918,13 @@ def test_free_unknown_solve_matches_full_unknown_system(corpus, predetermined_pr
         except (FactorizationError, UnsupportedModelError):
             continue
         got, want = (sr.h_particular, list(sr.kernel)), full_unknown_system(m)
-        assert same_affine_set(got, want), (m.s, m.H, m.gamma)
-        # solve_affine normalises by its pivots, and forced entries are pivots of
-        # unit rows, so both solves give the same particular solution and kernel
-        assert got == want, (m.s, m.H, m.gamma)
+        if sr.h is None:
+            assert sr.kernel == () and want[0] is None, (m.s, m.H, m.gamma)
+        else:
+            assert same_affine_set(got, want), (m.s, m.H, m.gamma)
+            # solve_affine normalises by its pivots, and forced entries are pivots of
+            # unit rows, so both solves give the same particular solution and kernel
+            assert got == want, (m.s, m.H, m.gamma)
         n_sets += 1
         n_forced += len(m.free_unknowns()) < m.s * m.H
         n_answered += sr.h is not None
