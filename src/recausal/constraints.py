@@ -15,32 +15,35 @@ eliminated on C's columns, and the kernel is read off the same elimination.
 
 The plain system takes H rows per row i of P^-1, its coefficients
 g_i - J1 .. g_i - J1 + H - 1, on all sH entries of h, which on a plain model are the
-solve's unknowns: its R is then the model's stage `rf`.  The predetermined system is
-the model's stage `causal`, the causal rows at z = 0: with p = h + d, h zero outside
-`REModel.free_unknowns()` and d in ker L (`REModel.ker_l`), a causal solution needs
-pi^-1 z^J1 (zeta p - w) = O(z^H), that is, row i of P^-1 (zeta p - w) vanishes
-mod z^(H + g_i - J1), as E is a unit of Q[[z]].  It counts the distinct heads p:
-effective_unknowns is the dimension of the p-space, the free entries plus ker L, and
-C factors through p, so kernel_dim = effective_unknowns - rank_w is the dimension of
-the p of its kernel.  Its solution set does not depend on the factorization.  The
-solve reads the same stage, one elimination and one count shared, but not this module:
-only the stage plain_cs and `recausal.dimension` import it, so solve, verify, simulate
-and smith never load it.
+solve's unknowns: its R is then the model's stage `rf`.  `build_plain_system` takes
+the model alone and reads p_stack, m_stack and R off its stages, so another
+factorization's system is that of a model copy with another stage `local`.  The
+predetermined system is the model's stage `causal`, the causal rows at z = 0: with
+p = h + d, h zero outside `REModel.free_unknowns()` and d in ker L (`REModel.ker_l`),
+a causal solution needs pi^-1 z^J1 (zeta p - w) = O(z^H), that is, row i of
+P^-1 (zeta p - w) vanishes mod z^(H + g_i - J1), as E is a unit of Q[[z]].  It counts
+the distinct heads p: effective_unknowns is the dimension of the p-space, the free
+entries plus ker L, and C factors through p, so kernel_dim = effective_unknowns - rank_w
+is the dimension of the p of its kernel.  Its solution set does not depend on the
+factorization.  The solve reads the same stage, one elimination and one count shared,
+but not this module: only the stage plain_cs and `recausal.dimension` import it, so
+solve, verify, simulate and smith never load it.
 """
 
 from __future__ import annotations
 
 from .exactalg import _row_echelon
-from .model import ConstraintSystem, REModel, right_factor
+from .model import ConstraintSystem, REModel, frak_p_blocks, right_factor
 
 
-def build_plain_system(m: REModel, ms: tuple, pb: tuple) -> ConstraintSystem:
-    """Constraint system C eps_bullet = D (innovation stack), no predeterminedness.  On a
-    plain model's own m_stack its right factor is the stage `rf`: the same unknowns; else it
-    is laid out on the prefix of ms that pb = p_stack has columns for, all its product reads."""
-    own = ms is m.m_stack and not m.predetermined
-    ms = ms[0][: len(pb[0][0]) if pb[0] else 0], ms[1]
-    return ConstraintSystem(m, pb, m.rf if own else right_factor(m, ms, range(m.s * m.H), []))
+def build_plain_system(m: REModel) -> ConstraintSystem:
+    """Constraint system C eps_bullet = D (innovation stack), no predeterminedness, from the
+    model's stages.  On a plain model its right factor is the stage `rf`, on the same unknowns;
+    else it is laid out on the prefix of m_stack that p_stack has columns for."""
+    pb, (N, L) = frak_p_blocks(m.local, m.pi.J1, m.H), m.m_stack
+    ms = N[: len(pb[0][0]) if pb[0] else 0], L
+    rf = right_factor(m, ms, range(m.s * m.H), []) if m.predetermined else m.rf
+    return ConstraintSystem(m, pb, rf)
 
 
 def check_rank_bounds(m: REModel) -> dict:

@@ -14,14 +14,14 @@ matrices L*M(2^b) (Kronecker substitution) and read their results off
 base-2^b digits; `det_adjugate` keeps adj M as those digits, integer
 coefficient lists over one denominator, and builds no Poly per entry.
 `determinant` takes M's `_numerators` (pi's: `PiPolynomial.numerators`).
-`solve_affine` (via `_solve_rows`), the constraint ranks and their kernels
-(`_echelon_kernel`) share one fraction-free Gauss-Jordan elimination on
-integer rows (`_row_echelon`): rows are scaled by the lcm of their
-denominators (`_scaled`, the one helper every Fraction row outside the A_kh
-and the w_j goes through) and kept primitive, and each result entry is one division at
-the end; the reduced echelon form, and so every result, is that of a
-Fraction elimination of any positive multiples of the rows.  Every operation
-is exact; no floating point.
+Every elimination runs on integer rows: the linear solves (`_solve_rows`), the
+constraint ranks and their kernels (`_echelon_kernel`) share one fraction-free
+Gauss-Jordan elimination (`_row_echelon`), and no Fraction matrix enters one.
+Rows are scaled by the lcm of their denominators (`_scaled`, the one helper every
+Fraction row outside the A_kh and the w_j goes through) and kept primitive, and
+each result entry is one division at the end; the reduced echelon form, and so
+every result, is that of a Fraction elimination of any positive multiples of the
+rows.  Every operation is exact; no floating point.
 """
 
 from __future__ import annotations
@@ -574,19 +574,10 @@ def _echelon_kernel(entries, pivots, ncols):
     return basis
 
 
-def solve_affine(M: RationalMatrix, B: RationalMatrix):
-    """General exact solve of M X = B for matrix right-hand sides.
-
-    Returns (particular X or None if inconsistent, kernel basis vectors of M).
-    The elimination never picks a pivot in the B columns, so the M columns of
-    the echelon form, and with them the kernel, are those of M alone.
-    """
-    aug = [_scaled(mrow + brow)[0] for mrow, brow in zip(M.entries, B.entries)]
-    return _solve_rows(aug, M.cols, B.cols)
-
-
 def _solve_rows(aug: list, n: int, q: int):
-    """solve_affine on integer rows [M | B], M n and B q wide; aug is eliminated in place."""
+    """(X, kernel of M) for M X = B on integer rows [M | B], M n and B q wide, aug eliminated in
+    place: X a particular solution as n rows of q Fractions, None if inconsistent.  No pivot
+    falls in the B columns, so the kernel is that of M alone."""
     pivots = _row_echelon(aug, n)
     kern = _echelon_kernel(aug, pivots, n)
     # consistency: the rows below the pivots are zero in M, so must be in B
@@ -595,4 +586,4 @@ def _solve_rows(aug: list, n: int, q: int):
     part = [[_NIL] * q for _ in range(n)]
     for row, pc in zip(aug, pivots):
         part[pc] = [Fraction(x, row[pc]) for x in row[n:]]
-    return _rmat(part, q), kern
+    return part, kern

@@ -25,7 +25,8 @@ stage `causal` (with `ker_l`, ker L on the same integers), a plain model's plain
 system and the solve's product with adj pi.  `causal`, the causal rows at z = 0, is
 the predetermined system and the solve's rows mod z^(G+H), so analyze needs no
 `recausal.solver` and solve no `recausal.constraints`.  This module imports `canon`
-and `exactalg` alone; the stage plain_cs imports `recausal.constraints` on first use.
+and `exactalg` alone; the stage plain_cs imports `recausal.constraints` on first use,
+whose `build_plain_system` takes the model and nothing else.
 """
 
 from __future__ import annotations
@@ -150,11 +151,6 @@ class REModel(namedtuple("REModel", "s K H q A gamma wold xi", defaults=(Fractio
         return factor_stable_unstable(self.pi.det, self.pi.J1, self.roots)
 
     @_stage
-    def pb(self):
-        """p_stack of the plain system (`frak_p_blocks`)."""
-        return frak_p_blocks(self.local, self.pi.J1, self.H)
-
-    @_stage
     def m_stack(self):
         """The m_i of zeta(z) stacked on integer rows (N, L), as many as its longest reader reads:
         the solve's product K + H and len(wold), all of zeta and w, and the systems and bounds a
@@ -184,7 +180,7 @@ class REModel(namedtuple("REModel", "s K H q A gamma wold xi", defaults=(Fractio
         """The plain system, on the row reduction's data at G > 0 too."""
         from .constraints import build_plain_system
 
-        return build_plain_system(self, self.m_stack, self.pb)
+        return build_plain_system(self)
 
     @_stage
     def cs(self):

@@ -23,8 +23,10 @@ columns of P.  Neither the rows' echelon form nor the transfer sees a positive
 factor of P.  adj(pi) and P are built only once the split, `REModel.split`, is
 accepted and the rows mod z^(G+H) are consistent (`ConstraintSystem.consistent`):
 a refused model builds neither, and inconsistent rows end the solve in
-no_causal_solution.  Only `simulate` imports numpy.  The result, `SolutionReport`,
-is a named tuple: h and num/den determine the solution, and a none report has no kernel.
+no_causal_solution.  Both linear solves, of the rows and of the min-norm point's Gram
+system, are `_solve_rows` on integer rows.  Only `simulate` imports numpy.  The result,
+`SolutionReport`, is a named tuple: h and num/den determine the solution, and a none
+report has no kernel.
 
 A solution y = (num/den) eps is verified by one polynomial identity: with R the
 series of model residuals and T = den R, z^H T = [Lambda | z^H W - U] [num ; den I]
@@ -43,7 +45,7 @@ from operator import mul
 from .canon import FactorizationError, factor_stable_unstable  # re-exported
 from .canon import KernelPointError, UnsupportedModelError
 from .exactalg import Poly, PolyMatrix, RationalMatrix, _ZERO, _combine, _int_product, _numerators
-from .exactalg import _poly, _rmat, _scaled, _solve_rows, poly_gcd, solve_affine
+from .exactalg import _poly, _rmat, _scaled, _solve_rows, poly_gcd
 from .model import REModel
 
 
@@ -95,9 +97,8 @@ def _min_norm_shift(X: list, kernel) -> list:
         return X
     K = [_scaled(u)[0] for u in kernel]
     cols = [_scaled(col) for col in zip(*X)]
-    G = [[sum(map(mul, u, v)) for v in K] for u in K]
-    KX = [[sum(map(mul, u, x)) for x, _ in cols] for u in K]
-    coef = solve_affine(_rmat(G), _rmat(KX, len(cols)))[0].entries  # _scaled reads ints too
+    rows = [[sum(map(mul, u, v)) for v in K] + [sum(map(mul, u, x)) for x, _ in cols] for u in K]
+    coef = _solve_rows(rows, len(K), len(cols))[0]  # [K'^T K' | K'^T X'] on integers
     out, KT = [list(row) for row in X], list(zip(*K))
     for c, ((x, b), coef_c) in enumerate(zip(cols, zip(*coef))):
         cc, lc = _scaled(coef_c)  # c' = cc / lc
@@ -143,7 +144,7 @@ def solve_causal(m: REModel, kernel_point: str = "min-norm") -> SolutionReport:
         )
     at = {a: i for i, a in enumerate(free)}
     kernel = [[v[at[a]] if a in at else Fraction(0) for a in range(n_unknowns)] for v in kern]
-    X = [list(X.entries[at[a]]) if a in at else [Fraction(0)] * q for a in range(n_unknowns)]
+    X = [X[at[a]] if a in at else [Fraction(0)] * q for a in range(n_unknowns)]
     if kernel_point == "min-norm":
         chosen = _min_norm_shift(X, kernel)
     else:

@@ -34,15 +34,15 @@ from recausal.exactalg import (
     _rmat,
     _row_echelon,
     _scaled,
+    _solve_rows,
     det_adjugate,
     determinant,
     poly_gcd,
     rat,
     rat_rows,
     rat_str,
-    solve_affine,
 )
-from recausal.model import SCHEMA_VERSION, REModel, build_m_stack, build_pi
+from recausal.model import SCHEMA_VERSION, REModel, build_m_stack, build_pi, frak_p_blocks
 from recausal.solver import FactorizationError, _cancellation_rows, factor_stable_unstable
 
 
@@ -273,6 +273,13 @@ def hstack(mats) -> RationalMatrix:
     return _rmat(
         [sum((m.entries[i] for m in mats), []) for i in range(rows)], sum(m.cols for m in mats)
     )
+
+
+def solve_affine(M: RationalMatrix, B: RationalMatrix):
+    """(particular X or None if inconsistent, kernel basis of M) of M X = B for matrix
+    right-hand sides: `exactalg._solve_rows` on the rows of [M | B] scaled to integers."""
+    X, kern = _solve_rows([_scaled(a + b)[0] for a, b in zip(M.entries, B.entries)], M.cols, B.cols)
+    return None if X is None else _rmat(X, B.cols), kern
 
 
 def invert(M: RationalMatrix) -> RationalMatrix:
@@ -878,15 +885,16 @@ def serialize_model(m: REModel) -> str:
 # constraints from the global Smith form (references for the local stage)
 
 
-def smith_reference(m: REModel) -> REModel:
-    """A copy of m whose stages read the constraints from the global Smith form.
+def smith_reference(m: REModel, sf: SmithForm | None = None) -> REModel:
+    """A copy of m whose stages read the constraints from a Smith factorization of pi:
+    sf, or the global Smith form without one.
 
     The copy has its own memo, in which the `local` stage is the data at z = 0
-    of smith_form(pi) whatever det pi(0) is, so its dimension_report and
-    solve_causal are those of a model that always runs the elimination.
+    of that factorization whatever det pi(0) is, so its dimension_report,
+    plain_cs and solve_causal are those of a model that always runs the elimination.
     """
     ref = m._replace()
-    ref.artifacts["local"] = smith_local(ref.sf)
+    ref.artifacts["local"] = smith_local(ref.sf if sf is None else sf)
     return ref
 
 
@@ -1012,7 +1020,8 @@ def ref_m_stack(zc: PolyMatrix, pb: tuple) -> RationalMatrix:
 
 def ref_constraint_matrix(m: REModel) -> RationalMatrix:
     """The plain system's Fraction C by matrix products: p_stack m_stack."""
-    return rmat_mul(vstack(fraction_blocks(m.pb, m.s)), ref_m_stack(ref_zeta_coefficients(m), m.pb))
+    pb = frak_p_blocks(m.local, m.pi.J1, m.H)
+    return rmat_mul(vstack(fraction_blocks(pb, m.s)), ref_m_stack(ref_zeta_coefficients(m), pb))
 
 
 def ref_causal_system(m: REModel, loc: LocalSmith) -> tuple:

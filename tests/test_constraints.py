@@ -8,10 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recausal.constraints import (
-    build_plain_system,
-    check_rank_bounds,
-)
+from recausal.constraints import check_rank_bounds
 from recausal.canon import RedundantEquationsError
 from recausal.exactalg import Poly, RationalMatrix
 from recausal.model import ConstraintSystem, REModel, build_pi, frak_p_blocks, right_factor
@@ -54,6 +51,7 @@ from conftest import (
     sims_model,
     sims_published_smith,
     smith_local,
+    smith_reference,
     smith_reconstruct,
     smith_size,
     submatrix,
@@ -187,7 +185,7 @@ def test_frak_blocks_published_sims():
 
 def test_frak_blocks_g_above_j1():
     m = _pi4_model()
-    pb = fraction_blocks(m.pb, m.s)
+    pb = fraction_blocks(frak_p_blocks(m.local, m.pi.J1, m.H), m.s)
     assert m.sf.g == (0, 0, 2, 2)
     # gamma_k = g_k - J1 for g_k > J1
     assert [gk - m.pi.J1 for gk in m.local.g[2:]] == [1, 1]
@@ -228,7 +226,7 @@ def test_m_stack_matches_the_coefficient_stack(corpus, predetermined_probe):
         zc = m_stack_zeta(m)
         assert zc == ref_zeta_coefficients(m) and (zc.rows, zc.cols) == (m.s, m.s * m.H)
         N, L = m.m_stack
-        ref = ref_m_stack(zc, m.pb)  # as wide as p_stack
+        ref = ref_m_stack(zc, frak_p_blocks(m.local, m.pi.J1, m.H))  # as wide as p_stack
         assert len(N) == max(ref.rows, m.s * (m.K + m.H), m.s * len(m.wold))
         full = [coeff(zc, i).entries for i in range(len(N) // m.s)]
         assert [[Fraction(x, L) for x in row] for row in N] == [row for c in full for row in c]
@@ -409,11 +407,7 @@ def test_predetermined_count_weights_the_scaled_rows():
 
 def test_plain_system_sims():
     m = _sims_as_plain()
-    pp = build_pi(m)
-    sf = sims_published_smith()
-    zc = ref_zeta_coefficients(m)
-    pb = frak_p_blocks(smith_local(sf), pp.J1, m.H)
-    cs = build_plain_system(m, int_stack(ref_m_stack(zc, pb)), pb)
+    cs = smith_reference(m, sims_published_smith()).plain_cs
     # the single constraint row printed in the source example
     c = Fraction(100, 99)
     assert cs.C == RationalMatrix([[0, 0], [c * Fraction(-1, 100000), -c]])
@@ -504,9 +498,7 @@ def test_smith_choice_invariance(corpus):
             continue
         sf2 = _diagonal_rescaled(m.sf, rng)
         assert smith_reconstruct(sf2) == m.pi.pi
-        zc = ref_zeta_coefficients(m)
-        pb2 = frak_p_blocks(smith_local(sf2), m.pi.J1, m.H)
-        cs2 = build_plain_system(m, int_stack(ref_m_stack(zc, pb2)), pb2)
+        cs2 = smith_reference(m, sf2).plain_cs
         assert cs2.rank_w == m.cs.rank_w
         assert cs2.kernel_dim == m.cs.kernel_dim
         n = m.s * m.H
@@ -525,12 +517,10 @@ def test_rank_agreement_across_published_factorizations():
     pp = build_pi(m)
     pi, sf1, sf2 = _published_factorizations()
     assert pp.pi == pi
-    zc = ref_zeta_coefficients(m)
     ranks = []
     kdims = []
     for sf in (sf1, sf2, m.sf):
-        pb = frak_p_blocks(smith_local(sf), pp.J1, m.H)
-        cs = build_plain_system(m, int_stack(ref_m_stack(zc, pb)), pb)
+        cs = smith_reference(m, sf).plain_cs
         ranks.append(cs.rank_w)
         kdims.append(cs.kernel_dim)
     assert len(set(ranks)) == 1 and len(set(kdims)) == 1

@@ -26,7 +26,6 @@ from recausal.exactalg import (
     poly_gcd,
     rat,
     rat_str,
-    solve_affine,
     squarefree_factors,
 )
 from recausal.model import build_pi
@@ -58,6 +57,7 @@ from conftest import (
     ref_solve_affine,
     ref_squarefree_factors,
     rmat_mul,
+    solve_affine,
     submatrix,
     vstack,
     zero_matrix,

@@ -18,8 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import recausal
-from recausal import canon
-from recausal.canon import LocalSmith, RootClassification, UnitCircleRootError, classify_roots
+from recausal import canon, exactalg
+from recausal.canon import (
+    LocalSmith, RedundantEquationsError, RootClassification, UnitCircleRootError, classify_roots,
+)
 from recausal.cli import main
 from recausal.dimension import dimension_report, genericity_probe
 from recausal.exactalg import Poly, RationalMatrix
@@ -125,11 +127,11 @@ OUTCOME = {"refused": "refused", "no-solution": "no_causal_solution", "solvable"
 
 def test_counts_make_no_fraction_product(monkeypatch, corpus):
     """validate_semantics, dimension_report and genericity_probe count on
-    integer rows: no solve_affine, src's one elimination of a Fraction matrix, and no
-    system builds its Fraction C, D and rhs, in either flavor, with g > J1 or J1 < H, or
-    at H = 0.  Reading C builds them; the kernel is read off the elimination that counted
-    rank_w."""
-    counts, systems = count_calls(monkeypatch, ("exactalg.solve_affine",)), []
+    integer rows: no linear solve (`_solve_rows`, which only the solve and its min-norm
+    point run), and no system builds its Fraction C, D and rhs, in either flavor, with
+    g > J1 or J1 < H, or at H = 0.  Reading C builds them; the kernel is read off the
+    elimination that counted rank_w."""
+    counts, systems = count_calls(monkeypatch, ("exactalg._solve_rows",)), []
 
     def recorded(cs, *args, _init=ConstraintSystem.__init__):
         _init(cs, *args)
@@ -144,7 +146,7 @@ def test_counts_make_no_fraction_product(monkeypatch, corpus):
         validate_semantics(m)
         dimension_report(m)
         genericity_probe(m, trials=2)
-    assert counts == {"exactalg.solve_affine": 0}
+    assert counts == {"exactalg._solve_rows": 0}
     assert {cs.flavor for cs in systems} == {"plain", "predetermined"}
     assert not any("_matrices" in vars(cs) for cs in systems)
     cs = models[0].cs  # sims: predetermined
@@ -233,6 +235,39 @@ def test_solve_reads_adj_as_integer_rows(monkeypatch, which):
     assert solve_causal(m) == sr and counts["exactalg._numerators"] == 1
     A, L = m.adj
     assert L > 0 and len(A) == m.s and all(type(c) is int for row in A for f in row for c in f)
+
+
+def test_every_elimination_sees_integer_rows(monkeypatch):
+    """Every row src eliminates holds Python ints alone: `_row_echelon`, rebound wherever src
+    binds it, sees no Fraction (nor a bool) in validate, analyze, the system's C, probe, solve
+    and verify on the five sets, the linear solves of `_solve_rows` among them."""
+    calls, bad, echelon = [0], set(), exactalg._row_echelon
+
+    def spy(entries, ncols):
+        calls[0] += 1
+        bad.update(type(x).__name__ for row in entries for x in row if type(x) is not int)
+        return echelon(entries, ncols)
+
+    for mod in [mod for n, mod in sys.modules.items() if n.split(".")[0] == "recausal"]:
+        for attr, val in list(vars(mod).items()):
+            if val is echelon:
+                monkeypatch.setattr(mod, attr, spy)
+    refusals = (RedundantEquationsError, UnitCircleRootError, UnsupportedModelError,
+                FactorizationError)
+    for m in (m._replace() for models in model_sets().values() for m in models):
+        validate_semantics(m)
+        for step in (dimension_report, lambda m: m.cs.C, lambda m: genericity_probe(m, trials=2)):
+            try:
+                step(m)
+            except refusals:
+                pass
+        try:
+            sr = solve_causal(m)
+        except refusals:
+            continue
+        if sr.transfer_num is not None:
+            verify_solution(m, sr)
+    assert not bad and calls[0] > 0, (calls, bad)
 
 
 def test_pi_rows_are_derived_once(monkeypatch, capsys, tmp_path):
@@ -333,7 +368,7 @@ def test_views_share_artifacts():
     assert m.sf is sf
 
 
-STAGES = ("pi", "adj", "sf", "local", "ker_l", "roots", "split", "pb", "m_stack", "rf", "causal",
+STAGES = ("pi", "adj", "sf", "local", "ker_l", "roots", "split", "m_stack", "rf", "causal",
           "plain_cs", "cs")
 
 
@@ -472,9 +507,10 @@ def test_cli_command_loads_only_its_layers(command):
 # the predetermined count's selectors left with the E(0) selector system, the
 # pipeline, which the model's own stages replaced, left once it only returned the model,
 # rank_kernel once the solve counted its heads by the causal stage's effective_unknowns,
-# and build_predetermined_system, which only returned the stage `causal`
+# build_predetermined_system, which only returned the stage `causal`, and solve_affine once
+# both src solves passed their integer rows to `_solve_rows` directly
 REMOVED_LAYERS = ("constraints.build_selectors", "dimension.run_pipeline", "exactalg.rank_kernel",
-                  "constraints.build_predetermined_system")
+                  "constraints.build_predetermined_system", "exactalg.solve_affine")
 
 
 def test_traced_layers_stay_bound_under_their_module_names():

@@ -21,7 +21,6 @@ from recausal.cli import _emit, cmd_smith, cmd_solve, cmd_verify, parse_args
 from recausal.dimension import dimension_report
 from recausal.exactalg import (
     Poly, PolyMatrix, RationalMatrix, _int_product, _numerators, _poly, det_adjugate,
-    solve_affine,
 )
 from recausal.model import REModel, build_pi, parse_model, validate_semantics
 from recausal.solver import (
@@ -91,6 +90,7 @@ from conftest import (
     same_affine_set,
     sims_model,
     smith_size,
+    solve_affine,
     substitution_set,
     wold_coeff,
     zero_matrix,
@@ -1142,7 +1142,7 @@ def test_solve_and_verify_read_no_smith_or_constraint_stage(
             simulate(sr, T=10, seed=0, truncation=10)
             n_solved += 1
         assert not calls
-        assert not {"sf", "pb", "plain_cs", "cs"} & set(m.artifacts)
+        assert not {"sf", "plain_cs", "cs"} & set(m.artifacts)
         assert ("causal" in m.artifacts) == ("local" in m.artifacts) == (sr is not None)
     assert n_solved == 45, n_solved
 
