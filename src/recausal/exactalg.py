@@ -36,15 +36,19 @@ _NIL, _ONE = Fraction(0), Fraction(1)  # shared zero entries, and the one of a k
 
 
 def rat(x) -> Fraction:
-    """Coerce ints, strings like "p/q", and Fractions to Fraction; a decimal exponent past
-    4300 in magnitude, for which Fraction computes 10**exp, is a ValueError."""
+    """Coerce ints, strings like "p/q", and Fractions to Fraction, a string on Python 3.10's
+    Fraction grammar on every version; a decimal exponent past 4300 in magnitude, for which
+    Fraction computes 10**exp, is a ValueError."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, str):
         p, slash, q = x.partition("/")  # ASCII "p" and "p/q" by int(), the rest by Fraction
         if x.isascii() and p.removeprefix("-").isdigit() and (q.isdigit() or not slash):
             return Fraction(int(p), int(q or 1))
-        e = re.search(r"E([-+]?\d+(_\d+)*)\s*\Z", x, re.IGNORECASE)  # Fraction's exponent
+        # Fraction reads "_" from 3.11 on and " / " from 3.12 on, and 3.11-3.12 pass "1.d" to int()
+        if "_" in x or re.search(r"\s/|/\s|\.d", x, re.IGNORECASE):
+            raise ValueError(f"Invalid literal for Fraction: {x!r}")
+        e = re.search(r"E([-+]?\d+)\s*\Z", x, re.IGNORECASE)  # Fraction's exponent
         if e and abs(int(e[1])) > 4300:
             raise ValueError(f"decimal exponent {e[1]} exceeds the limit (4300)")
         return Fraction(x)

@@ -13,20 +13,20 @@ gamma = (s_0, ..., s_H) with sum(gamma) = s.
 stages (`m.pi`, pi(z) with det pi and its integer rows, `m.adj`, `m.sf` its Smith
 form, ..., `m.cs`) are read-only properties, each computed on first use and
 memoized on the instance in `REModel.artifacts`, which refers to no model, so a
-dropped model is freed at once.  Its A_kh and its Wold coefficients as integers
-are in `REModel.numerators` and `REModel.wold_numerators`, and pi's rows in
-`PiPolynomial.numerators`, which every other module reads; a model from
-`_replace` starts with an empty memo.
-`build_m_stack` stacks the m_i of zeta(z) = sum_i m_i z^i on integer rows from
-`REModel.numerators`, once: each reader of the stage `m_stack` reads a prefix.
-`right_factor` lays [zeta's columns of the unknowns | zeta d for d in ker L | w] out
-on it once per layout of unknowns: the stage `rf`, on the solve's, is read by the
-stage `causal` (with `ker_l`, ker L on the same integers), a plain model's plain
-system and the solve's product with adj pi.  `causal`, the causal rows at z = 0, is
-the predetermined system and the solve's rows mod z^(G+H), so analyze needs no
-`recausal.solver` and solve no `recausal.constraints`.  This module imports `canon`
-and `exactalg` alone; the stage plain_cs imports `recausal.constraints` on first use,
-whose `build_plain_system` takes the model and nothing else.
+dropped model is freed at once.  Its A_kh and its Wold coefficients as integers over
+one denominator are in `REModel.numerators`, and pi's rows in `PiPolynomial.numerators`,
+which every other module reads; a model from `_replace` starts with an empty memo.
+`build_m_stack` stacks the coefficients [m_i | w_i] of [zeta(z) | w(z)],
+zeta(z) = sum_i m_i z^i, on integer rows from `REModel.numerators`, once: the stage
+`m_stack`, the model's one coefficient stack, which each `ConstraintSystem` multiplies
+its p_stack by.  `on_unknowns` maps integer rows on the sH entries of h to the solve's
+unknowns on a predetermined model, the free entries of h and ker L (the stage `ker_l`):
+the stage `causal`, the causal rows at z = 0, maps its product, and the stage `rf`, read
+by the solve's product with adj pi alone, maps m_stack itself.  `causal` is the
+predetermined system and the solve's rows mod z^(G+H), so analyze needs no
+`recausal.solver` and solve no `recausal.constraints`.  This module imports `canon` and
+`exactalg` alone; the stage plain_cs imports `recausal.constraints` on first use, whose
+`build_plain_system` takes the model and nothing else.
 """
 
 from __future__ import annotations
@@ -79,11 +79,14 @@ class REModel(namedtuple("REModel", "s K H q A gamma wold xi", defaults=(Fractio
 
     @cached_property
     def numerators(self) -> tuple:
-        """(L, {(k, h): A_kh times L as integer rows}), L the lcm of the A_kh denominators:
-        the one place the A_kh become integers, memoized like `artifacts`."""
-        L = lcm(*[x.denominator for a in self.A.values() for row in a.entries for x in row])
+        """(L, {(k, h): A_kh times L as integer rows}, W), L the lcm of the denominators of the
+        A_kh and the w_j, W the w_j times L stacked as integer rows, row j s + r holding row r
+        of w_j: the one place the A_kh and the w_j become integers, memoized like `artifacts`."""
+        L = lcm(*[x.denominator for a in (*self.A.values(), *self.wold) for row in a.entries
+                  for x in row])
         return L, {kh: [[x.numerator * (L // x.denominator) for x in row] for row in a.entries]
-                   for kh, a in self.A.items()}
+                   for kh, a in self.A.items()}, [[x.numerator * (L // x.denominator) for x in row]
+                                                  for w in self.wold for row in w.entries]
 
     @property
     def predetermined(self) -> bool:
@@ -94,14 +97,6 @@ class REModel(namedtuple("REModel", "s K H q A gamma wold xi", defaults=(Fractio
         the first s_0 + ... + s_j rows of block j.  The other entries are zero."""
         s, gamma = self.s, self.gamma
         return tuple(j * s + r for j in range(self.H) for r in range(sum(gamma[: j + 1])))
-
-    @cached_property
-    def wold_numerators(self) -> tuple:
-        """(L, W): W[i][c] the coefficients of entry (i, c) of w(z) = sum_j w_j z^j times L,
-        lowest first, L the lcm of the w_j denominators; memoized like `numerators`."""
-        L = lcm(*[x.denominator for w in self.wold for row in w.entries for x in row])
-        return L, [[[(x := w.entries[i][c]).numerator * (L // x.denominator) for w in self.wold]
-                     for c in range(self.q)] for i in range(self.s)]
 
     @_stage
     def pi(self):
@@ -152,18 +147,16 @@ class REModel(namedtuple("REModel", "s K H q A gamma wold xi", defaults=(Fractio
 
     @_stage
     def m_stack(self):
-        """The m_i of zeta(z) stacked on integer rows (N, L), as many as its longest reader reads:
-        the solve's product K + H and len(wold), all of zeta and w, and the systems and bounds a
-        prefix, p_stack's H + max(g - J1, 0) blocks (also at H = 0, where zeta has no columns)."""
-        return build_m_stack(self, max(self.K + self.H, len(self.wold),
-                                       self.H + max(self.local.g) - self.pi.J1))
+        """[zeta | w] on integer rows (N, L), all of zeta(z) and w(z) (`build_m_stack`): the
+        right factor of both systems, and of the solve on a plain model."""
+        return build_m_stack(self)
 
     @_stage
     def rf(self):
-        """`right_factor` on m_stack for the solve's unknowns, the free entries of h and ker L,
-        or all sH entries of h on a plain model, whose plain_cs reads it; so do causal and solve."""
-        return right_factor(self, self.m_stack, self.free_unknowns(),
-                            self.ker_l if self.predetermined else [])
+        """The solve's right factor: m_stack on its unknowns, the free entries of h and ker L
+        (`on_unknowns`), or m_stack itself on a plain model, whose unknowns are all sH
+        entries of h.  Read only by the solve's product with adj pi."""
+        return on_unknowns(self, *self.m_stack) if self.predetermined else self.m_stack
 
     @_stage
     def causal(self):
@@ -173,7 +166,7 @@ class REModel(namedtuple("REModel", "s K H q A gamma wold xi", defaults=(Fractio
         causal solution: as pi = P diag(z^g) E with E and det pi / z^G units of Q[[z]], they
         say that z^(G+H) divides adj(pi) (M p - W), M = z^J1 zeta(z) and W = z^J1 w(z)."""
         return ConstraintSystem(self, frak_p_blocks(self.local, self.pi.J1, self.H, causal=True),
-                                self.rf, self.ker_l if self.predetermined else None)
+                                self.predetermined)
 
     @_stage
     def plain_cs(self):
@@ -285,7 +278,7 @@ PiPolynomial = namedtuple("PiPolynomial", "pi J0 J1 det numerators")
 def build_pi(m: REModel) -> PiPolynomial:
     """pi(z) = sum_i A*_i z^{J1 - i}, A*_i = sum_k A_{k, k+i}, summed on `m.numerators`, with
     det pi by `determinant` on pi's integer rows, derived here once for every reader."""
-    L, num = m.numerators
+    L, num, _ = m.numerators
     sums = {}
     for (k, h), a in num.items():
         b = sums.get(h - k)
@@ -309,31 +302,32 @@ def build_pi(m: REModel) -> PiPolynomial:
     return PiPolynomial(pi=pi, J0=J0, J1=J1, det=det, numerators=numerators)
 
 
-def build_m_stack(m: REModel, n: int) -> tuple:
-    """(N, L): the coefficients m_0, ..., m_(n-1) of zeta(z) stacked are N / L,
-    N integer rows summed on (L, the A_kh times L) = m.numerators.  Column block j of
-    m_i is minus the sum of the A_kh with k + j - h = i, h <= j < H."""
-    s, H, (L, num) = m.s, m.H, m.numerators
-    N = [[0] * (s * H) for _ in range(n * s)]
+def build_m_stack(m: REModel) -> tuple:
+    """(N, L): [m_i | w_i] for i < max(K + H, len(wold)), the coefficients of zeta(z) and w(z)
+    stacked, are N / L, N integer rows summed on (L, the A_kh times L, W) = m.numerators.
+    Column block j of m_i is minus the sum of the A_kh with k + j - h = i, h <= j < H;
+    w_i is zero past w's degree."""
+    s, H, (L, num, W) = m.s, m.H, m.numerators
+    N = [[0] * (s * H) + (W[i] if i < len(W) else [0] * m.q)
+         for i in range(max(m.K + H, len(m.wold)) * s)]
     for (k, h), A in num.items():
-        for j in range(h, min(H, n + h - k)):
+        for j in range(h, H):
             for acc, row in zip(N[(k + j - h) * s :], A):
                 for c, a in enumerate(row, j * s):
                     acc[c] -= a
     return N, L
 
 
-def right_factor(m: REModel, ms: tuple, cols, ker_l: list) -> tuple:
-    """(R, den): [zeta's columns cols | zeta d for d in ker_l | w] = R / den on integer rows,
-    as many coefficients as ms = (N, L) = build_m_stack(m, n) has blocks: row i s + r holds
-    coefficient i of row r, w's from `REModel.wold_numerators`."""
-    s, (N, L), (lw, W) = m.s, ms, m.wold_numerators
-    kv = [_scaled(v) for v in ker_l]  # (v times lv, lv)
-    lb = lcm(L * lcm(*(lv for _, lv in kv)), lw)
-    c, cw, kv = lb // L, lb // lw, [(v, lb // (L * lv)) for v, lv in kv]
-    return [[x[a] * c for a in cols] + [sum(map(mul, x, v)) * ck for v, ck in kv]
-            + [f[i] * cw if i < len(f) else 0 for f in W[r]]
-            for x, (i, r) in zip(N, product(range(len(N) // s), range(s)))], lb
+def on_unknowns(m: REModel, rows: list, den: int) -> tuple:
+    """(rows', den'): integer rows [X | B] / den, X on the sH entries of h, as
+    [X's free columns | X v for v in ker L | B] / den' on the solve's unknowns, the free
+    entries of h (`REModel.free_unknowns`) and the coordinates of d in ker L (the stage
+    `ker_l`): each v is scaled to integers by one lcm lk, and den' = den lk."""
+    n, free, kv = m.s * m.H, m.free_unknowns(), [_scaled(v) for v in m.ker_l]
+    lk = lcm(*(lv for _, lv in kv))
+    kv = [(v, lk // lv) for v, lv in kv]
+    return [[x[a] * lk for a in free] + [sum(map(mul, x, v)) * c for v, c in kv]
+            + [b * lk for b in x[n:]] for x in rows], den * lk
 
 
 def frak_p_blocks(loc, J1: int, H: int, causal: bool = False) -> tuple:
@@ -351,26 +345,27 @@ def frak_p_blocks(loc, J1: int, H: int, causal: bool = False) -> tuple:
 
 class ConstraintSystem:
     """C x = rhs from [C | rhs] = D R on integer rows: D = pb = (P, L') a stack of coefficient
-    rows of P^-1 (`frak_p_blocks`) and R = (B, L) a `right_factor`, one `_combine` per row of P
-    on B's first rows.  The n unknowns x are all sH entries of h (flavor "plain"), or the free
-    entries of h and the coordinates of d in ker L, ker_l its basis ("predetermined").  rank_w
-    and the kernel are read off a copy of the rows eliminated on C's columns (`_row_echelon`),
-    `echelon` with its pivot columns `pivots`, and `consistent` says that no row below them has
-    a nonzero rhs; C, D and rhs, Fraction matrices, are built on first read, D with no columns
-    when it has no rows."""
+    rows of P^-1 (`frak_p_blocks`) and R = (B, L) the model's stage `m_stack`, [zeta | w], one
+    `_combine` per row of P on B's rows.  The n unknowns x are all sH entries of h (flavor
+    "plain"), or, predetermined, the free entries of h and the coordinates of d in ker L, onto
+    which `on_unknowns` maps the product rows.  rank_w and the kernel are read off a copy of
+    the rows eliminated on C's columns (`_row_echelon`), `echelon` with its pivot columns
+    `pivots`, and `consistent` says that no row below them has a nonzero rhs; C, D and rhs,
+    Fraction matrices, are built on first read, D with no columns when it has no rows."""
 
-    def __init__(self, m: REModel, pb: tuple, R: tuple, ker_l: list | None = None):
-        self.flavor = "plain" if ker_l is None else "predetermined"
-        n = m.s * m.H if ker_l is None else len(m.free_unknowns()) + len(ker_l)
-        self._src, self.n, self._q = (pb, R), n, m.q
-        self._rows = [_combine(zip(r, R[0]), n + m.q) for r in pb[0]]  # times L' L
-        self.echelon = [list(r) for r in self._rows]
+    def __init__(self, m: REModel, pb: tuple, predetermined: bool = False):
+        self.flavor = "predetermined" if predetermined else "plain"
+        (P, lp), (B, L), n = pb, m.m_stack, m.s * m.H
+        rows, den, self.effective_unknowns = [_combine(zip(r, B), n + m.q) for r in P], lp * L, n
+        if predetermined:  # the p-space: the free entries and ker L's part on the forced ones
+            free = m.free_unknowns()
+            d = [_scaled([v[a] for a in range(n) if a not in free])[0] for v in m.ker_l]
+            self.effective_unknowns = len(free) + len(_row_echelon(d, n - len(free)))
+            (rows, den), n = on_unknowns(m, rows, den), len(free) + len(m.ker_l)
+        self._pb, self._den, self._rows, self.n, self._q = pb, den, rows, n, m.q
+        self.echelon = [list(r) for r in rows]
         self.pivots = _row_echelon(self.echelon, n)
-        self.rank_w, self.effective_unknowns = len(self.pivots), n
-        if ker_l:  # the p-space: the free entries and ker L's part on the forced ones
-            forced = sorted(set(range(m.s * m.H)) - set(m.free_unknowns()))
-            d = [_scaled([v[a] for a in forced])[0] for v in ker_l]
-            self.effective_unknowns += len(_row_echelon(d, len(forced))) - len(ker_l)
+        self.rank_w = len(self.pivots)
 
     kernel_dim = property(lambda self: self.effective_unknowns - self.rank_w)
     consistent = property(lambda self: not any(map(any, self.echelon[self.rank_w :])))
@@ -380,8 +375,8 @@ class ConstraintSystem:
 
     @cached_property
     def _matrices(self) -> tuple:
-        ((P, lp), (_, lb)), n = self._src, self.n
-        C, rhs = ([[Fraction(x, lp * lb) for x in r[cols]] for r in self._rows]
+        (P, lp), n = self._pb, self.n
+        C, rhs = ([[Fraction(x, self._den) for x in r[cols]] for r in self._rows]
                   for cols in (slice(n), slice(n, None)))
         D = _rmat([[Fraction(x, lp) for x in row] for row in P])
         return _rmat(C, n), D, _rmat(rhs, self._q)

@@ -17,16 +17,16 @@ z = 0: the model's stage `causal`, rows from the local data that analyze's
 predetermined count shares, already eliminated, with its count of the heads p.
 U dividing it adds the cancellation of the unstable roots: the remainders mod U of
 the entries of one integer product P = adj(pi) [M's solve columns | W] of the stages
-`adj`, an integer pair (A, L), and `rf`, the right factor of `causal` (`_adj_product`),
-which also gives the transfer (adj(pi) R / D + S h(z)) / S, adj(pi) R summed from the
-columns of P.  Neither the rows' echelon form nor the transfer sees a positive
-factor of P.  adj(pi) and P are built only once the split, `REModel.split`, is
-accepted and the rows mod z^(G+H) are consistent (`ConstraintSystem.consistent`):
-a refused model builds neither, and inconsistent rows end the solve in
-no_causal_solution.  Both linear solves, of the rows and of the min-norm point's Gram
-system, are `_solve_rows` on integer rows.  Only `simulate` imports numpy.  The result,
-`SolutionReport`, is a named tuple: h and num/den determine the solution, and a none
-report has no kernel.
+`adj`, an integer pair (A, L), and `rf`, the model's coefficient stack [zeta | w] on
+the solve's unknowns (`_adj_product`), which also gives the transfer
+(adj(pi) R / D + S h(z)) / S, adj(pi) R summed from the columns of P.  Neither the
+rows' echelon form nor the transfer sees a positive factor of P.  adj(pi), rf and P
+are built only once the split, `REModel.split`, is accepted and the rows mod z^(G+H)
+are consistent (`ConstraintSystem.consistent`): a refused model builds none of them,
+and inconsistent rows end the solve in no_causal_solution.  Both linear solves, of
+the rows and of the min-norm point's Gram system, are `_solve_rows` on integer rows.
+Only `simulate` imports numpy.  The result, `SolutionReport`, is a named tuple: h and
+num/den determine the solution, and a none report has no kernel.
 
 A solution y = (num/den) eps is verified by one polynomial identity: with R the
 series of model residuals and T = den R, z^H T = [Lambda | z^H W - U] [num ; den I]
@@ -39,7 +39,6 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from itertools import chain
-from math import lcm
 from operator import mul
 
 from .canon import FactorizationError, factor_stable_unstable  # re-exported
@@ -52,8 +51,9 @@ from .model import REModel
 def _adj_product(adj: tuple, rf: tuple, J1: int) -> tuple:
     """(P, den): adj(pi) [M's free columns | M ker L | W] = P / den, P's entries integer
     coefficient lists, lowest first, by one `_int_product` of A, adj(pi) = A / la the model's
-    stage `adj`, and the columns of rf = (R, lb), its stage `rf`, read as polynomials times
-    z^J1, every coefficient of zeta and w: M = z^J1 zeta(z), W = z^J1 w(z)."""
+    stage `adj`, and the columns of rf = (R, lb), its stage `rf` (m_stack on the solve's
+    unknowns), read as polynomials times z^J1, every coefficient of zeta and w:
+    M = z^J1 zeta(z), W = z^J1 w(z)."""
     (A, la), (R, lb), s = adj, rf, len(adj[0])
     B = [[[0] * J1 + list(f) for f in zip(*R[r::s])] for r in range(s)]
     return _int_product(A, B, len(R[0])), la * lb
@@ -230,9 +230,8 @@ def verify_solution(m: REModel, sr: SolutionReport, max_lag: int = 50) -> dict:
     Psi_<h is the head Psi_0 .. Psi_(h-1).  So T = den R is a polynomial with
     z^H T = [Lambda | z^H W - U] [num ; den I_q], Lambda = sum A_kh z^(k+H-h) and
     U = sum A_kh z^(k+H-h) Psi_<h built from the model's own A_kh: one integer
-    product (`_int_product`) with the left factor on integers: the A_kh from
-    `REModel.numerators`, the w_j from `REModel.wold_numerators` and Psi_<H by
-    `_scaled`.
+    product (`_int_product`) with the left factor on integers: the A_kh and the
+    w_j from `REModel.numerators` and Psi_<H by `_scaled`.
     As den(0) = 1, den is a unit of Q[[z]]: R_0 .. R_L all vanish iff
     coefficients H .. H+L of z^H T are zero.  Only if not is R rebuilt as the
     series of T/den, reporting each failing lag with its first nonzero position
@@ -243,23 +242,22 @@ def verify_solution(m: REModel, sr: SolutionReport, max_lag: int = 50) -> dict:
     s, q, H = m.s, m.q, m.H
     num, den = sr.transfer_num, sr.transfer_den
     head = transfer_series(num, den, H)
-    # [Lambda | z^H W - U] times L: the A_kh over la, Psi_<H over lh, the w_j over lw
-    (la, A), (hs, lh) = m.numerators, _scaled([y for c in head for row in c.entries for y in row])
-    lw, ws = m.wold_numerators
-    L = lcm(la * lh, lw)
+    # [Lambda | z^H W - U] times L = la lh: the A_kh and the w_j over la, Psi_<H over lh
+    (la, A, W), (hs, lh) = m.numerators, _scaled([y for c in head for r in c.entries for y in r])
+    L = la * lh
     left = [[[0] * (max(m.K, len(m.wold) - 1) + H + 1) for _ in range(s + q)] for _ in range(s)]
     for (k, h), a in A.items():
         deg = k + H - h
         for lrow, arow in zip(left, a):
             for r, x in enumerate(arow):
                 if x:
-                    x *= L // (la * lh)
                     lrow[r][deg] += x * lh
                     for j in range(h):
                         for f, y in zip(lrow[s:], hs[(j * s + r) * q : (j * s + r + 1) * q]):
                             f[deg + j] -= x * y
-    for f, w in zip(chain.from_iterable(r[s:] for r in left), chain.from_iterable(ws)):
-        f[H : H + len(w)] = [x + y * (L // lw) for x, y in zip(f[H:], w)]
+    for i, row in enumerate(W):  # row i % s of w_(i // s)
+        for f, y in zip(left[i % s][s:], row):
+            f[H + i // s] += y * lh
     right, lr = _numerators(num.entries + [[den if i == c else _ZERO for c in range(q)]
                                            for i in range(q)])
     zT = _int_product(left, right, q)  # z^H T times L lr

@@ -1012,8 +1012,8 @@ def ref_zeta_coefficients(m: REModel) -> PolyMatrix:
 def ref_m_stack(zc: PolyMatrix, pb: tuple) -> RationalMatrix:
     """The coefficient matrices m_0, m_1, ... of zeta(z) stacked by
     `coeff`, as many as p_stack, pb = (rows, L), has column blocks
-    (none without rows): the reference for the prefix of `REModel.m_stack` that the
-    constraint systems read."""
+    (none without rows): the reference for zeta's columns of `REModel.m_stack` as the
+    constraint systems read them, zero past zeta's degree."""
     n = len(pb[0][0]) // zc.rows if pb[0] else 0
     return vstack([coeff(zc, i) for i in range(n)]) if n else zero_matrix(0, zc.cols)
 
@@ -1276,17 +1276,17 @@ def substitution_set(m: REModel):
 
 
 def ref_wold_poly(m: REModel) -> PolyMatrix:
-    """w(z) = sum_j w_j z^j (s x q) as a polynomial matrix: the Poly form of
-    `REModel.wold_numerators`."""
+    """w(z) = sum_j w_j z^j (s x q) as a polynomial matrix: the Poly form of the w_j in
+    `REModel.numerators`."""
     return PolyMatrix([[Poly([w.entries[i][j] for w in m.wold]) for j in range(m.q)]
                        for i in range(m.s)], m.q)
 
 
 def m_stack_zeta(m: REModel) -> PolyMatrix:
-    """zeta(z) (s x sH) read off build_m_stack(m, K + H), row i s + r coefficient i
-    of zeta's row r over the stack's L: the layout the solve's right factor reads."""
+    """zeta(z) (s x sH) read off the first K + H blocks of build_m_stack(m), row i s + r
+    coefficient i of zeta's row r over the stack's L: the layout the solve's product reads."""
     s, n = m.s, m.K + m.H
-    N, L = build_m_stack(m, n)
+    N, L = build_m_stack(m)
     return PolyMatrix([[_poly([N[i * s + r][c] for i in range(n)], L) for c in range(s * m.H)]
                        for r in range(s)], s * m.H)
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from recausal.constraints import check_rank_bounds
 from recausal.canon import RedundantEquationsError
 from recausal.exactalg import Poly, RationalMatrix
-from recausal.model import ConstraintSystem, REModel, build_pi, frak_p_blocks, right_factor
+from recausal.model import ConstraintSystem, REModel, build_pi, frak_p_blocks
 from recausal.solver import solve_causal, verify_solution
 from conftest import (
     a_kh,
@@ -215,31 +215,38 @@ def test_free_unknowns_are_the_columns_r_keeps(corpus, predetermined_probe):
 
 def test_m_stack_matches_the_coefficient_stack(corpus, predetermined_probe):
     """The pipeline's one m_stack, which both constraint systems, the rank bounds and the
-    solve's product read, is built from the A_kh; it equals zeta's coefficient matrices
-    stacked as far as its longest reader reads: p_stack's column blocks, which the systems
-    read as a prefix, also past zeta's degree (g > J1), and the solve's max(K + H, len(wold))
-    coefficients of zeta and w, also at H = 0."""
+    solve's product read, is built from the A_kh and the w_j; it equals the coefficient
+    matrices [m_i | w_i] of [zeta(z) | w(z)] stacked, all max(K + H, len(wold)) of them,
+    also at H = 0, where zeta has no columns.  The systems' p_stack, wider than zeta's
+    degree where g > J1, meets zero blocks past its end."""
+    # pi = [[1, z^2], [z^2, 0]]: g = (0, 4) and J1 = 1, so p_stack has H + 3 = 4 column blocks
+    # and m_stack max(K + H, len(wold)) = 2
+    wide = [REModel(s=2, K=1, H=1, q=1, gamma=gamma, wold=(RationalMatrix([[1], [2]]),),
+                    A={(0, 1): RationalMatrix([[1, 0], [0, 0]]),
+                       (1, 0): RationalMatrix([[0, 1], [1, 0]])}) for gamma in ((2, 0), (1, 1))]
     models = (list(corpus) + list(predetermined_probe) + ladder_shaped_models()
-              + planted_models() + deep_planted_models())
-    n_h0 = n_wide = n_solve = 0
+              + planted_models() + deep_planted_models() + wide)
+    n_h0 = n_wide = n_past = 0
     for m in models:
-        zc = m_stack_zeta(m)
-        assert zc == ref_zeta_coefficients(m) and (zc.rows, zc.cols) == (m.s, m.s * m.H)
+        zc, s, n = m_stack_zeta(m), m.s, m.s * m.H
+        assert zc == ref_zeta_coefficients(m) and (zc.rows, zc.cols) == (m.s, n)
         N, L = m.m_stack
+        assert len(N) == s * max(m.K + m.H, len(m.wold)) and all(len(r) == n + m.q for r in N)
+        full = [coeff(zc, i).entries for i in range(len(N) // s)]
+        assert [[Fraction(x, L) for x in row[:n]] for row in N] == [row for c in full for row in c]
+        wold = [w.entries for w in m.wold] + [[[0] * m.q] * s] * (len(N) // s - len(m.wold))
+        assert [[Fraction(x, L) for x in row[n:]] for row in N] == [row for w in wold for row in w]
         ref = ref_m_stack(zc, frak_p_blocks(m.local, m.pi.J1, m.H))  # as wide as p_stack
-        assert len(N) == max(ref.rows, m.s * (m.K + m.H), m.s * len(m.wold))
-        full = [coeff(zc, i).entries for i in range(len(N) // m.s)]
-        assert [[Fraction(x, L) for x in row] for row in N] == [row for c in full for row in c]
-        assert [[Fraction(x, L) for x in row] for row in N[: ref.rows]] == ref.entries
-        assert all(len(row) == m.s * m.H for row in N)
-        n_solve += len(N) > ref.rows
+        assert [[Fraction(x, L) for x in row[:n]] for row in N[: ref.rows]] == ref.entries[: len(N)]
+        assert not any(map(any, ref.entries[len(N) :]))  # past zeta's degree
+        n_past += ref.rows > len(N)
         if m.H == 0:  # p_stack has no rows, and g <= J1 here, so no column blocks either
-            assert ref.rows == ref.cols == 0 and len(N) == m.s * max(m.K, len(m.wold))
+            assert ref.rows == ref.cols == 0
             n_h0 += 1
             continue
         n_wide += ref.rows > m.s * (max_degree(zc) + 1)
         assert ref.rows == m.plain_cs.D.cols and m.cs.D.cols == (ref.rows if m.cs.D.rows else 0)
-    assert n_h0 == 2 and n_wide == 18 and n_solve > 0, (n_h0, n_wide, n_solve)
+    assert (n_h0, n_wide, n_past) == (2, 20, 2)
 
 
 def test_predetermined_system_matches_the_poly_causal_rows(corpus, predetermined_probe):
@@ -380,9 +387,9 @@ def test_integer_ranks_match_a_fraction_reference(corpus, predetermined_probe):
 
 def test_predetermined_count_weights_the_scaled_rows():
     """A p_stack row p_1 = c p_0 counts once, also when p_0 and p_1 have different lcms of
-    their denominators: P^-1's rows are held over one denominator, and m_stack and the w_j
+    their denominators: P^-1's rows are held over one denominator, and m_stack, [zeta | w],
     over another.  s = 2, H = 1, gamma = (1, 1), g = 0 and J1 = 0, so the system is the
-    one row block P^-1 m_0 on the free entry of h, given no ker L."""
+    one row block P^-1 [m_0 | w_0] on the free entry of h, given no ker L."""
     rng = random.Random(35)
     n_unequal = n_rank = 0
     for _ in range(30):
@@ -391,9 +398,10 @@ def test_predetermined_count_weights_the_scaled_rows():
         loc = int_local((0, 0), (RationalMatrix([p0, [c * x for x in p0]]),))
         m = REModel(s=2, K=0, H=1, q=1, A={(0, 0): identity_matrix(2)}, gamma=(1, 1),
                     wold=(RationalMatrix([[rand_frac(rng)], [rand_frac(rng)]]),))
-        ms = int_stack(RationalMatrix([[rand_frac(rng, nonzero=True), rand_frac(rng)]
-                                       for _ in range(2)]))
-        cs = ConstraintSystem(m, frak_p_blocks(loc, 0, 1, causal=True), right_factor(m, ms, (0,), []), [])
+        m.artifacts["m_stack"] = int_stack(RationalMatrix(
+            [[rand_frac(rng, nonzero=True), rand_frac(rng), w] for (w,) in m.wold[0].entries]))
+        m.artifacts["ker_l"] = []
+        cs = ConstraintSystem(m, frak_p_blocks(loc, 0, 1, causal=True), True)
         assert cs.C.rows == 2 and cs.C.entries[1] == [c * x for x in cs.C.entries[0]]
         assert cs.rank_w == rank_of(cs.C) == any(cs.C.entries[0]) and cs.kernel_dim == 1 - cs.rank_w
         n_unequal += lcm(*(x.denominator for x in p0)) != lcm(*((c * x).denominator for x in p0))

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from datetime import timedelta
 from fractions import Fraction
 from functools import reduce
@@ -19,6 +20,7 @@ from recausal.model import (
     REModel,
     build_pi,
     parse_model,
+    parse_xi,
     validate_semantics,
 )
 from conftest import (
@@ -97,13 +99,31 @@ def test_unread_keys_are_ignored():
     assert not hasattr(plain, "r_hint")
 
 
+# Python 3.10's `fractions.Fraction` string grammar, the one rat reads on every version;
+# from 3.11 on Fraction also reads underscores, and from 3.12 on whitespace next to "/"
+FRACTION_310 = re.compile(r"""
+    \A\s*(?P<sign>[-+]?)(?=\d|\.\d)(?P<num>\d*)
+    (?:(?:/(?P<denom>\d+))?|(?:\.(?P<decimal>\d*))?(?:E(?P<exp>[-+]?\d+))?)\s*\Z
+""", re.VERBOSE | re.IGNORECASE)
+
+
+def fraction_310(text):
+    """Fraction(text) as Python 3.10 reads it."""
+    if not FRACTION_310.match(text):
+        raise ValueError(f"Invalid literal for Fraction: {text!r}")
+    return Fraction(text)
+
+
 @pytest.mark.parametrize(
     "text", ["1/0", "abc", "1.5", " 3", "+3", "3/-4", "1_000", "\u0663", "-0", "007/014",
-             "1e3", "-2.5e-3", "1E+4300", "1e+-5", "1e5__0", "1e_5", "1e5_0"]
+             "1e3", "-2.5e-3", "1E+4300", "1e+-5", "1e5__0", "1e_5", "1e5_0",
+             "1_0/3", "1 / 2", "1/ 2", "1 /2", "1.d", "1.5D"]
 )
 def test_rat_reads_strings_as_fraction_does(text):
-    """rat reads ASCII "p" and "p/q" by int() and the rest by Fraction: either
-    way the value, or the exception and its message, is Fraction's."""
+    """rat reads ASCII "p" and "p/q" by int() and the rest by Fraction on Python 3.10's
+    grammar: either way the value, or the exception and its message, is 3.10's Fraction's,
+    for a model entry and xi too.  From 3.11 on Fraction reads "1_000" and "1_0/3", from 3.12
+    on "1 / 2", and 3.11-3.12 pass "1.d" to int(), which words its error otherwise."""
 
     def outcome(read):
         try:
@@ -112,15 +132,18 @@ def test_rat_reads_strings_as_fraction_does(text):
             return type(exc), str(exc)
         return type(x), x
 
-    assert outcome(rat) == outcome(Fraction)
+    want = outcome(fraction_310)
+    assert outcome(rat) == want
     doc = _sims_doc()
     doc["A"][0]["matrix"][0][0] = text
     try:
         got = parse_model(json.dumps(doc)).A[0, 0].entries[0][0]
     except ModelFormatError as exc:
         got = str(exc)
-    want = outcome(Fraction)
     assert got == (want[1] if want[0] is Fraction else f"A[0,0]: malformed rational entry: {want[1]}")
+    if want[0] is not Fraction:
+        with pytest.raises(ModelFormatError, match="xi must be a rational number"):
+            parse_xi(text)
 
 
 def test_parse_rejects_float_entries():
@@ -258,13 +281,14 @@ def test_build_pi_matches_the_fraction_assembly_on_draws(m):
 
 def test_numerators_are_memoized_per_model(corpus):
     """m.numerators is computed once per model, like `artifacts`; a model from
-    _replace starts without it; its rows are the A_kh times the lcm L of their
-    denominators."""
+    _replace starts without it; its rows are the A_kh times the lcm L of the
+    denominators of the A_kh and the w_j."""
     for m in [sims_model(), *corpus]:
         assert m.numerators is m.numerators
         assert "numerators" not in m._replace().__dict__
-        L, num = m.numerators
-        assert L == lcm(*(x.denominator for a in m.A.values() for row in a.entries for x in row))
+        L, num, _ = m.numerators
+        assert L == lcm(*(x.denominator for a in (*m.A.values(), *m.wold) for row in a.entries
+                          for x in row))
         assert set(num) == set(m.A)
         for kh, a in m.A.items():
             scaled = [[x * L for x in row] for row in a.entries]
@@ -273,17 +297,18 @@ def test_numerators_are_memoized_per_model(corpus):
 
 
 def test_wold_numerators_are_memoized_per_model(corpus):
-    """m.wold_numerators is computed once per model, like `numerators`; a model from
-    _replace starts without it; entry (i, c) lists the coefficients of w(z)'s entry
-    (i, c) times the lcm L of the w_j denominators."""
+    """The W of m.numerators, computed with it once per model, is w(z) = sum_j w_j z^j
+    times the same L: the w_j stacked as integer rows, row j s + r holding row r of w_j."""
     for m in [sims_model(), *corpus]:
-        assert m.wold_numerators is m.wold_numerators
-        assert "wold_numerators" not in m._replace().__dict__
-        L, W = m.wold_numerators
-        assert L == lcm(*(x.denominator for w in m.wold for row in w.entries for x in row))
-        assert (len(W), {len(row) for row in W}) == (m.s, {m.q})
-        assert PolyMatrix([[_poly(list(f), L) for f in row] for row in W], m.q) == ref_wold_poly(m)
-        assert all(len(f) == len(m.wold) for row in W for f in row)
+        L, _, W = m.numerators
+        assert W is m.numerators[2] and "numerators" not in m._replace().__dict__
+        assert (len(W), {len(row) for row in W}) == (m.s * len(m.wold), {m.q})
+        assert [[Fraction(x, L) for x in row] for row in W] == [
+            row for w in m.wold for row in w.entries]
+        s = m.s
+        wz = [[_poly([W[j * s + i][c] for j in range(len(m.wold))], L) for c in range(m.q)]
+              for i in range(s)]
+        assert PolyMatrix(wz, m.q) == ref_wold_poly(m)
 
 
 def test_det_degree_bound():

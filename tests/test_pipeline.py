@@ -86,18 +86,55 @@ def solvable_planted_s4():
 def test_each_artifact_computed_once(monkeypatch, which):
     """sims is predetermined with G > 0 and planted-s4 plain with G > 0: the g and
     ranks of both come from the row reduction, so neither computes a global Smith form.
-    zeta's stack is one stage for the systems, the bounds and the solve, and so is the right
-    factor on the solve's unknowns; only sims' plain system, on all sH entries of h and
-    no ker L, lays out a second right factor."""
+    The coefficient stack [zeta | w] is one stage for the systems, the bounds and the solve.
+    Only sims, predetermined, maps rows onto the solve's unknowns: its causal rows, and its
+    stack once for the solve's product; a plain model's unknowns are all sH entries of h."""
     if which == "sims":
         m = parse_model(SIMS_JSON)
     else:
         m = solvable_planted_s4()._replace()  # same model, empty memo
-    stack = ("model.build_m_stack", "model.right_factor")
+    stack = ("model.build_m_stack", "model.on_unknowns")
     counts = count_calls(monkeypatch, COUNTED + stack)
     analyze_solve_verify(m)
     assert counts == {**dict.fromkeys(COUNTED, 1), "canon.smith_form": 0,
-                      "model.build_m_stack": 1, "model.right_factor": 2 if which == "sims" else 1}
+                      "model.build_m_stack": 1, "model.on_unknowns": 2 if which == "sims" else 0}
+
+
+def test_only_the_solve_lays_out_its_unknowns(monkeypatch, corpus, predetermined_probe):
+    """The stage `rf`, m_stack on the solve's unknowns, is read by the solve's product with
+    adj pi alone: analyze, constraints (C) and probe build it on no model of the five sets,
+    nor on a probe trial's model, and a solve past the split builds it exactly when the causal
+    rows are consistent.  m_stack, [zeta | w], needs no local data and no pi."""
+    trials, perturb = [], recausal.dimension._perturb
+
+    def recorded(m, rng):
+        trials.append(perturb(m, rng))
+        return trials[-1]
+
+    monkeypatch.setattr(recausal.dimension, "_perturb", recorded)
+    models = (list(corpus) + list(predetermined_probe) + ladder_shaped_models() + planted_models()
+              + deep_planted_models())
+    n_rf = n_pred = n_none = 0
+    for m in models:
+        fresh = m._replace()
+        assert fresh.m_stack is fresh.m_stack and set(fresh.artifacts) == {"m_stack"}
+        m = m._replace()
+        dimension_report(m)
+        validate_semantics(m)
+        m.cs.C
+        genericity_probe(m, trials=2)
+        assert len(trials) == 2 and not any("rf" in t.artifacts for t in [m, *trials])
+        trials.clear()
+        try:
+            m.split
+        except (FactorizationError, UnsupportedModelError, UnitCircleRootError):
+            continue
+        solve_causal(m)
+        assert ("rf" in m.artifacts) == m.causal.consistent
+        n_rf += "rf" in m.artifacts
+        n_pred += m.predetermined and "rf" in m.artifacts
+        n_none += not m.causal.consistent
+    assert (n_rf, n_pred, n_none) == (54, 13, 30), (n_rf, n_pred, n_none)
 
 
 def test_cli_analyze_computes_once(monkeypatch, capsys):

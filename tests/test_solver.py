@@ -1135,7 +1135,8 @@ def test_solve_and_verify_read_no_smith_or_constraint_stage(
         m = m._replace()
         try:
             sr = solve_causal(m)
-        except (FactorizationError, UnsupportedModelError, RedundantEquationsError):
+        except (FactorizationError, UnsupportedModelError, RedundantEquationsError,
+                UnitCircleRootError):  # tests/golden/ring.json: a root on the unit circle
             sr = None
         if sr is not None and sr.transfer_num is not None:
             assert verify_solution(m, sr)["ok"]
