@@ -40,8 +40,8 @@ from math import ceil, frexp, inf, isqrt, ldexp, log2, prod
 from sys import float_info
 
 from .exactalg import (
-    Poly, PolyMatrix, _UNIT, _ZERO, _det_adjugate, _int_product, _numerators, _poly,
-    _row_echelon, rat, squarefree_factors,
+    Poly, PolyMatrix, _UNIT, _ZERO, _int_product, _numerators, _poly,
+    _row_echelon, det_adjugate, rat, squarefree_factors,
 )
 
 
@@ -98,9 +98,9 @@ class SmithForm:
 
 
 def _unimodular_inverse(M: PolyMatrix) -> PolyMatrix:
-    """adj M / det M = A / (L det M) for a constant det M, from `_det_adjugate`'s integer
-    pair (A, L): the public det_adjugate stays the count of det pi work."""
-    det, (A, L) = _det_adjugate(M)
+    """adj M / det M = A / (L det M) for a constant det M, from `det_adjugate`'s integer
+    pair (A, L)."""
+    det, (A, L) = det_adjugate(M)
     c = 1 / det[0]
     return PolyMatrix([[_poly([x * c.numerator for x in f], L * c.denominator) for f in row]
                        for row in A])

@@ -341,24 +341,26 @@ def _error(message, code: int) -> int:
 
 def main(argv=None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else argv)
-    invalid = _parse_options(args)
-    if invalid:
-        return _error(invalid, 2)
-    try:
-        m = _load_model(args.model, args.xi)
-    except OSError as exc:  # around reading alone: a BrokenPipeError of print is no usage error
-        return _error(exc, 2)
-    except ModelFormatError as exc:
-        return _error(exc, 1)
-    if args.command == "verify" and args.max_lag < m.H:  # only verify reads --max-lag
-        return _error(f"--max-lag must be at least H = {m.H}", 2)
-    # CPython refuses str() of an int past 4300 digits (by default, where the limit exists),
-    # which guards against quadratic conversion of untrusted text; `rat` bounds the model's
-    # exponents already, so the limit is lifted while the report is formed and printed
+    # CPython refuses int() of a string and str() of an int past 4300 digits (by default,
+    # where the limit exists), which guards against quadratic conversion of untrusted text;
+    # `rat` and parse_model refuse every number of more than 4300 digits themselves, so the
+    # limit is lifted from reading --xi to printing the report: the model's numbers then
+    # read alike under every limit, and a report may print longer ones
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     try:
         if limit is not None:
             sys.set_int_max_str_digits(0)
+        invalid = _parse_options(args)
+        if invalid:
+            return _error(invalid, 2)
+        try:
+            m = _load_model(args.model, args.xi)
+        except OSError as exc:  # around reading alone: a BrokenPipeError of print is no usage error
+            return _error(exc, 2)
+        except ModelFormatError as exc:
+            return _error(exc, 1)
+        if args.command == "verify" and args.max_lag < m.H:  # only verify reads --max-lag
+            return _error(f"--max-lag must be at least H = {m.H}", 2)
         doc = _COMMANDS[args.command](m, args)
         _emit(doc, args.format)
         if args.command == "verify" and not doc["ok"]:

@@ -5,14 +5,15 @@ numerators `num` over one positive common denominator `den`, in lowest terms
 with trailing zeros trimmed, so its arithmetic runs on Python integers with
 one normalisation per result.  `Poly.addmul(f, g)` is self + f*g as one such
 result, accumulated on the numerators over their common denominator; `Poly`
-products and the Smith elimination's row operations use it.  Every matrix
-product of the commands is `_int_product` on integer coefficient lists or `_combine`
-on integer rows: a `PolyMatrix` multiplies only by a scalar, and a `RationalMatrix`
-only holds entries.  `determinant` (Bareiss, O(n^3)),
-`det_adjugate` (Faddeev-LeVerrier, O(n^4)) and `_int_product` run on integer
-matrices L*M(2^b) (Kronecker substitution) and read their results off
-base-2^b digits; `det_adjugate` keeps adj M as those digits, integer
-coefficient lists over one denominator, and builds no Poly per entry.
+sums, differences and products and the Smith elimination's row operations use
+it.  Every matrix product of the commands is `_int_product` on integer
+coefficient lists or `_combine` on integer rows: a `PolyMatrix` multiplies only
+by a scalar, and a `RationalMatrix` only holds entries.  `determinant` (Bareiss,
+O(n^3)), `det_adjugate` (one Faddeev-LeVerrier pass, O(n^4), for adj pi and the
+Smith form's unimodular inverses) and `_int_product` run on integer matrices
+L*M(2^b) (Kronecker substitution) and read their results off base-2^b digits;
+`det_adjugate` keeps adj M as those digits, integer coefficient lists over one
+denominator, and builds no Poly per entry.
 `determinant` takes M's `_numerators` (pi's: `PiPolynomial.numerators`).
 Every elimination runs on integer rows: the linear solves (`_solve_rows`), the
 constraint ranks and their kernels (`_echelon_kernel`) share one fraction-free
@@ -37,11 +38,14 @@ _NIL, _ONE = Fraction(0), Fraction(1)  # shared zero entries, and the one of a k
 
 def rat(x) -> Fraction:
     """Coerce ints, strings like "p/q", and Fractions to Fraction, a string on Python 3.10's
-    Fraction grammar on every version; a decimal exponent past 4300 in magnitude, for which
-    Fraction computes 10**exp, is a ValueError."""
+    Fraction grammar on every version; a run of more than 4300 digits, which CPython's int()
+    words by version or reads under a lifted limit, and a decimal exponent past 4300 in
+    magnitude, for which Fraction computes 10**exp, are a ValueError."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, str):
+        if len(x) > 4300 and (run := re.search(r"\d{4301,}", x)):
+            raise ValueError(f"a run of {len(run[0])} digits exceeds the limit (4300)")
         p, slash, q = x.partition("/")  # ASCII "p" and "p/q" by int(), the rest by Fraction
         if x.isascii() and p.removeprefix("-").isdigit() and (q.isdigit() or not slash):
             return Fraction(int(p), int(q or 1))
@@ -142,23 +146,10 @@ class Poly:
         return _poly([-n for n in self.num], self.den)
 
     def __add__(self, other):
-        other = _as_poly(other)
-        a, b, da, db = self.num, other.num, self.den, other.den
-        if da != db:
-            g = gcd(da, db)
-            ma, mb = db // g, da // g
-            a = [n * ma for n in a]
-            b = [n * mb for n in b]
-            da *= ma
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, n in enumerate(b):
-            out[i] += n
-        return _poly(out, da)
+        return self.addmul(_as_poly(other), _UNIT)
 
     def __sub__(self, other):
-        return self + (-_as_poly(other))
+        return self.addmul(_as_poly(other), _MINUS)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -291,7 +282,8 @@ def _poly(num: list, den: int = 1) -> Poly:
     return p
 
 
-_ZERO, _UNIT = _poly([]), _poly([1])  # shared entries of zero and identity matrices
+# shared entries of zero and identity matrices, and the factor of a difference
+_ZERO, _UNIT, _MINUS = _poly([]), _poly([1]), _poly([-1])
 
 
 def _as_poly(x) -> Poly:
@@ -381,11 +373,6 @@ class PolyMatrix:
         return f"PolyMatrix({self.entries!r})"
 
 
-def det_adjugate(M: PolyMatrix):
-    """(det M, (A, L)) with M * adj M = det(M) * I and adj M = A / L, by `_det_adjugate`."""
-    return _det_adjugate(M)
-
-
 def _pack(N: list):
     """(A, b): A = N(2^b) for a square matrix N of integer coefficient lists.  Each
     coefficient of det N and of its (n-1)-minors is at most B = prod_i max(1, sum_j
@@ -442,7 +429,7 @@ def determinant(N: list, L: int) -> Poly:
     return _poly(_unpack(sign * A[-1][-1] if n else 1, b), L**n)
 
 
-def _det_adjugate(M: PolyMatrix):
+def det_adjugate(M: PolyMatrix):
     """(det M, (A, L)) with M * adj M = det(M) * I and adj M = A / L, A[i][j] the integer
     coefficients of entry (i, j), lowest first, over one L > 0, the pair in lowest terms:
     the digits and L^(n-1) divided by one gcd.  One Faddeev-LeVerrier pass
@@ -529,7 +516,9 @@ def _combine(terms, width: int = 0) -> list:
 
 
 def _row_echelon(entries, ncols):
-    """In-place fraction-free Gauss-Jordan on integer rows; returns the pivot columns.
+    """Fraction-free Gauss-Jordan on the integer rows of the list entries; returns the pivot
+    columns.  It reorders and replaces the list's entries and never writes into a row, so a
+    caller may pass a new list of rows it shares, such as a slice of the memoized m_stack.
 
     The pivot of each column is its smallest nonzero entry in magnitude, ties
     by lowest row index.  Every other row r with f = r[c] != 0 becomes

@@ -212,10 +212,16 @@ def parse_xi(value) -> Fraction:
     return xi
 
 
+def _json_int(literal: str):
+    """A JSON integer literal as an int or, past 4300 digits, as the string itself, which
+    every field refuses: an entry or xi by `rat`'s rule, the counts as no integer."""
+    return int(literal) if len(literal) - literal.startswith("-") <= 4300 else literal
+
+
 def parse_model(text: str) -> REModel:
     """Parse and validate a model from its JSON document."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_int=_json_int)
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ModelFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -363,7 +369,7 @@ class ConstraintSystem:
             self.effective_unknowns = len(free) + len(_row_echelon(d, n - len(free)))
             (rows, den), n = on_unknowns(m, rows, den), len(free) + len(m.ker_l)
         self._pb, self._den, self._rows, self.n, self._q = pb, den, rows, n, m.q
-        self.echelon = [list(r) for r in rows]
+        self.echelon = list(rows)
         self.pivots = _row_echelon(self.echelon, n)
         self.rank_w = len(self.pivots)
 

@@ -41,9 +41,9 @@ from fractions import Fraction
 from itertools import chain
 from operator import mul
 
-from .canon import FactorizationError, factor_stable_unstable  # re-exported
+from .canon import factor_stable_unstable  # re-exported: perfbench times it as solver's
 from .canon import KernelPointError, UnsupportedModelError
-from .exactalg import Poly, PolyMatrix, RationalMatrix, _ZERO, _combine, _int_product, _numerators
+from .exactalg import Poly, PolyMatrix, _ZERO, _combine, _int_product, _numerators
 from .exactalg import _poly, _rmat, _scaled, _solve_rows, poly_gcd
 from .model import REModel
 
@@ -133,7 +133,7 @@ def solve_causal(m: REModel, kernel_point: str = "min-norm") -> SolutionReport:
     X = None
     if cs.consistent:  # else no p passes z^(G+H), and adj pi is never built
         P = _adj_product(m.adj, m.rf, m.pi.J1)
-        rows = [list(r) for r in cs.echelon]  # z^(G+H), then U = D / z^G
+        rows = list(cs.echelon)  # z^(G+H), then U = D / z^G
         rows += _cancellation_rows(P[0], D.shift(-m.roots.zero_multiplicity))
         X, kern = _solve_rows(rows, cs.n, q)
     if X is None:
@@ -194,7 +194,7 @@ def build_transfer(m, split, P, free, h):
         common = poly_gcd(common, e)
         if common.is_constant():
             break
-    if not common.is_constant() and not common.is_zero():
+    if not common.is_constant():
         num = PolyMatrix([[e.exact_div(common) for e in row] for row in num.entries])
         den = den.exact_div(common)
     c0 = den[0]
@@ -219,7 +219,7 @@ def transfer_series(num: PolyMatrix, den: Poly, n: int):
                     acc -= dcoef[l] * out[j - l][i][c]
                 mat[i][c] = acc
         out.append(mat)
-    return [RationalMatrix(mtx) for mtx in out]
+    return [_rmat(mtx, q) for mtx in out]
 
 
 def verify_solution(m: REModel, sr: SolutionReport, max_lag: int = 50) -> dict:

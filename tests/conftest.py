@@ -15,6 +15,7 @@ from math import isqrt, lcm, prod
 import pytest
 
 from recausal.canon import (
+    FactorizationError,
     LocalSmith,
     RedundantEquationsError,
     RootClassification,
@@ -43,7 +44,7 @@ from recausal.exactalg import (
     rat_str,
 )
 from recausal.model import SCHEMA_VERSION, REModel, build_m_stack, build_pi, frak_p_blocks
-from recausal.solver import FactorizationError, _cancellation_rows, factor_stable_unstable
+from recausal.solver import _cancellation_rows, factor_stable_unstable
 
 
 # one PASS/FAIL line per acceptance criterion, emitted after the run summary

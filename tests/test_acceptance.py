@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 import conftest
-from recausal.canon import UnitCircleRootError, smith_form
+from recausal.canon import FactorizationError, UnitCircleRootError, smith_form
 from recausal.constraints import check_rank_bounds
 from recausal.dimension import dimension_report
 from recausal.exactalg import (
@@ -24,7 +24,6 @@ from recausal.exactalg import (
 )
 from recausal.model import REModel, build_pi, parse_model
 from recausal.solver import (
-    FactorizationError,
     UnsupportedModelError,
     solve_causal,
     transfer_series,

@@ -459,6 +459,44 @@ def test_decimal_exponent_past_the_digit_limit_is_one_error_line(capsys, tmp_pat
     assert (rat("1e3"), rat("-2.5e-3"), rat("1e4300") == 10**4300) == (1000, Fraction(-1, 400), True)
 
 
+def test_a_run_past_4300_digits_is_one_error_line(capsys, tmp_path):
+    """A run of more than 4300 digits in a number of the model is refused in recausal's own
+    words, alike under the interpreter's default int-to-str digit limit, none (0) and the
+    lowest (640): a string entry, a decimal fraction, a bare JSON integer as an entry or as
+    s, and xi in the file are one error line and exit 1, --xi exit 2.  A run of 4300 parses."""
+    digits = "1" * 5000
+    entry = "A[0,0]: malformed rational entry: a run of 5000 digits exceeds the limit (4300)"
+    xi = f"xi must be a rational number, got '{digits}'"
+    cases = [("A", f'"{digits}"', entry), ("A", f'"0.{digits}"', entry), ("A", digits, entry),
+             ("wold", f"-{digits}", entry.replace("A[0,0]", "wold[0]")),
+             ("s", digits, "'s' must be a non-negative integer"),
+             ("xi", f'"{digits}"', xi), ("xi", digits, xi)]
+    doc, path = json.loads(Path(SIMS).read_text()), tmp_path / "model.json"
+
+    def analyze(field, value):  # value: the JSON text of the field's number
+        bad = json.loads(json.dumps(doc))
+        if field in ("s", "xi"):
+            bad[field] = "?"
+        else:
+            (bad["A"][0]["matrix"] if field == "A" else bad["wold"][0])[0][0] = "?"
+        path.write_text(json.dumps(bad).replace('"?"', value))
+        return run(capsys, "analyze", str(path))
+
+    default = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    for limit in (None,) if default is None else (default, 0, 640):
+        try:
+            if limit is not None:
+                sys.set_int_max_str_digits(limit)
+            for field, value, message in cases:
+                assert analyze(field, value) == (1, "", f"error: {message}\n"), (limit, field, value[:3])
+            assert run(capsys, "analyze", SIMS, "--xi", digits) == (2, "", f"error: --xi: {xi}\n")
+            for value in ('"' + "1" * 4300 + '"', "1" * 4300):
+                assert analyze("A", value)[0] == 0, (limit, value[:3])
+        finally:
+            if default is not None:
+                sys.set_int_max_str_digits(default)
+
+
 # pi(z) = 10^-4300 + 10^4300 z: the report's rationals pass CPython's default limit of 4300
 # digits for str() of an int, which the decimal exponents that `rat` accepts stay within
 BEYOND_THE_DIGIT_LIMIT = """{"s": 1, "K": 0, "H": 1, "q": 1, "gamma": [1, 0],

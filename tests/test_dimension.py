@@ -10,10 +10,9 @@ import pytest
 from recausal import dimension
 from recausal.dimension import _perturb, dimension_report, genericity_probe
 from recausal.exactalg import Poly, RationalMatrix, det_adjugate
-from recausal.canon import RedundantEquationsError, UnitCircleRootError
+from recausal.canon import FactorizationError, RedundantEquationsError, UnitCircleRootError
 from recausal.model import REModel, build_pi, parse_model, validate_semantics
 from recausal.solver import (
-    FactorizationError,
     UnsupportedModelError,
     solve_causal,
     verify_solution,

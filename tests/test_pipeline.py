@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 import recausal
 from recausal import canon, exactalg
 from recausal.canon import (
-    LocalSmith, RedundantEquationsError, RootClassification, UnitCircleRootError, classify_roots,
+    FactorizationError, LocalSmith, RedundantEquationsError, RootClassification,
+    UnitCircleRootError, classify_roots,
 )
 from recausal.cli import main
 from recausal.dimension import dimension_report, genericity_probe
@@ -29,7 +30,7 @@ from recausal.model import (
     ConstraintSystem, PiPolynomial, REModel, build_pi, parse_model, validate_semantics,
 )
 from recausal.solver import (
-    FactorizationError, SolutionReport, UnsupportedModelError, solve_causal, verify_solution,
+    SolutionReport, UnsupportedModelError, solve_causal, verify_solution,
 )
 from conftest import (
     SIMS_JSON, deep_planted_models, ladder_shaped_models, planted_model, planted_models, random_model,
@@ -307,6 +308,48 @@ def test_every_elimination_sees_integer_rows(monkeypatch):
     assert not bad and calls[0] > 0, (calls, bad)
 
 
+def test_eliminations_write_into_no_row(monkeypatch):
+    """`_row_echelon` and `_solve_rows` reorder and replace the entries of the list they are
+    handed and write into none of its rows, so their callers hand them new lists of rows
+    they share (ConstraintSystem its product rows, the solve the causal stage's echelon
+    rows, check_rank_bounds slices of the memoized m_stack): after validate, analyze, C,
+    probe, solve and verify on the golden and planted models, every row handed to either,
+    rebound wherever src binds it, holds what it held when it was handed over."""
+    handed = []  # (row, a copy of it when handed over)
+
+    def spy(fn):
+        def wrapper(rows, *args):
+            handed.extend((row, list(row)) for row in rows)
+            return fn(rows, *args)
+        return wrapper
+
+    for fn in (exactalg._row_echelon, exactalg._solve_rows):
+        wrapped = spy(fn)
+        for mod in [mod for n, mod in sys.modules.items() if n.split(".")[0] == "recausal"]:
+            for attr, val in list(vars(mod).items()):
+                if val is fn:
+                    monkeypatch.setattr(mod, attr, wrapped)
+    refusals = (RedundantEquationsError, UnitCircleRootError, UnsupportedModelError,
+                FactorizationError)
+    paths = [*(ROOT / "models").glob("*.json"), *GOLDEN.glob("*.json")]
+    models = [parse_model(p.read_text()) for p in paths
+              if p.name not in ("cases.json", "digest.json", "outcomes.json")]
+    for m in [*models, *planted_models()]:
+        validate_semantics(m)
+        for step in (dimension_report, lambda m: m.cs.C, lambda m: genericity_probe(m, trials=2)):
+            try:
+                step(m)
+            except refusals:
+                pass
+        try:
+            sr = solve_causal(m)
+        except refusals:
+            continue
+        if sr.transfer_num is not None:
+            verify_solution(m, sr)
+    assert handed and all(row == copy for row, copy in handed)
+
+
 def test_pi_rows_are_derived_once(monkeypatch, capsys, tmp_path):
     """pi's integer rows are derived from its Poly entries once per pi, by `build_pi`,
     which keeps them in `PiPolynomial.numerators` for determinant and local_form:
@@ -562,6 +605,51 @@ def test_traced_layers_stay_bound_under_their_module_names():
         assert all(callable(getattr(mod, name, None)) for name in names), modname
     assert not any(hasattr(importlib.import_module("recausal." + name.split(".")[0]),
                            name.split(".")[1]) for name in REMOVED_LAYERS)
+
+
+def test_perfbench_reads_of_src_resolve(monkeypatch):
+    """What perfbench's worker and span recorder read of src, besides the names that
+    spans.TARGETS wraps: run_case answers or raises a refusal that worker.REFUSALS names,
+    planted_facts reads g and the unstable roots off pi, and spans.MEASURES reads the bit
+    sizes off what build_plain_system and build_transfer return.  On models/sims.json, a
+    solvable planted draw and a refused ladder draw; handle and main, which arm and catch
+    SIGALRM, are not run."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    worker, spans = (_load_path(ROOT / "perfbench" / f"{name}.py") for name in ("worker", "spans"))
+    gen = importlib.import_module("gen")
+    returns = []  # (layer, what the layer returned)
+
+    def capture(layer, fn):
+        def wrapper(*args, **kwargs):
+            returns.append((layer, out := fn(*args, **kwargs)))
+            return out
+        return wrapper
+
+    for layer in ("constraints.build_plain_system", "solver.build_transfer"):
+        modname, name = layer.split(".")
+        mod = importlib.import_module("recausal." + modname)
+        monkeypatch.setattr(mod, name, capture(layer, getattr(mod, name)))
+    texts = [SIMS_JSON, gen.to_json(gen.planted_model(101, 0)),
+             gen.to_json(gen.ladder_model(101, 1))]
+    refused = 0
+    for text in texts:
+        try:
+            worker.run_case(text)
+        except Exception as exc:
+            assert type(exc).__name__ in worker.REFUSALS, exc
+            refused += 1
+        g, unstable = worker.planted_facts(parse_model(text))
+        assert type(g) is list and all(type(gi) is int for gi in g) and type(unstable) is int
+    assert refused == 1 and {layer for layer, _ in returns} == {
+        "constraints.build_plain_system", "solver.build_transfer"}
+    assert all(type(spans.MEASURES[layer][1](out)) is int for layer, out in returns)
+
+
+def _load_path(path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_every_src_function_has_a_src_reader():

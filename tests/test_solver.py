@@ -14,8 +14,8 @@ from hypothesis.extra import numpy as hnp
 
 from recausal import canon, model, solver
 from recausal.canon import (
-    RedundantEquationsError, SmithForm, UnitCircleRootError, _unstable_part, classify_roots,
-    smith_form,
+    FactorizationError, RedundantEquationsError, SmithForm, UnitCircleRootError, _unstable_part,
+    classify_roots, smith_form,
 )
 from recausal.cli import _emit, cmd_smith, cmd_solve, cmd_verify, parse_args
 from recausal.dimension import dimension_report
@@ -24,7 +24,6 @@ from recausal.exactalg import (
 )
 from recausal.model import REModel, build_pi, parse_model, validate_semantics
 from recausal.solver import (
-    FactorizationError,
     SolutionReport,
     UnsupportedModelError,
     _adj_product,
@@ -1145,7 +1144,7 @@ def test_solve_and_verify_read_no_smith_or_constraint_stage(
         assert not calls
         assert not {"sf", "plain_cs", "cs"} & set(m.artifacts)
         assert ("causal" in m.artifacts) == ("local" in m.artifacts) == (sr is not None)
-    assert n_solved == 45, n_solved
+    assert n_solved == 46, n_solved
 
 
 def _assert_adj_product_is_ref(m: REModel) -> bool:
